@@ -255,7 +255,7 @@ func naturalColumns(left, right []*Rel) []string {
 // (left expr = right expr, each referencing only its side) plus a
 // residual predicate over the combined row.
 func splitEquiConds(cond plan.Expr, leftWidth int) (equiL, equiR []plan.Expr, residual plan.Expr) {
-	conjuncts := splitConjuncts(cond)
+	conjuncts := plan.SplitConj(cond)
 	for _, c := range conjuncts {
 		call, ok := c.(*plan.Call)
 		if ok && call.Name == "=" && len(call.Args) == 2 {
@@ -303,14 +303,6 @@ func sideOf(e plan.Expr, leftWidth int) (side int, ok bool) {
 		return 1, true
 	}
 	return 0, true
-}
-
-// splitConjuncts flattens a conjunction into its AND-ed parts.
-func splitConjuncts(e plan.Expr) []plan.Expr {
-	if and, ok := e.(*plan.And); ok {
-		return append(splitConjuncts(and.L), splitConjuncts(and.R)...)
-	}
-	return []plan.Expr{e}
 }
 
 func requireBool(e plan.Expr, what string) error {

@@ -291,7 +291,7 @@ func (ab *aggBinder) applyVisible(ctx *core.Context, ph *measurePH, linkAdded *b
 	mapping := dimMapping(ph.rel, ph.info)
 	unmapped := false
 	if ab.whereExpr != nil {
-		for _, c := range splitConjuncts(ab.whereExpr) {
+		for _, c := range plan.SplitConj(ab.whereExpr) {
 			if mc, ok := mapWholeExpr(c, mapping); ok {
 				ctx.AddPred(mc)
 			} else {
@@ -479,7 +479,7 @@ func (b *Binder) applyRowMod(ctx *core.Context, mod ast.AtMod, ph *measurePH, fr
 			return nil
 		}
 		mapping := dimMapping(ph.rel, ph.info)
-		for _, c := range splitConjuncts(whereExpr) {
+		for _, c := range plan.SplitConj(whereExpr) {
 			mc, ok := mapWholeExpr(c, mapping)
 			if !ok {
 				return fmt.Errorf("VISIBLE: the WHERE clause is not expressible over the dimensions of measure %s", ph.info.Name)
@@ -803,7 +803,7 @@ func (ab *aggBinder) tryInline(ph *measurePH, mapping func(*plan.ColRef) (plan.E
 			return nil, false
 		}
 		if ab.whereExpr != nil {
-			for _, c := range splitConjuncts(ab.whereExpr) {
+			for _, c := range plan.SplitConj(ab.whereExpr) {
 				if _, ok := mapWholeExpr(c, mapping); !ok {
 					return nil, false
 				}

@@ -277,8 +277,8 @@ func coerceValue(v sqltypes.Value, kind sqltypes.Kind) (sqltypes.Value, error) {
 		kind == sqltypes.KindDate && v.K == sqltypes.KindString:
 		return sqltypes.Cast(v, kind)
 	case kind == sqltypes.KindInt && v.K == sqltypes.KindFloat:
-		if v.F == float64(int64(v.F)) {
-			return sqltypes.NewInt(int64(v.F)), nil
+		if f := v.F(); f == float64(int64(f)) {
+			return sqltypes.NewInt(int64(f)), nil
 		}
 		return sqltypes.Value{}, fmt.Errorf("cannot insert non-integral %v into INTEGER column", v)
 	default:

@@ -576,6 +576,7 @@ func (s *Session) planQueryParams(env *stmtEnv, q *ast.Query, kinds []sqltypes.K
 		}
 		rule("winmagic", "rewrites", rep.WinMagicRewrites)
 		rule("pushdown", "conjuncts", rep.FilterPushdowns)
+		rule("project-merge", "projections", rep.ProjectMerges)
 		rule("fold", "constants", rep.ConstantsFolded)
 		rule("memo-strip", "subqueries", rep.MemoStripped)
 	}

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/measures-sql/msql/internal/exec"
+	"github.com/measures-sql/msql/internal/optimizer"
 	"github.com/measures-sql/msql/internal/sqltypes"
 )
 
@@ -361,5 +363,48 @@ func TestExplainAndExpandStatements(t *testing.T) {
 	}
 	if !strings.Contains(res[0].Message, "Aggregate") {
 		t.Errorf("EXPLAIN statement output:\n%s", res[0].Message)
+	}
+}
+
+// TestProjectMergeKeepsLatticeNodes: merging a view's projection into
+// the Aggregate above it must not change what the rollup lattice sees —
+// its gate already rebases through projections, so node keys, and with
+// them the hit ratio, are the same with the rewrite on and off.
+func TestProjectMergeKeepsLatticeNodes(t *testing.T) {
+	queries := []string{
+		`SELECT grp, AGGREGATE(total) AS s, COUNT(*) AS c FROM v GROUP BY grp ORDER BY grp`,
+		`SELECT grp, AGGREGATE(total) AS s FROM v WHERE n2 > 2 GROUP BY grp ORDER BY grp`,
+		`SELECT grp, total / total AT (ALL grp) AS share FROM v GROUP BY grp ORDER BY grp`,
+		`SELECT n2, SUM(n) AS s FROM v GROUP BY n2 ORDER BY n2`,
+		`SELECT grp, AGGREGATE(total) AS s FROM v GROUP BY ROLLUP(grp) ORDER BY grp`,
+	}
+	run := func(pushdown bool) (out [][]string, hits, misses, nodes int64) {
+		s := newSession(t)
+		if _, err := s.Execute(`CREATE VIEW v AS SELECT *, n * 2 AS n2, SUM(n) AS MEASURE total FROM nums`); err != nil {
+			t.Fatal(err)
+		}
+		s.Update(func(_ *exec.Settings, opt *optimizer.Options) { opt.PushDownFilters = pushdown })
+		s.SetRollups(true)
+		for pass := 0; pass < 3; pass++ {
+			for _, q := range queries {
+				out = append(out, rows(t, s, q))
+			}
+		}
+		c := s.RollupStats()
+		return out, c.Hits, c.Misses, c.Nodes
+	}
+	wantRows, wantHits, wantMisses, wantNodes := run(false)
+	gotRows, gotHits, gotMisses, gotNodes := run(true)
+	if wantHits == 0 {
+		t.Fatal("the lattice never answered: the test exercises nothing")
+	}
+	if gotHits != wantHits || gotMisses != wantMisses || gotNodes != wantNodes {
+		t.Errorf("lattice hits/misses/nodes = %d/%d/%d with the merge, %d/%d/%d without",
+			gotHits, gotMisses, gotNodes, wantHits, wantMisses, wantNodes)
+	}
+	for i := range wantRows {
+		if strings.Join(gotRows[i], "\n") != strings.Join(wantRows[i], "\n") {
+			t.Errorf("statement %d: rows %v with the merge, %v without", i, gotRows[i], wantRows[i])
+		}
 	}
 }

@@ -191,16 +191,20 @@ func (rt *runtime) runAggregate(n *plan.Aggregate) ([]Row, error) {
 }
 
 // accumulateRows folds rows[lo:hi] into tables, creating groups keyed
-// by each grouping set. Group order is the first input-row index.
+// by each grouping set. Group order is the first input-row index. The
+// key tuple and its encoding are per-call buffers: a row that lands in
+// an existing group allocates nothing here (the map is probed with
+// m[string(buf)], which does not copy; only a new group keeps a key).
 func (rt *runtime) accumulateRows(env *aggEnv, tables []setTable, in []Row, lo, hi int) error {
 	n := env.n
+	keyVals := make([]sqltypes.Value, len(n.GroupExprs))
+	var key []byte
 	for i := lo; i < hi; i++ {
 		if err := rt.tick(); err != nil {
 			return err
 		}
 		row := in[i]
 		// Evaluate each group expression once per row.
-		keyVals := make([]sqltypes.Value, len(n.GroupExprs))
 		for j, g := range n.GroupExprs {
 			v, err := rt.eval(g, row)
 			if err != nil {
@@ -209,15 +213,14 @@ func (rt *runtime) accumulateRows(env *aggEnv, tables []setTable, in []Row, lo, 
 			keyVals[j] = v
 		}
 		for si, set := range n.Sets {
-			setKey := make([]sqltypes.Value, len(set))
-			for k, j := range set {
-				setKey[k] = keyVals[j]
+			key = key[:0]
+			for _, j := range set {
+				key = keyVals[j].AppendKey(key)
 			}
-			key := sqltypes.RowKey(setKey)
-			acc := tables[si].groups[key]
+			acc := tables[si].groups[string(key)]
 			if acc == nil {
 				acc = env.newAcc(env.maskKeyVals(set, keyVals), i)
-				tables[si].groups[key] = acc
+				tables[si].groups[string(key)] = acc
 			}
 			if err := rt.accumulate(env, acc, row); err != nil {
 				return err
@@ -420,6 +423,10 @@ func sortAccs(accs []*groupAcc) {
 }
 
 func (rt *runtime) accumulate(env *aggEnv, acc *groupAcc, row Row) error {
+	// Aggregate arguments go on the runtime's argument stack (states copy
+	// what they keep), popped after each call.
+	base := len(rt.args)
+	defer func() { rt.args = rt.args[:base] }()
 	for i, call := range env.n.Aggs {
 		if call.Name == "GROUPING" {
 			continue
@@ -433,14 +440,14 @@ func (rt *runtime) accumulate(env *aggEnv, acc *groupAcc, row Row) error {
 				continue
 			}
 		}
-		args := make([]sqltypes.Value, len(call.Args))
+		rt.args = rt.args[:base]
 		skip := false
 		for j, a := range call.Args {
 			v, err := rt.eval(a, row)
 			if err != nil {
 				return err
 			}
-			args[j] = v
+			rt.args = append(rt.args, v)
 			if j == 0 && v.Null && env.defs[i].SkipNulls {
 				skip = true
 			}
@@ -448,6 +455,7 @@ func (rt *runtime) accumulate(env *aggEnv, acc *groupAcc, row Row) error {
 		if skip {
 			continue
 		}
+		args := rt.args[base:]
 		if call.Distinct {
 			key := sqltypes.RowKey(args)
 			if acc.dedup[i][key] {

@@ -178,7 +178,7 @@ func TestRowsBytesEstimate(t *testing.T) {
 // cancels its context: the waiter must return promptly with CodeCanceled
 // instead of blocking on the computing goroutine.
 func TestMemoWaitCancel(t *testing.T) {
-	cache := newMemoCache()
+	cache := new(memoCache)
 	sq := &plan.Subquery{}
 	computing := make(chan struct{})
 	release := make(chan struct{})
@@ -211,7 +211,7 @@ func TestMemoWaitCancel(t *testing.T) {
 // TestMemoComputePanicPoisons checks a panicking compute closes the entry
 // so waiters are not stranded, and the panic still propagates.
 func TestMemoComputePanicPoisons(t *testing.T) {
-	cache := newMemoCache()
+	cache := new(memoCache)
 	sq := &plan.Subquery{}
 	func() {
 		defer func() {

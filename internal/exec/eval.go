@@ -2,9 +2,11 @@
 // materializing executor: each operator produces its full result. The
 // piece most relevant to the paper is subquery memoization — correlated
 // scalar subqueries (which every measure reference compiles to) are
-// cached keyed on the outer values they depend on, which is exactly the
-// "localized self-join" execution strategy of §5.1: compute each
-// evaluation context's aggregate once, then probe the cached result.
+// cached keyed on the outer values they depend on, and the distinct
+// contexts of an equality-correlated subquery are answered from one
+// hash-partitioned pass over its input (partition.go). Together they are
+// the "localized self-join" execution strategy of §5.1: about one pass
+// per measure, then probe the cached result.
 package exec
 
 import (
@@ -131,8 +133,9 @@ func DefaultSettings() *Settings {
 }
 
 // shared is the per-query state common to every worker goroutine: the
-// settings, the concurrency-safe subquery memo cache, and the discovered
-// correlation dependencies per subquery.
+// settings, the concurrency-safe subquery memo cache, and what has been
+// learned about each memoized subquery (correlation dependencies, the
+// partition index). Nothing here outlives the execution.
 type shared struct {
 	settings *Settings
 	// prof mirrors settings.Profile so operators pay one pointer load on
@@ -143,9 +146,22 @@ type shared struct {
 	ctx context.Context
 	// bud is the statement's resource-consumption ledger.
 	bud    *budget
-	memo   *memoCache
-	depsMu sync.RWMutex
-	deps   map[*plan.Subquery][]corrDep
+	memo   memoCache
+	subsMu sync.RWMutex
+	subs   map[*plan.Subquery]*subInfo
+}
+
+// subInfo is the per-execution state of one memoized subquery.
+type subInfo struct {
+	sq *plan.Subquery
+	// deps are the references to rows outside the subquery's own frame,
+	// for memo keying.
+	deps []corrDep
+	// contexts counts the distinct evaluation contexts computed so far;
+	// from the second one on, an eligible plan is evaluated through part.
+	contexts atomic.Int64
+	partOnce sync.Once
+	part     *partition // nil when the plan shape is not eligible
 }
 
 // runtime carries the execution state of one goroutine. The top-level
@@ -162,6 +178,15 @@ type runtime struct {
 	// steps counts rows processed since the last cancellation check;
 	// tick amortizes the context poll over cancelCheckRows rows.
 	steps int
+	// args is the scalar-call argument stack: evalCall pushes a call's
+	// evaluated arguments here instead of allocating a slice per call.
+	args []sqltypes.Value
+	// sub is the innermost subquery whose plan is executing (nil in the
+	// main plan); it keys operator metrics by plan position.
+	sub *plan.Subquery
+	// part, when set, is the partition index of the subquery whose plan
+	// is executing: its correlated Filter is answered by bucket lookup.
+	part *partition
 }
 
 // cancelCheckRows is the amortization interval of the cooperative
@@ -206,8 +231,6 @@ func newRuntime(ctx context.Context, settings *Settings) *runtime {
 			prof:     settings.Profile,
 			ctx:      ctx,
 			bud:      &budget{limits: settings.Limits},
-			memo:     newMemoCache(),
-			deps:     map[*plan.Subquery][]corrDep{},
 		},
 		workers: resolveWorkers(settings.Workers),
 	}
@@ -347,14 +370,19 @@ func (rt *runtime) evalCall(e *plan.Call, row Row) (sqltypes.Value, error) {
 	if !ok {
 		return sqltypes.Value{}, fmt.Errorf("unknown function %s at runtime", e.Name)
 	}
-	args := make([]sqltypes.Value, len(e.Args))
+	// Arguments live on the runtime's argument stack above base; a nested
+	// call pushes above them and pops back before returning, so this
+	// call's slots stay put (the backing array may move, hence the
+	// re-slice after the loop).
+	base := len(rt.args)
+	defer func() { rt.args = rt.args[:base] }()
 	anyNull := false
-	for i, a := range e.Args {
+	for _, a := range e.Args {
 		v, err := rt.eval(a, row)
 		if err != nil {
 			return sqltypes.Value{}, err
 		}
-		args[i] = v
+		rt.args = append(rt.args, v)
 		if v.Null {
 			anyNull = true
 		}
@@ -362,7 +390,7 @@ func (rt *runtime) evalCall(e *plan.Call, row Row) (sqltypes.Value, error) {
 	if sc.Strict && anyNull {
 		return sqltypes.Null(e.Typ.Kind), nil
 	}
-	out, err := sc.Eval(args)
+	out, err := sc.Eval(rt.args[base:])
 	if err != nil {
 		// Attach the call site's source position (when the binder
 		// recorded one) so hostile-input failures — bad casts, integer
@@ -450,18 +478,33 @@ func collectDeps(sq *plan.Subquery) []corrDep {
 	return deps
 }
 
-// memoKey computes the cache key for sq given the current outer frames
-// (with row about to be pushed as the immediate outer frame).
-func (rt *runtime) memoKey(sq *plan.Subquery, row Row) (string, error) {
-	rt.sh.depsMu.RLock()
-	deps, ok := rt.sh.deps[sq]
-	rt.sh.depsMu.RUnlock()
-	if !ok {
-		deps = collectDeps(sq)
-		rt.sh.depsMu.Lock()
-		rt.sh.deps[sq] = deps
-		rt.sh.depsMu.Unlock()
+// subInfo returns the execution's state for sq, discovering its
+// correlation dependencies on first use.
+func (rt *runtime) subInfo(sq *plan.Subquery) *subInfo {
+	sh := rt.sh
+	sh.subsMu.RLock()
+	si := sh.subs[sq]
+	sh.subsMu.RUnlock()
+	if si != nil {
+		return si
 	}
+	deps := collectDeps(sq)
+	sh.subsMu.Lock()
+	defer sh.subsMu.Unlock()
+	if si = sh.subs[sq]; si == nil {
+		if sh.subs == nil {
+			sh.subs = map[*plan.Subquery]*subInfo{}
+		}
+		si = &subInfo{sq: sq, deps: deps}
+		sh.subs[sq] = si
+	}
+	return si
+}
+
+// memoKey computes the cache key for a subquery with the given
+// dependencies and the current outer frames (with row about to be pushed
+// as the immediate outer frame).
+func (rt *runtime) memoKey(deps []corrDep, row Row) (string, error) {
 	vals := make([]sqltypes.Value, len(deps))
 	for i, d := range deps {
 		var frame Row
@@ -485,18 +528,19 @@ func (rt *runtime) memoKey(sq *plan.Subquery, row Row) (string, error) {
 func (rt *runtime) evalSubquery(sq *plan.Subquery, row Row) (sqltypes.Value, error) {
 	var e *memoEntry
 	if sq.Memo && rt.sh.settings.MemoizeSubqueries {
-		key, err := rt.memoKey(sq, row)
+		si := rt.subInfo(sq)
+		key, err := rt.memoKey(si.deps, row)
 		if err != nil {
 			return sqltypes.Value{}, err
 		}
 		// Singleflight: workers that race on the same evaluation context
-		// wait for the one computing it — exactly one base scan per
-		// distinct context (the parallel "localized self-join"). The
+		// wait for the one computing it, so each distinct context is
+		// computed exactly once (the parallel "localized self-join"). The
 		// wait is context-aware, so a canceled query never blocks on an
 		// in-flight evaluation.
 		var hit bool
 		e, hit, err = rt.sh.memo.do(rt.sh.ctx, sq, key, func(e *memoEntry) {
-			rt.computeSubquery(sq, row, e)
+			rt.computeSubquery(sq, si, row, e)
 		})
 		if err != nil {
 			return sqltypes.Value{}, err
@@ -506,7 +550,7 @@ func (rt *runtime) evalSubquery(sq *plan.Subquery, row Row) (sqltypes.Value, err
 		}
 	} else {
 		e = &memoEntry{}
-		rt.computeSubquery(sq, row, e)
+		rt.computeSubquery(sq, nil, row, e)
 	}
 	if e.err != nil {
 		return sqltypes.Value{}, e.err
@@ -553,9 +597,10 @@ func (rt *runtime) evalSubquery(sq *plan.Subquery, row Row) (sqltypes.Value, err
 
 // computeSubquery runs sq's plan for the given outer row and fills e
 // with the mode-specific artifact (scalar value, existence bit, or IN
-// set); the per-row parts of IN are applied by the caller.
-func (rt *runtime) computeSubquery(sq *plan.Subquery, row Row, e *memoEntry) {
-	rows, err := rt.runNested(sq, row)
+// set); the per-row parts of IN are applied by the caller. si is nil on
+// the unmemoized path.
+func (rt *runtime) computeSubquery(sq *plan.Subquery, si *subInfo, row Row, e *memoEntry) {
+	rows, err := rt.runNested(sq, si, row)
 	if err != nil {
 		e.err = err
 		return
@@ -595,7 +640,11 @@ func (rt *runtime) countHit(sq *plan.Subquery) {
 	}
 }
 
-func (rt *runtime) runNested(sq *plan.Subquery, row Row) ([]Row, error) {
+// runNested executes sq's plan with row pushed as the immediate outer
+// frame. Under the memo strategy it runs once per distinct context; from
+// the second context on, a plan with an equality-correlated Filter has
+// that Filter answered from the subquery's partition index.
+func (rt *runtime) runNested(sq *plan.Subquery, si *subInfo, row Row) ([]Row, error) {
 	if err := rt.sh.bud.noteSubqueryEval(len(rt.outer) + 1); err != nil {
 		return nil, err
 	}
@@ -608,8 +657,15 @@ func (rt *runtime) runNested(sq *plan.Subquery, row Row) ([]Row, error) {
 	if p := rt.sh.prof; p != nil {
 		p.SubqueryMetrics(sq).AddEval()
 	}
+	var part *partition
+	if si != nil && si.contexts.Add(1) > 1 {
+		part = si.partition()
+	}
+	sub, outerPart := rt.sub, rt.part
+	rt.sub, rt.part = sq, part
 	rt.outer = append(rt.outer, row)
 	rows, err := rt.run(sq.Plan)
 	rt.outer = rt.outer[:len(rt.outer)-1]
+	rt.sub, rt.part = sub, outerPart
 	return rows, err
 }

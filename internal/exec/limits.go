@@ -66,12 +66,18 @@ func (b *budget) noteRows(n int, bytes int64) error {
 		return exhausted("raise Limits.MaxRows or add filters",
 			"row budget exhausted: %d rows materialized (limit %d)", rows, b.limits.MaxRows)
 	}
-	if b.limits.MaxMemBytes > 0 {
-		mem := b.memBytes.Add(bytes)
-		if mem > b.limits.MaxMemBytes {
-			return exhausted("raise Limits.MaxMemBytes or reduce intermediate result sizes",
-				"memory budget exhausted: ~%d bytes materialized (limit %d)", mem, b.limits.MaxMemBytes)
-		}
+	return b.noteMem(bytes)
+}
+
+// noteMem charges bytes held outside any operator's output (the
+// partition index of a subquery) to the memory budget.
+func (b *budget) noteMem(bytes int64) error {
+	if b.limits.MaxMemBytes <= 0 || bytes == 0 {
+		return nil
+	}
+	if mem := b.memBytes.Add(bytes); mem > b.limits.MaxMemBytes {
+		return exhausted("raise Limits.MaxMemBytes or reduce intermediate result sizes",
+			"memory budget exhausted: ~%d bytes materialized (limit %d)", mem, b.limits.MaxMemBytes)
 	}
 	return nil
 }

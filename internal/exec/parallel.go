@@ -42,7 +42,7 @@ func resolveWorkers(w int) int {
 func (rt *runtime) child() *runtime {
 	outer := make([]Row, len(rt.outer))
 	copy(outer, rt.outer)
-	return &runtime{sh: rt.sh, outer: outer, workers: 1}
+	return &runtime{sh: rt.sh, outer: outer, workers: 1, sub: rt.sub}
 }
 
 // rowParallelism decides worker count and chunk size for a row-wise
@@ -310,6 +310,10 @@ const memoShardCount = 32
 // entry block until its computation finishes, so concurrent workers
 // evaluating the same context trigger exactly one base-table scan —
 // the paper's "localized self-join" strategy (§5.1), parallel.
+//
+// The zero value is ready to use; a shard's map is allocated by its
+// first entry, so a runtime that never memoizes (plain queries, the
+// engine's constant-folding micro-queries) pays nothing for it.
 type memoCache struct {
 	shards [memoShardCount]memoShard
 }
@@ -333,14 +337,6 @@ type memoEntry struct {
 	exists bool
 	set    *inSet
 	err    error
-}
-
-func newMemoCache() *memoCache {
-	c := &memoCache{}
-	for i := range c.shards {
-		c.shards[i].entries = map[memoCacheKey]*memoEntry{}
-	}
-	return c
 }
 
 // hash32 is FNV-1a, used to shard memo entries and partition aggregate
@@ -381,6 +377,9 @@ func (c *memoCache) do(ctx context.Context, sq *plan.Subquery, key string, compu
 		}
 	}
 	e = &memoEntry{done: make(chan struct{})}
+	if s.entries == nil {
+		s.entries = map[memoCacheKey]*memoEntry{}
+	}
 	s.entries[k] = e
 	s.mu.Unlock()
 	defer func() {

@@ -177,7 +177,7 @@ func TestParallelAggregateGroupPartitionedMatchesSerial(t *testing.T) {
 // goroutines (run under -race in CI): every distinct context must be
 // computed exactly once, with all other lookups served by the cache.
 func TestMemoSingleflightConcurrent(t *testing.T) {
-	cache := newMemoCache()
+	cache := new(memoCache)
 	sq := &plan.Subquery{}
 	const (
 		goroutines = 8
@@ -339,7 +339,7 @@ func TestAggStateMerge(t *testing.T) {
 	if err := first.Merge(second); err != nil {
 		t.Fatal(err)
 	}
-	got, want := first.Result().F, single.Result().F
+	got, want := first.Result().F(), single.Result().F()
 	if math.Abs(got-want) > 1e-9*math.Abs(want) {
 		t.Errorf("VAR_SAMP: merged %v, single-pass %v", got, want)
 	}

@@ -7,8 +7,12 @@ import (
 )
 
 // Profile collects per-operator runtime metrics for one query, keyed by
-// plan node identity (the executor runs the exact tree the optimizer
-// produced, so pointer identity is stable for the life of the query).
+// plan position: the node together with the subquery whose plan it is
+// executing in (nil for the main plan). The binder shares one Scan of a
+// measure's base table between the main plan and every expansion of the
+// measure, so node identity alone would fold all those positions into
+// one counter. The executor runs the exact tree the optimizer produced,
+// so pointer identity is stable for the life of the query.
 // It implements plan.MetricsSource, so the annotated tree can be
 // rendered with plan.ExplainAnalyzeTree(root, profile).
 //
@@ -18,56 +22,62 @@ import (
 // today) fall back to lazy insertion under the write lock.
 type Profile struct {
 	mu    sync.RWMutex
-	nodes map[plan.Node]*plan.OpMetrics
+	nodes map[nodePos]*plan.OpMetrics
 	subs  map[*plan.Subquery]*plan.OpMetrics
+}
+
+type nodePos struct {
+	in *plan.Subquery
+	n  plan.Node
 }
 
 // NewProfile creates a profile pre-registered for every operator and
 // subquery expression reachable from root.
 func NewProfile(root plan.Node) *Profile {
 	p := &Profile{
-		nodes: map[plan.Node]*plan.OpMetrics{},
+		nodes: map[nodePos]*plan.OpMetrics{},
 		subs:  map[*plan.Subquery]*plan.OpMetrics{},
 	}
-	p.register(root)
+	p.register(nil, root)
 	return p
 }
 
-func (p *Profile) register(n plan.Node) {
-	if _, ok := p.nodes[n]; ok {
+func (p *Profile) register(in *plan.Subquery, n plan.Node) {
+	if _, ok := p.nodes[nodePos{in, n}]; ok {
 		return
 	}
-	p.nodes[n] = &plan.OpMetrics{}
+	p.nodes[nodePos{in, n}] = &plan.OpMetrics{}
 	plan.VisitNodeExprs(n, func(e plan.Expr) {
 		plan.WalkExprs(e, func(x plan.Expr) {
 			if sq, ok := x.(*plan.Subquery); ok {
 				if _, ok := p.subs[sq]; !ok {
 					p.subs[sq] = &plan.OpMetrics{}
-					p.register(sq.Plan)
+					p.register(sq, sq.Plan)
 				}
 			}
 		})
 	})
 	for _, c := range n.Children() {
-		p.register(c)
+		p.register(in, c)
 	}
 }
 
 // NodeMetrics implements plan.MetricsSource.
-func (p *Profile) NodeMetrics(n plan.Node) *plan.OpMetrics {
+func (p *Profile) NodeMetrics(in *plan.Subquery, n plan.Node) *plan.OpMetrics {
+	k := nodePos{in, n}
 	p.mu.RLock()
-	m, ok := p.nodes[n]
+	m, ok := p.nodes[k]
 	p.mu.RUnlock()
 	if ok {
 		return m
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if m, ok := p.nodes[n]; ok {
+	if m, ok := p.nodes[k]; ok {
 		return m
 	}
 	m = &plan.OpMetrics{}
-	p.nodes[n] = m
+	p.nodes[k] = m
 	return m
 }
 

@@ -60,7 +60,7 @@ func (rt *runtime) run(n plan.Node) ([]Row, error) {
 		}
 		return rows, err
 	}
-	m := p.NodeMetrics(n)
+	m := p.NodeMetrics(rt.sub, n)
 	start := time.Now()
 	rows, err := rt.runNode(n)
 	m.Record(len(rows), int64(time.Since(start)))
@@ -76,7 +76,7 @@ func (rt *runtime) noteFanout(n plan.Node, workers int) {
 		atomic.AddInt64(&s.ParallelFanouts, 1)
 	}
 	if p := rt.sh.prof; p != nil {
-		p.NodeMetrics(n).NoteWorkers(workers)
+		p.NodeMetrics(rt.sub, n).NoteWorkers(workers)
 	}
 }
 
@@ -105,6 +105,11 @@ func (rt *runtime) runNode(n plan.Node) ([]Row, error) {
 		return out, nil
 
 	case *plan.Filter:
+		if p := rt.part; p != nil && p.filter == n {
+			if rows, ok, err := p.lookup(rt); ok || err != nil {
+				return rows, err
+			}
+		}
 		in, err := rt.run(n.Input)
 		if err != nil {
 			return nil, err

@@ -125,9 +125,9 @@ func PlanSpans(root plan.Node, prof *Profile, t Tracer) {
 	if prof == nil || t == nil {
 		return
 	}
-	var walk func(n plan.Node)
-	walk = func(n plan.Node) {
-		m := prof.NodeMetrics(n).Load()
+	var walk func(in *plan.Subquery, n plan.Node)
+	walk = func(in *plan.Subquery, n plan.Node) {
+		m := prof.NodeMetrics(in, n).Load()
 		attrs := map[string]string{"rows": fmt.Sprintf("%d", m.RowsOut)}
 		if m.Calls > 1 {
 			attrs["loops"] = fmt.Sprintf("%d", m.Calls)
@@ -144,17 +144,21 @@ func PlanSpans(root plan.Node, prof *Profile, t Tracer) {
 					if label == "" {
 						label = sq.String()
 					}
-					t.Span(Span{Phase: "operator", Name: "[" + label + "]", Attrs: map[string]string{
+					attrs := map[string]string{
 						"evals": fmt.Sprintf("%d", sm.Evals),
 						"hits":  fmt.Sprintf("%d", sm.CacheHits),
-					}})
-					walk(sq.Plan)
+					}
+					if sm.Partitions > 0 {
+						attrs["partitioned"] = fmt.Sprintf("%d", sm.Partitions)
+					}
+					t.Span(Span{Phase: "operator", Name: "[" + label + "]", Attrs: attrs})
+					walk(sq, sq.Plan)
 				}
 			})
 		})
 		for _, c := range n.Children() {
-			walk(c)
+			walk(in, c)
 		}
 	}
-	walk(root)
+	walk(nil, root)
 }

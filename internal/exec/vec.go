@@ -122,7 +122,7 @@ func (rt *runtime) noteBatch(n plan.Node, vb *vecBatch) {
 		atomic.AddInt64(&s.VecFallbackRows, vb.fallbackRows)
 	}
 	if p := rt.sh.prof; p != nil {
-		p.NodeMetrics(n).AddBatch(vb.kernelRows, vb.fallbackRows)
+		p.NodeMetrics(rt.sub, n).AddBatch(vb.kernelRows, vb.fallbackRows)
 	}
 	vb.kernelRows, vb.fallbackRows = 0, 0
 }

@@ -51,7 +51,7 @@ func AppendValue(dst []byte, v sqltypes.Value) []byte {
 	case sqltypes.KindInt, sqltypes.KindDate:
 		dst = binary.AppendVarint(dst, v.I)
 	case sqltypes.KindFloat:
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.F))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.F()))
 	default: // VARCHAR and unknown-kind non-NULLs carry their string form
 		dst = binary.AppendUvarint(dst, uint64(len(v.S)))
 		dst = append(dst, v.S...)

@@ -278,8 +278,8 @@ func TestValueCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode NaN: %v", err)
 	}
-	if math.Float64bits(got.F) != math.Float64bits(nan.F) {
-		t.Fatalf("NaN bits changed: %x != %x", math.Float64bits(got.F), math.Float64bits(nan.F))
+	if math.Float64bits(got.F()) != math.Float64bits(nan.F()) {
+		t.Fatalf("NaN bits changed: %x != %x", math.Float64bits(got.F()), math.Float64bits(nan.F()))
 	}
 
 	// Tuple round trip.

@@ -24,7 +24,7 @@ func TestOperators(t *testing.T) {
 	if v := evalScalar(t, "+", sqltypes.NewInt(2), sqltypes.NewInt(3)); v.I != 5 {
 		t.Errorf("2+3=%v", v)
 	}
-	if v := evalScalar(t, "/", sqltypes.NewInt(1), sqltypes.NewInt(4)); v.F != 0.25 {
+	if v := evalScalar(t, "/", sqltypes.NewInt(1), sqltypes.NewInt(4)); v.F() != 0.25 {
 		t.Errorf("1/4=%v", v)
 	}
 	if v := evalScalar(t, "=", sqltypes.NewString("a"), sqltypes.NewString("a")); !v.B {
@@ -139,7 +139,7 @@ func TestConditionals(t *testing.T) {
 	if v := evalScalar(t, "GREATEST", sqltypes.NewInt(1), sqltypes.NewInt(9), sqltypes.NewInt(5)); v.I != 9 {
 		t.Errorf("GREATEST=%v", v)
 	}
-	if v := evalScalar(t, "LEAST", sqltypes.NewFloat(1.5), sqltypes.NewInt(2)); v.F != 1.5 {
+	if v := evalScalar(t, "LEAST", sqltypes.NewFloat(1.5), sqltypes.NewInt(2)); v.F() != 1.5 {
 		t.Errorf("LEAST=%v", v)
 	}
 }
@@ -148,19 +148,19 @@ func TestNumericFunctions(t *testing.T) {
 	if v := evalScalar(t, "ABS", sqltypes.NewInt(-4)); v.I != 4 {
 		t.Errorf("ABS=%v", v)
 	}
-	if v := evalScalar(t, "ROUND", sqltypes.NewFloat(2.567), sqltypes.NewInt(1)); v.F != 2.6 {
+	if v := evalScalar(t, "ROUND", sqltypes.NewFloat(2.567), sqltypes.NewInt(1)); v.F() != 2.6 {
 		t.Errorf("ROUND=%v", v)
 	}
-	if v := evalScalar(t, "FLOOR", sqltypes.NewFloat(2.9)); v.F != 2 {
+	if v := evalScalar(t, "FLOOR", sqltypes.NewFloat(2.9)); v.F() != 2 {
 		t.Errorf("FLOOR=%v", v)
 	}
-	if v := evalScalar(t, "CEIL", sqltypes.NewFloat(2.1)); v.F != 3 {
+	if v := evalScalar(t, "CEIL", sqltypes.NewFloat(2.1)); v.F() != 3 {
 		t.Errorf("CEIL=%v", v)
 	}
 	if v := evalScalar(t, "SIGN", sqltypes.NewFloat(-0.5)); v.I != -1 {
 		t.Errorf("SIGN=%v", v)
 	}
-	if v := evalScalar(t, "POWER", sqltypes.NewInt(2), sqltypes.NewInt(10)); v.F != 1024 {
+	if v := evalScalar(t, "POWER", sqltypes.NewInt(2), sqltypes.NewInt(10)); v.F() != 1024 {
 		t.Errorf("POWER=%v", v)
 	}
 	if v := evalScalar(t, "NEG", sqltypes.NewInt(5)); v.I != -5 {
@@ -205,7 +205,7 @@ func TestAggregates(t *testing.T) {
 	if v := run("SUM", one(1, 2, 3)...); v.I != 6 {
 		t.Errorf("SUM=%v", v)
 	}
-	if v := run("AVG", one(1, 2, 3)...); v.F != 2 {
+	if v := run("AVG", one(1, 2, 3)...); v.F() != 2 {
 		t.Errorf("AVG=%v", v)
 	}
 	if v := run("MIN", one(5, 2, 9)...); v.I != 2 {
@@ -220,10 +220,10 @@ func TestAggregates(t *testing.T) {
 	if v := run("ANY_VALUE", one(7, 8)...); v.I != 7 {
 		t.Errorf("ANY_VALUE=%v", v)
 	}
-	if v := run("VAR_POP", one(2, 4, 4, 4, 5, 5, 7, 9)...); v.F != 4 {
+	if v := run("VAR_POP", one(2, 4, 4, 4, 5, 5, 7, 9)...); v.F() != 4 {
 		t.Errorf("VAR_POP=%v", v)
 	}
-	if v := run("STDDEV_POP", one(2, 4, 4, 4, 5, 5, 7, 9)...); v.F != 2 {
+	if v := run("STDDEV_POP", one(2, 4, 4, 4, 5, 5, 7, 9)...); v.F() != 2 {
 		t.Errorf("STDDEV_POP=%v", v)
 	}
 	// Empty SUM is NULL; empty COUNT is 0.
@@ -290,7 +290,7 @@ func TestVarianceProperty(t *testing.T) {
 		}
 		n := float64(len(xs))
 		naive := sumsq/n - (sum/n)*(sum/n)
-		got := state.Result().F
+		got := state.Result().F()
 		diff := naive - got
 		if diff < 0 {
 			diff = -diff

@@ -31,7 +31,8 @@ type Options struct {
 	// Zuzarte et al. 2003). See winmagic.go for the soundness guards.
 	WinMagic bool
 	// PushDownFilters moves filter conjuncts below projections and into
-	// the sides of inner joins.
+	// the sides of inner joins, and merges a projection into the
+	// Aggregate that reads it.
 	PushDownFilters bool
 }
 
@@ -55,6 +56,9 @@ type Report struct {
 	// FilterPushdowns counts filter conjuncts moved below a projection or
 	// into a join side.
 	FilterPushdowns int
+	// ProjectMerges counts projections merged into the Aggregate above
+	// them.
+	ProjectMerges int
 	// ConstantsFolded counts constant subexpressions replaced by literals.
 	ConstantsFolded int
 	// MemoStripped counts subqueries whose Memo flag was removed (naive
@@ -84,10 +88,10 @@ func OptimizeWithReport(n plan.Node, opts Options) (plan.Node, Report) {
 func OptimizeWithReportContext(ctx context.Context, n plan.Node, opts Options) (plan.Node, Report) {
 	var rep Report
 	if opts.WinMagic && ctx.Err() == nil {
-		n = winMagic(n, &rep)
+		n = everyPlan(n, func(p plan.Node) plan.Node { return winMagic(p, &rep) })
 	}
 	if opts.PushDownFilters && ctx.Err() == nil {
-		n = pushDown(n, &rep)
+		n = everyPlan(n, func(p plan.Node) plan.Node { return pushDown(p, &rep) })
 	}
 	if ctx.Err() != nil {
 		return n, rep
@@ -113,6 +117,22 @@ func OptimizeWithReportContext(ctx context.Context, n plan.Node, opts Options) (
 		})
 	}
 	return n, rep
+}
+
+// everyPlan applies a node-rewriting rule to the main plan and then to
+// the plan of every subquery an expression holds, at any nesting depth
+// (inner plans before the plan that holds them): a measure expansion or
+// a context link is a plan like any other, and the rules' walk over
+// Children alone never reaches it.
+func everyPlan(n plan.Node, rule func(plan.Node) plan.Node) plan.Node {
+	return plan.TransformNodeExprs(rule(n), func(e plan.Expr, _ int) plan.Expr {
+		if sq, ok := e.(*plan.Subquery); ok {
+			c := *sq
+			c.Plan = rule(sq.Plan)
+			return &c
+		}
+		return e
+	})
 }
 
 // foldConstant evaluates calls whose arguments are all literals. It is

@@ -17,10 +17,24 @@ import (
 // Outer joins keep their filters (null-extended rows make pushing
 // unsound in general), and predicates containing subqueries stay put to
 // avoid duplicating their evaluation.
+//
+// The same substitution, applied upwards, removes a projection that only
+// feeds an aggregation:
+//
+//	Aggregate(Project(X))      → Aggregate'(X) with the projection's
+//	                             expressions substituted into the group
+//	                             keys and aggregate arguments
+//
+// so a view's full SELECT list is not materialized per input row when
+// the aggregate reads two or three of its columns.
 func pushDown(n plan.Node, rep *Report) plan.Node {
 	switch n := n.(type) {
 	case *plan.Filter:
 		return pushFilter(n, rep)
+	case *plan.Aggregate:
+		c := *n
+		c.Input = pushDown(n.Input, rep)
+		return mergeProject(&c, rep)
 	default:
 		return copyWithChildren(n, func(c plan.Node) plan.Node { return pushDown(c, rep) })
 	}
@@ -42,7 +56,7 @@ func pushFilter(f *plan.Filter, rep *Report) plan.Node {
 			if !ok {
 				return &plan.Filter{Input: input, Pred: pred}
 			}
-			rep.FilterPushdowns += len(splitConj(pred))
+			rep.FilterPushdowns += len(plan.SplitConj(pred))
 			inner := pushFilter(&plan.Filter{Input: in.Input, Pred: sub}, rep)
 			c := *in
 			c.Input = inner
@@ -55,7 +69,7 @@ func pushFilter(f *plan.Filter, rep *Report) plan.Node {
 			leftWidth := len(in.Left.Schema().Cols)
 			totalWidth := leftWidth + len(in.Right.Schema().Cols)
 			var leftPreds, rightPreds, keep []plan.Expr
-			for _, conj := range splitConj(pred) {
+			for _, conj := range plan.SplitConj(pred) {
 				side, pushable := conjunctSide(conj, leftWidth, totalWidth)
 				switch {
 				case !pushable:
@@ -90,6 +104,72 @@ func pushFilter(f *plan.Filter, rep *Report) plan.Node {
 	}
 }
 
+// mergeProject folds the Project(s) directly beneath agg into it. The
+// projection must be subquery-free and non-volatile — dropping or
+// duplicating an evaluation must be unobservable — and every expression
+// of the aggregate must substitute through it (none holds a subquery,
+// whose correlated references would index the vanished row layout).
+func mergeProject(agg *plan.Aggregate, rep *Report) plan.Node {
+	for {
+		proj, ok := agg.Input.(*plan.Project)
+		if !ok {
+			return agg
+		}
+		for _, ne := range proj.Exprs {
+			if hasSubquery(ne.Expr) || !plan.ExprParallelSafe(ne.Expr) {
+				return agg
+			}
+		}
+		fits := true // every expression so far substituted through proj
+		sub := func(e plan.Expr) plan.Expr {
+			if e == nil || !fits {
+				return e
+			}
+			out, ok := substituteThroughProject(e, proj)
+			if !ok {
+				fits = false
+				return e
+			}
+			return out
+		}
+		subList := func(list []plan.Expr) []plan.Expr {
+			if list == nil {
+				return nil
+			}
+			out := make([]plan.Expr, len(list))
+			for i, e := range list {
+				out[i] = sub(e)
+			}
+			return out
+		}
+		c := *agg
+		c.Input = proj.Input
+		c.GroupExprs = subList(agg.GroupExprs)
+		c.Aggs = make([]plan.AggCall, len(agg.Aggs))
+		for i, a := range agg.Aggs {
+			a.Args = subList(a.Args)
+			a.WithinDistinct = subList(a.WithinDistinct)
+			a.Filter = sub(a.Filter)
+			c.Aggs[i] = a
+		}
+		if !fits {
+			return agg
+		}
+		rep.ProjectMerges++
+		agg = &c
+	}
+}
+
+func hasSubquery(e plan.Expr) bool {
+	found := false
+	plan.WalkExprs(e, func(x plan.Expr) {
+		if _, is := x.(*plan.Subquery); is {
+			found = true
+		}
+	})
+	return found
+}
+
 func conjoin(preds []plan.Expr) plan.Expr {
 	out := preds[0]
 	for _, p := range preds[1:] {
@@ -104,15 +184,10 @@ func conjoin(preds []plan.Expr) plan.Expr {
 // row count, but the correlation memo keys would change shape) or reads
 // a projected expression that is itself a subquery.
 func substituteThroughProject(pred plan.Expr, proj *plan.Project) (plan.Expr, bool) {
-	ok := true
-	plan.WalkExprs(pred, func(e plan.Expr) {
-		if _, is := e.(*plan.Subquery); is {
-			ok = false
-		}
-	})
-	if !ok {
+	if hasSubquery(pred) {
 		return nil, false
 	}
+	ok := true
 	out := plan.TransformExpr(pred, func(e plan.Expr) plan.Expr {
 		cr, is := e.(*plan.ColRef)
 		if !is {

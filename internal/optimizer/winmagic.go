@@ -231,7 +231,7 @@ func matchCandidate(sq *plan.Subquery, outerInput plan.Node) *candidate {
 	// base column and the aligned outer column, all at level 1.
 	var keys []int
 	nullSafe := true
-	for _, term := range splitConj(filter.Pred) {
+	for _, term := range plan.SplitConj(filter.Pred) {
 		var l, r plan.Expr
 		switch term := term.(type) {
 		case *plan.IsDistinct:
@@ -421,11 +421,4 @@ func plansIdentical(a, b plan.Node) bool {
 	default:
 		return false
 	}
-}
-
-func splitConj(e plan.Expr) []plan.Expr {
-	if and, ok := e.(*plan.And); ok {
-		return append(splitConj(and.L), splitConj(and.R)...)
-	}
-	return []plan.Expr{e}
 }

@@ -47,6 +47,11 @@ type OpMetrics struct {
 	// evaluator for expressions without a kernel.
 	KernelEvals   int64
 	FallbackEvals int64
+	// Partitions is the number of buckets of the subquery's partition
+	// index (Subquery only): non-zero when its contexts after the first
+	// were answered from one hash-partitioned pass instead of one scan
+	// each.
+	Partitions int64
 }
 
 // Record adds one execution producing rows in ns nanoseconds.
@@ -83,6 +88,10 @@ func (m *OpMetrics) AddEval() { atomic.AddInt64(&m.Evals, 1) }
 // AddCacheHit counts one memo-cache-served evaluation.
 func (m *OpMetrics) AddCacheHit() { atomic.AddInt64(&m.CacheHits, 1) }
 
+// SetPartitions records that the subquery's contexts are served from a
+// partition index with the given number of buckets.
+func (m *OpMetrics) SetPartitions(buckets int) { atomic.StoreInt64(&m.Partitions, int64(buckets)) }
+
 // Load returns a consistent-enough snapshot taken with atomic loads,
 // safe to call while the plan is still executing.
 func (m *OpMetrics) Load() OpMetrics {
@@ -96,13 +105,16 @@ func (m *OpMetrics) Load() OpMetrics {
 		Batches:       atomic.LoadInt64(&m.Batches),
 		KernelEvals:   atomic.LoadInt64(&m.KernelEvals),
 		FallbackEvals: atomic.LoadInt64(&m.FallbackEvals),
+		Partitions:    atomic.LoadInt64(&m.Partitions),
 	}
 }
 
 // MetricsSource resolves the metrics collected for a node or a subquery
-// expression; the executor's Profile implements it.
+// expression; the executor's Profile implements it. A node is identified
+// by its position: the subquery whose plan it belongs to (nil in the
+// main plan) and the node itself, since plans share base-table scans.
 type MetricsSource interface {
-	NodeMetrics(Node) *OpMetrics
+	NodeMetrics(in *Subquery, n Node) *OpMetrics
 	SubqueryMetrics(*Subquery) *OpMetrics
 }
 
@@ -111,7 +123,7 @@ type MetricsSource interface {
 // per subquery block, actual evaluations vs memo-cache hits.
 func ExplainAnalyzeTree(n Node, src MetricsSource) string {
 	var sb strings.Builder
-	explainInto(&sb, n, 0, src)
+	explainInto(&sb, nil, n, 0, src)
 	return sb.String()
 }
 
@@ -136,8 +148,14 @@ func annotateNode(m *OpMetrics) string {
 	return sb.String()
 }
 
-// annotateSubquery renders the metrics suffix for one subquery block.
+// annotateSubquery renders the metrics suffix for one subquery block;
+// partitioned=N follows the counts when the contexts after the first
+// were served from an N-bucket partition of one pass over the input.
 func annotateSubquery(m *OpMetrics) string {
 	s := m.Load()
-	return fmt.Sprintf(" (evals=%d hits=%d)", s.Evals, s.CacheHits)
+	out := fmt.Sprintf(" (evals=%d hits=%d)", s.Evals, s.CacheHits)
+	if s.Partitions > 0 {
+		out += fmt.Sprintf(" partitioned=%d", s.Partitions)
+	}
+	return out
 }

@@ -490,14 +490,15 @@ func (n *Window) Explain() string {
 // are printed as nested blocks beneath the node.
 func ExplainTree(n Node) string {
 	var sb strings.Builder
-	explainInto(&sb, n, 0, nil)
+	explainInto(&sb, nil, n, 0, nil)
 	return sb.String()
 }
 
-// explainInto renders one node and its subtree. With a non-nil
-// MetricsSource it appends the EXPLAIN ANALYZE annotations; with nil it
-// produces the plain EXPLAIN output.
-func explainInto(sb *strings.Builder, n Node, depth int, src MetricsSource) {
+// explainInto renders one node and its subtree; in is the subquery whose
+// plan n belongs to (nil in the main plan). With a non-nil MetricsSource
+// it appends the EXPLAIN ANALYZE annotations; with nil it produces the
+// plain EXPLAIN output.
+func explainInto(sb *strings.Builder, in *Subquery, n Node, depth int, src MetricsSource) {
 	indent := func(d int) {
 		for i := 0; i < d; i++ {
 			sb.WriteString("  ")
@@ -506,7 +507,7 @@ func explainInto(sb *strings.Builder, n Node, depth int, src MetricsSource) {
 	indent(depth)
 	sb.WriteString(n.Explain())
 	if src != nil {
-		if m := src.NodeMetrics(n); m != nil {
+		if m := src.NodeMetrics(in, n); m != nil {
 			sb.WriteString(annotateNode(m))
 		}
 	}
@@ -526,11 +527,11 @@ func explainInto(sb *strings.Builder, n Node, depth int, src MetricsSource) {
 					}
 				}
 				sb.WriteByte('\n')
-				explainInto(sb, sq.Plan, depth+2, src)
+				explainInto(sb, sq, sq.Plan, depth+2, src)
 			}
 		})
 	})
 	for _, c := range n.Children() {
-		explainInto(sb, c, depth+1, src)
+		explainInto(sb, in, c, depth+1, src)
 	}
 }

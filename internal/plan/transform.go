@@ -116,6 +116,14 @@ func ReplaceAggRefs(e Expr, f func(*AggRef) Expr) Expr {
 	})
 }
 
+// SplitConj flattens a conjunction into its AND-ed parts, left to right.
+func SplitConj(e Expr) []Expr {
+	if and, ok := e.(*And); ok {
+		return append(SplitConj(and.L), SplitConj(and.R)...)
+	}
+	return []Expr{e}
+}
+
 // HasCorrRefs reports whether e contains correlated references (at any
 // level), not descending into nested subquery plans.
 func HasCorrRefs(e Expr) bool {

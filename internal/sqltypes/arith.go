@@ -210,7 +210,7 @@ func Neg(a Value) (Value, error) {
 		}
 		return NewInt(-a.I), nil
 	}
-	return NewFloat(-a.F), nil
+	return NewFloat(-a.F()), nil
 }
 
 // Cast converts v to kind, following SQL CAST semantics for the supported
@@ -240,10 +240,10 @@ func Cast(v Value, kind Kind) (Value, error) {
 	case KindInt:
 		switch v.K {
 		case KindFloat:
-			if !inInt64Range(v.F) {
-				return Value{}, fmt.Errorf("cannot cast %v to INTEGER: out of range", v.F)
+			if !inInt64Range(v.F()) {
+				return Value{}, fmt.Errorf("cannot cast %v to INTEGER: out of range", v.F())
 			}
-			return NewInt(int64(v.F)), nil
+			return NewInt(int64(v.F())), nil
 		case KindBool:
 			return NewInt(b2i(v.B)), nil
 		case KindString:

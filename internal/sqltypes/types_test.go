@@ -116,13 +116,13 @@ func TestArith(t *testing.T) {
 	if v := mustV(Add(NewInt(2), NewInt(3))); v.K != KindInt || v.I != 5 {
 		t.Errorf("2+3 = %v", v)
 	}
-	if v := mustV(Div(NewInt(3), NewInt(2))); v.K != KindFloat || v.F != 1.5 {
+	if v := mustV(Div(NewInt(3), NewInt(2))); v.K != KindFloat || v.F() != 1.5 {
 		t.Errorf("3/2 = %v (division must not truncate)", v)
 	}
 	if v := mustV(Div(NewInt(3), NewInt(0))); !v.Null {
 		t.Errorf("3/0 = %v, want NULL", v)
 	}
-	if v := mustV(Mul(NewFloat(2), NewInt(3))); v.K != KindFloat || v.F != 6 {
+	if v := mustV(Mul(NewFloat(2), NewInt(3))); v.K != KindFloat || v.F() != 6 {
 		t.Errorf("2.0*3 = %v", v)
 	}
 	if v := mustV(Sub(NewInt(1), Null(KindInt))); !v.Null || v.K != KindInt {
@@ -264,7 +264,7 @@ func TestArithProperties(t *testing.T) {
 			return true
 		}
 		s, err := Add(NewFloat(a), NewFloat(b))
-		if err != nil || s.F != a+b {
+		if err != nil || s.F() != a+b {
 			return false
 		}
 		d, err := Div(NewFloat(a), NewFloat(b))
@@ -274,7 +274,7 @@ func TestArithProperties(t *testing.T) {
 		if b == 0 {
 			return d.Null
 		}
-		return d.F == a/b
+		return d.F() == a/b
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -12,13 +12,14 @@ import (
 //
 // Dates are stored in I as days since 1970-01-01 (proleptic Gregorian,
 // UTC); this makes date comparison and grouping cheap while YEAR/MONTH
-// etc. convert through time.Time on demand.
+// etc. convert through time.Time on demand. A DOUBLE keeps its IEEE-754
+// bits in I (read it with F): a value has one numeric payload, never
+// two, and every stored row is 8 bytes per column smaller for it.
 type Value struct {
 	K    Kind
 	Null bool
 	B    bool
 	I    int64
-	F    float64
 	S    string
 }
 
@@ -34,7 +35,10 @@ func NewBool(b bool) Value { return Value{K: KindBool, B: b} }
 func NewInt(i int64) Value { return Value{K: KindInt, I: i} }
 
 // NewFloat returns a DOUBLE value.
-func NewFloat(f float64) Value { return Value{K: KindFloat, F: f} }
+func NewFloat(f float64) Value { return Value{K: KindFloat, I: int64(math.Float64bits(f))} }
+
+// F returns the payload of a DOUBLE value.
+func (v Value) F() float64 { return math.Float64frombits(uint64(v.I)) }
 
 // NewString returns a VARCHAR value.
 func NewString(s string) Value { return Value{K: KindString, S: s} }
@@ -74,7 +78,7 @@ func (v Value) AsFloat() float64 {
 	if v.K == KindInt {
 		return float64(v.I)
 	}
-	return v.F
+	return v.F()
 }
 
 // String renders the value in SQL literal style; NULL renders as "NULL".
@@ -91,7 +95,7 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.I, 10)
 	case KindFloat:
-		return formatFloat(v.F)
+		return formatFloat(v.F())
 	case KindString:
 		return v.S
 	case KindDate:

@@ -18,11 +18,25 @@ type Table struct {
 	cols  []string
 	types []sqltypes.Type
 	rows  [][]sqltypes.Value
+	// dict interns the values of each VARCHAR column (nil for the other
+	// columns): a dimension repeats a few hundred names over every row,
+	// and without it each stored row keeps its own copy of each.
+	dict []map[string]string
 }
+
+// internLimit bounds a column's dictionary; past it, new values are
+// stored as they come (a key-like column gains nothing from interning).
+const internLimit = 1 << 12
 
 // NewTable creates an empty table.
 func NewTable(name string, cols []string, types []sqltypes.Type) *Table {
-	return &Table{name: name, cols: cols, types: types}
+	t := &Table{name: name, cols: cols, types: types, dict: make([]map[string]string, len(types))}
+	for j, typ := range types {
+		if typ.Kind == sqltypes.KindString {
+			t.dict[j] = map[string]string{}
+		}
+	}
+	return t
 }
 
 // Name returns the table name.
@@ -91,6 +105,22 @@ func (t *Table) CoerceRows(rows [][]sqltypes.Value) ([][]sqltypes.Value, error) 
 func (t *Table) InsertPrepared(rows [][]sqltypes.Value) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	for j, d := range t.dict {
+		if d == nil {
+			continue
+		}
+		for _, row := range rows {
+			v := &row[j]
+			if v.Null {
+				continue
+			}
+			if c, ok := d[v.S]; ok {
+				v.S = c
+			} else if len(d) < internLimit {
+				d[v.S] = v.S
+			}
+		}
+	}
 	t.rows = append(t.rows, rows...)
 }
 
@@ -99,6 +129,9 @@ func (t *Table) Truncate() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.rows = nil
+	for _, d := range t.dict {
+		clear(d)
+	}
 }
 
 // coerce converts v to kind where the conversion is implicit-safe
@@ -115,8 +148,8 @@ func coerce(v sqltypes.Value, kind sqltypes.Kind) (sqltypes.Value, error) {
 		kind == sqltypes.KindDate && v.K == sqltypes.KindString:
 		return sqltypes.Cast(v, kind)
 	case kind == sqltypes.KindInt && v.K == sqltypes.KindFloat:
-		if v.F == float64(int64(v.F)) {
-			return sqltypes.NewInt(int64(v.F)), nil
+		if f := v.F(); f == float64(int64(f)) {
+			return sqltypes.NewInt(int64(f)), nil
 		}
 		return sqltypes.Value{}, fmt.Errorf("cannot insert non-integral %v into INTEGER column", v)
 	default:

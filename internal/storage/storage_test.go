@@ -2,6 +2,7 @@ package storage
 
 import (
 	"testing"
+	"unsafe"
 
 	"github.com/measures-sql/msql/internal/sqltypes"
 )
@@ -27,7 +28,7 @@ func TestInsertAndScan(t *testing.T) {
 		t.Fatalf("rows=%d", len(rows))
 	}
 	// INT 2 coerced to FLOAT in column b; string coerced to DATE.
-	if rows[0][1].K != sqltypes.KindFloat || rows[0][1].F != 2 {
+	if rows[0][1].K != sqltypes.KindFloat || rows[0][1].F() != 2 {
 		t.Errorf("coercion to float failed: %v", rows[0][1])
 	}
 	if rows[0][2].K != sqltypes.KindDate || rows[0][2].String() != "2024-01-01" {
@@ -90,5 +91,38 @@ func TestSnapshotStability(t *testing.T) {
 	}
 	if len(snap) != 1 {
 		t.Error("snapshot must survive truncate")
+	}
+}
+
+// TestStringColumnsAreInterned: equal VARCHAR values of one column share
+// one backing string however many rows (and insert batches) repeat them;
+// the caller's rows are not touched, NULLs pass through, and Truncate
+// drops the dictionary with the rows.
+func TestStringColumnsAreInterned(t *testing.T) {
+	tbl := NewTable("t", []string{"name", "n"},
+		[]sqltypes.Type{{Kind: sqltypes.KindString}, {Kind: sqltypes.KindInt}})
+	fresh := func(s string) sqltypes.Value { return sqltypes.NewString(string([]byte(s))) }
+	in := [][]sqltypes.Value{{fresh("prod001"), sqltypes.NewInt(1)}, {fresh("prod001"), sqltypes.NewInt(2)},
+		{sqltypes.Null(sqltypes.KindString), sqltypes.NewInt(3)}}
+	if err := tbl.Insert(in); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Insert([][]sqltypes.Value{{fresh("prod001"), sqltypes.NewInt(4)}, {fresh("prod002"), sqltypes.NewInt(5)}}); err != nil {
+		t.Fatal(err)
+	}
+	rows := tbl.Rows()
+	data := func(i int) *byte { return unsafe.StringData(rows[i][0].S) }
+	if data(0) != data(1) || data(0) != data(3) {
+		t.Error("equal values of a VARCHAR column must share one backing string")
+	}
+	if rows[4][0].S != "prod002" || !rows[2][0].Null {
+		t.Errorf("values changed: %v", rows)
+	}
+	if unsafe.StringData(in[1][0].S) == data(0) {
+		t.Error("the caller's rows must not be rewritten")
+	}
+	tbl.Truncate()
+	if len(tbl.dict[0]) != 0 {
+		t.Error("Truncate must drop the dictionary")
 	}
 }

@@ -146,7 +146,7 @@ func (c *Col) Set(i int, v sqltypes.Value) {
 	case sqltypes.KindInt, sqltypes.KindDate:
 		c.I[i] = v.I
 	case sqltypes.KindFloat:
-		c.F[i] = v.F
+		c.F[i] = v.F()
 	case sqltypes.KindString:
 		c.S[i] = v.S
 	}
@@ -196,7 +196,7 @@ func BuildCol(rows [][]sqltypes.Value, idx int, kind sqltypes.Kind) *Col {
 		case sqltypes.KindInt, sqltypes.KindDate:
 			c.I[r] = v.I
 		case sqltypes.KindFloat:
-			c.F[r] = v.F
+			c.F[r] = v.F()
 		case sqltypes.KindString:
 			c.S[r] = v.S
 		}

@@ -132,7 +132,7 @@ func appendValue(b []byte, v sqltypes.Value) []byte {
 	case sqltypes.KindInt, sqltypes.KindDate:
 		return binary.AppendVarint(b, v.I)
 	case sqltypes.KindFloat:
-		return binary.LittleEndian.AppendUint64(b, math.Float64bits(v.F))
+		return binary.LittleEndian.AppendUint64(b, math.Float64bits(v.F()))
 	case sqltypes.KindString:
 		return appendString(b, v.S)
 	default: // KindUnknown non-null cannot occur; encode as empty

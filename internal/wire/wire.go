@@ -55,8 +55,8 @@ type PartialRequest struct {
 	// ExpectVersion, when > 0, is the catalog version this request was
 	// planned against; a mismatched server rejects instead of answering
 	// from a stale (or differently-mutated) catalog.
-	ExpectVersion int64 `json:"expect_version,omitempty"`
-	TimeoutMillis int64 `json:"timeout_ms,omitempty"`
+	ExpectVersion int64  `json:"expect_version,omitempty"`
+	TimeoutMillis int64  `json:"timeout_ms,omitempty"`
 	RequestID     string `json:"request_id,omitempty"`
 }
 
@@ -299,7 +299,7 @@ func EncodeValue(v sqltypes.Value) any {
 	case sqltypes.KindInt:
 		return v.I
 	case sqltypes.KindFloat:
-		return v.F
+		return v.F()
 	case sqltypes.KindDate:
 		return v.Time().Format("2006-01-02")
 	default:

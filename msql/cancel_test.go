@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -117,34 +118,67 @@ func TestCancelHammer(t *testing.T) {
 // TestCancelLatency checks the acceptance budget: with four workers mid
 // query, cancellation must surface within 50ms (ticks fire every 1024
 // rows, so the bound is dominated by the injected 1ms operator delay).
+// The second case cancels as the memo strategy's second context starts,
+// i.e. while the partition of the measure's 20 000-row base is being
+// built (or waited for by the other workers): the build polls the
+// context every 1024 rows like any row loop, and nothing is left behind.
 func TestCancelLatency(t *testing.T) {
-	db := measureDB(t)
-	db.SetWorkers(4)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	started := make(chan struct{})
-	var once sync.Once
-	exec.SetFailPoint(exec.FailOperator, func() error {
-		once.Do(func() { close(started) })
-		time.Sleep(time.Millisecond)
-		return nil
-	})
-	defer exec.ClearFailPoints()
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := db.QueryContext(ctx, cancelQuery)
-		errCh <- err
-	}()
-	<-started
-	start := time.Now()
-	cancel()
-	err := <-errCh
-	latency := time.Since(start)
-	if !errors.Is(err, msql.ErrCanceled) {
-		t.Fatalf("want ErrCanceled, got %v", err)
-	}
-	if latency > 50*time.Millisecond {
-		t.Fatalf("cancellation took %v, budget is 50ms", latency)
+	for _, tc := range []struct {
+		name     string
+		strategy msql.Strategy
+		point    exec.FailPoint
+		firing   int64
+	}{
+		{"mid-query", msql.StrategyDefault, exec.FailOperator, 1},
+		{"partition-build", msql.StrategyMemo, exec.FailSubqueryEval, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := measureDB(t)
+			db.SetStrategy(tc.strategy)
+			db.SetWorkers(4)
+			base := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			started := make(chan struct{})
+			var firings atomic.Int64
+			signal := func() {
+				if firings.Add(1) == tc.firing {
+					close(started)
+				}
+			}
+			exec.SetFailPoint(exec.FailOperator, func() error {
+				if tc.point == exec.FailOperator {
+					signal()
+				}
+				time.Sleep(time.Millisecond)
+				return nil
+			})
+			exec.SetFailPoint(exec.FailSubqueryEval, func() error {
+				if tc.point == exec.FailSubqueryEval {
+					signal()
+				}
+				return nil
+			})
+			defer exec.ClearFailPoints()
+			errCh := make(chan error, 1)
+			go func() {
+				_, err := db.QueryContext(ctx, cancelQuery)
+				errCh <- err
+			}()
+			<-started
+			start := time.Now()
+			cancel()
+			err := <-errCh
+			latency := time.Since(start)
+			if !errors.Is(err, msql.ErrCanceled) {
+				t.Fatalf("want ErrCanceled, got %v", err)
+			}
+			if latency > 50*time.Millisecond {
+				t.Fatalf("cancellation took %v, budget is 50ms", latency)
+			}
+			exec.ClearFailPoints()
+			waitGoroutines(t, base)
+		})
 	}
 }
 

@@ -226,3 +226,83 @@ func TestDifferentialPreparedVsDirect(t *testing.T) {
 		})
 	}
 }
+
+// TestDifferentialPartitionedVsPerContext is the gate of the
+// hash-partitioned evaluation of equality-correlated contexts (paper
+// §5.1): the memo strategy answers every distinct context after the
+// first from one partitioned pass, the naive strategy still re-runs the
+// context subquery per outer row and never partitions. The naive row
+// engine at one worker is therefore the per-context oracle; every
+// strategy × {1, 4} workers × {row, vectorized} must agree with it on
+// whether the query errors and on every value, floats compared by bit
+// pattern (a bucket holds exactly the rows the context's filter passes,
+// in scan order, so float accumulation order is unchanged).
+func TestDifferentialPartitionedVsPerContext(t *testing.T) {
+	const seed = 20240805
+	corpus := diffCorpusSize(t)
+	oracleDB := buildRandomDB(t, 99, msql.StrategyNaive)
+	oracleDB.SetWorkers(1)
+	type config struct {
+		name string
+		db   *msql.DB
+	}
+	var configs []config
+	for _, s := range []struct {
+		name string
+		s    msql.Strategy
+	}{{"inline", msql.StrategyDefault}, {"memo", msql.StrategyMemo}, {"naive", msql.StrategyNaive}} {
+		configs = append(configs, config{s.name, buildRandomDB(t, 99, s.s)})
+	}
+	memoDB := configs[1].db
+	memoDB.SetWorkers(1)
+
+	gen := qgen.New(seed, qgen.DefaultCatalog())
+	ctx := context.Background()
+	partitioned := 0
+	for i := 0; i < corpus; i++ {
+		q := gen.Query()
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("query %d (seed %d)\nSQL: %s\n%s", i, seed, q, fmt.Sprintf(format, args...))
+		}
+		oracle, oracleErr := oracleDB.Query(q)
+		var want []string
+		if oracleErr == nil {
+			want = exactRows(oracle)
+		}
+		for _, c := range configs {
+			for _, workers := range []int{1, 4} {
+				for _, vectorized := range []bool{false, true} {
+					name := fmt.Sprintf("%s/w%d/vec=%v", c.name, workers, vectorized)
+					got, err := c.db.QueryContext(ctx, q, msql.WithWorkers(workers), msql.WithVectorized(vectorized))
+					if (err == nil) != (oracleErr == nil) {
+						fail("%s disagrees on error: oracle=%v variant=%v", name, oracleErr, err)
+					}
+					if oracleErr != nil {
+						continue
+					}
+					have := exactRows(got)
+					if len(want) != len(have) {
+						fail("%s row count: oracle=%d variant=%d", name, len(want), len(have))
+					}
+					for r := range want {
+						if want[r] != have[r] {
+							fail("%s row %d differs:\noracle:  %s\nvariant: %s", name, r, want[r], have[r])
+						}
+					}
+				}
+			}
+		}
+		if oracleErr == nil {
+			if txt, err := memoDB.ExplainAnalyze(q); err == nil && strings.Contains(txt, "partitioned=") {
+				partitioned++
+			}
+		}
+	}
+	// The gate is only meaningful if the corpus reaches the partitioned
+	// path under the memo strategy.
+	if partitioned == 0 {
+		t.Fatal("no query of the corpus was evaluated through a partition")
+	}
+	t.Logf("%d of %d corpus queries built a partition under the memo strategy", partitioned, corpus)
+}

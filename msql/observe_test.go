@@ -52,8 +52,7 @@ func TestExplainGoldenListing3(t *testing.T) {
           Filter ($0:prodName IS NOT DISTINCT FROM corr^1$0:prodName)
             Scan Orders
     Aggregate by [$0:prodName]
-      Project $0:prodName AS prodName, $1:custName AS custName, $2:orderDate AS orderDate, $3:revenue AS revenue, $4:cost AS cost, NULL AS sumRevenue
-        Scan Orders
+      Scan Orders
 `
 	if got != want {
 		t.Errorf("plain EXPLAIN mismatch:\ngot:\n%s\nwant:\n%s", got, want)
@@ -65,10 +64,12 @@ func TestExplainGoldenListing3(t *testing.T) {
 
 // TestExplainAnalyzeGoldenListing3 locks the annotated rendering of the
 // paper's Listing-3-style aggregation under StrategyMemo: 3 product
-// contexts, so exactly 3 subquery evals and no memo hits. Note the Scan
-// node is shared between the measure's base plan and the outer plan, so
-// its metrics aggregate across both appearances (rows=20 over 4 scans
-// of the 5-row Orders table).
+// contexts, so exactly 3 subquery evals and no memo hits, the second and
+// third served from a 3-bucket partition. The Scan node is shared
+// between the measure's base plan and the outer plan but reported per
+// position: once in the main plan, twice in the measure (the first
+// context's scan and the partition's one pass) — 15 rows of the 5-row
+// Orders table, where one scan per context read 20.
 func TestExplainAnalyzeGoldenListing3(t *testing.T) {
 	db := openMemo(t)
 	got, err := db.ExplainAnalyze(listing3SQL)
@@ -77,15 +78,14 @@ func TestExplainAnalyzeGoldenListing3(t *testing.T) {
 	}
 	want := `Sort $0:prodName ASC (rows=3 time=X)
   Project $0:prodName AS prodName, subquery(scalar memo) [measure sumRevenue at prodName = corr^1$0:prodName] AS r (rows=3 time=X)
-    [measure sumRevenue at prodName = corr^1$0:prodName] (evals=3 hits=0)
+    [measure sumRevenue at prodName = corr^1$0:prodName] (evals=3 hits=0) partitioned=3
       Project $0:agg0 AS sumRevenue (rows=3 loops=3 time=X)
         Aggregate aggs [SUM($3:revenue)] (rows=3 loops=3 time=X)
           Filter ($0:prodName IS NOT DISTINCT FROM corr^1$0:prodName) (rows=5 loops=3 time=X)
-            Scan Orders (rows=20 loops=4 time=X)
+            Scan Orders (rows=10 loops=2 time=X)
     Aggregate by [$0:prodName] (rows=3 time=X)
-      Project $0:prodName AS prodName, $1:custName AS custName, $2:orderDate AS orderDate, $3:revenue AS revenue, $4:cost AS cost, NULL AS sumRevenue (rows=5 time=X)
-        Scan Orders (rows=20 loops=4 time=X)
-Totals: rows=3 scanned=20 evals=3 hits=0 fanouts=0
+      Scan Orders (rows=5 time=X)
+Totals: rows=3 scanned=15 evals=3 hits=0 fanouts=0
 `
 	if maskTimes(got) != want {
 		t.Errorf("EXPLAIN ANALYZE mismatch:\ngot:\n%s\nwant:\n%s", maskTimes(got), want)
@@ -105,24 +105,23 @@ func TestExplainAnalyzeGoldenListing6(t *testing.T) {
 	}
 	want := `Sort $0:prodName ASC (rows=3 time=X)
   Project $0:prodName AS prodName, subquery(scalar memo) [measure sumRevenue at prodName = corr^1$0:prodName] AS sumRevenue, /(subquery(scalar memo) [measure sumRevenue at prodName = corr^1$0:prodName], subquery(scalar memo) [measure sumRevenue at TRUE]) AS proportionOfTotalRevenue (rows=3 time=X)
-    [measure sumRevenue at prodName = corr^1$0:prodName] (evals=3 hits=0)
+    [measure sumRevenue at prodName = corr^1$0:prodName] (evals=3 hits=0) partitioned=3
       Project $0:agg0 AS sumRevenue (rows=3 loops=3 time=X)
         Aggregate aggs [SUM($3:revenue)] (rows=3 loops=3 time=X)
           Filter ($0:prodName IS NOT DISTINCT FROM corr^1$0:prodName) (rows=5 loops=3 time=X)
-            Scan Orders (rows=40 loops=8 time=X)
-    [measure sumRevenue at prodName = corr^1$0:prodName] (evals=3 hits=0)
+            Scan Orders (rows=10 loops=2 time=X)
+    [measure sumRevenue at prodName = corr^1$0:prodName] (evals=3 hits=0) partitioned=3
       Project $0:agg0 AS sumRevenue (rows=3 loops=3 time=X)
         Aggregate aggs [SUM($3:revenue)] (rows=3 loops=3 time=X)
           Filter ($0:prodName IS NOT DISTINCT FROM corr^1$0:prodName) (rows=5 loops=3 time=X)
-            Scan Orders (rows=40 loops=8 time=X)
+            Scan Orders (rows=10 loops=2 time=X)
     [measure sumRevenue at TRUE] (evals=1 hits=2)
       Project $0:agg0 AS sumRevenue (rows=1 time=X)
         Aggregate aggs [SUM($3:revenue)] (rows=1 time=X)
-          Scan Orders (rows=40 loops=8 time=X)
+          Scan Orders (rows=5 time=X)
     Aggregate by [$0:prodName] (rows=3 time=X)
-      Project $0:prodName AS prodName, $1:custName AS custName, $2:orderDate AS orderDate, $3:revenue AS revenue, $4:cost AS cost, NULL AS sumRevenue (rows=5 time=X)
-        Scan Orders (rows=40 loops=8 time=X)
-Totals: rows=3 scanned=40 evals=7 hits=2 fanouts=0
+      Scan Orders (rows=5 time=X)
+Totals: rows=3 scanned=30 evals=7 hits=2 fanouts=0
 `
 	if maskTimes(got) != want {
 		t.Errorf("EXPLAIN ANALYZE mismatch:\ngot:\n%s\nwant:\n%s", maskTimes(got), want)
@@ -172,7 +171,7 @@ func TestExplainAnalyzeStatement(t *testing.T) {
 		t.Fatalf("got %d results", len(results))
 	}
 	msg := results[0].Message
-	if !strings.Contains(msg, "Totals: rows=3 scanned=20 evals=3 hits=0") {
+	if !strings.Contains(msg, "Totals: rows=3 scanned=15 evals=3 hits=0") {
 		t.Errorf("EXPLAIN ANALYZE statement output:\n%s", msg)
 	}
 	// Lowercase keyword must work too.
