@@ -32,6 +32,12 @@ func (t *BaseTable) ColTypes() []sqltypes.Type { return t.Data.ColTypes() }
 // Rows implements plan.RowSource.
 func (t *BaseTable) Rows() [][]sqltypes.Value { return t.Data.Rows() }
 
+// DataState returns the state of the table's rows (see storage.State).
+func (t *BaseTable) DataState() storage.State { return t.Data.State() }
+
+// Snapshot returns the rows together with the state they are in.
+func (t *BaseTable) Snapshot() ([][]sqltypes.Value, storage.State) { return t.Data.Snapshot() }
+
 // View is a named query; measures inside it are re-bound on every use.
 type View struct {
 	ViewName string
@@ -47,10 +53,14 @@ type Catalog struct {
 	// they resolve after tables and views, so they can never shadow a
 	// user object.
 	virtuals map[string]*VirtualTable
-	// version counts catalog-visible data and schema changes: DDL bumps
-	// it here; the engine bumps it after INSERTs. Cached plans embed the
-	// version they were built against, so any bump invalidates them.
+	// version numbers the mutations applied to the database: DDL bumps
+	// it here, the engine bumps it after INSERT and TRUNCATE. It is a
+	// sequence (the shards' apply cursor, the WAL snapshot position) and
+	// decides nobody's validity.
 	version atomic.Int64
+	// schema counts DDL only. Whatever is derived from definitions alone
+	// (a bound and optimized plan) is valid while it stands still.
+	schema atomic.Int64
 }
 
 // New returns an empty catalog.
@@ -63,19 +73,26 @@ func New() *Catalog {
 
 func key(name string) string { return strings.ToLower(name) }
 
-// Version returns the current catalog version.
+// Version returns the number of mutations applied so far.
 func (c *Catalog) Version() int64 { return c.version.Load() }
 
-// BumpVersion records a data change (e.g. an INSERT) that invalidates
-// plans built against earlier versions. DDL entry points bump
-// internally; this is for mutations the catalog does not see.
+// BumpVersion counts a mutation the catalog does not see (INSERT,
+// TRUNCATE); DDL entry points count themselves.
 func (c *Catalog) BumpVersion() { c.version.Add(1) }
 
-// RestoreVersion forces the catalog version, used by crash recovery to
-// continue the pre-crash version sequence: cached plans (or clients)
-// holding versions from before the crash can never collide with a
-// freshly recovered catalog that restarted its count at zero.
+// RestoreVersion forces the mutation count, used by crash recovery to
+// continue the pre-crash sequence: a coordinator's apply cursor from
+// before the crash still lines up with the recovered shard.
 func (c *Catalog) RestoreVersion(v int64) { c.version.Store(v) }
+
+// SchemaVersion returns the DDL counter.
+func (c *Catalog) SchemaVersion() int64 { return c.schema.Load() }
+
+// ddl counts one applied DDL statement in both counters.
+func (c *Catalog) ddl() {
+	c.version.Add(1)
+	c.schema.Add(1)
+}
 
 // CreateTable registers a new base table.
 func (c *Catalog) CreateTable(name string, cols []string, types []sqltypes.Type, orReplace bool) (*BaseTable, error) {
@@ -93,7 +110,7 @@ func (c *Catalog) CreateTable(name string, cols []string, types []sqltypes.Type,
 	delete(c.views, k)
 	t := &BaseTable{Data: storage.NewTable(name, cols, types)}
 	c.tables[k] = t
-	c.version.Add(1)
+	c.ddl()
 	return t, nil
 }
 
@@ -154,7 +171,7 @@ func (c *Catalog) CreateView(name string, q *ast.Query, orReplace bool) error {
 	}
 	delete(c.tables, k)
 	c.views[k] = &View{ViewName: name, Query: q}
-	c.version.Add(1)
+	c.ddl()
 	return nil
 }
 
@@ -177,7 +194,7 @@ func (c *Catalog) Drop(kind, name string) error {
 	default:
 		return fmt.Errorf("unknown object kind %s", kind)
 	}
-	c.version.Add(1)
+	c.ddl()
 	return nil
 }
 

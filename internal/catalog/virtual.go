@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"github.com/measures-sql/msql/internal/sqltypes"
+	"github.com/measures-sql/msql/internal/storage"
 )
 
 // VirtualTable is a read-only table backed by a row provider. It
@@ -43,6 +44,11 @@ func (t *VirtualTable) Rows() [][]sqltypes.Value {
 	return t.Provider()
 }
 
+// DataState returns the zero State, which is never the Same as any
+// State: the provider's rows change without notice, so nothing computed
+// from them may be kept.
+func (t *VirtualTable) DataState() storage.State { return storage.State{} }
+
 // RegisterVirtual installs (or replaces) a virtual table. Virtual names
 // are conventionally schema-qualified ("msql_stats.statements"), which
 // ordinary CREATE TABLE cannot produce, so they never collide with user
@@ -60,6 +66,7 @@ func (c *Catalog) RegisterVirtual(t *VirtualTable) error {
 		c.virtuals = map[string]*VirtualTable{}
 	}
 	c.virtuals[key(t.TableName)] = t
+	c.schema.Add(1)
 	return nil
 }
 

@@ -57,8 +57,8 @@ func NewDurable(dir string, opts wal.Options) (*Session, error) {
 		m.Close()
 		return nil, fmt.Errorf("recovery of %s: %w", dir, err)
 	}
-	// Continue the pre-crash catalog version sequence so stale cached
-	// plans can never match the recovered catalog.
+	// Continue the pre-crash mutation count: it is the shards' apply
+	// cursor.
 	s.cat.RestoreVersion(dump.Version)
 	s.dur = &durability{wal: m}
 	s.metrics.SetStorageSource(func() StorageCounters { return storageCounters(m) })

@@ -679,19 +679,27 @@ func (s *Session) runQuery(env *stmtEnv, q *ast.Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	columns, types := outputColumns(node)
+	return queryResult(columns, types, rows), nil
+}
+
+// outputColumns returns the names and types of a plan's output columns.
+func outputColumns(node plan.Node) ([]string, []sqltypes.Type) {
 	sch := node.Schema()
-	res := &Result{
-		Columns: sch.ColNames(),
-		Types:   make([]sqltypes.Type, len(sch.Cols)),
-		Rows:    rows,
-	}
-	if res.Columns == nil {
-		res.Columns = []string{}
-	}
+	types := make([]sqltypes.Type, len(sch.Cols))
 	for i, c := range sch.Cols {
-		res.Types[i] = c.Typ
+		types[i] = c.Typ
 	}
-	return res, nil
+	return sch.ColNames(), types
+}
+
+// queryResult assembles the Result of a query; Columns is non-nil even
+// without columns, which is how callers tell a query from a statement.
+func queryResult(columns []string, types []sqltypes.Type, rows [][]sqltypes.Value) *Result {
+	if columns == nil {
+		columns = []string{}
+	}
+	return &Result{Columns: columns, Types: types, Rows: rows}
 }
 
 // explainAnalyze executes the query with a Profile attached and renders
@@ -705,15 +713,20 @@ func (s *Session) explainAnalyze(env *stmtEnv, q *ast.Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return &Result{Message: plan.ExplainAnalyzeTree(node, prof) + s.analyzeTotals(len(rows))}, nil
+}
+
+// analyzeTotals renders the Totals: footer of EXPLAIN ANALYZE from the
+// counters of the execution that just finished.
+func (s *Session) analyzeTotals(rows int) string {
 	st := s.lastStats.Snapshot()
 	totals := fmt.Sprintf("Totals: rows=%d scanned=%d evals=%d hits=%d fanouts=%d",
-		len(rows), st.RowsScanned, st.SubqueryEvals, st.SubqueryCacheHits, st.ParallelFanouts)
+		rows, st.RowsScanned, st.SubqueryEvals, st.SubqueryCacheHits, st.ParallelFanouts)
 	if st.VecBatches > 0 {
 		totals += fmt.Sprintf(" batches=%d kernel=%d fallback=%d",
 			st.VecBatches, st.VecKernelRows, st.VecFallbackRows)
 	}
-	msg := plan.ExplainAnalyzeTree(node, prof) + totals + "\n"
-	return &Result{Message: msg}, nil
+	return totals + "\n"
 }
 
 func (s *Session) execCreateTable(stmt *ast.CreateTable) (*Result, error) {
@@ -741,8 +754,6 @@ func (s *Session) execCreateTable(stmt *ast.CreateTable) (*Result, error) {
 	if _, err := s.cat.CreateTable(stmt.Name, names, types, stmt.OrReplace); err != nil {
 		return nil, err
 	}
-	// CREATE OR REPLACE detaches the old storage instance; drop any
-	// lattice nodes materialized over it.
 	s.rollupDDL(stmt.Name)
 	return &Result{Message: fmt.Sprintf("created table %s", stmt.Name)}, nil
 }
@@ -764,6 +775,7 @@ func (s *Session) execCreateView(stmt *ast.CreateView) (*Result, error) {
 	if err := s.cat.CreateView(stmt.Name, stmt.Query, stmt.OrReplace); err != nil {
 		return nil, err
 	}
+	s.rollupDDL(stmt.Name)
 	return &Result{Message: fmt.Sprintf("created view %s", stmt.Name)}, nil
 }
 
@@ -784,9 +796,7 @@ func (s *Session) execDrop(stmt *ast.Drop) (*Result, error) {
 
 // execTruncate deletes every row of a base table, keeping the schema.
 // It follows the same durability contract as INSERT (validate, log,
-// apply under the mutation lock) and the same invalidation contract
-// (BumpVersion, so cached plans — including identical-binding result
-// memos — built over the old rows can never be served again).
+// apply under the mutation lock).
 func (s *Session) execTruncate(stmt *ast.Truncate) (*Result, error) {
 	defer s.lockDurable()()
 	table, ok := s.cat.Table(stmt.Table)
@@ -796,13 +806,9 @@ func (s *Session) execTruncate(stmt *ast.Truncate) (*Result, error) {
 	if err := s.logMutation(&wal.Record{Type: wal.RecTruncate, Name: stmt.Table}); err != nil {
 		return nil, err
 	}
-	n := table.Data.NumRows()
+	n := table.Data.State().Rows
 	table.Data.Truncate()
-	// Data changed: invalidate cached plans built against the old rows.
 	s.cat.BumpVersion()
-	// Reset rollup nodes eagerly: a later refill to the old row count
-	// must not let a length-based delta check miss the truncation.
-	s.rollupTruncate(stmt.Table)
 	return &Result{Message: fmt.Sprintf("truncated table %s (%d rows)", stmt.Table, n)}, nil
 }
 
@@ -902,9 +908,7 @@ func (s *Session) execInsert(env *stmtEnv, stmt *ast.Insert) (*Result, error) {
 		return nil, err
 	}
 	table.Data.InsertPrepared(coerced)
-	// Data changed: invalidate cached plans built against the old rows.
 	s.cat.BumpVersion()
-	s.rollupMutation(stmt.Table)
 	return &Result{Message: fmt.Sprintf("inserted %d rows", len(rows))}, nil
 }
 
@@ -927,7 +931,6 @@ func (s *Session) InsertRows(table string, rows [][]sqltypes.Value) error {
 	}
 	t.Data.InsertPrepared(coerced)
 	s.cat.BumpVersion()
-	s.rollupMutation(table)
 	return nil
 }
 

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"github.com/measures-sql/msql/internal/exec"
+	"github.com/measures-sql/msql/internal/rollup"
 )
 
 // Metrics accumulates session-wide execution counters. All updates are
@@ -58,34 +59,12 @@ type Metrics struct {
 	shardFn func() ShardCounters
 	// rollupFn supplies the rollup lattice's counters (registered by
 	// SetRollups) so snapshots cover materialized-rollup activity.
-	rollupFn func() RollupCounters
-}
-
-// RollupCounters is the rollup lattice's slice of a metrics snapshot.
-// Nodes, Groups, and DirtyGroups are gauges; the rest are cumulative.
-type RollupCounters struct {
-	// Hits counts Aggregate executions answered from the lattice.
-	Hits int64 `json:"hits"`
-	// Misses counts consultations that fell back to direct execution.
-	Misses int64 `json:"misses"`
-	// Builds counts lattice node creations.
-	Builds int64 `json:"builds"`
-	// Rebuilds counts dirty groups rebuilt lazily from base rows.
-	Rebuilds int64 `json:"rebuilds"`
-	// IncrementalRows counts delta rows folded into exactly-mergeable
-	// nodes in place.
-	IncrementalRows int64 `json:"incremental_rows"`
-	// Invalidations counts truncate resets and DDL node drops.
-	Invalidations int64 `json:"invalidations"`
-	// Nodes/Groups/DirtyGroups describe the lattice right now.
-	Nodes       int64 `json:"nodes"`
-	Groups      int64 `json:"groups"`
-	DirtyGroups int64 `json:"dirty_groups"`
+	rollupFn func() rollup.Counters
 }
 
 // SetRollupSource registers (or with nil removes) the rollup lattice's
 // counter source; Snapshot calls it to fill the Rollups section.
-func (m *Metrics) SetRollupSource(fn func() RollupCounters) {
+func (m *Metrics) SetRollupSource(fn func() rollup.Counters) {
 	m.mu.Lock()
 	m.rollupFn = fn
 	m.mu.Unlock()
@@ -287,7 +266,7 @@ type MetricsSnapshot struct {
 	Shards *ShardCounters `json:"shards,omitempty"`
 	// Rollups carries the rollup lattice's counters when rollups are
 	// enabled (SetRollupSource); nil otherwise.
-	Rollups *RollupCounters `json:"rollups,omitempty"`
+	Rollups *rollup.Counters `json:"rollups,omitempty"`
 }
 
 // Snapshot returns a consistent copy of the counters.

@@ -1,9 +1,12 @@
 // Plan cache: compiled query plans keyed by normalized SQL text,
 // parameter types, and the settings that influenced planning, with LRU
-// eviction and catalog-version invalidation. A cached entry carries the
-// optimized plan.Node plus a reusable exec.Pipeline (compiled vectorized
-// expression trees and pooled batch scratch), so a warm EXECUTE skips
-// parse, bind, optimize, and vectorized compilation entirely.
+// eviction. A cached entry carries the optimized plan.Node plus a
+// reusable exec.Pipeline (compiled vectorized expression trees and
+// pooled batch scratch), so a warm EXECUTE skips parse, bind, optimize,
+// and vectorized compilation entirely. Plan and pipeline are derived
+// from definitions and valid while the catalog's schema counter stands
+// still; the result memo on the entry is derived from rows and follows
+// the storage.State of the tables the plan scans (DESIGN.md §4.1).
 package engine
 
 import (
@@ -13,10 +16,10 @@ import (
 	"strings"
 	"sync"
 
-	"github.com/measures-sql/msql/internal/catalog"
 	"github.com/measures-sql/msql/internal/exec"
 	"github.com/measures-sql/msql/internal/plan"
 	"github.com/measures-sql/msql/internal/sqltypes"
+	"github.com/measures-sql/msql/internal/storage"
 )
 
 // DefaultPlanCacheSize is the per-session entry cap; SetPlanCacheSize
@@ -28,21 +31,41 @@ const DefaultPlanCacheSize = 128
 // execute with only parameter values injected at run time.
 type cachedPlan struct {
 	key     string
-	version int64 // catalog version the plan was built against
+	schema  int64 // catalog schema counter the plan was built at
 	node    plan.Node
 	pipe    *exec.Pipeline
 	columns []string
 	types   []sqltypes.Type
+	// sources are the tables the plan scans, subquery plans included.
+	sources []plan.RowSource
 
 	// Identical-binding result memo: dashboards re-issue the same query
 	// with the same arguments, so each entry keeps the result rows of
-	// its last few parameter bindings. Safe because the entry is built
-	// from a non-volatile plan, is dropped whenever the catalog version
-	// bumps, and execution is deterministic under fixed settings (the
-	// settings are part of the entry's key).
+	// its last few parameter bindings, each with the states its sources
+	// were in before it was computed.
 	memoMu  sync.Mutex
 	memo    map[string]*list.Element
 	memoLRU *list.List // front = most recent; values are *memoResult
+}
+
+// planSources lists the source of every Scan under n.
+func planSources(n plan.Node) []plan.RowSource {
+	var out []plan.RowSource
+	plan.Walk(n, func(x plan.Node) {
+		if sc, ok := x.(*plan.Scan); ok {
+			out = append(out, sc.Source)
+		}
+	})
+	return out
+}
+
+// dataStates reads the current state of every source.
+func (e *cachedPlan) dataStates() []storage.State {
+	at := make([]storage.State, len(e.sources))
+	for i, src := range e.sources {
+		at[i] = src.DataState()
+	}
+	return at
 }
 
 // memoMaxRows bounds the size of a memoized result; memoMaxBindings
@@ -54,6 +77,7 @@ const (
 
 type memoResult struct {
 	key  string
+	at   []storage.State
 	rows [][]sqltypes.Value
 }
 
@@ -83,25 +107,29 @@ func copyRows(rows [][]sqltypes.Value) [][]sqltypes.Value {
 	return out
 }
 
-// memoLookup returns a copy of the memoized rows for this binding, if
-// present.
-func (e *cachedPlan) memoLookup(key string) ([][]sqltypes.Value, bool) {
+// memoLookup returns a copy of the rows memoized for this binding if
+// every source is, now, in the same state as before they were computed.
+func (e *cachedPlan) memoLookup(key string, now []storage.State) ([][]sqltypes.Value, bool) {
 	e.memoMu.Lock()
 	defer e.memoMu.Unlock()
-	if e.memo == nil {
-		return nil, false
-	}
 	el, ok := e.memo[key]
 	if !ok {
 		return nil, false
 	}
+	m := el.Value.(*memoResult)
+	for i := range now {
+		if !now[i].Same(m.at[i]) {
+			return nil, false
+		}
+	}
 	e.memoLRU.MoveToFront(el)
-	return copyRows(el.Value.(*memoResult).rows), true
+	return copyRows(m.rows), true
 }
 
-// memoStore remembers rows for this binding, evicting the least
-// recently used binding past the cap. Oversized results are skipped.
-func (e *cachedPlan) memoStore(key string, rows [][]sqltypes.Value) {
+// memoStore remembers rows for this binding, computed after the sources
+// were read to be in states at, evicting the least recently used
+// binding past the cap. Oversized results are skipped.
+func (e *cachedPlan) memoStore(key string, at []storage.State, rows [][]sqltypes.Value) {
 	if len(rows) > memoMaxRows {
 		return
 	}
@@ -112,11 +140,12 @@ func (e *cachedPlan) memoStore(key string, rows [][]sqltypes.Value) {
 		e.memoLRU = list.New()
 	}
 	if el, ok := e.memo[key]; ok {
-		el.Value.(*memoResult).rows = copyRows(rows)
+		m := el.Value.(*memoResult)
+		m.at, m.rows = at, copyRows(rows)
 		e.memoLRU.MoveToFront(el)
 		return
 	}
-	e.memo[key] = e.memoLRU.PushFront(&memoResult{key: key, rows: copyRows(rows)})
+	e.memo[key] = e.memoLRU.PushFront(&memoResult{key: key, at: at, rows: copyRows(rows)})
 	for e.memoLRU.Len() > memoMaxBindings {
 		tail := e.memoLRU.Back()
 		e.memoLRU.Remove(tail)
@@ -142,10 +171,10 @@ type PlanCacheCounters struct {
 	Entries int64 `json:"entries"`
 }
 
-// planCache is an LRU map of compiled plans. Entries whose catalog
-// version is stale are dropped at lookup time (counted as
-// invalidations); the catalog version is part of the entry, not the
-// key, so DDL and INSERT invalidate rather than strand old entries.
+// planCache is an LRU map of compiled plans. Entries built before the
+// latest DDL are dropped at lookup time (counted as invalidations); the
+// schema counter is part of the entry, not the key, so DDL invalidates
+// rather than strands old entries.
 type planCache struct {
 	mu    sync.Mutex
 	size  int
@@ -166,10 +195,10 @@ func (c *planCache) enabled() bool {
 	return c.size > 0
 }
 
-// lookup returns the entry under key if present and built against the
-// current catalog version; stale entries are removed and counted as
+// lookup returns the entry under key if present and built at the
+// current schema counter; stale entries are removed and counted as
 // invalidations. A nil return is a miss (already counted).
-func (c *planCache) lookup(key string, version int64) *cachedPlan {
+func (c *planCache) lookup(key string, schema int64) *cachedPlan {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -178,7 +207,7 @@ func (c *planCache) lookup(key string, version int64) *cachedPlan {
 		return nil
 	}
 	e := el.Value.(*cachedPlan)
-	if e.version != version {
+	if e.schema != schema {
 		c.lru.Remove(el)
 		delete(c.items, key)
 		c.invalidations++
@@ -265,9 +294,9 @@ func (c *planCache) counters() PlanCacheCounters {
 // planCacheKey builds the full cache key: normalized query text (the
 // printer renders parameters canonically as $n), the parameter kind
 // signature, and every setting that can change the chosen plan or its
-// compiled pipeline. The catalog version is deliberately not part of
-// the key — it lives on the entry so that DDL/INSERT invalidates
-// in place instead of stranding stale entries until eviction.
+// compiled pipeline. The schema counter is deliberately not part of
+// the key — it lives on the entry so that DDL invalidates in place
+// instead of stranding stale entries until eviction.
 func planCacheKey(sqlNorm string, kinds []sqltypes.Kind, cfg *stmtConfig) string {
 	var sb strings.Builder
 	sb.WriteString(sqlNorm)
@@ -295,20 +324,9 @@ func cacheKeyDigest(key string) string {
 // every expression in every node (including nested subquery plans) must
 // be non-volatile. A plan containing RANDOM() must be replanned per
 // execution so constant folding and pipeline reuse cannot freeze its
-// per-row results. Scans over msql_stats.* virtual tables are likewise
-// excluded: their contents change on every statement without a catalog
-// version bump, so both the plan cache's result memo and pipeline reuse
-// would serve stale introspection data.
+// per-row results.
 func planCacheable(n plan.Node) bool {
 	if !plan.NodeParallelSafe(n) {
-		return false
-	}
-	if sc, ok := n.(*plan.Scan); ok {
-		if _, virtual := sc.Source.(*catalog.VirtualTable); virtual {
-			return false
-		}
-	}
-	if subqueryHasVirtualScan(n) {
 		return false
 	}
 	for _, c := range n.Children() {
@@ -317,18 +335,4 @@ func planCacheable(n plan.Node) bool {
 		}
 	}
 	return true
-}
-
-// subqueryHasVirtualScan checks the subquery plans embedded in n's own
-// expressions (child nodes are covered by planCacheable's recursion).
-func subqueryHasVirtualScan(n plan.Node) bool {
-	found := false
-	plan.VisitNodeExprs(n, func(e plan.Expr) {
-		plan.WalkExprs(e, func(x plan.Expr) {
-			if sq, ok := x.(*plan.Subquery); ok && !planCacheable(sq.Plan) {
-				found = true
-			}
-		})
-	})
-	return found
 }

@@ -13,6 +13,7 @@ import (
 	"github.com/measures-sql/msql/internal/parser"
 	"github.com/measures-sql/msql/internal/plan"
 	"github.com/measures-sql/msql/internal/sqltypes"
+	"github.com/measures-sql/msql/internal/storage"
 )
 
 // Prepared is one prepared statement: the parsed query, its normalized
@@ -208,10 +209,10 @@ func (s *Session) preparedPlan(env *stmtEnv, p *Prepared, vals []sqltypes.Value)
 		kinds[i] = v.K
 	}
 	key = planCacheKey(p.sql, kinds, &env.cfg)
-	ver := s.cat.Version()
+	schema := s.cat.SchemaVersion()
 	useCache := s.plans.enabled()
 	if useCache {
-		if e := s.plans.lookup(key, ver); e != nil {
+		if e := s.plans.lookup(key, schema); e != nil {
 			return e, true, key, 0, nil
 		}
 	} else {
@@ -221,12 +222,9 @@ func (s *Session) preparedPlan(env *stmtEnv, p *Prepared, vals []sqltypes.Value)
 	if err != nil {
 		return nil, false, key, 0, err
 	}
-	sch := node.Schema()
-	types := make([]sqltypes.Type, len(sch.Cols))
-	for i, c := range sch.Cols {
-		types[i] = c.Typ
-	}
-	e := &cachedPlan{key: key, version: ver, node: node, pipe: exec.NewPipeline(), columns: sch.ColNames(), types: types}
+	columns, types := outputColumns(node)
+	e := &cachedPlan{key: key, schema: schema, node: node, pipe: exec.NewPipeline(),
+		columns: columns, types: types, sources: planSources(node)}
 	if useCache {
 		if planCacheable(node) {
 			s.plans.insert(e)
@@ -242,9 +240,8 @@ func (s *Session) preparedPlan(env *stmtEnv, p *Prepared, vals []sqltypes.Value)
 // pipeline attachment, annotating the execute span with cached= and
 // cache_key=. Executions of a cache-resident entry with a previously
 // seen parameter binding are answered from the entry's result memo
-// without touching the executor: the entry dies on any catalog-version
-// bump and volatile plans never enter the cache, so a memoized result
-// is exactly what re-execution would produce.
+// without touching the executor; such an execution is a query that
+// took no plan and no exec time.
 func (s *Session) execPrepared(env *stmtEnv, p *Prepared, vals []sqltypes.Value) (*Result, error) {
 	// Retarget statement stats to the underlying query's fingerprint so
 	// SQL EXECUTE and the equivalent direct query aggregate together.
@@ -258,21 +255,22 @@ func (s *Session) execPrepared(env *stmtEnv, p *Prepared, vals []sqltypes.Value)
 	env.cfg.exec.Params = vals
 	env.cfg.exec.Pipeline = entry.pipe
 	env.execAttrs = map[string]string{"cached": fmt.Sprintf("%t", cached), "cache_key": cacheKeyDigest(key)}
-	mk := ""
+	var (
+		mk string
+		at []storage.State
+	)
 	if cached {
-		mk = paramMemoKey(vals)
-		if rows, ok := entry.memoLookup(mk); ok {
+		mk, at = paramMemoKey(vals), entry.dataStates()
+		if rows, ok := entry.memoLookup(mk, at); ok {
 			s.plans.noteMemoHit()
 			env.execAttrs["memo"] = "true"
+			s.lastStats.Reset()
+			s.metrics.recordQuery(env.cfg.strategy, len(rows), exec.Stats{}, 0, 0)
 			if e := env.stats; e != nil {
 				e.rows.Add(int64(len(rows)))
 				e.memoHits.Add(1)
 			}
-			res := &Result{Columns: entry.columns, Types: entry.types, Rows: rows}
-			if res.Columns == nil {
-				res.Columns = []string{}
-			}
-			return res, nil
+			return queryResult(entry.columns, entry.types, rows), nil
 		}
 	}
 	rows, _, err := s.execPlan(env, entry.node, planNs, false)
@@ -280,13 +278,9 @@ func (s *Session) execPrepared(env *stmtEnv, p *Prepared, vals []sqltypes.Value)
 		return nil, err
 	}
 	if cached {
-		entry.memoStore(mk, rows)
+		entry.memoStore(mk, at, rows)
 	}
-	res := &Result{Columns: entry.columns, Types: entry.types, Rows: rows}
-	if res.Columns == nil {
-		res.Columns = []string{}
-	}
-	return res, nil
+	return queryResult(entry.columns, entry.types, rows), nil
 }
 
 // explainExecute renders EXPLAIN [ANALYZE] EXECUTE: the (possibly
@@ -316,14 +310,7 @@ func (s *Session) explainExecute(env *stmtEnv, ex *ast.ExecuteStmt, analyze bool
 	if err != nil {
 		return nil, err
 	}
-	st := s.lastStats.Snapshot()
-	totals := fmt.Sprintf("Totals: rows=%d scanned=%d evals=%d hits=%d fanouts=%d",
-		len(rows), st.RowsScanned, st.SubqueryEvals, st.SubqueryCacheHits, st.ParallelFanouts)
-	if st.VecBatches > 0 {
-		totals += fmt.Sprintf(" batches=%d kernel=%d fallback=%d",
-			st.VecBatches, st.VecKernelRows, st.VecFallbackRows)
-	}
-	msg := plan.ExplainAnalyzeTree(entry.node, prof) + totals + "\n" + cacheLine
+	msg := plan.ExplainAnalyzeTree(entry.node, prof) + s.analyzeTotals(len(rows)) + cacheLine
 	return &Result{Message: msg}, nil
 }
 

@@ -1,11 +1,11 @@
 // Rollup lattice wiring: the session owns (at most) one
 // rollup.Lattice, installed into the executor settings as the
-// RollupProvider and kept consistent by synchronous notifications from
-// every mutation path — execInsert, InsertRows (and the CAS variants,
-// which route through them), execTruncate, execDrop, and CREATE OR
-// REPLACE TABLE. The lattice is derived state: it is never written to
-// the WAL, and a session recovered from a crash starts with an empty
-// lattice that re-materializes from the recovered store on first use.
+// RollupProvider. The lattice finds out by itself, at every read, what
+// happened to a table's rows (storage.State); the session only tells it
+// when a table object is gone. The lattice is derived state: it is
+// never written to the WAL, and a session recovered from a crash starts
+// with an empty lattice that re-materializes from the recovered store
+// on first use.
 package engine
 
 import (
@@ -27,7 +27,7 @@ func (s *Session) SetRollups(on bool) {
 	}
 	l := rollup.New()
 	s.rollups.Store(l)
-	s.metrics.SetRollupSource(func() RollupCounters { return rollupCounters(l.Stats()) })
+	s.metrics.SetRollupSource(l.Stats)
 	s.Update(func(ex *exec.Settings, _ *optimizer.Options) { ex.Rollups = l })
 }
 
@@ -43,44 +43,11 @@ func (s *Session) RollupStats() rollup.Counters {
 	return rollup.Counters{}
 }
 
-// rollupMutation folds a just-committed INSERT into the table's
-// lattice nodes. Called synchronously after the insert applies so a
-// node can never answer from a shorter prefix than an acknowledged
-// statement.
-func (s *Session) rollupMutation(table string) {
-	if l := s.rollups.Load(); l != nil {
-		l.NotifyMutation(table)
-	}
-}
-
-// rollupTruncate resets the table's lattice nodes. Called synchronously
-// after TRUNCATE applies, before any later statement can refill the
-// table to its old length.
-func (s *Session) rollupTruncate(table string) {
-	if l := s.rollups.Load(); l != nil {
-		l.NotifyTruncate(table)
-	}
-}
-
-// rollupDDL drops the table's lattice nodes after DROP or CREATE OR
-// REPLACE detaches the storage instance they were built over.
+// rollupDDL releases the lattice nodes of a table object that DROP or
+// CREATE OR REPLACE has just detached from its name: no later
+// statement can reach them.
 func (s *Session) rollupDDL(table string) {
 	if l := s.rollups.Load(); l != nil {
 		l.NotifyDDL(table)
-	}
-}
-
-// rollupCounters adapts the lattice's counters to the metrics section.
-func rollupCounters(c rollup.Counters) RollupCounters {
-	return RollupCounters{
-		Hits:            c.Hits,
-		Misses:          c.Misses,
-		Builds:          c.Builds,
-		Rebuilds:        c.Rebuilds,
-		IncrementalRows: c.IncrementalRows,
-		Invalidations:   c.Invalidations,
-		Nodes:           c.Nodes,
-		Groups:          c.Groups,
-		DirtyGroups:     c.DirtyGroups,
 	}
 }

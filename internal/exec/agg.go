@@ -166,8 +166,9 @@ func (rt *runtime) runAggregate(n *plan.Aggregate) ([]Row, error) {
 	accum := (*runtime).accumulateRows
 	if rt.vecUsable(env.exprs()...) && env.vecAggOK() {
 		vea := rt.pipelineAgg(env, n.Input.Schema())
+		share := rt.scanShare(n.Input)
 		accum = func(w *runtime, env *aggEnv, tables []setTable, in []Row, lo, hi int) error {
-			return w.accumulateRowsVec(env, vea, tables, in, lo, hi)
+			return w.accumulateRowsVec(env, vea, share, tables, in, lo, hi)
 		}
 	}
 

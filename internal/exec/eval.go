@@ -18,6 +18,7 @@ import (
 	"github.com/measures-sql/msql/internal/fn"
 	"github.com/measures-sql/msql/internal/plan"
 	"github.com/measures-sql/msql/internal/sqltypes"
+	"github.com/measures-sql/msql/internal/storage"
 )
 
 // Row is one tuple of values.
@@ -187,6 +188,9 @@ type runtime struct {
 	// part, when set, is the partition index of the subquery whose plan
 	// is executing: its correlated Filter is answered by bucket lookup.
 	part *partition
+	// scanned is the data state of the rows this runtime's latest Scan
+	// returned; the operator above the Scan keys its column share by it.
+	scanned storage.State
 }
 
 // cancelCheckRows is the amortization interval of the cooperative

@@ -11,6 +11,7 @@ import (
 	"github.com/measures-sql/msql/internal/fn"
 	"github.com/measures-sql/msql/internal/plan"
 	"github.com/measures-sql/msql/internal/sqltypes"
+	"github.com/measures-sql/msql/internal/storage"
 )
 
 // testSource is an in-memory RowSource for large synthetic inputs.
@@ -25,6 +26,7 @@ func (s *testSource) Name() string              { return s.name }
 func (s *testSource) ColNames() []string        { return s.cols }
 func (s *testSource) ColTypes() []sqltypes.Type { return s.types }
 func (s *testSource) Rows() [][]sqltypes.Value  { return s.rows }
+func (s *testSource) DataState() storage.State  { return storage.State{} }
 
 func floatT() sqltypes.Type { return sqltypes.Type{Kind: sqltypes.KindFloat} }
 

@@ -5,6 +5,7 @@ import (
 
 	"github.com/measures-sql/msql/internal/plan"
 	"github.com/measures-sql/msql/internal/sqltypes"
+	"github.com/measures-sql/msql/internal/storage"
 	"github.com/measures-sql/msql/internal/vec"
 )
 
@@ -14,7 +15,9 @@ import (
 // aggregate scratch. Compiled vecExpr trees are stateless and shared
 // across worker goroutines, so a single Pipeline may serve concurrent
 // executions of its plan; the maps are filled lazily under a lock on
-// first execution and read-mostly afterwards.
+// first execution and read-mostly afterwards. All of that is derived
+// from the plan and lives as long as it; the column shares are derived
+// from table rows and follow storage.State.
 type Pipeline struct {
 	mu       sync.RWMutex
 	filters  map[*plan.Filter]vecExpr
@@ -37,13 +40,14 @@ func NewPipeline() *Pipeline {
 }
 
 // colShare caches columnarized base-table batches across executions of
-// a cached plan. An operator reading directly from a Scan sees the same
-// rows at the same offsets every execution — the plan cache drops the
-// entry (and this share with it) on any catalog-version bump — so the
-// row→column conversion, the dominant per-batch cost, can be done once.
+// a cached plan: the row→column conversion, the dominant per-batch
+// cost, is done once per data state of the scanned table. at is the
+// state the scan's rows were snapshotted in; executions whose scan
+// snapshot is in the Same state see the same rows at the same offsets.
 // Cached columns are read-only by the same contract that lets compiled
 // vecExpr trees be shared across worker goroutines.
 type colShare struct {
+	at   storage.State
 	mu   sync.Mutex
 	cols map[colKey]*vec.Col
 }
@@ -68,18 +72,19 @@ func (s *colShare) put(off, idx int, c *vec.Col) {
 	s.mu.Unlock()
 }
 
-// shareFor returns the column share for one scan node, creating it on
-// first use.
-func (p *Pipeline) shareFor(n plan.Node) *colShare {
+// shareFor returns the column share of scan node n for rows snapshotted
+// in state at, replacing a share of another state: executions still on
+// the old rows keep the share they hold.
+func (p *Pipeline) shareFor(n plan.Node, at storage.State) *colShare {
 	p.mu.RLock()
 	s := p.shares[n]
 	p.mu.RUnlock()
-	if s != nil {
+	if s != nil && at.Same(s.at) {
 		return s
 	}
 	p.mu.Lock()
-	if s = p.shares[n]; s == nil {
-		s = &colShare{cols: map[colKey]*vec.Col{}}
+	if s = p.shares[n]; s == nil || !at.Same(s.at) {
+		s = &colShare{at: at, cols: map[colKey]*vec.Col{}}
 		p.shares[n] = s
 	}
 	p.mu.Unlock()
@@ -160,17 +165,24 @@ func (rt *runtime) getBatch(rows []Row, kinds []sqltypes.Kind) *vecBatch {
 	return newVecBatch(rows, kinds)
 }
 
-// getBatchShared is getBatch plus column sharing: when a pipeline is
-// attached and the operator's input is a base-table Scan, the batch
-// reuses (and on first execution fills) the pipeline's cached columns
-// for the scan rows at this offset.
-func (rt *runtime) getBatchShared(input plan.Node, off int, rows []Row, kinds []sqltypes.Kind) *vecBatch {
-	vb := rt.getBatch(rows, kinds)
+// scanShare returns the column share for an operator whose input rows
+// this runtime has just read by running input, or nil when no pipeline
+// is attached or input is not a Scan.
+func (rt *runtime) scanShare(input plan.Node) *colShare {
 	if p := rt.sh.settings.Pipeline; p != nil {
 		if _, ok := input.(*plan.Scan); ok {
-			vb.share, vb.off = p.shareFor(input), off
+			return p.shareFor(input, rt.scanned)
 		}
 	}
+	return nil
+}
+
+// getBatchShared is getBatch plus column sharing: with a share, the
+// batch reuses (and the first time fills) its cached columns for the
+// scan rows at this offset.
+func (rt *runtime) getBatchShared(share *colShare, off int, rows []Row, kinds []sqltypes.Kind) *vecBatch {
+	vb := rt.getBatch(rows, kinds)
+	vb.share, vb.off = share, off
 	return vb
 }
 

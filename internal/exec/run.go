@@ -9,6 +9,7 @@ import (
 
 	"github.com/measures-sql/msql/internal/plan"
 	"github.com/measures-sql/msql/internal/sqltypes"
+	"github.com/measures-sql/msql/internal/storage"
 )
 
 // Run evaluates a plan and returns its rows.
@@ -80,10 +81,22 @@ func (rt *runtime) noteFanout(n plan.Node, workers int) {
 	}
 }
 
+// snapshotSource is a RowSource that reads its rows and their data
+// state in one step (catalog.BaseTable); the rows of any other source
+// are in the zero State.
+type snapshotSource interface {
+	Snapshot() ([][]sqltypes.Value, storage.State)
+}
+
 func (rt *runtime) runNode(n plan.Node) ([]Row, error) {
 	switch n := n.(type) {
 	case *plan.Scan:
-		rows := n.Source.Rows()
+		var rows []Row
+		if src, ok := n.Source.(snapshotSource); ok {
+			rows, rt.scanned = src.Snapshot()
+		} else {
+			rows, rt.scanned = n.Source.Rows(), storage.State{}
+		}
 		if s := rt.sh.settings.Stats; s != nil {
 			atomic.AddInt64(&s.RowsScanned, int64(len(rows)))
 		}

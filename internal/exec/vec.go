@@ -475,6 +475,7 @@ func (v *vecFallback) eval(rt *runtime, vb *vecBatch, sel []int) (*vec.Col, erro
 func (rt *runtime) runFilterVec(n *plan.Filter, in []Row) ([]Row, error) {
 	kinds := schemaKinds(n.Input.Schema())
 	ve := rt.pipelineFilter(n, len(kinds))
+	share := rt.scanShare(n.Input)
 	keep := make([]bool, len(in))
 	process := func(w *runtime, lo, hi int) error {
 		for blo := lo; blo < hi; blo += vec.BatchRows {
@@ -482,7 +483,7 @@ func (rt *runtime) runFilterVec(n *plan.Filter, in []Row) ([]Row, error) {
 			if err := w.tickBatch(bhi - blo); err != nil {
 				return err
 			}
-			vb := w.getBatchShared(n.Input, blo, in[blo:bhi], kinds)
+			vb := w.getBatchShared(share, blo, in[blo:bhi], kinds)
 			sel := batchIota[:bhi-blo]
 			c, err := ve.eval(w, vb, sel)
 			if err != nil {
@@ -521,6 +522,7 @@ func (rt *runtime) runFilterVec(n *plan.Filter, in []Row) ([]Row, error) {
 func (rt *runtime) runProjectVec(n *plan.Project, in []Row) ([]Row, error) {
 	kinds := schemaKinds(n.Input.Schema())
 	ves := rt.pipelineProject(n, len(kinds))
+	share := rt.scanShare(n.Input)
 	out := make([]Row, len(in))
 	process := func(w *runtime, lo, hi int) error {
 		cols := make([]*vec.Col, len(ves))
@@ -529,7 +531,7 @@ func (rt *runtime) runProjectVec(n *plan.Project, in []Row) ([]Row, error) {
 			if err := w.tickBatch(bhi - blo); err != nil {
 				return err
 			}
-			vb := w.getBatchShared(n.Input, blo, in[blo:bhi], kinds)
+			vb := w.getBatchShared(share, blo, in[blo:bhi], kinds)
 			sel := batchIota[:bhi-blo]
 			for j, ve := range ves {
 				c, err := ve.eval(w, vb, sel)

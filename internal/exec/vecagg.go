@@ -68,7 +68,7 @@ func compileVecAgg(env *aggEnv, inSchema *plan.Schema) *vecAggExprs {
 // passed — the row path never evaluates arguments on filtered-out rows,
 // so the columnar path must not either (an argument that errors on a
 // filtered-out row would otherwise fail queries the row engine runs).
-func (rt *runtime) accumulateRowsVec(env *aggEnv, vea *vecAggExprs, tables []setTable, in []Row, lo, hi int) error {
+func (rt *runtime) accumulateRowsVec(env *aggEnv, vea *vecAggExprs, share *colShare, tables []setTable, in []Row, lo, hi int) error {
 	n := env.n
 	sc := rt.getAggScratch(n)
 	kv := sc.kv
@@ -88,7 +88,7 @@ func (rt *runtime) accumulateRowsVec(env *aggEnv, vea *vecAggExprs, tables []set
 		if err := rt.tickBatch(bn); err != nil {
 			return err
 		}
-		vb := rt.getBatchShared(n.Input, blo, in[blo:bhi], vea.kinds)
+		vb := rt.getBatchShared(share, blo, in[blo:bhi], vea.kinds)
 		sel := batchIota[:bn]
 		for j, g := range vea.groups {
 			c, err := g.eval(rt, vb, sel)

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"github.com/measures-sql/msql/internal/sqltypes"
+	"github.com/measures-sql/msql/internal/storage"
 )
 
 // Col describes one output column of a plan node. A measure column keeps
@@ -135,6 +136,9 @@ type RowSource interface {
 	ColNames() []string
 	ColTypes() []sqltypes.Type
 	Rows() [][]sqltypes.Value
+	// DataState is the state of the rows right now; what is computed
+	// from Rows is reusable while it stays the Same.
+	DataState() storage.State
 }
 
 // Node is a logical/physical plan operator.

@@ -287,9 +287,9 @@ func (g *Generator) MeasureQuery() string {
 // Mutation returns the next random mutation statement: usually a small
 // INSERT batch into the raw table, occasionally TRUNCATE TABLE, and
 // rarely scratch-table DDL churn (CREATE then DROP of a side table, so
-// catalog-version invalidation paths get exercised without disturbing
-// the data under test). The statement stream is fully determined by the
-// seed, like the query stream, so a mutation schedule replays
+// cached plans get invalidated without disturbing the data under
+// test). The statement stream is fully determined by the seed, like
+// the query stream, so a mutation schedule replays
 // identically on two databases. The INSERT shape is the synthetic
 // datagen Orders layout: (prodName VARCHAR, custName VARCHAR, orderDate
 // DATE, revenue INTEGER, cost INTEGER).

@@ -11,6 +11,7 @@ import (
 	"github.com/measures-sql/msql/internal/fn"
 	"github.com/measures-sql/msql/internal/plan"
 	"github.com/measures-sql/msql/internal/sqltypes"
+	"github.com/measures-sql/msql/internal/storage"
 )
 
 // group is one materialized grouping partition of a node: the key tuple
@@ -40,8 +41,9 @@ type node struct {
 	exact     bool
 	maxGroups int
 
-	ev       *exec.Evaluator
-	rowsSeen int
+	ev *exec.Evaluator
+	// seen is the data state of the rows folded into groups so far.
+	seen     storage.State
 	groups   map[string]*group
 	nDirty   int
 	disabled bool
@@ -59,6 +61,7 @@ func newNode(req *request, maxGroups int) *node {
 		exact:     req.exact,
 		maxGroups: maxGroups,
 		ev:        exec.NewEvaluator(),
+		seen:      storage.State{Gen: req.src.DataState().Gen},
 		groups:    map[string]*group{},
 	}
 }
@@ -74,30 +77,21 @@ func (nd *node) newStates() []fn.AggState {
 	return states
 }
 
-func (nd *node) resetLocked() {
-	nd.groups = map[string]*group{}
-	nd.rowsSeen = 0
-	nd.nDirty = 0
-}
-
-// sync folds rows the node has not seen yet into its groups, against
-// the immutable snapshot passed by the caller. The storage layer is
-// append-only between truncations and snapshots are length-capped, so
-// rows[nd.rowsSeen:] is exactly the INSERT delta; a snapshot shorter
-// than rowsSeen means the table was truncated underneath us, which
-// resets the node. Exactly-mergeable nodes accumulate delta rows in
-// place (incremental maintenance: each group's Add stream stays in
-// global row order, identical to a serial rescan); order-sensitive
-// nodes only mark the touched groups dirty for lazy rebuild.
-func (nd *node) sync(rows [][]sqltypes.Value, c *counters) error {
-	if len(rows) < nd.rowsSeen {
-		nd.resetLocked()
+// sync brings the node from the state it has seen to now, the state of
+// the snapshot rows: rows appended since are the INSERT delta; if the
+// seen rows are no longer a prefix of the table the node starts over.
+// Exactly-mergeable nodes accumulate delta rows in place (incremental
+// maintenance: each group's Add stream stays in global row order,
+// identical to a serial rescan); order-sensitive nodes only mark the
+// touched groups dirty for lazy rebuild.
+func (nd *node) sync(rows [][]sqltypes.Value, now storage.State, c *counters) error {
+	if _, ok := now.Since(nd.seen); !ok {
+		nd.groups = map[string]*group{}
+		nd.nDirty = 0
+		nd.seen = storage.State{Gen: now.Gen}
 		c.invalidations.Add(1)
 	}
-	if len(rows) == nd.rowsSeen {
-		return nil
-	}
-	for i := nd.rowsSeen; i < len(rows); i++ {
+	for i := nd.seen.Rows; i < len(rows); i++ {
 		row := rows[i]
 		pass := true
 		for _, p := range nd.preds {
@@ -143,7 +137,7 @@ func (nd *node) sync(rows [][]sqltypes.Value, c *counters) error {
 			nd.nDirty++
 		}
 	}
-	nd.rowsSeen = len(rows)
+	nd.seen = now
 	if len(nd.groups) > nd.maxGroups {
 		nd.disabled = true
 		nd.groups = nil
@@ -195,7 +189,6 @@ func (nd *node) rebuildDirty(rows [][]sqltypes.Value, c *counters) error {
 			g.states = nd.newStates()
 		}
 	}
-	rows = rows[:nd.rowsSeen]
 	for _, row := range rows {
 		pass := true
 		for _, p := range nd.preds {

@@ -10,14 +10,17 @@
 // key-pinning Filter), AT (ALL …) contexts, and ROLLUP queries are all
 // served in O(groups) once materialized.
 //
-// Maintenance: INSERT deltas are folded into exactly-mergeable nodes
+// Maintenance: a node records the storage.State of the rows it has
+// folded and compares it, at every read, with the state of the table's
+// snapshot. Rows appended since are folded into exactly-mergeable nodes
 // in place (each group's Add stream stays in global row order, so the
 // states are bit-identical to a serial rescan); order-sensitive
 // aggregates (floating-point accumulation, AVG/VAR/STDDEV) only mark
-// the touched groups dirty and are rebuilt lazily in one pass on next
-// touch. TRUNCATE resets nodes; DDL drops them. The lattice is derived
-// state: it is never logged to the WAL and rebuilds naturally from the
-// recovered store after a crash.
+// the touched groups dirty and are rebuilt in one pass before
+// answering. Any other change (TRUNCATE) resets the node. A replaced
+// table is another node; the engine's DDL hook only releases the dead
+// one's memory. The lattice is derived state: it is never logged to the
+// WAL and rebuilds naturally from the recovered store after a crash.
 //
 // The correctness bar is bit-identity with direct execution under
 // arbitrary query/mutation interleavings; the differential
@@ -185,8 +188,8 @@ func (l *Lattice) TryAggregate(n *plan.Aggregate, eval func(plan.Expr) (sqltypes
 		l.c.misses.Add(1)
 		return nil, false, nil
 	}
-	rows := nd.src.Rows()
-	if err := nd.sync(rows, &l.c); err != nil {
+	rows, now := nd.src.Snapshot()
+	if err := nd.sync(rows, now, &l.c); err != nil {
 		nd.disabled = true
 		nd.groups = nil
 		l.c.misses.Add(1)
@@ -268,52 +271,6 @@ func (l *Lattice) nodeFor(req *request) *node {
 	return nd
 }
 
-func (l *Lattice) nodesFor(table string) []*node {
-	table = strings.ToLower(table)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []*node
-	for _, nd := range l.nodes {
-		if nd.srcName == table {
-			out = append(out, nd)
-		}
-	}
-	return out
-}
-
-// NotifyMutation folds freshly inserted rows of table into its nodes
-// eagerly (exactly-mergeable nodes update states in place; others mark
-// touched groups dirty). The engine calls it synchronously after every
-// INSERT applies, so a node can never answer from a shorter prefix
-// than the statement that just committed.
-func (l *Lattice) NotifyMutation(table string) {
-	for _, nd := range l.nodesFor(table) {
-		nd.mu.Lock()
-		if !nd.disabled {
-			if err := nd.sync(nd.src.Rows(), &l.c); err != nil {
-				nd.disabled = true
-				nd.groups = nil
-			}
-		}
-		nd.mu.Unlock()
-	}
-}
-
-// NotifyTruncate resets every node over table. Called synchronously
-// after TRUNCATE applies, before any subsequent statement can insert
-// replacement rows (a pure length check could miss a truncate-then-
-// refill that restores the old row count).
-func (l *Lattice) NotifyTruncate(table string) {
-	for _, nd := range l.nodesFor(table) {
-		nd.mu.Lock()
-		if !nd.disabled {
-			nd.resetLocked()
-			l.c.invalidations.Add(1)
-		}
-		nd.mu.Unlock()
-	}
-}
-
 // NotifyDDL drops every node over table: after DROP or CREATE OR
 // REPLACE the old storage instance is unreachable and its materialized
 // state is garbage.
@@ -390,7 +347,7 @@ func (l *Lattice) Snapshot() []NodeInfo {
 			Aggs:     strings.Join(aggSigs, ", "),
 			Groups:   len(nd.groups),
 			Dirty:    nd.nDirty,
-			RowsSeen: nd.rowsSeen,
+			RowsSeen: nd.seen.Rows,
 			Exact:    nd.exact,
 			Disabled: nd.disabled,
 		})

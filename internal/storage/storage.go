@@ -11,6 +11,34 @@ import (
 	"github.com/measures-sql/msql/internal/sqltypes"
 )
 
+// State is a table's data state. Within one Gen the rows only grow;
+// Truncate starts the next Gen; a replaced table is another Table. Gen
+// counts from 1, so the zero State is no table's: a source without
+// stable rows (a virtual table) reports it.
+type State struct {
+	Gen  uint64
+	Rows int
+}
+
+// Since is the staleness rule for everything derived from a table's
+// rows. Whoever caches such a thing reads the table's State before
+// computing, keeps it, and asks the State it reads at a later lookup
+// what happened Since: ok says the rows read then are still the first
+// then.Rows rows of the table, appended how many follow them. A cached
+// value is good as it stands only if ok && appended == 0.
+func (now State) Since(then State) (appended int, ok bool) {
+	if then.Gen == 0 || now.Gen != then.Gen || now.Rows < then.Rows {
+		return 0, false
+	}
+	return now.Rows - then.Rows, true
+}
+
+// Same reports that nothing changed Since then.
+func (now State) Same(then State) bool {
+	appended, ok := now.Since(then)
+	return ok && appended == 0
+}
+
 // Table is an in-memory table: a fixed schema and a growing set of rows.
 type Table struct {
 	mu    sync.RWMutex
@@ -18,6 +46,7 @@ type Table struct {
 	cols  []string
 	types []sqltypes.Type
 	rows  [][]sqltypes.Value
+	gen   uint64
 	// dict interns the values of each VARCHAR column (nil for the other
 	// columns): a dimension repeats a few hundred names over every row,
 	// and without it each stored row keeps its own copy of each.
@@ -30,7 +59,7 @@ const internLimit = 1 << 12
 
 // NewTable creates an empty table.
 func NewTable(name string, cols []string, types []sqltypes.Type) *Table {
-	t := &Table{name: name, cols: cols, types: types, dict: make([]map[string]string, len(types))}
+	t := &Table{name: name, cols: cols, types: types, gen: 1, dict: make([]map[string]string, len(types))}
 	for j, typ := range types {
 		if typ.Kind == sqltypes.KindString {
 			t.dict[j] = map[string]string{}
@@ -48,20 +77,25 @@ func (t *Table) ColNames() []string { return t.cols }
 // ColTypes returns the column types.
 func (t *Table) ColTypes() []sqltypes.Type { return t.types }
 
-// NumRows returns the current row count.
-func (t *Table) NumRows() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.rows)
+// State returns the table's current data state.
+func (t *Table) State() State {
+	_, st := t.Snapshot()
+	return st
 }
 
-// Rows returns a snapshot slice of the rows. Callers must not mutate the
-// returned rows; Insert never mutates previously returned slices, so a
-// running scan stays consistent.
-func (t *Table) Rows() [][]sqltypes.Value {
+// Snapshot returns a snapshot slice of the rows and the State they are
+// in. Callers must not mutate the returned rows; Insert never mutates
+// previously returned slices, so a running scan stays consistent.
+func (t *Table) Snapshot() ([][]sqltypes.Value, State) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.rows[:len(t.rows):len(t.rows)]
+	return t.rows[:len(t.rows):len(t.rows)], State{Gen: t.gen, Rows: len(t.rows)}
+}
+
+// Rows returns the rows of a Snapshot.
+func (t *Table) Rows() [][]sqltypes.Value {
+	rows, _ := t.Snapshot()
+	return rows
 }
 
 // Insert appends rows after coercing each value to the column type.
@@ -124,11 +158,12 @@ func (t *Table) InsertPrepared(rows [][]sqltypes.Value) {
 	t.rows = append(t.rows, rows...)
 }
 
-// Truncate removes all rows.
+// Truncate removes all rows and starts the next generation.
 func (t *Table) Truncate() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.rows = nil
+	t.gen++
 	for _, d := range t.dict {
 		clear(d)
 	}

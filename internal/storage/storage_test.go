@@ -24,7 +24,7 @@ func TestInsertAndScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := tbl.Rows()
-	if len(rows) != 2 || tbl.NumRows() != 2 {
+	if len(rows) != 2 || tbl.State().Rows != 2 {
 		t.Fatalf("rows=%d", len(rows))
 	}
 	// INT 2 coerced to FLOAT in column b; string coerced to DATE.
@@ -60,8 +60,8 @@ func TestInsertErrors(t *testing.T) {
 		t.Error("1.5 into INTEGER should fail")
 	}
 	// All-or-nothing: nothing inserted by the failed batches.
-	if tbl.NumRows() != 0 {
-		t.Errorf("failed inserts must not leave rows, got %d", tbl.NumRows())
+	if tbl.State().Rows != 0 {
+		t.Errorf("failed inserts must not leave rows, got %d", tbl.State().Rows)
 	}
 	// Integral float is fine.
 	err = tbl.Insert([][]sqltypes.Value{
@@ -86,7 +86,7 @@ func TestSnapshotStability(t *testing.T) {
 		t.Errorf("snapshot grew after later insert: %d", len(snap))
 	}
 	tbl.Truncate()
-	if tbl.NumRows() != 0 {
+	if tbl.State().Rows != 0 {
 		t.Error("truncate failed")
 	}
 	if len(snap) != 1 {

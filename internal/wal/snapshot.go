@@ -34,8 +34,8 @@ type ViewDump struct {
 // StoreDump is the full logical store: what a checkpoint persists and
 // what recovery hands back to the engine.
 type StoreDump struct {
-	// Version is the catalog version at dump time; restored so cached
-	// plans from before a crash can never be mistaken for current.
+	// Version is the catalog's mutation count at dump time; restored so
+	// a coordinator's apply cursor still lines up after a crash.
 	Version int64
 	Tables  []TableDump
 	Views   []ViewDump

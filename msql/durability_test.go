@@ -148,31 +148,6 @@ func TestDurableObservability(t *testing.T) {
 	}
 }
 
-// TestDurablePlanCacheInvalidation: a prepared statement planned before
-// a crash must not serve a stale plan after recovery — the restored
-// catalog version continues the pre-crash sequence.
-func TestDurablePlanCacheInvalidation(t *testing.T) {
-	dir := t.TempDir()
-	db, err := msql.OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.MustExec(`CREATE TABLE t (a INTEGER)`)
-	db.MustExec(`INSERT INTO t VALUES (1)`)
-	versionSensitive := db.MustQuery(`SELECT COUNT(*) FROM t`)
-	if versionSensitive.Rows[0][0].I != 1 {
-		t.Fatal("setup")
-	}
-
-	db = reopen(t, dir, db)
-	defer db.Close()
-	db.MustExec(`INSERT INTO t VALUES (2)`)
-	res := db.MustQuery(`SELECT COUNT(*) FROM t`)
-	if res.Rows[0][0].I != 2 {
-		t.Fatalf("count after recovery+insert = %v, want 2", res.Rows[0][0])
-	}
-}
-
 func TestDurableSyncPolicies(t *testing.T) {
 	for _, policy := range []string{"always", "interval", "off"} {
 		t.Run(policy, func(t *testing.T) {
