@@ -17,13 +17,21 @@
 //
 //	-shard http://10.0.0.1:7433,http://10.0.0.2:7433
 //
-// Endpoints:
+// Endpoints — served through internal/server's request envelope with its
+// default limits (8 executing, 16 queued, shed with 429 + Retry-After;
+// timeout_ms clamped to 30s; one access-log line per request on stderr):
 //
 //	POST /query         {"sql": "...", "timeout_ms": 1000}
+//	POST /query.ndjson  the same, answered as a newline-delimited stream
 //	GET  /healthz       liveness
-//	GET  /readyz        readiness (503 until every shard is reachable)
-//	GET  /metrics       Prometheus text, including msql_shard_* counters
+//	GET  /readyz        readiness (503 until every shard is reachable,
+//	                    and again once draining)
+//	GET  /metrics       Prometheus text, including msql_shard_* and
+//	                    msql_server_* counters
 //	GET  /metrics.json  the same snapshot as JSON
+//
+// SIGINT/SIGTERM drain like msqld: stop admitting, let inflight
+// statements finish (then cancel the stragglers), shut the listener.
 package main
 
 import (
@@ -40,6 +48,7 @@ import (
 	"time"
 
 	"github.com/measures-sql/msql/internal/dist"
+	"github.com/measures-sql/msql/internal/server"
 	"github.com/measures-sql/msql/msql/client"
 )
 
@@ -138,7 +147,8 @@ func main() {
 		log.Printf("ran init script %s", *initFile)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: coord.Handler()}
+	srv := server.New(coord, server.Config{AccessLog: os.Stderr})
+	httpSrv := &http.Server{Addr: *addr, Handler: coord.Front(srv)}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	log.Printf("coordinating %d shard(s) on http://%s", len(shards), *addr)
@@ -147,10 +157,11 @@ func main() {
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-sigCh:
-		log.Printf("received %s; shutting down", sig)
+		log.Printf("received %s; draining", sig)
 	case err := <-errCh:
 		log.Fatalf("serve: %v", err)
 	}
+	srv.Drain(context.Background())
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {

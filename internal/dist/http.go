@@ -1,57 +1,44 @@
 package dist
 
-// The coordinator's HTTP surface speaks the same wire protocol as a
-// single msqld node, so msql/client (and msqlbench) work against a
-// coordinator unchanged:
-//
-//	POST /query         JSON in, one JSON object out
-//	GET  /healthz       liveness
-//	GET  /readyz        readiness — 200 once every shard has been reached
-//	GET  /metrics       Prometheus text (local engine + shard counters)
-//	GET  /metrics.json  the same snapshot as JSON
-//
-// A request's X-Request-Id (or body request_id) is propagated to every
-// shard call the query fans out into, so one distributed query is one
-// correlation ID across the whole topology.
+// The coordinator's HTTP surface is internal/server's, mounted over the
+// coordinator instead of an embedded session: a Coordinator is a
+// server.Runner, so POST /query and /query.ndjson pass through the same
+// request envelope as on an msqld node (admission, timeout clamp, panic
+// isolation, access log, drain) and msql/client works against a
+// coordinator unchanged. Only readiness differs: a coordinator is ready
+// once every shard has been reached.
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"time"
 
-	"github.com/measures-sql/msql/internal/wire"
+	"github.com/measures-sql/msql/internal/server"
+	"github.com/measures-sql/msql/msql"
 )
 
-const maxRequestBytes = 1 << 20
-
-// Handler returns the coordinator's HTTP handler.
+// Handler returns the coordinator's HTTP handler: Front over a server
+// with server.Config's defaults.
 func (c *Coordinator) Handler() http.Handler {
+	return c.Front(server.New(c, server.Config{}))
+}
+
+// Front returns srv's handler — srv must have been created over c —
+// with /readyz also requiring every shard to be reachable.
+func (c *Coordinator) Front(srv *server.Server) http.Handler {
+	h := srv.Handler()
 	mux := http.NewServeMux()
-	mux.HandleFunc("/query", c.serveQuery)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		io.WriteString(w, "ok\n")
-	})
+	mux.Handle("/", h)
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if err := c.Ready(r.Context()); err != nil {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintf(w, "not ready: %v\n", err)
-			return
+		// A draining server says so itself; the shards need no probe.
+		if !srv.Draining() {
+			if err := c.Ready(r.Context()); err != nil {
+				w.WriteHeader(http.StatusServiceUnavailable)
+				fmt.Fprintf(w, "not ready: %v\n", err)
+				return
+			}
 		}
-		w.WriteHeader(http.StatusOK)
-		io.WriteString(w, "ready\n")
-	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		io.WriteString(w, c.local.Metrics().Prometheus())
-	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		io.WriteString(w, c.local.Metrics().JSON())
+		h.ServeHTTP(w, r)
 	})
 	return mux
 }
@@ -77,76 +64,14 @@ func (c *Coordinator) Ready(ctx context.Context) error {
 	return nil
 }
 
-func (c *Coordinator) serveQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	var req wire.QueryRequest
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes))
-	if err == nil {
-		err = json.Unmarshal(body, &req)
-	}
-	if err != nil || req.SQL == "" {
-		if err == nil {
-			err = errors.New("request carries no sql")
-		}
-		writeWireError(w, &wire.Error{
-			Code:    "PARSE",
-			Phase:   "request",
-			Offset:  -1,
-			Hint:    `POST a JSON body like {"sql": "SELECT ..."}`,
-			Message: fmt.Sprintf("bad request: %v", err),
-		}, http.StatusBadRequest)
-		return
-	}
+// The rest of server.Runner: a coordinator's catalog version, metrics
+// and server counters are its local session's (the schema mirror, which
+// also carries the shard counters).
 
-	reqID := r.Header.Get("X-Request-Id")
-	if reqID == "" {
-		reqID = req.RequestID
-	}
-	if reqID == "" {
-		reqID = c.newRequestID()
-	}
-	w.Header().Set("X-Request-Id", reqID)
+func (c *Coordinator) CatalogVersion() int64 { return c.local.CatalogVersion() }
 
-	ctx := r.Context()
-	if req.TimeoutMillis > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMillis)*time.Millisecond)
-		defer cancel()
-	}
+func (c *Coordinator) Metrics() msql.MetricsSnapshot { return c.local.Metrics() }
 
-	results, err := c.RunWithRequestID(ctx, req.SQL, reqID)
-	if err != nil {
-		we := wire.FromError(err)
-		we.RequestID = reqID
-		writeWireError(w, we, we.HTTPStatus())
-		return
-	}
-	resp := wire.QueryResponse{}
-	if len(results) > 0 {
-		last := results[len(results)-1]
-		if last.Rows != nil || len(last.Columns) > 0 {
-			resp.Columns = last.Columns
-			resp.Types = make([]string, len(last.Types))
-			for i, t := range last.Types {
-				resp.Types[i] = t.String()
-			}
-			resp.Rows = wire.EncodeRows(last.Rows)
-		} else {
-			resp.Message = last.Message
-		}
-	} else {
-		resp.Message = "ok"
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
-}
-
-func writeWireError(w http.ResponseWriter, we *wire.Error, status int) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(wire.QueryResponse{Error: we})
+func (c *Coordinator) RegisterServerMetrics(fn func() msql.ServerCounters) {
+	c.local.RegisterServerMetrics(fn)
 }

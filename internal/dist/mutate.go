@@ -429,15 +429,18 @@ func (c *Coordinator) syncEndpoint(ctx context.Context, sh *shard, ep *endpoint,
 // pending, never got a chance to notice). Probe the authoritative
 // version, rewind the cursor to it, and replay the tail.
 func (c *Coordinator) rewindAndSync(ctx context.Context, sh *shard, ep *endpoint, reqID string) error {
-	info, err := ep.cli.Catalog(ctx)
-	if err != nil {
-		return err
-	}
+	// Probe under the cursor's lock: a version read before another
+	// reader's replay and applied after it would rewind the cursor below
+	// an endpoint that has caught up, which reads as divergence forever.
 	ep.mu.Lock()
-	if int(info.Version) < ep.applied {
+	info, err := ep.cli.Catalog(ctx)
+	if err == nil && int(info.Version) < ep.applied {
 		ep.applied = int(info.Version)
 	}
 	ep.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	return c.syncEndpoint(ctx, sh, ep, reqID)
 }
 

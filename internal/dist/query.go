@@ -32,15 +32,24 @@ import (
 	"github.com/measures-sql/msql/msql/client"
 )
 
-// Run executes sql (one or more statements) across the topology and
-// returns one result per statement.
-func (c *Coordinator) Run(ctx context.Context, sql string) ([]*msql.Result, error) {
-	return c.RunWithRequestID(ctx, sql, c.newRequestID())
-}
-
-// RunWithRequestID is Run with an explicit correlation ID, which is
-// propagated to every shard call as X-Request-Id.
-func (c *Coordinator) RunWithRequestID(ctx context.Context, sql, reqID string) ([]*msql.Result, error) {
+// RunContext executes sql (one or more statements) across the topology
+// and returns one result per statement. Of opts it honours the request
+// ID — propagated to every shard call as X-Request-Id; generated when
+// absent — and the timeout, which bounds the whole script.
+func (c *Coordinator) RunContext(ctx context.Context, sql string, opts ...msql.Option) ([]*msql.Result, error) {
+	var ov engine.Overrides
+	for _, o := range opts {
+		o(&ov)
+	}
+	reqID := ov.RequestID
+	if reqID == "" {
+		reqID = c.newRequestID()
+	}
+	if ov.Timeout != nil {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *ov.Timeout)
+		defer cancel()
+	}
 	stmts, err := parser.ParseStatements(sql)
 	if err != nil {
 		return nil, err
@@ -63,7 +72,7 @@ func (c *Coordinator) RunWithRequestID(ctx context.Context, sql, reqID string) (
 
 // Query executes sql and returns the last statement's result.
 func (c *Coordinator) Query(ctx context.Context, sql string) (*msql.Result, error) {
-	res, err := c.Run(ctx, sql)
+	res, err := c.RunContext(ctx, sql)
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +84,7 @@ func (c *Coordinator) Query(ctx context.Context, sql string) (*msql.Result, erro
 
 // Exec executes sql, discarding results.
 func (c *Coordinator) Exec(ctx context.Context, sql string) error {
-	_, err := c.Run(ctx, sql)
+	_, err := c.RunContext(ctx, sql)
 	return err
 }
 

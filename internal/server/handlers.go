@@ -1,6 +1,6 @@
 package server
 
-// The HTTP surface of msqld:
+// The HTTP surface of msqld and msqlcoord:
 //
 //	POST /query         JSON in, one JSON object out
 //	POST /query.ndjson  JSON in, newline-delimited stream out
@@ -9,10 +9,15 @@ package server
 //	GET  /readyz        readiness — 503 once draining
 //	GET  /metrics       Prometheus text (engine + server counters)
 //	GET  /metrics.json  the same snapshot as expvar-style JSON
-//	GET  /statements    statement-stats store (see introspect.go)
-//	GET  /queries       in-flight queries
-//	POST /kill          cancel an in-flight query by ID
 //	     /debug/pprof/  profiling, when Config.EnablePprof
+//
+// and, over an embedded session (msqld) only: /prepare and /execute
+// (prepared.go), /partial, /apply and /catalog (shard_handlers.go),
+// /statements, /queries and /kill (introspect.go).
+//
+// Every statement endpoint is an endpoint value served through serve,
+// the one request envelope; what a request goes through, and in what
+// order, is written there and nowhere else.
 
 import (
 	"context"
@@ -36,17 +41,14 @@ const maxRequestBytes = 1 << 20
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) {
-		s.serveQuery(w, r, false)
-	})
-	mux.HandleFunc("/query.ndjson", func(w http.ResponseWriter, r *http.Request) {
-		s.serveQuery(w, r, true)
-	})
-	mux.HandleFunc("/prepare", s.servePrepare)
-	mux.HandleFunc("/execute", s.serveExecute)
-	mux.HandleFunc("/partial", s.servePartial)
-	mux.HandleFunc("/apply", s.serveApply)
-	mux.HandleFunc("/catalog", s.serveCatalog)
+	endpoints := []endpoint{s.queryEndpoint("/query", nil), s.queryEndpoint("/query.ndjson", writeNDJSON)}
+	if s.node != nil {
+		endpoints = append(endpoints, s.prepareEndpoint(), s.executeEndpoint(), s.partialEndpoint(), s.applyEndpoint())
+		mux.HandleFunc("/catalog", s.serveCatalog)
+	}
+	for _, ep := range endpoints {
+		mux.HandleFunc(ep.path, s.serve(ep))
+	}
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		io.WriteString(w, "ok\n")
@@ -72,209 +74,308 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// writeError sends one wire error with its HTTP status; 429 and 503
-// carry a Retry-After hint.
-func (s *Server) writeError(w http.ResponseWriter, we *wire.Error, status int) {
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		secs := int(s.cfg.RetryAfter / time.Second)
-		if secs < 1 {
-			secs = 1
+// endpoint is everything that differs between statement endpoints: how
+// the body decodes into a statement and how replies are shaped.
+type endpoint struct {
+	path string
+	// source labels the statement's origin in the live-query registry.
+	source string
+	// hint is attached to a bad-request rejection.
+	hint   string
+	decode func(r *http.Request) (statement, error)
+	// failBody shapes the error reply of an admitted request for an
+	// endpoint whose reply object reports the catalog version; nil
+	// replies with a wire.QueryResponse.
+	failBody func(version int64, we *wire.Error) any
+	// frame writes a success body; nil encodes it as one JSON object.
+	frame func(w http.ResponseWriter, body any)
+}
+
+// statement is one decoded request as the envelope sees it.
+type statement struct {
+	requestID string // body request_id; the X-Request-Id header wins
+	timeoutMs int64  // body timeout_ms; 0 inherits the session's limit
+	expect    int64  // catalog version the request pins; 0 pins none
+	// run makes the backend call under the envelope's context and
+	// options and returns the success body plus the row count for the
+	// access log.
+	run func(ctx context.Context, opts []msql.Option) (body any, rows int, err error)
+}
+
+// decodeAs builds an endpoint's decode from its request type: the one
+// bounded body read, JSON decoding, then bind's validation.
+func decodeAs[Req any](bind func(*Req) (statement, error)) func(*http.Request) (statement, error) {
+	return func(r *http.Request) (statement, error) {
+		req := new(Req)
+		if err := readJSON(r, req); err != nil {
+			return statement{}, err
 		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		return bind(req)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(wire.QueryResponse{Error: we})
 }
 
-// shedError is the wire form of an overload rejection: a structured
-// RESOURCE_EXHAUSTED so shed requests land in the same taxonomy as
-// engine-side limit trips.
-func shedError(msg, hint string) *wire.Error {
-	return wire.FromError(&exec.Error{
-		Code:  exec.CodeResourceExhausted,
-		Phase: "admission",
-		Pos:   -1,
-		Hint:  hint,
-		Err:   errors.New(msg),
-	})
-}
+var errNotPost = errors.New("POST only")
 
-// admitOrReject runs admission control for one request, writing the
-// structured rejection (shed, draining, abandoned) itself. On true the
-// caller owns an execution slot and must s.release() when done.
-func (s *Server) admitOrReject(w http.ResponseWriter, r *http.Request) bool {
-	switch s.admit(r.Context()) {
-	case admitted:
-		return true
-	case shedQueueFull:
-		s.outcome(exec.CodeResourceExhausted)
-		s.writeError(w, shedError(
-			fmt.Sprintf("server overloaded: %d executing, %d queued", s.cfg.MaxInflight, s.cfg.MaxQueue),
-			"retry with backoff"), http.StatusTooManyRequests)
-	case shedQueueWait:
-		s.outcome(exec.CodeResourceExhausted)
-		s.writeError(w, shedError(
-			fmt.Sprintf("no execution slot freed within %v", s.cfg.QueueWait),
-			"retry with backoff"), http.StatusTooManyRequests)
-	case rejectedDraining:
-		s.outcome(exec.CodeResourceExhausted)
-		s.writeError(w, shedError("server is draining", "retry against another replica"),
-			http.StatusServiceUnavailable)
-	case abandonedByClient:
-		s.outcome(exec.CodeCanceled)
-		// The client is (probably) gone; still send a structured body in
-		// case the cancel raced with delivery — every response a client
-		// manages to read carries a taxonomy code.
-		s.writeError(w, wire.FromError(exec.CtxError(context.Canceled)),
-			wire.StatusClientClosedRequest)
+// readJSON decodes a bounded POST body.
+func readJSON(r *http.Request, into any) error {
+	if r.Method != http.MethodPost {
+		return errNotPost
 	}
-	return false
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes))
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(body, into)
 }
 
-// serveQuery handles POST /query and /query.ndjson: admission control,
-// deadline policy, execution, and response framing — with the panic
-// isolation and exactly-one-taxonomy-code bookkeeping the package
-// contract promises.
-func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, ndjson bool) {
-	wrote := false
+// badRequest is the structured rejection of an undecodable request; a
+// wrong method keeps its own status.
+func badRequest(err error, hint string) (int, error) {
+	status := http.StatusBadRequest
+	if errors.Is(err, errNotPost) {
+		status = http.StatusMethodNotAllowed
+	}
+	return status, &exec.Error{Code: exec.CodeParse, Phase: "request", Pos: -1, Hint: hint,
+		Err: fmt.Errorf("bad request: %w", err)}
+}
+
+// reply is the envelope's verdict on one request: what goes into the
+// ledger, the access log, and onto the wire.
+type reply struct {
+	requestID string
+	admitted  bool // the request holds an execution slot
+	status    int
+	code      exec.Code // 0 on success
+	killed    bool      // canceled by the drain deadline
+	err       *wire.Error
+	version   int64 // catalog version reported next to err
+	body      any
+	rows      int
+}
+
+// serve is the request envelope of every statement endpoint. process
+// decides the reply; then, in order: the slot is held until the reply
+// is written, the outcome ledger gets exactly one code, the access log
+// exactly one line, and the reply is framed.
+func (s *Server) serve(ep endpoint) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		s.counters.accepted.Add(1)
+		rep := s.process(&ep, w, r)
+		if rep.admitted {
+			defer s.release()
+		}
+		s.outcome(rep.code)
+		if rep.admitted && s.draining.Load() {
+			if rep.killed {
+				s.counters.drainKilled.Add(1)
+			} else {
+				s.counters.drained.Add(1)
+			}
+		}
+		s.logAccess(ep.path, rep.requestID, rep.status, rep.code, time.Since(start), rep.rows)
+		switch {
+		case rep.err == nil && ep.frame != nil:
+			ep.frame(w, rep.body)
+		case rep.err == nil:
+			writeJSON(w, http.StatusOK, rep.body)
+		case ep.failBody != nil && rep.admitted:
+			s.writeError(w, rep.status, ep.failBody(rep.version, rep.err))
+		default:
+			s.writeError(w, rep.status, wire.QueryResponse{Error: rep.err})
+		}
+	}
+}
+
+// process takes one request from body to verdict. In order: panic
+// isolation (a panic below, engine included, is that request's
+// RUNTIME/500), bounded decode, request-ID resolution and echo, the
+// accept failpoint and admission control, the catalog-version guard,
+// the statement context (canceled with the client connection or by the
+// drain deadline), the timeout clamp, the backend call.
+func (s *Server) process(ep *endpoint, w http.ResponseWriter, r *http.Request) (rep reply) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			s.counters.panics.Add(1)
-			s.outcome(exec.CodeRuntime)
-			if !wrote {
-				s.writeError(w, wire.FromError(exec.PanicError(rec, exec.PhaseExecute)), http.StatusInternalServerError)
-			}
+			s.fail(&rep, 0, exec.PanicError(rec, exec.PhaseExecute))
 		}
 	}()
 
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
+	st, err := ep.decode(r)
+	rep.requestID = s.requestID(w, r, st.requestID)
+	if err != nil {
+		status, err := badRequest(err, ep.hint)
+		s.fail(&rep, status, err)
+		return rep
 	}
-	s.counters.accepted.Add(1)
 
-	var req wire.QueryRequest
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes))
-	if err == nil {
-		err = json.Unmarshal(body, &req)
+	if status, err := s.admitOrReject(r.Context()); err != nil {
+		s.fail(&rep, status, err)
+		return rep
 	}
-	if err != nil || req.SQL == "" {
-		if err == nil {
-			err = errors.New("request carries no sql")
+	rep.admitted = true
+
+	// A coordinator pins the version its plan was built against so a
+	// lagging or diverged shard rejects instead of answering from the
+	// wrong schema.
+	if st.expect > 0 {
+		if v := s.db.CatalogVersion(); v != st.expect {
+			s.fail(&rep, 0, versionMismatch(v, st.expect))
+			return rep
 		}
-		s.outcome(exec.CodeParse)
-		s.writeError(w, &wire.Error{
-			Code:    exec.CodeParse.String(),
-			Phase:   "request",
-			Offset:  -1,
-			Hint:    `POST a JSON body like {"sql": "SELECT ..."}`,
-			Message: fmt.Sprintf("bad request: %v", err),
-		}, http.StatusBadRequest)
-		return
 	}
 
-	reqID := s.requestID(w, r, req.RequestID)
-	start := time.Now()
-	path := "/query"
-	if ndjson {
-		path = "/query.ndjson"
-	}
-
-	// Chaos hook: the server-accept failpoint simulates admission-path
-	// faults; a firing is shed exactly like real overload.
-	if err := exec.Fire(exec.FailServerAccept); err != nil {
-		s.counters.shed.Add(1)
-		s.outcome(exec.CodeResourceExhausted)
-		s.writeError(w, shedError("admission failpoint fired", "retry with backoff"),
-			http.StatusTooManyRequests)
-		return
-	}
-
-	if !s.admitOrReject(w, r) {
-		return
-	}
-	defer s.release()
-
-	// Catalog-version guard: a coordinator pins the version its plan was
-	// built against so a lagging or diverged shard rejects instead of
-	// answering from the wrong schema.
-	if v := s.db.CatalogVersion(); req.ExpectCatalogVersion > 0 && v != req.ExpectCatalogVersion {
-		s.finishAdmitted(exec.CodeRuntime, false)
-		s.writeError(w, versionMismatchError(v, req.ExpectCatalogVersion, reqID), versionMismatchStatus)
-		s.logAccess(path, reqID, versionMismatchStatus, exec.CodeRuntime, time.Since(start), 0)
-		return
-	}
-
-	// The statement context: canceled when the client goes away or the
-	// drain deadline kills stragglers.
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
-	stopKill := context.AfterFunc(s.killCtx, cancel)
-	defer stopKill()
+	defer context.AfterFunc(s.killCtx, cancel)()
 
-	// Deadline policy: a client-supplied timeout is clamped to
-	// MaxTimeout; absent one, the session's exec.Limits.Timeout applies
-	// inside the engine.
-	opts := []msql.Option{msql.WithSource("wire"), msql.WithRequestID(reqID)}
-	if req.TimeoutMillis > 0 {
-		d := time.Duration(req.TimeoutMillis) * time.Millisecond
-		if d > s.cfg.MaxTimeout {
+	// A client-supplied timeout is clamped to MaxTimeout; absent one,
+	// the session's exec.Limits.Timeout applies inside the engine.
+	opts := []msql.Option{msql.WithSource(ep.source), msql.WithRequestID(rep.requestID)}
+	if st.timeoutMs > 0 {
+		d := time.Duration(st.timeoutMs) * time.Millisecond
+		if d <= 0 || d > s.cfg.MaxTimeout {
 			d = s.cfg.MaxTimeout
 		}
 		opts = append(opts, msql.WithTimeout(d))
 	}
 
-	results, err := s.db.RunContext(ctx, req.SQL, opts...)
-	if err != nil {
-		code := exec.CodeRuntime
-		var ee *exec.Error
-		if errors.As(err, &ee) {
-			code = ee.Code
-		}
-		killed := code == exec.CodeCanceled && s.killCtx.Err() != nil
-		s.finishAdmitted(code, killed)
-		we := wire.FromError(err)
-		we.RequestID = reqID
-		status := we.HTTPStatus()
-		if killed || (code == exec.CodeCanceled && s.draining.Load()) {
-			status = http.StatusServiceUnavailable
-		}
-		s.writeError(w, we, status)
-		s.logAccess(path, reqID, status, code, time.Since(start), 0)
-		return
+	if rep.body, rep.rows, err = st.run(ctx, opts); err != nil {
+		s.fail(&rep, 0, err)
+		return rep
 	}
-	s.finishAdmitted(0, false)
+	rep.status = http.StatusOK
+	return rep
+}
 
-	// Respond with the last result: rows for queries, a message for
-	// DDL/DML scripts.
-	resp := wire.QueryResponse{}
-	if len(results) > 0 {
-		last := results[len(results)-1]
-		if last.Rows != nil || len(last.Columns) > 0 {
-			resp.Columns = last.Columns
-			resp.Types = make([]string, len(last.Types))
-			for i, t := range last.Types {
-				resp.Types[i] = t.String()
+// fail makes err rep's verdict: the one mapping from an error to its
+// taxonomy code, drain-kill verdict, HTTP status and wire form. status
+// 0 takes the taxonomy's, except that a statement canceled by (or
+// during) a drain answers 503 so a retrying client fails over.
+func (s *Server) fail(rep *reply, status int, err error) {
+	rep.code = exec.CodeRuntime
+	var ee *exec.Error
+	if errors.As(err, &ee) {
+		rep.code = ee.Code
+	}
+	rep.err = wire.FromError(err)
+	rep.err.RequestID = rep.requestID
+	rep.killed = rep.code == exec.CodeCanceled && s.killCtx.Err() != nil
+	rep.version = s.db.CatalogVersion()
+	var vm *versionMismatchError
+	switch {
+	case status != 0:
+	case errors.As(err, &vm):
+		status, rep.version = versionMismatchStatus, vm.have
+	case rep.killed || (rep.code == exec.CodeCanceled && s.draining.Load()):
+		status = http.StatusServiceUnavailable
+	default:
+		status = rep.err.HTTPStatus()
+	}
+	rep.status, rep.body, rep.rows = status, nil, 0
+}
+
+// admitOrReject fires the accept failpoint (chaos: an admission-path
+// fault is shed exactly like real overload) and runs admission control.
+// A nil error means the caller owns an execution slot and must release
+// it; otherwise err is the structured rejection — shed requests land in
+// the same RESOURCE_EXHAUSTED taxonomy as engine-side limit trips — and
+// status its HTTP status when that is not the taxonomy's.
+func (s *Server) admitOrReject(ctx context.Context) (status int, err error) {
+	if exec.Fire(exec.FailServerAccept) != nil {
+		s.counters.shed.Add(1)
+		return 0, shed("retry with backoff", "admission failpoint fired")
+	}
+	switch s.admit(ctx) {
+	case shedQueueFull:
+		return 0, shed("retry with backoff", "server overloaded: %d executing, %d queued", s.cfg.MaxInflight, s.cfg.MaxQueue)
+	case shedQueueWait:
+		return 0, shed("retry with backoff", "no execution slot freed within %v", s.cfg.QueueWait)
+	case rejectedDraining:
+		return http.StatusServiceUnavailable, shed("retry against another replica", "server is draining")
+	case abandonedByClient:
+		// The client is (probably) gone; still answer with a structured
+		// body in case the cancel raced with delivery.
+		return 0, exec.CtxError(context.Canceled)
+	}
+	return 0, nil
+}
+
+func shed(hint, format string, args ...any) error {
+	return &exec.Error{Code: exec.CodeResourceExhausted, Phase: "admission", Pos: -1, Hint: hint,
+		Err: fmt.Errorf(format, args...)}
+}
+
+// writeJSON sends one JSON object.
+func writeJSON(w http.ResponseWriter, status int, body any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(body)
+}
+
+// writeError sends an error reply; 429 and 503 carry a Retry-After
+// hint, 405 the allowed method.
+func (s *Server) writeError(w http.ResponseWriter, status int, body any) {
+	switch status {
+	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+		secs := int(s.cfg.RetryAfter / time.Second)
+		if secs < 1 {
+			secs = 1
+		}
+		w.Header().Set("Retry-After", strconv.Itoa(secs))
+	case http.StatusMethodNotAllowed:
+		w.Header().Set("Allow", http.MethodPost)
+	}
+	writeJSON(w, status, body)
+}
+
+// queryEndpoint is POST /query and /query.ndjson: run a script, answer
+// with its last result.
+func (s *Server) queryEndpoint(path string, frame func(http.ResponseWriter, any)) endpoint {
+	return endpoint{
+		path: path, source: "wire", frame: frame,
+		hint: `POST a JSON body like {"sql": "SELECT ..."}`,
+		decode: decodeAs(func(req *wire.QueryRequest) (statement, error) {
+			if req.SQL == "" {
+				return statement{}, errors.New("request carries no sql")
 			}
-			resp.Rows = wire.EncodeRows(last.Rows)
-		} else {
-			resp.Message = last.Message
-		}
-	} else {
-		resp.Message = "ok"
+			return statement{
+				requestID: req.RequestID, timeoutMs: req.TimeoutMillis, expect: req.ExpectCatalogVersion,
+				run: func(ctx context.Context, opts []msql.Option) (any, int, error) {
+					results, err := s.db.RunContext(ctx, req.SQL, opts...)
+					if err != nil {
+						return nil, 0, err
+					}
+					resp := &wire.QueryResponse{Message: "ok"}
+					if len(results) > 0 {
+						resp = resultBody(results[len(results)-1])
+					}
+					return resp, len(resp.Rows), nil
+				},
+			}, nil
+		}),
 	}
+}
 
-	s.logAccess(path, reqID, http.StatusOK, 0, time.Since(start), len(resp.Rows))
-	if !ndjson {
-		w.Header().Set("Content-Type", "application/json")
-		wrote = true
-		json.NewEncoder(w).Encode(resp)
-		return
+// resultBody is one result on the wire: rows for a query, a message
+// for DDL/DML.
+func resultBody(res *msql.Result) *wire.QueryResponse {
+	if res.Rows == nil && len(res.Columns) == 0 {
+		return &wire.QueryResponse{Message: res.Message}
 	}
+	resp := &wire.QueryResponse{Columns: res.Columns, Rows: wire.EncodeRows(res.Rows)}
+	resp.Types = make([]string, len(res.Types))
+	for i, t := range res.Types {
+		resp.Types[i] = t.String()
+	}
+	return resp
+}
+
+// writeNDJSON frames a query result as a header line, one line per row
+// and a trailer.
+func writeNDJSON(w http.ResponseWriter, body any) {
+	resp := body.(*wire.QueryResponse)
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	wrote = true
 	enc := json.NewEncoder(w)
 	enc.Encode(wire.Header{Columns: resp.Columns, Types: resp.Types})
 	for _, row := range resp.Rows {

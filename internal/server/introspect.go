@@ -81,8 +81,7 @@ func (s *Server) serveStatements(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{"statements": s.db.StatementStats()})
+	writeJSON(w, http.StatusOK, map[string]any{"statements": s.node.StatementStats()})
 }
 
 // serveQueries handles GET /queries: the live-query registry.
@@ -92,8 +91,7 @@ func (s *Server) serveQueries(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{"queries": s.db.ActiveQueries()})
+	writeJSON(w, http.StatusOK, map[string]any{"queries": s.node.ActiveQueries()})
 }
 
 // serveKill handles POST /kill {"id": N}: cancel an in-flight query by
@@ -101,15 +99,17 @@ func (s *Server) serveQueries(w http.ResponseWriter, r *http.Request) {
 // so a raced KILL (the query just finished) is distinguishable from a
 // successful one.
 func (s *Server) serveKill(w http.ResponseWriter, r *http.Request) {
+	s.counters.accepted.Add(1)
 	var req wire.KillRequest
-	if !s.decodeRequest(w, r, &req, `POST a JSON body like {"id": 7}`) {
+	if err := readJSON(r, &req); err != nil {
+		status, err := badRequest(err, `POST a JSON body like {"id": 7}`)
+		s.outcome(exec.CodeParse)
+		s.writeError(w, status, wire.QueryResponse{Error: wire.FromError(err)})
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if !s.db.Kill(req.ID) {
+	if !s.node.Kill(req.ID) {
 		s.outcome(exec.CodeBind)
-		w.WriteHeader(http.StatusNotFound)
-		json.NewEncoder(w).Encode(wire.KillResponse{Killed: false, Error: &wire.Error{
+		writeJSON(w, http.StatusNotFound, wire.KillResponse{Error: &wire.Error{
 			Code:    exec.CodeBind.String(),
 			Phase:   "request",
 			Offset:  -1,
@@ -119,14 +119,17 @@ func (s *Server) serveKill(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.outcome(0)
-	json.NewEncoder(w).Encode(wire.KillResponse{Killed: true})
+	writeJSON(w, http.StatusOK, wire.KillResponse{Killed: true})
 }
 
-// mountDebug adds the introspection and (optionally) pprof endpoints.
+// mountDebug adds the introspection endpoints of an embedded session
+// and (optionally) pprof.
 func (s *Server) mountDebug(mux *http.ServeMux) {
-	mux.HandleFunc("/statements", s.serveStatements)
-	mux.HandleFunc("/queries", s.serveQueries)
-	mux.HandleFunc("/kill", s.serveKill)
+	if s.node != nil {
+		mux.HandleFunc("/statements", s.serveStatements)
+		mux.HandleFunc("/queries", s.serveQueries)
+		mux.HandleFunc("/kill", s.serveKill)
+	}
 	if s.cfg.EnablePprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

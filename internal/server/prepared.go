@@ -5,186 +5,64 @@ package server
 //	POST /prepare  {"name": "q", "sql": "SELECT ... WHERE a > $1"}
 //	POST /execute  {"name": "q", "params": [{"type":"INTEGER","value":3}]}
 //
-// Both run through the same admission control as /query — a PREPARE
-// binds the statement against the catalog and an EXECUTE runs a full
-// query, so neither may bypass overload shedding or drain. Executions
-// route through the session plan cache: the first EXECUTE of a
-// (statement, parameter types, settings) combination plans and caches,
-// later ones reuse the compiled pipeline.
+// Both are served through the request envelope — a PREPARE binds the
+// statement against the catalog and an EXECUTE runs a full query, so
+// neither may bypass overload shedding or drain. Executions route
+// through the session plan cache: the first EXECUTE of a (statement,
+// parameter types, settings) combination plans and caches, later ones
+// reuse the compiled pipeline.
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
-	"net/http"
-	"time"
 
-	"github.com/measures-sql/msql/internal/exec"
 	"github.com/measures-sql/msql/internal/wire"
 	"github.com/measures-sql/msql/msql"
 )
 
-// decodeRequest reads and unmarshals one bounded JSON body, writing the
-// structured bad-request response itself on failure.
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, v any, hint string) bool {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return false
-	}
-	s.counters.accepted.Add(1)
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes))
-	if err == nil {
-		err = json.Unmarshal(body, v)
-	}
-	if err != nil {
-		s.outcome(exec.CodeParse)
-		s.writeError(w, &wire.Error{
-			Code:    exec.CodeParse.String(),
-			Phase:   "request",
-			Offset:  -1,
-			Hint:    hint,
-			Message: fmt.Sprintf("bad request: %v", err),
-		}, http.StatusBadRequest)
-		return false
-	}
-	return true
-}
-
-// badRequest writes a structured PARSE/request error.
-func (s *Server) badRequest(w http.ResponseWriter, msg, hint string) {
-	s.outcome(exec.CodeParse)
-	s.writeError(w, &wire.Error{
-		Code:    exec.CodeParse.String(),
-		Phase:   "request",
-		Offset:  -1,
-		Hint:    hint,
-		Message: msg,
-	}, http.StatusBadRequest)
-}
-
-// servePrepare handles POST /prepare: parse + bind the statement and
+// prepareEndpoint is POST /prepare: parse + bind the statement and
 // register it under its name (replacing any previous definition).
-func (s *Server) servePrepare(w http.ResponseWriter, r *http.Request) {
-	wrote := false
-	defer func() {
-		if rec := recover(); rec != nil {
-			s.counters.panics.Add(1)
-			s.outcome(exec.CodeRuntime)
-			if !wrote {
-				s.writeError(w, wire.FromError(exec.PanicError(rec, exec.PhaseExecute)), http.StatusInternalServerError)
+func (s *Server) prepareEndpoint() endpoint {
+	return endpoint{
+		path: "/prepare", source: "wire",
+		hint: `POST a JSON body like {"name": "q", "sql": "SELECT ... WHERE a > $1"}`,
+		decode: decodeAs(func(req *wire.PrepareRequest) (statement, error) {
+			if req.Name == "" || req.SQL == "" {
+				return statement{}, errors.New("prepare request needs both name and sql")
 			}
-		}
-	}()
-	var req wire.PrepareRequest
-	if !s.decodeRequest(w, r, &req, `POST a JSON body like {"name": "q", "sql": "SELECT ... WHERE a > $1"}`) {
-		return
+			return statement{run: func(context.Context, []msql.Option) (any, int, error) {
+				n, err := s.node.PrepareNamed(req.Name, req.SQL)
+				return wire.PrepareResponse{Name: req.Name, NumParams: n}, 0, err
+			}}, nil
+		}),
 	}
-	if req.Name == "" || req.SQL == "" {
-		s.badRequest(w, "prepare request needs both name and sql", `{"name": "q", "sql": "SELECT ..."}`)
-		return
-	}
-	if !s.admitOrReject(w, r) {
-		return
-	}
-	defer s.release()
-
-	n, err := s.db.PrepareNamed(req.Name, req.SQL)
-	if err != nil {
-		code := exec.CodeRuntime
-		var ee *exec.Error
-		if errors.As(err, &ee) {
-			code = ee.Code
-		}
-		s.finishAdmitted(code, false)
-		we := wire.FromError(err)
-		s.writeError(w, we, we.HTTPStatus())
-		return
-	}
-	s.finishAdmitted(0, false)
-	w.Header().Set("Content-Type", "application/json")
-	wrote = true
-	json.NewEncoder(w).Encode(wire.PrepareResponse{Name: req.Name, NumParams: n})
 }
 
-// serveExecute handles POST /execute: decode typed parameters and run
-// the named statement through the plan cache.
-func (s *Server) serveExecute(w http.ResponseWriter, r *http.Request) {
-	wrote := false
-	defer func() {
-		if rec := recover(); rec != nil {
-			s.counters.panics.Add(1)
-			s.outcome(exec.CodeRuntime)
-			if !wrote {
-				s.writeError(w, wire.FromError(exec.PanicError(rec, exec.PhaseExecute)), http.StatusInternalServerError)
+// executeEndpoint is POST /execute: decode typed parameters and run the
+// named statement through the plan cache.
+func (s *Server) executeEndpoint() endpoint {
+	return endpoint{
+		path: "/execute", source: "wire",
+		hint: `POST a JSON body like {"name": "q", "params": [{"type":"INTEGER","value":3}]}`,
+		decode: decodeAs(func(req *wire.ExecuteRequest) (statement, error) {
+			if req.Name == "" {
+				return statement{}, errors.New("execute request carries no statement name")
 			}
-		}
-	}()
-	var req wire.ExecuteRequest
-	if !s.decodeRequest(w, r, &req, `POST a JSON body like {"name": "q", "params": [{"type":"INTEGER","value":3}]}`) {
-		return
+			vals, err := wire.DecodeParams(req.Params)
+			if err != nil {
+				return statement{}, err
+			}
+			return statement{
+				requestID: req.RequestID, timeoutMs: req.TimeoutMillis,
+				run: func(ctx context.Context, opts []msql.Option) (any, int, error) {
+					res, err := s.node.ExecuteNamed(ctx, req.Name, vals, opts...)
+					if err != nil {
+						return nil, 0, err
+					}
+					resp := resultBody(res)
+					return resp, len(resp.Rows), nil
+				},
+			}, nil
+		}),
 	}
-	if req.Name == "" {
-		s.badRequest(w, "execute request carries no statement name", `{"name": "q", "params": [...]}`)
-		return
-	}
-	vals, err := wire.DecodeParams(req.Params)
-	if err != nil {
-		s.badRequest(w, err.Error(), `params are [{"type":"INTEGER","value":3}, ...]`)
-		return
-	}
-	if !s.admitOrReject(w, r) {
-		return
-	}
-	defer s.release()
-
-	reqID := s.requestID(w, r, req.RequestID)
-	start := time.Now()
-
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	stopKill := context.AfterFunc(s.killCtx, cancel)
-	defer stopKill()
-
-	opts := []msql.Option{msql.WithSource("wire"), msql.WithRequestID(reqID)}
-	if req.TimeoutMillis > 0 {
-		d := time.Duration(req.TimeoutMillis) * time.Millisecond
-		if d > s.cfg.MaxTimeout {
-			d = s.cfg.MaxTimeout
-		}
-		opts = append(opts, msql.WithTimeout(d))
-	}
-
-	res, err := s.db.ExecuteNamed(ctx, req.Name, vals, opts...)
-	if err != nil {
-		code := exec.CodeRuntime
-		var ee *exec.Error
-		if errors.As(err, &ee) {
-			code = ee.Code
-		}
-		killed := code == exec.CodeCanceled && s.killCtx.Err() != nil
-		s.finishAdmitted(code, killed)
-		we := wire.FromError(err)
-		we.RequestID = reqID
-		status := we.HTTPStatus()
-		if killed || (code == exec.CodeCanceled && s.draining.Load()) {
-			status = http.StatusServiceUnavailable
-		}
-		s.writeError(w, we, status)
-		s.logAccess("/execute", reqID, status, code, time.Since(start), 0)
-		return
-	}
-	s.finishAdmitted(0, false)
-	s.logAccess("/execute", reqID, http.StatusOK, 0, time.Since(start), len(res.Rows))
-
-	resp := wire.QueryResponse{Columns: res.Columns, Rows: wire.EncodeRows(res.Rows)}
-	resp.Types = make([]string, len(res.Types))
-	for i, t := range res.Types {
-		resp.Types[i] = t.String()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	wrote = true
-	json.NewEncoder(w).Encode(resp)
 }

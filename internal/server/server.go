@@ -1,5 +1,6 @@
-// Package server is the fault-tolerant query front end (msqld) over an
-// msql.DB: it adds what the embedded engine deliberately leaves out —
+// Package server is the fault-tolerant query front end over a statement
+// Runner — an msql.DB (msqld) or a dist.Coordinator (msqlcoord): it adds
+// what the embedded engine deliberately leaves out —
 // admission control, overload shedding, per-request deadline policy,
 // panic isolation, health endpoints, and graceful drain — so the
 // paper's "measures as a service surface" (§5.5: a view with measures
@@ -95,11 +96,27 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server serves queries over one msql.DB. Create with New, expose with
-// Handler, stop with Drain.
+// Runner is the statement backend a Server fronts: an embedded session
+// (*msql.DB, under msqld) or a coordinator over a sharded fleet
+// (*dist.Coordinator, under msqlcoord).
+type Runner interface {
+	// RunContext executes a script and returns one result per statement.
+	RunContext(ctx context.Context, sql string, opts ...msql.Option) ([]*msql.Result, error)
+	// CatalogVersion is what a request's expected catalog version is
+	// compared with.
+	CatalogVersion() int64
+	Metrics() msql.MetricsSnapshot
+	RegisterServerMetrics(fn func() msql.ServerCounters)
+}
+
+// Server serves statements over one Runner. Create with New, expose
+// with Handler, stop with Drain.
 type Server struct {
-	db  *msql.DB
-	cfg Config
+	db Runner
+	// node is db when it is an embedded session; the prepared-statement,
+	// shard-facing and introspection endpoints exist only over one.
+	node *msql.DB
+	cfg  Config
 
 	// sem holds one token per executing statement (capacity MaxInflight).
 	sem chan struct{}
@@ -150,10 +167,12 @@ type counters struct {
 // New creates a Server over db and registers its counters with the
 // db's metrics registry, so msql.Metrics() (and the /metrics endpoints)
 // report engine and server state together.
-func New(db *msql.DB, cfg Config) *Server {
+func New(db Runner, cfg Config) *Server {
 	cfg = cfg.withDefaults()
+	node, _ := db.(*msql.DB)
 	s := &Server{
 		db:      db,
+		node:    node,
 		cfg:     cfg,
 		sem:     make(chan struct{}, cfg.MaxInflight),
 		drainCh: make(chan struct{}),
@@ -273,19 +292,6 @@ func (s *Server) OutcomeCount(code exec.Code) int64 {
 		return s.counters.byCode[c].Load()
 	}
 	return 0
-}
-
-// finishAdmitted folds a completed statement into the outcome and
-// drain counters. killed reports whether the drain deadline canceled it.
-func (s *Server) finishAdmitted(code exec.Code, killed bool) {
-	s.outcome(code)
-	if s.draining.Load() {
-		if killed {
-			s.counters.drainKilled.Add(1)
-		} else {
-			s.counters.drained.Add(1)
-		}
-	}
 }
 
 // Draining reports whether the server has stopped admitting requests.

@@ -1,9 +1,11 @@
 package server_test
 
-// Robustness tests for the msqld front end: wire fidelity, deadline
-// clamping, overload shedding, panic isolation, and graceful drain.
-// The chaos soak lives in chaos_test.go; the overload experiment (E24)
-// in overload_test.go.
+// Robustness tests for the msqld front end: wire fidelity, overload
+// shedding under a burst, and graceful drain. What one request goes
+// through (status, ledger, access log, request ID — per endpoint, per
+// way of ending, per backend) is TestRequestContract's table in
+// contract_test.go; the chaos soak lives in chaos_test.go; the overload
+// experiment (E24) in overload_test.go.
 
 import (
 	"context"
@@ -184,32 +186,9 @@ func TestErrorTaxonomyOverWire(t *testing.T) {
 	}
 }
 
-// TestTimeoutClampOverWire: a client asking for 10s against a server
-// clamping at 80ms gets TIMEOUT promptly, unwrapping to
-// context.DeadlineExceeded.
-func TestTimeoutClampOverWire(t *testing.T) {
-	db := testDB(t)
-	db.SetStrategy(msql.StrategyNaive) // correlated subqueries keep the statement busy
-	slowOperators(t)
-	_, ts := startServer(t, db, server.Config{MaxTimeout: 80 * time.Millisecond})
-	c := client.New(ts.URL, client.WithBackoff(fastBackoff(1)))
-
-	start := time.Now()
-	_, err := c.Query(context.Background(), slowQuery, client.WithTimeout(10*time.Second))
-	if !errors.Is(err, msql.ErrTimeout) {
-		t.Fatalf("want ErrTimeout, got %v", err)
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("timeout must unwrap to context.DeadlineExceeded: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("clamped timeout took %v; clamp did not apply", elapsed)
-	}
-}
-
 // TestOverloadShedding: with 1 execution slot and 1 queue slot, a burst
-// of slow statements must shed with 429 + Retry-After instead of
-// queueing unboundedly, and the server must stay healthy throughout.
+// of slow statements must shed instead of queueing unboundedly, and the
+// server must stay healthy throughout.
 func TestOverloadShedding(t *testing.T) {
 	db := testDB(t)
 	db.SetStrategy(msql.StrategyNaive)
@@ -264,47 +243,6 @@ func TestOverloadShedding(t *testing.T) {
 	if got := c.Admitted + c.Shed + c.Rejected; got != c.Accepted {
 		t.Fatalf("admission ledger out of balance: admitted %d + shed %d + rejected %d != accepted %d",
 			c.Admitted, c.Shed, c.Rejected, c.Accepted)
-	}
-
-	// The Retry-After contract on a raw shed response.
-	resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(`{"sql":"SELECT 1"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	// (Load is over, so this one likely succeeds; assert the header only
-	// when the status is a shed.)
-	if resp.StatusCode == http.StatusTooManyRequests && resp.Header.Get("Retry-After") == "" {
-		t.Fatalf("429 without Retry-After")
-	}
-}
-
-// TestPanicIsolation: a panic inside the engine surfaces as one RUNTIME
-// error for that request; the server keeps serving everyone else.
-func TestPanicIsolation(t *testing.T) {
-	db := testDB(t)
-	_, ts := startServer(t, db, server.Config{})
-	c := client.New(ts.URL, client.WithBackoff(fastBackoff(1)))
-
-	var fired atomic.Bool
-	exec.SetFailPoint(exec.FailOperator, func() error {
-		if fired.CompareAndSwap(false, true) {
-			panic("injected operator panic")
-		}
-		return nil
-	})
-	_, err := c.Query(context.Background(), listing3)
-	exec.ClearFailPoints()
-	if !errors.Is(err, msql.ErrRuntime) {
-		t.Fatalf("want ErrRuntime from panic, got %v", err)
-	}
-	// The session and server remain fully usable.
-	res, err := c.Query(context.Background(), listing3)
-	if err != nil || len(res.Rows) != 3 {
-		t.Fatalf("post-panic query: rows=%v err=%v", res, err)
-	}
-	if err := c.Healthz(context.Background()); err != nil {
-		t.Fatalf("healthz after panic: %v", err)
 	}
 }
 

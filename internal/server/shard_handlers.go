@@ -10,18 +10,14 @@ package server
 //	GET  /catalog  shard identity + catalog version/contents, for
 //	               endpoint attachment and lost-ack probes
 //
-// /partial and /apply go through the same admission control, request-ID
-// plumbing, panic isolation, and access logging as /query; /catalog is
-// a cheap read like /metrics.
+// /partial and /apply are served through the request envelope like
+// /query; /catalog is a cheap read like /metrics.
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"time"
 
 	"github.com/measures-sql/msql/internal/exec"
 	"github.com/measures-sql/msql/internal/wire"
@@ -33,243 +29,96 @@ import (
 // the coordinator, not a blind retry of the same request.
 const versionMismatchStatus = http.StatusConflict
 
-func versionMismatchError(have, want int64, reqID string) *wire.Error {
-	return &wire.Error{
-		Code:      exec.CodeRuntime.String(),
-		Phase:     "catalog",
-		Offset:    -1,
-		Hint:      "resynchronize the endpoint, then retry",
-		Message:   fmt.Sprintf("catalog version mismatch: shard at %d, request expects %d", have, want),
-		RequestID: reqID,
+// versionMismatchError is the cause inside a versionMismatch rejection;
+// the envelope reports have next to the error.
+type versionMismatchError struct{ have, want int64 }
+
+func (e *versionMismatchError) Error() string {
+	return fmt.Sprintf("catalog version mismatch: shard at %d, request expects %d", e.have, e.want)
+}
+
+func versionMismatch(have, want int64) error {
+	return &exec.Error{Code: exec.CodeRuntime, Phase: "catalog", Pos: -1,
+		Hint: "resynchronize the endpoint, then retry", Err: &versionMismatchError{have, want}}
+}
+
+// partialEndpoint is POST /partial.
+func (s *Server) partialEndpoint() endpoint {
+	return endpoint{
+		path: "/partial", source: "shard",
+		failBody: func(v int64, we *wire.Error) any { return wire.PartialResponse{Version: v, Error: we} },
+		decode: decodeAs(func(req *wire.PartialRequest) (statement, error) {
+			return statement{
+				requestID: req.RequestID, timeoutMs: req.TimeoutMillis, expect: req.ExpectVersion,
+				run: func(ctx context.Context, opts []msql.Option) (any, int, error) {
+					res, err := s.node.PartialAggregate(ctx, req.SQL, req.Groups, req.Aggs, opts...)
+					if err != nil {
+						return nil, 0, err
+					}
+					resp := wire.PartialResponse{Version: s.node.CatalogVersion(), Groups: make([]wire.PartialGroup, len(res.Groups))}
+					for i, g := range res.Groups {
+						states, err := wire.EncodeStates(g.States)
+						if err != nil {
+							return nil, 0, exec.Wrap(err, exec.CodeRuntime, exec.PhaseExecute)
+						}
+						resp.Groups[i] = wire.PartialGroup{Key: wire.EncodeKey(g.Key), States: states}
+					}
+					return resp, len(resp.Groups), nil
+				},
+			}, nil
+		}),
 	}
 }
 
-// readJSON decodes a bounded POST body, writing the structured parse
-// rejection itself on failure.
-func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, into any) bool {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return false
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes))
-	if err == nil {
-		err = json.Unmarshal(body, into)
-	}
-	if err != nil {
-		s.outcome(exec.CodeParse)
-		s.writeError(w, &wire.Error{
-			Code:    exec.CodeParse.String(),
-			Phase:   "request",
-			Offset:  -1,
-			Message: fmt.Sprintf("bad request: %v", err),
-		}, http.StatusBadRequest)
-		return false
-	}
-	return true
-}
-
-// stmtContext wires one shard request's context the way serveQuery
-// does: canceled with the client connection or the drain kill switch.
-func (s *Server) stmtContext(r *http.Request) (context.Context, context.CancelFunc) {
-	ctx, cancel := context.WithCancel(r.Context())
-	stopKill := context.AfterFunc(s.killCtx, cancel)
-	return ctx, func() { stopKill(); cancel() }
-}
-
-// errCode extracts the taxonomy code for outcome bookkeeping.
-func errCode(err error) exec.Code {
-	code := exec.CodeRuntime
-	var ee *exec.Error
-	if errors.As(err, &ee) {
-		code = ee.Code
-	}
-	return code
-}
-
-func (s *Server) servePartial(w http.ResponseWriter, r *http.Request) {
-	wrote := false
-	defer func() {
-		if rec := recover(); rec != nil {
-			s.counters.panics.Add(1)
-			s.outcome(exec.CodeRuntime)
-			if !wrote {
-				s.writeError(w, wire.FromError(exec.PanicError(rec, exec.PhaseExecute)), http.StatusInternalServerError)
+// applyEndpoint is POST /apply: a statement or a pre-partitioned row
+// batch, applied only at the catalog version the request expects.
+func (s *Server) applyEndpoint() endpoint {
+	return endpoint{
+		path: "/apply", source: "shard",
+		failBody: func(v int64, we *wire.Error) any { return wire.ApplyResponse{Version: v, Error: we} },
+		decode: decodeAs(func(req *wire.ApplyRequest) (statement, error) {
+			var rows [][]msql.Value
+			switch {
+			case req.SQL != "":
+			case req.Table != "":
+				var err error
+				if rows, err = wire.DecodeRowsBinary(req.Rows); err != nil {
+					return statement{}, err
+				}
+			default:
+				return statement{}, errors.New("apply carries neither sql nor rows")
 			}
-		}
-	}()
-
-	s.counters.accepted.Add(1)
-	var req wire.PartialRequest
-	if !s.readJSON(w, r, &req) {
-		return
+			return statement{
+				requestID: req.RequestID,
+				run: func(ctx context.Context, opts []msql.Option) (any, int, error) {
+					var (
+						resp wire.ApplyResponse
+						ok   bool
+						err  error
+					)
+					if req.SQL != "" {
+						var res *msql.Result
+						if res, resp.Version, ok, err = s.node.ExecCAS(ctx, req.SQL, req.ExpectVersion, opts...); res != nil {
+							resp.Message = res.Message
+						}
+					} else {
+						resp.Version, ok, err = s.node.InsertRowsCAS(req.Table, rows, req.ExpectVersion)
+						resp.Message = fmt.Sprintf("inserted %d rows into %s", len(rows), req.Table)
+					}
+					if err == nil && !ok {
+						err = versionMismatch(resp.Version, req.ExpectVersion)
+					}
+					return resp, 0, err
+				},
+			}, nil
+		}),
 	}
-	reqID := s.requestID(w, r, req.RequestID)
-	start := time.Now()
-
-	if !s.admitOrReject(w, r) {
-		return
-	}
-	defer s.release()
-
-	writeResp := func(status int, resp wire.PartialResponse) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		wrote = true
-		json.NewEncoder(w).Encode(resp)
-	}
-
-	if v := s.db.CatalogVersion(); req.ExpectVersion > 0 && v != req.ExpectVersion {
-		s.finishAdmitted(exec.CodeRuntime, false)
-		writeResp(versionMismatchStatus, wire.PartialResponse{
-			Version: v, Error: versionMismatchError(v, req.ExpectVersion, reqID),
-		})
-		s.logAccess("/partial", reqID, versionMismatchStatus, exec.CodeRuntime, time.Since(start), 0)
-		return
-	}
-
-	ctx, cancel := s.stmtContext(r)
-	defer cancel()
-	opts := []msql.Option{msql.WithSource("shard"), msql.WithRequestID(reqID)}
-	if req.TimeoutMillis > 0 {
-		d := time.Duration(req.TimeoutMillis) * time.Millisecond
-		if d > s.cfg.MaxTimeout {
-			d = s.cfg.MaxTimeout
-		}
-		opts = append(opts, msql.WithTimeout(d))
-	}
-
-	res, err := s.db.PartialAggregate(ctx, req.SQL, req.Groups, req.Aggs, opts...)
-	if err != nil {
-		code := errCode(err)
-		killed := code == exec.CodeCanceled && s.killCtx.Err() != nil
-		s.finishAdmitted(code, killed)
-		we := wire.FromError(err)
-		we.RequestID = reqID
-		status := we.HTTPStatus()
-		if killed || (code == exec.CodeCanceled && s.draining.Load()) {
-			status = http.StatusServiceUnavailable
-		}
-		writeResp(status, wire.PartialResponse{Version: s.db.CatalogVersion(), Error: we})
-		s.logAccess("/partial", reqID, status, code, time.Since(start), 0)
-		return
-	}
-	s.finishAdmitted(0, false)
-
-	resp := wire.PartialResponse{Version: s.db.CatalogVersion(), Groups: make([]wire.PartialGroup, len(res.Groups))}
-	for i, g := range res.Groups {
-		states, err := wire.EncodeStates(g.States)
-		if err != nil {
-			we := wire.FromError(exec.Wrap(err, exec.CodeRuntime, exec.PhaseExecute))
-			we.RequestID = reqID
-			s.outcome(exec.CodeRuntime)
-			writeResp(http.StatusInternalServerError, wire.PartialResponse{Version: resp.Version, Error: we})
-			s.logAccess("/partial", reqID, http.StatusInternalServerError, exec.CodeRuntime, time.Since(start), 0)
-			return
-		}
-		resp.Groups[i] = wire.PartialGroup{Key: wire.EncodeKey(g.Key), States: states}
-	}
-	s.logAccess("/partial", reqID, http.StatusOK, 0, time.Since(start), len(resp.Groups))
-	writeResp(http.StatusOK, resp)
-}
-
-func (s *Server) serveApply(w http.ResponseWriter, r *http.Request) {
-	wrote := false
-	defer func() {
-		if rec := recover(); rec != nil {
-			s.counters.panics.Add(1)
-			s.outcome(exec.CodeRuntime)
-			if !wrote {
-				s.writeError(w, wire.FromError(exec.PanicError(rec, exec.PhaseExecute)), http.StatusInternalServerError)
-			}
-		}
-	}()
-
-	s.counters.accepted.Add(1)
-	var req wire.ApplyRequest
-	if !s.readJSON(w, r, &req) {
-		return
-	}
-	reqID := s.requestID(w, r, req.RequestID)
-	start := time.Now()
-
-	if !s.admitOrReject(w, r) {
-		return
-	}
-	defer s.release()
-
-	writeResp := func(status int, resp wire.ApplyResponse) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		wrote = true
-		json.NewEncoder(w).Encode(resp)
-	}
-	fail := func(err error) {
-		code := errCode(err)
-		killed := code == exec.CodeCanceled && s.killCtx.Err() != nil
-		s.finishAdmitted(code, killed)
-		we := wire.FromError(err)
-		we.RequestID = reqID
-		status := we.HTTPStatus()
-		if killed || (code == exec.CodeCanceled && s.draining.Load()) {
-			status = http.StatusServiceUnavailable
-		}
-		writeResp(status, wire.ApplyResponse{Version: s.db.CatalogVersion(), Error: we})
-		s.logAccess("/apply", reqID, status, code, time.Since(start), 0)
-	}
-
-	ctx, cancel := s.stmtContext(r)
-	defer cancel()
-	opts := []msql.Option{msql.WithSource("shard"), msql.WithRequestID(reqID)}
-
-	var (
-		version int64
-		ok      bool
-		err     error
-		message string
-	)
-	switch {
-	case req.SQL != "":
-		var res *msql.Result
-		res, version, ok, err = s.db.ExecCAS(ctx, req.SQL, req.ExpectVersion, opts...)
-		if res != nil {
-			message = res.Message
-		}
-	case req.Table != "":
-		var rows [][]msql.Value
-		rows, err = wire.DecodeRowsBinary(req.Rows)
-		if err != nil {
-			fail(exec.Wrap(err, exec.CodeParse, exec.PhaseParse))
-			return
-		}
-		version, ok, err = s.db.InsertRowsCAS(req.Table, rows, req.ExpectVersion)
-		message = fmt.Sprintf("inserted %d rows into %s", len(rows), req.Table)
-	default:
-		fail(exec.Wrap(errors.New("apply carries neither sql nor rows"), exec.CodeParse, exec.PhaseParse))
-		return
-	}
-	if err != nil {
-		fail(err)
-		return
-	}
-	if !ok {
-		s.finishAdmitted(exec.CodeRuntime, false)
-		writeResp(versionMismatchStatus, wire.ApplyResponse{
-			Version: version, Error: versionMismatchError(version, req.ExpectVersion, reqID),
-		})
-		s.logAccess("/apply", reqID, versionMismatchStatus, exec.CodeRuntime, time.Since(start), 0)
-		return
-	}
-	s.finishAdmitted(0, false)
-	s.logAccess("/apply", reqID, http.StatusOK, 0, time.Since(start), 0)
-	writeResp(http.StatusOK, wire.ApplyResponse{Version: version, Message: message})
 }
 
 func (s *Server) serveCatalog(w http.ResponseWriter, r *http.Request) {
-	tables, views := s.db.Tables()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(wire.CatalogResponse{
-		Version: s.db.CatalogVersion(),
+	tables, views := s.node.Tables()
+	writeJSON(w, http.StatusOK, wire.CatalogResponse{
+		Version: s.node.CatalogVersion(),
 		Tables:  tables,
 		Views:   views,
 		ShardID: s.cfg.ShardID,

@@ -174,71 +174,30 @@ func (c *Client) newRequestID() string {
 // (HTTP 429/503) under the backoff policy. The returned error is the
 // reconstructed *msql.Error when the server produced one.
 func (c *Client) Query(ctx context.Context, sql string, opts ...QueryOption) (*Result, error) {
-	o := requestOpts{req: wire.QueryRequest{SQL: sql}}
-	for _, f := range opts {
-		f(&o)
-	}
-	if o.req.RequestID == "" {
-		o.req.RequestID = c.newRequestID()
-	}
-	body, err := json.Marshal(o.req)
-	if err != nil {
-		return nil, err
-	}
-
-	var lastErr error
-	for attempt := 0; attempt < c.backoff.Attempts; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-time.After(c.delay(attempt, lastRetryAfter(lastErr))):
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		res, err := c.do(ctx, "/query", body, sql, &o)
-		if err == nil {
-			res.RequestID = o.req.RequestID
-			return res, nil
-		}
-		lastErr = err
-		var re *retryableError
-		if !errors.As(err, &re) {
-			return nil, err
-		}
-	}
-	return nil, unwrapRetryable(lastErr)
+	return c.query(ctx, "/query", sql, nil, opts)
 }
 
 // QueryStream executes sql over the newline-delimited endpoint, calling
 // fn once per row as rows arrive. It applies the same retry policy as
 // Query (the stream has not started when an overload response arrives).
 func (c *Client) QueryStream(ctx context.Context, sql string, fn func(row []any) error) (*Result, error) {
-	o := requestOpts{req: wire.QueryRequest{SQL: sql, RequestID: c.newRequestID()}}
-	body, err := json.Marshal(o.req)
+	if fn == nil {
+		fn = func([]any) error { return nil }
+	}
+	return c.query(ctx, "/query.ndjson", sql, fn, nil)
+}
+
+func (c *Client) query(ctx context.Context, path, sql string, rows func([]any) error, opts []QueryOption) (*Result, error) {
+	o := requestOpts{req: wire.QueryRequest{SQL: sql}}
+	for _, f := range opts {
+		f(&o)
+	}
+	k := call{path: path, sql: sql, idempotent: o.idempotent, rawNumbers: o.rawNumbers, rows: rows}
+	rep, err := c.roundTrip(ctx, k, &o.req, &o.req.RequestID)
 	if err != nil {
 		return nil, err
 	}
-	var lastErr error
-	for attempt := 0; attempt < c.backoff.Attempts; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-time.After(c.delay(attempt, lastRetryAfter(lastErr))):
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		res, err := c.doStream(ctx, body, sql, fn, &o)
-		if err == nil {
-			res.RequestID = o.req.RequestID
-			return res, nil
-		}
-		lastErr = err
-		var re *retryableError
-		if !errors.As(err, &re) {
-			return nil, err
-		}
-	}
-	return nil, unwrapRetryable(lastErr)
+	return rep.result(o.req.RequestID), nil
 }
 
 // Kill cancels the in-flight query with the given session query ID (as
@@ -297,22 +256,6 @@ type retryableError struct {
 
 func (r *retryableError) Error() string { return r.err.Error() }
 func (r *retryableError) Unwrap() error { return r.err }
-
-func unwrapRetryable(err error) error {
-	var re *retryableError
-	if errors.As(err, &re) {
-		return re.err
-	}
-	return err
-}
-
-func lastRetryAfter(err error) int {
-	var re *retryableError
-	if errors.As(err, &re) {
-		return re.retryAfter
-	}
-	return 0
-}
 
 // delay computes the capped, jittered backoff before retry `attempt`
 // (1-based), honoring the server's Retry-After hint up to Max: the
@@ -373,81 +316,138 @@ func (c *Client) post(ctx context.Context, path string, body []byte, requestID s
 	return c.hc.Do(req)
 }
 
-func (c *Client) do(ctx context.Context, path string, body []byte, sql string, o *requestOpts) (*Result, error) {
-	resp, err := c.post(ctx, path, body, o.req.RequestID)
-	if err != nil {
-		return nil, transportError(err, o.idempotent)
-	}
-	defer resp.Body.Close()
-	dec := json.NewDecoder(resp.Body)
-	if o.rawNumbers {
-		dec.UseNumber()
-	}
-	var qr wire.QueryResponse
-	if err := dec.Decode(&qr); err != nil {
-		return nil, transportError(fmt.Errorf("decoding response (HTTP %d): %w", resp.StatusCode, err), o.idempotent)
-	}
-	if qr.Error != nil {
-		rerr := qr.Error.ToError(sql)
-		if wire.Retryable(resp.StatusCode) {
-			return nil, &retryableError{err: rerr, retryAfter: wire.RetryAfterSeconds(resp.Header)}
-		}
-		return nil, rerr
-	}
-	if resp.StatusCode != http.StatusOK {
-		err := fmt.Errorf("HTTP %d without a structured error", resp.StatusCode)
-		if wire.Retryable(resp.StatusCode) {
-			return nil, &retryableError{err: err, retryAfter: wire.RetryAfterSeconds(resp.Header)}
-		}
-		return nil, err
-	}
-	return &Result{Columns: qr.Columns, Types: qr.Types, Rows: qr.Rows, Message: qr.Message}, nil
+// call describes one request to roundTrip: where it goes and how its
+// outcome is classified.
+type call struct {
+	path string
+	sql  string // re-attached to the server's structured errors
+	// idempotent widens the retryable set to connection resets and EOFs.
+	idempotent bool
+	// once forbids any resend: a version-guarded mutation whose ack is
+	// lost may have executed, and the caller finds out by probing
+	// /catalog, not by sending it again.
+	once       bool
+	rawNumbers bool
+	// cas makes a 409 a *VersionMismatchError wanting expect; otherwise
+	// it is the server's structured error like any other status.
+	cas    bool
+	expect int64
+	// rows, when set, receives each row of an NDJSON reply as it arrives.
+	rows func(row []any) error
 }
 
-func (c *Client) doStream(ctx context.Context, body []byte, sql string, fn func(row []any) error, o *requestOpts) (*Result, error) {
-	resp, err := c.post(ctx, "/query.ndjson", body, o.req.RequestID)
+// reply is the union of the endpoints' JSON reply objects; each call
+// reads the fields its endpoint sets.
+type reply struct {
+	wire.QueryResponse                     // /query, /execute; Message and Error are every endpoint's
+	Version            int64               `json:"version"`    // /partial, /apply
+	Groups             []wire.PartialGroup `json:"groups"`     // /partial
+	NumParams          int                 `json:"num_params"` // /prepare
+}
+
+func (r *reply) result(requestID string) *Result {
+	return &Result{Columns: r.Columns, Types: r.Types, Rows: r.Rows, Message: r.Message, RequestID: requestID}
+}
+
+// roundTrip is the one request path of every statement call: it fills
+// in *id (the request's correlation ID field, generated when the caller
+// set none), sends req to k.path under the backoff policy, and returns
+// the decoded reply or the classified error of the last attempt.
+func (c *Client) roundTrip(ctx context.Context, k call, req any, id *string) (*reply, error) {
+	if *id == "" {
+		*id = c.newRequestID()
+	}
+	body, err := json.Marshal(req)
 	if err != nil {
-		return nil, transportError(err, o.idempotent)
+		return nil, err
+	}
+	var last *retryableError
+	for attempt := 0; attempt < c.backoff.Attempts; attempt++ {
+		if attempt > 0 {
+			select {
+			case <-time.After(c.delay(attempt, last.retryAfter)):
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		rep, err := c.attempt(ctx, &k, body, *id)
+		if err == nil {
+			return rep, nil
+		}
+		re, ok := err.(*retryableError) // attempt returns it bare
+		if !ok {
+			return nil, err
+		}
+		last = re
+		if k.once {
+			break
+		}
+	}
+	return nil, last.err
+}
+
+// attempt is one exchange: post, decode, classify. A transport fault or
+// an undecodable 200 is a transport error (retryable per
+// transportError); a catalog-version miss of a cas call is a
+// *VersionMismatchError; any other failure is the server's structured
+// error — or, when the body carries none, the bare status — retryable
+// exactly when the status is 429 or 503.
+func (c *Client) attempt(ctx context.Context, k *call, body []byte, id string) (*reply, error) {
+	resp, err := c.post(ctx, k.path, body, id)
+	if err != nil {
+		return nil, transportError(err, k.idempotent)
 	}
 	defer resp.Body.Close()
 	dec := json.NewDecoder(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		var qr wire.QueryResponse
-		if err := dec.Decode(&qr); err == nil && qr.Error != nil {
-			rerr := qr.Error.ToError(sql)
-			if wire.Retryable(resp.StatusCode) {
-				return nil, &retryableError{err: rerr, retryAfter: wire.RetryAfterSeconds(resp.Header)}
-			}
-			return nil, rerr
-		}
-		err := fmt.Errorf("HTTP %d without a structured error", resp.StatusCode)
-		if wire.Retryable(resp.StatusCode) {
-			return nil, &retryableError{err: err, retryAfter: wire.RetryAfterSeconds(resp.Header)}
-		}
-		return nil, err
+	if k.rawNumbers {
+		dec.UseNumber()
 	}
+	rep := &reply{}
+	if k.rows != nil && resp.StatusCode == http.StatusOK {
+		err = decodeStream(dec, rep, k.rows)
+	} else {
+		err = dec.Decode(rep)
+	}
+	switch {
+	case err != nil && resp.StatusCode == http.StatusOK:
+		return nil, transportError(fmt.Errorf("decoding response: %w", err), k.idempotent)
+	case err != nil || (rep.Error == nil && resp.StatusCode != http.StatusOK):
+		err = fmt.Errorf("HTTP %d without a structured error", resp.StatusCode)
+	case rep.Error == nil:
+		return rep, nil
+	case k.cas && resp.StatusCode == http.StatusConflict:
+		return nil, &VersionMismatchError{Have: rep.Version, Want: k.expect}
+	default:
+		err = rep.Error.ToError(k.sql)
+	}
+	if wire.Retryable(resp.StatusCode) {
+		return nil, &retryableError{err: err, retryAfter: wire.RetryAfterSeconds(resp.Header)}
+	}
+	return nil, err
+}
+
+// decodeStream reads an NDJSON reply — header, row lines, trailer —
+// into rep, handing each row to fn.
+func decodeStream(dec *json.Decoder, rep *reply, fn func(row []any) error) error {
 	var hdr wire.Header
 	if err := dec.Decode(&hdr); err != nil {
-		return nil, fmt.Errorf("decoding stream header: %w", err)
+		return fmt.Errorf("stream header: %w", err)
 	}
-	res := &Result{Columns: hdr.Columns, Types: hdr.Types}
+	rep.Columns, rep.Types = hdr.Columns, hdr.Types
 	for {
 		var line struct {
 			Row  []any `json:"row"`
 			Done bool  `json:"done"`
-			Rows int   `json:"rows"`
 		}
 		if err := dec.Decode(&line); err != nil {
-			return nil, fmt.Errorf("decoding stream: %w", err)
+			return err
 		}
 		if line.Done {
-			return res, nil
+			return nil
 		}
-		res.Rows = append(res.Rows, line.Row)
-		if fn != nil {
-			if err := fn(line.Row); err != nil {
-				return nil, err
-			}
+		rep.Rows = append(rep.Rows, line.Row)
+		if err := fn(line.Row); err != nil {
+			return err
 		}
 	}
 }

@@ -6,8 +6,6 @@ package client
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"time"
 
@@ -32,59 +30,12 @@ func (s *Stmt) NumParams() int { return s.numParams }
 // previous statement of that name) and returns a handle for executing
 // it. Registration itself retries overload responses like Query does.
 func (c *Client) Prepare(ctx context.Context, name, sql string) (*Stmt, error) {
-	body, err := json.Marshal(wire.PrepareRequest{Name: name, SQL: sql})
+	var id string // travels as X-Request-Id; the body has no field for it
+	rep, err := c.roundTrip(ctx, call{path: "/prepare", sql: sql}, wire.PrepareRequest{Name: name, SQL: sql}, &id)
 	if err != nil {
 		return nil, err
 	}
-	var lastErr error
-	for attempt := 0; attempt < c.backoff.Attempts; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-time.After(c.delay(attempt, lastRetryAfter(lastErr))):
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		st, err := c.doPrepare(ctx, body, sql)
-		if err == nil {
-			st.name = name
-			st.sql = sql
-			return st, nil
-		}
-		lastErr = err
-		var re *retryableError
-		if !errors.As(err, &re) {
-			return nil, err
-		}
-	}
-	return nil, unwrapRetryable(lastErr)
-}
-
-func (c *Client) doPrepare(ctx context.Context, body []byte, sql string) (*Stmt, error) {
-	resp, err := c.post(ctx, "/prepare", body, "")
-	if err != nil {
-		return nil, transportError(err, false)
-	}
-	defer resp.Body.Close()
-	var pr wire.PrepareResponse
-	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-		return nil, fmt.Errorf("decoding prepare response (HTTP %d): %w", resp.StatusCode, err)
-	}
-	if pr.Error != nil {
-		rerr := pr.Error.ToError(sql)
-		if wire.Retryable(resp.StatusCode) {
-			return nil, &retryableError{err: rerr, retryAfter: wire.RetryAfterSeconds(resp.Header)}
-		}
-		return nil, rerr
-	}
-	if resp.StatusCode != 200 {
-		err := fmt.Errorf("HTTP %d without a structured error", resp.StatusCode)
-		if wire.Retryable(resp.StatusCode) {
-			return nil, &retryableError{err: err, retryAfter: wire.RetryAfterSeconds(resp.Header)}
-		}
-		return nil, err
-	}
-	return &Stmt{c: c, numParams: pr.NumParams}, nil
+	return &Stmt{c: c, name: name, sql: sql, numParams: rep.NumParams}, nil
 }
 
 // Param is a typed wire parameter; build one with ParamOf or directly
@@ -141,29 +92,11 @@ func (s *Stmt) ExecParams(ctx context.Context, params []Param, opts ...QueryOpti
 	for _, f := range opts {
 		f(&o)
 	}
-	body, err := json.Marshal(wire.ExecuteRequest{Name: s.name, Params: params, TimeoutMillis: o.req.TimeoutMillis})
+	req := wire.ExecuteRequest{Name: s.name, Params: params, RequestID: o.req.RequestID, TimeoutMillis: o.req.TimeoutMillis}
+	k := call{path: "/execute", sql: s.sql, idempotent: o.idempotent, rawNumbers: o.rawNumbers}
+	rep, err := s.c.roundTrip(ctx, k, &req, &req.RequestID)
 	if err != nil {
 		return nil, err
 	}
-	c := s.c
-	var lastErr error
-	for attempt := 0; attempt < c.backoff.Attempts; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-time.After(c.delay(attempt, lastRetryAfter(lastErr))):
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		res, err := c.do(ctx, "/execute", body, s.sql, &o)
-		if err == nil {
-			return res, nil
-		}
-		lastErr = err
-		var re *retryableError
-		if !errors.As(err, &re) {
-			return nil, err
-		}
-	}
-	return nil, unwrapRetryable(lastErr)
+	return rep.result(req.RequestID), nil
 }

@@ -75,64 +75,13 @@ func (c *Client) Partial(ctx context.Context, sql string, groups, aggs int, expe
 		TimeoutMillis: o.req.TimeoutMillis,
 		RequestID:     o.req.RequestID,
 	}
-	if req.RequestID == "" {
-		req.RequestID = c.newRequestID()
-	}
-	body, err := json.Marshal(req)
+	k := call{path: "/partial", sql: sql, idempotent: true, cas: true, expect: expectVersion}
+	rep, err := c.roundTrip(ctx, k, &req, &req.RequestID)
 	if err != nil {
 		return nil, err
 	}
-	var lastErr error
-	for attempt := 0; attempt < c.backoff.Attempts; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-time.After(c.delay(attempt, lastRetryAfter(lastErr))):
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		res, err := c.doPartial(ctx, body, sql, req.RequestID, expectVersion)
-		if err == nil {
-			return res, nil
-		}
-		lastErr = err
-		var re *retryableError
-		if !errors.As(err, &re) {
-			return nil, err
-		}
-	}
-	return nil, unwrapRetryable(lastErr)
-}
-
-func (c *Client) doPartial(ctx context.Context, body []byte, sql, reqID string, expect int64) (*Partials, error) {
-	resp, err := c.post(ctx, "/partial", body, reqID)
-	if err != nil {
-		return nil, transportError(err, true)
-	}
-	defer resp.Body.Close()
-	var pr wire.PartialResponse
-	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-		return nil, transportError(fmt.Errorf("decoding partial response (HTTP %d): %w", resp.StatusCode, err), true)
-	}
-	if resp.StatusCode == http.StatusConflict && pr.Error != nil {
-		return nil, &VersionMismatchError{Have: pr.Version, Want: expect}
-	}
-	if pr.Error != nil {
-		rerr := pr.Error.ToError(sql)
-		if wire.Retryable(resp.StatusCode) {
-			return nil, &retryableError{err: rerr, retryAfter: wire.RetryAfterSeconds(resp.Header)}
-		}
-		return nil, rerr
-	}
-	if resp.StatusCode != http.StatusOK {
-		err := fmt.Errorf("HTTP %d without a structured error", resp.StatusCode)
-		if wire.Retryable(resp.StatusCode) {
-			return nil, &retryableError{err: err, retryAfter: wire.RetryAfterSeconds(resp.Header)}
-		}
-		return nil, err
-	}
-	out := &Partials{Version: pr.Version, Groups: make([]PartialGroup, len(pr.Groups))}
-	for i, g := range pr.Groups {
+	out := &Partials{Version: rep.Version, Groups: make([]PartialGroup, len(rep.Groups))}
+	for i, g := range rep.Groups {
 		out.Groups[i] = PartialGroup{Key: g.Key, States: g.States}
 	}
 	return out, nil
@@ -155,34 +104,16 @@ func (c *Client) ApplyRows(ctx context.Context, table, rows string, expect int64
 }
 
 func (c *Client) apply(ctx context.Context, req wire.ApplyRequest) (int64, bool, error) {
-	if req.RequestID == "" {
-		req.RequestID = c.newRequestID()
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
+	k := call{path: "/apply", sql: req.SQL, once: true, cas: true, expect: req.ExpectVersion}
+	rep, err := c.roundTrip(ctx, k, &req, &req.RequestID)
+	var miss *VersionMismatchError
+	switch {
+	case errors.As(err, &miss):
+		return miss.Have, false, nil
+	case err != nil:
 		return 0, false, err
 	}
-	resp, err := c.post(ctx, "/apply", body, req.RequestID)
-	if err != nil {
-		// Deliberately no retry classification: the request may have
-		// executed. The CAS version lets the caller find out.
-		return 0, false, err
-	}
-	defer resp.Body.Close()
-	var ar wire.ApplyResponse
-	if err := json.NewDecoder(resp.Body).Decode(&ar); err != nil {
-		return 0, false, fmt.Errorf("decoding apply response (HTTP %d): %w", resp.StatusCode, err)
-	}
-	if resp.StatusCode == http.StatusConflict {
-		return ar.Version, false, nil
-	}
-	if ar.Error != nil {
-		return ar.Version, false, ar.Error.ToError(req.SQL)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return ar.Version, false, fmt.Errorf("HTTP %d without a structured error", resp.StatusCode)
-	}
-	return ar.Version, true, nil
+	return rep.Version, true, nil
 }
 
 // Catalog fetches the shard's identity and catalog state. It is a
