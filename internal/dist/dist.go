@@ -129,35 +129,12 @@ func (ep *endpoint) version() int64 {
 	return int64(ep.applied)
 }
 
-// shard is one partition of every sharded table: a replay log and the
-// endpoints (primary + replicas) that replicate it.
+// shard is one partition of every sharded table: a replay log (log.go)
+// and the endpoints (primary + replicas) that replicate it.
 type shard struct {
 	idx       int
 	endpoints []*endpoint
-
-	mu  sync.Mutex
-	log []mutation
-}
-
-func (sh *shard) logLen() int {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return len(sh.log)
-}
-
-func (sh *shard) entry(i int) (mutation, bool) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if i < 0 || i >= len(sh.log) {
-		return mutation{}, false
-	}
-	return sh.log[i], true
-}
-
-func (sh *shard) appendLog(m mutation) {
-	sh.mu.Lock()
-	sh.log = append(sh.log, m)
-	sh.mu.Unlock()
+	log       replayLog
 }
 
 // Coordinator executes statements across a sharded msqld topology. It

@@ -53,7 +53,7 @@ func (c *Coordinator) registerShardsTable() error {
 	return c.local.RegisterVirtualTable("msql_stats.shards", cols, types, func() [][]msql.Value {
 		var rows [][]msql.Value
 		for _, sh := range c.shards {
-			n := sh.logLen()
+			n := sh.log.len()
 			for i, ep := range sh.endpoints {
 				role := "primary"
 				if i > 0 {

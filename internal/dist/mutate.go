@@ -210,7 +210,7 @@ func (c *Coordinator) execInsert(ctx context.Context, s *ast.Insert, reqID strin
 		}
 		m := mutation{table: meta.name, rows: wire.EncodeRowsBinary(batch)}
 		sh := c.shards[idx]
-		sh.appendLog(m)
+		sh.log.append(m)
 		if err := c.pushShard(ctx, sh, reqID); err != nil {
 			failed[idx] = err
 		}
@@ -306,7 +306,7 @@ func (c *Coordinator) shardFor(v sqltypes.Value) int {
 // endpoint are reported as unavailable (the entry replays on rejoin).
 func (c *Coordinator) broadcast(ctx context.Context, m mutation, reqID string) error {
 	for _, sh := range c.shards {
-		sh.appendLog(m)
+		sh.log.append(m)
 	}
 	failed := map[int]error{}
 	var mu sync.Mutex
@@ -369,19 +369,19 @@ func (c *Coordinator) syncEndpoint(ctx context.Context, sh *shard, ep *endpoint,
 	defer ep.mu.Unlock()
 	const maxAttemptsPerEntry = 4
 	attempts := 0
+	var open openSegment
 	for {
-		n := sh.logLen()
+		n := sh.log.len()
 		if ep.applied >= n {
 			return nil
 		}
-		m, ok := sh.entry(ep.applied)
-		if !ok {
-			return fmt.Errorf("shard %d: log entry %d vanished", sh.idx, ep.applied)
+		m, err := sh.log.entry(ep.applied, &open)
+		if err != nil {
+			return fmt.Errorf("shard %d: %w", sh.idx, err)
 		}
 		expect := int64(ep.applied)
 		var v int64
 		var applied bool
-		var err error
 		if m.sql != "" {
 			v, applied, err = ep.cli.ApplyDDL(ctx, m.sql, expect, reqID)
 		} else {
@@ -447,7 +447,7 @@ func (c *Coordinator) rewindAndSync(ctx context.Context, sh *shard, ep *endpoint
 // ensureSynced fast-paths the common case (cursor already at the log
 // head) and otherwise replays the tail before a read.
 func (c *Coordinator) ensureSynced(ctx context.Context, sh *shard, ep *endpoint, reqID string) error {
-	if int(ep.version()) >= sh.logLen() {
+	if int(ep.version()) >= sh.log.len() {
 		return nil
 	}
 	return c.syncEndpoint(ctx, sh, ep, reqID)

@@ -934,9 +934,42 @@ func (s *Session) InsertRows(table string, rows [][]sqltypes.Value) error {
 	return nil
 }
 
-// evalConstExpr evaluates a constant literal expression for INSERT VALUES
-// by wrapping it in a one-row query.
+// constLiteral answers a literal, or a minus sign over a number, with the
+// value the binder would give it. ok is false for anything else — and for
+// a malformed DATE, which the planned path rejects in its own words.
+func constLiteral(e ast.Expr) (v sqltypes.Value, ok bool) {
+	switch e := e.(type) {
+	case *ast.NumberLit:
+		if e.IsInt {
+			return sqltypes.NewInt(e.Int), true
+		}
+		return sqltypes.NewFloat(e.Float), true
+	case *ast.StringLit:
+		return sqltypes.NewString(e.Val), true
+	case *ast.BoolLit:
+		return sqltypes.NewBool(e.Val), true
+	case *ast.NullLit:
+		return sqltypes.Null(sqltypes.KindUnknown), true
+	case *ast.DateLit:
+		v, err := sqltypes.ParseDate(e.Val)
+		return v, err == nil
+	case *ast.Unary:
+		if n, isNum := e.X.(*ast.NumberLit); isNum && e.Op == "-" {
+			x, _ := constLiteral(n)
+			v, err := sqltypes.Neg(x)
+			return v, err == nil
+		}
+	}
+	return sqltypes.Value{}, false
+}
+
+// evalConstExpr evaluates a constant expression for INSERT VALUES and
+// EXECUTE arguments: a literal directly, anything else by wrapping it in
+// a one-row query.
 func evalConstExpr(e ast.Expr) (sqltypes.Value, error) {
+	if v, ok := constLiteral(e); ok {
+		return v, nil
+	}
 	node, err := binder.New(catalog.New()).BindQuery(&ast.Query{
 		Body: &ast.Select{Items: []ast.SelectItem{{Expr: e, Alias: "v"}}},
 	})

@@ -110,21 +110,6 @@ func (env *aggEnv) chunkMergeable() bool {
 	return true
 }
 
-// exprs returns every expression the aggregate evaluates per row, for
-// parallel-safety analysis and cost detection.
-func (env *aggEnv) exprs() []plan.Expr {
-	var exprs []plan.Expr
-	exprs = append(exprs, env.n.GroupExprs...)
-	for _, call := range env.n.Aggs {
-		exprs = append(exprs, call.Args...)
-		if call.Filter != nil {
-			exprs = append(exprs, call.Filter)
-		}
-		exprs = append(exprs, call.WithinDistinct...)
-	}
-	return exprs
-}
-
 type setTable struct {
 	groups map[string]*groupAcc
 }
@@ -163,9 +148,10 @@ func (rt *runtime) runAggregate(n *plan.Aggregate) ([]Row, error) {
 	// group-partitioned path (order-sensitive aggregates with spare
 	// workers) stays row-at-a-time: each worker skips most rows, which
 	// defeats batching.
+	traits := rt.nodeTraits(n)
 	accum := (*runtime).accumulateRows
-	if rt.vecUsable(env.exprs()...) && env.vecAggOK() {
-		vea := rt.pipelineAgg(env, n.Input.Schema())
+	if rt.vecUsable(traits) && env.vecAggOK() {
+		vea := rt.vecAgg(env, n.Input.Schema())
 		share := rt.scanShare(n.Input)
 		accum = func(w *runtime, env *aggEnv, tables []setTable, in []Row, lo, hi int) error {
 			return w.accumulateRowsVec(env, vea, share, tables, in, lo, hi)
@@ -173,12 +159,12 @@ func (rt *runtime) runAggregate(n *plan.Aggregate) ([]Row, error) {
 	}
 
 	var tables []setTable
-	if workers, grain := rt.rowParallelism(len(in), env.exprs()...); workers > 1 {
-		rt.noteFanout(n, workers)
+	if f := rt.rowParallelism(len(in), traits); f.workers > 1 {
+		rt.noteFanout(n, f.workers)
 		if env.chunkMergeable() {
-			tables, err = rt.aggChunkMerge(env, in, workers, grain, accum)
+			tables, err = rt.aggChunkMerge(env, in, f, accum)
 		} else {
-			tables, err = rt.aggGroupPartitioned(env, in, workers, grain)
+			tables, err = rt.aggGroupPartitioned(env, in, f)
 		}
 	} else {
 		tables = newSetTables(len(n.Sets))
@@ -198,6 +184,7 @@ func (rt *runtime) runAggregate(n *plan.Aggregate) ([]Row, error) {
 // m[string(buf)], which does not copy; only a new group keeps a key).
 func (rt *runtime) accumulateRows(env *aggEnv, tables []setTable, in []Row, lo, hi int) error {
 	n := env.n
+	prog := rt.aggProg(n)
 	keyVals := make([]sqltypes.Value, len(n.GroupExprs))
 	var key []byte
 	for i := lo; i < hi; i++ {
@@ -206,8 +193,8 @@ func (rt *runtime) accumulateRows(env *aggEnv, tables []setTable, in []Row, lo, 
 		}
 		row := in[i]
 		// Evaluate each group expression once per row.
-		for j, g := range n.GroupExprs {
-			v, err := rt.eval(g, row)
+		for j, g := range prog.groups {
+			v, err := g(rt, row)
 			if err != nil {
 				return err
 			}
@@ -223,7 +210,7 @@ func (rt *runtime) accumulateRows(env *aggEnv, tables []setTable, in []Row, lo, 
 				acc = env.newAcc(env.maskKeyVals(set, keyVals), i)
 				tables[si].groups[string(key)] = acc
 			}
-			if err := rt.accumulate(env, acc, row); err != nil {
+			if err := rt.accumulate(env, prog, acc, row); err != nil {
 				return err
 			}
 		}
@@ -235,9 +222,9 @@ func (rt *runtime) accumulateRows(env *aggEnv, tables []setTable, in []Row, lo, 
 // private partial tables over its contiguous row range, then partials
 // are merged left-to-right in chunk order. Restricted to exact-merge
 // aggregates, so the result is bit-identical to one serial pass.
-func (rt *runtime) aggChunkMerge(env *aggEnv, in []Row, workers, grain int, accum accumulateFn) ([]setTable, error) {
-	chunkTables := make([][]setTable, numChunks(len(in), grain))
-	err := rt.forEachChunk(len(in), workers, grain, func(w *runtime, _, chunk, lo, hi int) error {
+func (rt *runtime) aggChunkMerge(env *aggEnv, in []Row, f fanout, accum accumulateFn) ([]setTable, error) {
+	chunkTables := make([][]setTable, numChunks(len(in), f.grain))
+	err := rt.forEachChunk(len(in), f, func(w *runtime, _, chunk, lo, hi int) error {
 		t := newSetTables(len(env.n.Sets))
 		if err := accum(w, env, t, in, lo, hi); err != nil {
 			return err
@@ -281,22 +268,25 @@ func (rt *runtime) aggChunkMerge(env *aggEnv, in []Row, workers, grain int, accu
 // group keys are precomputed over morsels, then groups are partitioned
 // across workers by key hash, and each worker folds its groups' rows in
 // ascending input order — exactly the serial accumulation per group.
-func (rt *runtime) aggGroupPartitioned(env *aggEnv, in []Row, workers, grain int) ([]setTable, error) {
+func (rt *runtime) aggGroupPartitioned(env *aggEnv, in []Row, f fanout) ([]setTable, error) {
+	workers := f.workers
 	n := env.n
+	prog := rt.aggProg(n)
 	nSets := len(n.Sets)
 
 	// Phase 1: per-row group-expression values, set keys, and hashes.
 	allKeyVals := make([][]sqltypes.Value, len(in))
 	setKeys := make([]string, len(in)*nSets)
 	setHash := make([]uint32, len(in)*nSets)
-	err := rt.forEachChunk(len(in), workers, grain, func(w *runtime, _, _, lo, hi int) error {
+	err := rt.forEachChunk(len(in), f, func(w *runtime, _, _, lo, hi int) error {
+		var key []byte
 		for i := lo; i < hi; i++ {
 			if err := w.tick(); err != nil {
 				return err
 			}
 			keyVals := make([]sqltypes.Value, len(n.GroupExprs))
-			for j, g := range n.GroupExprs {
-				v, err := w.eval(g, in[i])
+			for j, g := range prog.groups {
+				v, err := g(w, in[i])
 				if err != nil {
 					return err
 				}
@@ -304,12 +294,11 @@ func (rt *runtime) aggGroupPartitioned(env *aggEnv, in []Row, workers, grain int
 			}
 			allKeyVals[i] = keyVals
 			for si, set := range n.Sets {
-				setKey := make([]sqltypes.Value, len(set))
-				for k, j := range set {
-					setKey[k] = keyVals[j]
+				key = key[:0]
+				for _, j := range set {
+					key = keyVals[j].AppendKey(key)
 				}
-				key := sqltypes.RowKey(setKey)
-				setKeys[i*nSets+si] = key
+				setKeys[i*nSets+si] = string(key)
 				setHash[i*nSets+si] = hash32(key)
 			}
 		}
@@ -342,7 +331,7 @@ func (rt *runtime) aggGroupPartitioned(env *aggEnv, in []Row, workers, grain int
 					acc = env.newAcc(env.maskKeyVals(set, allKeyVals[i]), i)
 					tables[si].groups[key] = acc
 				}
-				if err := w.accumulate(env, acc, row); err != nil {
+				if err := w.accumulate(env, prog, acc, row); err != nil {
 					return err
 				}
 			}
@@ -423,69 +412,82 @@ func sortAccs(accs []*groupAcc) {
 	sort.Slice(accs, func(a, b int) bool { return accs[a].order < accs[b].order })
 }
 
-func (rt *runtime) accumulate(env *aggEnv, acc *groupAcc, row Row) error {
-	// Aggregate arguments go on the runtime's argument stack (states copy
-	// what they keep), popped after each call.
+// accumulate folds row into acc. Aggregate arguments and WITHIN DISTINCT
+// keys go on the runtime's argument stack (states copy what they keep),
+// which is popped back to base on every way out.
+func (rt *runtime) accumulate(env *aggEnv, prog *aggProg, acc *groupAcc, row Row) error {
 	base := len(rt.args)
-	defer func() { rt.args = rt.args[:base] }()
-	for i, call := range env.n.Aggs {
+	for i := range env.n.Aggs {
+		call := &env.n.Aggs[i]
 		if call.Name == "GROUPING" {
 			continue
 		}
-		if call.Filter != nil {
-			v, err := rt.eval(call.Filter, row)
+		cp := &prog.calls[i]
+		if cp.filter != nil {
+			t, err := cp.filter(rt, row)
 			if err != nil {
 				return err
 			}
-			if !v.IsTrue() {
+			if t != triTrue {
 				continue
 			}
+		}
+		skip, err := rt.pushArgs(cp.args, row, env.defs[i].SkipNulls)
+		switch {
+		case err != nil || skip:
+		case call.Distinct || len(cp.within) > 0:
+			err = rt.accumulateDistinct(call, cp, acc, i, base, row)
+		default:
+			err = acc.states[i].Add(rt.args[base:])
 		}
 		rt.args = rt.args[:base]
-		skip := false
-		for j, a := range call.Args {
-			v, err := rt.eval(a, row)
-			if err != nil {
-				return err
-			}
-			rt.args = append(rt.args, v)
-			if j == 0 && v.Null && env.defs[i].SkipNulls {
-				skip = true
-			}
-		}
-		if skip {
-			continue
-		}
-		args := rt.args[base:]
-		if call.Distinct {
-			key := sqltypes.RowKey(args)
-			if acc.dedup[i][key] {
-				continue
-			}
-			acc.dedup[i][key] = true
-		}
-		if len(call.WithinDistinct) > 0 {
-			keyVals := make([]sqltypes.Value, len(call.WithinDistinct))
-			for j, k := range call.WithinDistinct {
-				v, err := rt.eval(k, row)
-				if err != nil {
-					return err
-				}
-				keyVals[j] = v
-			}
-			key := sqltypes.RowKey(keyVals)
-			argKey := sqltypes.RowKey(args)
-			if prev, seen := acc.within[i][key]; seen {
-				if prev != argKey {
-					return fmt.Errorf("%s WITHIN DISTINCT: argument is not functionally dependent on the keys (two different values for one key tuple)", call.Name)
-				}
-				continue
-			}
-			acc.within[i][key] = argKey
-		}
-		if err := acc.states[i].Add(args); err != nil {
+		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// pushArgs evaluates fns over row onto the argument stack; skip reports a
+// NULL first value under skipNulls.
+func (rt *runtime) pushArgs(fns []evalFn, row Row, skipNulls bool) (skip bool, err error) {
+	for j, f := range fns {
+		v, err := f(rt, row)
+		if err != nil {
+			return false, err
+		}
+		rt.args = append(rt.args, v)
+		if j == 0 && v.Null && skipNulls {
+			skip = true
+		}
+	}
+	return skip, nil
+}
+
+// accumulateDistinct adds the arguments above base to the call's state
+// unless DISTINCT or WITHIN DISTINCT has seen them.
+func (rt *runtime) accumulateDistinct(call *plan.AggCall, cp *aggCallProg, acc *groupAcc, i, base int, row Row) error {
+	nargs := len(cp.args)
+	if call.Distinct {
+		key := sqltypes.RowKey(rt.args[base:])
+		if acc.dedup[i][key] {
+			return nil
+		}
+		acc.dedup[i][key] = true
+	}
+	if len(cp.within) > 0 {
+		if _, err := rt.pushArgs(cp.within, row, false); err != nil {
+			return err
+		}
+		key := sqltypes.RowKey(rt.args[base+nargs:])
+		argKey := sqltypes.RowKey(rt.args[base : base+nargs])
+		if prev, seen := acc.within[i][key]; seen {
+			if prev != argKey {
+				return fmt.Errorf("%s WITHIN DISTINCT: argument is not functionally dependent on the keys (two different values for one key tuple)", call.Name)
+			}
+			return nil
+		}
+		acc.within[i][key] = argKey
+	}
+	return acc.states[i].Add(rt.args[base : base+nargs])
 }

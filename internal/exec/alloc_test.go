@@ -5,29 +5,48 @@ package exec
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"github.com/measures-sql/msql/internal/plan"
 	"github.com/measures-sql/msql/internal/sqltypes"
 )
 
-// A scalar call pushes its arguments on the runtime's argument stack:
-// once the stack has grown, evaluating nested calls allocates nothing.
+// A compiled call pushes its arguments on the runtime's argument stack:
+// once the stack has grown, evaluating nested calls allocates nothing,
+// and the stack is popped on the way out — error returns included.
 func TestEvalCallDoesNotAllocate(t *testing.T) {
 	rt := newRuntime(context.Background(), DefaultSettings())
 	mul := &plan.Call{Name: "*", Typ: intT(), Args: []plan.Expr{col(1, "b"), &plan.Lit{Val: sqltypes.NewInt(3)}}}
-	e := &plan.Call{Name: ">", Typ: boolT(), Args: []plan.Expr{
-		&plan.Call{Name: "+", Typ: intT(), Args: []plan.Expr{col(0, "a"), mul}},
-		&plan.Lit{Val: sqltypes.NewInt(10)}}}
+	// ABS keeps one call on the generic n-ary path next to the
+	// specialised arithmetic and comparison.
+	sum := &plan.Call{Name: "ABS", Typ: intT(), Args: []plan.Expr{
+		&plan.Call{Name: "+", Typ: intT(), Args: []plan.Expr{col(0, "a"), mul}}}}
+	e := &plan.Call{Name: ">", Typ: boolT(), Args: []plan.Expr{sum, &plan.Lit{Val: sqltypes.NewInt(10)}}}
+	f, p := compileExpr(e), compilePred(e)
 	row := Row{sqltypes.NewInt(4), sqltypes.NewInt(5)}
-	if v, err := rt.eval(e, row); err != nil || !v.IsTrue() {
+	if v, err := f(rt, row); err != nil || !v.IsTrue() {
 		t.Fatalf("eval = %v, %v", v, err)
 	}
-	if n := testing.AllocsPerRun(200, func() { rt.eval(e, row) }); n != 0 {
-		t.Fatalf("evalCall allocates %.0f objects per evaluation, want 0", n)
+	if n := testing.AllocsPerRun(200, func() { f(rt, row); p(rt, row) }); n != 0 {
+		t.Fatalf("compiled call allocates %.0f objects per evaluation, want 0", n)
 	}
 	if len(rt.args) != 0 {
 		t.Fatalf("argument stack not popped: %d left", len(rt.args))
+	}
+	// A parameter or literal evaluated on its own is read in place.
+	rt.sh.settings.Params = []sqltypes.Value{sqltypes.NewInt(1)}
+	leaf := &plan.Param{Index: 0, Typ: intT()}
+	if n := testing.AllocsPerRun(200, func() { rt.evalOnce(leaf) }); n != 0 {
+		t.Fatalf("evalOnce of a parameter allocates %.0f objects, want 0", n)
+	}
+	// b*3 overflows inside the nested calls: the error pops every level.
+	over := Row{sqltypes.NewInt(4), sqltypes.NewInt(math.MaxInt64)}
+	if _, err := f(rt, over); err == nil {
+		t.Fatal("overflow not reported")
+	}
+	if len(rt.args) != 0 {
+		t.Fatalf("argument stack not popped after an error: %d left", len(rt.args))
 	}
 }
 
@@ -76,5 +95,79 @@ func TestNewRuntimeAllocatesLazily(t *testing.T) {
 	// runtime, shared, budget.
 	if n > 3 {
 		t.Fatalf("newRuntime allocates %.0f objects, want <= 3", n)
+	}
+}
+
+// A Filter allocates its output once, at its final size: the verdicts go
+// to the runtime's reused buffer and the predicate's closures allocate
+// nothing per row.
+func TestFilterAllocatesPerCallNotPerRow(t *testing.T) {
+	scan := bigScan(4000)
+	filter := &plan.Filter{Input: scan, Pred: &plan.And{
+		L: &plan.Call{Name: ">", Typ: boolT(), Args: []plan.Expr{col(1, "b"), &plan.Lit{Val: sqltypes.NewInt(12)}}},
+		R: &plan.Call{Name: "<", Typ: boolT(), Args: []plan.Expr{col(1, "b"), &plan.Lit{Val: sqltypes.NewInt(85)}}},
+	}}
+	settings := DefaultSettings()
+	settings.Workers = 1
+	rt := newRuntime(context.Background(), settings)
+	rows, err := rt.run(filter)
+	if err != nil || len(rows) < 2000 || len(rows) == 4000 {
+		t.Fatalf("filter kept %d of 4000 rows, err %v", len(rows), err)
+	}
+	perCall := testing.AllocsPerRun(20, func() {
+		if _, err := rt.run(filter); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perCall > 3 {
+		t.Fatalf("Filter over 4000 rows allocates %.0f objects per execution, want <= 3", perCall)
+	}
+}
+
+// A cached plan's expressions are compiled by its first execution and by
+// no later one, whatever the parameters: operators the execution never
+// reaches compile nothing.
+func TestCompileOncePerCachedPlan(t *testing.T) {
+	scan := bigScan(500)
+	param := &plan.Param{Index: 0, Typ: intT()}
+	filter := &plan.Filter{Input: scan, Pred: &plan.Call{Name: "<", Typ: boolT(), Args: []plan.Expr{col(1, "b"), param}}}
+	node := &plan.Limit{Count: param, Input: &plan.Sort{
+		Items: []plan.SortItem{{Expr: col(0, "a"), Desc: true}},
+		Input: &plan.Project{
+			Input: filter,
+			Exprs: []plan.NamedExpr{{Expr: &plan.Call{Name: "*", Typ: intT(), Args: []plan.Expr{col(0, "a"), param}}, Col: plan.Col{Name: "x", Typ: intT()}}},
+			Sch:   &plan.Schema{Cols: []plan.Col{{Name: "x", Typ: intT()}}},
+		},
+	}}
+	pipe, vectorized := NewPipeline(), false
+	run := func(p int64) []Row {
+		settings := DefaultSettings()
+		settings.Pipeline, settings.Vectorized = pipe, vectorized
+		settings.Params = []sqltypes.Value{sqltypes.NewInt(p)}
+		rows, err := Run(node, settings)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	first := run(3)
+	compiled := pipe.Programs()
+	// Filter, Project and Sort; the LIMIT count is read in place.
+	if compiled != 3 {
+		t.Fatalf("first execution compiled %d programs, want 3", compiled)
+	}
+	second := run(5)
+	if len(first) != 3 || len(second) != 5 || first[0][0].I == second[0][0].I {
+		t.Fatalf("executions with different parameters returned %v and %v", first, second)
+	}
+	if n := pipe.Programs(); n != compiled {
+		t.Fatalf("second execution compiled %d more programs", n-compiled)
+	}
+	// A vectorized execution compiles the columnar form of Filter and
+	// Project and the row form of neither.
+	pipe, vectorized = NewPipeline(), true
+	run(3)
+	if row, vec := len(pipe.progs.row), len(pipe.progs.vec); row != 1 || vec != 2 {
+		t.Fatalf("vectorized execution compiled %d row and %d columnar programs, want 1 (Sort) and 2", row, vec)
 	}
 }

@@ -183,7 +183,7 @@ func TestMemoWaitCancel(t *testing.T) {
 	computing := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
-		_, _, _ = cache.do(context.Background(), sq, "k", func(e *memoEntry) {
+		_, _, _ = cache.do(context.Background(), sq, []byte("k"), func(e *memoEntry) {
 			close(computing)
 			<-release
 			e.scalar = sqltypes.NewInt(1)
@@ -192,7 +192,7 @@ func TestMemoWaitCancel(t *testing.T) {
 	<-computing
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := cache.do(ctx, sq, "k", func(e *memoEntry) {
+	_, _, err := cache.do(ctx, sq, []byte("k"), func(e *memoEntry) {
 		t.Error("waiter must not recompute")
 	})
 	if !errors.Is(err, CodeCanceled) {
@@ -200,7 +200,7 @@ func TestMemoWaitCancel(t *testing.T) {
 	}
 	close(release)
 	// After the computation finishes, a fresh lookup hits the cache.
-	e, hit, err := cache.do(context.Background(), sq, "k", func(e *memoEntry) {
+	e, hit, err := cache.do(context.Background(), sq, []byte("k"), func(e *memoEntry) {
 		t.Error("must be a cache hit")
 	})
 	if err != nil || !hit || e.scalar.I != 1 {
@@ -219,11 +219,11 @@ func TestMemoComputePanicPoisons(t *testing.T) {
 				t.Fatal("panic must propagate out of do")
 			}
 		}()
-		_, _, _ = cache.do(context.Background(), sq, "k", func(e *memoEntry) {
+		_, _, _ = cache.do(context.Background(), sq, []byte("k"), func(e *memoEntry) {
 			panic("boom")
 		})
 	}()
-	e, hit, err := cache.do(context.Background(), sq, "k", func(e *memoEntry) {
+	e, hit, err := cache.do(context.Background(), sq, []byte("k"), func(e *memoEntry) {
 		t.Error("poisoned entry must not recompute")
 	})
 	if err != nil || !hit {

@@ -15,7 +15,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/measures-sql/msql/internal/fn"
 	"github.com/measures-sql/msql/internal/plan"
 	"github.com/measures-sql/msql/internal/sqltypes"
 	"github.com/measures-sql/msql/internal/storage"
@@ -150,6 +149,12 @@ type shared struct {
 	memo   memoCache
 	subsMu sync.RWMutex
 	subs   map[*plan.Subquery]*subInfo
+	// progs holds the compiled expressions of a plan that is not cached
+	// (a cached plan's live in its Pipeline).
+	progs progCache
+	// scans counts the Scan nodes executed so far; forEachChunk reads it
+	// to tell a chunk of lookups from one that read a table.
+	scans atomic.Int64
 }
 
 // subInfo is the per-execution state of one memoized subquery.
@@ -179,9 +184,14 @@ type runtime struct {
 	// steps counts rows processed since the last cancellation check;
 	// tick amortizes the context poll over cancelCheckRows rows.
 	steps int
-	// args is the scalar-call argument stack: evalCall pushes a call's
+	// args is the scalar-call argument stack: a compiled call pushes its
 	// evaluated arguments here instead of allocating a slice per call.
 	args []sqltypes.Value
+	// keyBuf is the scratch subquery memo keys are encoded in.
+	keyBuf []byte
+	// truth is the serial Filter's per-row verdict buffer, taken for the
+	// duration of one Filter and handed back (see runFilterSerial).
+	truth []bool
 	// sub is the innermost subquery whose plan is executing (nil in the
 	// main plan); it keys operator metrics by plan position.
 	sub *plan.Subquery
@@ -247,205 +257,6 @@ func (rt *runtime) outerAt(levels int) (Row, error) {
 	return rt.outer[len(rt.outer)-levels], nil
 }
 
-// eval evaluates e against row.
-func (rt *runtime) eval(e plan.Expr, row Row) (sqltypes.Value, error) {
-	switch e := e.(type) {
-	case *plan.ColRef:
-		if e.Index < 0 || e.Index >= len(row) {
-			return sqltypes.Value{}, fmt.Errorf("column index %d out of range (row width %d)", e.Index, len(row))
-		}
-		return row[e.Index], nil
-
-	case *plan.CorrRef:
-		outer, err := rt.outerAt(e.Levels)
-		if err != nil {
-			return sqltypes.Value{}, err
-		}
-		if e.Index < 0 || e.Index >= len(outer) {
-			return sqltypes.Value{}, fmt.Errorf("correlated column index %d out of range", e.Index)
-		}
-		return outer[e.Index], nil
-
-	case *plan.Lit:
-		return e.Val, nil
-
-	case *plan.Param:
-		ps := rt.sh.settings.Params
-		if e.Index < 0 || e.Index >= len(ps) {
-			return sqltypes.Value{}, fmt.Errorf("parameter $%d not bound (%d provided)", e.Index+1, len(ps))
-		}
-		return ps[e.Index], nil
-
-	case *plan.Call:
-		return rt.evalCall(e, row)
-
-	case *plan.And:
-		l, err := rt.eval(e.L, row)
-		if err != nil {
-			return sqltypes.Value{}, err
-		}
-		if l.IsFalse() {
-			return l, nil
-		}
-		r, err := rt.eval(e.R, row)
-		if err != nil {
-			return sqltypes.Value{}, err
-		}
-		return sqltypes.And(l, r), nil
-
-	case *plan.Or:
-		l, err := rt.eval(e.L, row)
-		if err != nil {
-			return sqltypes.Value{}, err
-		}
-		if l.IsTrue() {
-			return l, nil
-		}
-		r, err := rt.eval(e.R, row)
-		if err != nil {
-			return sqltypes.Value{}, err
-		}
-		return sqltypes.Or(l, r), nil
-
-	case *plan.Not:
-		x, err := rt.eval(e.X, row)
-		if err != nil {
-			return sqltypes.Value{}, err
-		}
-		return sqltypes.Not(x), nil
-
-	case *plan.IsNull:
-		x, err := rt.eval(e.X, row)
-		if err != nil {
-			return sqltypes.Value{}, err
-		}
-		return sqltypes.NewBool(x.Null != e.Neg), nil
-
-	case *plan.IsDistinct:
-		l, err := rt.eval(e.L, row)
-		if err != nil {
-			return sqltypes.Value{}, err
-		}
-		r, err := rt.eval(e.R, row)
-		if err != nil {
-			return sqltypes.Value{}, err
-		}
-		same := sqltypes.NotDistinct(l, r)
-		return sqltypes.NewBool(same == e.Neg), nil
-
-	case *plan.InList:
-		return rt.evalInList(e, row)
-
-	case *plan.Case:
-		for _, w := range e.Whens {
-			c, err := rt.eval(w.Cond, row)
-			if err != nil {
-				return sqltypes.Value{}, err
-			}
-			if c.IsTrue() {
-				return rt.eval(w.Then, row)
-			}
-		}
-		if e.Else != nil {
-			return rt.eval(e.Else, row)
-		}
-		return sqltypes.Null(e.Typ.Kind), nil
-
-	case *plan.Cast:
-		x, err := rt.eval(e.X, row)
-		if err != nil {
-			return sqltypes.Value{}, err
-		}
-		return sqltypes.Cast(x, e.Kind)
-
-	case *plan.Subquery:
-		return rt.evalSubquery(e, row)
-
-	case *plan.AggRef:
-		return sqltypes.Value{}, fmt.Errorf("internal error: unresolved aggregate reference at runtime")
-
-	default:
-		return sqltypes.Value{}, fmt.Errorf("internal error: cannot evaluate %T", e)
-	}
-}
-
-func (rt *runtime) evalCall(e *plan.Call, row Row) (sqltypes.Value, error) {
-	sc, ok := fn.LookupScalar(e.Name)
-	if !ok {
-		return sqltypes.Value{}, fmt.Errorf("unknown function %s at runtime", e.Name)
-	}
-	// Arguments live on the runtime's argument stack above base; a nested
-	// call pushes above them and pops back before returning, so this
-	// call's slots stay put (the backing array may move, hence the
-	// re-slice after the loop).
-	base := len(rt.args)
-	defer func() { rt.args = rt.args[:base] }()
-	anyNull := false
-	for _, a := range e.Args {
-		v, err := rt.eval(a, row)
-		if err != nil {
-			return sqltypes.Value{}, err
-		}
-		rt.args = append(rt.args, v)
-		if v.Null {
-			anyNull = true
-		}
-	}
-	if sc.Strict && anyNull {
-		return sqltypes.Null(e.Typ.Kind), nil
-	}
-	out, err := sc.Eval(rt.args[base:])
-	if err != nil {
-		// Attach the call site's source position (when the binder
-		// recorded one) so hostile-input failures — bad casts, integer
-		// overflow — point at the offending expression.
-		pos := -1
-		if e.Pos > 0 {
-			pos = e.Pos - 1
-		}
-		return sqltypes.Value{}, &Error{
-			Code: CodeRuntime, Phase: PhaseExecute, Pos: pos,
-			Err: fmt.Errorf("in %s: %w", e.Name, err),
-		}
-	}
-	return out, nil
-}
-
-func (rt *runtime) evalInList(e *plan.InList, row Row) (sqltypes.Value, error) {
-	x, err := rt.eval(e.X, row)
-	if err != nil {
-		return sqltypes.Value{}, err
-	}
-	sawNull := x.Null
-	matched := false
-	for _, item := range e.List {
-		v, err := rt.eval(item, row)
-		if err != nil {
-			return sqltypes.Value{}, err
-		}
-		if v.Null || x.Null {
-			sawNull = true
-			continue
-		}
-		c, err := sqltypes.Compare(x, v)
-		if err != nil {
-			return sqltypes.Value{}, err
-		}
-		if c == 0 {
-			matched = true
-			break
-		}
-	}
-	switch {
-	case matched:
-		return sqltypes.NewBool(!e.Neg), nil
-	case sawNull:
-		return sqltypes.Null(sqltypes.KindBool), nil
-	default:
-		return sqltypes.NewBool(e.Neg), nil
-	}
-}
-
 // collectDeps walks a subquery plan and records every reference to rows
 // outside the subquery's own frame, for memo keying.
 func collectDeps(sq *plan.Subquery) []corrDep {
@@ -507,29 +318,34 @@ func (rt *runtime) subInfo(sq *plan.Subquery) *subInfo {
 
 // memoKey computes the cache key for a subquery with the given
 // dependencies and the current outer frames (with row about to be pushed
-// as the immediate outer frame).
-func (rt *runtime) memoKey(deps []corrDep, row Row) (string, error) {
-	vals := make([]sqltypes.Value, len(deps))
-	for i, d := range deps {
+// as the immediate outer frame). The key is encoded in rt.keyBuf and
+// valid until this runtime next evaluates a subquery; memoCache.do is
+// done with it before it computes.
+func (rt *runtime) memoKey(deps []corrDep, row Row) ([]byte, error) {
+	key := rt.keyBuf[:0]
+	for _, d := range deps {
 		var frame Row
 		if d.levels == 1 {
 			frame = row
 		} else {
 			f, err := rt.outerAt(d.levels - 1)
 			if err != nil {
-				return "", err
+				return nil, err
 			}
 			frame = f
 		}
 		if d.index < 0 || d.index >= len(frame) {
-			return "", fmt.Errorf("correlated index %d out of range in memo key", d.index)
+			return nil, fmt.Errorf("correlated index %d out of range in memo key", d.index)
 		}
-		vals[i] = frame[d.index]
+		key = frame[d.index].AppendKey(key)
 	}
-	return sqltypes.RowKey(vals), nil
+	rt.keyBuf = key
+	return key, nil
 }
 
-func (rt *runtime) evalSubquery(sq *plan.Subquery, row Row) (sqltypes.Value, error) {
+// evalSubquery evaluates sq for the outer row; left is the compiled
+// left-hand tuple of an IN.
+func (rt *runtime) evalSubquery(sq *plan.Subquery, left []operand, row Row) (sqltypes.Value, error) {
 	var e *memoEntry
 	if sq.Memo && rt.sh.settings.MemoizeSubqueries {
 		si := rt.subInfo(sq)
@@ -569,24 +385,34 @@ func (rt *runtime) evalSubquery(sq *plan.Subquery, row Row) (sqltypes.Value, err
 
 	case plan.SubIn:
 		set := e.set
-		left := make([]sqltypes.Value, len(sq.Exprs))
+		// The tuple is evaluated onto the argument stack before any of it
+		// is encoded: an element may hold a subquery of its own, which
+		// would reuse the key buffer.
+		base := len(rt.args)
 		leftNull := false
-		for i, x := range sq.Exprs {
-			v, err := rt.eval(x, row)
+		for i := range left {
+			v, err := left[i].load(rt, row)
 			if err != nil {
+				rt.args = rt.args[:base]
 				return sqltypes.Value{}, err
 			}
-			left[i] = v
+			rt.args = append(rt.args, v)
 			if v.Null {
 				leftNull = true
 			}
 		}
+		key := rt.keyBuf[:0]
+		for _, v := range rt.args[base:] {
+			key = v.AppendKey(key)
+		}
+		rt.args, rt.keyBuf = rt.args[:base], key
+		member := set.keys[string(key)]
 		if sq.NullSafe {
 			// Evaluation-context link terms: IS NOT DISTINCT FROM
 			// membership, never NULL.
-			return sqltypes.NewBool(set.keys[sqltypes.RowKey(left)] != sq.Neg), nil
+			return sqltypes.NewBool(member != sq.Neg), nil
 		}
-		if !leftNull && set.keys[sqltypes.RowKey(left)] {
+		if !leftNull && member {
 			return sqltypes.NewBool(!sq.Neg), nil
 		}
 		if (leftNull && set.count > 0) || set.hasNull {

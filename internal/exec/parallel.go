@@ -45,35 +45,30 @@ func (rt *runtime) child() *runtime {
 	return &runtime{sh: rt.sh, outer: outer, workers: 1, sub: rt.sub}
 }
 
+// fanout is how a row-wise operator splits its input: workers goroutines
+// claim chunks of grain rows. onScan marks rows that are dear only if
+// their subqueries read a table; see forEachChunk.
+type fanout struct {
+	workers, grain int
+	onScan         bool
+}
+
 // rowParallelism decides worker count and chunk size for a row-wise
-// operator over n input rows whose expressions are exprs. Serial (1, 0)
-// unless the runtime has spare workers and every expression is
-// parallel-safe (no volatile functions). Expressions containing
+// operator over n input rows whose expressions have traits t. Serial
+// (one worker) unless the runtime has spare workers and every expression
+// is parallel-safe (no volatile functions). Expressions containing
 // subqueries make each row expensive — a handful of rows is then worth
 // fanning out at fine granularity (the memo strategy's Project over a
 // few hundred group contexts is exactly this shape); cheap expressions
 // need a large input and coarse morsels to amortize scheduling.
-func (rt *runtime) rowParallelism(n int, exprs ...plan.Expr) (workers, grain int) {
+func (rt *runtime) rowParallelism(n int, t exprTraits) fanout {
+	serial := fanout{workers: 1}
 	w := rt.workers
-	if w <= 1 || n < 2 {
-		return 1, 0
+	if w <= 1 || n < 2 || t.serial() {
+		return serial
 	}
-	expensive := false
-	for _, e := range exprs {
-		if e == nil {
-			continue
-		}
-		if !plan.ExprParallelSafe(e) {
-			return 1, 0
-		}
-		plan.WalkExprs(e, func(x plan.Expr) {
-			if _, ok := x.(*plan.Subquery); ok {
-				expensive = true
-			}
-		})
-	}
-	grain = morselRows
-	if expensive {
+	grain := morselRows
+	if t.subquery() {
 		// Fine-grained dynamic claiming; each task is a scan or a cache
 		// hit, so per-chunk overhead is irrelevant.
 		grain = (n + w*8 - 1) / (w * 8)
@@ -81,15 +76,15 @@ func (rt *runtime) rowParallelism(n int, exprs ...plan.Expr) (workers, grain int
 			grain = morselRows
 		}
 	} else if n < minParallelRows {
-		return 1, 0
+		return serial
 	}
 	if chunks := (n + grain - 1) / grain; chunks < w {
 		w = chunks
 	}
 	if w <= 1 {
-		return 1, 0
+		return serial
 	}
-	return w, grain
+	return fanout{workers: w, grain: grain, onScan: t.subquery()}
 }
 
 // taskParallelism decides the worker count for coarse independent work
@@ -97,26 +92,12 @@ func (rt *runtime) rowParallelism(n int, exprs ...plan.Expr) (workers, grain int
 // unless there are spare workers, at least two tasks, every expression
 // is parallel-safe, and the work is worth fanning out (large input, or
 // subquery-bearing expressions that make each task expensive).
-func (rt *runtime) taskParallelism(nTasks, totalRows int, exprs ...plan.Expr) int {
+func (rt *runtime) taskParallelism(nTasks, totalRows int, t exprTraits) int {
 	w := rt.workers
-	if w <= 1 || nTasks < 2 {
+	if w <= 1 || nTasks < 2 || t.serial() {
 		return 1
 	}
-	expensive := false
-	for _, e := range exprs {
-		if e == nil {
-			continue
-		}
-		if !plan.ExprParallelSafe(e) {
-			return 1
-		}
-		plan.WalkExprs(e, func(x plan.Expr) {
-			if _, ok := x.(*plan.Subquery); ok {
-				expensive = true
-			}
-		})
-	}
-	if !expensive && totalRows < minParallelRows {
+	if !t.subquery() && totalRows < minParallelRows {
 		return 1
 	}
 	if nTasks < w {
@@ -129,30 +110,47 @@ func (rt *runtime) taskParallelism(nTasks, totalRows int, exprs ...plan.Expr) in
 // runtime. It always drains every worker (wg.Wait even on error or
 // cancellation — no goroutine outlives the call), recovers worker
 // panics into CodeRuntime errors, and returns the most informative
-// error: a real failure is preferred over cancellation noise, since
-// one worker's error cancels the statement and makes the other
-// workers' context errors secondary.
+// error (see firstFailure).
 func (rt *runtime) runWorkers(workers int, fn func(w *runtime, worker int) error) error {
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		w := rt.child()
-		wg.Add(1)
-		go func(i int, w *runtime) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[i] = PanicError(r, PhaseExecute)
-				}
-			}()
-			if err := failpoint(FailWorkerStart); err != nil {
-				errs[i] = err
-				return
-			}
-			errs[i] = fn(w, i)
-		}(i, w)
+	for i := range errs {
+		rt.startWorker(&wg, errs, i, fn)
 	}
 	wg.Wait()
+	return firstFailure(errs)
+}
+
+// startWorker starts worker i of a fan-out on a goroutine of its own;
+// its error, or its panic as an error, lands in errs[i].
+func (rt *runtime) startWorker(wg *sync.WaitGroup, errs []error, i int, fn func(w *runtime, worker int) error) {
+	w := rt.child()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		errs[i] = recovered(func() error {
+			if err := failpoint(FailWorkerStart); err != nil {
+				return err
+			}
+			return fn(w, i)
+		})
+	}()
+}
+
+// recovered runs fn and reports a panic in it as a CodeRuntime error.
+func recovered(fn func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = PanicError(r, PhaseExecute)
+		}
+	}()
+	return fn()
+}
+
+// firstFailure picks the error a fan-out reports: a real failure is
+// preferred over cancellation noise, since one worker's error cancels
+// the statement and makes the other workers' context errors secondary.
+func firstFailure(errs []error) error {
 	var first error
 	for _, err := range errs {
 		if err == nil {
@@ -171,34 +169,68 @@ func (rt *runtime) runWorkers(workers int, fn func(w *runtime, worker int) error
 // numChunks returns how many chunks of the given grain cover n rows.
 func numChunks(n, grain int) int { return (n + grain - 1) / grain }
 
-// forEachChunk processes [0, n) in contiguous grain-sized chunks on
-// `workers` goroutines; chunks are claimed dynamically, and every
-// worker walks its chunks in ascending order. fn must write only chunk-
-// or worker-owned state. On error the remaining chunks are abandoned.
-func (rt *runtime) forEachChunk(n, workers, grain int, fn func(w *runtime, worker, chunk, lo, hi int) error) error {
-	chunks := numChunks(n, grain)
+// forEachChunk processes [0, n) in contiguous chunks of f.grain rows on
+// f.workers goroutines; chunks are claimed dynamically, and every worker
+// walks its chunks in ascending order. fn must write only chunk- or
+// worker-owned state. On error the remaining chunks are abandoned.
+//
+// With f.onScan the calling goroutine is worker 0 and starts on the
+// chunks at once; the other workers are called in only after a chunk has
+// read a table. Rows whose subqueries the rollup lattice or a context
+// memo answers are lookups: handing those to a goroutine on another CPU
+// gains nothing (the lattice answers one request per node at a time) and
+// ties the statement's latency to how soon that CPU is scheduled.
+func (rt *runtime) forEachChunk(n int, f fanout, fn func(w *runtime, worker, chunk, lo, hi int) error) error {
+	chunks := numChunks(n, f.grain)
 	var next atomic.Int64
 	var failed atomic.Bool
-	return rt.runWorkers(workers, func(w *runtime, worker int) error {
+	// claim runs the next unclaimed chunk; more is false once none is left.
+	claim := func(w *runtime, worker int) (more bool, err error) {
+		if failed.Load() {
+			return false, nil
+		}
+		c := int(next.Add(1)) - 1
+		if c >= chunks {
+			return false, nil
+		}
+		lo := c * f.grain
+		hi := min(lo+f.grain, n)
+		if err := fn(w, worker, c, lo, hi); err != nil {
+			failed.Store(true)
+			return false, err
+		}
+		return true, nil
+	}
+	drain := func(w *runtime, worker int) error {
 		for {
-			if failed.Load() {
-				return nil
-			}
-			c := int(next.Add(1)) - 1
-			if c >= chunks {
-				return nil
-			}
-			lo := c * grain
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			if err := fn(w, worker, c, lo, hi); err != nil {
-				failed.Store(true)
+			if more, err := claim(w, worker); !more {
 				return err
 			}
 		}
+	}
+	if !f.onScan {
+		return rt.runWorkers(f.workers, drain)
+	}
+
+	errs := make([]error, f.workers)
+	var wg sync.WaitGroup
+	errs[0] = recovered(func() error {
+		w, calledIn := rt.child(), false
+		for {
+			scans := rt.sh.scans.Load()
+			if more, err := claim(w, 0); !more {
+				return err
+			}
+			if !calledIn && rt.sh.scans.Load() != scans {
+				calledIn = true
+				for i := 1; i < f.workers; i++ {
+					rt.startWorker(&wg, errs, i, drain)
+				}
+			}
+		}
 	})
+	wg.Wait()
+	return firstFailure(errs)
 }
 
 // forEachTask processes task indices [0, n) on `workers` goroutines,
@@ -224,20 +256,11 @@ func (rt *runtime) forEachTask(n, workers int, fn func(w *runtime, i int) error)
 	})
 }
 
-// projectExprs collects a Project's expressions for safety analysis.
-func projectExprs(n *plan.Project) []plan.Expr {
-	exprs := make([]plan.Expr, len(n.Exprs))
-	for i, ne := range n.Exprs {
-		exprs[i] = ne.Expr
-	}
-	return exprs
-}
-
 // projectRow evaluates one Project output row.
-func (rt *runtime) projectRow(n *plan.Project, row Row) (Row, error) {
-	proj := make(Row, len(n.Exprs))
-	for j, ne := range n.Exprs {
-		v, err := rt.eval(ne.Expr, row)
+func (rt *runtime) projectRow(fns []evalFn, row Row) (Row, error) {
+	proj := make(Row, len(fns))
+	for j, f := range fns {
+		v, err := f(rt, row)
 		if err != nil {
 			return nil, err
 		}
@@ -246,45 +269,84 @@ func (rt *runtime) projectRow(n *plan.Project, row Row) (Row, error) {
 	return proj, nil
 }
 
+// filterRows records pred's verdict on in[lo:hi] in keep.
+func (rt *runtime) filterRows(pred predFn, in []Row, keep []bool, lo, hi int) error {
+	for i := lo; i < hi; i++ {
+		if err := rt.tick(); err != nil {
+			return err
+		}
+		t, err := pred(rt, in[i])
+		if err != nil {
+			return err
+		}
+		keep[i] = t == triTrue
+	}
+	return nil
+}
+
+// keptRows returns the rows of in whose keep bit is set, in order, in a
+// slice allocated once at its final size (nil when no row is kept).
+func keptRows(in []Row, keep []bool) []Row {
+	n := 0
+	for _, k := range keep {
+		if k {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Row, 0, n)
+	for i, k := range keep {
+		if k {
+			out = append(out, in[i])
+		}
+	}
+	return out
+}
+
+// runFilterSerial evaluates the predicate row by row into the runtime's
+// verdict buffer. The buffer is taken for the duration: the predicate may
+// run a subquery whose plan filters on this same runtime.
+func (rt *runtime) runFilterSerial(pred predFn, in []Row) ([]Row, error) {
+	keep := rt.truth
+	rt.truth = nil
+	if cap(keep) < len(in) {
+		keep = make([]bool, len(in))
+	}
+	keep = keep[:len(in)]
+	err := rt.filterRows(pred, in, keep, 0, len(in))
+	var out []Row
+	if err == nil {
+		out = keptRows(in, keep)
+	}
+	rt.truth = keep
+	return out, err
+}
+
 // runFilterParallel evaluates the predicate over morsels in parallel,
 // writing a keep-bit per row, then compacts serially in row order.
-func (rt *runtime) runFilterParallel(n *plan.Filter, in []Row, workers, grain int) ([]Row, error) {
+func (rt *runtime) runFilterParallel(pred predFn, in []Row, f fanout) ([]Row, error) {
 	keep := make([]bool, len(in))
-	err := rt.forEachChunk(len(in), workers, grain, func(w *runtime, _, _, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			if err := w.tick(); err != nil {
-				return err
-			}
-			v, err := w.eval(n.Pred, in[i])
-			if err != nil {
-				return err
-			}
-			keep[i] = v.IsTrue()
-		}
-		return nil
+	err := rt.forEachChunk(len(in), f, func(w *runtime, _, _, lo, hi int) error {
+		return w.filterRows(pred, in, keep, lo, hi)
 	})
 	if err != nil {
 		return nil, err
 	}
-	var out []Row
-	for i, row := range in {
-		if keep[i] {
-			out = append(out, row)
-		}
-	}
-	return out, nil
+	return keptRows(in, keep), nil
 }
 
 // runProjectParallel evaluates the projection over morsels in parallel;
 // each row's output lands at its own index, so order is preserved.
-func (rt *runtime) runProjectParallel(n *plan.Project, in []Row, workers, grain int) ([]Row, error) {
+func (rt *runtime) runProjectParallel(fns []evalFn, in []Row, f fanout) ([]Row, error) {
 	out := make([]Row, len(in))
-	err := rt.forEachChunk(len(in), workers, grain, func(w *runtime, _, _, lo, hi int) error {
+	err := rt.forEachChunk(len(in), f, func(w *runtime, _, _, lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			if err := w.tick(); err != nil {
 				return err
 			}
-			proj, err := w.projectRow(n, in[i])
+			proj, err := w.projectRow(fns, in[i])
 			if err != nil {
 				return err
 			}
@@ -341,7 +403,7 @@ type memoEntry struct {
 
 // hash32 is FNV-1a, used to shard memo entries and partition aggregate
 // groups across workers.
-func hash32(s string) uint32 {
+func hash32[T string | []byte](s T) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
 		h ^= uint32(s[i])
@@ -350,7 +412,7 @@ func hash32(s string) uint32 {
 	return h
 }
 
-func memoShardIndex(ctx string) uint32 {
+func memoShardIndex(ctx []byte) uint32 {
 	return hash32(ctx) % memoShardCount
 }
 
@@ -362,12 +424,12 @@ func memoShardIndex(ctx string) uint32 {
 // deadlocks on an in-flight evaluation. If compute panics, the entry is
 // poisoned with the recovered error and closed (waking waiters) before
 // the panic is re-raised toward the worker's recover — a crashed
-// computation must not strand its waiters.
-func (c *memoCache) do(ctx context.Context, sq *plan.Subquery, key string, compute func(*memoEntry)) (e *memoEntry, hit bool, err error) {
+// computation must not strand its waiters. key is the caller's scratch:
+// it is copied when an entry is created and not read once compute runs.
+func (c *memoCache) do(ctx context.Context, sq *plan.Subquery, key []byte, compute func(*memoEntry)) (e *memoEntry, hit bool, err error) {
 	s := &c.shards[memoShardIndex(key)]
-	k := memoCacheKey{sq: sq, ctx: key}
 	s.mu.Lock()
-	if e, ok := s.entries[k]; ok {
+	if e, ok := s.entries[memoCacheKey{sq: sq, ctx: string(key)}]; ok {
 		s.mu.Unlock()
 		select {
 		case <-e.done:
@@ -380,7 +442,7 @@ func (c *memoCache) do(ctx context.Context, sq *plan.Subquery, key string, compu
 	if s.entries == nil {
 		s.entries = map[memoCacheKey]*memoEntry{}
 	}
-	s.entries[k] = e
+	s.entries[memoCacheKey{sq: sq, ctx: string(key)}] = e
 	s.mu.Unlock()
 	defer func() {
 		if r := recover(); r != nil {

@@ -194,7 +194,7 @@ func TestMemoSingleflightConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iterations; i++ {
 				want := int64(i % contexts)
-				key := fmt.Sprintf("ctx-%d", want)
+				key := []byte(fmt.Sprintf("ctx-%d", want))
 				e, _, err := cache.do(context.Background(), sq, key, func(e *memoEntry) {
 					atomic.AddInt64(&computes, 1)
 					e.scalar = sqltypes.NewInt(want)
@@ -283,6 +283,60 @@ func TestSharedMemoParallelQuery(t *testing.T) {
 	}
 	if parStats.SubqueryCacheHits != 4000-97 {
 		t.Fatalf("hits = %d, want %d", parStats.SubqueryCacheHits, 4000-97)
+	}
+}
+
+// answersEverything is a RollupProvider that answers every Aggregate with
+// one row and reads no table: a lattice hit.
+type answersEverything struct{}
+
+func (answersEverything) TryAggregate(*plan.Aggregate, func(plan.Expr) (sqltypes.Value, error)) ([][]sqltypes.Value, bool, error) {
+	return [][]sqltypes.Value{{sqltypes.NewInt(1)}}, true, nil
+}
+
+// TestSubqueryFanOutWaitsForAScan runs a Project over 18 rows, each with a
+// correlated subquery, with four workers. While the subqueries are
+// lookups the calling goroutine does all of it; once one reads a table
+// the other three workers are called in. The rows are those of a serial
+// run either way.
+func TestSubqueryFanOutWaitsForAScan(t *testing.T) {
+	var started atomic.Int64
+	SetFailPoint(FailWorkerStart, func() error { started.Add(1); return nil })
+	defer ClearFailPoints()
+
+	node := overCtx(scalarSub(aggOver(&plan.Filter{
+		Input: factScan(500),
+		Pred:  eq(col(0, "k"), corr(0, "k", intT())),
+	}, countStar), intT()))
+	run := func(rollups RollupProvider, workers int) ([]Row, Stats) {
+		settings := DefaultSettings()
+		settings.Workers, settings.Rollups = workers, rollups
+		var stats Stats
+		settings.Stats = &stats
+		rows, err := Run(node, settings)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return rows, stats.Snapshot()
+	}
+	for _, tc := range []struct {
+		name    string
+		rollups RollupProvider
+		started int64
+	}{
+		{"lookups", answersEverything{}, 0},
+		{"scans", nil, 3},
+	} {
+		want, _ := run(tc.rollups, 1)
+		started.Store(0)
+		got, stats := run(tc.rollups, 4)
+		requireSameRows(t, tc.name, want, got)
+		if stats.ParallelFanouts != 1 {
+			t.Errorf("%s: ParallelFanouts = %d, want 1 (the operator is still counted as fanned out)", tc.name, stats.ParallelFanouts)
+		}
+		if n := started.Load(); n != tc.started {
+			t.Errorf("%s: %d worker goroutines started, want %d", tc.name, n, tc.started)
+		}
 	}
 }
 

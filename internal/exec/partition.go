@@ -59,6 +59,31 @@ type partKey struct {
 
 type bucket struct{ rows []Row }
 
+// partProg is the compiled form of a partition's expressions: rest, and
+// the inner and outer side of each key.
+type partProg struct {
+	rest         []predFn
+	inner, outer []evalFn
+}
+
+// prog returns the partition's program, stored under its subquery.
+func (p *partition) prog(rt *runtime) *partProg {
+	return rt.rowProg(p.sq, func() any {
+		pp := &partProg{
+			rest:  make([]predFn, len(p.rest)),
+			inner: make([]evalFn, len(p.keys)),
+			outer: make([]evalFn, len(p.keys)),
+		}
+		for i, c := range p.rest {
+			pp.rest[i] = compilePred(c)
+		}
+		for i, k := range p.keys {
+			pp.inner[i], pp.outer[i] = compileExpr(k.inner), compileExpr(k.outer)
+		}
+		return pp
+	}).(*partProg)
+}
+
 // partition returns the subquery's partition, analyzing the plan on
 // first call; nil when the shape is not eligible.
 func (si *subInfo) partition() *partition {
@@ -196,10 +221,11 @@ func (p *partition) lookup(rt *runtime) (rows []Row, ok bool, err error) {
 	if p.buckets == nil {
 		return nil, false, nil
 	}
+	outer := p.prog(rt).outer
 	var buf [64]byte
 	key := buf[:0]
-	for _, k := range p.keys {
-		v, err := rt.eval(k.outer, nil)
+	for i, k := range p.keys {
+		v, err := outer[i](rt, nil)
 		if err != nil {
 			// Per-context evaluation raises this only if a row gets as
 			// far as the conjunct; let it decide.
@@ -264,6 +290,7 @@ func (p *partition) build(rt *runtime) (map[string]*bucket, error) {
 	if err != nil {
 		return nil, err
 	}
+	prog := p.prog(rt)
 	buckets := map[string]*bucket{}
 	var kept, perRow int64
 	var key []byte
@@ -272,18 +299,18 @@ rows:
 		if err := rt.tick(); err != nil {
 			return nil, err
 		}
-		for _, c := range p.rest {
-			v, err := rt.eval(c, row)
+		for _, c := range prog.rest {
+			t, err := c(rt, row)
 			if err != nil {
 				return nil, err
 			}
-			if !v.IsTrue() {
+			if t != triTrue {
 				continue rows
 			}
 		}
 		key = key[:0]
-		for _, k := range p.keys {
-			v, err := rt.eval(k.inner, row)
+		for i, k := range p.keys {
+			v, err := prog.inner[i](rt, row)
 			if err != nil {
 				return nil, err
 			}

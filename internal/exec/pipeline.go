@@ -10,20 +10,21 @@ import (
 )
 
 // Pipeline carries the reusable compiled artifacts of one cached plan:
-// vectorized expression trees keyed by plan-node identity (node pointers
-// are stable for a plan held in a plan cache) plus pooled batch and
-// aggregate scratch. Compiled vecExpr trees are stateless and shared
-// across worker goroutines, so a single Pipeline may serve concurrent
-// executions of its plan; the maps are filled lazily under a lock on
-// first execution and read-mostly afterwards. All of that is derived
-// from the plan and lives as long as it; the column shares are derived
-// from table rows and follow storage.State.
+// the compiled expressions of its operators — closures for the row
+// executor, vecExpr trees for the vectorized one — keyed by plan-node
+// identity (node pointers are stable for a plan held in a plan cache),
+// plus pooled batch and aggregate scratch. Compiled expressions are
+// stateless and shared across worker goroutines, so a single Pipeline may
+// serve concurrent executions of its plan; the cache is filled lazily
+// under a lock, each operator's program on its first execution, and
+// read-mostly afterwards. All of that is derived from the plan and lives
+// as long as it; the column shares are derived from table rows and follow
+// storage.State.
 type Pipeline struct {
-	mu       sync.RWMutex
-	filters  map[*plan.Filter]vecExpr
-	projects map[*plan.Project][]vecExpr
-	aggs     map[*plan.Aggregate]*vecAggExprs
-	shares   map[plan.Node]*colShare
+	progs progCache
+
+	mu     sync.RWMutex
+	shares map[plan.Node]*colShare
 
 	batches sync.Pool // *vecBatch
 	scratch sync.Pool // *aggScratch
@@ -31,12 +32,15 @@ type Pipeline struct {
 
 // NewPipeline returns an empty pipeline for one plan.
 func NewPipeline() *Pipeline {
-	return &Pipeline{
-		filters:  map[*plan.Filter]vecExpr{},
-		projects: map[*plan.Project][]vecExpr{},
-		aggs:     map[*plan.Aggregate]*vecAggExprs{},
-		shares:   map[plan.Node]*colShare{},
-	}
+	return &Pipeline{shares: map[plan.Node]*colShare{}}
+}
+
+// Programs reports how many compiled operator programs the pipeline
+// holds; the number stops growing once every operator of the plan has run.
+func (p *Pipeline) Programs() int {
+	p.progs.mu.RLock()
+	defer p.progs.mu.RUnlock()
+	return len(p.progs.row) + len(p.progs.vec)
 }
 
 // colShare caches columnarized base-table batches across executions of
@@ -89,51 +93,6 @@ func (p *Pipeline) shareFor(n plan.Node, at storage.State) *colShare {
 	}
 	p.mu.Unlock()
 	return s
-}
-
-func (p *Pipeline) filterExpr(n *plan.Filter, width int) vecExpr {
-	p.mu.RLock()
-	ve := p.filters[n]
-	p.mu.RUnlock()
-	if ve != nil {
-		return ve
-	}
-	ve = vecCompile(n.Pred, width)
-	p.mu.Lock()
-	p.filters[n] = ve
-	p.mu.Unlock()
-	return ve
-}
-
-func (p *Pipeline) projectExprs(n *plan.Project, width int) []vecExpr {
-	p.mu.RLock()
-	ves := p.projects[n]
-	p.mu.RUnlock()
-	if ves != nil {
-		return ves
-	}
-	ves = make([]vecExpr, len(n.Exprs))
-	for j, ne := range n.Exprs {
-		ves[j] = vecCompile(ne.Expr, width)
-	}
-	p.mu.Lock()
-	p.projects[n] = ves
-	p.mu.Unlock()
-	return ves
-}
-
-func (p *Pipeline) aggExprs(env *aggEnv, inSchema *plan.Schema) *vecAggExprs {
-	p.mu.RLock()
-	vea := p.aggs[env.n]
-	p.mu.RUnlock()
-	if vea != nil {
-		return vea
-	}
-	vea = compileVecAgg(env, inSchema)
-	p.mu.Lock()
-	p.aggs[env.n] = vea
-	p.mu.Unlock()
-	return vea
 }
 
 func (p *Pipeline) getBatch(rows []Row, kinds []sqltypes.Kind) *vecBatch {
@@ -192,31 +151,23 @@ func (rt *runtime) putBatch(vb *vecBatch) {
 	}
 }
 
-// pipelineFilter and friends return cached compiled trees when a
-// pipeline is attached, compiling fresh otherwise.
-func (rt *runtime) pipelineFilter(n *plan.Filter, width int) vecExpr {
-	if p := rt.sh.settings.Pipeline; p != nil {
-		return p.filterExpr(n, width)
-	}
-	return vecCompile(n.Pred, width)
+// vecFilter and friends return the operator's compiled vecExpr trees.
+func (rt *runtime) vecFilter(n *plan.Filter, width int) vecExpr {
+	return rt.vecProg(n, func() any { return vecCompile(n.Pred, width) }).(vecExpr)
 }
 
-func (rt *runtime) pipelineProject(n *plan.Project, width int) []vecExpr {
-	if p := rt.sh.settings.Pipeline; p != nil {
-		return p.projectExprs(n, width)
-	}
-	ves := make([]vecExpr, len(n.Exprs))
-	for j, ne := range n.Exprs {
-		ves[j] = vecCompile(ne.Expr, width)
-	}
-	return ves
+func (rt *runtime) vecProject(n *plan.Project, width int) []vecExpr {
+	return rt.vecProg(n, func() any {
+		ves := make([]vecExpr, len(n.Exprs))
+		for j, ne := range n.Exprs {
+			ves[j] = vecCompile(ne.Expr, width)
+		}
+		return ves
+	}).([]vecExpr)
 }
 
-func (rt *runtime) pipelineAgg(env *aggEnv, inSchema *plan.Schema) *vecAggExprs {
-	if p := rt.sh.settings.Pipeline; p != nil {
-		return p.aggExprs(env, inSchema)
-	}
-	return compileVecAgg(env, inSchema)
+func (rt *runtime) vecAgg(env *aggEnv, inSchema *plan.Schema) *vecAggExprs {
+	return rt.vecProg(env.n, func() any { return compileVecAgg(env, inSchema) }).(*vecAggExprs)
 }
 
 // aggScratch is the per-accumulate-call scratch of the vectorized

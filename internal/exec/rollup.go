@@ -32,9 +32,7 @@ func (rt *runtime) tryRollup(n *plan.Aggregate) ([]Row, bool, error) {
 	if rp == nil {
 		return nil, false, nil
 	}
-	rows, ok, err := rp.TryAggregate(n, func(e plan.Expr) (sqltypes.Value, error) {
-		return rt.eval(e, nil)
-	})
+	rows, ok, err := rp.TryAggregate(n, rt.evalOnce)
 	if err != nil {
 		return nil, false, err
 	}
@@ -47,13 +45,14 @@ func (rt *runtime) tryRollup(n *plan.Aggregate) ([]Row, bool, error) {
 	return rows, true, nil
 }
 
-// Evaluator evaluates plan expressions over raw rows outside a query:
-// the rollup lattice uses it to compute group keys and aggregate
-// arguments during materialization and incremental maintenance. It only
-// supports self-contained expressions (no correlated references, no
-// parameters, no subqueries — exactly what the lattice's eligibility
+// Evaluator compiles plan expressions for evaluation over raw rows
+// outside a query: the rollup lattice uses it to compute group keys and
+// aggregate arguments during materialization and incremental maintenance.
+// It only supports self-contained expressions (no correlated references,
+// no parameters, no subqueries — exactly what the lattice's eligibility
 // gate admits), so results are identical to any in-query evaluation of
-// the same expression. Not safe for concurrent use.
+// the same expression. Neither it nor what it compiles is safe for
+// concurrent use.
 type Evaluator struct {
 	rt *runtime
 }
@@ -63,7 +62,18 @@ func NewEvaluator() *Evaluator {
 	return &Evaluator{rt: newRuntime(context.Background(), DefaultSettings())}
 }
 
-// Eval evaluates e against row.
-func (ev *Evaluator) Eval(e plan.Expr, row Row) (sqltypes.Value, error) {
-	return ev.rt.eval(e, row)
+// Compile compiles e once; the result evaluates it against a row.
+func (ev *Evaluator) Compile(e plan.Expr) func(row Row) (sqltypes.Value, error) {
+	f, rt := compileExpr(e), ev.rt
+	return func(row Row) (sqltypes.Value, error) { return f(rt, row) }
+}
+
+// CompilePred compiles e once; the result reports whether e is TRUE of a
+// row.
+func (ev *Evaluator) CompilePred(e plan.Expr) func(row Row) (bool, error) {
+	p, rt := compilePred(e), ev.rt
+	return func(row Row) (bool, error) {
+		t, err := p(rt, row)
+		return t == triTrue, err
+	}
 }

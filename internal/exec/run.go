@@ -97,6 +97,7 @@ func (rt *runtime) runNode(n plan.Node) ([]Row, error) {
 		} else {
 			rows, rt.scanned = n.Source.Rows(), storage.State{}
 		}
+		rt.sh.scans.Add(1)
 		if s := rt.sh.settings.Stats; s != nil {
 			atomic.AddInt64(&s.RowsScanned, int64(len(rows)))
 		}
@@ -107,7 +108,7 @@ func (rt *runtime) runNode(n plan.Node) ([]Row, error) {
 		for i, exprs := range n.Rows {
 			row := make(Row, len(exprs))
 			for j, e := range exprs {
-				v, err := rt.eval(e, nil)
+				v, err := rt.evalOnce(e)
 				if err != nil {
 					return nil, err
 				}
@@ -127,46 +128,37 @@ func (rt *runtime) runNode(n plan.Node) ([]Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		if rt.vecUsable(n.Pred) {
-			return rt.runFilterVec(n, in)
+		traits := rt.nodeTraits(n)
+		if rt.vecUsable(traits) {
+			return rt.runFilterVec(n, traits, in)
 		}
-		if w, g := rt.rowParallelism(len(in), n.Pred); w > 1 {
-			rt.noteFanout(n, w)
-			return rt.runFilterParallel(n, in, w, g)
+		pred := rt.filterPred(n)
+		if f := rt.rowParallelism(len(in), traits); f.workers > 1 {
+			rt.noteFanout(n, f.workers)
+			return rt.runFilterParallel(pred, in, f)
 		}
-		var out []Row
-		for _, row := range in {
-			if err := rt.tick(); err != nil {
-				return nil, err
-			}
-			v, err := rt.eval(n.Pred, row)
-			if err != nil {
-				return nil, err
-			}
-			if v.IsTrue() {
-				out = append(out, row)
-			}
-		}
-		return out, nil
+		return rt.runFilterSerial(pred, in)
 
 	case *plan.Project:
 		in, err := rt.run(n.Input)
 		if err != nil {
 			return nil, err
 		}
-		if rt.vecUsable(projectExprs(n)...) {
-			return rt.runProjectVec(n, in)
+		traits := rt.nodeTraits(n)
+		if rt.vecUsable(traits) {
+			return rt.runProjectVec(n, traits, in)
 		}
-		if w, g := rt.rowParallelism(len(in), projectExprs(n)...); w > 1 {
-			rt.noteFanout(n, w)
-			return rt.runProjectParallel(n, in, w, g)
+		fns := rt.projectFns(n)
+		if f := rt.rowParallelism(len(in), traits); f.workers > 1 {
+			rt.noteFanout(n, f.workers)
+			return rt.runProjectParallel(fns, in, f)
 		}
 		out := make([]Row, len(in))
 		for i, row := range in {
 			if err := rt.tick(); err != nil {
 				return nil, err
 			}
-			proj, err := rt.projectRow(n, row)
+			proj, err := rt.projectRow(fns, row)
 			if err != nil {
 				return nil, err
 			}
@@ -190,7 +182,7 @@ func (rt *runtime) runNode(n plan.Node) ([]Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		return rt.sortRows(in, n.Items)
+		return rt.sortRows(in, n.Items, rt.sortFns(n))
 
 	case *plan.Limit:
 		in, err := rt.run(n.Input)
@@ -199,7 +191,7 @@ func (rt *runtime) runNode(n plan.Node) ([]Row, error) {
 		}
 		offset := 0
 		if n.Offset != nil {
-			v, err := rt.eval(n.Offset, nil)
+			v, err := rt.evalOnce(n.Offset)
 			if err != nil {
 				return nil, err
 			}
@@ -215,7 +207,7 @@ func (rt *runtime) runNode(n plan.Node) ([]Row, error) {
 		}
 		in = in[offset:]
 		if n.Count != nil {
-			v, err := rt.eval(n.Count, nil)
+			v, err := rt.evalOnce(n.Count)
 			if err != nil {
 				return nil, err
 			}
@@ -262,6 +254,7 @@ func (rt *runtime) runNode(n plan.Node) ([]Row, error) {
 // probe paths.
 type joinEnv struct {
 	j          *plan.Join
+	prog       *joinProg
 	leftWidth  int
 	rightWidth int
 }
@@ -281,14 +274,11 @@ func (e *joinEnv) nullRow(w int, cols []plan.Col) Row {
 }
 
 func (e *joinEnv) residualOK(rt *runtime, row Row) (bool, error) {
-	if e.j.Residual == nil {
+	if e.prog.residual == nil {
 		return true, nil
 	}
-	v, err := rt.eval(e.j.Residual, row)
-	if err != nil {
-		return false, err
-	}
-	return v.IsTrue(), nil
+	t, err := e.prog.residual(rt, row)
+	return t == triTrue, err
 }
 
 // needRightMatched reports whether the join must track which right rows
@@ -299,21 +289,22 @@ func (e *joinEnv) needRightMatched() bool {
 }
 
 // evalJoinKeys fills keys[lo:hi] (and nulls[lo:hi]) with the RowKey of
-// exprs over rows; a key tuple containing NULL never matches anything
-// and is marked instead of hashed.
-func evalJoinKeys(w *runtime, rows []Row, exprs []plan.Expr, keys []string, nulls []bool, lo, hi int) error {
-	kv := make([]sqltypes.Value, len(exprs))
+// the compiled key expressions over rows; a key tuple containing NULL
+// never matches anything and is marked instead of hashed.
+func evalJoinKeys(w *runtime, rows []Row, exprs []evalFn, keys []string, nulls []bool, lo, hi int) error {
+	var key []byte
 	for i := lo; i < hi; i++ {
 		if err := w.tick(); err != nil {
 			return err
 		}
 		hasNull := false
-		for k, e := range exprs {
-			v, err := w.eval(e, rows[i])
+		key = key[:0]
+		for _, e := range exprs {
+			v, err := e(w, rows[i])
 			if err != nil {
 				return err
 			}
-			kv[k] = v
+			key = v.AppendKey(key)
 			if v.Null {
 				hasNull = true
 			}
@@ -322,7 +313,7 @@ func evalJoinKeys(w *runtime, rows []Row, exprs []plan.Expr, keys []string, null
 		if hasNull {
 			keys[i] = ""
 		} else {
-			keys[i] = sqltypes.RowKey(kv)
+			keys[i] = string(key)
 		}
 	}
 	return nil
@@ -330,19 +321,19 @@ func evalJoinKeys(w *runtime, rows []Row, exprs []plan.Expr, keys []string, null
 
 // joinKeys computes the join-key strings for one side, fanning out over
 // morsels when the side is large and the key expressions are safe.
-func (rt *runtime) joinKeys(rows []Row, exprs []plan.Expr) ([]string, []bool, error) {
+func (rt *runtime) joinKeys(rows []Row, fns []evalFn, traits exprTraits) ([]string, []bool, error) {
 	keys := make([]string, len(rows))
 	nulls := make([]bool, len(rows))
-	if w, g := rt.rowParallelism(len(rows), exprs...); w > 1 {
-		err := rt.forEachChunk(len(rows), w, g, func(wr *runtime, _, _, lo, hi int) error {
-			return evalJoinKeys(wr, rows, exprs, keys, nulls, lo, hi)
+	if f := rt.rowParallelism(len(rows), traits); f.workers > 1 {
+		err := rt.forEachChunk(len(rows), f, func(wr *runtime, _, _, lo, hi int) error {
+			return evalJoinKeys(wr, rows, fns, keys, nulls, lo, hi)
 		})
 		if err != nil {
 			return nil, nil, err
 		}
 		return keys, nulls, nil
 	}
-	if err := evalJoinKeys(rt, rows, exprs, keys, nulls, 0, len(rows)); err != nil {
+	if err := evalJoinKeys(rt, rows, fns, keys, nulls, 0, len(rows)); err != nil {
 		return nil, nil, err
 	}
 	return keys, nulls, nil
@@ -359,6 +350,7 @@ func (rt *runtime) runJoin(j *plan.Join) ([]Row, error) {
 	}
 	env := &joinEnv{
 		j:          j,
+		prog:       rt.joinProg(j),
 		leftWidth:  len(j.Left.Schema().Cols),
 		rightWidth: len(j.Right.Schema().Cols),
 	}
@@ -438,7 +430,7 @@ func (env *joinEnv) probeChunk(rt *runtime, left, right []Row, leftKeys []string
 func (rt *runtime) runHashJoin(env *joinEnv, left, right []Row) ([]Row, []bool, error) {
 	j := env.j
 
-	rightKeys, rightNulls, err := rt.joinKeys(right, j.EquiRight)
+	rightKeys, rightNulls, err := rt.joinKeys(right, env.prog.right, env.prog.rightTraits)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -449,20 +441,16 @@ func (rt *runtime) runHashJoin(env *joinEnv, left, right []Row) ([]Row, []bool, 
 		}
 	}
 
-	leftKeys, leftNulls, err := rt.joinKeys(left, j.EquiLeft)
+	leftKeys, leftNulls, err := rt.joinKeys(left, env.prog.left, env.prog.leftTraits)
 	if err != nil {
 		return nil, nil, err
 	}
 
-	probeExprs := append([]plan.Expr{}, j.EquiLeft...)
-	if j.Residual != nil {
-		probeExprs = append(probeExprs, j.Residual)
+	f := rt.rowParallelism(len(left), env.prog.probeTraits)
+	if f.workers > 1 {
+		rt.noteFanout(j, f.workers)
 	}
-	workers, grain := rt.rowParallelism(len(left), probeExprs...)
-	if workers > 1 {
-		rt.noteFanout(j, workers)
-	}
-	if workers <= 1 {
+	if f.workers <= 1 {
 		var matched []bool
 		if env.needRightMatched() {
 			matched = make([]bool, len(right))
@@ -471,9 +459,9 @@ func (rt *runtime) runHashJoin(env *joinEnv, left, right []Row) ([]Row, []bool, 
 		return out, matched, err
 	}
 
-	chunkOut := make([][]Row, numChunks(len(left), grain))
-	workerMatched := make([][]bool, workers)
-	err = rt.forEachChunk(len(left), workers, grain, func(w *runtime, worker, chunk, lo, hi int) error {
+	chunkOut := make([][]Row, numChunks(len(left), f.grain))
+	workerMatched := make([][]bool, f.workers)
+	err = rt.forEachChunk(len(left), f, func(w *runtime, worker, chunk, lo, hi int) error {
 		var matched []bool
 		if env.needRightMatched() {
 			matched = workerMatched[worker]
@@ -556,15 +544,15 @@ func (rt *runtime) runNestedLoopJoin(env *joinEnv, left, right []Row) ([]Row, []
 	return out, matched, nil
 }
 
-func (rt *runtime) sortRows(rows []Row, items []plan.SortItem) ([]Row, error) {
+func (rt *runtime) sortRows(rows []Row, items []plan.SortItem, keyFns []evalFn) ([]Row, error) {
 	keys := make([][]sqltypes.Value, len(rows))
 	for i, row := range rows {
 		if err := rt.tick(); err != nil {
 			return nil, err
 		}
 		k := make([]sqltypes.Value, len(items))
-		for j, item := range items {
-			v, err := rt.eval(item.Expr, row)
+		for j, f := range keyFns {
+			v, err := f(rt, row)
 			if err != nil {
 				return nil, err
 			}

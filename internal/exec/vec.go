@@ -89,20 +89,12 @@ func schemaKinds(s *plan.Schema) []sqltypes.Kind {
 	return kinds
 }
 
-// vecUsable reports whether the vectorized path may run an operator with
-// the given expressions: vectorized mode is on and no expression
+// vecUsable reports whether the vectorized path may run an operator whose
+// expressions have traits t: vectorized mode is on and no expression
 // contains a volatile call — column-major evaluation reorders calls
 // across rows and expressions, which only pure expressions tolerate.
-func (rt *runtime) vecUsable(exprs ...plan.Expr) bool {
-	if !rt.sh.settings.Vectorized {
-		return false
-	}
-	for _, e := range exprs {
-		if e != nil && !plan.ExprParallelSafe(e) {
-			return false
-		}
-	}
-	return true
+func (rt *runtime) vecUsable(t exprTraits) bool {
+	return rt.sh.settings.Vectorized && !t.serial()
 }
 
 // tickBatch is tick amortized over a whole batch.
@@ -135,7 +127,7 @@ func vecCompile(e plan.Expr, width int) vecExpr {
 	case *plan.ColRef:
 		if e.Index < 0 || e.Index >= width {
 			// Out of range: let the row evaluator produce its error.
-			return &vecFallback{e: e, typ: e.Typ.Kind}
+			return &vecFallback{fn: compileExpr(e), typ: e.Typ.Kind}
 		}
 		return &vecColRef{idx: e.Index}
 	case *plan.Lit:
@@ -150,18 +142,14 @@ func vecCompile(e plan.Expr, width int) vecExpr {
 		kern, outKind, ok := fn.LookupKernel(e.Name, kinds)
 		sc, scOK := fn.LookupScalar(e.Name)
 		if !ok || !scOK || outKind != e.Typ.Kind {
-			return &vecFallback{e: e, typ: e.Typ.Kind}
+			return &vecFallback{fn: compileExpr(e), typ: e.Typ.Kind}
 		}
 		args := make([]vecExpr, len(e.Args))
 		for i, a := range e.Args {
 			args[i] = vecCompile(a, width)
 		}
-		pos := -1
-		if e.Pos > 0 {
-			pos = e.Pos - 1
-		}
 		return &vecKernel{
-			name: e.Name, pos: pos, typ: e.Typ.Kind,
+			name: e.Name, pos: e.Pos, typ: e.Typ.Kind,
 			sc: sc, kern: kern, argKinds: kinds, args: args,
 		}
 	case *plan.And:
@@ -179,7 +167,7 @@ func vecCompile(e plan.Expr, width int) vecExpr {
 	default:
 		// CASE and IN short-circuit per row; subqueries, correlated and
 		// aggregate refs need row context. All stay on the row path.
-		return &vecFallback{e: e, typ: e.Type().Kind}
+		return &vecFallback{fn: compileExpr(e), typ: e.Type().Kind}
 	}
 }
 
@@ -241,12 +229,7 @@ type vecKernel struct {
 	args     []vecExpr
 }
 
-func (v *vecKernel) wrap(err error) error {
-	return &Error{
-		Code: CodeRuntime, Phase: PhaseExecute, Pos: v.pos,
-		Err: fmt.Errorf("in %s: %w", v.name, err),
-	}
-}
+func (v *vecKernel) wrap(err error) error { return callError(v.name, v.pos, err) }
 
 func (v *vecKernel) eval(rt *runtime, vb *vecBatch, sel []int) (*vec.Col, error) {
 	cols := make([]*vec.Col, len(v.args))
@@ -272,7 +255,7 @@ func (v *vecKernel) eval(rt *runtime, vb *vecBatch, sel []int) (*vec.Col, error)
 		vb.kernelRows += int64(len(sel))
 		return out, nil
 	}
-	// Boxed path: same strict-NULL short-circuit as evalCall.
+	// Boxed path: same strict-NULL short-circuit as a compiled call.
 	argv := make([]sqltypes.Value, len(cols))
 	for _, i := range sel {
 		anyNull := false
@@ -452,14 +435,14 @@ func (v *vecCast) eval(rt *runtime, vb *vecBatch, sel []int) (*vec.Col, error) {
 // total: subqueries hit the same memo cache, CASE keeps its row-major
 // short-circuit, and so on.
 type vecFallback struct {
-	e   plan.Expr
+	fn  evalFn
 	typ sqltypes.Kind
 }
 
 func (v *vecFallback) eval(rt *runtime, vb *vecBatch, sel []int) (*vec.Col, error) {
 	out := vec.NewCol(v.typ, len(vb.rows))
 	for _, i := range sel {
-		res, err := rt.eval(v.e, vb.rows[i])
+		res, err := v.fn(rt, vb.rows[i])
 		if err != nil {
 			return nil, err
 		}
@@ -472,9 +455,9 @@ func (v *vecFallback) eval(rt *runtime, vb *vecBatch, sel []int) (*vec.Col, erro
 // runFilterVec is the columnar Filter: evaluate the predicate per batch,
 // record keep bits, then compact in input order (same output order as
 // the serial and morsel-parallel row paths).
-func (rt *runtime) runFilterVec(n *plan.Filter, in []Row) ([]Row, error) {
+func (rt *runtime) runFilterVec(n *plan.Filter, traits exprTraits, in []Row) ([]Row, error) {
 	kinds := schemaKinds(n.Input.Schema())
-	ve := rt.pipelineFilter(n, len(kinds))
+	ve := rt.vecFilter(n, len(kinds))
 	share := rt.scanShare(n.Input)
 	keep := make([]bool, len(in))
 	process := func(w *runtime, lo, hi int) error {
@@ -497,9 +480,9 @@ func (rt *runtime) runFilterVec(n *plan.Filter, in []Row) ([]Row, error) {
 		}
 		return nil
 	}
-	if workers, grain := rt.rowParallelism(len(in), n.Pred); workers > 1 {
-		rt.noteFanout(n, workers)
-		err := rt.forEachChunk(len(in), workers, grain, func(w *runtime, _, _, lo, hi int) error {
+	if f := rt.rowParallelism(len(in), traits); f.workers > 1 {
+		rt.noteFanout(n, f.workers)
+		err := rt.forEachChunk(len(in), f, func(w *runtime, _, _, lo, hi int) error {
 			return process(w, lo, hi)
 		})
 		if err != nil {
@@ -519,9 +502,9 @@ func (rt *runtime) runFilterVec(n *plan.Filter, in []Row) ([]Row, error) {
 
 // runProjectVec is the columnar Project: evaluate every output
 // expression over the batch, then reassemble rows.
-func (rt *runtime) runProjectVec(n *plan.Project, in []Row) ([]Row, error) {
+func (rt *runtime) runProjectVec(n *plan.Project, traits exprTraits, in []Row) ([]Row, error) {
 	kinds := schemaKinds(n.Input.Schema())
-	ves := rt.pipelineProject(n, len(kinds))
+	ves := rt.vecProject(n, len(kinds))
 	share := rt.scanShare(n.Input)
 	out := make([]Row, len(in))
 	process := func(w *runtime, lo, hi int) error {
@@ -552,9 +535,9 @@ func (rt *runtime) runProjectVec(n *plan.Project, in []Row) ([]Row, error) {
 		}
 		return nil
 	}
-	if workers, grain := rt.rowParallelism(len(in), projectExprs(n)...); workers > 1 {
-		rt.noteFanout(n, workers)
-		err := rt.forEachChunk(len(in), workers, grain, func(w *runtime, _, _, lo, hi int) error {
+	if f := rt.rowParallelism(len(in), traits); f.workers > 1 {
+		rt.noteFanout(n, f.workers)
+		err := rt.forEachChunk(len(in), f, func(w *runtime, _, _, lo, hi int) error {
 			return process(w, lo, hi)
 		})
 		if err != nil {

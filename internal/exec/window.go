@@ -19,9 +19,10 @@ func (rt *runtime) runWindow(n *plan.Window) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
+	progs := rt.windowProgs(n)
 	results := make([][]sqltypes.Value, len(n.Funcs))
 	for fi, wf := range n.Funcs {
-		vals, err := rt.windowFunc(n, wf, in)
+		vals, err := rt.windowFunc(n, wf, &progs[fi], in)
 		if err != nil {
 			return nil, err
 		}
@@ -39,7 +40,7 @@ func (rt *runtime) runWindow(n *plan.Window) ([]Row, error) {
 	return out, nil
 }
 
-func (rt *runtime) windowFunc(n *plan.Window, wf plan.WindowFunc, in []Row) ([]sqltypes.Value, error) {
+func (rt *runtime) windowFunc(n *plan.Window, wf plan.WindowFunc, prog *windowFuncProg, in []Row) ([]sqltypes.Value, error) {
 	// Partition: compute per-row partition keys (over morsels when the
 	// input is large and the keys are safe), then bucket serially so
 	// partOrder stays first-seen order.
@@ -50,8 +51,8 @@ func (rt *runtime) windowFunc(n *plan.Window, wf plan.WindowFunc, in []Row) ([]s
 			if err := w.tick(); err != nil {
 				return err
 			}
-			for j, e := range wf.PartitionBy {
-				v, err := w.eval(e, in[i])
+			for j, e := range prog.partitionBy {
+				v, err := e(w, in[i])
 				if err != nil {
 					return err
 				}
@@ -61,9 +62,9 @@ func (rt *runtime) windowFunc(n *plan.Window, wf plan.WindowFunc, in []Row) ([]s
 		}
 		return nil
 	}
-	if w, g := rt.rowParallelism(len(in), wf.PartitionBy...); w > 1 {
-		rt.noteFanout(n, w)
-		err := rt.forEachChunk(len(in), w, g, func(wr *runtime, _, _, lo, hi int) error {
+	if f := rt.rowParallelism(len(in), prog.partitionTraits); f.workers > 1 {
+		rt.noteFanout(n, f.workers)
+		err := rt.forEachChunk(len(in), f, func(wr *runtime, _, _, lo, hi int) error {
 			return evalKeys(wr, lo, hi)
 		})
 		if err != nil {
@@ -86,14 +87,10 @@ func (rt *runtime) windowFunc(n *plan.Window, wf plan.WindowFunc, in []Row) ([]s
 	// results at its own disjoint set of out indices, so with spare
 	// workers whole partitions are computed in parallel.
 	out := make([]sqltypes.Value, len(in))
-	exprs := append([]plan.Expr{}, wf.Args...)
-	for _, item := range wf.OrderBy {
-		exprs = append(exprs, item.Expr)
-	}
-	if w := rt.taskParallelism(len(partOrder), len(in), exprs...); w > 1 {
+	if w := rt.taskParallelism(len(partOrder), len(in), prog.frameTraits); w > 1 {
 		rt.noteFanout(n, w)
 		err := rt.forEachTask(len(partOrder), w, func(wr *runtime, pi int) error {
-			return wr.windowOnePartition(wf, in, partitions[partOrder[pi]], out)
+			return wr.windowOnePartition(wf, prog, in, partitions[partOrder[pi]], out)
 		})
 		if err != nil {
 			return nil, err
@@ -101,7 +98,7 @@ func (rt *runtime) windowFunc(n *plan.Window, wf plan.WindowFunc, in []Row) ([]s
 		return out, nil
 	}
 	for _, key := range partOrder {
-		if err := rt.windowOnePartition(wf, in, partitions[key], out); err != nil {
+		if err := rt.windowOnePartition(wf, prog, in, partitions[key], out); err != nil {
 			return nil, err
 		}
 	}
@@ -110,9 +107,9 @@ func (rt *runtime) windowFunc(n *plan.Window, wf plan.WindowFunc, in []Row) ([]s
 
 // windowOnePartition sorts one partition's rows (when the function has
 // ORDER BY) and computes its per-row results into out.
-func (rt *runtime) windowOnePartition(wf plan.WindowFunc, in []Row, idxs []int, out []sqltypes.Value) error {
+func (rt *runtime) windowOnePartition(wf plan.WindowFunc, prog *windowFuncProg, in []Row, idxs []int, out []sqltypes.Value) error {
 	if len(wf.OrderBy) == 0 {
-		return rt.windowPartition(wf, in, idxs, nil, out)
+		return rt.windowPartition(wf, prog, in, idxs, nil, out)
 	}
 	sortKeys := make([][]sqltypes.Value, len(idxs))
 	for k, i := range idxs {
@@ -120,8 +117,8 @@ func (rt *runtime) windowOnePartition(wf plan.WindowFunc, in []Row, idxs []int, 
 			return err
 		}
 		sk := make([]sqltypes.Value, len(wf.OrderBy))
-		for j, item := range wf.OrderBy {
-			v, err := rt.eval(item.Expr, in[i])
+		for j, f := range prog.orderBy {
+			v, err := f(rt, in[i])
 			if err != nil {
 				return err
 			}
@@ -155,12 +152,13 @@ func (rt *runtime) windowOnePartition(wf plan.WindowFunc, in []Row, idxs []int, 
 		sorted[k] = idxs[p]
 		keys[k] = sortKeys[p]
 	}
-	return rt.windowPartition(wf, in, sorted, keys, out)
+	return rt.windowPartition(wf, prog, in, sorted, keys, out)
 }
 
 // windowPartition computes wf over one partition (already sorted when
 // sortKeys is non-nil) and writes per-row results into out.
-func (rt *runtime) windowPartition(wf plan.WindowFunc, in []Row, idxs []int, sortKeys [][]sqltypes.Value, out []sqltypes.Value) error {
+func (rt *runtime) windowPartition(wf plan.WindowFunc, prog *windowFuncProg, in []Row, idxs []int, sortKeys [][]sqltypes.Value, out []sqltypes.Value) error {
+	args := prog.args
 	peerEnd := func(start int) int {
 		if sortKeys == nil {
 			return len(idxs)
@@ -198,7 +196,7 @@ func (rt *runtime) windowPartition(wf plan.WindowFunc, in []Row, idxs []int, sor
 		if len(wf.Args) != 1 {
 			return fmt.Errorf("NTILE requires a bucket count")
 		}
-		nv, err := rt.eval(wf.Args[0], in[idxs[0]])
+		nv, err := args[0](rt, in[idxs[0]])
 		if err != nil {
 			return err
 		}
@@ -220,7 +218,7 @@ func (rt *runtime) windowPartition(wf plan.WindowFunc, in []Row, idxs []int, sor
 	case "LAG", "LEAD":
 		offset := int64(1)
 		if len(wf.Args) >= 2 {
-			ov, err := rt.eval(wf.Args[1], in[idxs[0]])
+			ov, err := args[1](rt, in[idxs[0]])
 			if err != nil {
 				return err
 			}
@@ -232,13 +230,13 @@ func (rt *runtime) windowPartition(wf plan.WindowFunc, in []Row, idxs []int, sor
 				src = k + int(offset)
 			}
 			if src >= 0 && src < len(idxs) {
-				v, err := rt.eval(wf.Args[0], in[idxs[src]])
+				v, err := args[0](rt, in[idxs[src]])
 				if err != nil {
 					return err
 				}
 				out[idxs[k]] = v
 			} else if len(wf.Args) >= 3 {
-				v, err := rt.eval(wf.Args[2], in[idxs[k]])
+				v, err := args[2](rt, in[idxs[k]])
 				if err != nil {
 					return err
 				}
@@ -259,7 +257,7 @@ func (rt *runtime) windowPartition(wf plan.WindowFunc, in []Row, idxs []int, sor
 					srcIdx = len(idxs) - 1
 				}
 			}
-			v, err := rt.eval(wf.Args[0], in[idxs[srcIdx]])
+			v, err := args[0](rt, in[idxs[srcIdx]])
 			if err != nil {
 				return err
 			}
@@ -284,18 +282,18 @@ func (rt *runtime) windowPartition(wf plan.WindowFunc, in []Row, idxs []int, sor
 		if err := rt.tick(); err != nil {
 			return err
 		}
-		args := make([]sqltypes.Value, len(wf.Args))
-		for j, a := range wf.Args {
-			v, err := rt.eval(a, in[i])
+		vals := make([]sqltypes.Value, len(args))
+		for j, a := range args {
+			v, err := a(rt, in[i])
 			if err != nil {
 				return err
 			}
-			args[j] = v
+			vals[j] = v
 		}
-		if len(args) > 0 && args[0].Null && def.SkipNulls {
+		if len(vals) > 0 && vals[0].Null && def.SkipNulls {
 			return nil
 		}
-		return state.Add(args)
+		return state.Add(vals)
 	}
 
 	if !wf.Running {

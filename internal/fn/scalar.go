@@ -32,8 +32,13 @@ type Scalar struct {
 
 var scalars = map[string]*Scalar{}
 
-// LookupScalar finds a scalar function by (case-insensitive) name.
+// LookupScalar finds a scalar function by (case-insensitive) name. Names
+// are registered in upper case, which is how the binder spells them in
+// plans: those are found without folding.
 func LookupScalar(name string) (*Scalar, bool) {
+	if s, ok := scalars[name]; ok {
+		return s, true
+	}
 	s, ok := scalars[strings.ToUpper(name)]
 	return s, ok
 }

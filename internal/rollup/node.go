@@ -27,10 +27,13 @@ type group struct {
 	dirty  bool
 }
 
+// valueFn is a compiled expression: it evaluates over one base row.
+type valueFn = func([]sqltypes.Value) (sqltypes.Value, error)
+
 // node is one lattice vertex: materialized aggregate states for one
 // (base table, key set, aggregate list, row predicate) combination.
-// All access goes through mu; the embedded evaluator is single-threaded
-// and only used under it.
+// All access goes through mu; the compiled expressions are single-threaded
+// and only called under it.
 type node struct {
 	mu        sync.Mutex
 	src       *catalog.BaseTable
@@ -41,7 +44,11 @@ type node struct {
 	exact     bool
 	maxGroups int
 
-	ev *exec.Evaluator
+	// The node's expressions, compiled once when the node is created:
+	// row predicates, key expressions, and each aggregate's arguments.
+	predFns []func([]sqltypes.Value) (bool, error)
+	keyFns  []valueFn
+	argFns  [][]valueFn
 	// seen is the data state of the rows folded into groups so far.
 	seen     storage.State
 	groups   map[string]*group
@@ -52,6 +59,22 @@ type node struct {
 }
 
 func newNode(req *request, maxGroups int) *node {
+	ev := exec.NewEvaluator()
+	compile := func(exprs []plan.Expr) []valueFn {
+		fns := make([]valueFn, len(exprs))
+		for i, e := range exprs {
+			fns[i] = ev.Compile(e)
+		}
+		return fns
+	}
+	predFns := make([]func([]sqltypes.Value) (bool, error), len(req.preds))
+	for i, p := range req.preds {
+		predFns[i] = ev.CompilePred(p)
+	}
+	argFns := make([][]valueFn, len(req.aggs))
+	for i := range req.aggs {
+		argFns[i] = compile(req.aggs[i].args)
+	}
 	return &node{
 		src:       req.src,
 		srcName:   strings.ToLower(req.src.Name()),
@@ -60,7 +83,9 @@ func newNode(req *request, maxGroups int) *node {
 		preds:     req.preds,
 		exact:     req.exact,
 		maxGroups: maxGroups,
-		ev:        exec.NewEvaluator(),
+		predFns:   predFns,
+		keyFns:    compile(req.keys),
+		argFns:    argFns,
 		seen:      storage.State{Gen: req.src.DataState().Gen},
 		groups:    map[string]*group{},
 	}
@@ -93,27 +118,12 @@ func (nd *node) sync(rows [][]sqltypes.Value, now storage.State, c *counters) er
 	}
 	for i := nd.seen.Rows; i < len(rows); i++ {
 		row := rows[i]
-		pass := true
-		for _, p := range nd.preds {
-			v, err := nd.ev.Eval(p, row)
-			if err != nil {
-				return err
-			}
-			if !v.IsTrue() {
-				pass = false
-				break
-			}
+		kv, err := nd.rowKey(row)
+		if err != nil {
+			return err
 		}
-		if !pass {
+		if kv == nil {
 			continue
-		}
-		kv := make([]sqltypes.Value, len(nd.keys))
-		for k, e := range nd.keys {
-			v, err := nd.ev.Eval(e, row)
-			if err != nil {
-				return err
-			}
-			kv[k] = v
 		}
 		key := sqltypes.RowKey(kv)
 		g := nd.groups[key]
@@ -145,6 +155,24 @@ func (nd *node) sync(rows [][]sqltypes.Value, now storage.State, c *counters) er
 	return nil
 }
 
+// rowKey returns row's key tuple, or nil when row fails a node predicate.
+func (nd *node) rowKey(row []sqltypes.Value) ([]sqltypes.Value, error) {
+	for _, p := range nd.predFns {
+		if ok, err := p(row); err != nil || !ok {
+			return nil, err
+		}
+	}
+	kv := make([]sqltypes.Value, len(nd.keyFns))
+	for k, f := range nd.keyFns {
+		v, err := f(row)
+		if err != nil {
+			return nil, err
+		}
+		kv[k] = v
+	}
+	return kv, nil
+}
+
 // accumulate replicates the executor's per-row aggregate accumulation
 // (internal/exec/agg.go) for the gate's restricted shape: no DISTINCT,
 // WITHIN DISTINCT, or FILTER clauses, so only argument evaluation and
@@ -157,8 +185,8 @@ func (nd *node) accumulate(g *group, row []sqltypes.Value) error {
 		}
 		args := make([]sqltypes.Value, len(sp.args))
 		skip := false
-		for j, a := range sp.args {
-			v, err := nd.ev.Eval(a, row)
+		for j, a := range nd.argFns[ai] {
+			v, err := a(row)
 			if err != nil {
 				return err
 			}
@@ -190,27 +218,12 @@ func (nd *node) rebuildDirty(rows [][]sqltypes.Value, c *counters) error {
 		}
 	}
 	for _, row := range rows {
-		pass := true
-		for _, p := range nd.preds {
-			v, err := nd.ev.Eval(p, row)
-			if err != nil {
-				return err
-			}
-			if !v.IsTrue() {
-				pass = false
-				break
-			}
+		kv, err := nd.rowKey(row)
+		if err != nil {
+			return err
 		}
-		if !pass {
+		if kv == nil {
 			continue
-		}
-		kv := make([]sqltypes.Value, len(nd.keys))
-		for k, e := range nd.keys {
-			v, err := nd.ev.Eval(e, row)
-			if err != nil {
-				return err
-			}
-			kv[k] = v
 		}
 		g := nd.groups[sqltypes.RowKey(kv)]
 		if g == nil || !g.dirty {
