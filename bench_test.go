@@ -348,99 +348,3 @@ func BenchmarkRollupCubeMeasures(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkParallelAggregate (E21): a measure-free aggregation plus a
-// measure aggregation over 50k orders, swept across executor worker
-// counts. Results are bit-identical at every setting; throughput scales
-// with available CPUs (on a single-CPU host the sweep is flat).
-func BenchmarkParallelAggregate(b *testing.B) {
-	db := loadDB(b, 50000, 100)
-	db.MustExec(`CREATE VIEW PV AS
-		SELECT *, SUM(revenue) AS MEASURE rev,
-		       (SUM(revenue) - SUM(cost)) / SUM(revenue) AS MEASURE margin
-		FROM Orders`)
-	queries := map[string]string{
-		"plain": `SELECT prodName, COUNT(*) AS c, SUM(revenue) AS s,
-		                 MIN(revenue) AS mn, MAX(revenue) AS mx
-		          FROM Orders GROUP BY prodName`,
-		"measure": `SELECT prodName, AGGREGATE(margin) AS m, AGGREGATE(rev) AS r
-		            FROM PV GROUP BY prodName`,
-	}
-	for _, qname := range []string{"plain", "measure"} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/workers=%d", qname, workers), func(b *testing.B) {
-				db.SetWorkers(workers)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := db.Query(queries[qname]); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-	db.SetWorkers(0)
-}
-
-// BenchmarkParallelMemo (E21): the memo strategy's shared measure-context
-// cache under multi-worker evaluation — each distinct context is computed
-// once (singleflight) regardless of how many workers request it.
-func BenchmarkParallelMemo(b *testing.B) {
-	db := loadDB(b, 20000, 100)
-	db.MustExec(`CREATE VIEW MVP AS
-		SELECT *, SUM(revenue) AS MEASURE rev FROM Orders`)
-	db.SetStrategy(msql.StrategyMemo)
-	defer db.SetStrategy(msql.StrategyDefault)
-	const q = `SELECT prodName, AGGREGATE(rev) AS r, rev AT (ALL) AS tot
-	           FROM MVP GROUP BY prodName`
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			db.SetWorkers(workers)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := db.Query(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	db.SetWorkers(0)
-}
-
-// vectorizedScanQuery is the E25 workload: a selective scan-filter-
-// aggregate over the synthetic Orders table, the shape where columnar
-// batch kernels pay off most (every expression is kernel-eligible).
-const vectorizedScanQuery = `
-	SELECT prodName, COUNT(*) AS cnt, SUM(revenue) AS rev,
-	       SUM(revenue - cost) AS profit
-	FROM Orders
-	WHERE revenue > 20 AND cost < 60
-	GROUP BY prodName`
-
-// BenchmarkRowScanFilterAgg (E25 baseline): the workload on the
-// row-at-a-time engine, single core.
-func BenchmarkRowScanFilterAgg(b *testing.B) {
-	db := loadDB(b, 50000, 20)
-	db.SetWorkers(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.Query(vectorizedScanQuery); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkVectorizedScanFilterAgg (E25): the same workload with
-// columnar batch execution, single core. The differential harness
-// (msql/differential_test.go) guarantees the answers are identical.
-func BenchmarkVectorizedScanFilterAgg(b *testing.B) {
-	db := loadDB(b, 50000, 20)
-	db.SetWorkers(1)
-	db.SetVectorized(true)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.Query(vectorizedScanQuery); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

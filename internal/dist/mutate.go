@@ -19,7 +19,6 @@ import (
 	"github.com/measures-sql/msql/internal/ast"
 	"github.com/measures-sql/msql/internal/engine"
 	"github.com/measures-sql/msql/internal/exec"
-	"github.com/measures-sql/msql/internal/fn"
 	"github.com/measures-sql/msql/internal/sqltypes"
 	"github.com/measures-sql/msql/internal/wire"
 	"github.com/measures-sql/msql/msql"
@@ -292,7 +291,7 @@ func coerceValue(v sqltypes.Value, kind sqltypes.Kind) (sqltypes.Value, error) {
 // for dense integer keys, which would leave shards empty.
 func (c *Coordinator) shardFor(v sqltypes.Value) int {
 	h := fnv.New64a()
-	h.Write(fn.AppendValue(nil, v))
+	h.Write(sqltypes.AppendValue(nil, v))
 	x := h.Sum64()
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd

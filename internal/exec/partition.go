@@ -170,9 +170,9 @@ func matchPartKey(conj plan.Expr) (partKey, bool) {
 	default:
 		return partKey{}, false
 	}
-	if !isInnerExpr(l) || !isOuterExpr(r) {
+	if !isInnerExpr(l) || !plan.RowIndependent(r) {
 		l, r = r, l
-		if !isInnerExpr(l) || !isOuterExpr(r) {
+		if !isInnerExpr(l) || !plan.RowIndependent(r) {
 			return partKey{}, false
 		}
 	}
@@ -189,26 +189,17 @@ func matchPartKey(conj plan.Expr) (partKey, bool) {
 }
 
 // isInnerExpr: reads the Filter's input row only — no outer reference,
-// no subquery, nothing volatile.
-func isInnerExpr(e plan.Expr) bool { return sideOnly(e, false) }
-
-// isOuterExpr: reads the enclosing frames only — constant for the
-// duration of one context.
-func isOuterExpr(e plan.Expr) bool { return sideOnly(e, true) }
-
-func sideOnly(e plan.Expr, outer bool) bool {
-	ok := plan.ExprParallelSafe(e)
+// no subquery, nothing volatile. Its counterpart, the outer side of a
+// key, is plan.RowIndependent: constant for the duration of one context.
+func isInnerExpr(e plan.Expr) bool {
+	ok := true
 	plan.WalkExprs(e, func(x plan.Expr) {
 		switch x.(type) {
-		case *plan.ColRef:
-			ok = ok && !outer
-		case *plan.CorrRef:
-			ok = ok && outer
-		case *plan.Subquery, *plan.AggRef:
+		case *plan.CorrRef, *plan.Subquery, *plan.AggRef:
 			ok = false
 		}
 	})
-	return ok
+	return ok && plan.ExprParallelSafe(e)
 }
 
 // lookup answers the partition's Filter for the context on top of the

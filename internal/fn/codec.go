@@ -4,11 +4,10 @@
 // Merge. The format is self-framing and versionless-by-tag: one tag
 // byte names the concrete state type, followed by that type's fields.
 //
-// The decoder follows the same discipline as the WAL record decoders:
-// every read is bounds-checked through byteReader, lengths are
-// validated against the remaining buffer before allocation, and a
-// malformed buffer produces a structured error — never a panic or an
-// over-allocation.
+// Values inside a state use the sqltypes value codec. The decoder
+// follows its discipline: every read is bounds-checked through
+// byteReader, and a malformed buffer produces a structured error —
+// never a panic or an over-allocation.
 package fn
 
 import (
@@ -30,51 +29,11 @@ const (
 	tagArgExtreme = 7
 )
 
-// nullFlag marks a NULL value in the kind byte.
-const nullFlag = 0x80
-
-// AppendValue appends one SQL value in the codec's binary form: a kind
-// byte (high bit = NULL), then the payload for non-NULL values.
-func AppendValue(dst []byte, v sqltypes.Value) []byte {
-	k := byte(v.K)
-	if v.Null {
-		return append(dst, k|nullFlag)
-	}
-	dst = append(dst, k)
-	switch v.K {
-	case sqltypes.KindBool:
-		b := byte(0)
-		if v.B {
-			b = 1
-		}
-		dst = append(dst, b)
-	case sqltypes.KindInt, sqltypes.KindDate:
-		dst = binary.AppendVarint(dst, v.I)
-	case sqltypes.KindFloat:
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.F()))
-	default: // VARCHAR and unknown-kind non-NULLs carry their string form
-		dst = binary.AppendUvarint(dst, uint64(len(v.S)))
-		dst = append(dst, v.S...)
-	}
-	return dst
-}
-
-// AppendValues appends a count-prefixed tuple of values.
-func AppendValues(dst []byte, vals []sqltypes.Value) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(vals)))
-	for _, v := range vals {
-		dst = AppendValue(dst, v)
-	}
-	return dst
-}
-
 // byteReader is a bounds-checked cursor over an untrusted buffer.
 type byteReader struct {
 	buf []byte
 	off int
 }
-
-func (r *byteReader) remaining() int { return len(r.buf) - r.off }
 
 func (r *byteReader) byte() (byte, error) {
 	if r.off >= len(r.buf) {
@@ -105,17 +64,8 @@ func (r *byteReader) varint() (int64, error) {
 	return v, nil
 }
 
-func (r *byteReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("state codec: bad uvarint at offset %d", r.off)
-	}
-	r.off += n
-	return v, nil
-}
-
 func (r *byteReader) float() (float64, error) {
-	if r.remaining() < 8 {
+	if len(r.buf)-r.off < 8 {
 		return 0, fmt.Errorf("state codec: truncated float at offset %d", r.off)
 	}
 	bits := binary.LittleEndian.Uint64(r.buf[r.off:])
@@ -123,100 +73,13 @@ func (r *byteReader) float() (float64, error) {
 	return math.Float64frombits(bits), nil
 }
 
-func (r *byteReader) string() (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	// Validate against the remaining buffer before converting: a hostile
-	// length must not drive an allocation.
-	if n > uint64(r.remaining()) {
-		return "", fmt.Errorf("state codec: string length %d exceeds %d remaining bytes", n, r.remaining())
-	}
-	s := string(r.buf[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s, nil
-}
-
 func (r *byteReader) value() (sqltypes.Value, error) {
-	kb, err := r.byte()
+	v, n, err := sqltypes.DecodeValue(r.buf[r.off:])
 	if err != nil {
-		return sqltypes.Value{}, err
+		return sqltypes.Value{}, fmt.Errorf("state codec: offset %d: %w", r.off, err)
 	}
-	kind := sqltypes.Kind(kb &^ nullFlag)
-	if kind > sqltypes.KindDate {
-		return sqltypes.Value{}, fmt.Errorf("state codec: unknown value kind %d at offset %d", kind, r.off-1)
-	}
-	if kb&nullFlag != 0 {
-		return sqltypes.Null(kind), nil
-	}
-	switch kind {
-	case sqltypes.KindBool:
-		b, err := r.bool()
-		if err != nil {
-			return sqltypes.Value{}, err
-		}
-		return sqltypes.NewBool(b), nil
-	case sqltypes.KindInt, sqltypes.KindDate:
-		i, err := r.varint()
-		if err != nil {
-			return sqltypes.Value{}, err
-		}
-		return sqltypes.Value{K: kind, I: i}, nil
-	case sqltypes.KindFloat:
-		f, err := r.float()
-		if err != nil {
-			return sqltypes.Value{}, err
-		}
-		return sqltypes.NewFloat(f), nil
-	default:
-		s, err := r.string()
-		if err != nil {
-			return sqltypes.Value{}, err
-		}
-		return sqltypes.Value{K: kind, S: s}, nil
-	}
-}
-
-// DecodeValue decodes one value, returning the bytes consumed.
-func DecodeValue(buf []byte) (sqltypes.Value, int, error) {
-	r := &byteReader{buf: buf}
-	v, err := r.value()
-	if err != nil {
-		return sqltypes.Value{}, 0, err
-	}
-	return v, r.off, nil
-}
-
-// DecodeValues decodes a count-prefixed tuple, returning bytes consumed.
-func DecodeValues(buf []byte) ([]sqltypes.Value, int, error) {
-	r := &byteReader{buf: buf}
-	vals, err := r.values()
-	if err != nil {
-		return nil, 0, err
-	}
-	return vals, r.off, nil
-}
-
-func (r *byteReader) values() ([]sqltypes.Value, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	// Each value needs at least its kind byte, so n can never exceed the
-	// remaining buffer; reject before allocating.
-	if n > uint64(r.remaining()) {
-		return nil, fmt.Errorf("state codec: tuple of %d values exceeds %d remaining bytes", n, r.remaining())
-	}
-	vals := make([]sqltypes.Value, n)
-	for i := range vals {
-		v, err := r.value()
-		if err != nil {
-			return nil, err
-		}
-		vals[i] = v
-	}
-	return vals, nil
+	r.off += n
+	return v, nil
 }
 
 // AppendState serializes one aggregate partial state.
@@ -235,7 +98,7 @@ func AppendState(dst []byte, s AggState) ([]byte, error) {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(s.sum))
 	case *minMaxState:
 		dst = append(dst, tagMinMax, boolByte(s.wantLess), boolByte(s.any))
-		dst = AppendValue(dst, s.best)
+		dst = sqltypes.AppendValue(dst, s.best)
 	case *varState:
 		dst = append(dst, tagVar, boolByte(s.sample), boolByte(s.stddev))
 		dst = binary.AppendVarint(dst, s.n)
@@ -243,11 +106,11 @@ func AppendState(dst []byte, s AggState) ([]byte, error) {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(s.m2))
 	case *anyValueState:
 		dst = append(dst, tagAnyValue, boolByte(s.any))
-		dst = AppendValue(dst, s.val)
+		dst = sqltypes.AppendValue(dst, s.val)
 	case *argExtremeState:
 		dst = append(dst, tagArgExtreme, boolByte(s.wantLess), boolByte(s.any))
-		dst = AppendValue(dst, s.bestKey)
-		dst = AppendValue(dst, s.val)
+		dst = sqltypes.AppendValue(dst, s.bestKey)
+		dst = sqltypes.AppendValue(dst, s.val)
 	default:
 		return nil, fmt.Errorf("state codec: unencodable aggregate state %T", s)
 	}

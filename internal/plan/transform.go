@@ -117,11 +117,13 @@ func ReplaceAggRefs(e Expr, f func(*AggRef) Expr) Expr {
 }
 
 // SplitConj flattens a conjunction into its AND-ed parts, left to right.
-func SplitConj(e Expr) []Expr {
+func SplitConj(e Expr) []Expr { return appendConj(nil, e) }
+
+func appendConj(out []Expr, e Expr) []Expr {
 	if and, ok := e.(*And); ok {
-		return append(SplitConj(and.L), SplitConj(and.R)...)
+		return appendConj(appendConj(out, and.L), and.R)
 	}
-	return []Expr{e}
+	return append(out, e)
 }
 
 // HasCorrRefs reports whether e contains correlated references (at any
@@ -137,6 +139,22 @@ func HasCorrRefs(e Expr) bool {
 		}
 	})
 	return found
+}
+
+// RowIndependent reports whether e reads nothing from the current row —
+// no column, subquery or aggregate reference, nothing volatile — so it
+// has one value per evaluation context. Correlated references and
+// parameters are fine: the executor resolves them from the enclosing
+// frames and the bindings.
+func RowIndependent(e Expr) bool {
+	ok := true
+	WalkExprs(e, func(x Expr) {
+		switch x.(type) {
+		case *ColRef, *Subquery, *AggRef:
+			ok = false
+		}
+	})
+	return ok && ExprParallelSafe(e)
 }
 
 // PlanHasOuterRefs reports whether the plan refers to rows more than

@@ -126,114 +126,25 @@ func flatten(n plan.Node) (*flatSrc, bool) {
 
 // substitute rewrites e so that every ColRef resolves through the
 // mapping m (the enclosing projection's expressions over the base row).
-// Plan expressions are immutable, so rewritten nodes are fresh copies.
+// It bails on what cannot be rebased onto the base row — an
+// out-of-range column, a subquery, an aggregate reference, or any form
+// it does not know — before plan.SubstituteCols copies the tree.
 func substitute(e plan.Expr, m []plan.Expr) (plan.Expr, bool) {
-	switch e := e.(type) {
-	case *plan.ColRef:
-		if e.Index < 0 || e.Index >= len(m) {
-			return nil, false
+	ok := e != nil
+	plan.WalkExprs(e, func(x plan.Expr) {
+		switch x := x.(type) {
+		case *plan.ColRef:
+			ok = ok && x.Index >= 0 && x.Index < len(m)
+		case *plan.CorrRef, *plan.Lit, *plan.Param, *plan.Call, *plan.And, *plan.Or, *plan.Not,
+			*plan.IsNull, *plan.IsDistinct, *plan.InList, *plan.Case, *plan.Cast:
+		default:
+			ok = false
 		}
-		return m[e.Index], true
-	case *plan.CorrRef, *plan.Lit, *plan.Param:
-		return e, true
-	case *plan.Call:
-		args := make([]plan.Expr, len(e.Args))
-		for i, a := range e.Args {
-			na, ok := substitute(a, m)
-			if !ok {
-				return nil, false
-			}
-			args[i] = na
-		}
-		return &plan.Call{Name: e.Name, Args: args, Typ: e.Typ, Pos: e.Pos}, true
-	case *plan.And:
-		l, ok := substitute(e.L, m)
-		if !ok {
-			return nil, false
-		}
-		r, ok := substitute(e.R, m)
-		if !ok {
-			return nil, false
-		}
-		return &plan.And{L: l, R: r}, true
-	case *plan.Or:
-		l, ok := substitute(e.L, m)
-		if !ok {
-			return nil, false
-		}
-		r, ok := substitute(e.R, m)
-		if !ok {
-			return nil, false
-		}
-		return &plan.Or{L: l, R: r}, true
-	case *plan.Not:
-		x, ok := substitute(e.X, m)
-		if !ok {
-			return nil, false
-		}
-		return &plan.Not{X: x}, true
-	case *plan.IsNull:
-		x, ok := substitute(e.X, m)
-		if !ok {
-			return nil, false
-		}
-		return &plan.IsNull{X: x, Neg: e.Neg}, true
-	case *plan.IsDistinct:
-		l, ok := substitute(e.L, m)
-		if !ok {
-			return nil, false
-		}
-		r, ok := substitute(e.R, m)
-		if !ok {
-			return nil, false
-		}
-		return &plan.IsDistinct{L: l, R: r, Neg: e.Neg}, true
-	case *plan.InList:
-		x, ok := substitute(e.X, m)
-		if !ok {
-			return nil, false
-		}
-		list := make([]plan.Expr, len(e.List))
-		for i, item := range e.List {
-			ni, ok := substitute(item, m)
-			if !ok {
-				return nil, false
-			}
-			list[i] = ni
-		}
-		return &plan.InList{X: x, List: list, Neg: e.Neg}, true
-	case *plan.Case:
-		whens := make([]plan.CaseWhen, len(e.Whens))
-		for i, w := range e.Whens {
-			c, ok := substitute(w.Cond, m)
-			if !ok {
-				return nil, false
-			}
-			t, ok := substitute(w.Then, m)
-			if !ok {
-				return nil, false
-			}
-			whens[i] = plan.CaseWhen{Cond: c, Then: t}
-		}
-		var els plan.Expr
-		if e.Else != nil {
-			var ok bool
-			els, ok = substitute(e.Else, m)
-			if !ok {
-				return nil, false
-			}
-		}
-		return &plan.Case{Whens: whens, Else: els, Typ: e.Typ}, true
-	case *plan.Cast:
-		x, ok := substitute(e.X, m)
-		if !ok {
-			return nil, false
-		}
-		return &plan.Cast{X: x, Kind: e.Kind}, true
-	default:
-		// Subquery, AggRef, or an unknown form: bail conservatively.
+	})
+	if !ok {
 		return nil, false
 	}
+	return plan.SubstituteCols(e, func(c *plan.ColRef) (plan.Expr, bool) { return m[c.Index], true }), true
 }
 
 // selfContained reports whether e depends only on the current row:
@@ -249,27 +160,6 @@ func selfContained(e plan.Expr) bool {
 		}
 	})
 	return ok && plan.ExprParallelSafe(e)
-}
-
-// rowIndependent reports whether e reads nothing from the current row,
-// so it has one value per statement execution (correlated references
-// and parameters are fine — the executor callback resolves them).
-func rowIndependent(e plan.Expr) bool {
-	ok := true
-	plan.WalkExprs(e, func(x plan.Expr) {
-		switch x.(type) {
-		case *plan.ColRef, *plan.Subquery, *plan.AggRef:
-			ok = false
-		}
-	})
-	return ok && plan.ExprParallelSafe(e)
-}
-
-func splitAnd(e plan.Expr, out []plan.Expr) []plan.Expr {
-	if a, ok := e.(*plan.And); ok {
-		return splitAnd(a.R, splitAnd(a.L, out))
-	}
-	return append(out, e)
 }
 
 // keyTermKindOK enforces comparable kinds between a key expression and
@@ -305,10 +195,10 @@ func classifyTerm(e plan.Expr, guards []plan.Expr) (pendingTerm, bool, bool) {
 		if !t.Neg {
 			return pendingTerm{}, false, false
 		}
-		if selfContained(t.L) && rowIndependent(t.R) && keyTermKindOK(t.L.Type().Kind, t.R.Type().Kind) {
+		if selfContained(t.L) && plan.RowIndependent(t.R) && keyTermKindOK(t.L.Type().Kind, t.R.Type().Kind) {
 			return pendingTerm{keyExpr: t.L, rhs: t.R, guards: guards, eq: false}, true, true
 		}
-		if selfContained(t.R) && rowIndependent(t.L) && keyTermKindOK(t.R.Type().Kind, t.L.Type().Kind) {
+		if selfContained(t.R) && plan.RowIndependent(t.L) && keyTermKindOK(t.R.Type().Kind, t.L.Type().Kind) {
 			return pendingTerm{keyExpr: t.R, rhs: t.L, guards: guards, eq: false}, true, true
 		}
 		return pendingTerm{}, false, false
@@ -317,10 +207,10 @@ func classifyTerm(e plan.Expr, guards []plan.Expr) (pendingTerm, bool, bool) {
 			return pendingTerm{}, false, false
 		}
 		l, r := t.Args[0], t.Args[1]
-		if selfContained(l) && rowIndependent(r) && keyTermKindOK(l.Type().Kind, r.Type().Kind) {
+		if selfContained(l) && plan.RowIndependent(r) && keyTermKindOK(l.Type().Kind, r.Type().Kind) {
 			return pendingTerm{keyExpr: l, rhs: r, guards: guards, eq: true}, true, true
 		}
-		if selfContained(r) && rowIndependent(l) && keyTermKindOK(r.Type().Kind, l.Type().Kind) {
+		if selfContained(r) && plan.RowIndependent(l) && keyTermKindOK(r.Type().Kind, l.Type().Kind) {
 			return pendingTerm{keyExpr: r, rhs: l, guards: guards, eq: true}, true, true
 		}
 		return pendingTerm{}, false, false
@@ -331,10 +221,10 @@ func classifyTerm(e plan.Expr, guards []plan.Expr) (pendingTerm, bool, bool) {
 		// purposes, because a non-TRUE guard never turns a non-TRUE term
 		// into TRUE. ROLLUP evaluation contexts emit this shape with a
 		// GROUPING(d) <> 0 guard.
-		if rowIndependent(t.L) {
+		if plan.RowIndependent(t.L) {
 			return classifyTerm(t.R, append(guards, t.L))
 		}
-		if rowIndependent(t.R) {
+		if plan.RowIndependent(t.R) {
 			return classifyTerm(t.L, append(guards, t.R))
 		}
 		return pendingTerm{}, false, false
@@ -432,8 +322,8 @@ func analyze(n *plan.Aggregate) (*request, bool) {
 	// the row predicates that survive into the node).
 	var pending []pendingTerm
 	for _, pred := range f.preds {
-		for _, conj := range splitAnd(pred, nil) {
-			if rowIndependent(conj) {
+		for _, conj := range plan.SplitConj(pred) {
+			if plan.RowIndependent(conj) {
 				req.consts = append(req.consts, conj)
 				continue
 			}

@@ -31,7 +31,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 
 	"github.com/measures-sql/msql/internal/sqltypes"
 )
@@ -103,7 +102,8 @@ const (
 // most storage systems; hardware-accelerated on amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// appendUvarint / appendString / appendValue build the payload.
+// appendUvarint / appendString build the payload; values are encoded
+// by the sqltypes value codec.
 
 func appendUvarint(b []byte, v uint64) []byte {
 	return binary.AppendUvarint(b, v)
@@ -112,32 +112,6 @@ func appendUvarint(b []byte, v uint64) []byte {
 func appendString(b []byte, s string) []byte {
 	b = appendUvarint(b, uint64(len(s)))
 	return append(b, s...)
-}
-
-// appendValue encodes one SQL value. The kind byte's high bit carries
-// the NULL flag; NULLs encode no body, so a NULL of any kind
-// round-trips exactly (bare NULL vs typed NULL included).
-func appendValue(b []byte, v sqltypes.Value) []byte {
-	k := byte(v.K)
-	if v.Null {
-		return append(b, k|0x80)
-	}
-	b = append(b, k)
-	switch v.K {
-	case sqltypes.KindBool:
-		if v.B {
-			return append(b, 1)
-		}
-		return append(b, 0)
-	case sqltypes.KindInt, sqltypes.KindDate:
-		return binary.AppendVarint(b, v.I)
-	case sqltypes.KindFloat:
-		return binary.LittleEndian.AppendUint64(b, math.Float64bits(v.F()))
-	case sqltypes.KindString:
-		return appendString(b, v.S)
-	default: // KindUnknown non-null cannot occur; encode as empty
-		return b
-	}
 }
 
 // byteReader walks a payload buffer with bounds checks; every decode
@@ -196,53 +170,15 @@ func (r *byteReader) string() (string, error) {
 	return string(b), err
 }
 
+// value decodes one value with the sqltypes codec; a NULL of any kind
+// (bare NULL vs typed NULL included) round-trips exactly.
 func (r *byteReader) value() (sqltypes.Value, error) {
-	kb, err := r.byte()
+	v, n, err := sqltypes.DecodeValue(r.buf[r.off:])
 	if err != nil {
-		return sqltypes.Value{}, err
+		return sqltypes.Value{}, r.err("value at offset %d: %v", r.off, err)
 	}
-	null := kb&0x80 != 0
-	kind := sqltypes.Kind(kb &^ 0x80)
-	if kind > sqltypes.KindDate {
-		return sqltypes.Value{}, r.err("unknown value kind %d", kind)
-	}
-	if null {
-		return sqltypes.Null(kind), nil
-	}
-	switch kind {
-	case sqltypes.KindBool:
-		b, err := r.byte()
-		if err != nil {
-			return sqltypes.Value{}, err
-		}
-		return sqltypes.NewBool(b != 0), nil
-	case sqltypes.KindInt:
-		i, err := r.varint()
-		if err != nil {
-			return sqltypes.Value{}, err
-		}
-		return sqltypes.NewInt(i), nil
-	case sqltypes.KindDate:
-		i, err := r.varint()
-		if err != nil {
-			return sqltypes.Value{}, err
-		}
-		return sqltypes.NewDateDays(i), nil
-	case sqltypes.KindFloat:
-		b, err := r.bytes(8)
-		if err != nil {
-			return sqltypes.Value{}, err
-		}
-		return sqltypes.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(b))), nil
-	case sqltypes.KindString:
-		s, err := r.string()
-		if err != nil {
-			return sqltypes.Value{}, err
-		}
-		return sqltypes.NewString(s), nil
-	default: // non-null KindUnknown: tolerate as bare NULL
-		return sqltypes.Value{}, nil
-	}
+	r.off += n
+	return v, nil
 }
 
 // encodePayload renders a record's payload (seq + type + body).
@@ -273,7 +209,7 @@ func encodePayload(rec *Record) []byte {
 			b = appendUvarint(b, uint64(len(rec.Rows[0])))
 			for _, row := range rec.Rows {
 				for _, v := range row {
-					b = appendValue(b, v)
+					b = sqltypes.AppendValue(b, v)
 				}
 			}
 		} else {

@@ -188,7 +188,7 @@ func encodeSnapshot(dump *StoreDump, lastSeq uint64) []byte {
 		b = appendUvarint(b, uint64(len(t.Rows)))
 		for _, row := range t.Rows {
 			for _, v := range row {
-				b = appendValue(b, v)
+				b = sqltypes.AppendValue(b, v)
 			}
 		}
 	}

@@ -2,10 +2,11 @@ package wire
 
 // Binary payload helpers for the shard endpoints (/partial, /apply).
 // Group keys, aggregate states, and bulk rows travel as base64-wrapped
-// binary (the fn codec) rather than JSON values: the encoding is
-// canonical — byte equality is value equality — so a coordinator can
-// merge groups from different shards by comparing key strings, and a
-// decode failure is always a structured error, never a silent zero.
+// binary (the sqltypes value codec, fn's state codec) rather than JSON
+// values: the encoding is canonical — byte equality is value equality —
+// so a coordinator can merge groups from different shards by comparing
+// key strings, and a decode failure is always a structured error, never
+// a silent zero.
 
 import (
 	"encoding/base64"
@@ -16,13 +17,13 @@ import (
 	"github.com/measures-sql/msql/internal/sqltypes"
 )
 
-// maxBinaryRows bounds a decoded /apply batch, mirroring the fn codec's
-// discipline of validating lengths before allocating.
+// maxBinaryRows bounds a decoded /apply batch, mirroring the value
+// codec's discipline of validating lengths before allocating.
 const maxBinaryRows = 1 << 22
 
 // EncodeKey encodes a group key (or any value tuple) canonically.
 func EncodeKey(vals []sqltypes.Value) string {
-	return base64.StdEncoding.EncodeToString(fn.AppendValues(nil, vals))
+	return base64.StdEncoding.EncodeToString(sqltypes.AppendValues(nil, vals))
 }
 
 // DecodeKey reverses EncodeKey.
@@ -31,7 +32,7 @@ func DecodeKey(s string) ([]sqltypes.Value, error) {
 	if err != nil {
 		return nil, fmt.Errorf("group key: %w", err)
 	}
-	vals, n, err := fn.DecodeValues(buf)
+	vals, n, err := sqltypes.DecodeValues(buf)
 	if err != nil {
 		return nil, fmt.Errorf("group key: %w", err)
 	}
@@ -75,11 +76,11 @@ func DecodeStates(ss []string) ([]fn.AggState, error) {
 }
 
 // EncodeRowsBinary packs rows for ApplyRequest.Rows: a uvarint row
-// count, then one fn.AppendValues tuple per row.
+// count, then one sqltypes.AppendValues tuple per row.
 func EncodeRowsBinary(rows [][]sqltypes.Value) string {
 	buf := binary.AppendUvarint(nil, uint64(len(rows)))
 	for _, row := range rows {
-		buf = fn.AppendValues(buf, row)
+		buf = sqltypes.AppendValues(buf, row)
 	}
 	return base64.StdEncoding.EncodeToString(buf)
 }
@@ -101,7 +102,7 @@ func DecodeRowsBinary(s string) ([][]sqltypes.Value, error) {
 	rest := buf[n:]
 	rows := make([][]sqltypes.Value, 0, count)
 	for i := uint64(0); i < count; i++ {
-		vals, used, err := fn.DecodeValues(rest)
+		vals, used, err := sqltypes.DecodeValues(rest)
 		if err != nil {
 			return nil, fmt.Errorf("row %d: %w", i, err)
 		}

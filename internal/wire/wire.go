@@ -62,8 +62,8 @@ type PartialRequest struct {
 
 // PartialGroup is one group's worth of partial aggregate state.
 type PartialGroup struct {
-	// Key is the base64 binary encoding (fn.AppendValues) of the group's
-	// GROUP BY values; canonical, so coordinators merge groups by
+	// Key is the base64 binary encoding (sqltypes.AppendValues) of the
+	// group's GROUP BY values; canonical, so coordinators merge groups by
 	// comparing keys byte-wise.
 	Key string `json:"key"`
 	// States holds one base64 fn.EncodeState blob per aggregate, in
@@ -90,7 +90,7 @@ type ApplyRequest struct {
 	SQL   string `json:"sql,omitempty"`
 	Table string `json:"table,omitempty"`
 	// Rows is the base64 binary encoding of the coerced rows: a
-	// fn.AppendValues tuple per row, concatenated, prefixed with a
+	// sqltypes.AppendValues tuple per row, concatenated, prefixed with a
 	// uvarint row count.
 	Rows          string `json:"rows,omitempty"`
 	ExpectVersion int64  `json:"expect_version"`
