@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -268,6 +269,67 @@ func TestInsertSpreadsAcrossShards(t *testing.T) {
 	}
 	queryBoth(t, coord, oracle, `SELECT COUNT(*) AS n, SUM(k) AS s FROM kv`)
 	queryBoth(t, coord, oracle, `SELECT v FROM kv WHERE k = 17`)
+}
+
+// TestSignedZeroMinMaxMatchesSingleNode: 0 and -0 compare equal, so
+// which of them MIN or MAX over DOUBLE returns depends on the order the
+// values are seen in. The coordinator merges shard states in first-row
+// order and a tie keeps the receiver, so a group whose rows arrive as
+// 5, 0 (shard B), -0 (shard A, which also holds the first row) would
+// come back -0 where a single node says 0. Such aggregates must not be
+// scattered.
+func TestSignedZeroMinMaxMatchesSingleNode(t *testing.T) {
+	ctx := context.Background()
+	coord, oracle, nodes := cluster(t, 2)
+	// Learn one partition key that lands on each shard.
+	execBoth(t, coord, oracle, `CREATE TABLE probe (p INTEGER)`)
+	execBoth(t, coord, oracle, `INSERT INTO probe VALUES (0), (1), (2), (3), (4), (5), (6), (7)`)
+	var keyOn [2]int64
+	for i, n := range nodes {
+		res, err := n.db.QueryContext(ctx, `SELECT MIN(p) FROM probe`)
+		if err != nil || res.Rows[0][0].Null {
+			t.Fatalf("shard %d holds no probe row: %v", i, err)
+		}
+		keyOn[i] = res.Rows[0][0].I
+	}
+	a, b := keyOn[0], keyOn[1]
+	execBoth(t, coord, oracle, `CREATE TABLE z (p INTEGER, g VARCHAR, x DOUBLE)`)
+	execBoth(t, coord, oracle, fmt.Sprintf(`INSERT INTO z VALUES
+		(%[1]d, 'lo', 5.0), (%[2]d, 'lo', 0.0), (%[1]d, 'lo', -0.0),
+		(%[1]d, 'hi', -5.0), (%[2]d, 'hi', 0.0), (%[1]d, 'hi', -0.0)`, a, b))
+
+	// Both sides really store a negative zero: the single node, and shard
+	// A, which holds both negative zeros.
+	negZeros := func(db *msql.DB) int {
+		res, err := db.QueryContext(ctx, `SELECT x FROM z`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, r := range res.Rows {
+			if x := r[0].F(); x == 0 && math.Signbit(x) {
+				n++
+			}
+		}
+		return n
+	}
+	if got, want := negZeros(oracle), 2; got != want {
+		t.Fatalf("single node stores %d negative zeros, want %d", got, want)
+	}
+	if got, want := negZeros(nodes[0].db), 2; got != want {
+		t.Fatalf("shard A stores %d negative zeros, want %d", got, want)
+	}
+
+	res := queryBoth(t, coord, oracle, `SELECT g, MIN(x) AS lo, MAX(x) AS hi FROM z GROUP BY g ORDER BY g`)
+	for _, r := range res.Rows {
+		col := 1 // MIN for 'lo', MAX for 'hi'
+		if r[0].S == "hi" {
+			col = 2
+		}
+		if x := r[col].F(); x != 0 || math.Signbit(x) {
+			t.Fatalf("group %s: coordinator answers %v, a single node 0", r[0].S, x)
+		}
+	}
 }
 
 func asInt64(t *testing.T, v any) int64 {

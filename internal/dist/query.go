@@ -365,11 +365,11 @@ func (c *Coordinator) scatter(ctx context.Context, sql string, localPlan plan.No
 	if perr != nil {
 		return nil, false, nil
 	}
-	aggSh, ok := unwrapPartialAgg(shadowPlan)
-	if !ok || !c.scatterPlanSafe(shadowPlan) {
-		return nil, false, nil
-	}
-	if len(aggSh.Sets) > 1 || (len(aggSh.Sets) == 1 && len(aggSh.Sets[0]) != len(aggSh.GroupExprs)) {
+	// The shard runs exactly this check on the same plan; on top of it,
+	// every aggregate's shard states must merge exactly in first-sequence
+	// order, however the shards interleave a group's rows.
+	aggSh, err := exec.PartialShape(shadowPlan)
+	if err != nil || !c.scatterPlanSafe(shadowPlan) {
 		return nil, false, nil
 	}
 	aggCount := len(aggSh.Aggs) - 1
@@ -377,8 +377,9 @@ func (c *Coordinator) scatter(ctx context.Context, sql string, localPlan plan.No
 	if aggCount < 0 || aggSh.Aggs[aggCount].Name != "MIN" {
 		return nil, false, nil
 	}
-	for i := 0; i < aggCount; i++ {
-		if !scatterSafeAgg(aggSh.Aggs[i]) {
+	for _, a := range aggSh.Aggs[:aggCount] {
+		def, ok := fn.LookupAgg(a.Name)
+		if !ok || !def.MergesInterleaved(a.ArgTypes()) {
 			return nil, false, nil
 		}
 	}
@@ -396,21 +397,6 @@ func (c *Coordinator) scatter(ctx context.Context, sql string, localPlan plan.No
 	}
 	out, err := c.scatterRun(ctx, sql, shardSQL, localPlan, aggLoc, groupCount, aggCount, reqID)
 	return out, true, err
-}
-
-// unwrapPartialAgg mirrors exec.PartialAggregate's accepted shape:
-// Project* over a single Aggregate.
-func unwrapPartialAgg(n plan.Node) (*plan.Aggregate, bool) {
-	for {
-		switch t := n.(type) {
-		case *plan.Project:
-			n = t.Input
-		case *plan.Aggregate:
-			return t, true
-		default:
-			return nil, false
-		}
-	}
 }
 
 // unwrapLocalAgg walks the local plan's root chain (Project/Sort/Limit
@@ -462,37 +448,6 @@ func (c *Coordinator) scatterPlanSafe(n plan.Node) bool {
 		})
 	})
 	return safe && scans == 1
-}
-
-// scatterSafeAgg whitelists aggregates whose two-phase merge is exact
-// under arbitrary row interleaving across shards: pure comparisons and
-// integer arithmetic. Order-sensitive accumulators (float SUM/AVG/
-// variance) and tie-broken selectors (ARG_MIN/ARG_MAX, whose merge
-// keeps the receiver's candidate on equal keys regardless of global
-// row order) fall through to the gather path.
-func scatterSafeAgg(a plan.AggCall) bool {
-	if a.Distinct || a.Filter != nil || len(a.WithinDistinct) > 0 {
-		return false
-	}
-	def, ok := fn.LookupAgg(a.Name)
-	if !ok {
-		return false
-	}
-	argTypes := make([]sqltypes.Type, len(a.Args))
-	for i, e := range a.Args {
-		argTypes[i] = e.Type()
-	}
-	if !def.MergesExactly(argTypes) {
-		return false
-	}
-	switch a.Name {
-	case "COUNT", "MIN", "MAX", "ANY_VALUE":
-		return true
-	case "SUM":
-		return len(argTypes) == 1 && argTypes[0].Kind == sqltypes.KindInt
-	default:
-		return false
-	}
 }
 
 // partialPiece is one shard's contribution to one group.

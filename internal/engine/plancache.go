@@ -319,20 +319,3 @@ func cacheKeyDigest(key string) string {
 	h.Write([]byte(key))
 	return fmt.Sprintf("%016x", h.Sum64())
 }
-
-// planCacheable reports whether a plan may be cached and re-executed:
-// every expression in every node (including nested subquery plans) must
-// be non-volatile. A plan containing RANDOM() must be replanned per
-// execution so constant folding and pipeline reuse cannot freeze its
-// per-row results.
-func planCacheable(n plan.Node) bool {
-	if !plan.NodeParallelSafe(n) {
-		return false
-	}
-	for _, c := range n.Children() {
-		if !planCacheable(c) {
-			return false
-		}
-	}
-	return true
-}

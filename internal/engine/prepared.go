@@ -226,7 +226,10 @@ func (s *Session) preparedPlan(env *stmtEnv, p *Prepared, vals []sqltypes.Value)
 	e := &cachedPlan{key: key, schema: schema, node: node, pipe: exec.NewPipeline(),
 		columns: columns, types: types, sources: planSources(node)}
 	if useCache {
-		if planCacheable(node) {
+		// A plan containing RANDOM() is replanned per execution so that
+		// constant folding and pipeline reuse cannot freeze its per-row
+		// results.
+		if plan.Deterministic(node) {
 			s.plans.insert(e)
 		} else {
 			s.plans.noteBypass()

@@ -43,11 +43,7 @@ func newAggEnv(n *plan.Aggregate) (*aggEnv, error) {
 			return nil, fmt.Errorf("unknown aggregate %s at runtime", call.Name)
 		}
 		env.defs[i] = def
-		types := make([]sqltypes.Type, len(call.Args))
-		for j, a := range call.Args {
-			types[j] = a.Type()
-		}
-		env.argTypes[i] = types
+		env.argTypes[i] = call.ArgTypes()
 	}
 	return env, nil
 }

@@ -6,6 +6,8 @@ package exec
 import (
 	"context"
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/measures-sql/msql/internal/plan"
@@ -124,9 +126,33 @@ func TestFilterAllocatesPerCallNotPerRow(t *testing.T) {
 	}
 }
 
+// countingRollups answers every COUNT aggregate with one row and declines
+// every other, counting what the executor asks of it.
+type countingRollups struct{ analyses, hits, misses int }
+
+func (c *countingRollups) Analyze(n *plan.Aggregate) any {
+	c.analyses++
+	if n.Aggs[0].Name == "COUNT" {
+		return n
+	}
+	return nil
+}
+
+func (c *countingRollups) Answer(a any, _ func(plan.Expr) (sqltypes.Value, error)) ([][]sqltypes.Value, bool, error) {
+	if a == nil {
+		c.misses++
+		return nil, false, nil
+	}
+	c.hits++
+	return [][]sqltypes.Value{{sqltypes.NewInt(1)}}, true, nil
+}
+
 // A cached plan's expressions are compiled by its first execution and by
 // no later one, whatever the parameters: operators the execution never
-// reaches compile nothing.
+// reaches compile nothing. The same holds for its plan analyses: the
+// split of a partitioned subquery and the rollup provider's analysis of
+// each Aggregate live with the compiled programs, while the bucket index
+// is built, and the provider answers, once per execution.
 func TestCompileOncePerCachedPlan(t *testing.T) {
 	scan := bigScan(500)
 	param := &plan.Param{Index: 0, Typ: intT()}
@@ -170,4 +196,68 @@ func TestCompileOncePerCachedPlan(t *testing.T) {
 	if row, vec := len(pipe.progs.row), len(pipe.progs.vec); row != 1 || vec != 2 {
 		t.Fatalf("vectorized execution compiled %d row and %d columnar programs, want 1 (Sort) and 2", row, vec)
 	}
+
+	part := &plan.Subquery{Plan: &plan.Filter{Input: factScan(300), Pred: notDistinct(col(0, "k"), corr(0, "k", intT()))},
+		Mode: plan.SubExists, Typ: boolT(), Memo: true}
+	// Uncorrelated, so each runs once per execution: a lattice hit and a
+	// miss.
+	hit := scalarSub(aggOver(factScan(50), countStar), intT())
+	miss := scalarSub(aggOver(factScan(50), sumF), floatT())
+	measured := overCtx(part, hit, miss)
+	pipe = NewPipeline()
+	rollups := &countingRollups{}
+	var programs int
+	var analysed any
+	for i := 1; i <= 4; i++ {
+		settings := DefaultSettings()
+		settings.Workers = 1
+		settings.Pipeline, settings.Rollups = pipe, rollups
+		prof := NewProfile(measured)
+		settings.Profile = prof
+		if _, err := Run(measured, settings); err != nil {
+			t.Fatal(err)
+		}
+		if prof.SubqueryMetrics(part).Load().Partitions == 0 {
+			t.Fatalf("execution %d: the EXISTS subquery was not partitioned", i)
+		}
+		if i == 1 {
+			programs, analysed = pipe.Programs(), pipe.progs.row[part]
+		}
+		if n := pipe.Programs(); n != programs {
+			t.Fatalf("execution %d: pipeline holds %d programs, %d after the first", i, n, programs)
+		}
+		if p := pipe.progs.row[part]; p != analysed || p.(*partition) == nil {
+			t.Fatalf("execution %d: partition %v, the first analysed %v", i, p, analysed)
+		}
+		if rollups.analyses != 2 || rollups.hits != i || rollups.misses != i {
+			t.Fatalf("execution %d: %d analyses, %d hits, %d misses, want 2, %d, %d",
+				i, rollups.analyses, rollups.hits, rollups.misses, i, i)
+		}
+	}
+
+	// Executions running at once share the analyses and each build their
+	// own bucket index.
+	settings := DefaultSettings()
+	settings.Workers, settings.Rollups = 1, answersEverything{}
+	want, err := Run(measured, settings)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe = NewPipeline()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				settings := DefaultSettings()
+				settings.Workers, settings.Pipeline, settings.Rollups = 4, pipe, answersEverything{}
+				if got, err := Run(measured, settings); err != nil || !reflect.DeepEqual(got, want) {
+					t.Errorf("concurrent execution differs from the serial one (err %v)", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

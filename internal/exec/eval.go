@@ -164,10 +164,11 @@ type subInfo struct {
 	// for memo keying.
 	deps []corrDep
 	// contexts counts the distinct evaluation contexts computed so far;
-	// from the second one on, an eligible plan is evaluated through part.
+	// from the second one on, an eligible plan is evaluated through its
+	// partition.
 	contexts atomic.Int64
-	partOnce sync.Once
-	part     *partition // nil when the plan shape is not eligible
+	// index is this execution's bucket index of the plan's partition.
+	index partIndex
 }
 
 // runtime carries the execution state of one goroutine. The top-level
@@ -195,8 +196,8 @@ type runtime struct {
 	// sub is the innermost subquery whose plan is executing (nil in the
 	// main plan); it keys operator metrics by plan position.
 	sub *plan.Subquery
-	// part, when set, is the partition index of the subquery whose plan
-	// is executing: its correlated Filter is answered by bucket lookup.
+	// part, when set, is the partition of the subquery whose plan is
+	// executing: its correlated Filter is answered by bucket lookup.
 	part *partition
 	// scanned is the data state of the rows this runtime's latest Scan
 	// returned; the operator above the Scan keys its column share by it.
@@ -489,7 +490,7 @@ func (rt *runtime) runNested(sq *plan.Subquery, si *subInfo, row Row) ([]Row, er
 	}
 	var part *partition
 	if si != nil && si.contexts.Add(1) > 1 {
-		part = si.partition()
+		part = rt.partition(sq)
 	}
 	sub, outerPart := rt.sub, rt.part
 	rt.sub, rt.part = sq, part

@@ -290,7 +290,9 @@ func TestSharedMemoParallelQuery(t *testing.T) {
 // one row and reads no table: a lattice hit.
 type answersEverything struct{}
 
-func (answersEverything) TryAggregate(*plan.Aggregate, func(plan.Expr) (sqltypes.Value, error)) ([][]sqltypes.Value, bool, error) {
+func (answersEverything) Analyze(n *plan.Aggregate) any { return n }
+
+func (answersEverything) Answer(any, func(plan.Expr) (sqltypes.Value, error)) ([][]sqltypes.Value, bool, error) {
 	return [][]sqltypes.Value{{sqltypes.NewInt(1)}}, true, nil
 }
 

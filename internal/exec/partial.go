@@ -44,9 +44,8 @@ type PartialResult struct {
 
 // PartialAggregate evaluates the scan/filter/group phase of an
 // aggregation plan and exports partial states instead of final values.
-// The plan must be an Aggregate, optionally under Projects (the shape
-// the planner emits for a plain single-set GROUP BY query); groups and
-// aggs cross-check the expected counts so a coordinator and shard that
+// The plan must have the shape PartialShape accepts; groups and aggs
+// cross-check the expected counts so a coordinator and shard that
 // planned different texts can never silently merge mismatched state.
 func PartialAggregate(ctx context.Context, root plan.Node, groups, aggs int, settings *Settings) (res *PartialResult, err error) {
 	if settings == nil {
@@ -66,12 +65,17 @@ func PartialAggregate(ctx context.Context, root plan.Node, groups, aggs int, set
 		err = Wrap(err, CodeRuntime, PhaseExecute)
 	}()
 
-	agg, err := unwrapAggregate(root)
+	agg, err := PartialShape(root)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkPartialShape(agg, groups, aggs); err != nil {
-		return nil, err
+	if len(agg.GroupExprs) != groups || len(agg.Aggs) != aggs {
+		return nil, &Error{
+			Code:  CodeBind,
+			Phase: PhaseBind,
+			Err: fmt.Errorf("partial aggregation shape mismatch: plan has %d keys and %d aggregates, request expects %d and %d",
+				len(agg.GroupExprs), len(agg.Aggs), groups, aggs),
+		}
 	}
 
 	env, err := newAggEnv(agg)
@@ -102,49 +106,45 @@ func PartialAggregate(ctx context.Context, root plan.Node, groups, aggs int, set
 	return out, nil
 }
 
-// unwrapAggregate walks the Project chain the planner stacks on top of
-// an Aggregate (final select-list shaping) down to the Aggregate
-// itself. Any other operator above the aggregate means the query's
-// final answer is not a pure merge of per-shard groups.
-func unwrapAggregate(n plan.Node) (*plan.Aggregate, error) {
+// PartialShape returns the Aggregate of a plan whose per-group states
+// merge group-wise across shards: one Aggregate under nothing but the
+// Projects the planner stacks on top for select-list shaping (any other
+// operator above it means the query's final answer is not a pure merge
+// of per-shard groups), with one grouping set that covers every key, no
+// GROUPING call, and no aggregate that needs the full row stream in one
+// place (DISTINCT, WITHIN DISTINCT) or carries a FILTER. A coordinator
+// checks the plan it is about to push with it; a shard checks the plan
+// it was sent. Anything else is an ErrPartialUnsupported error.
+func PartialShape(root plan.Node) (*plan.Aggregate, error) {
+	n := root
 	for {
-		switch t := n.(type) {
-		case *plan.Aggregate:
-			return t, nil
-		case *plan.Project:
-			n = t.Input
-		default:
-			return nil, partialShapeError("plan has %T above the aggregate", n)
+		p, ok := n.(*plan.Project)
+		if !ok {
+			break
 		}
+		n = p.Input
 	}
-}
-
-// checkPartialShape rejects aggregate plans whose states do not merge
-// group-wise across shards.
-func checkPartialShape(agg *plan.Aggregate, groups, aggs int) error {
+	agg, ok := n.(*plan.Aggregate)
+	if !ok {
+		return nil, partialShapeError("plan has %T above the aggregate", n)
+	}
 	if len(agg.Sets) != 1 {
-		return partialShapeError("%d grouping sets", len(agg.Sets))
+		return nil, partialShapeError("%d grouping sets", len(agg.Sets))
 	}
 	if len(agg.Sets[0]) != len(agg.GroupExprs) {
-		return partialShapeError("grouping set covers %d of %d keys", len(agg.Sets[0]), len(agg.GroupExprs))
+		return nil, partialShapeError("grouping set covers %d of %d keys", len(agg.Sets[0]), len(agg.GroupExprs))
 	}
 	for _, call := range agg.Aggs {
-		if call.Name == "GROUPING" {
-			return partialShapeError("GROUPING call")
-		}
-		if call.Distinct || len(call.WithinDistinct) > 0 {
-			return partialShapeError("%s with DISTINCT needs the full row stream in one place", call.Name)
-		}
-	}
-	if len(agg.GroupExprs) != groups || len(agg.Aggs) != aggs {
-		return &Error{
-			Code:  CodeBind,
-			Phase: PhaseBind,
-			Err: fmt.Errorf("partial aggregation shape mismatch: plan has %d keys and %d aggregates, request expects %d and %d",
-				len(agg.GroupExprs), len(agg.Aggs), groups, aggs),
+		switch {
+		case call.Name == "GROUPING":
+			return nil, partialShapeError("GROUPING call")
+		case call.Distinct || len(call.WithinDistinct) > 0:
+			return nil, partialShapeError("%s with DISTINCT needs the full row stream in one place", call.Name)
+		case call.Filter != nil:
+			return nil, partialShapeError("%s with FILTER", call.Name)
 		}
 	}
-	return nil
+	return agg, nil
 }
 
 func partialShapeError(format string, args ...any) error {

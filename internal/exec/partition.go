@@ -9,9 +9,10 @@ package exec
 //	Above( Filter(corr ∧ rest, Below) )
 //
 // with Below uncorrelated and non-volatile, and every correlated
-// conjunct of the form  inner {= | IS NOT DISTINCT FROM} outer  (inner
-// over Below's columns, outer over the enclosing frames), differs
-// between contexts only in the key looked up. The first distinct
+// conjunct a key term  inner {= | IS NOT DISTINCT FROM} outer  (inner
+// over Below's columns, outer over the enclosing frames — the shape
+// plan.SplitKeyTerms recognises for the lattice and WinMagic too),
+// differs between contexts only in the key looked up. The first distinct
 // context of an execution runs the plan as written. If a second one
 // arrives, Below is run once more, rest is applied, and the surviving
 // rows are hashed by their inner tuple in scan order; that context and
@@ -33,68 +34,53 @@ import (
 	"github.com/measures-sql/msql/internal/sqltypes"
 )
 
-// partition is the split of one subquery's plan plus, once a second
-// context has reached the Filter, its bucket index. It lives in the
-// per-execution subInfo, never in a plan or Pipeline.
+// partition is the split of one subquery's plan, compiled. It is worked
+// out once per plan — by the second context of the first execution that
+// has one — and stored under the subquery in the program cache, like an
+// operator's program; it never changes. An execution's bucket index lives
+// in the subquery's subInfo.
 type partition struct {
 	sq     *plan.Subquery
 	filter *plan.Filter // its Input is Below
-	rest   []plan.Expr  // uncorrelated conjuncts, over Below's row
+	rest   []predFn     // uncorrelated conjuncts, over Below's row
 	keys   []partKey    // one per correlated conjunct
+}
 
-	// The build is single-flight: the first goroutine to reach the Filter
-	// builds, the others wait on done (or their context).
+// partKey is one correlated conjunct: inner(row) ≐ outer(frames).
+type partKey struct {
+	inner, outer evalFn
+	kind         sqltypes.Kind
+	nullSafe     bool // IS NOT DISTINCT FROM: NULL matches NULL; `=`: NULL matches nothing
+}
+
+// partIndex is one execution's bucket index of a partition. The build is
+// single-flight: the first goroutine to reach the Filter builds, the
+// others wait on done (or their context).
+type partIndex struct {
 	mu       sync.Mutex
 	done     chan struct{}
 	buckets  map[string]*bucket // nil after a failed build
 	buildErr error              // statement-fatal build error
 }
 
-// partKey is one correlated conjunct: inner(row) ≐ outer(frames).
-type partKey struct {
-	inner, outer plan.Expr
-	kind         sqltypes.Kind
-	nullSafe     bool // IS NOT DISTINCT FROM: NULL matches NULL; `=`: NULL matches nothing
-}
-
 type bucket struct{ rows []Row }
 
-// partProg is the compiled form of a partition's expressions: rest, and
-// the inner and outer side of each key.
-type partProg struct {
-	rest         []predFn
-	inner, outer []evalFn
-}
-
-// prog returns the partition's program, stored under its subquery.
-func (p *partition) prog(rt *runtime) *partProg {
-	return rt.rowProg(p.sq, func() any {
-		pp := &partProg{
-			rest:  make([]predFn, len(p.rest)),
-			inner: make([]evalFn, len(p.keys)),
-			outer: make([]evalFn, len(p.keys)),
-		}
-		for i, c := range p.rest {
-			pp.rest[i] = compilePred(c)
-		}
-		for i, k := range p.keys {
-			pp.inner[i], pp.outer[i] = compileExpr(k.inner), compileExpr(k.outer)
-		}
-		return pp
-	}).(*partProg)
-}
-
-// partition returns the subquery's partition, analyzing the plan on
-// first call; nil when the shape is not eligible.
-func (si *subInfo) partition() *partition {
-	si.partOnce.Do(func() { si.part = analyzePartition(si.sq) })
-	return si.part
+// partition returns sq's partition, analysing the plan on first use; nil
+// when the shape is not eligible. The typed nil is a non-nil any, so the
+// program cache keeps that verdict too.
+func (rt *runtime) partition(sq *plan.Subquery) *partition {
+	return rt.rowProg(sq, func() any { return analyzePartition(sq) }).(*partition)
 }
 
 // analyzePartition finds the split. The plan must hold exactly one
 // Filter with correlated conjuncts, reachable along one path from the
-// root, and everything beneath it must be uncorrelated and non-volatile.
-// Above is unrestricted: it still runs once per context.
+// root, and everything beneath it must be uncorrelated and deterministic.
+// Of the Filter's conjuncts, those no context changes are rest; every
+// other one must be an unguarded key term (plan.SplitKeyTerms) whose two
+// sides share one kind with an exact key encoding: for BOOLEAN, INTEGER,
+// VARCHAR and DATE "equal keys" and "compare equal" coincide, for DOUBLE
+// (NaN, and INTEGER against DOUBLE) they do not. Above is unrestricted:
+// it still runs once per context.
 func analyzePartition(sq *plan.Subquery) *partition {
 	var found *plan.Filter
 	count := 0
@@ -113,110 +99,51 @@ func analyzePartition(sq *plan.Subquery) *partition {
 		return nil
 	}
 	below := found.Input
-	if plan.PlanHasOuterRefs(below, 0) || !planDeterministic(below) {
+	if plan.PlanHasOuterRefs(below, 0) || !plan.Deterministic(below) {
 		return nil
 	}
 	p := &partition{sq: sq, filter: found}
-	for _, conj := range plan.SplitConj(found.Pred) {
-		if !plan.HasCorrRefs(conj) {
-			if !plan.ExprParallelSafe(conj) {
+	for _, c := range plan.SplitKeyTerms(found.Pred) {
+		if !plan.HasCorrRefs(c.Expr) {
+			if !plan.ExprParallelSafe(c.Expr) {
 				return nil
 			}
-			p.rest = append(p.rest, conj)
+			p.rest = append(p.rest, compilePred(c.Expr))
 			continue
 		}
-		k, ok := matchPartKey(conj)
-		if !ok {
+		k := c.Key
+		if k == nil || len(k.Guards) > 0 {
 			return nil
 		}
-		p.keys = append(p.keys, k)
+		kind := k.Inner.Type().Kind
+		switch kind {
+		case sqltypes.KindBool, sqltypes.KindInt, sqltypes.KindString, sqltypes.KindDate:
+		default:
+			return nil
+		}
+		if k.Outer.Type().Kind != kind {
+			return nil
+		}
+		p.keys = append(p.keys, partKey{inner: compileExpr(k.Inner), outer: compileExpr(k.Outer), kind: kind, nullSafe: k.NullSafe})
 	}
 	return p
-}
-
-// planDeterministic reports whether no expression anywhere in the plan
-// (nested subquery plans included) calls a volatile function.
-func planDeterministic(n plan.Node) bool {
-	if !plan.NodeParallelSafe(n) {
-		return false
-	}
-	for _, c := range n.Children() {
-		if !planDeterministic(c) {
-			return false
-		}
-	}
-	return true
-}
-
-// matchPartKey recognizes  inner = outer  /  inner IS NOT DISTINCT FROM
-// outer  in either operand order. Both sides must have the same static
-// kind, and one whose key encoding is exact: for BOOLEAN, INTEGER,
-// VARCHAR and DATE "equal keys" and "compare equal" coincide, for DOUBLE
-// (NaN, and INTEGER against DOUBLE) they do not.
-func matchPartKey(conj plan.Expr) (partKey, bool) {
-	var l, r plan.Expr
-	var nullSafe bool
-	switch c := conj.(type) {
-	case *plan.IsDistinct:
-		if !c.Neg {
-			return partKey{}, false
-		}
-		l, r, nullSafe = c.L, c.R, true
-	case *plan.Call:
-		if c.Name != "=" || len(c.Args) != 2 {
-			return partKey{}, false
-		}
-		l, r = c.Args[0], c.Args[1]
-	default:
-		return partKey{}, false
-	}
-	if !isInnerExpr(l) || !plan.RowIndependent(r) {
-		l, r = r, l
-		if !isInnerExpr(l) || !plan.RowIndependent(r) {
-			return partKey{}, false
-		}
-	}
-	kind := l.Type().Kind
-	if r.Type().Kind != kind {
-		return partKey{}, false
-	}
-	switch kind {
-	case sqltypes.KindBool, sqltypes.KindInt, sqltypes.KindString, sqltypes.KindDate:
-	default:
-		return partKey{}, false
-	}
-	return partKey{inner: l, outer: r, kind: kind, nullSafe: nullSafe}, true
-}
-
-// isInnerExpr: reads the Filter's input row only — no outer reference,
-// no subquery, nothing volatile. Its counterpart, the outer side of a
-// key, is plan.RowIndependent: constant for the duration of one context.
-func isInnerExpr(e plan.Expr) bool {
-	ok := true
-	plan.WalkExprs(e, func(x plan.Expr) {
-		switch x.(type) {
-		case *plan.CorrRef, *plan.Subquery, *plan.AggRef:
-			ok = false
-		}
-	})
-	return ok && plan.ExprParallelSafe(e)
 }
 
 // lookup answers the partition's Filter for the context on top of the
 // runtime's frame stack. ok=false sends the caller down the ordinary
 // Filter path (failed build, or an outer key this index cannot serve).
 func (p *partition) lookup(rt *runtime) (rows []Row, ok bool, err error) {
-	if err := p.ensureBuilt(rt); err != nil {
+	idx := &rt.subInfo(p.sq).index
+	if err := idx.ensureBuilt(rt, p); err != nil {
 		return nil, false, err
 	}
-	if p.buckets == nil {
+	if idx.buckets == nil {
 		return nil, false, nil
 	}
-	outer := p.prog(rt).outer
 	var buf [64]byte
 	key := buf[:0]
-	for i, k := range p.keys {
-		v, err := outer[i](rt, nil)
+	for _, k := range p.keys {
+		v, err := k.outer(rt, nil)
 		if err != nil {
 			// Per-context evaluation raises this only if a row gets as
 			// far as the conjunct; let it decide.
@@ -231,45 +158,45 @@ func (p *partition) lookup(rt *runtime) (rows []Row, ok bool, err error) {
 		}
 		key = appendPartKey(key, v)
 	}
-	if b := p.buckets[string(key)]; b != nil {
+	if b := idx.buckets[string(key)]; b != nil {
 		return b.rows, true, nil
 	}
 	return nil, true, nil
 }
 
-// ensureBuilt builds the index at most once per execution. Waiters block
-// with a context escape hatch, like memoCache.do; a builder that panics
-// closes done first so it cannot strand them.
-func (p *partition) ensureBuilt(rt *runtime) error {
-	p.mu.Lock()
-	if p.done != nil {
-		done := p.done
-		p.mu.Unlock()
+// ensureBuilt builds the index of p at most once per execution. Waiters
+// block with a context escape hatch, like memoCache.do; a builder that
+// panics closes done first so it cannot strand them.
+func (idx *partIndex) ensureBuilt(rt *runtime, p *partition) error {
+	idx.mu.Lock()
+	if idx.done != nil {
+		done := idx.done
+		idx.mu.Unlock()
 		select {
 		case <-done:
-			return p.buildErr
+			return idx.buildErr
 		case <-rt.sh.ctx.Done():
 			return CtxError(rt.sh.ctx.Err())
 		}
 	}
-	p.done = make(chan struct{})
-	p.mu.Unlock()
-	defer close(p.done)
+	idx.done = make(chan struct{})
+	idx.mu.Unlock()
+	defer close(idx.done)
 
 	buckets, err := p.build(rt)
 	switch {
 	case err == nil:
-		p.buckets = buckets
+		idx.buckets = buckets
 		if prof := rt.sh.prof; prof != nil {
 			prof.SubqueryMetrics(p.sq).SetPartitions(len(buckets))
 		}
 	case errors.Is(err, CodeCanceled), errors.Is(err, CodeTimeout), errors.Is(err, CodeResourceExhausted):
-		p.buildErr = err
+		idx.buildErr = err
 	}
 	// Any other error: leave buckets nil. The per-context path evaluates
 	// a subset of what the build evaluates, so it alone decides whether
 	// the statement fails.
-	return p.buildErr
+	return idx.buildErr
 }
 
 // build runs Below once, applies rest, and buckets the surviving rows by
@@ -281,7 +208,6 @@ func (p *partition) build(rt *runtime) (map[string]*bucket, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog := p.prog(rt)
 	buckets := map[string]*bucket{}
 	var kept, perRow int64
 	var key []byte
@@ -290,7 +216,7 @@ rows:
 		if err := rt.tick(); err != nil {
 			return nil, err
 		}
-		for _, c := range prog.rest {
+		for _, c := range p.rest {
 			t, err := c(rt, row)
 			if err != nil {
 				return nil, err
@@ -300,8 +226,8 @@ rows:
 			}
 		}
 		key = key[:0]
-		for i, k := range p.keys {
-			v, err := prog.inner[i](rt, row)
+		for _, k := range p.keys {
+			v, err := k.inner(rt, row)
 			if err != nil {
 				return nil, err
 			}

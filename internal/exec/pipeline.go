@@ -35,12 +35,13 @@ func NewPipeline() *Pipeline {
 	return &Pipeline{shares: map[plan.Node]*colShare{}}
 }
 
-// Programs reports how many compiled operator programs the pipeline
-// holds; the number stops growing once every operator of the plan has run.
+// Programs reports how many compiled operator programs, subquery
+// partitions and rollup analyses the pipeline holds; the number stops
+// growing once every operator of the plan has run.
 func (p *Pipeline) Programs() int {
 	p.progs.mu.RLock()
 	defer p.progs.mu.RUnlock()
-	return len(p.progs.row) + len(p.progs.vec)
+	return len(p.progs.row) + len(p.progs.vec) + len(p.progs.rollups)
 }
 
 // colShare caches columnarized base-table batches across executions of

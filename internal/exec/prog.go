@@ -15,15 +15,17 @@ import (
 	"github.com/measures-sql/msql/internal/sqltypes"
 )
 
-// progCache maps an owner — a plan node or a partitioned subquery — to
-// its compiled program. Programs are immutable and safe for concurrent
-// use.
+// progCache maps an owner — a plan node or a subquery — to its compiled
+// program, and a subquery to its partition. Programs are immutable and
+// safe for concurrent use.
 type progCache struct {
 	mu sync.RWMutex
 	// row and vec hold the row-at-a-time and the columnar program of an
 	// owner — an operator has at most one of each — and traits what
 	// nodeTraits worked out for it.
 	row, vec, traits map[any]any
+	// rollups holds the rollup provider's analysis of each Aggregate.
+	rollups map[*plan.Aggregate]rollupSlot
 }
 
 // get returns what is stored under key in m (one of c's maps), building
@@ -66,11 +68,10 @@ func (rt *runtime) vecProg(key any, build func() any) any {
 	return c.get(&c.vec, key, build)
 }
 
-// evalOnce evaluates an expression that has no row loop and no stable
-// identity to cache under — a LIMIT count, a row-independent value the
-// rollup lattice asks for (its gate rebuilds those per request). Leaves
-// are read in place; only a computed expression is compiled, for this
-// one call.
+// evalOnce evaluates an expression that has no row loop — a LIMIT count,
+// a row-independent value the rollup lattice asks for once per
+// execution. Leaves are read in place; only a computed expression is
+// compiled, for this one call.
 func (rt *runtime) evalOnce(e plan.Expr) (sqltypes.Value, error) {
 	o := operandOf(e)
 	return o.load(rt, nil)

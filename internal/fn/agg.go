@@ -55,6 +55,29 @@ func (a *Agg) MergesExactly(args []sqltypes.Type) bool {
 	return a.ExactMerge != nil && a.ExactMerge(args)
 }
 
+// MergesInterleaved reports whether merging states accumulated over
+// interleaved, not contiguous, subsets of a group's rows — finer lattice
+// groups derived into a coarser one, one partial state per shard —
+// reproduces single-pass accumulation bit for bit, provided the states
+// are merged in ascending order of their first row. That is stronger
+// than MergesExactly. COUNT and non-float SUM commute (modulo overflow,
+// as for MergesExactly); non-float MIN/MAX ties are value-identical;
+// ANY_VALUE keeps the receiver, which the merge order makes the first
+// row. A float MIN/MAX tie is not value-identical (0 and -0 compare
+// equal), so the merge order would pick which survives; ARG_MAX/ARG_MIN
+// break ties by row order; float accumulation is order-sensitive
+// outright.
+func (a *Agg) MergesInterleaved(args []sqltypes.Type) bool {
+	switch a.Name {
+	case "COUNT", "ANY_VALUE":
+		return true
+	case "SUM", "MIN", "MAX":
+		return len(args) > 0 && args[0].Kind != sqltypes.KindFloat
+	default:
+		return false
+	}
+}
+
 var aggs = map[string]*Agg{}
 
 // LookupAgg finds an aggregate by (case-insensitive) name.

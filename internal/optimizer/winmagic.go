@@ -195,11 +195,7 @@ func emptyAggValue(call plan.AggCall) sqltypes.Value {
 	if !ok {
 		return sqltypes.Null(call.Typ.Kind)
 	}
-	types := make([]sqltypes.Type, len(call.Args))
-	for i, a := range call.Args {
-		types[i] = a.Type()
-	}
-	return def.New(types).Result()
+	return def.New(call.ArgTypes()).Result()
 }
 
 // matchCandidate tests whether sq has the WinMagic shape against the
@@ -227,43 +223,24 @@ func matchCandidate(sq *plan.Subquery, outerInput plan.Node) *candidate {
 		return nil
 	}
 
-	// The correlation predicate: conjunction of equality terms between a
-	// base column and the aligned outer column, all at level 1.
+	// The correlation predicate: unguarded key terms (plan.SplitKeyTerms)
+	// and nothing else, each pinning a base column to the aligned outer
+	// column at level 1.
 	var keys []int
 	nullSafe := true
-	for _, term := range plan.SplitConj(filter.Pred) {
-		var l, r plan.Expr
-		switch term := term.(type) {
-		case *plan.IsDistinct:
-			if !term.Neg {
-				return nil
-			}
-			l, r = term.L, term.R
-		case *plan.Call:
-			if term.Name != "=" || len(term.Args) != 2 {
-				return nil
-			}
-			l, r = term.Args[0], term.Args[1]
-			nullSafe = false
-		default:
+	for _, c := range plan.SplitKeyTerms(filter.Pred) {
+		if c.Key == nil || len(c.Key.Guards) > 0 {
 			return nil
 		}
-		base, corr := l, r
-		if _, isCorr := base.(*plan.CorrRef); isCorr {
-			base, corr = corr, base
-		}
-		bc, ok := base.(*plan.ColRef)
-		if !ok {
+		bc, isCol := c.Key.Inner.(*plan.ColRef)
+		cc, isCorr := c.Key.Outer.(*plan.CorrRef)
+		if !isCol || !isCorr || cc.Levels != 1 {
 			return nil
 		}
-		cc, ok := corr.(*plan.CorrRef)
-		if !ok || cc.Levels != 1 {
+		if mapped, ok := remap[bc.Index]; !ok || mapped != cc.Index {
 			return nil
 		}
-		mapped, ok := remap[bc.Index]
-		if !ok || mapped != cc.Index {
-			return nil
-		}
+		nullSafe = nullSafe && c.Key.NullSafe
 		keys = append(keys, cc.Index)
 	}
 	if len(keys) == 0 {

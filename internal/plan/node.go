@@ -91,6 +91,16 @@ type AggCall struct {
 	Typ      sqltypes.Type
 }
 
+// ArgTypes returns the types of the call's arguments, which select its
+// aggregate state (fn.Agg.New) and merge rules.
+func (a AggCall) ArgTypes() []sqltypes.Type {
+	types := make([]sqltypes.Type, len(a.Args))
+	for i, e := range a.Args {
+		types[i] = e.Type()
+	}
+	return types
+}
+
 // String renders the aggregate call for EXPLAIN.
 func (a AggCall) String() string {
 	if a.Name == "GROUPING" {

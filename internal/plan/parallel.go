@@ -50,3 +50,20 @@ func NodeParallelSafe(n Node) bool {
 	})
 	return safe
 }
+
+// Deterministic reports whether no expression anywhere in the plan —
+// nested subquery plans included — calls a volatile function: every
+// execution over the same rows gives the same result, so the plan may be
+// cached and re-executed and its input may be evaluated once for many
+// contexts.
+func Deterministic(n Node) bool {
+	if !NodeParallelSafe(n) {
+		return false
+	}
+	for _, c := range n.Children() {
+		if !Deterministic(c) {
+			return false
+		}
+	}
+	return true
+}

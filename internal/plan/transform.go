@@ -157,6 +157,21 @@ func RowIndependent(e Expr) bool {
 	return ok && ExprParallelSafe(e)
 }
 
+// RowOnly reports whether e reads nothing but the current row — no
+// correlated, subquery or aggregate reference, nothing volatile — so two
+// rows with equal columns give it equal values. Literals and parameters
+// are constant for the statement and allowed.
+func RowOnly(e Expr) bool {
+	ok := true
+	WalkExprs(e, func(x Expr) {
+		switch x.(type) {
+		case *CorrRef, *Subquery, *AggRef:
+			ok = false
+		}
+	})
+	return ok && ExprParallelSafe(e)
+}
+
 // PlanHasOuterRefs reports whether the plan refers to rows more than
 // depth frames above it (depth 0 = the plan's own frame boundary).
 func PlanHasOuterRefs(n Node, depth int) bool {

@@ -12,16 +12,16 @@ import (
 )
 
 // The eligibility gate decides whether an Aggregate node can be answered
-// from materialized lattice state. It mirrors the spirit of the
-// partition-mergeable gate in internal/exec/partial.go but is stricter,
+// from materialized lattice state. It runs once per plan (the executor
+// keeps its verdict with the plan's compiled programs) and is strict,
 // because a lattice node outlives the statement that built it: every
-// expression folded into a node must be self-contained (no correlated
-// references, parameters, or subqueries) and deterministic, and every
-// filter conjunct must either be a per-call group selection (an equality
-// or IS NOT DISTINCT FROM pin against a row-independent value — the
-// shape measure expansion emits for evaluation contexts), a fixed row
-// predicate that can be baked into the node, or a row-independent
-// condition evaluated once per call.
+// expression folded into a node must be baked — it reads only the row
+// (plan.RowOnly) and no parameter — and every filter conjunct must be
+// either a key term (plan.SplitKeyTerms: the equality or IS NOT DISTINCT
+// FROM pin measure expansion emits for evaluation contexts, guards
+// allowed) that selects groups per call, a baked row predicate that
+// becomes part of the node, or a row-independent condition evaluated
+// once per call.
 
 // aggSpec is one aggregate of a lattice node: the original call (for
 // GROUPING metadata), its definition, the argument expressions rebased
@@ -35,15 +35,12 @@ type aggSpec struct {
 	sig      string
 }
 
-// term is one group-selection filter conjunct: key expression index,
-// the row-independent comparison value, and optional row-independent
-// guards (the GROUPING <> 0 disjuncts ROLLUP contexts emit); when any
-// guard evaluates TRUE the term imposes no constraint.
+// term is one group-selection filter conjunct: a key term whose Inner
+// side is node key column key. Its Outer side and guards are evaluated
+// per call; when a guard is TRUE the term imposes no constraint.
 type term struct {
-	key    int
-	rhs    plan.Expr
-	guards []plan.Expr
-	eq     bool // true: SQL `=` (NULL never matches); false: IS NOT DISTINCT FROM
+	key int
+	*plan.KeyTerm
 }
 
 // request is the analyzed form of an eligible Aggregate node.
@@ -60,12 +57,8 @@ type request struct {
 	// node maintains states in place on INSERT; otherwise mutations mark
 	// touched groups dirty for lazy rebuild.
 	exact bool
-	// derivExact: every aggregate tolerates merging states of row-wise
-	// interleaved groups (deriving a coarser grouping from a finer one),
-	// which is stronger than chunk-merge exactness: chunk merges combine
-	// contiguous row ranges, derivation merges interleaved ones, so
-	// order-tie-breaking aggregates (ARG_MAX/ARG_MIN) and float
-	// accumulators are excluded.
+	// derivExact: every aggregate tolerates deriving a coarser grouping
+	// from a finer one (fn.MergesInterleaved).
 	derivExact bool
 	n          *plan.Aggregate
 	nodeKey    string
@@ -147,19 +140,16 @@ func substitute(e plan.Expr, m []plan.Expr) (plan.Expr, bool) {
 	return plan.SubstituteCols(e, func(c *plan.ColRef) (plan.Expr, bool) { return m[c.Index], true }), true
 }
 
-// selfContained reports whether e depends only on the current row:
-// no correlated references, parameters, subqueries, or volatile calls.
-// Such an expression evaluates identically inside any statement, which
-// is what lets the lattice bake it into long-lived materialized state.
-func selfContained(e plan.Expr) bool {
-	ok := true
+// baked reports whether a node can fold e into state that outlives the
+// statement: e reads only the row, and no parameter either.
+func baked(e plan.Expr) bool {
+	ok := plan.RowOnly(e)
 	plan.WalkExprs(e, func(x plan.Expr) {
-		switch x.(type) {
-		case *plan.CorrRef, *plan.Param, *plan.Subquery, *plan.AggRef:
+		if _, isParam := x.(*plan.Param); isParam {
 			ok = false
 		}
 	})
-	return ok && plan.ExprParallelSafe(e)
+	return ok
 }
 
 // keyTermKindOK enforces comparable kinds between a key expression and
@@ -178,61 +168,6 @@ func keyTermKindOK(keyKind, rhsKind sqltypes.Kind) bool {
 	}
 }
 
-// pendingTerm is a filter conjunct classified as a group selection but
-// not yet resolved to a key index.
-type pendingTerm struct {
-	keyExpr plan.Expr
-	rhs     plan.Expr
-	guards  []plan.Expr
-	eq      bool
-}
-
-// classifyTerm sorts one filter conjunct into its gate category.
-// Returns (term, isKeyTerm, ok).
-func classifyTerm(e plan.Expr, guards []plan.Expr) (pendingTerm, bool, bool) {
-	switch t := e.(type) {
-	case *plan.IsDistinct:
-		if !t.Neg {
-			return pendingTerm{}, false, false
-		}
-		if selfContained(t.L) && plan.RowIndependent(t.R) && keyTermKindOK(t.L.Type().Kind, t.R.Type().Kind) {
-			return pendingTerm{keyExpr: t.L, rhs: t.R, guards: guards, eq: false}, true, true
-		}
-		if selfContained(t.R) && plan.RowIndependent(t.L) && keyTermKindOK(t.R.Type().Kind, t.L.Type().Kind) {
-			return pendingTerm{keyExpr: t.R, rhs: t.L, guards: guards, eq: false}, true, true
-		}
-		return pendingTerm{}, false, false
-	case *plan.Call:
-		if t.Name != "=" || len(t.Args) != 2 {
-			return pendingTerm{}, false, false
-		}
-		l, r := t.Args[0], t.Args[1]
-		if selfContained(l) && plan.RowIndependent(r) && keyTermKindOK(l.Type().Kind, r.Type().Kind) {
-			return pendingTerm{keyExpr: l, rhs: r, guards: guards, eq: true}, true, true
-		}
-		if selfContained(r) && plan.RowIndependent(l) && keyTermKindOK(r.Type().Kind, l.Type().Kind) {
-			return pendingTerm{keyExpr: r, rhs: l, guards: guards, eq: true}, true, true
-		}
-		return pendingTerm{}, false, false
-	case *plan.Or:
-		// Or(guard, term) with a row-independent guard: when the guard is
-		// TRUE the disjunction holds for every row (the term is inert);
-		// otherwise the disjunction reduces to the term for filtering
-		// purposes, because a non-TRUE guard never turns a non-TRUE term
-		// into TRUE. ROLLUP evaluation contexts emit this shape with a
-		// GROUPING(d) <> 0 guard.
-		if plan.RowIndependent(t.L) {
-			return classifyTerm(t.R, append(guards, t.L))
-		}
-		if plan.RowIndependent(t.R) {
-			return classifyTerm(t.L, append(guards, t.R))
-		}
-		return pendingTerm{}, false, false
-	default:
-		return pendingTerm{}, false, false
-	}
-}
-
 // exprSig is the canonical signature of a rebased expression: structure
 // plus result kind. Two expressions with equal signatures over the same
 // base table are semantically identical, which is what node identity and
@@ -241,70 +176,48 @@ func exprSig(e plan.Expr) string {
 	return fmt.Sprintf("%d:%s", e.Type().Kind, e.String())
 }
 
-// derivationExact reports whether merging the aggregate's states across
-// row-wise interleaved groups reproduces serial accumulation bit for
-// bit, provided the merge happens in ascending first-row order. COUNT
-// and non-float SUM are commutative (modulo overflow, the same judgment
-// fn.ExactMerge makes); non-float MIN/MAX ties are value-identical so
-// tie-breaking order cannot show; ANY_VALUE keeps the receiver, and the
-// ascending merge order makes the receiver the globally first row.
-// ARG_MAX/ARG_MIN break ties by row order across different expressions,
-// which interleaved merging cannot reproduce, and float accumulation is
-// order-sensitive outright.
-func derivationExact(name string, argTypes []sqltypes.Type) bool {
-	switch strings.ToUpper(name) {
-	case "COUNT", "ANY_VALUE":
-		return true
-	case "SUM", "MIN", "MAX":
-		return len(argTypes) > 0 && argTypes[0].Kind != sqltypes.KindFloat
-	default:
-		return false
-	}
-}
-
 // analyze runs the eligibility gate over an Aggregate node, returning
-// the lattice request or (nil, false) when the node must fall back to
-// direct hash aggregation.
-func analyze(n *plan.Aggregate) (*request, bool) {
+// the lattice request, or nil when the node must fall back to direct
+// hash aggregation.
+func analyze(n *plan.Aggregate) *request {
 	if len(n.Sets) == 0 {
-		return nil, false
+		return nil
 	}
 	f, ok := flatten(n.Input)
 	if !ok {
-		return nil, false
+		return nil
 	}
 
 	req := &request{src: f.src, n: n, exact: true, derivExact: true}
 
-	// Aggregates: rebased argument expressions must be self-contained;
-	// DISTINCT / WITHIN DISTINCT / FILTER need the raw row stream.
+	// Aggregates: rebased argument expressions must be baked; DISTINCT /
+	// WITHIN DISTINCT / FILTER need the raw row stream.
 	for _, call := range n.Aggs {
 		if call.Name == "GROUPING" {
 			if call.KeyIndex < 0 || call.KeyIndex >= len(n.GroupExprs) {
-				return nil, false
+				return nil
 			}
 			req.aggs = append(req.aggs, aggSpec{call: call, sig: fmt.Sprintf("GROUPING@%d", call.KeyIndex)})
 			continue
 		}
 		if call.Distinct || len(call.WithinDistinct) > 0 || call.Filter != nil {
-			return nil, false
+			return nil
 		}
 		def, ok := fn.LookupAgg(call.Name)
 		if !ok {
-			return nil, false
+			return nil
 		}
-		sp := aggSpec{call: call, def: def}
+		sp := aggSpec{call: call, def: def, argTypes: call.ArgTypes()}
 		sigParts := []string{strings.ToUpper(call.Name)}
 		if call.Star {
 			sigParts = append(sigParts, "*")
 		}
 		for _, a := range call.Args {
 			ra, ok := substitute(a, f.exprs)
-			if !ok || !selfContained(ra) {
-				return nil, false
+			if !ok || !baked(ra) {
+				return nil
 			}
 			sp.args = append(sp.args, ra)
-			sp.argTypes = append(sp.argTypes, a.Type())
 			sigParts = append(sigParts, exprSig(ra))
 		}
 		sp.sig = strings.Join(sigParts, ",")
@@ -312,7 +225,7 @@ func analyze(n *plan.Aggregate) (*request, bool) {
 		if !def.MergesExactly(sp.argTypes) {
 			req.exact = false
 		}
-		if !derivationExact(call.Name, sp.argTypes) {
+		if !def.MergesInterleaved(sp.argTypes) {
 			req.derivExact = false
 		}
 	}
@@ -320,34 +233,31 @@ func analyze(n *plan.Aggregate) (*request, bool) {
 	// Filter conjuncts, innermost Filter first, left-to-right within
 	// each And chain (matching the executor's short-circuit order for
 	// the row predicates that survive into the node).
-	var pending []pendingTerm
+	var pinned []*plan.KeyTerm
 	for _, pred := range f.preds {
-		for _, conj := range plan.SplitConj(pred) {
-			if plan.RowIndependent(conj) {
-				req.consts = append(req.consts, conj)
-				continue
+		for _, c := range plan.SplitKeyTerms(pred) {
+			switch k := c.Key; {
+			case plan.RowIndependent(c.Expr):
+				req.consts = append(req.consts, c.Expr)
+			case k != nil && baked(k.Inner) && keyTermKindOK(k.Inner.Type().Kind, k.Outer.Type().Kind):
+				pinned = append(pinned, k)
+			case baked(c.Expr):
+				// A baked row predicate becomes part of the node identity; a
+				// guarded one cannot (the guard's value varies per call,
+				// which would need a different materialization each time).
+				req.preds = append(req.preds, c.Expr)
+			default:
+				return nil
 			}
-			if pt, isKey, ok := classifyTerm(conj, nil); ok && isKey {
-				pending = append(pending, pt)
-				continue
-			}
-			// A fixed row predicate bakes into the node identity; a
-			// guarded one cannot (the guard's value varies per call,
-			// which would need a different materialization each time).
-			if selfContained(conj) {
-				req.preds = append(req.preds, conj)
-				continue
-			}
-			return nil, false
 		}
 	}
 
-	// Group expressions must be self-contained after rebasing.
+	// Group expressions must be baked after rebasing.
 	groupExprs := make([]plan.Expr, len(n.GroupExprs))
 	for j, g := range n.GroupExprs {
 		rg, ok := substitute(g, f.exprs)
-		if !ok || !selfContained(rg) {
-			return nil, false
+		if !ok || !baked(rg) {
+			return nil
 		}
 		groupExprs[j] = rg
 	}
@@ -370,8 +280,8 @@ func analyze(n *plan.Aggregate) (*request, bool) {
 	for _, g := range groupExprs {
 		addKey(g)
 	}
-	for i := range pending {
-		addKey(pending[i].keyExpr)
+	for _, k := range pinned {
+		addKey(k.Inner)
 	}
 	perm := make([]int, len(req.keys))
 	for i := range perm {
@@ -392,13 +302,8 @@ func analyze(n *plan.Aggregate) (*request, bool) {
 	for j, g := range groupExprs {
 		req.groupKey[j] = pos[sigIndex[exprSig(g)]]
 	}
-	for _, pt := range pending {
-		req.terms = append(req.terms, term{
-			key:    pos[sigIndex[exprSig(pt.keyExpr)]],
-			rhs:    pt.rhs,
-			guards: pt.guards,
-			eq:     pt.eq,
-		})
+	for _, k := range pinned {
+		req.terms = append(req.terms, term{key: pos[sigIndex[exprSig(k.Inner)]], KeyTerm: k})
 	}
 
 	// Node identity: base table instance, key set, aggregate list, and
@@ -419,5 +324,5 @@ func analyze(n *plan.Aggregate) (*request, bool) {
 	}
 	sb.WriteString(strings.Join(predSigs, ";"))
 	req.nodeKey = sb.String()
-	return req, true
+	return req
 }

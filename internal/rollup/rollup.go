@@ -55,12 +55,12 @@ type counters struct {
 	invalidations   atomic.Int64
 }
 
-// Counters is a snapshot of lattice activity. Hits/Misses count
-// TryAggregate outcomes; Builds counts node creations; Rebuilds counts
-// dirty groups rebuilt lazily; IncrementalRows counts delta rows folded
-// into exactly-mergeable nodes in place; Invalidations counts truncate
-// resets and DDL drops. Nodes/Groups/DirtyGroups are point-in-time
-// gauges.
+// Counters is a snapshot of lattice activity. Hits/Misses count Answer
+// outcomes, one per execution of an Aggregate; Builds counts node
+// creations; Rebuilds counts dirty groups rebuilt lazily;
+// IncrementalRows counts delta rows folded into exactly-mergeable nodes
+// in place; Invalidations counts truncate resets and DDL drops.
+// Nodes/Groups/DirtyGroups are point-in-time gauges.
 type Counters struct {
 	Hits            int64 `json:"hits"`
 	Misses          int64 `json:"misses"`
@@ -119,14 +119,23 @@ func NewWithLimits(maxNodes, maxGroupsPerNode int) *Lattice {
 	}
 }
 
-// TryAggregate implements exec.RollupProvider. It never returns an
-// error for lattice-internal failures — those disable the node and
-// miss, so the executor's direct path stays authoritative for error
-// behavior; the only errors surfaced are ones the direct path would
-// raise identically.
-func (l *Lattice) TryAggregate(n *plan.Aggregate, eval func(plan.Expr) (sqltypes.Value, error)) ([][]sqltypes.Value, bool, error) {
-	req, ok := analyze(n)
-	if !ok {
+// Analyze implements exec.RollupProvider: the eligibility gate, run
+// once per plan. It returns the node's request, or nil.
+func (l *Lattice) Analyze(n *plan.Aggregate) any {
+	if req := analyze(n); req != nil {
+		return req
+	}
+	return nil
+}
+
+// Answer implements exec.RollupProvider: one execution of an analysed
+// Aggregate, counted as one hit or one miss. It never returns an error
+// for lattice-internal failures — those disable the node and miss, so
+// the executor's direct path stays authoritative for error behavior; the
+// only errors surfaced are ones the direct path would raise identically.
+func (l *Lattice) Answer(a any, eval func(plan.Expr) (sqltypes.Value, error)) ([][]sqltypes.Value, bool, error) {
+	req, _ := a.(*request)
+	if req == nil {
 		l.c.misses.Add(1)
 		return nil, false, nil
 	}
@@ -149,7 +158,7 @@ func (l *Lattice) TryAggregate(n *plan.Aggregate, eval func(plan.Expr) (sqltypes
 	var active []activeTerm
 	for _, t := range req.terms {
 		inert := false
-		for _, g := range t.guards {
+		for _, g := range t.Guards {
 			v, err := eval(g)
 			if err != nil {
 				l.c.misses.Add(1)
@@ -163,12 +172,12 @@ func (l *Lattice) TryAggregate(n *plan.Aggregate, eval func(plan.Expr) (sqltypes
 		if inert {
 			continue
 		}
-		v, err := eval(t.rhs)
+		v, err := eval(t.Outer)
 		if err != nil {
 			l.c.misses.Add(1)
 			return nil, false, nil
 		}
-		active = append(active, activeTerm{key: t.key, val: v, eq: t.eq})
+		active = append(active, activeTerm{key: t.key, val: v, eq: !t.NullSafe})
 	}
 
 	// Deriving a coarser grouping than the node's key set merges states
