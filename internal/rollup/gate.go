@@ -64,6 +64,10 @@ type request struct {
 	nodeKey    string
 }
 
+// maxKeys bounds a request's node keys and group expressions: answering
+// it keeps sets of either in a uint64.
+const maxKeys = 64
+
 // flatSrc is an Aggregate input flattened to its base table: the current
 // output columns and accumulated filter predicates, both rewritten as
 // expressions over the raw base-table row.
@@ -282,6 +286,9 @@ func analyze(n *plan.Aggregate) *request {
 	}
 	for _, k := range pinned {
 		addKey(k.Inner)
+	}
+	if len(req.keys) > maxKeys || len(groupExprs) > maxKeys {
+		return nil
 	}
 	perm := make([]int, len(req.keys))
 	for i := range perm {

@@ -1,8 +1,10 @@
 package rollup
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"hash/maphash"
+	"math"
 	"strings"
 	"sync"
 
@@ -14,26 +16,13 @@ import (
 	"github.com/measures-sql/msql/internal/storage"
 )
 
-// group is one materialized grouping partition of a node: the key tuple
-// (node key order), one aggregate state per node aggregate (nil slots
-// for GROUPING placeholders), and the index of the group's first
-// qualifying base row, which reproduces the executor's first-seen
-// output order. A dirty group's states are stale and must be rebuilt
-// from the base rows before being read.
-type group struct {
-	key    []sqltypes.Value
-	states []fn.AggState
-	order  int
-	dirty  bool
-}
-
 // valueFn is a compiled expression: it evaluates over one base row.
 type valueFn = func([]sqltypes.Value) (sqltypes.Value, error)
 
 // node is one lattice vertex: materialized aggregate states for one
 // (base table, key set, aggregate list, row predicate) combination.
-// All access goes through mu; the compiled expressions are single-threaded
-// and only called under it.
+// All access goes through mu; the compiled expressions and the scratch
+// buffers are single-threaded and only used under it.
 type node struct {
 	mu        sync.Mutex
 	src       *catalog.BaseTable
@@ -50,12 +39,51 @@ type node struct {
 	keyFns  []valueFn
 	argFns  [][]valueFn
 	// seen is the data state of the rows folded into groups so far.
-	seen     storage.State
-	groups   map[string]*group
-	nDirty   int
+	seen storage.State
+
+	// The groups, a struct of arrays in the order of each group's first
+	// qualifying base row — the executor's first-seen output order, so a
+	// group's position is its order. Group g's key tuple (node key order)
+	// is keyVals[g*len(keys):], its aggregate states (nil slots for
+	// GROUPING placeholders) states[g*len(aggs):], and bit g of dirty
+	// marks states that are stale and must be rebuilt from the base rows
+	// before being read.
+	nGroups int
+	keyVals []sqltypes.Value
+	states  []fn.AggState
+	dirty   []uint64
+	nDirty  int
+	// byKey finds a group by its key tuple: the hash of the tuple's
+	// AppendKey encoding (the executor's group identity, RowKey) maps to 1
+	// + the newest group with that hash, and chain[g] to 1 + the one
+	// before g (0 ends a chain).
+	seed  maphash.Seed
+	byKey map[uint64]int32
+	chain []int32
+	// byCol[k] indexes key column k, built when a request first pins it
+	// and kept up to date by sync from then on.
+	byCol    []*colIndex
 	disabled bool
 
+	// Scratch for folding a row: its key tuple and that tuple's encoding,
+	// another encoding, and one aggregate's arguments.
+	key  []sqltypes.Value
+	enc  []byte
+	cand []byte
+	args []sqltypes.Value
+
 	lastUse int64 // LRU tick, written under the lattice mutex
+}
+
+// colIndex maps the hash of a key value's AppendKey encoding to the
+// positions of the groups holding that value, ascending. AppendKey folds
+// INT and FLOAT of equal value as NotDistinct compares them, so a
+// look-up finds every group a term selects (and, on a collision, a few
+// more that the term then rejects) — unless a NaN is involved, which
+// NotDistinct finds equal to every number.
+type colIndex struct {
+	pos map[uint64][]int32
+	nan bool // a NaN key is indexed: look-ups must scan
 }
 
 func newNode(req *request, maxGroups int) *node {
@@ -72,8 +100,10 @@ func newNode(req *request, maxGroups int) *node {
 		predFns[i] = ev.CompilePred(p)
 	}
 	argFns := make([][]valueFn, len(req.aggs))
+	maxArgs := 0
 	for i := range req.aggs {
 		argFns[i] = compile(req.aggs[i].args)
+		maxArgs = max(maxArgs, len(req.aggs[i].args))
 	}
 	return &node{
 		src:       req.src,
@@ -87,19 +117,125 @@ func newNode(req *request, maxGroups int) *node {
 		keyFns:    compile(req.keys),
 		argFns:    argFns,
 		seen:      storage.State{Gen: req.src.DataState().Gen},
-		groups:    map[string]*group{},
+		seed:      maphash.MakeSeed(),
+		byKey:     map[uint64]int32{},
+		byCol:     make([]*colIndex, len(req.keys)),
+		key:       make([]sqltypes.Value, len(req.keys)),
+		args:      make([]sqltypes.Value, maxArgs),
 	}
 }
 
-func (nd *node) newStates() []fn.AggState {
-	states := make([]fn.AggState, len(nd.aggs))
-	for i := range nd.aggs {
-		if nd.aggs[i].def == nil {
-			continue
-		}
-		states[i] = nd.aggs[i].def.New(nd.aggs[i].argTypes)
+func (nd *node) keyOf(g int) []sqltypes.Value {
+	nk := len(nd.keys)
+	return nd.keyVals[g*nk : g*nk+nk]
+}
+
+func (nd *node) statesOf(g int) []fn.AggState {
+	na := len(nd.aggs)
+	return nd.states[g*na : g*na+na]
+}
+
+func (nd *node) isDirty(g int) bool { return nd.dirty[g>>6]&(1<<(g&63)) != 0 }
+
+func (nd *node) markDirty(g int) {
+	if !nd.isDirty(g) {
+		nd.dirty[g>>6] |= 1 << (g & 63)
+		nd.nDirty++
 	}
-	return states
+}
+
+// dropGroups drops every group and every column index.
+func (nd *node) dropGroups() {
+	nd.nGroups, nd.nDirty = 0, 0
+	nd.keyVals, nd.states, nd.dirty, nd.chain = nil, nil, nil, nil
+	nd.byKey = map[uint64]int32{}
+	for k := range nd.byCol {
+		nd.byCol[k] = nil
+	}
+}
+
+// disable gives up on the node and releases its groups.
+func (nd *node) disable() {
+	nd.dropGroups()
+	nd.byKey = nil
+	nd.disabled = true
+}
+
+// hash returns the hash of v's AppendKey encoding.
+func (nd *node) hash(v sqltypes.Value) uint64 {
+	nd.cand = v.AppendKey(nd.cand[:0])
+	return maphash.Bytes(nd.seed, nd.cand)
+}
+
+// find returns the position of the group whose key tuple encodes to
+// nd.enc, which hashes to h, or -1.
+func (nd *node) find(h uint64) int {
+	for p := nd.byKey[h]; p != 0; p = nd.chain[p-1] {
+		g := int(p - 1)
+		nd.cand = nd.cand[:0]
+		for _, v := range nd.keyOf(g) {
+			nd.cand = v.AppendKey(nd.cand)
+		}
+		if bytes.Equal(nd.cand, nd.enc) {
+			return g
+		}
+	}
+	return -1
+}
+
+// add appends a group with key tuple nd.key, whose encoding hashes to h,
+// and returns its position. An exactly-mergeable node's group starts
+// with fresh states; an order-sensitive one's starts dirty.
+func (nd *node) add(h uint64) int {
+	g := nd.nGroups
+	nd.nGroups++
+	nd.keyVals = append(nd.keyVals, nd.key...)
+	for i := range nd.aggs {
+		var st fn.AggState
+		if sp := &nd.aggs[i]; nd.exact && sp.def != nil {
+			st = sp.def.New(sp.argTypes)
+		}
+		nd.states = append(nd.states, st)
+	}
+	if g&63 == 0 {
+		nd.dirty = append(nd.dirty, 0)
+	}
+	if !nd.exact {
+		nd.markDirty(g)
+	}
+	nd.chain = append(nd.chain, nd.byKey[h])
+	nd.byKey[h] = int32(g + 1)
+	for k, ci := range nd.byCol {
+		if ci != nil {
+			nd.index(ci, k, g)
+		}
+	}
+	return g
+}
+
+// index adds group g to ci, the index of key column k.
+func (nd *node) index(ci *colIndex, k, g int) {
+	v := nd.keyOf(g)[k]
+	ci.nan = ci.nan || isNaN(v)
+	h := nd.hash(v)
+	ci.pos[h] = append(ci.pos[h], int32(g))
+}
+
+// column returns the index of key column k, building it on first use.
+func (nd *node) column(k int) *colIndex {
+	ci := nd.byCol[k]
+	if ci == nil {
+		ci = &colIndex{pos: map[uint64][]int32{}}
+		for g := 0; g < nd.nGroups; g++ {
+			nd.index(ci, k, g)
+		}
+		nd.byCol[k] = ci
+	}
+	return ci
+}
+
+func isNaN(v sqltypes.Value) bool {
+	return v.K == sqltypes.KindFloat && !v.Null && math.IsNaN(v.F())
 }
 
 // sync brings the node from the state it has seen to now, the state of
@@ -111,79 +247,72 @@ func (nd *node) newStates() []fn.AggState {
 // touched groups dirty for lazy rebuild.
 func (nd *node) sync(rows [][]sqltypes.Value, now storage.State, c *counters) error {
 	if _, ok := now.Since(nd.seen); !ok {
-		nd.groups = map[string]*group{}
-		nd.nDirty = 0
+		nd.dropGroups()
 		nd.seen = storage.State{Gen: now.Gen}
 		c.invalidations.Add(1)
 	}
 	for i := nd.seen.Rows; i < len(rows); i++ {
 		row := rows[i]
-		kv, err := nd.rowKey(row)
+		ok, err := nd.rowKey(row)
 		if err != nil {
 			return err
 		}
-		if kv == nil {
+		if !ok {
 			continue
 		}
-		key := sqltypes.RowKey(kv)
-		g := nd.groups[key]
-		if g == nil {
-			g = &group{key: kv, order: i}
-			if nd.exact {
-				g.states = nd.newStates()
-			} else {
-				g.dirty = true
-				nd.nDirty++
-			}
-			nd.groups[key] = g
+		h := maphash.Bytes(nd.seed, nd.enc)
+		g := nd.find(h)
+		if g < 0 {
+			g = nd.add(h)
 		}
 		if nd.exact {
 			if err := nd.accumulate(g, row); err != nil {
 				return err
 			}
 			c.incrementalRows.Add(1)
-		} else if !g.dirty {
-			g.dirty = true
-			nd.nDirty++
+		} else {
+			nd.markDirty(g)
 		}
 	}
 	nd.seen = now
-	if len(nd.groups) > nd.maxGroups {
-		nd.disabled = true
-		nd.groups = nil
+	if nd.nGroups > nd.maxGroups {
+		nd.disable()
 	}
 	return nil
 }
 
-// rowKey returns row's key tuple, or nil when row fails a node predicate.
-func (nd *node) rowKey(row []sqltypes.Value) ([]sqltypes.Value, error) {
+// rowKey evaluates row's key tuple into nd.key and its encoding into
+// nd.enc; it reports false when row fails a node predicate.
+func (nd *node) rowKey(row []sqltypes.Value) (bool, error) {
 	for _, p := range nd.predFns {
 		if ok, err := p(row); err != nil || !ok {
-			return nil, err
+			return false, err
 		}
 	}
-	kv := make([]sqltypes.Value, len(nd.keyFns))
+	nd.enc = nd.enc[:0]
 	for k, f := range nd.keyFns {
 		v, err := f(row)
 		if err != nil {
-			return nil, err
+			return false, err
 		}
-		kv[k] = v
+		nd.key[k] = v
+		nd.enc = v.AppendKey(nd.enc)
 	}
-	return kv, nil
+	return true, nil
 }
 
 // accumulate replicates the executor's per-row aggregate accumulation
 // (internal/exec/agg.go) for the gate's restricted shape: no DISTINCT,
 // WITHIN DISTINCT, or FILTER clauses, so only argument evaluation and
 // the SkipNulls rule remain.
-func (nd *node) accumulate(g *group, row []sqltypes.Value) error {
+func (nd *node) accumulate(g int, row []sqltypes.Value) error {
+	states := nd.statesOf(g)
 	for ai := range nd.aggs {
 		sp := &nd.aggs[ai]
 		if sp.def == nil {
 			continue
 		}
-		args := make([]sqltypes.Value, len(sp.args))
+		args := nd.args[:len(sp.args)]
 		skip := false
 		for j, a := range nd.argFns[ai] {
 			v, err := a(row)
@@ -198,7 +327,7 @@ func (nd *node) accumulate(g *group, row []sqltypes.Value) error {
 		if skip {
 			continue
 		}
-		if err := g.states[ai].Add(args); err != nil {
+		if err := states[ai].Add(args); err != nil {
 			return err
 		}
 	}
@@ -212,21 +341,27 @@ func (nd *node) rebuildDirty(rows [][]sqltypes.Value, c *counters) error {
 	if nd.nDirty == 0 {
 		return nil
 	}
-	for _, g := range nd.groups {
-		if g.dirty {
-			g.states = nd.newStates()
+	for g := 0; g < nd.nGroups; g++ {
+		if !nd.isDirty(g) {
+			continue
+		}
+		states := nd.statesOf(g)
+		for i := range nd.aggs {
+			if sp := &nd.aggs[i]; sp.def != nil {
+				states[i] = sp.def.New(sp.argTypes)
+			}
 		}
 	}
 	for _, row := range rows {
-		kv, err := nd.rowKey(row)
+		ok, err := nd.rowKey(row)
 		if err != nil {
 			return err
 		}
-		if kv == nil {
+		if !ok {
 			continue
 		}
-		g := nd.groups[sqltypes.RowKey(kv)]
-		if g == nil || !g.dirty {
+		g := nd.find(maphash.Bytes(nd.seed, nd.enc))
+		if g < 0 || !nd.isDirty(g) {
 			continue
 		}
 		if err := nd.accumulate(g, row); err != nil {
@@ -234,9 +369,7 @@ func (nd *node) rebuildDirty(rows [][]sqltypes.Value, c *counters) error {
 		}
 	}
 	c.rebuilds.Add(int64(nd.nDirty))
-	for _, g := range nd.groups {
-		g.dirty = false
-	}
+	clear(nd.dirty)
 	nd.nDirty = 0
 	return nil
 }
@@ -261,6 +394,43 @@ func (t activeTerm) matches(kv sqltypes.Value) bool {
 	return sqltypes.NotDistinct(kv, t.val)
 }
 
+// selection returns the positions of the groups every active term
+// matches, ascending. Each term's column index gives the groups holding
+// its value; the shortest of those lists is the candidates, and every
+// candidate is still checked against every term, so the selection is
+// the one a scan of all groups would make.
+func (nd *node) selection(active []activeTerm) []int32 {
+	var cands []int32
+	scan := true
+	for _, t := range active {
+		if ci := nd.column(t.key); !ci.nan && !isNaN(t.val) {
+			if pos := ci.pos[nd.hash(t.val)]; scan || len(pos) < len(cands) {
+				cands, scan = pos, false
+			}
+		}
+	}
+	var sel []int32
+	pick := func(g int) {
+		kv := nd.keyOf(g)
+		for _, t := range active {
+			if !t.matches(kv[t.key]) {
+				return
+			}
+		}
+		sel = append(sel, int32(g))
+	}
+	if !scan {
+		for _, g := range cands {
+			pick(int(g))
+		}
+		return sel
+	}
+	for g := 0; g < nd.nGroups; g++ {
+		pick(g)
+	}
+	return sel
+}
+
 // answer emits the request's output rows from the node's groups,
 // reproducing the executor's emit contract exactly: grouping sets in
 // order, groups within a set ascending by first qualifying row, absent
@@ -268,59 +438,47 @@ func (t activeTerm) matches(kv sqltypes.Value) bool {
 // pseudo-aggregates computed from set membership, and an empty global
 // set synthesized from fresh states.
 func (nd *node) answer(req *request, active []activeTerm, empty bool) ([][]sqltypes.Value, error) {
-	var sel []*group
+	var sel []int32
 	if !empty {
-		for _, g := range nd.groups {
-			match := true
-			for _, t := range active {
-				if !t.matches(g.key[t.key]) {
-					match = false
-					break
-				}
-			}
-			if match {
-				sel = append(sel, g)
-			}
-		}
-		sortGroups(sel)
+		sel = nd.selection(active)
 	}
 
 	n := req.n
 	var out [][]sqltypes.Value
 	for _, set := range n.Sets {
-		inSet := make(map[int]bool, len(set))
+		// inSet has bit j set for each group expression j of the set
+		// (the gate admits at most 64).
+		var inSet uint64
 		for _, j := range set {
-			inSet[j] = true
+			inSet |= 1 << j
 		}
-		type outGroup struct {
-			members []*group
-			order   int
-		}
-		buckets := map[string]*outGroup{}
-		var ordered []*outGroup
+		// The selected groups bucketed by their projection onto the set:
+		// an output group's members, first-row order throughout.
+		buckets := map[string]int{}
+		var ordered [][]int32
 		for _, g := range sel {
-			proj := make([]sqltypes.Value, len(set))
-			for k, j := range set {
-				proj[k] = g.key[req.groupKey[j]]
+			kv := nd.keyOf(int(g))
+			nd.enc = nd.enc[:0]
+			for _, j := range set {
+				nd.enc = kv[req.groupKey[j]].AppendKey(nd.enc)
 			}
-			bk := sqltypes.RowKey(proj)
-			og := buckets[bk]
-			if og == nil {
-				og = &outGroup{order: g.order}
-				buckets[bk] = og
-				ordered = append(ordered, og)
+			i, ok := buckets[string(nd.enc)]
+			if !ok {
+				i = len(ordered)
+				buckets[string(nd.enc)] = i
+				ordered = append(ordered, nil)
 			}
-			og.members = append(og.members, g)
+			ordered[i] = append(ordered[i], g)
 		}
 		if len(set) == 0 && len(ordered) == 0 {
 			// A global grouping set emits a row even with no input.
-			ordered = append(ordered, &outGroup{})
+			ordered = append(ordered, nil)
 		}
-		for _, og := range ordered {
+		for _, members := range ordered {
 			row := make([]sqltypes.Value, 0, len(n.GroupExprs)+len(n.Aggs))
 			for j := range n.GroupExprs {
-				if inSet[j] && len(og.members) > 0 {
-					row = append(row, og.members[0].key[req.groupKey[j]])
+				if inSet&(1<<j) != 0 && len(members) > 0 {
+					row = append(row, nd.keyOf(int(members[0]))[req.groupKey[j]])
 				} else {
 					row = append(row, sqltypes.Null(n.GroupExprs[j].Type().Kind))
 				}
@@ -329,23 +487,23 @@ func (nd *node) answer(req *request, active []activeTerm, empty bool) ([][]sqlty
 				sp := &req.aggs[ai]
 				if sp.def == nil { // GROUPING
 					g := int64(1)
-					if inSet[sp.call.KeyIndex] {
+					if inSet&(1<<sp.call.KeyIndex) != 0 {
 						g = 0
 					}
 					row = append(row, sqltypes.NewInt(g))
 					continue
 				}
-				switch len(og.members) {
+				switch len(members) {
 				case 0:
 					row = append(row, sp.def.New(sp.argTypes).Result())
 				case 1:
-					row = append(row, og.members[0].states[ai].Result())
+					row = append(row, nd.statesOf(int(members[0]))[ai].Result())
 				default:
 					// Derive the coarser group by merging finer states in
 					// ascending first-row order; gated on derivExact.
 					st := sp.def.New(sp.argTypes)
-					for _, m := range og.members {
-						if err := st.Merge(m.states[ai]); err != nil {
+					for _, m := range members {
+						if err := st.Merge(nd.statesOf(int(m))[ai]); err != nil {
 							return nil, fmt.Errorf("rollup derivation merge: %w", err)
 						}
 					}
@@ -356,9 +514,4 @@ func (nd *node) answer(req *request, active []activeTerm, empty bool) ([][]sqlty
 		}
 	}
 	return out, nil
-}
-
-func sortGroups(gs []*group) {
-	// Map iteration order is random; sort by first qualifying row.
-	sort.Slice(gs, func(a, b int) bool { return gs[a].order < gs[b].order })
 }

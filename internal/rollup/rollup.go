@@ -8,7 +8,9 @@
 // every Aggregate node, so plain GROUP BY dashboards, measure
 // evaluation contexts (whose expansion is an Aggregate under a
 // key-pinning Filter), AT (ALL …) contexts, and ROLLUP queries are all
-// served in O(groups) once materialized.
+// served in O(groups selected) once materialized: a node addresses its
+// groups by key, and a request's pinned key values are looked up in
+// per-column indexes rather than searched for.
 //
 // Maintenance: a node records the storage.State of the rows it has
 // folded and compares it, at every read, with the state of the table's
@@ -199,8 +201,7 @@ func (l *Lattice) Answer(a any, eval func(plan.Expr) (sqltypes.Value, error)) ([
 	}
 	rows, now := nd.src.Snapshot()
 	if err := nd.sync(rows, now, &l.c); err != nil {
-		nd.disabled = true
-		nd.groups = nil
+		nd.disable()
 		l.c.misses.Add(1)
 		return nil, false, nil
 	}
@@ -209,15 +210,13 @@ func (l *Lattice) Answer(a any, eval func(plan.Expr) (sqltypes.Value, error)) ([
 		return nil, false, nil
 	}
 	if err := nd.rebuildDirty(rows, &l.c); err != nil {
-		nd.disabled = true
-		nd.groups = nil
+		nd.disable()
 		l.c.misses.Add(1)
 		return nil, false, nil
 	}
 	out, err := nd.answer(req, active, empty)
 	if err != nil {
-		nd.disabled = true
-		nd.groups = nil
+		nd.disable()
 		l.c.misses.Add(1)
 		return nil, false, nil
 	}
@@ -227,26 +226,20 @@ func (l *Lattice) Answer(a any, eval func(plan.Expr) (sqltypes.Value, error)) ([
 
 // needsMerge reports whether answering req requires merging node
 // groups: true when any grouping set leaves some node key column
-// unconstrained (not pinned by an active term, not in the set).
+// unconstrained (not pinned by an active term, not in the set). The
+// masks have one bit per node key (the gate admits at most 64).
 func needsMerge(req *request, active []activeTerm) bool {
-	pinned := map[int]bool{}
+	var pinned uint64
 	for _, t := range active {
-		pinned[t.key] = true
+		pinned |= 1 << t.key
 	}
+	all := uint64(1)<<len(req.keys) - 1
 	for _, set := range req.n.Sets {
-		covered := 0
-		seen := map[int]bool{}
-		for k := range pinned {
-			seen[k] = true
-			covered++
-		}
+		covered := pinned
 		for _, j := range set {
-			if !seen[req.groupKey[j]] {
-				seen[req.groupKey[j]] = true
-				covered++
-			}
+			covered |= 1 << req.groupKey[j]
 		}
-		if covered < len(req.keys) {
+		if covered != all {
 			return true
 		}
 	}
@@ -323,7 +316,7 @@ func (l *Lattice) Stats() Counters {
 	for _, nd := range nodes {
 		nd.mu.Lock()
 		c.Nodes++
-		c.Groups += int64(len(nd.groups))
+		c.Groups += int64(nd.nGroups)
 		c.DirtyGroups += int64(nd.nDirty)
 		nd.mu.Unlock()
 	}
@@ -354,7 +347,7 @@ func (l *Lattice) Snapshot() []NodeInfo {
 			Table:    nd.srcName,
 			Keys:     strings.Join(keySigs, ", "),
 			Aggs:     strings.Join(aggSigs, ", "),
-			Groups:   len(nd.groups),
+			Groups:   nd.nGroups,
 			Dirty:    nd.nDirty,
 			RowsSeen: nd.seen.Rows,
 			Exact:    nd.exact,

@@ -205,9 +205,20 @@ func TestRollupMetamorphicAtAllDim(t *testing.T) {
 	}
 }
 
+// pinnedQueries are the race hammer's pinned querier: a key-pinning
+// WHERE and an AT (ALL …) context select groups through a node's column
+// index, which the first of them builds and sync then extends.
+func pinnedQueries(i int) []string {
+	return []string{
+		fmt.Sprintf(`SELECT prodName, SUM(revenue) FROM Orders WHERE custName = 'cust000%d' GROUP BY prodName`, i%10),
+		`SELECT prodName, custName, rev AT (ALL custName) FROM EO GROUP BY prodName, custName`,
+	}
+}
+
 // TestRollupRaceHammer races lattice-answered queries against
-// inserters and an AVG querier (AVG states are order-sensitive, so its
-// node exercises the dirty-mark/lazy-rebuild path) on one shared
+// inserters, an AVG querier (AVG states are order-sensitive, so its node
+// exercises the dirty-mark/lazy-rebuild path) and a pinned querier (the
+// lazy column-index build and its maintenance by sync) on one shared
 // database. Run under -race in CI; also asserts no goroutine leaks.
 func TestRollupRaceHammer(t *testing.T) {
 	db := rollupDB(t, 17)
@@ -246,6 +257,19 @@ func TestRollupRaceHammer(t *testing.T) {
 			}
 		}
 	}()
+	// Pinned querier: group selection through column indexes.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < iterations; i++ {
+			for _, q := range pinnedQueries(i) {
+				if _, err := db.Query(q); err != nil {
+					report(fmt.Errorf("pinned querier: %w", err))
+					return
+				}
+			}
+		}
+	}()
 	// Inserters: concurrent INSERT batches.
 	for g := 0; g < 2; g++ {
 		g := g
@@ -274,8 +298,21 @@ func TestRollupRaceHammer(t *testing.T) {
 	if st.Hits == 0 {
 		t.Fatal("hammer produced no lattice hits")
 	}
-	before := db.RollupStats().Hits
 	want := queryMap(t, db, `SELECT prodName, SUM(revenue) FROM Orders GROUP BY prodName`)
+	var pinned []string
+	hits := db.RollupStats().Hits
+	for i := 0; i < 10; i++ {
+		for _, q := range pinnedQueries(i) {
+			res, err := db.Query(q)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			pinned = append(pinned, fmt.Sprint(res.Rows))
+		}
+	}
+	if db.RollupStats().Hits < hits+20 {
+		t.Fatalf("pinned queries were not lattice-answered: %d hits for 20 queries", db.RollupStats().Hits-hits)
+	}
 	db.SetRollups(false)
 	got := queryMap(t, db, `SELECT prodName, SUM(revenue) FROM Orders GROUP BY prodName`)
 	if db.RollupStats().Hits != 0 || len(want) != len(got) {
@@ -287,6 +324,16 @@ func TestRollupRaceHammer(t *testing.T) {
 			t.Errorf("post-hammer %s: lattice=%d direct=%d", k, want[k], w)
 		}
 	}
-	_ = before
+	for i := 0; i < 10; i++ {
+		for j, q := range pinnedQueries(i) {
+			res, err := db.Query(q)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			if direct := fmt.Sprint(res.Rows); direct != pinned[2*i+j] {
+				t.Errorf("post-hammer %s:\nlattice %s\ndirect  %s", q, pinned[2*i+j], direct)
+			}
+		}
+	}
 	waitGoroutines(t, base)
 }
