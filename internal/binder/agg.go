@@ -24,6 +24,7 @@ type aggBinder struct {
 	groupIdx   map[string]int // groupExprs[i].String() -> i
 	grouping   map[int]int    // key index -> agg index of its GROUPING indicator
 	input      plan.Node      // the (filtered) aggregate input
+	spool      *plan.Spool    // the input's rows, published for context links; nil if none reads them
 }
 
 func (ab *aggBinder) nKeys() int       { return len(ab.groupExprs) }
@@ -142,13 +143,14 @@ func (b *Binder) bindAggSelect(sel *ast.Select, items []*selItem, orderBy []ast.
 	for i, a := range ab.aggs {
 		aggSch.Cols = append(aggSch.Cols, plan.Col{Name: fmt.Sprintf("agg%d", i), Typ: a.Typ})
 	}
-	var node plan.Node = &plan.Aggregate{
+	agg := &plan.Aggregate{
 		Input:      input,
 		GroupExprs: ab.groupExprs,
 		Sets:       ab.sets,
 		Aggs:       ab.aggs,
 		Sch:        aggSch,
 	}
+	var node plan.Node = agg
 	if havingExpr != nil {
 		node = &plan.Filter{Input: node, Pred: havingExpr}
 	}
@@ -160,7 +162,7 @@ func (b *Binder) bindAggSelect(sel *ast.Select, items []*selItem, orderBy []ast.
 	}
 	node = &plan.Project{Input: node, Exprs: finalExprs, Sch: sch}
 
-	return b.finishSelect(node, sel.Distinct, orderBy, items, func(e ast.Expr) (plan.Expr, error) {
+	out, err := b.finishSelect(node, sel.Distinct, orderBy, items, func(e ast.Expr) (plan.Expr, error) {
 		eb := &exprBinder{b: b, scope: fr.scope, allowAgg: true, allowMeasures: true}
 		raw, err := eb.bind(e)
 		if err != nil {
@@ -168,6 +170,9 @@ func (b *Binder) bindAggSelect(sel *ast.Select, items []*selItem, orderBy []ast.
 		}
 		return ab.rewrite(raw)
 	}, aggOut)
+	// Set last: an ORDER BY measure may be the first to link.
+	agg.Spool = ab.spool
+	return out, err
 }
 
 // bindGroupBy resolves GROUP BY items (expressions, ordinals, aliases,

@@ -23,6 +23,7 @@ type Binder struct {
 	ctes      map[string]*cteDef
 	viewDepth int
 	inline    bool
+	spool     bool
 	// inlined records the measures the §6.4 fast path replaced with plain
 	// aggregate calls during the last bind, for lifecycle tracing.
 	inlined []string
@@ -39,7 +40,7 @@ type cteDef struct {
 
 // New creates a Binder over cat.
 func New(cat *catalog.Catalog) *Binder {
-	return &Binder{cat: cat, ctes: map[string]*cteDef{}, inline: true}
+	return &Binder{cat: cat, ctes: map[string]*cteDef{}, inline: true, spool: true}
 }
 
 // WithInline toggles the measure-inlining fast path (paper §6.4: "in
@@ -48,6 +49,14 @@ func New(cat *catalog.Catalog) *Binder {
 // the general strategy — which the benchmarks use as an ablation.
 func (b *Binder) WithInline(on bool) *Binder {
 	b.inline = on
+	return b
+}
+
+// WithSpool toggles spooling an Aggregate's input for its context links
+// (see aggBinder.linkInput). Off — the naive strategy — every link
+// re-runs the query's FROM tree per group, the paper's literal rewrite.
+func (b *Binder) WithSpool(on bool) *Binder {
+	b.spool = on
 	return b
 }
 

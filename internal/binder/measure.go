@@ -309,10 +309,11 @@ func (ab *aggBinder) applyVisible(ctx *core.Context, ph *measurePH, linkAdded *b
 	}
 }
 
-// addLink appends a semijoin term: the measure's dimension tuple must
-// appear among the current group's visible rows. The set plan reuses the
-// query's filtered FROM tree and matches the group keys at correlation
-// level 2 (it runs inside the measure subquery's filter).
+// addLink appends a semijoin term: the measure's whole dimension tuple
+// must appear among the current group's visible rows. The set plan reads
+// the rows of the query's filtered FROM tree (linkInput) and matches the
+// group keys at correlation level 2 (it runs inside the measure
+// subquery's filter).
 func (ab *aggBinder) addLink(ctx *core.Context, ph *measurePH) error {
 	info := ph.info
 	var baseExprs []plan.Expr
@@ -368,7 +369,7 @@ func (ab *aggBinder) addLink(ctx *core.Context, ph *measurePH) error {
 		}
 	}
 
-	setInput := ab.input
+	setInput := ab.linkInput()
 	if match != nil {
 		setInput = &plan.Filter{Input: setInput, Pred: match}
 	}
@@ -379,6 +380,22 @@ func (ab *aggBinder) addLink(ctx *core.Context, ph *measurePH) error {
 	setPlan := &plan.Project{Input: setInput, Exprs: proj, Sch: sch}
 	ctx.AddLink(baseExprs, setPlan)
 	return nil
+}
+
+// linkInput returns the rows a context link matches against its group:
+// a Scan of the Aggregate's spooled input — the very rows the Aggregate
+// folds, so the FROM tree runs once per execution — or, where those rows
+// may differ between runs (an input reading an enclosing query's row or
+// calling a volatile function) and under the naive strategy, the input
+// itself, run again for each context.
+func (ab *aggBinder) linkInput() plan.Node {
+	if !ab.b.spool || plan.PlanHasOuterRefs(ab.input, 0) || !plan.Deterministic(ab.input) {
+		return ab.input
+	}
+	if ab.spool == nil {
+		ab.spool = &plan.Spool{Sch: ab.input.Schema()}
+	}
+	return &plan.Scan{Source: ab.spool, Sch: ab.spool.Sch}
 }
 
 // ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@
 //     super-aggregate rows drop the constraint;
 //   - Pred:   an arbitrary predicate over base columns (from the VISIBLE
 //     modifier's residual WHERE clause, or an AT (WHERE ...) modifier);
-//   - Link:   a semijoin term restricting the base table's join keys to
-//     the values observed in the current group's joined rows — this is
-//     what keeps measures at their own grain under joins (paper §3.6).
+//   - Link:   a semijoin term restricting the base row's whole dimension
+//     tuple to the tuples observed in the current group's rows of the
+//     query's FROM + WHERE — this is what keeps measures at their own
+//     grain under joins (paper §3.6).
 //
 // The binder builds a default Context for each call site, applies the
 // AT modifiers in order, and then calls Predicate to reify the context
@@ -39,7 +40,7 @@ const (
 	TermDimEq TermKind = iota
 	// TermPred is an arbitrary predicate over base columns.
 	TermPred
-	// TermLink is a semijoin restriction through join keys.
+	// TermLink is a semijoin restriction to the group's dimension tuples.
 	TermLink
 )
 
@@ -230,7 +231,7 @@ func (c *Context) Describe() string {
 		case TermPred:
 			parts = append(parts, t.Pred.String())
 		case TermLink:
-			parts = append(parts, "linked through join keys")
+			parts = append(parts, "linked to the group's dimension tuples")
 		}
 	}
 	return strings.Join(parts, " AND ")

@@ -134,6 +134,9 @@ func (rt *runtime) runAggregate(n *plan.Aggregate) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
+	if n.Spool != nil {
+		rt.publishSpool(n.Spool, in)
+	}
 	env, err := newAggEnv(n)
 	if err != nil {
 		return nil, err
@@ -197,10 +200,7 @@ func (rt *runtime) accumulateRows(env *aggEnv, tables []setTable, in []Row, lo, 
 			keyVals[j] = v
 		}
 		for si, set := range n.Sets {
-			key = key[:0]
-			for _, j := range set {
-				key = keyVals[j].AppendKey(key)
-			}
+			key = appendSetKey(key[:0], set, keyVals)
 			acc := tables[si].groups[string(key)]
 			if acc == nil {
 				acc = env.newAcc(env.maskKeyVals(set, keyVals), i)
@@ -264,15 +264,17 @@ func (rt *runtime) aggChunkMerge(env *aggEnv, in []Row, f fanout, accum accumula
 // group keys are precomputed over morsels, then groups are partitioned
 // across workers by key hash, and each worker folds its groups' rows in
 // ascending input order — exactly the serial accumulation per group.
+// The group-expression values of every row live in one flat array and a
+// set key is encoded into scratch where it is needed, so neither phase
+// allocates per row.
 func (rt *runtime) aggGroupPartitioned(env *aggEnv, in []Row, f fanout) ([]setTable, error) {
 	workers := f.workers
 	n := env.n
 	prog := rt.aggProg(n)
-	nSets := len(n.Sets)
+	nSets, nKeys := len(n.Sets), len(n.GroupExprs)
 
-	// Phase 1: per-row group-expression values, set keys, and hashes.
-	allKeyVals := make([][]sqltypes.Value, len(in))
-	setKeys := make([]string, len(in)*nSets)
+	// Phase 1: per-row group-expression values and set-key hashes.
+	keyVals := make([]sqltypes.Value, len(in)*nKeys)
 	setHash := make([]uint32, len(in)*nSets)
 	err := rt.forEachChunk(len(in), f, func(w *runtime, _, _, lo, hi int) error {
 		var key []byte
@@ -280,21 +282,16 @@ func (rt *runtime) aggGroupPartitioned(env *aggEnv, in []Row, f fanout) ([]setTa
 			if err := w.tick(); err != nil {
 				return err
 			}
-			keyVals := make([]sqltypes.Value, len(n.GroupExprs))
+			kv := keyVals[i*nKeys : (i+1)*nKeys]
 			for j, g := range prog.groups {
 				v, err := g(w, in[i])
 				if err != nil {
 					return err
 				}
-				keyVals[j] = v
+				kv[j] = v
 			}
-			allKeyVals[i] = keyVals
 			for si, set := range n.Sets {
-				key = key[:0]
-				for _, j := range set {
-					key = keyVals[j].AppendKey(key)
-				}
-				setKeys[i*nSets+si] = string(key)
+				key = appendSetKey(key[:0], set, kv)
 				setHash[i*nSets+si] = hash32(key)
 			}
 		}
@@ -312,20 +309,21 @@ func (rt *runtime) aggGroupPartitioned(env *aggEnv, in []Row, f fanout) ([]setTa
 	err = rt.runWorkers(workers, func(w *runtime, worker int) error {
 		tables := newSetTables(nSets)
 		workerTables[worker] = tables
+		var key []byte
 		for i, row := range in {
 			if err := w.tick(); err != nil {
 				return err
 			}
+			kv := keyVals[i*nKeys : (i+1)*nKeys]
 			for si, set := range n.Sets {
-				idx := i*nSets + si
-				if int(setHash[idx])%workers != worker {
+				if int(setHash[i*nSets+si])%workers != worker {
 					continue
 				}
-				key := setKeys[idx]
-				acc := tables[si].groups[key]
+				key = appendSetKey(key[:0], set, kv)
+				acc := tables[si].groups[string(key)]
 				if acc == nil {
-					acc = env.newAcc(env.maskKeyVals(set, allKeyVals[i]), i)
-					tables[si].groups[key] = acc
+					acc = env.newAcc(env.maskKeyVals(set, kv), i)
+					tables[si].groups[string(key)] = acc
 				}
 				if err := w.accumulate(env, prog, acc, row); err != nil {
 					return err
@@ -348,6 +346,14 @@ func (rt *runtime) aggGroupPartitioned(env *aggEnv, in []Row, f fanout) ([]setTa
 		}
 	}
 	return tables, nil
+}
+
+// appendSetKey encodes the values of one grouping set's keys onto dst.
+func appendSetKey(dst []byte, set []int, keyVals []sqltypes.Value) []byte {
+	for _, j := range set {
+		dst = keyVals[j].AppendKey(dst)
+	}
+	return dst
 }
 
 // emit renders the final rows: group key columns, then aggregates. Set

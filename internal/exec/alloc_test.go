@@ -261,3 +261,168 @@ func TestCompileOncePerCachedPlan(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// keyScan is the build side of the join guards: one row per b value of
+// bigScan (0..96), so every probe row finds exactly one partner.
+func keyScan() *plan.Scan {
+	rows := make([]Row, 97)
+	for i := range rows {
+		rows[i] = Row{sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i * 3))}
+	}
+	return tableScan("k", []string{"b", "x"}, []sqltypes.Type{intT(), intT()}, rows)
+}
+
+// A hash join encodes probe keys into one scratch buffer per chunk and
+// carves its output rows from blocks: over 10 000 probe rows it
+// allocates per distinct build key and per block, serially and with
+// three chunks on as many workers.
+func TestHashJoinAllocatesPerKeyNotPerRow(t *testing.T) {
+	join := &plan.Join{Kind: plan.JoinInner, Left: bigScan(10000), Right: keyScan(),
+		EquiLeft: []plan.Expr{col(1, "b")}, EquiRight: []plan.Expr{col(0, "b")}}
+	for _, workers := range []int{1, 4} {
+		settings := DefaultSettings()
+		settings.Workers = workers
+		var stats Stats
+		settings.Stats = &stats
+		rt := newRuntime(context.Background(), settings)
+		rows, err := rt.run(join)
+		if err != nil || len(rows) != 10000 || rows[5][4].I != 5*3 {
+			t.Fatalf("workers=%d: join returned %d rows, err %v", workers, len(rows), err)
+		}
+		if fanned := stats.Snapshot().ParallelFanouts > 0; fanned != (workers > 1) {
+			t.Fatalf("workers=%d: probe fanned out: %v", workers, fanned)
+		}
+		perCall := testing.AllocsPerRun(10, func() {
+			if _, err := rt.run(join); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// 97 key strings; the index's slices, ten row blocks and the
+		// output slices' growth per chunk; the fan-out's workers.
+		if perCall > 97+150 {
+			t.Fatalf("workers=%d: hash join of 10 000 rows allocates %.0f objects, want <= %d", workers, perCall, 97+150)
+		}
+	}
+}
+
+// An IN set encodes each row into the runtime's scratch key and inserts
+// only tuples it has not seen: 4000 rows of 97 tuples allocate per
+// tuple.
+func TestInSetBuildAllocatesPerDistinctTuple(t *testing.T) {
+	rows := make([]Row, 4000)
+	for i := range rows {
+		rows[i] = Row{sqltypes.NewInt(int64(i % 97)), sqltypes.NewString("same")}
+	}
+	sq := &plan.Subquery{Plan: tableScan("t", []string{"b", "s"}, []sqltypes.Type{intT(), strT()}, rows),
+		Mode: plan.SubIn, Typ: boolT()}
+	rt := newRuntime(context.Background(), DefaultSettings())
+	var e memoEntry
+	rt.computeSubquery(sq, nil, nil, &e)
+	if e.err != nil || len(e.set.keys) != 97 || e.set.count != 4000 {
+		t.Fatalf("IN set: %d keys of %d rows, err %v", len(e.set.keys), e.set.count, e.err)
+	}
+	perCall := testing.AllocsPerRun(10, func() { rt.computeSubquery(sq, nil, nil, &memoEntry{}) })
+	// 97 key strings, the set and its map's growth.
+	if perCall > 97+30 {
+		t.Fatalf("IN set over 4000 rows of 97 tuples allocates %.0f objects, want <= %d", perCall, 97+30)
+	}
+}
+
+// The group-partitioned parallel aggregation keeps every row's group
+// values in one flat array and re-encodes a set key in scratch where it
+// needs it: it allocates per group and per worker, not per row.
+func TestGroupPartitionedAggAllocatesPerGroupNotPerRow(t *testing.T) {
+	scan := bigScan(4000)
+	in := scan.Source.Rows()
+	agg := &plan.Aggregate{
+		Input:      scan,
+		GroupExprs: []plan.Expr{col(1, "b")},
+		Sets:       [][]int{{0}, {}},
+		Aggs:       []plan.AggCall{sumF},
+	}
+	env, err := newAggEnv(agg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if env.chunkMergeable() {
+		t.Fatal("SUM over DOUBLE must take the group-partitioned path")
+	}
+	settings := DefaultSettings()
+	settings.Workers = 4
+	rt := newRuntime(context.Background(), settings)
+	f := fanout{workers: 4, grain: 1024}
+	tables, err := rt.aggGroupPartitioned(env, in, f)
+	if err != nil || len(tables[0].groups) != 97 || len(tables[1].groups) != 1 {
+		t.Fatalf("%d and %d groups, err %v", len(tables[0].groups), len(tables[1].groups), err)
+	}
+	perCall := testing.AllocsPerRun(10, func() {
+		if _, err := rt.aggGroupPartitioned(env, in, f); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// 98 groups of seven objects each (key string, accumulator, its three
+	// slices and state, masked key tuple), the tables, and the workers;
+	// one object per row and set would be 8000 more.
+	if limit := 98*7 + 200.0; perCall > limit {
+		t.Fatalf("group-partitioned aggregation of 4000 rows allocates %.0f objects, want <= %.0f", perCall, limit)
+	}
+}
+
+// A Project carves its output rows from one block per chunk: 10 000
+// rows are one chunk serially and three with four workers.
+func TestProjectAllocatesPerChunkNotPerRow(t *testing.T) {
+	proj := &plan.Project{Input: bigScan(10000), Exprs: []plan.NamedExpr{
+		{Expr: col(1, "b"), Col: plan.Col{Name: "b", Typ: intT()}},
+		{Expr: &plan.Call{Name: "+", Typ: intT(), Args: []plan.Expr{col(0, "a"), col(1, "b")}}, Col: plan.Col{Name: "s", Typ: intT()}},
+	}}
+	for _, tc := range []struct {
+		workers int
+		limit   float64
+	}{
+		// The output slice and the block.
+		{1, 2},
+		// Per chunk a block, plus the fan-out's workers.
+		{4, 25},
+	} {
+		settings := DefaultSettings()
+		settings.Workers = tc.workers
+		var stats Stats
+		settings.Stats = &stats
+		rt := newRuntime(context.Background(), settings)
+		perCall := testing.AllocsPerRun(10, func() {
+			if _, err := rt.run(proj); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if fanned := stats.Snapshot().ParallelFanouts > 0; fanned != (tc.workers > 1) {
+			t.Fatalf("workers=%d: Project fanned out: %v", tc.workers, fanned)
+		}
+		if perCall > tc.limit {
+			t.Fatalf("workers=%d: Project over 10 000 rows allocates %.0f objects, want <= %.0f", tc.workers, perCall, tc.limit)
+		}
+	}
+}
+
+// Rows carved from a shared block are capped at their own width:
+// appending to one copies it and leaves its neighbour alone.
+func TestCarvedRowsDoNotShareCapacity(t *testing.T) {
+	proj := &plan.Project{Input: bigScan(10), Exprs: []plan.NamedExpr{{Expr: col(0, "a"), Col: plan.Col{Name: "a", Typ: intT()}}}}
+	join := &plan.Join{Kind: plan.JoinLeft, Left: bigScan(10), Right: keyScan(),
+		EquiLeft: []plan.Expr{col(0, "a")}, EquiRight: []plan.Expr{col(1, "x")}}
+	for _, n := range []plan.Node{proj, join} {
+		rows, err := Run(n, DefaultSettings())
+		if err != nil || len(rows) != 10 {
+			t.Fatalf("%s: %d rows, err %v", n.Explain(), len(rows), err)
+		}
+		next := append(Row(nil), rows[1]...)
+		for i := range rows {
+			if cap(rows[i]) != len(rows[i]) {
+				t.Fatalf("%s: row %d has cap %d beyond its %d values", n.Explain(), i, cap(rows[i]), len(rows[i]))
+			}
+		}
+		_ = append(rows[0], sqltypes.NewInt(-1))
+		if !reflect.DeepEqual(rows[1], next) {
+			t.Fatalf("%s: appending to row 0 changed row 1 to %v", n.Explain(), rows[1])
+		}
+	}
+}

@@ -155,6 +155,9 @@ type shared struct {
 	// scans counts the Scan nodes executed so far; forEachChunk reads it
 	// to tell a chunk of lookups from one that read a table.
 	scans atomic.Int64
+	// spools holds this execution's rows of each plan.Spool.
+	spoolMu sync.Mutex
+	spools  map[*plan.Spool]*spoolRows
 }
 
 // subInfo is the per-execution state of one memoized subquery.
@@ -449,15 +452,21 @@ func (rt *runtime) computeSubquery(sq *plan.Subquery, si *subInfo, row Row, e *m
 	case plan.SubExists:
 		e.exists = len(rows) > 0
 	case plan.SubIn:
-		set := &inSet{keys: make(map[string]bool, len(rows)), count: len(rows)}
+		// A row is encoded into the runtime's key scratch and only a new
+		// tuple is inserted: the set allocates per distinct tuple.
+		set := &inSet{keys: map[string]bool{}, count: len(rows)}
+		key := rt.keyBuf
 		for _, r := range rows {
-			set.keys[sqltypes.RowKey(r)] = true
+			key = key[:0]
 			for _, v := range r {
-				if v.Null {
-					set.hasNull = true
-				}
+				key = v.AppendKey(key)
+				set.hasNull = set.hasNull || v.Null
+			}
+			if !set.keys[string(key)] {
+				set.keys[string(key)] = true
 			}
 		}
+		rt.keyBuf = key
 		e.set = set
 	}
 }

@@ -256,17 +256,26 @@ func (rt *runtime) forEachTask(n, workers int, fn func(w *runtime, i int) error)
 	})
 }
 
-// projectRow evaluates one Project output row.
-func (rt *runtime) projectRow(fns []evalFn, row Row) (Row, error) {
-	proj := make(Row, len(fns))
-	for j, f := range fns {
-		v, err := f(rt, row)
-		if err != nil {
-			return nil, err
+// projectRows evaluates the projection of in[lo:hi] into out[lo:hi].
+// The output rows are carved from one block, so the chunk allocates
+// once.
+func (rt *runtime) projectRows(fns []evalFn, in, out []Row, lo, hi int) error {
+	blk := newRowBlock(len(fns), hi-lo)
+	for i := lo; i < hi; i++ {
+		if err := rt.tick(); err != nil {
+			return err
 		}
-		proj[j] = v
+		row := blk.next()
+		for j, f := range fns {
+			v, err := f(rt, in[i])
+			if err != nil {
+				return err
+			}
+			row[j] = v
+		}
+		out[i] = row
 	}
-	return proj, nil
+	return nil
 }
 
 // filterRows records pred's verdict on in[lo:hi] in keep.
@@ -342,17 +351,7 @@ func (rt *runtime) runFilterParallel(pred predFn, in []Row, f fanout) ([]Row, er
 func (rt *runtime) runProjectParallel(fns []evalFn, in []Row, f fanout) ([]Row, error) {
 	out := make([]Row, len(in))
 	err := rt.forEachChunk(len(in), f, func(w *runtime, _, _, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			if err := w.tick(); err != nil {
-				return err
-			}
-			proj, err := w.projectRow(fns, in[i])
-			if err != nil {
-				return err
-			}
-			out[i] = proj
-		}
-		return nil
+		return w.projectRows(fns, in, out, lo, hi)
 	})
 	if err != nil {
 		return nil, err

@@ -10,8 +10,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	stdruntime "runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -515,4 +517,103 @@ func TestExplainAnalyzeSharedScan(t *testing.T) {
 			t.Errorf("missing %q in:\n%s", want, txt)
 		}
 	}
+}
+
+// spooledQuery is the shape of a context link: an Aggregate publishes
+// its input rows and a correlated subquery over its output reads them,
+// restricted to the current group's key.
+//
+//	SELECT k, COUNT(*), (SELECT SUM(f) FROM spool WHERE k IS NOT DISTINCT FROM outer.k)
+//	FROM fact WHERE d > 20 GROUP BY k
+func spooledQuery() *plan.Project {
+	input := &plan.Filter{Input: factScan(300), Pred: &plan.Call{Name: ">", Typ: boolT(),
+		Args: []plan.Expr{col(3, "d"), intLit(20)}}}
+	spool := &plan.Spool{Sch: input.Schema()}
+	agg := &plan.Aggregate{Input: input, GroupExprs: []plan.Expr{col(0, "k")}, Sets: [][]int{{0}},
+		Aggs: []plan.AggCall{countStar}, Spool: spool,
+		Sch: &plan.Schema{Cols: []plan.Col{{Name: "k", Typ: intT()}, {Name: "n", Typ: intT()}}}}
+	link := scalarSub(aggOver(&plan.Filter{Input: &plan.Scan{Source: spool, Sch: spool.Sch},
+		Pred: notDistinct(col(0, "k"), corr(0, "k", intT()))}, sumF), floatT())
+	return &plan.Project{Input: agg, Exprs: []plan.NamedExpr{
+		{Expr: col(0, "k"), Col: plan.Col{Name: "k", Typ: intT()}},
+		{Expr: col(1, "n"), Col: plan.Col{Name: "n", Typ: intT()}},
+		{Expr: link, Col: plan.Col{Name: "s", Typ: floatT()}},
+	}, Sch: &plan.Schema{Cols: []plan.Col{{Name: "k", Typ: intT()}, {Name: "n", Typ: intT()}, {Name: "s", Typ: floatT()}}}}
+}
+
+// answersSpooled is a lattice that answers every spooled Aggregate with
+// the rows it was given and reads no table.
+type answersSpooled struct{ rows [][]sqltypes.Value }
+
+func (a *answersSpooled) Analyze(n *plan.Aggregate) any {
+	if n.Spool == nil {
+		return nil
+	}
+	return n
+}
+
+func (a *answersSpooled) Answer(n any, _ func(plan.Expr) (sqltypes.Value, error)) ([][]sqltypes.Value, bool, error) {
+	return a.rows, n != nil, nil
+}
+
+// When the lattice answers a spooled Aggregate nothing runs its input,
+// so the first read of the spool runs it, once, and every link reads
+// those rows: the input table is scanned exactly once either way and the
+// rows are those of a run without the lattice. Four executions of one
+// cached plan at once, with four workers each, agree too.
+func TestSpoolReadWhenTheLatticeAnswered(t *testing.T) {
+	node := spooledQuery()
+	agg := node.Input.(*plan.Aggregate)
+	run := func(rollups RollupProvider, workers int, pipe *Pipeline) ([]Row, Stats, error) {
+		settings := DefaultSettings()
+		settings.Workers, settings.Rollups, settings.Pipeline = workers, rollups, pipe
+		var stats Stats
+		settings.Stats = &stats
+		rows, err := Run(node, settings)
+		return rows, stats.Snapshot(), err
+	}
+	want, stats, err := run(nil, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.RowsScanned != 300 {
+		t.Fatalf("without the lattice: %d rows scanned, want 300 (the links read the spool)", stats.RowsScanned)
+	}
+	aggRows, err := Run(agg, DefaultSettings())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lattice := &answersSpooled{rows: aggRows}
+	for _, workers := range []int{1, 4} {
+		got, stats, err := run(lattice, workers, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameRows(t, fmt.Sprintf("lattice, workers=%d", workers), want, got)
+		if stats.RollupHits != 1 || stats.RowsScanned != 300 {
+			t.Fatalf("lattice, workers=%d: %d hits, %d rows scanned, want 1 and 300 (the first read)",
+				workers, stats.RollupHits, stats.RowsScanned)
+		}
+	}
+
+	pipe := NewPipeline()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				var rollups RollupProvider
+				if (g+i)%2 == 0 {
+					rollups = lattice
+				}
+				got, _, err := run(rollups, 4, pipe)
+				if err != nil || !reflect.DeepEqual(got, want) {
+					t.Errorf("concurrent execution %d.%d differs from the serial one (err %v)", g, i, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -162,18 +162,16 @@ func (rt *runtime) sortFns(n *plan.Sort) []evalFn {
 type joinProg struct {
 	left, right []evalFn
 	residual    predFn // nil when the join has none
-	// The traits of the left keys, the right keys, and the probe (left
-	// keys plus residual).
-	leftTraits, rightTraits, probeTraits exprTraits
+	// probeTraits are the traits of the probe: left keys plus residual.
+	probeTraits exprTraits
 }
 
 func (rt *runtime) joinProg(j *plan.Join) *joinProg {
 	return rt.rowProg(j, func() any {
 		p := &joinProg{
 			left: compileExprs(j.EquiLeft), right: compileExprs(j.EquiRight),
-			leftTraits: traitsOf(j.EquiLeft...), rightTraits: traitsOf(j.EquiRight...),
+			probeTraits: traitsOf(j.EquiLeft...),
 		}
-		p.probeTraits = p.leftTraits
 		if j.Residual != nil {
 			p.residual = compilePred(j.Residual)
 			p.probeTraits.add(j.Residual)

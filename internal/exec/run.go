@@ -2,8 +2,10 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -57,7 +59,7 @@ func (rt *runtime) run(n plan.Node) ([]Row, error) {
 	if p == nil {
 		rows, err := rt.runNode(n)
 		if err == nil {
-			err = rt.sh.bud.noteRows(len(rows), rowsBytes(rows))
+			err = rt.charge(n, rows)
 		}
 		return rows, err
 	}
@@ -66,9 +68,20 @@ func (rt *runtime) run(n plan.Node) ([]Row, error) {
 	rows, err := rt.runNode(n)
 	m.Record(len(rows), int64(time.Since(start)))
 	if err == nil {
-		err = rt.sh.bud.noteRows(len(rows), rowsBytes(rows))
+		err = rt.charge(n, rows)
 	}
 	return rows, err
+}
+
+// charge notes an operator's output against the budget. A spool read
+// hands out rows that were charged when the Aggregate's input made them.
+func (rt *runtime) charge(n plan.Node, rows []Row) error {
+	if sc, ok := n.(*plan.Scan); ok {
+		if _, ok := sc.Source.(*plan.Spool); ok {
+			return nil
+		}
+	}
+	return rt.sh.bud.noteRows(len(rows), rowsBytes(rows))
 }
 
 // noteFanout records that operator n fanned out to workers goroutines.
@@ -91,6 +104,12 @@ type snapshotSource interface {
 func (rt *runtime) runNode(n plan.Node) ([]Row, error) {
 	switch n := n.(type) {
 	case *plan.Scan:
+		if s, ok := n.Source.(*plan.Spool); ok {
+			rt.sh.scans.Add(1)
+			// The rows are this execution's: no column share may keep them.
+			rt.scanned = storage.State{}
+			return rt.readSpool(s)
+		}
 		var rows []Row
 		if src, ok := n.Source.(snapshotSource); ok {
 			rows, rt.scanned = src.Snapshot()
@@ -154,15 +173,8 @@ func (rt *runtime) runNode(n plan.Node) ([]Row, error) {
 			return rt.runProjectParallel(fns, in, f)
 		}
 		out := make([]Row, len(in))
-		for i, row := range in {
-			if err := rt.tick(); err != nil {
-				return nil, err
-			}
-			proj, err := rt.projectRow(fns, row)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = proj
+		if err := rt.projectRows(fns, in, out, 0, len(in)); err != nil {
+			return nil, err
 		}
 		return out, nil
 
@@ -170,6 +182,9 @@ func (rt *runtime) runNode(n plan.Node) ([]Row, error) {
 		return rt.runJoin(n)
 
 	case *plan.Aggregate:
+		if n.Spool != nil {
+			rt.openSpool(n.Spool, n.Input)
+		}
 		if rows, ok, err := rt.tryRollup(n); err != nil {
 			return nil, err
 		} else if ok {
@@ -250,6 +265,65 @@ func (rt *runtime) runNode(n plan.Node) ([]Row, error) {
 	}
 }
 
+// spoolRows is one execution's rows of a plan.Spool. The Aggregate
+// that folds them publishes them; when the lattice answered it instead
+// and nothing ran its input, the first read runs input and publishes
+// what it made. Either way they are made once, under once, and only
+// read afterwards.
+type spoolRows struct {
+	input plan.Node
+	once  sync.Once
+	rows  []Row
+	err   error
+}
+
+// openSpool makes s's entry for this execution, on the Aggregate's
+// dispatch and before the lattice is asked; a later dispatch of the same
+// node (an enclosing subquery run again) finds it and changes nothing.
+func (rt *runtime) openSpool(s *plan.Spool, input plan.Node) *spoolRows {
+	sh := rt.sh
+	sh.spoolMu.Lock()
+	defer sh.spoolMu.Unlock()
+	e := sh.spools[s]
+	if e == nil {
+		if sh.spools == nil {
+			sh.spools = map[*plan.Spool]*spoolRows{}
+		}
+		e = &spoolRows{input: input}
+		sh.spools[s] = e
+	}
+	return e
+}
+
+// publishSpool hands the rows an Aggregate's input made to the links
+// reading s, unless this execution's spool is already made: the input is
+// uncorrelated and deterministic, so every run of it makes the same rows.
+func (rt *runtime) publishSpool(s *plan.Spool, rows []Row) {
+	e := rt.openSpool(s, nil)
+	e.once.Do(func() { e.rows = rows })
+}
+
+var errSpoolUnmade = errors.New("spooled aggregate input was not produced")
+
+// readSpool returns this execution's rows of s, running the Aggregate's
+// input the first time if nothing published them.
+func (rt *runtime) readSpool(s *plan.Spool) ([]Row, error) {
+	rt.sh.spoolMu.Lock()
+	e := rt.sh.spools[s]
+	rt.sh.spoolMu.Unlock()
+	if e == nil {
+		return nil, fmt.Errorf("internal error: spool read before its Aggregate ran")
+	}
+	e.once.Do(func() {
+		// Reported if the run below panics.
+		e.err = errSpoolUnmade
+		// The input is uncorrelated, so the frames on the stack do not
+		// matter to it.
+		e.rows, e.err = rt.run(e.input)
+	})
+	return e.rows, e.err
+}
+
 // joinEnv bundles per-join helpers shared by the serial and parallel
 // probe paths.
 type joinEnv struct {
@@ -257,21 +331,78 @@ type joinEnv struct {
 	prog       *joinProg
 	leftWidth  int
 	rightWidth int
+	// leftNulls and rightNulls are the NULL padding of each side, read
+	// by outer joins.
+	leftNulls, rightNulls Row
 }
 
-func (e *joinEnv) concat(l, r Row) Row {
-	row := make(Row, 0, e.leftWidth+e.rightWidth)
-	row = append(row, l...)
-	return append(row, r...)
+func newJoinEnv(rt *runtime, j *plan.Join) *joinEnv {
+	env := &joinEnv{
+		j:          j,
+		prog:       rt.joinProg(j),
+		leftWidth:  len(j.Left.Schema().Cols),
+		rightWidth: len(j.Right.Schema().Cols),
+	}
+	switch j.Kind {
+	case plan.JoinLeft, plan.JoinFull:
+		env.rightNulls = nullRow(j.Right.Schema().Cols)
+	}
+	if env.needRightMatched() {
+		env.leftNulls = nullRow(j.Left.Schema().Cols)
+	}
+	return env
 }
 
-func (e *joinEnv) nullRow(w int, cols []plan.Col) Row {
-	row := make(Row, w)
+func nullRow(cols []plan.Col) Row {
+	row := make(Row, len(cols))
 	for i := range row {
 		row[i] = sqltypes.Null(cols[i].Typ.Kind)
 	}
 	return row
 }
+
+// concat fills dst, a row of the join's output width, with l then r.
+func (e *joinEnv) concat(dst, l, r Row) Row {
+	copy(dst, l)
+	copy(dst[e.leftWidth:], r)
+	return dst
+}
+
+// rowBlock carves fixed-width output rows out of blocks of rows rows
+// each, so an operator allocates per block instead of per row. A row is
+// cut with cap = len: appending to it copies it rather than writing into
+// its neighbour.
+type rowBlock struct {
+	free  []sqltypes.Value
+	width int
+	rows  int
+	// spare is a row handed back by reuse, returned by the next call of
+	// next before anything is carved.
+	spare Row
+}
+
+// maxBlockRows bounds a block whose row count is not known in advance.
+const maxBlockRows = 1024
+
+func newRowBlock(width, rows int) *rowBlock {
+	return &rowBlock{width: width, rows: max(rows, 1)}
+}
+
+func (b *rowBlock) next() Row {
+	if row := b.spare; row != nil {
+		b.spare = nil
+		return row
+	}
+	if len(b.free) < b.width {
+		b.free = make([]sqltypes.Value, b.width*b.rows)
+	}
+	row := b.free[:b.width:b.width]
+	b.free = b.free[b.width:]
+	return row
+}
+
+// reuse hands back a row from next that the caller did not keep.
+func (b *rowBlock) reuse(row Row) { b.spare = row }
 
 func (e *joinEnv) residualOK(rt *runtime, row Row) (bool, error) {
 	if e.prog.residual == nil {
@@ -288,55 +419,58 @@ func (e *joinEnv) needRightMatched() bool {
 	return e.j.Kind == plan.JoinRight || e.j.Kind == plan.JoinFull
 }
 
-// evalJoinKeys fills keys[lo:hi] (and nulls[lo:hi]) with the RowKey of
-// the compiled key expressions over rows; a key tuple containing NULL
-// never matches anything and is marked instead of hashed.
-func evalJoinKeys(w *runtime, rows []Row, exprs []evalFn, keys []string, nulls []bool, lo, hi int) error {
-	var key []byte
-	for i := lo; i < hi; i++ {
-		if err := w.tick(); err != nil {
-			return err
+// appendJoinKey encodes the key tuple of the compiled key expressions
+// over row onto dst; null reports a NULL part, and a tuple holding one
+// never matches anything.
+func appendJoinKey(w *runtime, exprs []evalFn, row Row, dst []byte) (key []byte, null bool, err error) {
+	for _, e := range exprs {
+		v, err := e(w, row)
+		if err != nil {
+			return dst, false, err
 		}
-		hasNull := false
-		key = key[:0]
-		for _, e := range exprs {
-			v, err := e(w, rows[i])
-			if err != nil {
-				return err
-			}
-			key = v.AppendKey(key)
-			if v.Null {
-				hasNull = true
-			}
-		}
-		nulls[i] = hasNull
-		if hasNull {
-			keys[i] = ""
-		} else {
-			keys[i] = string(key)
-		}
+		null = null || v.Null
+		dst = v.AppendKey(dst)
 	}
-	return nil
+	return dst, null, nil
 }
 
-// joinKeys computes the join-key strings for one side, fanning out over
-// morsels when the side is large and the key expressions are safe.
-func (rt *runtime) joinKeys(rows []Row, fns []evalFn, traits exprTraits) ([]string, []bool, error) {
-	keys := make([]string, len(rows))
-	nulls := make([]bool, len(rows))
-	if f := rt.rowParallelism(len(rows), traits); f.workers > 1 {
-		err := rt.forEachChunk(len(rows), f, func(wr *runtime, _, _, lo, hi int) error {
-			return evalJoinKeys(wr, rows, fns, keys, nulls, lo, hi)
-		})
-		if err != nil {
-			return nil, nil, err
+// joinIndex is the hash index over a join's build (right) side. Rows
+// with equal key tuples form a chain in ascending order: slots maps an
+// encoded tuple to its chain, first holds 1 + the chain's first row and
+// next 1 + the row after each row (0 ends a chain). Building it
+// allocates per distinct key, not per row.
+type joinIndex struct {
+	slots map[string]int
+	first []int
+	next  []int
+}
+
+func (rt *runtime) buildJoinIndex(fns []evalFn, right []Row) (*joinIndex, error) {
+	idx := &joinIndex{slots: map[string]int{}, next: make([]int, len(right))}
+	var last []int // per chain: 1 + its last row
+	var key []byte
+	for ri, row := range right {
+		if err := rt.tick(); err != nil {
+			return nil, err
 		}
-		return keys, nulls, nil
+		var null bool
+		var err error
+		if key, null, err = appendJoinKey(rt, fns, row, key[:0]); err != nil {
+			return nil, err
+		}
+		if null {
+			continue
+		}
+		if s, ok := idx.slots[string(key)]; ok {
+			idx.next[last[s]-1] = ri + 1
+			last[s] = ri + 1
+			continue
+		}
+		idx.slots[string(key)] = len(idx.first)
+		idx.first = append(idx.first, ri+1)
+		last = append(last, ri+1)
 	}
-	if err := evalJoinKeys(rt, rows, fns, keys, nulls, 0, len(rows)); err != nil {
-		return nil, nil, err
-	}
-	return keys, nulls, nil
+	return idx, nil
 }
 
 func (rt *runtime) runJoin(j *plan.Join) ([]Row, error) {
@@ -348,12 +482,7 @@ func (rt *runtime) runJoin(j *plan.Join) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	env := &joinEnv{
-		j:          j,
-		prog:       rt.joinProg(j),
-		leftWidth:  len(j.Left.Schema().Cols),
-		rightWidth: len(j.Right.Schema().Cols),
-	}
+	env := newJoinEnv(rt, j)
 
 	var out []Row
 	var rightMatched []bool
@@ -367,9 +496,10 @@ func (rt *runtime) runJoin(j *plan.Join) ([]Row, error) {
 	}
 
 	if env.needRightMatched() {
+		blk := newRowBlock(env.leftWidth+env.rightWidth, min(len(right), maxBlockRows))
 		for ri, rrow := range right {
 			if !rightMatched[ri] {
-				out = append(out, env.concat(env.nullRow(env.leftWidth, j.Left.Schema().Cols), rrow))
+				out = append(out, env.concat(blk.next(), env.leftNulls, rrow))
 			}
 		}
 	}
@@ -378,25 +508,34 @@ func (rt *runtime) runJoin(j *plan.Join) ([]Row, error) {
 
 // probeChunk probes left[lo:hi] against the build index, appending
 // output rows in left-row order; matched (when non-nil) records right
-// rows that found a partner.
-func (env *joinEnv) probeChunk(rt *runtime, left, right []Row, leftKeys []string, leftNulls []bool,
-	index map[string][]int, matched []bool, lo, hi int) ([]Row, error) {
+// rows that found a partner. Left keys are encoded into one scratch
+// buffer and output rows carved from blocks, so the chunk allocates per
+// block of output, not per row.
+func (env *joinEnv) probeChunk(rt *runtime, left, right []Row, index *joinIndex, matched []bool, lo, hi int) ([]Row, error) {
 	j := env.j
+	blk := newRowBlock(env.leftWidth+env.rightWidth, min(hi-lo, maxBlockRows))
 	var out []Row
+	var key []byte
 	for li := lo; li < hi; li++ {
 		if err := rt.tick(); err != nil {
 			return nil, err
 		}
 		lrow := left[li]
+		var null bool
+		var err error
+		if key, null, err = appendJoinKey(rt, env.prog.left, lrow, key[:0]); err != nil {
+			return nil, err
+		}
 		found := false
-		if !leftNulls[li] {
-			for _, ri := range index[leftKeys[li]] {
-				row := env.concat(lrow, right[ri])
+		if s, ok := index.slots[string(key)]; ok && !null {
+			for ri := index.first[s] - 1; ri >= 0; ri = index.next[ri] - 1 {
+				row := env.concat(blk.next(), lrow, right[ri])
 				ok, err := env.residualOK(rt, row)
 				if err != nil {
 					return nil, err
 				}
 				if !ok {
+					blk.reuse(row)
 					continue
 				}
 				found = true
@@ -404,6 +543,7 @@ func (env *joinEnv) probeChunk(rt *runtime, left, right []Row, leftKeys []string
 					matched[ri] = true
 				}
 				if j.Kind == plan.JoinSemi {
+					blk.reuse(row)
 					break
 				}
 				out = append(out, row)
@@ -416,7 +556,7 @@ func (env *joinEnv) probeChunk(rt *runtime, left, right []Row, leftKeys []string
 			}
 		case plan.JoinLeft, plan.JoinFull:
 			if !found {
-				out = append(out, env.concat(lrow, env.nullRow(env.rightWidth, j.Right.Schema().Cols)))
+				out = append(out, env.concat(blk.next(), lrow, env.rightNulls))
 			}
 		}
 	}
@@ -424,24 +564,12 @@ func (env *joinEnv) probeChunk(rt *runtime, left, right []Row, leftKeys []string
 }
 
 // runHashJoin builds a hash index over the right (build) side and
-// probes it with the left. Key evaluation on both sides and the probe
-// loop fan out over morsels; map insertion and chunk reassembly stay in
-// row order, so output is identical to the serial plan.
+// probes it with the left. The probe loop, left-key encoding included,
+// fans out over morsels; chunk reassembly stays in row order, so output
+// is identical to the serial plan.
 func (rt *runtime) runHashJoin(env *joinEnv, left, right []Row) ([]Row, []bool, error) {
 	j := env.j
-
-	rightKeys, rightNulls, err := rt.joinKeys(right, env.prog.right, env.prog.rightTraits)
-	if err != nil {
-		return nil, nil, err
-	}
-	index := make(map[string][]int, len(right))
-	for ri := range right {
-		if !rightNulls[ri] {
-			index[rightKeys[ri]] = append(index[rightKeys[ri]], ri)
-		}
-	}
-
-	leftKeys, leftNulls, err := rt.joinKeys(left, env.prog.left, env.prog.leftTraits)
+	index, err := rt.buildJoinIndex(env.prog.right, right)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -455,7 +583,7 @@ func (rt *runtime) runHashJoin(env *joinEnv, left, right []Row) ([]Row, []bool, 
 		if env.needRightMatched() {
 			matched = make([]bool, len(right))
 		}
-		out, err := env.probeChunk(rt, left, right, leftKeys, leftNulls, index, matched, 0, len(left))
+		out, err := env.probeChunk(rt, left, right, index, matched, 0, len(left))
 		return out, matched, err
 	}
 
@@ -470,7 +598,7 @@ func (rt *runtime) runHashJoin(env *joinEnv, left, right []Row) ([]Row, []bool, 
 				workerMatched[worker] = matched
 			}
 		}
-		rows, err := env.probeChunk(w, left, right, leftKeys, leftNulls, index, matched, lo, hi)
+		rows, err := env.probeChunk(w, left, right, index, matched, lo, hi)
 		if err != nil {
 			return err
 		}
@@ -481,7 +609,11 @@ func (rt *runtime) runHashJoin(env *joinEnv, left, right []Row) ([]Row, []bool, 
 		return nil, nil, err
 	}
 
-	var out []Row
+	n := 0
+	for _, rows := range chunkOut {
+		n += len(rows)
+	}
+	out := make([]Row, 0, n)
 	for _, rows := range chunkOut {
 		out = append(out, rows...)
 	}
@@ -506,6 +638,7 @@ func (rt *runtime) runNestedLoopJoin(env *joinEnv, left, right []Row) ([]Row, []
 	if env.needRightMatched() {
 		matched = make([]bool, len(right))
 	}
+	blk := newRowBlock(env.leftWidth+env.rightWidth, min(len(left)*len(right), maxBlockRows))
 	var out []Row
 	for _, lrow := range left {
 		found := false
@@ -513,12 +646,13 @@ func (rt *runtime) runNestedLoopJoin(env *joinEnv, left, right []Row) ([]Row, []
 			if err := rt.tick(); err != nil {
 				return nil, nil, err
 			}
-			row := env.concat(lrow, rrow)
+			row := env.concat(blk.next(), lrow, rrow)
 			ok, err := env.residualOK(rt, row)
 			if err != nil {
 				return nil, nil, err
 			}
 			if !ok {
+				blk.reuse(row)
 				continue
 			}
 			found = true
@@ -526,6 +660,7 @@ func (rt *runtime) runNestedLoopJoin(env *joinEnv, left, right []Row) ([]Row, []
 				matched[ri] = true
 			}
 			if j.Kind == plan.JoinSemi {
+				blk.reuse(row)
 				break
 			}
 			out = append(out, row)
@@ -537,7 +672,7 @@ func (rt *runtime) runNestedLoopJoin(env *joinEnv, left, right []Row) ([]Row, []
 			}
 		case plan.JoinLeft, plan.JoinFull:
 			if !found {
-				out = append(out, env.concat(lrow, env.nullRow(env.rightWidth, j.Right.Schema().Cols)))
+				out = append(out, env.concat(blk.next(), lrow, env.rightNulls))
 			}
 		}
 	}

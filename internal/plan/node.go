@@ -181,6 +181,39 @@ func (n *Scan) Explain() string {
 	return "Scan " + n.Source.Name()
 }
 
+// Spool names the rows an Aggregate's input produces in one execution,
+// so that a context link (a measure reached through a join, paper §3.6)
+// reads the rows the Aggregate folds instead of running the query's FROM
+// tree again. The Aggregate holds it in its Spool field; the link reads
+// it through a Scan whose Source it is. The rows exist only inside an
+// execution, so Rows returns nil and the executor keeps them.
+type Spool struct {
+	Sch *Schema
+}
+
+// Name implements RowSource.
+func (s *Spool) Name() string { return "spool" }
+
+// ColNames implements RowSource.
+func (s *Spool) ColNames() []string { return s.Sch.ColNames() }
+
+// ColTypes implements RowSource.
+func (s *Spool) ColTypes() []sqltypes.Type {
+	types := make([]sqltypes.Type, len(s.Sch.Cols))
+	for i, c := range s.Sch.Cols {
+		types[i] = c.Typ
+	}
+	return types
+}
+
+// Rows implements RowSource; see Spool.
+func (s *Spool) Rows() [][]sqltypes.Value { return nil }
+
+// DataState implements RowSource with a state that is always the Same:
+// the rows follow the tables under the Aggregate, which are sources of
+// the same plan and carry the states of their own.
+func (s *Spool) DataState() storage.State { return storage.State{Gen: 1} }
+
 // Values produces a fixed list of rows of constant expressions; with one
 // empty row it implements SELECT-without-FROM.
 type Values struct {
@@ -321,12 +354,15 @@ func (n *Join) Explain() string {
 // set containing every index, a global aggregate has one empty set, and
 // ROLLUP/CUBE/GROUPING SETS produce several. Output columns are the group
 // keys (NULL when absent from the row's set) followed by the aggregates.
+// A non-nil Spool publishes the Input's rows to the context links that
+// read it.
 type Aggregate struct {
 	Input      Node
 	GroupExprs []Expr
 	Sets       [][]int
 	Aggs       []AggCall
 	Sch        *Schema
+	Spool      *Spool
 }
 
 // Schema implements Node.
@@ -362,6 +398,9 @@ func (n *Aggregate) Explain() string {
 	}
 	if len(n.Aggs) > 0 {
 		sb.WriteString("]")
+	}
+	if n.Spool != nil {
+		sb.WriteString(" spool")
 	}
 	return sb.String()
 }
