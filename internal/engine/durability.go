@@ -61,7 +61,6 @@ func NewDurable(dir string, opts wal.Options) (*Session, error) {
 	// cursor.
 	s.cat.RestoreVersion(dump.Version)
 	s.dur = &durability{wal: m}
-	s.metrics.SetStorageSource(func() StorageCounters { return storageCounters(m) })
 	return s, nil
 }
 

@@ -71,8 +71,9 @@ type Session struct {
 	// exactly-once contract).
 	cas sync.Mutex
 	// rollups is the materialized rollup lattice (see rollups.go); nil
-	// until SetRollups enables it. Atomic so the msql_stats.rollups
-	// provider can read it without touching the session mutex.
+	// until SetRollups enables it. Written under the session mutex with
+	// the executor settings; atomic so msql_stats.rollups and the metrics
+	// snapshot can read it without touching that mutex.
 	rollups atomic.Pointer[rollup.Lattice]
 	// slow is the slow-query log configuration; a statement whose total
 	// wall time meets the threshold emits one JSON line to w.
@@ -206,7 +207,6 @@ func New() *Session {
 		stmts:    newStatementStats(),
 		queries:  newQueryRegistry(),
 	}
-	s.metrics.SetPlanCacheSource(s.plans.counters)
 	s.registerSystemTables()
 	return s
 }

@@ -126,7 +126,7 @@ func (s *Session) registerSystemTables() {
 		Cols:      []string{"name", "value"},
 		Types:     []sqltypes.Type{strT, floatT},
 		Provider: func() [][]sqltypes.Value {
-			flat := flattenMetrics(s.metrics.Snapshot())
+			flat := flattenMetrics(s.MetricsSnapshot())
 			names := make([]string, 0, len(flat))
 			for k := range flat {
 				names = append(names, k)

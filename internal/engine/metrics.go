@@ -1,73 +1,49 @@
 // Session-level metrics: cumulative counters across every query a
 // session runs, exportable as expvar-style JSON and Prometheus text.
+//
+// Every series is declared once, on the snapshot field that carries it:
+// its json tag names it in JSON and msql_stats.metrics, and its
+// `prom:"<name>,counter|gauge|histogram[,seconds]" help:"<text>"` tag
+// names it in the Prometheus exposition, which Prometheus derives by
+// walking the snapshot. A field without a prom tag is JSON-only.
 package engine
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"github.com/measures-sql/msql/internal/exec"
 	"github.com/measures-sql/msql/internal/rollup"
 )
 
-// Metrics accumulates session-wide execution counters. All updates are
-// atomic (or mutex-guarded for the per-strategy map), so concurrent
-// queries on one session aggregate exactly.
+// Metrics accumulates session-wide execution counters. Every update
+// holds mu (the histograms are lock-free), so concurrent queries on one
+// session aggregate exactly and a snapshot sees them all at one point.
 type Metrics struct {
-	queries         int64
-	errors          int64
-	canceled        int64
-	timeouts        int64
-	limitTrips      int64
-	rowsReturned    int64
-	rowsScanned     int64
-	subqueryEvals   int64
-	cacheHits       int64
-	parallelFanouts int64
-	vecBatches      int64
-	vecKernelRows   int64
-	vecFallbackRows int64
-	planNs          int64
-	execNs          int64
-
 	// planHist / execHist distribute per-statement planning and
 	// execution latencies (exported as Prometheus histograms and the
 	// PlanLatency/ExecLatency snapshot sections).
 	planHist exec.Histogram
 	execHist exec.Histogram
 
-	mu         sync.Mutex
+	mu sync.Mutex
+	// sums holds the snapshot's cumulative top-level counters; the
+	// ratio, latencies and sections are filled in when it is copied.
+	sums       MetricsSnapshot
 	byStrategy map[string]*stratCounters
 	// serverFn, when set, supplies a point-in-time copy of the serving
 	// layer's counters (the msqld front end registers itself here) so
 	// one Metrics snapshot covers both engine and server.
 	serverFn func() ServerCounters
-	// planFn supplies the session plan cache's counters (registered by
-	// engine.New) so snapshots cover prepared-statement caching too.
-	planFn func() PlanCacheCounters
-	// storageFn supplies the durability layer's counters (registered by
-	// NewDurable) so snapshots cover WAL and checkpoint activity.
-	storageFn func() StorageCounters
 	// shardFn supplies the distributed coordinator's counters (a
 	// dist.Coordinator registers itself here) so one snapshot covers the
 	// whole scatter-gather failure envelope.
 	shardFn func() ShardCounters
-	// rollupFn supplies the rollup lattice's counters (registered by
-	// SetRollups) so snapshots cover materialized-rollup activity.
-	rollupFn func() rollup.Counters
-}
-
-// SetRollupSource registers (or with nil removes) the rollup lattice's
-// counter source; Snapshot calls it to fill the Rollups section.
-func (m *Metrics) SetRollupSource(fn func() rollup.Counters) {
-	m.mu.Lock()
-	m.rollupFn = fn
-	m.mu.Unlock()
 }
 
 // ShardCounters is the distributed coordinator's slice of a metrics
@@ -76,27 +52,27 @@ func (m *Metrics) SetRollupSource(fn func() rollup.Counters) {
 type ShardCounters struct {
 	// Scatters counts shard fan-out calls issued (one per shard per
 	// distributed query phase).
-	Scatters int64 `json:"scatters"`
+	Scatters int64 `json:"scatters" prom:"msql_shard_scatters_total,counter" help:"Shard fan-out calls issued by the coordinator."`
 	// Retries counts transport-level retry attempts beyond the first try.
-	Retries int64 `json:"retries"`
+	Retries int64 `json:"retries" prom:"msql_shard_retries_total,counter" help:"Shard call retry attempts beyond the first try."`
 	// Hedges counts hedged requests sent to a second endpoint after the
 	// p99-based delay.
-	Hedges int64 `json:"hedges"`
+	Hedges int64 `json:"hedges" prom:"msql_shard_hedges_total,counter" help:"Hedged requests sent to a second endpoint."`
 	// Failovers counts shard calls answered by an endpoint other than
 	// the first one tried.
-	Failovers int64 `json:"failovers"`
+	Failovers int64 `json:"failovers" prom:"msql_shard_failovers_total,counter" help:"Shard calls answered by a non-primary endpoint."`
 	// BreakerOpens counts closed→open circuit-breaker transitions.
-	BreakerOpens int64 `json:"breaker_opens"`
+	BreakerOpens int64 `json:"breaker_opens" prom:"msql_shard_breaker_open_total,counter" help:"Circuit-breaker closed-to-open transitions."`
 	// ShardErrors counts queries that failed with ErrShardUnavailable.
-	ShardErrors int64 `json:"shard_errors"`
+	ShardErrors int64 `json:"shard_errors" prom:"msql_shard_errors_total,counter" help:"Queries failed with a structured shard-unavailable error."`
 	// ShardsTotal and BreakersOpen describe the topology right now.
-	ShardsTotal  int64 `json:"shards_total"`
-	BreakersOpen int64 `json:"breakers_open"`
+	ShardsTotal  int64 `json:"shards_total" prom:"msql_shard_count,gauge" help:"Shards in the topology."`
+	BreakersOpen int64 `json:"breakers_open" prom:"msql_shard_breakers_open,gauge" help:"Endpoints whose breaker is currently open."`
 }
 
 // SetShardSource registers (or with nil removes) the distributed
-// coordinator's counter source; Snapshot calls it to fill the Shards
-// section.
+// coordinator's counter source; the snapshot calls it to fill the
+// Shards section.
 func (m *Metrics) SetShardSource(fn func() ShardCounters) {
 	m.mu.Lock()
 	m.shardFn = fn
@@ -107,28 +83,19 @@ func (m *Metrics) SetShardSource(fn func() ShardCounters) {
 // snapshot: write-ahead log, checkpoint, and recovery counters. WALSeq,
 // WALDurableSeq, and WALBytes are gauges; the rest are cumulative.
 type StorageCounters struct {
-	WALAppends       int64  `json:"wal_appends"`
-	WALAppendBytes   int64  `json:"wal_append_bytes"`
-	WALFsyncs        int64  `json:"wal_fsyncs"`
-	WALBytes         int64  `json:"wal_bytes"`
-	WALSeq           int64  `json:"wal_seq"`
-	WALDurableSeq    int64  `json:"wal_durable_seq"`
-	Checkpoints      int64  `json:"checkpoints"`
-	CheckpointNs     int64  `json:"checkpoint_ns"`
-	LastCheckpointNs int64  `json:"last_checkpoint_ns"`
-	RecoveryNs       int64  `json:"recovery_ns"`
-	RecoveredRecords int64  `json:"recovered_records"`
-	TornTailBytes    int64  `json:"torn_tail_bytes"`
+	WALAppends       int64  `json:"wal_appends" prom:"msql_wal_appends_total,counter" help:"Records appended to the write-ahead log."`
+	WALAppendBytes   int64  `json:"wal_append_bytes" prom:"msql_wal_append_bytes_total,counter" help:"Framed bytes appended to the write-ahead log."`
+	WALFsyncs        int64  `json:"wal_fsyncs" prom:"msql_wal_fsyncs_total,counter" help:"Fsync syscalls on the log (group commit batches appends)."`
+	WALBytes         int64  `json:"wal_bytes" prom:"msql_wal_bytes,gauge" help:"Current size of the write-ahead log."`
+	WALSeq           int64  `json:"wal_seq" prom:"msql_wal_seq,gauge" help:"Last assigned WAL sequence number."`
+	WALDurableSeq    int64  `json:"wal_durable_seq" prom:"msql_wal_durable_seq,gauge" help:"Last WAL sequence known flushed to disk."`
+	Checkpoints      int64  `json:"checkpoints" prom:"msql_checkpoints_total,counter" help:"Checkpoint snapshots completed."`
+	CheckpointNs     int64  `json:"checkpoint_ns" prom:"msql_checkpoint_seconds_total,counter,seconds" help:"Time spent writing checkpoints."`
+	LastCheckpointNs int64  `json:"last_checkpoint_ns" prom:"msql_last_checkpoint_seconds,gauge,seconds" help:"Duration of the most recent checkpoint."`
+	RecoveryNs       int64  `json:"recovery_ns" prom:"msql_recovery_seconds,gauge,seconds" help:"Time the last crash recovery took."`
+	RecoveredRecords int64  `json:"recovered_records" prom:"msql_recovered_records_total,counter" help:"Log records replayed by the last recovery."`
+	TornTailBytes    int64  `json:"torn_tail_bytes" prom:"msql_torn_tail_bytes_total,counter" help:"Trailing log bytes discarded as torn by the last recovery."`
 	SyncPolicy       string `json:"sync_policy"`
-}
-
-// SetStorageSource registers (or with nil removes) the durability
-// layer's counter source; Snapshot calls it to fill the Storage
-// section.
-func (m *Metrics) SetStorageSource(fn func() StorageCounters) {
-	m.mu.Lock()
-	m.storageFn = fn
-	m.mu.Unlock()
 }
 
 // ServerCounters is the serving layer's slice of a metrics snapshot:
@@ -136,40 +103,32 @@ func (m *Metrics) SetStorageSource(fn func() StorageCounters) {
 // sitting in front of the session. Inflight and Queued are gauges; the
 // rest are cumulative counters.
 type ServerCounters struct {
-	Inflight    int64 `json:"inflight"`
-	Queued      int64 `json:"queued"`
-	Accepted    int64 `json:"accepted"`
-	Admitted    int64 `json:"admitted"`
-	Shed        int64 `json:"shed"`
-	Rejected    int64 `json:"rejected_draining"`
-	Drained     int64 `json:"drained"`
-	DrainKilled int64 `json:"drain_killed"`
-	Panics      int64 `json:"panics"`
-	DrainNs     int64 `json:"drain_ns"`
+	Inflight    int64 `json:"inflight" prom:"msql_server_inflight,gauge" help:"Queries executing right now."`
+	Queued      int64 `json:"queued" prom:"msql_server_queued,gauge" help:"Requests waiting for an execution slot."`
+	Accepted    int64 `json:"accepted" prom:"msql_server_requests_total,counter" help:"Query requests received."`
+	Admitted    int64 `json:"admitted" prom:"msql_server_admitted_total,counter" help:"Requests admitted to execution."`
+	Shed        int64 `json:"shed" prom:"msql_server_shed_total,counter" help:"Requests shed by overload control (HTTP 429)."`
+	Rejected    int64 `json:"rejected_draining" prom:"msql_server_rejected_draining_total,counter" help:"Requests rejected while draining (HTTP 503)."`
+	Drained     int64 `json:"drained" prom:"msql_server_drained_total,counter" help:"Inflight queries completed during graceful drain."`
+	DrainKilled int64 `json:"drain_killed" prom:"msql_server_drain_killed_total,counter" help:"Inflight queries canceled at the drain deadline."`
+	Panics      int64 `json:"panics" prom:"msql_server_panics_total,counter" help:"Request handler panics recovered."`
+	DrainNs     int64 `json:"drain_ns" prom:"msql_server_drain_seconds,gauge,seconds" help:"Time the last graceful drain took."`
 }
 
 // SetServerSource registers (or with nil removes) the serving layer's
-// counter source; Snapshot calls it to fill the Server section.
+// counter source; the snapshot calls it to fill the Server section.
 func (m *Metrics) SetServerSource(fn func() ServerCounters) {
 	m.mu.Lock()
 	m.serverFn = fn
 	m.mu.Unlock()
 }
 
-// SetPlanCacheSource registers (or with nil removes) the plan cache's
-// counter source; Snapshot calls it to fill the PlanCache section.
-func (m *Metrics) SetPlanCacheSource(fn func() PlanCacheCounters) {
-	m.mu.Lock()
-	m.planFn = fn
-	m.mu.Unlock()
-}
-
 // stratCounters is the per-strategy slice of the registry.
 type stratCounters struct {
-	Queries int64 `json:"queries"`
-	Errors  int64 `json:"errors"`
-	PlanNs  int64 `json:"plan_ns"`
-	ExecNs  int64 `json:"exec_ns"`
+	Queries int64 `json:"queries" prom:"msql_strategy_queries_total,counter" help:"Queries executed per strategy."`
+	Errors  int64 `json:"errors" prom:"msql_strategy_errors_total,counter" help:"Failed statements per strategy."`
+	PlanNs  int64 `json:"plan_ns" prom:"msql_plan_seconds_total,counter,seconds" help:"Time spent binding and optimizing, per strategy."`
+	ExecNs  int64 `json:"exec_ns" prom:"msql_exec_seconds_total,counter,seconds" help:"Time spent executing, per strategy."`
 }
 
 func newMetrics() *Metrics {
@@ -179,25 +138,22 @@ func newMetrics() *Metrics {
 // recordQuery folds one finished query's executor counters into the
 // registry.
 func (m *Metrics) recordQuery(strategy string, rows int, st exec.Stats, planNs, execNs int64) {
-	atomic.AddInt64(&m.queries, 1)
-	atomic.AddInt64(&m.rowsReturned, int64(rows))
-	atomic.AddInt64(&m.rowsScanned, st.RowsScanned)
-	atomic.AddInt64(&m.subqueryEvals, st.SubqueryEvals)
-	atomic.AddInt64(&m.cacheHits, st.SubqueryCacheHits)
-	atomic.AddInt64(&m.parallelFanouts, st.ParallelFanouts)
-	atomic.AddInt64(&m.vecBatches, st.VecBatches)
-	atomic.AddInt64(&m.vecKernelRows, st.VecKernelRows)
-	atomic.AddInt64(&m.vecFallbackRows, st.VecFallbackRows)
-	atomic.AddInt64(&m.planNs, planNs)
-	atomic.AddInt64(&m.execNs, execNs)
 	m.planHist.Observe(planNs)
 	m.execHist.Observe(execNs)
 	m.mu.Lock()
-	sc := m.byStrategy[strategy]
-	if sc == nil {
-		sc = &stratCounters{}
-		m.byStrategy[strategy] = sc
-	}
+	t := &m.sums
+	t.Queries++
+	t.RowsReturned += int64(rows)
+	t.RowsScanned += st.RowsScanned
+	t.SubqueryEvals += st.SubqueryEvals
+	t.CacheHits += st.SubqueryCacheHits
+	t.ParallelFanouts += st.ParallelFanouts
+	t.VecBatches += st.VecBatches
+	t.VecKernelRows += st.VecKernelRows
+	t.VecFallbackRows += st.VecFallbackRows
+	t.PlanNs += planNs
+	t.ExecNs += execNs
+	sc := m.strategy(strategy)
 	sc.Queries++
 	sc.PlanNs += planNs
 	sc.ExecNs += execNs
@@ -213,114 +169,109 @@ func (m *Metrics) recordOutcome(strategy string, err error) {
 	if err == nil {
 		return
 	}
-	atomic.AddInt64(&m.errors, 1)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.sums.Errors++
 	switch {
 	case errors.Is(err, exec.CodeCanceled):
-		atomic.AddInt64(&m.canceled, 1)
+		m.sums.Canceled++
 	case errors.Is(err, exec.CodeTimeout):
-		atomic.AddInt64(&m.timeouts, 1)
+		m.sums.Timeouts++
 	case errors.Is(err, exec.CodeResourceExhausted):
-		atomic.AddInt64(&m.limitTrips, 1)
+		m.sums.LimitTrips++
 	}
-	m.mu.Lock()
-	sc := m.byStrategy[strategy]
-	if sc == nil {
-		sc = &stratCounters{}
-		m.byStrategy[strategy] = sc
-	}
-	sc.Errors++
-	m.mu.Unlock()
+	m.strategy(strategy).Errors++
 }
 
-// MetricsSnapshot is a point-in-time copy of the registry.
+// strategy returns the named strategy's counters, creating them on
+// first use. Callers hold mu.
+func (m *Metrics) strategy(name string) *stratCounters {
+	sc := m.byStrategy[name]
+	if sc == nil {
+		sc = &stratCounters{}
+		m.byStrategy[name] = sc
+	}
+	return sc
+}
+
+// MetricsSnapshot is a point-in-time copy of the registry. Its field
+// order is the order of the JSON keys and of the Prometheus families.
 type MetricsSnapshot struct {
-	Queries         int64                    `json:"queries"`
-	Errors          int64                    `json:"errors"`
-	Canceled        int64                    `json:"canceled"`
-	Timeouts        int64                    `json:"timeouts"`
-	LimitTrips      int64                    `json:"limit_trips"`
-	RowsReturned    int64                    `json:"rows_returned"`
-	RowsScanned     int64                    `json:"rows_scanned"`
-	SubqueryEvals   int64                    `json:"subquery_evals"`
-	CacheHits       int64                    `json:"cache_hits"`
-	CacheHitRatio   float64                  `json:"cache_hit_ratio"`
-	ParallelFanouts int64                    `json:"parallel_fanouts"`
-	VecBatches      int64                    `json:"vec_batches"`
-	VecKernelRows   int64                    `json:"vec_kernel_rows"`
-	VecFallbackRows int64                    `json:"vec_fallback_rows"`
+	Queries         int64                    `json:"queries" prom:"msql_queries_total,counter" help:"Queries executed."`
+	Errors          int64                    `json:"errors" prom:"msql_query_errors_total,counter" help:"Queries that returned an error."`
+	Canceled        int64                    `json:"canceled" prom:"msql_queries_canceled_total,counter" help:"Statements ended by caller cancellation."`
+	Timeouts        int64                    `json:"timeouts" prom:"msql_query_timeouts_total,counter" help:"Statements ended by a deadline or Limits.Timeout."`
+	LimitTrips      int64                    `json:"limit_trips" prom:"msql_limit_trips_total,counter" help:"Statements ended by a resource governor limit."`
+	RowsReturned    int64                    `json:"rows_returned" prom:"msql_rows_returned_total,counter" help:"Rows returned to clients."`
+	RowsScanned     int64                    `json:"rows_scanned" prom:"msql_rows_scanned_total,counter" help:"Rows produced by Scan operators."`
+	SubqueryEvals   int64                    `json:"subquery_evals" prom:"msql_subquery_evals_total,counter" help:"Actual subquery plan executions."`
+	CacheHits       int64                    `json:"cache_hits" prom:"msql_subquery_cache_hits_total,counter" help:"Subquery evaluations served from the memo cache."`
+	CacheHitRatio   float64                  `json:"cache_hit_ratio" prom:"msql_cache_hit_ratio,gauge" help:"Fraction of subquery evaluations served from cache."`
+	ParallelFanouts int64                    `json:"parallel_fanouts" prom:"msql_parallel_fanouts_total,counter" help:"Operator executions that fanned out to multiple workers."`
+	VecBatches      int64                    `json:"vec_batches" prom:"msql_vec_batches_total,counter" help:"Columnar batches processed by the vectorized engine."`
+	VecKernelRows   int64                    `json:"vec_kernel_rows" prom:"msql_vec_kernel_rows_total,counter" help:"Expression evaluations done by batch kernels."`
+	VecFallbackRows int64                    `json:"vec_fallback_rows" prom:"msql_vec_fallback_rows_total,counter" help:"Rows the vectorized engine handed back to the row evaluator."`
 	PlanNs          int64                    `json:"plan_ns"`
 	ExecNs          int64                    `json:"exec_ns"`
-	PlanLatency     exec.HistogramSnapshot   `json:"plan_latency"`
-	ExecLatency     exec.HistogramSnapshot   `json:"exec_latency"`
-	ByStrategy      map[string]stratCounters `json:"by_strategy"`
+	PlanLatency     exec.HistogramSnapshot   `json:"plan_latency" prom:"msql_plan_duration_seconds,histogram,seconds" help:"Per-statement planning latency."`
+	ExecLatency     exec.HistogramSnapshot   `json:"exec_latency" prom:"msql_exec_duration_seconds,histogram,seconds" help:"Per-statement execution latency."`
+	ByStrategy      map[string]stratCounters `json:"by_strategy" label:"strategy"`
 	// PlanCache carries the prepared-statement plan cache's counters.
 	PlanCache *PlanCacheCounters `json:"plan_cache,omitempty"`
 	// Server carries the serving layer's counters when a query server
 	// has registered itself (SetServerSource); nil otherwise.
 	Server *ServerCounters `json:"server,omitempty"`
 	// Storage carries the durability layer's counters when the session
-	// writes through a WAL (SetStorageSource); nil otherwise.
+	// writes through a WAL; nil otherwise.
 	Storage *StorageCounters `json:"storage,omitempty"`
 	// Shards carries the distributed coordinator's counters when one has
 	// registered itself (SetShardSource); nil otherwise.
 	Shards *ShardCounters `json:"shards,omitempty"`
 	// Rollups carries the rollup lattice's counters when rollups are
-	// enabled (SetRollupSource); nil otherwise.
+	// enabled; nil otherwise.
 	Rollups *rollup.Counters `json:"rollups,omitempty"`
 }
 
-// Snapshot returns a consistent copy of the counters.
-func (m *Metrics) Snapshot() MetricsSnapshot {
-	s := MetricsSnapshot{
-		Queries:         atomic.LoadInt64(&m.queries),
-		Errors:          atomic.LoadInt64(&m.errors),
-		Canceled:        atomic.LoadInt64(&m.canceled),
-		Timeouts:        atomic.LoadInt64(&m.timeouts),
-		LimitTrips:      atomic.LoadInt64(&m.limitTrips),
-		RowsReturned:    atomic.LoadInt64(&m.rowsReturned),
-		RowsScanned:     atomic.LoadInt64(&m.rowsScanned),
-		SubqueryEvals:   atomic.LoadInt64(&m.subqueryEvals),
-		CacheHits:       atomic.LoadInt64(&m.cacheHits),
-		ParallelFanouts: atomic.LoadInt64(&m.parallelFanouts),
-		VecBatches:      atomic.LoadInt64(&m.vecBatches),
-		VecKernelRows:   atomic.LoadInt64(&m.vecKernelRows),
-		VecFallbackRows: atomic.LoadInt64(&m.vecFallbackRows),
-		PlanNs:          atomic.LoadInt64(&m.planNs),
-		ExecNs:          atomic.LoadInt64(&m.execNs),
-		PlanLatency:     m.planHist.Snapshot(),
-		ExecLatency:     m.execHist.Snapshot(),
-		ByStrategy:      map[string]stratCounters{},
-	}
-	if total := s.SubqueryEvals + s.CacheHits; total > 0 {
-		s.CacheHitRatio = float64(s.CacheHits) / float64(total)
-	}
+// MetricsSnapshot returns a consistent copy of the session's metrics:
+// the registry's own counters, the plan cache, WAL and lattice sections
+// read from the session's own stores, and the server and shard sections
+// from their registered sources. It never takes the session mutex, so a
+// statement scanning msql_stats.metrics cannot deadlock against the
+// statement machinery running it.
+func (s *Session) MetricsSnapshot() MetricsSnapshot {
+	m := s.metrics
 	m.mu.Lock()
+	snap := m.sums
+	snap.ByStrategy = make(map[string]stratCounters, len(m.byStrategy))
 	for k, v := range m.byStrategy {
-		s.ByStrategy[k] = *v
+		snap.ByStrategy[k] = *v
 	}
-	serverFn, planFn, storageFn, shardFn, rollupFn := m.serverFn, m.planFn, m.storageFn, m.shardFn, m.rollupFn
+	serverFn, shardFn := m.serverFn, m.shardFn
 	m.mu.Unlock()
-	if planFn != nil {
-		pc := planFn()
-		s.PlanCache = &pc
+	snap.PlanLatency = m.planHist.Snapshot()
+	snap.ExecLatency = m.execHist.Snapshot()
+	if total := snap.SubqueryEvals + snap.CacheHits; total > 0 {
+		snap.CacheHitRatio = float64(snap.CacheHits) / float64(total)
 	}
+	pc := s.plans.counters()
+	snap.PlanCache = &pc
 	if serverFn != nil {
 		sc := serverFn()
-		s.Server = &sc
+		snap.Server = &sc
 	}
-	if storageFn != nil {
-		st := storageFn()
-		s.Storage = &st
+	if s.dur != nil {
+		st := storageCounters(s.dur.wal)
+		snap.Storage = &st
 	}
 	if shardFn != nil {
 		sh := shardFn()
-		s.Shards = &sh
+		snap.Shards = &sh
 	}
-	if rollupFn != nil {
-		rc := rollupFn()
-		s.Rollups = &rc
+	if l := s.rollups.Load(); l != nil {
+		rc := l.Stats()
+		snap.Rollups = &rc
 	}
-	return s
+	return snap
 }
 
 // JSON renders the snapshot as expvar-style indented JSON.
@@ -333,127 +284,100 @@ func (s MetricsSnapshot) JSON() string {
 }
 
 // Prometheus renders the snapshot in the Prometheus text exposition
-// format. Strategy labels are emitted in sorted order so the output is
-// deterministic.
+// format: one family per prom-tagged field, in field order. Strategy
+// labels are emitted in sorted order so the output is deterministic.
 func (s MetricsSnapshot) Prometheus() string {
 	var sb strings.Builder
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(&sb, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("msql_queries_total", "Queries executed.", s.Queries)
-	counter("msql_query_errors_total", "Queries that returned an error.", s.Errors)
-	counter("msql_queries_canceled_total", "Statements ended by caller cancellation.", s.Canceled)
-	counter("msql_query_timeouts_total", "Statements ended by a deadline or Limits.Timeout.", s.Timeouts)
-	counter("msql_limit_trips_total", "Statements ended by a resource governor limit.", s.LimitTrips)
-	counter("msql_rows_returned_total", "Rows returned to clients.", s.RowsReturned)
-	counter("msql_rows_scanned_total", "Rows produced by Scan operators.", s.RowsScanned)
-	counter("msql_subquery_evals_total", "Actual subquery plan executions.", s.SubqueryEvals)
-	counter("msql_subquery_cache_hits_total", "Subquery evaluations served from the memo cache.", s.CacheHits)
-	counter("msql_parallel_fanouts_total", "Operator executions that fanned out to multiple workers.", s.ParallelFanouts)
-	counter("msql_vec_batches_total", "Columnar batches processed by the vectorized engine.", s.VecBatches)
-	counter("msql_vec_kernel_rows_total", "Expression evaluations done by batch kernels.", s.VecKernelRows)
-	counter("msql_vec_fallback_rows_total", "Rows the vectorized engine handed back to the row evaluator.", s.VecFallbackRows)
-	fmt.Fprintf(&sb, "# HELP msql_cache_hit_ratio Fraction of subquery evaluations served from cache.\n# TYPE msql_cache_hit_ratio gauge\nmsql_cache_hit_ratio %g\n", s.CacheHitRatio)
-	histogram := func(name, help string, h exec.HistogramSnapshot) {
-		fmt.Fprintf(&sb, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-		h.EachBucket(func(upperNs, cum int64) {
-			fmt.Fprintf(&sb, "%s_bucket{le=\"%g\"} %d\n", name, float64(upperNs)/1e9, cum)
-		})
-		fmt.Fprintf(&sb, "%s_bucket{le=\"+Inf\"} %d\n", name, h.Count)
-		fmt.Fprintf(&sb, "%s_sum %g\n", name, float64(h.SumNs)/1e9)
-		fmt.Fprintf(&sb, "%s_count %d\n", name, h.Count)
-	}
-	histogram("msql_plan_duration_seconds", "Per-statement planning latency.", s.PlanLatency)
-	histogram("msql_exec_duration_seconds", "Per-statement execution latency.", s.ExecLatency)
-	if pc := s.PlanCache; pc != nil {
-		counter("msql_plan_cache_hits_total", "Prepared executions served from the plan cache.", pc.Hits)
-		counter("msql_plan_cache_misses_total", "Prepared executions that had to plan.", pc.Misses)
-		counter("msql_plan_cache_evictions_total", "Plan-cache entries evicted by the LRU cap.", pc.Evictions)
-		counter("msql_plan_cache_invalidations_total", "Plan-cache entries dropped after DDL or data changes.", pc.Invalidations)
-		counter("msql_plan_cache_bypasses_total", "Prepared executions that skipped the plan cache (volatile or disabled).", pc.Bypasses)
-		counter("msql_plan_cache_memo_hits_total", "Prepared executions answered from an entry's identical-binding result memo.", pc.MemoHits)
-		fmt.Fprintf(&sb, "# HELP msql_plan_cache_entries Plans currently cached.\n# TYPE msql_plan_cache_entries gauge\nmsql_plan_cache_entries %d\n", pc.Entries)
-	}
-
-	strategies := make([]string, 0, len(s.ByStrategy))
-	for k := range s.ByStrategy {
-		strategies = append(strategies, k)
-	}
-	sort.Strings(strategies)
-	sb.WriteString("# HELP msql_strategy_queries_total Queries executed per strategy.\n# TYPE msql_strategy_queries_total counter\n")
-	for _, k := range strategies {
-		fmt.Fprintf(&sb, "msql_strategy_queries_total{strategy=%q} %d\n", k, s.ByStrategy[k].Queries)
-	}
-	sb.WriteString("# HELP msql_strategy_errors_total Failed statements per strategy.\n# TYPE msql_strategy_errors_total counter\n")
-	for _, k := range strategies {
-		fmt.Fprintf(&sb, "msql_strategy_errors_total{strategy=%q} %d\n", k, s.ByStrategy[k].Errors)
-	}
-	sb.WriteString("# HELP msql_plan_seconds_total Time spent binding and optimizing, per strategy.\n# TYPE msql_plan_seconds_total counter\n")
-	for _, k := range strategies {
-		fmt.Fprintf(&sb, "msql_plan_seconds_total{strategy=%q} %g\n", k, float64(s.ByStrategy[k].PlanNs)/1e9)
-	}
-	sb.WriteString("# HELP msql_exec_seconds_total Time spent executing, per strategy.\n# TYPE msql_exec_seconds_total counter\n")
-	for _, k := range strategies {
-		fmt.Fprintf(&sb, "msql_exec_seconds_total{strategy=%q} %g\n", k, float64(s.ByStrategy[k].ExecNs)/1e9)
-	}
-	if sv := s.Server; sv != nil {
-		gauge := func(name, help string, v int64) {
-			fmt.Fprintf(&sb, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-		}
-		gauge("msql_server_inflight", "Queries executing right now.", sv.Inflight)
-		gauge("msql_server_queued", "Requests waiting for an execution slot.", sv.Queued)
-		counter("msql_server_requests_total", "Query requests received.", sv.Accepted)
-		counter("msql_server_admitted_total", "Requests admitted to execution.", sv.Admitted)
-		counter("msql_server_shed_total", "Requests shed by overload control (HTTP 429).", sv.Shed)
-		counter("msql_server_rejected_draining_total", "Requests rejected while draining (HTTP 503).", sv.Rejected)
-		counter("msql_server_drained_total", "Inflight queries completed during graceful drain.", sv.Drained)
-		counter("msql_server_drain_killed_total", "Inflight queries canceled at the drain deadline.", sv.DrainKilled)
-		counter("msql_server_panics_total", "Request handler panics recovered.", sv.Panics)
-		fmt.Fprintf(&sb, "# HELP msql_server_drain_seconds Time the last graceful drain took.\n# TYPE msql_server_drain_seconds gauge\nmsql_server_drain_seconds %g\n", float64(sv.DrainNs)/1e9)
-	}
-	if st := s.Storage; st != nil {
-		gauge := func(name, help string, v int64) {
-			fmt.Fprintf(&sb, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-		}
-		counter("msql_wal_appends_total", "Records appended to the write-ahead log.", st.WALAppends)
-		counter("msql_wal_append_bytes_total", "Framed bytes appended to the write-ahead log.", st.WALAppendBytes)
-		counter("msql_wal_fsyncs_total", "Fsync syscalls on the log (group commit batches appends).", st.WALFsyncs)
-		counter("msql_checkpoints_total", "Checkpoint snapshots completed.", st.Checkpoints)
-		gauge("msql_wal_bytes", "Current size of the write-ahead log.", st.WALBytes)
-		gauge("msql_wal_seq", "Last assigned WAL sequence number.", st.WALSeq)
-		gauge("msql_wal_durable_seq", "Last WAL sequence known flushed to disk.", st.WALDurableSeq)
-		fmt.Fprintf(&sb, "# HELP msql_checkpoint_seconds_total Time spent writing checkpoints.\n# TYPE msql_checkpoint_seconds_total counter\nmsql_checkpoint_seconds_total %g\n", float64(st.CheckpointNs)/1e9)
-		fmt.Fprintf(&sb, "# HELP msql_last_checkpoint_seconds Duration of the most recent checkpoint.\n# TYPE msql_last_checkpoint_seconds gauge\nmsql_last_checkpoint_seconds %g\n", float64(st.LastCheckpointNs)/1e9)
-		fmt.Fprintf(&sb, "# HELP msql_recovery_seconds Time the last crash recovery took.\n# TYPE msql_recovery_seconds gauge\nmsql_recovery_seconds %g\n", float64(st.RecoveryNs)/1e9)
-		counter("msql_recovered_records_total", "Log records replayed by the last recovery.", st.RecoveredRecords)
-		counter("msql_torn_tail_bytes_total", "Trailing log bytes discarded as torn by the last recovery.", st.TornTailBytes)
-	}
-	if sh := s.Shards; sh != nil {
-		gauge := func(name, help string, v int64) {
-			fmt.Fprintf(&sb, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-		}
-		counter("msql_shard_scatters_total", "Shard fan-out calls issued by the coordinator.", sh.Scatters)
-		counter("msql_shard_retries_total", "Shard call retry attempts beyond the first try.", sh.Retries)
-		counter("msql_shard_hedges_total", "Hedged requests sent to a second endpoint.", sh.Hedges)
-		counter("msql_shard_failovers_total", "Shard calls answered by a non-primary endpoint.", sh.Failovers)
-		counter("msql_shard_breaker_open_total", "Circuit-breaker closed-to-open transitions.", sh.BreakerOpens)
-		counter("msql_shard_errors_total", "Queries failed with a structured shard-unavailable error.", sh.ShardErrors)
-		gauge("msql_shard_count", "Shards in the topology.", sh.ShardsTotal)
-		gauge("msql_shard_breakers_open", "Endpoints whose breaker is currently open.", sh.BreakersOpen)
-	}
-	if rc := s.Rollups; rc != nil {
-		gauge := func(name, help string, v int64) {
-			fmt.Fprintf(&sb, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-		}
-		counter("msql_rollup_hits_total", "Aggregate executions answered from the rollup lattice.", rc.Hits)
-		counter("msql_rollup_misses_total", "Lattice consultations that fell back to direct execution.", rc.Misses)
-		counter("msql_rollup_builds_total", "Rollup lattice nodes materialized.", rc.Builds)
-		counter("msql_rollup_rebuilds_total", "Dirty rollup groups rebuilt lazily from base rows.", rc.Rebuilds)
-		counter("msql_rollup_incremental_rows_total", "Insert delta rows folded into rollup states in place.", rc.IncrementalRows)
-		counter("msql_rollup_invalidations_total", "Rollup nodes reset by TRUNCATE or dropped by DDL.", rc.Invalidations)
-		gauge("msql_rollup_nodes", "Rollup lattice nodes currently materialized.", rc.Nodes)
-		gauge("msql_rollup_groups", "Groups currently materialized across all rollup nodes.", rc.Groups)
-		gauge("msql_rollup_dirty_groups", "Materialized groups currently awaiting lazy rebuild.", rc.DirtyGroups)
-	}
+	writeFamilies(&sb, reflect.ValueOf(s))
 	return sb.String()
+}
+
+// series is one Prometheus family as a field's prom and help tags
+// declare it; seconds marks a nanosecond field exported in seconds.
+type series struct {
+	name, kind, help string
+	seconds          bool
+}
+
+// seriesOf reads f's declaration; ok is false for a JSON-only field.
+func seriesOf(f reflect.StructField) (series, bool) {
+	tag, ok := f.Tag.Lookup("prom")
+	name, rest, _ := strings.Cut(tag, ",")
+	kind, unit, _ := strings.Cut(rest, ",")
+	return series{name: name, kind: kind, help: f.Tag.Get("help"), seconds: unit == "seconds"}, ok
+}
+
+// writeFamilies writes the families the fields of struct v declare:
+// nil section pointers are skipped and others descended into, and a map
+// tagged label:"<name>" gives one family per field of its value struct
+// with one sample per key.
+func writeFamilies(sb *strings.Builder, v reflect.Value) {
+	for i := 0; i < v.NumField(); i++ {
+		f, fv := v.Type().Field(i), v.Field(i)
+		if fv.Kind() == reflect.Pointer {
+			if !fv.IsNil() {
+				writeFamilies(sb, fv.Elem())
+			}
+			continue
+		}
+		if label := f.Tag.Get("label"); label != "" {
+			writeLabelled(sb, label, fv)
+		} else if d, ok := seriesOf(f); ok {
+			d.header(sb)
+			d.sample(sb, "", fv)
+		}
+	}
+}
+
+// writeLabelled writes the families of a labelled map, keys sorted.
+func writeLabelled(sb *strings.Builder, label string, m reflect.Value) {
+	keys := make([]string, 0, m.Len())
+	for _, k := range m.MapKeys() {
+		keys = append(keys, k.String())
+	}
+	sort.Strings(keys)
+	vt := m.Type().Elem()
+	for j := 0; j < vt.NumField(); j++ {
+		d, ok := seriesOf(vt.Field(j))
+		if !ok {
+			continue
+		}
+		d.header(sb)
+		for _, k := range keys {
+			d.sample(sb, fmt.Sprintf("{%s=%q}", label, k), m.MapIndex(reflect.ValueOf(k)).Field(j))
+		}
+	}
+}
+
+func (d series) header(sb *strings.Builder) {
+	fmt.Fprintf(sb, "# HELP %s %s\n# TYPE %s %s\n", d.name, d.help, d.name, d.kind)
+}
+
+// scale converts a nanosecond value to the family's unit.
+func (d series) scale(ns int64) float64 {
+	if d.seconds {
+		return float64(ns) / 1e9
+	}
+	return float64(ns)
+}
+
+// sample writes v's sample line, or a histogram's bucket, sum and count
+// lines.
+func (d series) sample(sb *strings.Builder, labels string, v reflect.Value) {
+	switch x := v.Interface().(type) {
+	case exec.HistogramSnapshot:
+		x.EachBucket(func(upperNs, cum int64) {
+			fmt.Fprintf(sb, "%s_bucket{le=\"%g\"} %d\n", d.name, d.scale(upperNs), cum)
+		})
+		fmt.Fprintf(sb, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %g\n%s_count %d\n",
+			d.name, x.Count, d.name, d.scale(x.SumNs), d.name, x.Count)
+	case float64:
+		fmt.Fprintf(sb, "%s%s %g\n", d.name, labels, x)
+	case int64:
+		if d.seconds {
+			fmt.Fprintf(sb, "%s%s %g\n", d.name, labels, d.scale(x))
+		} else {
+			fmt.Fprintf(sb, "%s%s %d\n", d.name, labels, x)
+		}
+	}
 }

@@ -156,19 +156,19 @@ func (e *cachedPlan) memoStore(key string, at []storage.State, rows [][]sqltypes
 // PlanCacheCounters is a point-in-time copy of the plan cache's
 // counters, embedded in MetricsSnapshot and served by msqld.
 type PlanCacheCounters struct {
-	Hits          int64 `json:"hits"`
-	Misses        int64 `json:"misses"`
-	Evictions     int64 `json:"evictions"`
-	Invalidations int64 `json:"invalidations"`
+	Hits          int64 `json:"hits" prom:"msql_plan_cache_hits_total,counter" help:"Prepared executions served from the plan cache."`
+	Misses        int64 `json:"misses" prom:"msql_plan_cache_misses_total,counter" help:"Prepared executions that had to plan."`
+	Evictions     int64 `json:"evictions" prom:"msql_plan_cache_evictions_total,counter" help:"Plan-cache entries evicted by the LRU cap."`
+	Invalidations int64 `json:"invalidations" prom:"msql_plan_cache_invalidations_total,counter" help:"Plan-cache entries dropped after DDL."`
 	// Bypasses counts executions that skipped the cache because the
 	// plan contains volatile expressions (e.g. RANDOM) or caching is
 	// disabled.
-	Bypasses int64 `json:"bypasses"`
+	Bypasses int64 `json:"bypasses" prom:"msql_plan_cache_bypasses_total,counter" help:"Prepared executions that skipped the plan cache (volatile or disabled)."`
 	// MemoHits counts executions answered from a cached entry's
 	// identical-binding result memo without re-executing the plan.
-	MemoHits int64 `json:"memo_hits"`
+	MemoHits int64 `json:"memo_hits" prom:"msql_plan_cache_memo_hits_total,counter" help:"Prepared executions answered from an entry's identical-binding result memo."`
 	// Entries is the current resident entry count (a gauge).
-	Entries int64 `json:"entries"`
+	Entries int64 `json:"entries" prom:"msql_plan_cache_entries,gauge" help:"Plans currently cached."`
 }
 
 // planCache is an LRU map of compiled plans. Entries built before the

@@ -251,7 +251,7 @@ func TestPlanCacheResultMemo(t *testing.T) {
 	// The memo-answered execution is a query like the other two, and it
 	// leaves its own (empty) executor counters behind, not its
 	// predecessor's.
-	m := s.Metrics().Snapshot()
+	m := s.MetricsSnapshot()
 	if m.Queries != 3 || m.RowsReturned != 6 || m.ByStrategy["default"].Queries != 3 ||
 		!strings.Contains(m.Prometheus(), "\nmsql_queries_total 3\n") {
 		t.Fatalf("memo hit missing from metrics: %+v", m)

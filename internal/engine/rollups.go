@@ -17,18 +17,20 @@ import (
 // SetRollups enables or disables the materialized rollup lattice.
 // Enabling replaces any existing lattice with a fresh one; statements
 // already running keep the settings snapshot (and so the lattice) they
-// started with.
+// started with. The executor settings and s.rollups change in one
+// critical section, so concurrent calls cannot leave the executor
+// consulting a lattice the stats, metrics and DDL release do not see.
 func (s *Session) SetRollups(on bool) {
-	if !on {
-		s.rollups.Store(nil)
-		s.metrics.SetRollupSource(nil)
-		s.Update(func(ex *exec.Settings, _ *optimizer.Options) { ex.Rollups = nil })
-		return
+	var l *rollup.Lattice
+	var p exec.RollupProvider // nil, not a nil *Lattice, when off
+	if on {
+		l = rollup.New()
+		p = l
 	}
-	l := rollup.New()
-	s.rollups.Store(l)
-	s.metrics.SetRollupSource(l.Stats)
-	s.Update(func(ex *exec.Settings, _ *optimizer.Options) { ex.Rollups = l })
+	s.Update(func(ex *exec.Settings, _ *optimizer.Options) {
+		s.rollups.Store(l)
+		ex.Rollups = p
+	})
 }
 
 // RollupsEnabled reports whether a lattice is installed.

@@ -64,15 +64,15 @@ type counters struct {
 // in place; Invalidations counts truncate resets and DDL drops.
 // Nodes/Groups/DirtyGroups are point-in-time gauges.
 type Counters struct {
-	Hits            int64 `json:"hits"`
-	Misses          int64 `json:"misses"`
-	Builds          int64 `json:"builds"`
-	Rebuilds        int64 `json:"rebuilds"`
-	IncrementalRows int64 `json:"incremental_rows"`
-	Invalidations   int64 `json:"invalidations"`
-	Nodes           int64 `json:"nodes"`
-	Groups          int64 `json:"groups"`
-	DirtyGroups     int64 `json:"dirty_groups"`
+	Hits            int64 `json:"hits" prom:"msql_rollup_hits_total,counter" help:"Aggregate executions answered from the rollup lattice."`
+	Misses          int64 `json:"misses" prom:"msql_rollup_misses_total,counter" help:"Lattice consultations that fell back to direct execution."`
+	Builds          int64 `json:"builds" prom:"msql_rollup_builds_total,counter" help:"Rollup lattice nodes materialized."`
+	Rebuilds        int64 `json:"rebuilds" prom:"msql_rollup_rebuilds_total,counter" help:"Dirty rollup groups rebuilt lazily from base rows."`
+	IncrementalRows int64 `json:"incremental_rows" prom:"msql_rollup_incremental_rows_total,counter" help:"Insert delta rows folded into rollup states in place."`
+	Invalidations   int64 `json:"invalidations" prom:"msql_rollup_invalidations_total,counter" help:"Rollup nodes reset by TRUNCATE or dropped by DDL."`
+	Nodes           int64 `json:"nodes" prom:"msql_rollup_nodes,gauge" help:"Rollup lattice nodes currently materialized."`
+	Groups          int64 `json:"groups" prom:"msql_rollup_groups,gauge" help:"Groups currently materialized across all rollup nodes."`
+	DirtyGroups     int64 `json:"dirty_groups" prom:"msql_rollup_dirty_groups,gauge" help:"Materialized groups currently awaiting lazy rebuild."`
 }
 
 // NodeInfo describes one lattice node for introspection

@@ -423,7 +423,7 @@ type MetricsSnapshot = engine.MetricsSnapshot
 // cache hit ratio, and per-strategy plan/exec timings. When a query
 // server has registered itself (RegisterServerMetrics), the snapshot
 // additionally carries its admission/drain counters.
-func (db *DB) Metrics() MetricsSnapshot { return db.session.Metrics().Snapshot() }
+func (db *DB) Metrics() MetricsSnapshot { return db.session.MetricsSnapshot() }
 
 // ServerCounters is the serving layer's slice of a metrics snapshot:
 // admission-control and drain counters published by a query server

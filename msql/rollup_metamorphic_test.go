@@ -337,3 +337,46 @@ func TestRollupRaceHammer(t *testing.T) {
 	}
 	waitGoroutines(t, base)
 }
+
+// TestSetRollupsOneLattice races two SetRollups(true) calls and then
+// runs one GROUP BY: the lattice that statement consulted must be the
+// one RollupStats and the metrics section report, so its Answer shows
+// up in Hits+Misses. Meaningful with -cpu 4.
+func TestSetRollupsOneLattice(t *testing.T) {
+	db := msql.Open()
+	if err := db.Exec(`CREATE TABLE t (k VARCHAR, v INTEGER)`); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Exec(`INSERT INTO t VALUES ('a', 1), ('b', 2), ('a', 3)`); err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 20000
+	split, mismatched := 0, 0
+	for i := 0; i < rounds; i++ {
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				db.SetRollups(true)
+			}()
+		}
+		wg.Wait()
+		if _, err := db.Query(`SELECT k, SUM(v) FROM t GROUP BY k`); err != nil {
+			t.Fatal(err)
+		}
+		st := db.RollupStats()
+		if st.Hits+st.Misses == 0 {
+			split++
+		}
+		if m := db.Metrics().Rollups; m == nil || *m != st {
+			mismatched++
+		}
+	}
+	if split > 0 {
+		t.Errorf("%d of %d rounds: the GROUP BY consulted a lattice RollupStats does not report", split, rounds)
+	}
+	if mismatched > 0 {
+		t.Errorf("%d of %d rounds: the metrics section and RollupStats report different lattices", mismatched, rounds)
+	}
+}
