@@ -282,8 +282,8 @@ func e12() error {
 				n, g, inline, memo, naiveStr, plain, inlineScans, memoScans)
 		}
 	}
-	fmt.Println("shape check: inline ≈ plain SQL (one scan); memo = three scans whatever the group count")
-	fmt.Println("(the query, the first context, one partitioned pass for every other context);")
+	fmt.Println("shape check: inline ≈ plain SQL (one scan); memo = two scans whatever the group count")
+	fmt.Println("(the query, and one pass the first context makes, folding every context's states);")
 	fmt.Println("naive grows with groups × rows (the cost the paper's strategies avoid)")
 	return nil
 }

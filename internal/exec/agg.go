@@ -3,86 +3,135 @@ package exec
 import (
 	"fmt"
 	"sort"
+	"unsafe"
 
 	"github.com/measures-sql/msql/internal/fn"
 	"github.com/measures-sql/msql/internal/plan"
 	"github.com/measures-sql/msql/internal/sqltypes"
 )
 
+// Hash aggregation. An Aggregate is compiled once per plan into an
+// aggEnv: its group expressions and, for every call, how a row reaches
+// the call's state — decided once, not per row (see callKind). A grouping
+// set's table carves its groups, their state slices, their key tuples
+// and the bytes of their map keys from blocks that grow geometrically,
+// so a new group allocates its fn.AggStates and nothing else, and a row
+// of an existing group allocates nothing. The serial, chunk-merge and
+// group-partitioned paths, PartialAggregate, the vectorized accumulate
+// and the folding partition (partition.go) all fold through it.
+
 // groupAcc accumulates one group for one grouping set.
 type groupAcc struct {
 	keyVals []sqltypes.Value // values of this set's keys, indexed by key position
 	states  []fn.AggState
-	dedup   []map[string]bool // per aggregate, for DISTINCT
-	// within tracks WITHIN DISTINCT key tuples and the argument values
-	// first seen for each, to enforce functional dependence.
+	// dedup (per DISTINCT call) and within (per WITHIN DISTINCT call:
+	// each key tuple and the argument values first seen for it, to
+	// enforce functional dependence) exist only when some call needs
+	// them.
+	dedup  []map[string]bool
 	within []map[string]string
 	order  int // index of the group's first input row (stable output order)
 }
 
-// aggEnv holds per-query aggregate metadata shared by the serial and
-// parallel aggregation paths.
+// callKind is how accumulate hands a row to one aggregate call's state.
+type callKind uint8
+
+const (
+	// callGeneral evaluates the arguments onto the runtime's argument
+	// stack; DISTINCT and WITHIN DISTINCT calls take it.
+	callGeneral callKind = iota
+	// callGrouping is GROUPING(k): no state, emit computes it.
+	callGrouping
+	// callStar is COUNT(*): Add(nil).
+	callStar
+	// callColumn has one argument, an input column: Add is handed the
+	// row's own cell.
+	callColumn
+)
+
+// aggCall is the compiled form of one aggregate call.
+type aggCall struct {
+	kind      callKind
+	name      string
+	def       *fn.Agg
+	argTypes  []sqltypes.Type
+	skipNulls bool
+	distinct  bool
+	col       int    // callColumn: the argument's input column
+	filter    predFn // nil when the call has no FILTER
+	args      []evalFn
+	within    []evalFn
+}
+
+// aggEnv is the compiled form of an Aggregate, shared read-only by every
+// path and worker that folds its input.
 type aggEnv struct {
-	n        *plan.Aggregate
-	defs     []*fn.Agg
-	argTypes [][]sqltypes.Type
+	n      *plan.Aggregate
+	groups []evalFn
+	calls  []aggCall
+	// distinct: some call is DISTINCT or WITHIN DISTINCT, so groups carry
+	// dedup and within maps.
+	distinct bool
 }
 
 func newAggEnv(n *plan.Aggregate) (*aggEnv, error) {
-	env := &aggEnv{
-		n:        n,
-		defs:     make([]*fn.Agg, len(n.Aggs)),
-		argTypes: make([][]sqltypes.Type, len(n.Aggs)),
-	}
-	for i, call := range n.Aggs {
+	env := &aggEnv{n: n, groups: compileExprs(n.GroupExprs), calls: make([]aggCall, len(n.Aggs))}
+	for i := range n.Aggs {
+		call := &n.Aggs[i]
+		c := &env.calls[i]
+		c.name = call.Name
 		if call.Name == "GROUPING" {
+			c.kind = callGrouping
 			continue
 		}
 		def, ok := fn.LookupAgg(call.Name)
 		if !ok {
 			return nil, fmt.Errorf("unknown aggregate %s at runtime", call.Name)
 		}
-		env.defs[i] = def
-		env.argTypes[i] = call.ArgTypes()
+		c.def, c.argTypes, c.skipNulls = def, call.ArgTypes(), def.SkipNulls
+		c.distinct = call.Distinct
+		if call.Filter != nil {
+			c.filter = compilePred(call.Filter)
+		}
+		c.args, c.within = compileExprs(call.Args), compileExprs(call.WithinDistinct)
+		switch {
+		case call.Distinct || len(call.WithinDistinct) > 0:
+			env.distinct = true
+		case len(call.Args) == 0:
+			c.kind = callStar
+		case len(call.Args) == 1:
+			if cr, ok := call.Args[0].(*plan.ColRef); ok {
+				c.kind, c.col = callColumn, cr.Index
+			}
+		}
 	}
 	return env, nil
 }
 
-func (env *aggEnv) newAcc(keyVals []sqltypes.Value, order int) *groupAcc {
-	n := env.n
-	acc := &groupAcc{
-		keyVals: keyVals,
-		states:  make([]fn.AggState, len(n.Aggs)),
-		dedup:   make([]map[string]bool, len(n.Aggs)),
-		within:  make([]map[string]string, len(n.Aggs)),
-		order:   order,
+// aggEnv returns n's compiled form from the program cache.
+func (rt *runtime) aggEnv(n *plan.Aggregate) (*aggEnv, error) {
+	p := rt.rowProg(n, func() any {
+		env, err := newAggEnv(n)
+		if err != nil {
+			return err
+		}
+		return env
+	})
+	if err, ok := p.(error); ok {
+		return nil, err
 	}
-	for i, call := range n.Aggs {
-		if call.Name == "GROUPING" {
-			continue
-		}
-		acc.states[i] = env.defs[i].New(env.argTypes[i])
-		if call.Distinct {
-			acc.dedup[i] = map[string]bool{}
-		}
-		if len(call.WithinDistinct) > 0 {
-			acc.within[i] = map[string]string{}
-		}
-	}
-	return acc
+	return p.(*aggEnv), nil
 }
 
-// nullKeyVals returns a full-width key tuple with this set's columns
-// filled in and the rest NULL.
-func (env *aggEnv) maskKeyVals(set []int, keyVals []sqltypes.Value) []sqltypes.Value {
-	kv := make([]sqltypes.Value, len(env.n.GroupExprs))
+// maskKeyVals fills the full-width key tuple kv with this set's columns
+// of keyVals and NULL everywhere else.
+func maskKeyVals(kv []sqltypes.Value, set []int, keyVals []sqltypes.Value) {
 	for j := range kv {
 		kv[j] = sqltypes.Null(sqltypes.KindUnknown)
 	}
 	for _, j := range set {
 		kv[j] = keyVals[j]
 	}
-	return kv
 }
 
 // chunkMergeable reports whether two-phase (partial-state merge)
@@ -91,24 +140,33 @@ func (env *aggEnv) maskKeyVals(set []int, keyVals []sqltypes.Value) []sqltypes.V
 // and DISTINCT / WITHIN DISTINCT need the group's full row stream in
 // one place, so they disqualify the chunk-merge path.
 func (env *aggEnv) chunkMergeable() bool {
-	for i, call := range env.n.Aggs {
-		if call.Name == "GROUPING" {
-			continue
-		}
-		if call.Distinct || len(call.WithinDistinct) > 0 {
-			return false
-		}
-		def := env.defs[i]
-		if def.ExactMerge == nil || !def.ExactMerge(env.argTypes[i]) {
+	if env.distinct {
+		return false
+	}
+	for i := range env.calls {
+		c := &env.calls[i]
+		if c.kind != callGrouping && !c.def.MergesExactly(c.argTypes) {
 			return false
 		}
 	}
 	return true
 }
 
+// setTable is one grouping set's hash table. accs, states, keys and
+// keyBytes are the free tails of the blocks its groups are carved from;
+// carved counts the groups made so far, and the next block holds as many
+// again, up to maxGroupBlock — so a one-group table makes one-element
+// blocks.
 type setTable struct {
-	groups map[string]*groupAcc
+	groups   map[string]*groupAcc
+	accs     []groupAcc
+	states   []fn.AggState
+	keys     []sqltypes.Value
+	keyBytes []byte
+	carved   int
 }
+
+const maxGroupBlock = 1024
 
 // accumulateFn folds in[lo:hi] into tables on the given runtime; it is
 // either the row-at-a-time accumulateRows or the vectorized variant.
@@ -120,6 +178,70 @@ func newSetTables(n int) []setTable {
 		tables[i] = setTable{groups: map[string]*groupAcc{}}
 	}
 	return tables
+}
+
+// newGroup carves a group whose first input row is order from t's
+// blocks: set's columns of keyVals, fresh states.
+func (t *setTable) newGroup(env *aggEnv, set []int, keyVals []sqltypes.Value, order int) *groupAcc {
+	na, nk := len(env.calls), len(env.n.GroupExprs)
+	if len(t.accs) == 0 {
+		b := min(max(t.carved, 1), maxGroupBlock)
+		t.accs = make([]groupAcc, b)
+		t.states = make([]fn.AggState, b*na)
+		t.keys = make([]sqltypes.Value, b*nk)
+	}
+	t.carved++
+	acc := &t.accs[0]
+	t.accs = t.accs[1:]
+	acc.states, t.states = t.states[:na:na], t.states[na:]
+	acc.keyVals, t.keys = t.keys[:nk:nk], t.keys[nk:]
+	maskKeyVals(acc.keyVals, set, keyVals)
+	acc.order = order
+	for i := range env.calls {
+		if c := &env.calls[i]; c.def != nil {
+			acc.states[i] = c.def.New(c.argTypes)
+		}
+	}
+	if env.distinct {
+		acc.dedup, acc.within = make([]map[string]bool, na), make([]map[string]string, na)
+		for i, call := range env.n.Aggs {
+			if call.Distinct {
+				acc.dedup[i] = map[string]bool{}
+			}
+			if len(call.WithinDistinct) > 0 {
+				acc.within[i] = map[string]string{}
+			}
+		}
+	}
+	return acc
+}
+
+// insert files acc under key. The map keeps a string over bytes carved
+// from t's key block, which is only ever appended to: the bytes under a
+// string handed out never change.
+func (t *setTable) insert(key []byte, acc *groupAcc) {
+	if len(key) == 0 {
+		t.groups[""] = acc
+		return
+	}
+	if cap(t.keyBytes)-len(t.keyBytes) < len(key) {
+		t.keyBytes = make([]byte, 0, len(key)*min(max(t.carved, 1), maxGroupBlock))
+	}
+	off := len(t.keyBytes)
+	t.keyBytes = append(t.keyBytes, key...)
+	t.groups[unsafe.String(&t.keyBytes[off], len(key))] = acc
+}
+
+// group returns the group of key in t, carving and filing a new one
+// (first input row order) when there is none. The probe does not copy
+// key.
+func (t *setTable) group(env *aggEnv, key []byte, set []int, keyVals []sqltypes.Value, order int) *groupAcc {
+	acc := t.groups[string(key)]
+	if acc == nil {
+		acc = t.newGroup(env, set, keyVals, order)
+		t.insert(key, acc)
+	}
+	return acc
 }
 
 // runAggregate evaluates grouping-set hash aggregation. The input is
@@ -137,7 +259,7 @@ func (rt *runtime) runAggregate(n *plan.Aggregate) ([]Row, error) {
 	if n.Spool != nil {
 		rt.publishSpool(n.Spool, in)
 	}
-	env, err := newAggEnv(n)
+	env, err := rt.aggEnv(n)
 	if err != nil {
 		return nil, err
 	}
@@ -179,11 +301,9 @@ func (rt *runtime) runAggregate(n *plan.Aggregate) ([]Row, error) {
 // accumulateRows folds rows[lo:hi] into tables, creating groups keyed
 // by each grouping set. Group order is the first input-row index. The
 // key tuple and its encoding are per-call buffers: a row that lands in
-// an existing group allocates nothing here (the map is probed with
-// m[string(buf)], which does not copy; only a new group keeps a key).
+// an existing group allocates nothing here.
 func (rt *runtime) accumulateRows(env *aggEnv, tables []setTable, in []Row, lo, hi int) error {
 	n := env.n
-	prog := rt.aggProg(n)
 	keyVals := make([]sqltypes.Value, len(n.GroupExprs))
 	var key []byte
 	for i := lo; i < hi; i++ {
@@ -192,7 +312,7 @@ func (rt *runtime) accumulateRows(env *aggEnv, tables []setTable, in []Row, lo, 
 		}
 		row := in[i]
 		// Evaluate each group expression once per row.
-		for j, g := range prog.groups {
+		for j, g := range env.groups {
 			v, err := g(rt, row)
 			if err != nil {
 				return err
@@ -201,12 +321,8 @@ func (rt *runtime) accumulateRows(env *aggEnv, tables []setTable, in []Row, lo, 
 		}
 		for si, set := range n.Sets {
 			key = appendSetKey(key[:0], set, keyVals)
-			acc := tables[si].groups[string(key)]
-			if acc == nil {
-				acc = env.newAcc(env.maskKeyVals(set, keyVals), i)
-				tables[si].groups[string(key)] = acc
-			}
-			if err := rt.accumulate(env, prog, acc, row); err != nil {
+			acc := tables[si].group(env, key, set, keyVals, i)
+			if err := rt.accumulate(env, acc, row); err != nil {
 				return err
 			}
 		}
@@ -270,7 +386,6 @@ func (rt *runtime) aggChunkMerge(env *aggEnv, in []Row, f fanout, accum accumula
 func (rt *runtime) aggGroupPartitioned(env *aggEnv, in []Row, f fanout) ([]setTable, error) {
 	workers := f.workers
 	n := env.n
-	prog := rt.aggProg(n)
 	nSets, nKeys := len(n.Sets), len(n.GroupExprs)
 
 	// Phase 1: per-row group-expression values and set-key hashes.
@@ -283,7 +398,7 @@ func (rt *runtime) aggGroupPartitioned(env *aggEnv, in []Row, f fanout) ([]setTa
 				return err
 			}
 			kv := keyVals[i*nKeys : (i+1)*nKeys]
-			for j, g := range prog.groups {
+			for j, g := range env.groups {
 				v, err := g(w, in[i])
 				if err != nil {
 					return err
@@ -320,12 +435,8 @@ func (rt *runtime) aggGroupPartitioned(env *aggEnv, in []Row, f fanout) ([]setTa
 					continue
 				}
 				key = appendSetKey(key[:0], set, kv)
-				acc := tables[si].groups[string(key)]
-				if acc == nil {
-					acc = env.newAcc(env.maskKeyVals(set, kv), i)
-					tables[si].groups[string(key)] = acc
-				}
-				if err := w.accumulate(env, prog, acc, row); err != nil {
+				acc := tables[si].group(env, key, set, kv, i)
+				if err := w.accumulate(env, acc, row); err != nil {
 					return err
 				}
 			}
@@ -358,22 +469,22 @@ func appendSetKey(dst []byte, set []int, keyVals []sqltypes.Value) []byte {
 
 // emit renders the final rows: group key columns, then aggregates. Set
 // order, then first-seen (first input row) order within a set, for
-// deterministic output.
+// deterministic output. The rows are carved from one block.
 func (env *aggEnv) emit(tables []setTable, inputLen int) ([]Row, error) {
 	n := env.n
 
 	// A global grouping set (no keys) emits a row even with no input.
+	total := 0
 	for si, set := range n.Sets {
 		if len(set) == 0 && len(tables[si].groups) == 0 {
-			kv := make([]sqltypes.Value, len(n.GroupExprs))
-			for j := range kv {
-				kv[j] = sqltypes.Null(sqltypes.KindUnknown)
-			}
-			tables[si].groups[""] = env.newAcc(kv, inputLen)
+			tables[si].insert(nil, tables[si].newGroup(env, nil, nil, inputLen))
 		}
+		total += len(tables[si].groups)
 	}
 
-	var out []Row
+	width := len(n.GroupExprs) + len(n.Aggs)
+	block := make([]sqltypes.Value, total*width)
+	out := make([]Row, 0, total)
 	for si, set := range n.Sets {
 		inSet := make(map[int]bool, len(set))
 		for _, j := range set {
@@ -385,12 +496,13 @@ func (env *aggEnv) emit(tables []setTable, inputLen int) ([]Row, error) {
 		}
 		sortAccs(accs)
 		for _, acc := range accs {
-			row := make(Row, 0, len(n.GroupExprs)+len(n.Aggs))
+			row := block[:width:width]
+			block = block[width:]
 			for j := range n.GroupExprs {
 				if inSet[j] {
-					row = append(row, acc.keyVals[j])
+					row[j] = acc.keyVals[j]
 				} else {
-					row = append(row, sqltypes.Null(n.GroupExprs[j].Type().Kind))
+					row[j] = sqltypes.Null(n.GroupExprs[j].Type().Kind)
 				}
 			}
 			for i, call := range n.Aggs {
@@ -399,10 +511,10 @@ func (env *aggEnv) emit(tables []setTable, inputLen int) ([]Row, error) {
 					if inSet[call.KeyIndex] {
 						g = 0
 					}
-					row = append(row, sqltypes.NewInt(g))
+					row[len(n.GroupExprs)+i] = sqltypes.NewInt(g)
 					continue
 				}
-				row = append(row, acc.states[i].Result())
+				row[len(n.GroupExprs)+i] = acc.states[i].Result()
 			}
 			out = append(out, row)
 		}
@@ -414,19 +526,18 @@ func sortAccs(accs []*groupAcc) {
 	sort.Slice(accs, func(a, b int) bool { return accs[a].order < accs[b].order })
 }
 
-// accumulate folds row into acc. Aggregate arguments and WITHIN DISTINCT
-// keys go on the runtime's argument stack (states copy what they keep),
-// which is popped back to base on every way out.
-func (rt *runtime) accumulate(env *aggEnv, prog *aggProg, acc *groupAcc, row Row) error {
-	base := len(rt.args)
-	for i := range env.n.Aggs {
-		call := &env.n.Aggs[i]
-		if call.Name == "GROUPING" {
+// accumulate folds row into acc. COUNT(*) and a one-column call reach
+// their state without evaluating anything: the column's call is handed
+// the row's own cell (fn.AggState.Add: states copy what they keep).
+// Every other call goes through accumulateCall.
+func (rt *runtime) accumulate(env *aggEnv, acc *groupAcc, row Row) error {
+	for i := range env.calls {
+		c := &env.calls[i]
+		if c.kind == callGrouping {
 			continue
 		}
-		cp := &prog.calls[i]
-		if cp.filter != nil {
-			t, err := cp.filter(rt, row)
+		if c.filter != nil {
+			t, err := c.filter(rt, row)
 			if err != nil {
 				return err
 			}
@@ -434,20 +545,44 @@ func (rt *runtime) accumulate(env *aggEnv, prog *aggProg, acc *groupAcc, row Row
 				continue
 			}
 		}
-		skip, err := rt.pushArgs(cp.args, row, env.defs[i].SkipNulls)
-		switch {
-		case err != nil || skip:
-		case call.Distinct || len(cp.within) > 0:
-			err = rt.accumulateDistinct(call, cp, acc, i, base, row)
+		var err error
+		switch c.kind {
+		case callStar:
+			err = acc.states[i].Add(nil)
+		case callColumn:
+			j := c.col
+			if uint(j) >= uint(len(row)) {
+				return colRangeError(j, len(row))
+			}
+			if c.skipNulls && row[j].Null {
+				continue
+			}
+			err = acc.states[i].Add(row[j : j+1 : j+1])
 		default:
-			err = acc.states[i].Add(rt.args[base:])
+			err = rt.accumulateCall(c, acc, i, row)
 		}
-		rt.args = rt.args[:base]
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// accumulateCall folds row into call i of acc the general way: the
+// arguments and WITHIN DISTINCT keys go on the runtime's argument stack,
+// which is popped back to base on every way out.
+func (rt *runtime) accumulateCall(c *aggCall, acc *groupAcc, i int, row Row) error {
+	base := len(rt.args)
+	skip, err := rt.pushArgs(c.args, row, c.skipNulls)
+	switch {
+	case err != nil || skip:
+	case c.distinct || len(c.within) > 0:
+		err = rt.accumulateDistinct(c, acc, i, base, row)
+	default:
+		err = acc.states[i].Add(rt.args[base:])
+	}
+	rt.args = rt.args[:base]
+	return err
 }
 
 // pushArgs evaluates fns over row onto the argument stack; skip reports a
@@ -468,24 +603,24 @@ func (rt *runtime) pushArgs(fns []evalFn, row Row, skipNulls bool) (skip bool, e
 
 // accumulateDistinct adds the arguments above base to the call's state
 // unless DISTINCT or WITHIN DISTINCT has seen them.
-func (rt *runtime) accumulateDistinct(call *plan.AggCall, cp *aggCallProg, acc *groupAcc, i, base int, row Row) error {
-	nargs := len(cp.args)
-	if call.Distinct {
+func (rt *runtime) accumulateDistinct(c *aggCall, acc *groupAcc, i, base int, row Row) error {
+	nargs := len(c.args)
+	if c.distinct {
 		key := sqltypes.RowKey(rt.args[base:])
 		if acc.dedup[i][key] {
 			return nil
 		}
 		acc.dedup[i][key] = true
 	}
-	if len(cp.within) > 0 {
-		if _, err := rt.pushArgs(cp.within, row, false); err != nil {
+	if len(c.within) > 0 {
+		if _, err := rt.pushArgs(c.within, row, false); err != nil {
 			return err
 		}
 		key := sqltypes.RowKey(rt.args[base+nargs:])
 		argKey := sqltypes.RowKey(rt.args[base : base+nargs])
 		if prev, seen := acc.within[i][key]; seen {
 			if prev != argKey {
-				return fmt.Errorf("%s WITHIN DISTINCT: argument is not functionally dependent on the keys (two different values for one key tuple)", call.Name)
+				return fmt.Errorf("%s WITHIN DISTINCT: argument is not functionally dependent on the keys (two different values for one key tuple)", c.name)
 			}
 			return nil
 		}

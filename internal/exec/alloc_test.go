@@ -360,9 +360,9 @@ func TestGroupPartitionedAggAllocatesPerGroupNotPerRow(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// 98 groups of seven objects each (key string, accumulator, its three
-	// slices and state, masked key tuple), the tables, and the workers;
-	// one object per row and set would be 8000 more.
+	// 98 groups (their states, and the blocks carved for them), the
+	// tables, and the workers; one object per row and set would be 8000
+	// more.
 	if limit := 98*7 + 200.0; perCall > limit {
 		t.Fatalf("group-partitioned aggregation of 4000 rows allocates %.0f objects, want <= %.0f", perCall, limit)
 	}
@@ -423,6 +423,113 @@ func TestCarvedRowsDoNotShareCapacity(t *testing.T) {
 		_ = append(rows[0], sqltypes.NewInt(-1))
 		if !reflect.DeepEqual(rows[1], next) {
 			t.Fatalf("%s: appending to row 0 changed row 1 to %v", n.Explain(), rows[1])
+		}
+	}
+}
+
+// A grouped aggregate allocates, per group, the group's states and
+// nothing else: accumulators, state slices, key tuples, map-key bytes and
+// output rows are carved from blocks that double, so 2000 one-row groups
+// of two calls cost their 4000 states plus a logarithmic tail.
+func TestGroupedAggregateAllocatesOnlyStatesPerGroup(t *testing.T) {
+	const groups = 2000
+	agg := &plan.Aggregate{
+		Input:      bigScan(groups),
+		GroupExprs: []plan.Expr{col(0, "a")},
+		Sets:       [][]int{{0}},
+		Aggs: []plan.AggCall{
+			{Name: "SUM", Args: []plan.Expr{col(1, "b")}, KeyIndex: -1, Typ: intT()},
+			{Name: "COUNT", Star: true, KeyIndex: -1, Typ: intT()},
+		},
+	}
+	settings := DefaultSettings()
+	settings.Workers = 1
+	rt := newRuntime(context.Background(), settings)
+	rows, err := rt.run(agg)
+	if err != nil || len(rows) != groups {
+		t.Fatalf("%d groups, err %v", len(rows), err)
+	}
+	perCall := testing.AllocsPerRun(10, func() {
+		if _, err := rt.run(agg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The states; the blocks, the map's growth and emit's slices are the
+	// tail (an eighth of a group is ample for it).
+	if limit := float64(2*groups + groups/8); perCall > limit {
+		t.Fatalf("GROUP BY over %d groups allocates %.0f objects, want <= %.0f (two states per group)", groups, perCall, limit)
+	}
+}
+
+// A one-column SUM hands Add the row's own cell: the aggregate allocates
+// the same over 16 000 rows as over 4 000.
+func TestOneColumnSumAllocatesNothingPerRow(t *testing.T) {
+	sum := plan.AggCall{Name: "SUM", Args: []plan.Expr{col(0, "a")}, KeyIndex: -1, Typ: intT()}
+	settings := DefaultSettings()
+	settings.Workers = 1
+	var allocs []float64
+	for _, n := range []int{4000, 16000} {
+		agg := aggOver(bigScan(n), sum)
+		rt := newRuntime(context.Background(), settings)
+		if env, err := rt.aggEnv(agg); err != nil || env.calls[0].kind != callColumn {
+			t.Fatalf("SUM(a) must be a one-column call (err %v)", err)
+		}
+		rows, err := rt.run(agg)
+		if err != nil || rows[0][0].I != int64(n*(n-1)/2) {
+			t.Fatalf("SUM over %d rows = %v, err %v", n, rows, err)
+		}
+		allocs = append(allocs, testing.AllocsPerRun(10, func() {
+			if _, err := rt.run(agg); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	if allocs[1] != allocs[0] {
+		t.Fatalf("SUM allocates %.0f objects over 4 000 rows and %.0f over 16 000", allocs[0], allocs[1])
+	}
+}
+
+// A folding partition's build keeps no rows: over 1 000 or 8 000 input
+// rows it allocates per bucket — its group and states, or its IN set and
+// distinct tuples — never per row.
+func TestFoldingBuildAllocatesPerBucketNotPerRow(t *testing.T) {
+	for _, n := range []int{1000, 8000} {
+		pred := notDistinct(col(0, "k"), corr(0, "k", intT()))
+		states := scalarSub(aggOver(&plan.Filter{Input: factScan(n), Pred: pred}, countStar, sumF), floatT())
+		sets := &plan.Subquery{Plan: &plan.Project{Input: &plan.Filter{Input: factScan(n), Pred: pred},
+			Exprs: []plan.NamedExpr{{Expr: &plan.ColRef{Index: 1, Name: "s", Typ: strT()}, Col: plan.Col{Name: "s", Typ: strT()}}},
+			Sch:   &plan.Schema{Cols: []plan.Col{{Name: "s", Typ: strT()}}}},
+			Mode: plan.SubIn, Typ: boolT(), Memo: true, Exprs: []plan.Expr{&plan.ColRef{Index: 1, Name: "s", Typ: strT()}}}
+		for _, tc := range []struct {
+			name  string
+			sq    *plan.Subquery
+			fold  foldKind
+			limit float64
+		}{
+			// 8 buckets (keys 0..6 and NULL) of two states; the blocks,
+			// key scratch and map growth.
+			{"states", states, foldStates, 8*2 + 40},
+			// 8 sets of 3 distinct tuples: the set, its map and the
+			// tuples' key strings; the map growth and scratch.
+			{"sets", sets, foldSet, 8*(2+3) + 40},
+		} {
+			p := analyzePartition(tc.sq)
+			if p == nil || p.fold != tc.fold {
+				t.Fatalf("%s: the shape must fold", tc.name)
+			}
+			rt := newRuntime(context.Background(), DefaultSettings())
+			b, err := p.build(rt)
+			if err != nil || b.rows != nil || b.n != 8 {
+				t.Fatalf("%s over %d rows: %d buckets, rows kept %v, err %v", tc.name, n, b.n, b.rows != nil, err)
+			}
+			perBuild := testing.AllocsPerRun(10, func() {
+				if _, err := p.build(rt); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if perBuild > tc.limit {
+				t.Fatalf("%s: build over %d rows allocates %.0f objects, want <= %.0f", tc.name, n, perBuild, tc.limit)
+			}
 		}
 	}
 }

@@ -166,11 +166,11 @@ type subInfo struct {
 	// deps are the references to rows outside the subquery's own frame,
 	// for memo keying.
 	deps []corrDep
-	// contexts counts the distinct evaluation contexts computed so far;
-	// from the second one on, an eligible plan is evaluated through its
-	// partition.
+	// contexts counts the distinct evaluation contexts computed so far:
+	// a plan whose partition keeps rows is evaluated through it from the
+	// second one on.
 	contexts atomic.Int64
-	// index is this execution's bucket index of the plan's partition.
+	// index is this execution's buckets of the plan's partition.
 	index partIndex
 }
 
@@ -200,8 +200,14 @@ type runtime struct {
 	// main plan); it keys operator metrics by plan position.
 	sub *plan.Subquery
 	// part, when set, is the partition of the subquery whose plan is
-	// executing: its correlated Filter is answered by bucket lookup.
+	// executing: its correlated Filter, or the Aggregate over it, is
+	// answered from the buckets.
 	part *partition
+	// inputRows is the row count of the operator output this runtime
+	// made last: the input of the operator now evaluating expressions
+	// over it. A subquery evaluated by an operator with more than one
+	// input row builds a folding partition at its first context.
+	inputRows int
 	// scanned is the data state of the rows this runtime's latest Scan
 	// returned; the operator above the Scan keys its column share by it.
 	scanned storage.State
@@ -240,6 +246,16 @@ type inSet struct {
 	keys    map[string]bool
 	hasNull bool
 	count   int
+}
+
+// add counts one tuple, encoded as key, into s; only a tuple s has not
+// seen allocates.
+func (s *inSet) add(key []byte, null bool) {
+	s.count++
+	s.hasNull = s.hasNull || null
+	if !s.keys[string(key)] {
+		s.keys[string(key)] = true
+	}
 }
 
 func newRuntime(ctx context.Context, settings *Settings) *runtime {
@@ -434,9 +450,13 @@ func (rt *runtime) evalSubquery(sq *plan.Subquery, left []operand, row Row) (sql
 // set); the per-row parts of IN are applied by the caller. si is nil on
 // the unmemoized path.
 func (rt *runtime) computeSubquery(sq *plan.Subquery, si *subInfo, row Row, e *memoEntry) {
-	rows, err := rt.runNested(sq, si, row)
+	rows, set, err := rt.runNested(sq, si, row)
 	if err != nil {
 		e.err = err
+		return
+	}
+	if set != nil {
+		e.set = set
 		return
 	}
 	switch sq.Mode {
@@ -452,19 +472,18 @@ func (rt *runtime) computeSubquery(sq *plan.Subquery, si *subInfo, row Row, e *m
 	case plan.SubExists:
 		e.exists = len(rows) > 0
 	case plan.SubIn:
-		// A row is encoded into the runtime's key scratch and only a new
-		// tuple is inserted: the set allocates per distinct tuple.
-		set := &inSet{keys: map[string]bool{}, count: len(rows)}
+		// A row is encoded into the runtime's key scratch: the set
+		// allocates per distinct tuple.
+		set := &inSet{keys: map[string]bool{}}
 		key := rt.keyBuf
 		for _, r := range rows {
 			key = key[:0]
+			null := false
 			for _, v := range r {
 				key = v.AppendKey(key)
-				set.hasNull = set.hasNull || v.Null
+				null = null || v.Null
 			}
-			if !set.keys[string(key)] {
-				set.keys[string(key)] = true
-			}
+			set.add(key, null)
 		}
 		rt.keyBuf = key
 		e.set = set
@@ -481,15 +500,18 @@ func (rt *runtime) countHit(sq *plan.Subquery) {
 }
 
 // runNested executes sq's plan with row pushed as the immediate outer
-// frame. Under the memo strategy it runs once per distinct context; from
-// the second context on, a plan with an equality-correlated Filter has
-// that Filter answered from the subquery's partition index.
-func (rt *runtime) runNested(sq *plan.Subquery, si *subInfo, row Row) ([]Row, error) {
+// frame. Under the memo strategy it runs once per distinct context, and a
+// plan with an equality-correlated Filter is evaluated through the
+// subquery's partition (partition.go) — from the first context when the
+// partition folds and the evaluating operator has more than one input
+// row, from the second otherwise. A partition folding IN sets answers
+// with the context's set and no rows.
+func (rt *runtime) runNested(sq *plan.Subquery, si *subInfo, row Row) (rows []Row, set *inSet, err error) {
 	if err := rt.sh.bud.noteSubqueryEval(len(rt.outer) + 1); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := failpoint(FailSubqueryEval); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if s := rt.sh.settings.Stats; s != nil {
 		atomic.AddInt64(&s.SubqueryEvals, 1)
@@ -498,14 +520,23 @@ func (rt *runtime) runNested(sq *plan.Subquery, si *subInfo, row Row) ([]Row, er
 		p.SubqueryMetrics(sq).AddEval()
 	}
 	var part *partition
-	if si != nil && si.contexts.Add(1) > 1 {
-		part = rt.partition(sq)
+	if si != nil {
+		later := si.contexts.Add(1) > 1
+		if p := rt.partition(sq); p != nil && (later || p.folds() && rt.inputRows > 1) {
+			part = p
+		}
 	}
-	sub, outerPart := rt.sub, rt.part
+	sub, outerPart, inputRows := rt.sub, rt.part, rt.inputRows
 	rt.sub, rt.part = sq, part
 	rt.outer = append(rt.outer, row)
-	rows, err := rt.run(sq.Plan)
+	ok := false
+	if part != nil && part.fold == foldSet {
+		set, ok, err = part.set(rt)
+	}
+	if !ok && err == nil {
+		rows, err = rt.run(sq.Plan)
+	}
 	rt.outer = rt.outer[:len(rt.outer)-1]
-	rt.sub, rt.part = sub, outerPart
-	return rows, err
+	rt.sub, rt.part, rt.inputRows = sub, outerPart, inputRows
+	return rows, set, err
 }

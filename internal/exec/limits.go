@@ -104,6 +104,7 @@ func (b *budget) noteSubqueryEval(depth int) error {
 const (
 	bytesPerRow   = 48 // slice header + backing array slack
 	bytesPerValue = 24
+	bytesPerState = 48 // one fn.AggState: interface word pair + the state
 )
 
 func rowsBytes(rows []Row) int64 {

@@ -42,7 +42,7 @@ func resolveWorkers(w int) int {
 func (rt *runtime) child() *runtime {
 	outer := make([]Row, len(rt.outer))
 	copy(outer, rt.outer)
-	return &runtime{sh: rt.sh, outer: outer, workers: 1, sub: rt.sub}
+	return &runtime{sh: rt.sh, outer: outer, workers: 1, sub: rt.sub, inputRows: rt.inputRows}
 }
 
 // fanout is how a row-wise operator splits its input: workers goroutines

@@ -2,7 +2,8 @@ package exec
 
 // Set-at-a-time evaluation of equality-correlated subqueries: the
 // paper's "localized self-join" (§5.1) done the Data Cube way (Gray et
-// al.) — every context's rows come from one hash-partitioned pass.
+// al.) — fold every row into its context's state once, in one pass, then
+// read each context's state as often as it is asked for.
 //
 // A memoized subquery whose plan splits as
 //
@@ -12,38 +13,66 @@ package exec
 // conjunct a key term  inner {= | IS NOT DISTINCT FROM} outer  (inner
 // over Below's columns, outer over the enclosing frames — the shape
 // plan.SplitKeyTerms recognises for the lattice and WinMagic too),
-// differs between contexts only in the key looked up. The first distinct
-// context of an execution runs the plan as written. If a second one
-// arrives, Below is run once more, rest is applied, and the surviving
-// rows are hashed by their inner tuple in scan order; that context and
-// every later one then run Above over the bucket of their outer tuple.
-// A bucket holds exactly the rows the Filter would have passed, in the
+// differs between contexts only in the key looked up. One pass runs
+// Below, applies rest and hashes the surviving rows by their inner tuple
+// in scan order into buckets. What a bucket keeps depends on Above:
+//
+//   - states: Above reads the Filter through a keyless, single-set
+//     Aggregate whose own expressions are uncorrelated and
+//     parallel-safe. Each row is folded into its bucket's fn.AggStates
+//     by the aggregate kernel (agg.go), and the Aggregate is answered
+//     from the context's bucket — once the rollup lattice has declined
+//     it, which it is always asked first.
+//   - an IN set: the subquery is an IN whose plan is the Filter, or one
+//     uncorrelated Project over it. Each bucket folds its distinct
+//     encoded tuples into the inSet evalSubquery probes.
+//   - rows: anything else. Every context runs Above over its bucket.
+//
+// A folding partition is built by the first context when the operator
+// evaluating the subquery has more than one input row (more contexts are
+// then likely to follow); one that keeps rows, by the second context.
+// A bucket folds exactly the rows the Filter would have passed, in the
 // same order, so every result — float accumulation included — is
 // bit-identical to per-context evaluation.
 //
 // Anything else (range and AT (WHERE …) contexts, volatile inputs, keys
 // of a kind whose hash encoding and comparison could disagree, any error
-// while building) takes the per-context path unchanged.
+// while building — the build evaluates rows no context may read) takes
+// the per-context path unchanged.
 
 import (
-	"encoding/binary"
 	"errors"
 	"sync"
+	"time"
 
 	"github.com/measures-sql/msql/internal/plan"
 	"github.com/measures-sql/msql/internal/sqltypes"
 )
 
+// foldKind is what a partition's bucket keeps.
+type foldKind uint8
+
+const (
+	keepRows foldKind = iota
+	foldStates
+	foldSet
+)
+
 // partition is the split of one subquery's plan, compiled. It is worked
-// out once per plan — by the second context of the first execution that
-// has one — and stored under the subquery in the program cache, like an
-// operator's program; it never changes. An execution's bucket index lives
-// in the subquery's subInfo.
+// out once per plan — by the first context that asks — and stored under
+// the subquery in the program cache, like an operator's program; it
+// never changes. An execution's buckets live in the subquery's subInfo.
 type partition struct {
 	sq     *plan.Subquery
 	filter *plan.Filter // its Input is Below
 	rest   []predFn     // uncorrelated conjuncts, over Below's row
 	keys   []partKey    // one per correlated conjunct
+	fold   foldKind
+	agg    *plan.Aggregate // foldStates: the Aggregate whose input is filter
+	// foldSet: the Project between the subquery and filter, and its
+	// compiled expressions; nil when the row is the tuple.
+	proj  *plan.Project
+	tuple []evalFn
 }
 
 // partKey is one correlated conjunct: inner(row) ≐ outer(frames).
@@ -53,17 +82,28 @@ type partKey struct {
 	nullSafe     bool // IS NOT DISTINCT FROM: NULL matches NULL; `=`: NULL matches nothing
 }
 
-// partIndex is one execution's bucket index of a partition. The build is
-// single-flight: the first goroutine to reach the Filter builds, the
-// others wait on done (or their context).
+// partIndex is one execution's buckets of a partition. The build is
+// single-flight: the first goroutine to need it builds, the others wait
+// on done (or their context).
 type partIndex struct {
 	mu       sync.Mutex
 	done     chan struct{}
-	buckets  map[string]*bucket // nil after a failed build
-	buildErr error              // statement-fatal build error
+	b        *buckets // nil after a failed build
+	buildErr error    // statement-fatal build error
 }
 
-type bucket struct{ rows []Row }
+// buckets holds, per inner key, what the partition's fold keeps: rows,
+// an aggregate group, or an IN set.
+type buckets struct {
+	rows   map[string]*[]Row
+	states setTable
+	empty  *groupAcc // the states of a context no row reaches
+	sets   map[string]*inSet
+	n      int
+}
+
+// emptyInSet is the IN set of a context no row reaches.
+var emptyInSet = &inSet{}
 
 // partition returns sq's partition, analysing the plan on first use; nil
 // when the shape is not eligible. The typed nil is a non-nil any, so the
@@ -79,22 +119,23 @@ func (rt *runtime) partition(sq *plan.Subquery) *partition {
 // other one must be an unguarded key term (plan.SplitKeyTerms) whose two
 // sides share one kind with an exact key encoding: for BOOLEAN, INTEGER,
 // VARCHAR and DATE "equal keys" and "compare equal" coincide, for DOUBLE
-// (NaN, and INTEGER against DOUBLE) they do not. Above is unrestricted:
-// it still runs once per context.
+// (NaN, and INTEGER against DOUBLE) they do not. Above is unrestricted;
+// its shape only decides what a bucket keeps.
 func analyzePartition(sq *plan.Subquery) *partition {
 	var found *plan.Filter
+	var parent plan.Node
 	count := 0
-	var walk func(n plan.Node)
-	walk = func(n plan.Node) {
+	var walk func(n, above plan.Node)
+	walk = func(n, above plan.Node) {
 		if f, ok := n.(*plan.Filter); ok && plan.HasCorrRefs(f.Pred) {
-			found = f
+			found, parent = f, above
 			count++
 		}
 		for _, c := range n.Children() {
-			walk(c)
+			walk(c, n)
 		}
 	}
-	walk(sq.Plan)
+	walk(sq.Plan, nil)
 	if count != 1 {
 		return nil
 	}
@@ -126,47 +167,130 @@ func analyzePartition(sq *plan.Subquery) *partition {
 		}
 		p.keys = append(p.keys, partKey{inner: compileExpr(k.Inner), outer: compileExpr(k.Outer), kind: kind, nullSafe: k.NullSafe})
 	}
+
+	in := sq.Mode == plan.SubIn
+	switch a := parent.(type) {
+	case nil:
+		if in {
+			p.fold = foldSet
+		}
+	case *plan.Project:
+		if in && parent == sq.Plan && foldsRows(a) {
+			p.fold, p.proj = foldSet, a
+			for _, ne := range a.Exprs {
+				p.tuple = append(p.tuple, compileExpr(ne.Expr))
+			}
+		}
+	case *plan.Aggregate:
+		if len(a.GroupExprs) == 0 && len(a.Sets) == 1 && foldsRows(a) {
+			p.fold, p.agg = foldStates, a
+		}
+	}
 	return p
 }
 
-// lookup answers the partition's Filter for the context on top of the
-// runtime's frame stack. ok=false sends the caller down the ordinary
-// Filter path (failed build, or an outer key this index cannot serve).
-func (p *partition) lookup(rt *runtime) (rows []Row, ok bool, err error) {
+// foldsRows reports whether the build may evaluate n's own expressions
+// over every kept row, in scan order, instead of each context evaluating
+// them over its bucket: they read no outer frame and are deterministic.
+func foldsRows(n plan.Node) bool {
+	ok := true
+	plan.VisitNodeExprs(n, func(e plan.Expr) {
+		ok = ok && !plan.HasCorrRefs(e) && plan.ExprParallelSafe(e)
+	})
+	return ok
+}
+
+// folds reports whether the partition's buckets keep states or sets.
+func (p *partition) folds() bool { return p.fold != keepRows }
+
+// probe returns this execution's buckets, building them on first use,
+// and the current context's bucket key, encoded onto buf. ok=false sends
+// the caller down the per-context path (failed build, or an outer key
+// the index cannot serve); a nil key with ok=true is a context no row
+// reaches (a NULL under `=`).
+func (p *partition) probe(rt *runtime, buf []byte) (b *buckets, key []byte, ok bool, err error) {
 	idx := &rt.subInfo(p.sq).index
 	if err := idx.ensureBuilt(rt, p); err != nil {
-		return nil, false, err
+		return nil, nil, false, err
 	}
-	if idx.buckets == nil {
-		return nil, false, nil
+	if idx.b == nil {
+		return nil, nil, false, nil
 	}
-	var buf [64]byte
-	key := buf[:0]
+	key = buf[:0]
 	for _, k := range p.keys {
 		v, err := k.outer(rt, nil)
 		if err != nil {
 			// Per-context evaluation raises this only if a row gets as
 			// far as the conjunct; let it decide.
-			return nil, false, nil
+			return nil, nil, false, nil
 		}
 		if v.Null {
 			if !k.nullSafe {
-				return nil, true, nil
+				return idx.b, nil, true, nil
 			}
 		} else if v.K != k.kind {
-			return nil, false, nil
+			return nil, nil, false, nil
 		}
-		key = appendPartKey(key, v)
+		key = v.AppendKey(key)
 	}
-	if b := idx.buckets[string(key)]; b != nil {
-		return b.rows, true, nil
+	return idx.b, key, true, nil
+}
+
+// lookup answers the partition's Filter for the context on top of the
+// runtime's frame stack, for a partition that keeps rows.
+func (p *partition) lookup(rt *runtime) (rows []Row, ok bool, err error) {
+	var buf [64]byte
+	b, key, ok, err := p.probe(rt, buf[:])
+	if !ok || key == nil {
+		return nil, ok, err
+	}
+	if r := b.rows[string(key)]; r != nil {
+		return *r, true, nil
 	}
 	return nil, true, nil
 }
 
-// ensureBuilt builds the index of p at most once per execution. Waiters
-// block with a context escape hatch, like memoCache.do; a builder that
-// panics closes done first so it cannot strand them.
+// aggregate answers the partition's Aggregate for the current context
+// from its bucket's states: the one row the Aggregate would have made
+// over the rows the Filter passes.
+func (p *partition) aggregate(rt *runtime) ([]Row, bool, error) {
+	var buf [64]byte
+	b, key, ok, err := p.probe(rt, buf[:])
+	if !ok {
+		return nil, false, err
+	}
+	acc := b.empty
+	if key != nil {
+		if g := b.states.groups[string(key)]; g != nil {
+			acc = g
+		}
+	}
+	row := make(Row, len(acc.states))
+	for i, s := range acc.states {
+		row[i] = s.Result()
+	}
+	return []Row{row}, true, nil
+}
+
+// set answers the subquery for the current context with its bucket's IN
+// set.
+func (p *partition) set(rt *runtime) (*inSet, bool, error) {
+	var buf [64]byte
+	b, key, ok, err := p.probe(rt, buf[:])
+	if !ok {
+		return nil, false, err
+	}
+	if key != nil {
+		if s := b.sets[string(key)]; s != nil {
+			return s, true, nil
+		}
+	}
+	return emptyInSet, true, nil
+}
+
+// ensureBuilt builds the buckets of p at most once per execution.
+// Waiters block with a context escape hatch, like memoCache.do; a builder
+// that panics closes done first so it cannot strand them.
 func (idx *partIndex) ensureBuilt(rt *runtime, p *partition) error {
 	idx.mu.Lock()
 	if idx.done != nil {
@@ -183,34 +307,47 @@ func (idx *partIndex) ensureBuilt(rt *runtime, p *partition) error {
 	idx.mu.Unlock()
 	defer close(idx.done)
 
-	buckets, err := p.build(rt)
+	b, err := p.build(rt)
 	switch {
 	case err == nil:
-		idx.buckets = buckets
+		idx.b = b
 		if prof := rt.sh.prof; prof != nil {
-			prof.SubqueryMetrics(p.sq).SetPartitions(len(buckets))
+			prof.SubqueryMetrics(p.sq).SetPartitions(b.n)
 		}
 	case errors.Is(err, CodeCanceled), errors.Is(err, CodeTimeout), errors.Is(err, CodeResourceExhausted):
 		idx.buildErr = err
 	}
-	// Any other error: leave buckets nil. The per-context path evaluates
-	// a subset of what the build evaluates, so it alone decides whether
-	// the statement fails.
+	// Any other error: leave the buckets nil. The per-context path
+	// evaluates a subset of what the build evaluates, so it alone decides
+	// whether the statement fails.
 	return idx.buildErr
 }
 
-// build runs Below once, applies rest, and buckets the surviving rows by
-// inner tuple in scan order.
-func (p *partition) build(rt *runtime) (map[string]*bucket, error) {
+// build runs Below once, applies rest, and folds each surviving row into
+// the bucket of its inner tuple, in scan order.
+func (p *partition) build(rt *runtime) (*buckets, error) {
+	start := time.Now()
 	// Below is uncorrelated, so the frames on the stack do not matter to
 	// it.
 	in, err := rt.run(p.filter.Input)
 	if err != nil {
 		return nil, err
 	}
-	buckets := map[string]*bucket{}
-	var kept, perRow int64
-	var key []byte
+	b := &buckets{}
+	var env *aggEnv
+	switch p.fold {
+	case keepRows:
+		b.rows = map[string]*[]Row{}
+	case foldStates:
+		if env, err = rt.aggEnv(p.agg); err != nil {
+			return nil, err
+		}
+		b.states.groups = map[string]*groupAcc{}
+	case foldSet:
+		b.sets = map[string]*inSet{}
+	}
+	var kept int
+	var key, tuple []byte
 rows:
 	for _, row := range in {
 		if err := rt.tick(); err != nil {
@@ -238,35 +375,94 @@ rows:
 			} else if v.K != k.kind {
 				return nil, errKeyKind
 			}
-			key = appendPartKey(key, v)
+			key = v.AppendKey(key)
 		}
-		b := buckets[string(key)]
-		if b == nil {
-			b = &bucket{}
-			buckets[string(key)] = b
+		switch p.fold {
+		case keepRows:
+			r := b.rows[string(key)]
+			if r == nil {
+				r = &[]Row{}
+				b.rows[string(key)] = r
+			}
+			*r = append(*r, row)
+		case foldStates:
+			if err := rt.accumulate(env, b.states.group(env, key, nil, nil, kept), row); err != nil {
+				return nil, err
+			}
+		case foldSet:
+			if tuple, err = p.appendTuple(rt, tuple[:0], b, key, row); err != nil {
+				return nil, err
+			}
 		}
-		b.rows = append(b.rows, row)
-		if kept++; kept == 1 {
-			perRow = rowsBytes(in[:1])
+		kept++
+	}
+
+	// The buckets are held for the rest of the statement: rows are
+	// charged like one materialized Filter output, states and sets by
+	// their estimated size.
+	var held int64
+	switch p.fold {
+	case keepRows:
+		b.n = len(b.rows)
+		if kept > 0 {
+			held = int64(kept) * rowsBytes(in[:1])
+		}
+	case foldStates:
+		b.n = len(b.states.groups)
+		b.empty = b.states.newGroup(env, nil, nil, 0)
+		held = int64(b.n) * (bytesPerRow + int64(len(env.calls))*bytesPerState)
+	case foldSet:
+		b.n = len(b.sets)
+		for _, s := range b.sets {
+			held += bytesPerRow
+			for k := range s.keys {
+				held += bytesPerValue + int64(len(k))
+			}
 		}
 	}
-	// The index holds the partitioned rows for the rest of the statement:
-	// charge them like one materialized Filter output.
-	if err := rt.sh.bud.noteMem(kept * perRow); err != nil {
+	if err := rt.sh.bud.noteMem(held); err != nil {
 		return nil, err
 	}
-	return buckets, nil
+	// Rows that are folded never pass through the Filter operator, nor
+	// through a Project folded with it: report the one pass's kept rows
+	// on them.
+	if prof := rt.sh.prof; prof != nil && p.folds() {
+		ns := int64(time.Since(start))
+		prof.NodeMetrics(p.sq, p.filter).Record(kept, ns)
+		if p.proj != nil {
+			prof.NodeMetrics(p.sq, p.proj).Record(kept, ns)
+		}
+	}
+	return b, nil
+}
+
+// appendTuple adds row's IN tuple — the row, or the Project's values
+// over it — to the set of bucket key, encoded onto scratch, which it
+// returns.
+func (p *partition) appendTuple(rt *runtime, scratch []byte, b *buckets, key []byte, row Row) ([]byte, error) {
+	s := b.sets[string(key)]
+	if s == nil {
+		s = &inSet{keys: map[string]bool{}}
+		b.sets[string(key)] = s
+	}
+	null := false
+	if p.tuple == nil {
+		for _, v := range row {
+			scratch = v.AppendKey(scratch)
+			null = null || v.Null
+		}
+	} else {
+		for _, f := range p.tuple {
+			v, err := f(rt, row)
+			if err != nil {
+				return scratch, err
+			}
+			scratch = v.AppendKey(scratch)
+			null = null || v.Null
+		}
+	}
+	s.add(scratch, null)
+	return scratch, nil
 }
 
 var errKeyKind = errors.New("partition key of unexpected kind")
-
-// appendPartKey is Value.AppendKey with INTEGER encoded exactly: both
-// sides of a partition key have the same kind, so the INT/FLOAT folding
-// AppendKey does for GROUP BY (lossy above 2^53) is not wanted here.
-func appendPartKey(dst []byte, v sqltypes.Value) []byte {
-	if !v.Null && v.K == sqltypes.KindInt {
-		dst = append(dst, 5)
-		return binary.LittleEndian.AppendUint64(dst, uint64(v.I))
-	}
-	return v.AppendKey(dst)
-}

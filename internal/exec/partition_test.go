@@ -340,22 +340,42 @@ func TestPartitionFallbacks(t *testing.T) {
 	}
 }
 
-// TestPartitionSingleContext: one distinct context never builds.
+// TestPartitionSingleContext: a subquery evaluated over one outer row
+// never builds. Over two rows of one key, the folding partition is built
+// by the first context, in the one scan that context would have made:
+// the rows scanned and the result are those of per-context evaluation.
 func TestPartitionSingleContext(t *testing.T) {
-	sub := scalarSub(aggOver(&plan.Filter{Input: factScan(100), Pred: eq(col(0, "k"), corr(0, "k", intT()))}, countStar), intT())
-	outer := tableScan("one", []string{"k", "s"}, []sqltypes.Type{intT(), strT()}, []Row{
-		{sqltypes.NewInt(3), sqltypes.NewString("a")}, {sqltypes.NewInt(3), sqltypes.NewString("b")}})
-	c := plan.Col{Name: "q", Typ: intT()}
-	node := &plan.Project{Input: outer, Exprs: []plan.NamedExpr{{Expr: sub, Col: c}}, Sch: &plan.Schema{Cols: []plan.Col{c}}}
-	_, stats, parts := partitionsOf(t, node, 1, false)
-	if parts[0] != 0 || stats.RowsScanned != 2+100 || stats.SubqueryEvals != 1 {
-		t.Fatalf("partitions=%v scanned=%d evals=%d, want none / 102 / 1", parts, stats.RowsScanned, stats.SubqueryEvals)
+	one := []Row{{sqltypes.NewInt(3), sqltypes.NewString("a")}}
+	two := append(one, Row{sqltypes.NewInt(3), sqltypes.NewString("b")})
+	for _, tc := range []struct {
+		name    string
+		outer   []Row
+		built   bool
+		scanned int64
+	}{
+		{"one-row", one, false, 1 + 100},
+		{"two-rows-one-key", two, true, 2 + 100},
+	} {
+		sub := scalarSub(aggOver(&plan.Filter{Input: factScan(100), Pred: eq(col(0, "k"), corr(0, "k", intT()))}, countStar), intT())
+		outer := tableScan("one", []string{"k", "s"}, []sqltypes.Type{intT(), strT()}, tc.outer)
+		c := plan.Col{Name: "q", Typ: intT()}
+		node := &plan.Project{Input: outer, Exprs: []plan.NamedExpr{{Expr: sub, Col: c}}, Sch: &plan.Schema{Cols: []plan.Col{c}}}
+		rows, stats, parts := partitionsOf(t, node, 1, false)
+		if (parts[0] > 0) != tc.built || stats.RowsScanned != tc.scanned || stats.SubqueryEvals != 1 {
+			t.Fatalf("%s: partitions=%v scanned=%d evals=%d, want built=%v / %d / 1",
+				tc.name, parts, stats.RowsScanned, stats.SubqueryEvals, tc.built, tc.scanned)
+		}
+		want, err := Run(withoutMemo(node), DefaultSettings())
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameRows(t, tc.name, want, rows)
 	}
 }
 
 // TestPartitionOnePass: whatever the worker count, the input is scanned
-// once for the first context and once for the build, and SubqueryEvals
-// still counts distinct contexts.
+// once — by the build, which the first context makes — and
+// SubqueryEvals still counts distinct contexts.
 func TestPartitionOnePass(t *testing.T) {
 	const factRows = 5000
 	for _, workers := range []int{1, 4} {
@@ -364,8 +384,8 @@ func TestPartitionOnePass(t *testing.T) {
 		for run := 0; run < 20; run++ {
 			_, stats, parts := partitionsOf(t, node, workers, false)
 			ctxRows := int64(len(ctxScan().Source.Rows()))
-			if stats.RowsScanned != ctxRows+2*factRows {
-				t.Fatalf("workers=%d run %d: scanned %d, want %d", workers, run, stats.RowsScanned, ctxRows+2*factRows)
+			if stats.RowsScanned != ctxRows+factRows {
+				t.Fatalf("workers=%d run %d: scanned %d, want %d", workers, run, stats.RowsScanned, ctxRows+factRows)
 			}
 			if stats.SubqueryEvals != 9 || stats.SubqueryCacheHits != 9 {
 				t.Fatalf("workers=%d: evals=%d hits=%d, want 9/9", workers, stats.SubqueryEvals, stats.SubqueryCacheHits)
@@ -406,21 +426,23 @@ func TestPartitionBuildErrorFallsBack(t *testing.T) {
 			t.Fatalf("rows %v, want every count 1", rows)
 		}
 	}
-	// 3 outer + first context + failed build + 2 per-context fallbacks.
+	// 3 outer + the first context's failed build + 3 per-context
+	// fallbacks.
 	if stats.RowsScanned != 3+4*100 {
 		t.Fatalf("scanned %d, want %d", stats.RowsScanned, 3+4*100)
 	}
 }
 
-// TestPartitionGovernor: the rows the index holds are charged to
-// MaxMemBytes, and a trip surfaces as the statement's error.
+// TestPartitionGovernor: what the buckets hold is charged to
+// MaxMemBytes — the rows of a partition that keeps them, the states of
+// one that folds them — and a trip surfaces as the statement's error.
 func TestPartitionGovernor(t *testing.T) {
 	fact := factScan(1000)
 	filter := &plan.Filter{Input: fact, Pred: notDistinct(col(0, "k"), corr(0, "k", intT()))}
-	sub := scalarSub(aggOver(filter, countStar), intT())
+	sub := &plan.Subquery{Plan: filter, Mode: plan.SubExists, Typ: boolT(), Memo: true}
 	p := analyzePartition(sub)
-	if p == nil {
-		t.Fatal("shape must be eligible")
+	if p == nil || p.fold != keepRows {
+		t.Fatal("shape must be eligible and keep rows")
 	}
 	settings := DefaultSettings()
 	settings.Workers = 1
@@ -445,6 +467,27 @@ func TestPartitionGovernor(t *testing.T) {
 	if _, err := Run(node, settings); !errors.Is(err, CodeResourceExhausted) {
 		t.Fatalf("want CodeResourceExhausted from the index charge, got %v", err)
 	}
+
+	// Folded: the Below output plus, per bucket, the group and its states.
+	folded := scalarSub(aggOver(&plan.Filter{Input: fact, Pred: filter.Pred}, countStar, sumF), floatT())
+	if p := analyzePartition(folded); p == nil || p.fold != foldStates {
+		t.Fatal("the aggregate over the Filter must fold")
+	} else {
+		settings = DefaultSettings()
+		settings.Workers = 1
+		settings.Limits.MaxMemBytes = 1 << 40
+		rt := newRuntime(context.Background(), settings)
+		rt.outer = []Row{{sqltypes.NewInt(3)}}
+		rows, ok, err := p.aggregate(rt)
+		if err != nil || !ok || len(rows) != 1 || rows[0][0].I == 0 {
+			t.Fatalf("aggregate: %v ok=%v err=%v", rows, ok, err)
+		}
+		// Keys 0..6 and NULL.
+		const buckets = 8
+		if got, want := rt.sh.bud.memBytes.Load(), scanned+buckets*(bytesPerRow+2*bytesPerState); got != want {
+			t.Fatalf("folded: charged %d bytes, want the Below output plus %d buckets of two states = %d", got, buckets, want)
+		}
+	}
 }
 
 // TestPartitionBuildCancel cancels while the build is scanning: the
@@ -456,11 +499,11 @@ func TestPartitionBuildCancel(t *testing.T) {
 			base := stdruntime.NumGoroutine()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			// The second subquery evaluation is the first one that reaches
-			// the partition; cancel as it starts.
+			// The first subquery evaluation builds the partition; cancel as
+			// it starts.
 			var evals atomic.Int64
 			SetFailPoint(FailSubqueryEval, func() error {
-				if evals.Add(1) == 2 {
+				if evals.Add(1) == 1 {
 					cancel()
 				}
 				return nil
@@ -508,14 +551,19 @@ func TestExplainAnalyzeSharedScan(t *testing.T) {
 	if m := prof.NodeMetrics(nil, shared).Load(); m.Calls != 1 || m.RowsOut != 70 {
 		t.Fatalf("main-plan scan: calls=%d rows=%d, want 1/70", m.Calls, m.RowsOut)
 	}
-	if m := prof.NodeMetrics(sub, shared).Load(); m.Calls != 2 || m.RowsOut != 140 {
-		t.Fatalf("subquery scan: calls=%d rows=%d, want 2/140 (first context + build)", m.Calls, m.RowsOut)
+	if m := prof.NodeMetrics(sub, shared).Load(); m.Calls != 1 || m.RowsOut != 70 {
+		t.Fatalf("subquery scan: calls=%d rows=%d, want 1/70 (the build the first context makes)", m.Calls, m.RowsOut)
 	}
 	txt := plan.ExplainAnalyzeTree(node, prof)
-	for _, want := range []string{"(evals=8 hits=62) partitioned=8", "Scan fact (rows=140 loops=2 ", "Scan fact (rows=70 "} {
+	// The folded Filter reports the rows its one pass kept: every row, as
+	// IS NOT DISTINCT FROM keeps the NULL keys too.
+	for _, want := range []string{"(evals=8 hits=62) partitioned=8", "Filter ($0:k IS NOT DISTINCT FROM corr^1$0:k) (rows=70 time="} {
 		if !strings.Contains(txt, want) {
 			t.Errorf("missing %q in:\n%s", want, txt)
 		}
+	}
+	if n := strings.Count(txt, "Scan fact (rows=70 time="); n != 2 {
+		t.Errorf("want the main-plan scan and the subquery's one scan at 70 rows each, found %d in:\n%s", n, txt)
 	}
 }
 

@@ -180,35 +180,6 @@ func (rt *runtime) joinProg(j *plan.Join) *joinProg {
 	}).(*joinProg)
 }
 
-// aggProg is the compiled form of an Aggregate's per-row expressions.
-type aggProg struct {
-	groups []evalFn
-	calls  []aggCallProg
-}
-
-type aggCallProg struct {
-	filter predFn // nil when the call has no FILTER
-	args   []evalFn
-	within []evalFn
-}
-
-func (rt *runtime) aggProg(n *plan.Aggregate) *aggProg {
-	return rt.rowProg(n, func() any {
-		p := &aggProg{groups: compileExprs(n.GroupExprs), calls: make([]aggCallProg, len(n.Aggs))}
-		for i, call := range n.Aggs {
-			if call.Name == "GROUPING" {
-				continue
-			}
-			c := &p.calls[i]
-			if call.Filter != nil {
-				c.filter = compilePred(call.Filter)
-			}
-			c.args, c.within = compileExprs(call.Args), compileExprs(call.WithinDistinct)
-		}
-		return p
-	}).(*aggProg)
-}
-
 // windowFuncProg is the compiled form of one window function.
 type windowFuncProg struct {
 	partitionBy, orderBy, args []evalFn

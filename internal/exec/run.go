@@ -58,6 +58,7 @@ func (rt *runtime) run(n plan.Node) ([]Row, error) {
 	p := rt.sh.prof
 	if p == nil {
 		rows, err := rt.runNode(n)
+		rt.inputRows = len(rows)
 		if err == nil {
 			err = rt.charge(n, rows)
 		}
@@ -67,6 +68,7 @@ func (rt *runtime) run(n plan.Node) ([]Row, error) {
 	start := time.Now()
 	rows, err := rt.runNode(n)
 	m.Record(len(rows), int64(time.Since(start)))
+	rt.inputRows = len(rows)
 	if err == nil {
 		err = rt.charge(n, rows)
 	}
@@ -123,6 +125,7 @@ func (rt *runtime) runNode(n plan.Node) ([]Row, error) {
 		return rows, nil
 
 	case *plan.Values:
+		rt.inputRows = len(n.Rows)
 		out := make([]Row, len(n.Rows))
 		for i, exprs := range n.Rows {
 			row := make(Row, len(exprs))
@@ -138,7 +141,7 @@ func (rt *runtime) runNode(n plan.Node) ([]Row, error) {
 		return out, nil
 
 	case *plan.Filter:
-		if p := rt.part; p != nil && p.filter == n {
+		if p := rt.part; p != nil && p.fold == keepRows && p.filter == n {
 			if rows, ok, err := p.lookup(rt); ok || err != nil {
 				return rows, err
 			}
@@ -189,6 +192,11 @@ func (rt *runtime) runNode(n plan.Node) ([]Row, error) {
 			return nil, err
 		} else if ok {
 			return rows, nil
+		}
+		if p := rt.part; p != nil && p.agg == n {
+			if rows, ok, err := p.aggregate(rt); ok || err != nil {
+				return rows, err
+			}
 		}
 		return rt.runAggregate(n)
 

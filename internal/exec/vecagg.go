@@ -138,14 +138,7 @@ func (rt *runtime) accumulateRowsVec(env *aggEnv, vea *vecAggExprs, share *colSh
 				for _, j := range set {
 					keyBuf = kv[j].AppendKey(keyBuf)
 				}
-				// string(keyBuf) in the index expression stays
-				// allocation-free (the compiler's map-lookup special
-				// case); only a missing group pays for the key copy.
-				acc := tables[si].groups[string(keyBuf)]
-				if acc == nil {
-					acc = env.newAcc(env.maskKeyVals(set, kv), blo+r)
-					tables[si].groups[string(keyBuf)] = acc
-				}
+				acc := tables[si].group(env, keyBuf, set, kv, blo+r)
 				if err := env.accumulateVecRow(acc, r, filterCols, argCols, argBufs); err != nil {
 					return err
 				}
@@ -172,7 +165,7 @@ func (env *aggEnv) accumulateVecRow(acc *groupAcc, r int, filterCols []*vec.Col,
 		for j, c := range argCols[i] {
 			v := c.Value(r)
 			args[j] = v
-			if j == 0 && v.Null && env.defs[i].SkipNulls {
+			if j == 0 && v.Null && env.calls[i].skipNulls {
 				skip = true
 			}
 		}

@@ -13,6 +13,11 @@ import (
 // DISTINCT de-duplication are handled by the executor); Result returns
 // the aggregate value for the group.
 //
+// The args slice Add is handed belongs to the caller and may alias an
+// input row or a reused buffer: it is overwritten after Add returns. A
+// state copies what it keeps (a Value is copied by assignment) and never
+// retains or writes the slice.
+//
 // Merge folds another state of the same concrete type into the receiver.
 // The other state must have been accumulated over a later, disjoint
 // slice of the group's input rows; merging partial states left-to-right

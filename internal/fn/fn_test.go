@@ -305,3 +305,76 @@ func TestVarianceProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAggStatesCopyWhatTheyKeep: the executor hands Add a slice that
+// aliases an input row or a reused buffer and overwrites it afterwards.
+// For every registered aggregate and every argument kind it accepts, a
+// state fed such slices — left untouched by Add, clobbered right after —
+// must report the Result and Merge into the Result of a state fed
+// private copies.
+func TestAggStatesCopyWhatTheyKeep(t *testing.T) {
+	kinds := []sqltypes.Kind{sqltypes.KindInt, sqltypes.KindFloat, sqltypes.KindString}
+	value := func(k sqltypes.Kind, i int) sqltypes.Value {
+		n := (i*7 + 3) % 11
+		switch k {
+		case sqltypes.KindFloat:
+			return sqltypes.NewFloat(float64(n) + 0.25)
+		case sqltypes.KindString:
+			return sqltypes.NewString(string(rune('a' + n)))
+		}
+		return sqltypes.NewInt(int64(n))
+	}
+	clobber := sqltypes.NewString("clobbered")
+	same := func(a, b sqltypes.Value) bool {
+		return sqltypes.RowKey([]sqltypes.Value{a}) == sqltypes.RowKey([]sqltypes.Value{b})
+	}
+	checked := 0
+	for name, def := range aggs {
+		for _, k := range kinds {
+			types := make([]sqltypes.Type, def.MaxArgs)
+			for j := range types {
+				types[j] = sqltypes.Type{Kind: k}
+			}
+			if _, err := def.Ret(types); err != nil {
+				continue
+			}
+			aliased, private := def.New(types), def.New(types)
+			buf := make([]sqltypes.Value, len(types))
+			for i := 0; i < 6; i++ {
+				for j := range buf {
+					buf[j] = value(k, i+j)
+				}
+				before := append([]sqltypes.Value(nil), buf...)
+				if err := aliased.Add(buf); err != nil {
+					t.Fatalf("%s(%v): %v", name, k, err)
+				}
+				for j := range buf {
+					if !same(buf[j], before[j]) {
+						t.Fatalf("%s(%v): Add wrote argument %d", name, k, j)
+					}
+					buf[j] = clobber
+				}
+				if err := private.Add(before); err != nil {
+					t.Fatalf("%s(%v): %v", name, k, err)
+				}
+			}
+			if got, want := aliased.Result(), private.Result(); !same(got, want) {
+				t.Errorf("%s(%v): Result %v after the arguments were overwritten, want %v", name, k, got, want)
+			}
+			into, intoPrivate := def.New(types), def.New(types)
+			if err := into.Merge(aliased); err != nil {
+				t.Fatalf("%s(%v): %v", name, k, err)
+			}
+			if err := intoPrivate.Merge(private); err != nil {
+				t.Fatalf("%s(%v): %v", name, k, err)
+			}
+			if got, want := into.Result(), intoPrivate.Result(); !same(got, want) {
+				t.Errorf("%s(%v): merged Result %v, want %v", name, k, got, want)
+			}
+			checked++
+		}
+	}
+	if checked < len(aggs) {
+		t.Fatalf("checked %d aggregate × kind pairs for %d aggregates", checked, len(aggs))
+	}
+}

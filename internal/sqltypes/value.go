@@ -196,7 +196,9 @@ func NotDistinct(a, b Value) bool {
 // AppendKey appends a canonical byte encoding of v to dst, suitable for
 // use as a hash-map key component in GROUP BY / join / memo caches. The
 // encoding folds INT and FLOAT of equal value to the same key and
-// distinguishes NULL from every value.
+// distinguishes NULL from every value. An INTEGER its float64 cannot
+// represent (beyond ±2^53) has no FLOAT to fold with: it is encoded
+// exactly, under a tag of its own, so neighbouring integers stay apart.
 func (v Value) AppendKey(dst []byte) []byte {
 	if v.Null {
 		return append(dst, 0)
@@ -211,6 +213,11 @@ func (v Value) AppendKey(dst []byte) []byte {
 		f := v.AsFloat()
 		if v.K == KindInt {
 			f = float64(v.I)
+			// float64(MaxInt64) is 2^63, which int64 cannot hold.
+			if f >= 1<<63 || int64(f) != v.I {
+				dst = append(dst, 5)
+				return binary.LittleEndian.AppendUint64(dst, uint64(v.I))
+			}
 		}
 		// Canonicalize -0 to +0 so they group together.
 		if f == 0 {

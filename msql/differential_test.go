@@ -238,6 +238,7 @@ func TestDifferentialPreparedVsDirect(t *testing.T) {
 // pattern (a bucket holds exactly the rows the context's filter passes,
 // in scan order, so float accumulation order is unchanged).
 func TestDifferentialPartitionedVsPerContext(t *testing.T) {
+	t.Run("folds", testFoldedContextsVsPerContext)
 	const seed = 20240805
 	corpus := diffCorpusSize(t)
 	oracleDB := buildRandomDB(t, 99, msql.StrategyNaive)
@@ -305,4 +306,116 @@ func TestDifferentialPartitionedVsPerContext(t *testing.T) {
 		t.Fatal("no query of the corpus was evaluated through a partition")
 	}
 	t.Logf("%d of %d corpus queries built a partition under the memo strategy", partitioned, corpus)
+}
+
+// foldSetupSQL is the fixture of the folding-partition cases: F is the
+// measure's base (k has NULLs and a bucket, 4, no context reads, whose
+// INTEGER sum overflows; x carries long mantissas, so accumulation order
+// shows in the low bits), C holds the contexts (NULL, and 9, which no row
+// of F has), P is joined to F and has NULL ages, so the context link's
+// tuples contain NULL.
+const foldSetupSQL = `
+CREATE TABLE F (k INTEGER, g VARCHAR, x DOUBLE, big INTEGER);
+INSERT INTO F VALUES
+  (0, 'a', 0.1, 1), (1, 'b', 1.0000000000000002, 2), (2, 'c', 0.30000000000000004, 3),
+  (0, 'b', 1e16, 4), (1, NULL, 3.3333333333333335, 5), (NULL, 'a', 2.718281828459045, 6),
+  (0, 'c', -1e16, 7), (2, 'a', 0.7, 8), (NULL, NULL, 1.4142135623730951, 9),
+  (4, 'b', 5.5, 9223372036854775000), (4, 'c', 6.5, 9223372036854775000),
+  (3, 'a', NULL, NULL), (1, 'c', 0.2, 10), (0, 'a', 0.3, 11);
+CREATE TABLE C (k INTEGER);
+INSERT INTO C VALUES (0), (1), (2), (3), (NULL), (9), (1), (NULL);
+CREATE TABLE P (name VARCHAR, age INTEGER);
+INSERT INTO P VALUES ('a', 30), ('b', NULL), ('c', 41);
+CREATE VIEW FV AS SELECT *, SUM(x) AS MEASURE sx, AVG(x) AS MEASURE ax, COUNT(*) AS MEASURE n FROM F;
+`
+
+// testFoldedContextsVsPerContext runs the shapes a partition folds into
+// states or IN sets — float SUM and AVG, NULL keys under = and IS NOT
+// DISTINCT FROM, empty buckets, a bucket whose fold overflows, a joined
+// measure whose link tuples hold NULL — under the memo and default
+// strategies at 1 and 4 workers with the lattice off and on, against the
+// naive strategy at one worker without it, on every value bit for bit.
+func testFoldedContextsVsPerContext(t *testing.T) {
+	cases := []struct {
+		name, sql string
+		// partitioned: EXPLAIN ANALYZE under the memo strategy reports a
+		// partition (a failed build reports none).
+		partitioned bool
+	}{
+		{"float-sum-avg", `SELECT k, sx, ax, n FROM FV WHERE k <> 4 OR k IS NULL GROUP BY k ORDER BY k NULLS LAST`, true},
+		{"null-key-equals", `SELECT c.k,
+			(SELECT COUNT(*) FROM F WHERE F.k = c.k) AS n,
+			(SELECT SUM(x) FROM F WHERE F.k = c.k) AS s,
+			(SELECT AVG(x) FROM F WHERE F.k = c.k) AS a
+			FROM C c ORDER BY c.k NULLS LAST`, true},
+		{"null-key-not-distinct", `SELECT c.k,
+			(SELECT COUNT(*) FROM F WHERE F.k IS NOT DISTINCT FROM c.k) AS n,
+			(SELECT SUM(x) FROM F WHERE F.k IS NOT DISTINCT FROM c.k) AS s
+			FROM C c ORDER BY c.k NULLS LAST`, true},
+		// 9 has no rows: COUNT 0, SUM NULL; NULL under = likewise.
+		{"empty-bucket", `SELECT c.k,
+			(SELECT COUNT(*) FROM F WHERE F.k = c.k AND x > 0) AS n,
+			(SELECT SUM(big) FROM F WHERE F.k = c.k AND x > 0 AND k < 4) AS s
+			FROM C c ORDER BY c.k NULLS LAST`, true},
+		// Bucket 4's SUM overflows while it is folded; no context reads
+		// it, so the statement succeeds, per context.
+		{"overflow-unread-bucket", `SELECT c.k, (SELECT SUM(big) FROM F WHERE F.k = c.k) AS s
+			FROM C c ORDER BY c.k NULLS LAST`, false},
+		{"in-set", `SELECT c.k, 'a' IN (SELECT g FROM F WHERE F.k IS NOT DISTINCT FROM c.k) AS hasA,
+			'z' IN (SELECT g FROM F WHERE F.k = c.k) AS hasZ
+			FROM C c ORDER BY c.k NULLS LAST`, true},
+		{"joined-measure-null-link", `SELECT f.k, COUNT(*) AS n, p.avgAge AT (VISIBLE) AS v
+			FROM F AS f JOIN (SELECT *, AVG(age) AS MEASURE avgAge FROM P) AS p ON f.g = p.name
+			GROUP BY f.k ORDER BY f.k NULLS LAST`, true},
+	}
+	open := func(s msql.Strategy) *msql.DB {
+		db := msql.Open()
+		db.MustExec(foldSetupSQL)
+		db.SetStrategy(s)
+		return db
+	}
+	oracleDB := open(msql.StrategyNaive)
+	oracleDB.SetWorkers(1)
+	memoDB := open(msql.StrategyMemo)
+	dbs := []struct {
+		name string
+		db   *msql.DB
+	}{{"memo", memoDB}, {"default", open(msql.StrategyDefault)}}
+	ctx := context.Background()
+	for _, tc := range cases {
+		oracle, err := oracleDB.Query(tc.sql)
+		if err != nil {
+			t.Fatalf("%s: oracle: %v", tc.name, err)
+		}
+		want := exactRows(oracle)
+		for _, c := range dbs {
+			for _, rollups := range []bool{false, true} {
+				c.db.SetRollups(rollups)
+				for _, workers := range []int{1, 4} {
+					got, err := c.db.QueryContext(ctx, tc.sql, msql.WithWorkers(workers))
+					if err != nil {
+						t.Fatalf("%s %s/w%d/rollups=%v: %v", tc.name, c.name, workers, rollups, err)
+					}
+					if have := exactRows(got); strings.Join(have, "\n") != strings.Join(want, "\n") {
+						t.Fatalf("%s %s/w%d/rollups=%v:\n%s\nper-context oracle:\n%s", tc.name, c.name, workers, rollups,
+							strings.Join(have, "\n"), strings.Join(want, "\n"))
+					}
+				}
+				c.db.SetRollups(false)
+			}
+		}
+		memoDB.SetWorkers(1)
+		txt, err := memoDB.ExplainAnalyze(tc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Contains(txt, "partitioned="); got != tc.partitioned {
+			t.Fatalf("%s: partitioned=%v, want %v:\n%s", tc.name, got, tc.partitioned, txt)
+		}
+		// An operator a partition folds reports the rows its one pass
+		// kept, not the zero rows it was never run for.
+		if strings.Contains(txt, "(rows=0 ") {
+			t.Fatalf("%s: an operator reports no rows:\n%s", tc.name, txt)
+		}
+	}
 }

@@ -64,12 +64,13 @@ func TestExplainGoldenListing3(t *testing.T) {
 
 // TestExplainAnalyzeGoldenListing3 locks the annotated rendering of the
 // paper's Listing-3-style aggregation under StrategyMemo: 3 product
-// contexts, so exactly 3 subquery evals and no memo hits, the second and
-// third served from a 3-bucket partition. The Scan node is shared
-// between the measure's base plan and the outer plan but reported per
-// position: once in the main plan, twice in the measure (the first
-// context's scan and the partition's one pass) — 15 rows of the 5-row
-// Orders table, where one scan per context read 20.
+// contexts, so exactly 3 subquery evals and no memo hits, each served
+// from a 3-bucket partition that the first context builds and that
+// keeps SUM states, not rows. The Scan node is shared between the
+// measure's base plan and the outer plan but reported per position: once
+// in the main plan, once in the measure (the partition's one pass, whose
+// Filter reports the 5 rows it kept) — 10 rows of the 5-row Orders
+// table, where one scan per context read 20.
 func TestExplainAnalyzeGoldenListing3(t *testing.T) {
 	db := openMemo(t)
 	got, err := db.ExplainAnalyze(listing3SQL)
@@ -81,11 +82,11 @@ func TestExplainAnalyzeGoldenListing3(t *testing.T) {
     [measure sumRevenue at prodName = corr^1$0:prodName] (evals=3 hits=0) partitioned=3
       Project $0:agg0 AS sumRevenue (rows=3 loops=3 time=X)
         Aggregate aggs [SUM($3:revenue)] (rows=3 loops=3 time=X)
-          Filter ($0:prodName IS NOT DISTINCT FROM corr^1$0:prodName) (rows=5 loops=3 time=X)
-            Scan Orders (rows=10 loops=2 time=X)
+          Filter ($0:prodName IS NOT DISTINCT FROM corr^1$0:prodName) (rows=5 time=X)
+            Scan Orders (rows=5 time=X)
     Aggregate by [$0:prodName] (rows=3 time=X)
       Scan Orders (rows=5 time=X)
-Totals: rows=3 scanned=15 evals=3 hits=0 fanouts=0
+Totals: rows=3 scanned=10 evals=3 hits=0 fanouts=0
 `
 	if maskTimes(got) != want {
 		t.Errorf("EXPLAIN ANALYZE mismatch:\ngot:\n%s\nwant:\n%s", maskTimes(got), want)
@@ -108,20 +109,20 @@ func TestExplainAnalyzeGoldenListing6(t *testing.T) {
     [measure sumRevenue at prodName = corr^1$0:prodName] (evals=3 hits=0) partitioned=3
       Project $0:agg0 AS sumRevenue (rows=3 loops=3 time=X)
         Aggregate aggs [SUM($3:revenue)] (rows=3 loops=3 time=X)
-          Filter ($0:prodName IS NOT DISTINCT FROM corr^1$0:prodName) (rows=5 loops=3 time=X)
-            Scan Orders (rows=10 loops=2 time=X)
+          Filter ($0:prodName IS NOT DISTINCT FROM corr^1$0:prodName) (rows=5 time=X)
+            Scan Orders (rows=5 time=X)
     [measure sumRevenue at prodName = corr^1$0:prodName] (evals=3 hits=0) partitioned=3
       Project $0:agg0 AS sumRevenue (rows=3 loops=3 time=X)
         Aggregate aggs [SUM($3:revenue)] (rows=3 loops=3 time=X)
-          Filter ($0:prodName IS NOT DISTINCT FROM corr^1$0:prodName) (rows=5 loops=3 time=X)
-            Scan Orders (rows=10 loops=2 time=X)
+          Filter ($0:prodName IS NOT DISTINCT FROM corr^1$0:prodName) (rows=5 time=X)
+            Scan Orders (rows=5 time=X)
     [measure sumRevenue at TRUE] (evals=1 hits=2)
       Project $0:agg0 AS sumRevenue (rows=1 time=X)
         Aggregate aggs [SUM($3:revenue)] (rows=1 time=X)
           Scan Orders (rows=5 time=X)
     Aggregate by [$0:prodName] (rows=3 time=X)
       Scan Orders (rows=5 time=X)
-Totals: rows=3 scanned=30 evals=7 hits=2 fanouts=0
+Totals: rows=3 scanned=20 evals=7 hits=2 fanouts=0
 `
 	if maskTimes(got) != want {
 		t.Errorf("EXPLAIN ANALYZE mismatch:\ngot:\n%s\nwant:\n%s", maskTimes(got), want)
@@ -171,7 +172,7 @@ func TestExplainAnalyzeStatement(t *testing.T) {
 		t.Fatalf("got %d results", len(results))
 	}
 	msg := results[0].Message
-	if !strings.Contains(msg, "Totals: rows=3 scanned=15 evals=3 hits=0") {
+	if !strings.Contains(msg, "Totals: rows=3 scanned=10 evals=3 hits=0") {
 		t.Errorf("EXPLAIN ANALYZE statement output:\n%s", msg)
 	}
 	// Lowercase keyword must work too.
