@@ -25,6 +25,9 @@ type aggBinder struct {
 	grouping   map[int]int    // key index -> agg index of its GROUPING indicator
 	input      plan.Node      // the (filtered) aggregate input
 	spool      *plan.Spool    // the input's rows, published for context links; nil if none reads them
+	// rowLinks holds the link by position of each relation whose rows
+	// carry positions in input.
+	rowLinks map[*Rel]*rowLink
 }
 
 func (ab *aggBinder) nKeys() int       { return len(ab.groupExprs) }
@@ -144,7 +147,6 @@ func (b *Binder) bindAggSelect(sel *ast.Select, items []*selItem, orderBy []ast.
 		aggSch.Cols = append(aggSch.Cols, plan.Col{Name: fmt.Sprintf("agg%d", i), Typ: a.Typ})
 	}
 	agg := &plan.Aggregate{
-		Input:      input,
 		GroupExprs: ab.groupExprs,
 		Sets:       ab.sets,
 		Aggs:       ab.aggs,
@@ -171,7 +173,10 @@ func (b *Binder) bindAggSelect(sel *ast.Select, items []*selItem, orderBy []ast.
 		return ab.rewrite(raw)
 	}, aggOut)
 	// Set last: an ORDER BY measure may be the first to link.
-	agg.Spool = ab.spool
+	for i := len(aggSch.Cols) - ab.nKeys(); i < len(ab.aggs); i++ {
+		aggSch.Cols = append(aggSch.Cols, plan.Col{Name: fmt.Sprintf("agg%d", i), Typ: ab.aggs[i].Typ})
+	}
+	agg.Input, agg.Aggs, agg.Spool = ab.input, ab.aggs, ab.spool
 	return out, err
 }
 

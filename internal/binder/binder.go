@@ -52,9 +52,12 @@ func (b *Binder) WithInline(on bool) *Binder {
 	return b
 }
 
-// WithSpool toggles spooling an Aggregate's input for its context links
-// (see aggBinder.linkInput). Off — the naive strategy — every link
-// re-runs the query's FROM tree per group, the paper's literal rewrite.
+// WithSpool toggles how a context link reads its group's rows under the
+// memo strategies: by position, the positions the Aggregate folds
+// (aggBinder.linkByPosition); by dimension tuple, the Aggregate's
+// spooled input (aggBinder.linkInput). Off — the naive strategy — every
+// link re-runs the query's FROM tree per group, the paper's literal
+// rewrite.
 func (b *Binder) WithSpool(on bool) *Binder {
 	b.spool = on
 	return b
@@ -85,6 +88,9 @@ type Rel struct {
 	// call-site frame of aggregate queries, where o.prodName must resolve
 	// to the group key named prodName).
 	AnyAlias bool
+	// node is the plan of a FROM item, found again in the FROM tree at
+	// Offset when a context link rewrites it to carry positions.
+	node plan.Node
 }
 
 // Scope is one name-resolution frame; parent frames are other query

@@ -44,6 +44,7 @@ func (b *Binder) bindTableExpr(te ast.TableExpr, scope *Scope) (plan.Node, []*Re
 		if err != nil {
 			return nil, nil, false, err
 		}
+		rel.node = node
 		return node, []*Rel{rel}, false, nil
 
 	case *ast.SubqueryTable:
@@ -52,7 +53,7 @@ func (b *Binder) bindTableExpr(te ast.TableExpr, scope *Scope) (plan.Node, []*Re
 			return nil, nil, false, err
 		}
 		alias := te.Alias
-		rel := &Rel{Alias: alias, Cols: node.Schema().Cols}
+		rel := &Rel{Alias: alias, Cols: node.Schema().Cols, node: node}
 		return node, []*Rel{rel}, false, nil
 
 	case *ast.JoinExpr:

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"github.com/measures-sql/msql/internal/ast"
+	"github.com/measures-sql/msql/internal/catalog"
 	"github.com/measures-sql/msql/internal/core"
 	"github.com/measures-sql/msql/internal/plan"
 	"github.com/measures-sql/msql/internal/sqltypes"
@@ -309,12 +310,17 @@ func (ab *aggBinder) applyVisible(ctx *core.Context, ph *measurePH, linkAdded *b
 	}
 }
 
-// addLink appends a semijoin term: the measure's whole dimension tuple
-// must appear among the current group's visible rows. The set plan reads
-// the rows of the query's filtered FROM tree (linkInput) and matches the
-// group keys at correlation level 2 (it runs inside the measure
-// subquery's filter).
+// addLink links the measure to the current group's visible rows. By
+// position when linkByPosition can; otherwise through a semijoin term:
+// the measure's whole dimension tuple must appear among the group's
+// rows. Its set plan reads the rows of the query's filtered FROM tree
+// (linkInput) and matches the group keys at correlation level 2 (it
+// runs inside the measure subquery's filter).
 func (ab *aggBinder) addLink(ctx *core.Context, ph *measurePH) error {
+	if read := ab.linkByPosition(ph); read != nil {
+		ctx.AddLinkRead(read)
+		return nil
+	}
 	info := ph.info
 	var baseExprs []plan.Expr
 	var proj []plan.NamedExpr
@@ -341,11 +347,28 @@ func (ab *aggBinder) addLink(ctx *core.Context, ph *measurePH) error {
 		return fmt.Errorf("measure %s cannot be linked to this query: none of its dimensions are derivable", info.Name)
 	}
 
+	setInput := ab.linkInput()
+	if match := ab.groupMatch(2); match != nil {
+		setInput = &plan.Filter{Input: setInput, Pred: match}
+	}
+	sch := &plan.Schema{Cols: make([]plan.Col, len(proj))}
+	for i, ne := range proj {
+		sch.Cols[i] = ne.Col
+	}
+	setPlan := &plan.Project{Input: setInput, Exprs: proj, Sch: sch}
+	ctx.AddLink(baseExprs, setPlan)
+	return nil
+}
+
+// groupMatch is the predicate over a FROM row that holds for the rows
+// of the current group, whose output row is levels frames up; nil with
+// no group keys.
+func (ab *aggBinder) groupMatch(levels int) plan.Expr {
 	var match plan.Expr
 	for j, g := range ab.groupExprs {
 		eq := plan.Expr(&plan.IsDistinct{
 			L:   g,
-			R:   &plan.CorrRef{Levels: 2, Index: j, Name: ab.groupNames[j], Typ: g.Type()},
+			R:   &plan.CorrRef{Levels: levels, Index: j, Name: ab.groupNames[j], Typ: g.Type()},
 			Neg: true,
 		})
 		if ab.multiSets() {
@@ -354,7 +377,7 @@ func (ab *aggBinder) addLink(ctx *core.Context, ph *measurePH) error {
 				L: &plan.Call{
 					Name: "<>",
 					Args: []plan.Expr{
-						&plan.CorrRef{Levels: 2, Index: ab.aggOut(gi), Name: "grouping", Typ: sqltypes.Type{Kind: sqltypes.KindInt}},
+						&plan.CorrRef{Levels: levels, Index: ab.aggOut(gi), Name: "grouping", Typ: sqltypes.Type{Kind: sqltypes.KindInt}},
 						&plan.Lit{Val: sqltypes.NewInt(0)},
 					},
 					Typ: sqltypes.Type{Kind: sqltypes.KindBool},
@@ -368,18 +391,215 @@ func (ab *aggBinder) addLink(ctx *core.Context, ph *measurePH) error {
 			match = &plan.And{L: match, R: eq}
 		}
 	}
+	return match
+}
 
-	setInput := ab.linkInput()
-	if match != nil {
-		setInput = &plan.Filter{Input: setInput, Pred: match}
+// rowLink is a relation of the FROM tree whose rows carry positions:
+// the link, and the input column that holds them.
+type rowLink struct {
+	link *plan.RowLink
+	col  int
+}
+
+// linkByPosition returns the read that links the measure to its group
+// by position (plan.RowLink), or nil when the link must match dimension
+// tuples. Both mean the same base rows — rows with equal dimension
+// tuples are alike to everything above the relation, so they join and
+// pass the WHERE clause together — when the measure's base relation is
+// a Filter / Project chain over one stored table and deterministic,
+// every dimension is derivable and of a kind whose equality is identity
+// (BOOL, INTEGER, VARCHAR, DATE: the partition's rule; DOUBLE's 0 and
+// -0 are equal), the FROM tree and WHERE clause are deterministic and
+// uncorrelated, and the relation's plan is a Filter / Project chain over
+// the same table. The one difference is a NULL-padded row of an outer
+// join, which carries no position and adds no base row, where the tuple
+// link matches base rows whose dimensions are all NULL.
+//
+// The first link of a relation rewrites it to carry each row's position
+// in the measure column's slot, which holds no value otherwise (a
+// measure has none per row), so no column of the FROM row moves. Under
+// the memo strategies the Aggregate folds each group's positions with a
+// POSITIONS call and the read names the group by that call's output;
+// under the naive strategy the read runs the FROM tree again, filtered
+// to the group.
+func (ab *aggBinder) linkByPosition(ph *measurePH) *plan.LinkRead {
+	info := ph.info
+	scan := baseScan(info.Base)
+	if scan == nil || !plan.Deterministic(info.Base) {
+		return nil
 	}
-	sch := &plan.Schema{Cols: make([]plan.Col, len(proj))}
-	for i, ne := range proj {
-		sch.Cols[i] = ne.Col
+	for _, d := range info.Dims {
+		if d.Expr == nil {
+			return nil
+		}
+		switch d.Expr.Type().Kind {
+		case sqltypes.KindBool, sqltypes.KindInt, sqltypes.KindString, sqltypes.KindDate:
+		default:
+			return nil
+		}
 	}
-	setPlan := &plan.Project{Input: setInput, Exprs: proj, Sch: sch}
-	ctx.AddLink(baseExprs, setPlan)
-	return nil
+	if plan.PlanHasOuterRefs(ab.input, 0) || !plan.Deterministic(ab.input) {
+		return nil
+	}
+	rl := ab.rowLinks[ph.rel]
+	if rl == nil {
+		slot := -1
+		for ci, col := range ph.rel.Cols {
+			if col.Measure != nil {
+				slot = ci
+				break
+			}
+		}
+		link := &plan.RowLink{Table: scan.Source}
+		node := withPositions(ph.rel.node, slot, link)
+		if node == nil {
+			return nil
+		}
+		input, ok := replaceAt(ab.input, 0, ph.rel, node)
+		if !ok {
+			return nil
+		}
+		ab.input = input
+		rl = &rowLink{link: link, col: ph.rel.Offset + slot}
+		if ab.rowLinks == nil {
+			ab.rowLinks = map[*Rel]*rowLink{}
+		}
+		ab.rowLinks[ph.rel] = rl
+	}
+	if rl.link.Table != scan.Source {
+		return nil
+	}
+	intT := sqltypes.Type{Kind: sqltypes.KindInt}
+	read := &plan.LinkRead{Link: rl.link, Sch: scan.Sch}
+	if !ab.b.spool {
+		read.Input, read.Col = ab.input, rl.col
+		if match := ab.groupMatch(1); match != nil {
+			read.Input = &plan.Filter{Input: ab.input, Pred: match}
+		}
+		return read
+	}
+	gi := ab.addAgg(plan.AggCall{
+		Name:     "POSITIONS",
+		Args:     []plan.Expr{&plan.ColRef{Index: rl.col, Name: "position", Typ: intT}},
+		KeyIndex: -1,
+		Link:     rl.link,
+		Typ:      intT,
+	})
+	read.Group = &plan.CorrRef{Levels: 1, Index: ab.aggOut(gi), Name: "positions", Typ: intT}
+	return read
+}
+
+// baseScan returns the Scan of a stored table under a chain of Filters
+// and Projects, or nil.
+func baseScan(n plan.Node) *plan.Scan {
+	for {
+		switch t := n.(type) {
+		case *plan.Filter:
+			n = t.Input
+		case *plan.Project:
+			n = t.Input
+		case *plan.Scan:
+			if _, ok := t.Source.(*catalog.BaseTable); !ok || t.Link != nil {
+				return nil
+			}
+			return t
+		default:
+			return nil
+		}
+	}
+}
+
+// withPositions returns a copy of a relation's plan — a Project over a
+// chain of Filters and Projects over a Scan of link's table — whose
+// output column slot holds each row's position in the link's snapshot,
+// or nil for any other plan. The Scan appends the position; every
+// Project below the top one passes it on as a trailing column.
+func withPositions(n plan.Node, slot int, link *plan.RowLink) plan.Node {
+	top, ok := n.(*plan.Project)
+	if !ok || slot < 0 {
+		return nil
+	}
+	var carry func(plan.Node) (plan.Node, int)
+	carry = func(n plan.Node) (plan.Node, int) {
+		switch t := n.(type) {
+		case *plan.Filter:
+			in, pos := carry(t.Input)
+			if in == nil {
+				return nil, 0
+			}
+			c := *t
+			c.Input = in
+			return &c, pos
+		case *plan.Project:
+			in, pos := carry(t.Input)
+			if in == nil {
+				return nil, 0
+			}
+			c := *t
+			c.Input = in
+			c.Exprs = append(t.Exprs[:len(t.Exprs):len(t.Exprs)], positionCol(pos))
+			c.Sch = &plan.Schema{Cols: append(t.Sch.Cols[:len(t.Sch.Cols):len(t.Sch.Cols)], positionCol(pos).Col)}
+			return &c, len(t.Exprs)
+		case *plan.Scan:
+			if t.Source != link.Table || t.Link != nil {
+				return nil, 0
+			}
+			c := *t
+			c.Link = link
+			c.Sch = &plan.Schema{Cols: append(t.Sch.Cols[:len(t.Sch.Cols):len(t.Sch.Cols)], positionCol(0).Col)}
+			return &c, len(t.Sch.Cols)
+		default:
+			return nil, 0
+		}
+	}
+	in, pos := carry(top.Input)
+	if in == nil {
+		return nil
+	}
+	c := *top
+	c.Input = in
+	c.Exprs = append([]plan.NamedExpr(nil), top.Exprs...)
+	c.Exprs[slot].Expr = positionCol(pos).Expr
+	return &c
+}
+
+// positionCol passes on the position column at index pos.
+func positionCol(pos int) plan.NamedExpr {
+	intT := sqltypes.Type{Kind: sqltypes.KindInt}
+	return plan.NamedExpr{
+		Expr: &plan.ColRef{Index: pos, Name: "position", Typ: intT},
+		Col:  plan.Col{Name: "position", Typ: intT},
+	}
+}
+
+// replaceAt returns a copy of the FROM tree n (with the WHERE Filter
+// over it), whose row starts at column off, with rel's plan replaced by
+// node; ok is false when rel is not found.
+func replaceAt(n plan.Node, off int, rel *Rel, node plan.Node) (plan.Node, bool) {
+	if off == rel.Offset && n == rel.node {
+		return node, true
+	}
+	switch t := n.(type) {
+	case *plan.Filter:
+		in, ok := replaceAt(t.Input, off, rel, node)
+		if !ok {
+			return nil, false
+		}
+		c := *t
+		c.Input = in
+		return &c, true
+	case *plan.Join:
+		c := *t
+		if l, ok := replaceAt(t.Left, off, rel, node); ok {
+			c.Left = l
+			return &c, true
+		}
+		if r, ok := replaceAt(t.Right, off+len(t.Left.Schema().Cols), rel, node); ok {
+			c.Right = r
+			return &c, true
+		}
+	}
+	return nil, false
 }
 
 // linkInput returns the rows a context link matches against its group:

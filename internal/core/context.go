@@ -13,10 +13,11 @@
 //     super-aggregate rows drop the constraint;
 //   - Pred:   an arbitrary predicate over base columns (from the VISIBLE
 //     modifier's residual WHERE clause, or an AT (WHERE ...) modifier);
-//   - Link:   a semijoin term restricting the base row's whole dimension
-//     tuple to the tuples observed in the current group's rows of the
-//     query's FROM + WHERE — this is what keeps measures at their own
-//     grain under joins (paper §3.6).
+//   - Link:   a term restricting the base rows to those the current
+//     group's rows of the query's FROM + WHERE came from — this is what
+//     keeps measures at their own grain under joins (paper §3.6). By
+//     position, the measure reads exactly those rows (plan.LinkRead);
+//     otherwise it is a semijoin on the base row's whole dimension tuple.
 //
 // The binder builds a default Context for each call site, applies the
 // AT modifiers in order, and then calls Predicate to reify the context
@@ -40,7 +41,8 @@ const (
 	TermDimEq TermKind = iota
 	// TermPred is an arbitrary predicate over base columns.
 	TermPred
-	// TermLink is a semijoin restriction to the group's dimension tuples.
+	// TermLink restricts the base rows to the group's: by position, or
+	// by a semijoin on the group's dimension tuples.
 	TermLink
 )
 
@@ -70,6 +72,9 @@ type Term struct {
 	// measure subquery's filter).
 	LinkExprs []plan.Expr
 	LinkPlan  plan.Node
+	// LinkRead, set instead of LinkExprs and LinkPlan, links by position:
+	// it replaces the Scan under the measure's base relation.
+	LinkRead *plan.LinkRead
 }
 
 // Context is an evaluation context: the conjunction of Terms. The zero
@@ -127,6 +132,11 @@ func (c *Context) AddLink(linkExprs []plan.Expr, linkPlan plan.Node) {
 	c.Terms = append(c.Terms, Term{Kind: TermLink, LinkExprs: linkExprs, LinkPlan: linkPlan})
 }
 
+// AddLinkRead appends a link term by position.
+func (c *Context) AddLinkRead(read *plan.LinkRead) {
+	c.Terms = append(c.Terms, Term{Kind: TermLink, LinkRead: read})
+}
+
 // ReplaceWith implements "AT (WHERE pred)": the context becomes exactly
 // the given predicate (paper Table 3: "Sets the evaluation context to
 // predicate").
@@ -168,7 +178,8 @@ func (c *Context) CurrentValue(dim string) plan.Expr {
 // measure "cares about ... do I include this row in the total, or not?"
 // (§3.5). A nil result means TRUE (no filtering needed). It fails if a
 // surviving term constrains a dimension that is not derivable from the
-// base table (BaseExpr nil).
+// base table (BaseExpr nil). A link by position adds no conjunct: the
+// measure reads only the linked rows (BuildMeasureSubquery).
 func (c *Context) Predicate() (plan.Expr, error) {
 	var conj plan.Expr
 	and := func(e plan.Expr) {
@@ -200,6 +211,9 @@ func (c *Context) Predicate() (plan.Expr, error) {
 		case TermPred:
 			and(t.Pred)
 		case TermLink:
+			if t.LinkRead != nil {
+				continue
+			}
 			and(&plan.Subquery{
 				Plan:     t.LinkPlan,
 				Mode:     plan.SubIn,
@@ -231,10 +245,31 @@ func (c *Context) Describe() string {
 		case TermPred:
 			parts = append(parts, t.Pred.String())
 		case TermLink:
-			parts = append(parts, "linked to the group's dimension tuples")
+			if t.LinkRead != nil {
+				parts = append(parts, "linked to the group's rows by position")
+			} else {
+				parts = append(parts, "linked to the group's dimension tuples")
+			}
 		}
 	}
 	return strings.Join(parts, " AND ")
+}
+
+// readAt returns base, a chain of Filters and Projects over one Scan,
+// with the Scan replaced by read (the binder checked the shape).
+func readAt(base plan.Node, read *plan.LinkRead) plan.Node {
+	switch n := base.(type) {
+	case *plan.Filter:
+		c := *n
+		c.Input = readAt(n.Input, read)
+		return &c
+	case *plan.Project:
+		c := *n
+		c.Input = readAt(n.Input, read)
+		return &c
+	default:
+		return read
+	}
 }
 
 // BuildMeasureSubquery assembles the correlated scalar subquery that
@@ -253,6 +288,11 @@ func BuildMeasureSubquery(info *plan.MeasureInfo, c *Context) (*plan.Subquery, e
 		return nil, fmt.Errorf("measure %s: %v", info.Name, err)
 	}
 	var input plan.Node = info.Base
+	for _, t := range c.Terms {
+		if t.LinkRead != nil {
+			input = readAt(input, t.LinkRead)
+		}
+	}
 	if pred != nil {
 		input = &plan.Filter{Input: input, Pred: pred}
 	}

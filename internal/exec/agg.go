@@ -18,7 +18,9 @@ import (
 // so a new group allocates its fn.AggStates and nothing else, and a row
 // of an existing group allocates nothing. The serial, chunk-merge and
 // group-partitioned paths, PartialAggregate, the vectorized accumulate
-// and the folding partition (partition.go) all fold through it.
+// and the folding partition (partition.go) all fold through it. A
+// POSITIONS call keeps no state: its groups chain their rows (rowChains)
+// and emit publishes the positions they carry (link.go).
 
 // groupAcc accumulates one group for one grouping set.
 type groupAcc struct {
@@ -47,6 +49,10 @@ const (
 	// callColumn has one argument, an input column: Add is handed the
 	// row's own cell.
 	callColumn
+	// callPositions is POSITIONS(col), a context link by position: no
+	// state; the group's rows are chained and emit publishes the
+	// positions they carry in col (link.go).
+	callPositions
 )
 
 // aggCall is the compiled form of one aggregate call.
@@ -57,7 +63,8 @@ type aggCall struct {
 	argTypes  []sqltypes.Type
 	skipNulls bool
 	distinct  bool
-	col       int    // callColumn: the argument's input column
+	col       int // callColumn, callPositions: the argument's input column
+	link      *plan.RowLink
 	filter    predFn // nil when the call has no FILTER
 	args      []evalFn
 	within    []evalFn
@@ -72,6 +79,8 @@ type aggEnv struct {
 	// distinct: some call is DISTINCT or WITHIN DISTINCT, so groups carry
 	// dedup and within maps.
 	distinct bool
+	// positions counts the POSITIONS calls: groups chain their rows.
+	positions int
 }
 
 func newAggEnv(n *plan.Aggregate) (*aggEnv, error) {
@@ -82,6 +91,15 @@ func newAggEnv(n *plan.Aggregate) (*aggEnv, error) {
 		c.name = call.Name
 		if call.Name == "GROUPING" {
 			c.kind = callGrouping
+			continue
+		}
+		if call.Link != nil {
+			cr, ok := call.Args[0].(*plan.ColRef)
+			if !ok {
+				return nil, fmt.Errorf("internal error: POSITIONS of %s", call.Args[0])
+			}
+			c.kind, c.col, c.link = callPositions, cr.Index, call.Link
+			env.positions++
 			continue
 		}
 		def, ok := fn.LookupAgg(call.Name)
@@ -145,7 +163,7 @@ func (env *aggEnv) chunkMergeable() bool {
 	}
 	for i := range env.calls {
 		c := &env.calls[i]
-		if c.kind != callGrouping && !c.def.MergesExactly(c.argTypes) {
+		if c.def != nil && !c.def.MergesExactly(c.argTypes) {
 			return false
 		}
 	}
@@ -164,6 +182,19 @@ type setTable struct {
 	keys     []sqltypes.Value
 	keyBytes []byte
 	carved   int
+	// chains links each group's input rows when the Aggregate folds
+	// positions; nil otherwise.
+	chains *rowChains
+}
+
+// rowChains links the input rows of each group of one grouping set,
+// newest first: head[o] is 1 + the newest row of the group whose first
+// row is o, next[i] 1 + the row before row i in its group, and 0 ends a
+// chain. A row costs two stores. One run's arrays are shared by the
+// tables of every chunk and worker, which write only their own groups'
+// entries.
+type rowChains struct {
+	head, next []int32
 }
 
 const maxGroupBlock = 1024
@@ -178,6 +209,28 @@ func newSetTables(n int) []setTable {
 		tables[i] = setTable{groups: map[string]*groupAcc{}}
 	}
 	return tables
+}
+
+// chainTables makes one grouping-set table per set, sharing chains.
+func chainTables(chains []rowChains, n int) []setTable {
+	tables := newSetTables(n)
+	for si := range chains {
+		tables[si].chains = &chains[si]
+	}
+	return tables
+}
+
+// add links input row i into acc's chain.
+func (c *rowChains) add(acc *groupAcc, i int) {
+	c.next[i] = c.head[acc.order]
+	c.head[acc.order] = int32(i + 1)
+}
+
+// join links the rows of acc, a later chunk's group, into dst's chain.
+// acc's chain ends at its first row.
+func (c *rowChains) join(dst, acc *groupAcc) {
+	c.next[acc.order] = c.head[dst.order]
+	c.head[dst.order] = c.head[acc.order]
 }
 
 // newGroup carves a group whose first input row is order from t's
@@ -264,6 +317,18 @@ func (rt *runtime) runAggregate(n *plan.Aggregate) ([]Row, error) {
 		return nil, err
 	}
 
+	var chains []rowChains
+	if env.positions > 0 {
+		// Chains and the positions they publish: 4 bytes per row each.
+		if err := rt.sh.bud.noteMem(int64(4 * len(in) * len(n.Sets) * (2 + env.positions))); err != nil {
+			return nil, err
+		}
+		chains = make([]rowChains, len(n.Sets))
+		for si := range chains {
+			chains[si] = rowChains{head: make([]int32, len(in)), next: make([]int32, len(in))}
+		}
+	}
+
 	// The vectorized accumulate shares the groupAcc machinery, so it
 	// slots into both the serial and the chunk-merge parallel paths. The
 	// group-partitioned path (order-sensitive aggregates with spare
@@ -283,19 +348,23 @@ func (rt *runtime) runAggregate(n *plan.Aggregate) ([]Row, error) {
 	if f := rt.rowParallelism(len(in), traits); f.workers > 1 {
 		rt.noteFanout(n, f.workers)
 		if env.chunkMergeable() {
-			tables, err = rt.aggChunkMerge(env, in, f, accum)
+			tables, err = rt.aggChunkMerge(env, in, f, accum, chains)
 		} else {
-			tables, err = rt.aggGroupPartitioned(env, in, f)
+			tables, err = rt.aggGroupPartitioned(env, in, f, chains)
 		}
 	} else {
-		tables = newSetTables(len(n.Sets))
+		tables = chainTables(chains, len(n.Sets))
 		err = accum(rt, env, tables, in, 0, len(in))
 	}
 	if err != nil {
 		return nil, err
 	}
 
-	return env.emit(tables, len(in))
+	var pf *posFold
+	if env.positions > 0 {
+		pf = &posFold{rt: rt, in: in, buf: make([]int32, 0, len(in)*len(n.Sets)*env.positions)}
+	}
+	return env.emit(tables, len(in), pf)
 }
 
 // accumulateRows folds rows[lo:hi] into tables, creating groups keyed
@@ -306,6 +375,7 @@ func (rt *runtime) accumulateRows(env *aggEnv, tables []setTable, in []Row, lo, 
 	n := env.n
 	keyVals := make([]sqltypes.Value, len(n.GroupExprs))
 	var key []byte
+	chained := len(tables) > 0 && tables[0].chains != nil
 	for i := lo; i < hi; i++ {
 		if err := rt.tick(); err != nil {
 			return err
@@ -322,6 +392,9 @@ func (rt *runtime) accumulateRows(env *aggEnv, tables []setTable, in []Row, lo, 
 		for si, set := range n.Sets {
 			key = appendSetKey(key[:0], set, keyVals)
 			acc := tables[si].group(env, key, set, keyVals, i)
+			if chained {
+				tables[si].chains.add(acc, i)
+			}
 			if err := rt.accumulate(env, acc, row); err != nil {
 				return err
 			}
@@ -334,10 +407,10 @@ func (rt *runtime) accumulateRows(env *aggEnv, tables []setTable, in []Row, lo, 
 // private partial tables over its contiguous row range, then partials
 // are merged left-to-right in chunk order. Restricted to exact-merge
 // aggregates, so the result is bit-identical to one serial pass.
-func (rt *runtime) aggChunkMerge(env *aggEnv, in []Row, f fanout, accum accumulateFn) ([]setTable, error) {
+func (rt *runtime) aggChunkMerge(env *aggEnv, in []Row, f fanout, accum accumulateFn, chains []rowChains) ([]setTable, error) {
 	chunkTables := make([][]setTable, numChunks(len(in), f.grain))
 	err := rt.forEachChunk(len(in), f, func(w *runtime, _, chunk, lo, hi int) error {
-		t := newSetTables(len(env.n.Sets))
+		t := chainTables(chains, len(env.n.Sets))
 		if err := accum(w, env, t, in, lo, hi); err != nil {
 			return err
 		}
@@ -348,7 +421,7 @@ func (rt *runtime) aggChunkMerge(env *aggEnv, in []Row, f fanout, accum accumula
 		return nil, err
 	}
 
-	tables := newSetTables(len(env.n.Sets))
+	tables := chainTables(chains, len(env.n.Sets))
 	for _, ct := range chunkTables {
 		for si := range ct {
 			for key, acc := range ct[si].groups {
@@ -369,6 +442,9 @@ func (rt *runtime) aggChunkMerge(env *aggEnv, in []Row, f fanout, accum accumula
 				if acc.order < dst.order {
 					dst.order = acc.order
 				}
+				if c := tables[si].chains; c != nil {
+					c.join(dst, acc)
+				}
 			}
 		}
 	}
@@ -383,7 +459,7 @@ func (rt *runtime) aggChunkMerge(env *aggEnv, in []Row, f fanout, accum accumula
 // The group-expression values of every row live in one flat array and a
 // set key is encoded into scratch where it is needed, so neither phase
 // allocates per row.
-func (rt *runtime) aggGroupPartitioned(env *aggEnv, in []Row, f fanout) ([]setTable, error) {
+func (rt *runtime) aggGroupPartitioned(env *aggEnv, in []Row, f fanout, chains []rowChains) ([]setTable, error) {
 	workers := f.workers
 	n := env.n
 	nSets, nKeys := len(n.Sets), len(n.GroupExprs)
@@ -422,7 +498,7 @@ func (rt *runtime) aggGroupPartitioned(env *aggEnv, in []Row, f fanout) ([]setTa
 	// group sees its input in global order on a single goroutine.
 	workerTables := make([][]setTable, workers)
 	err = rt.runWorkers(workers, func(w *runtime, worker int) error {
-		tables := newSetTables(nSets)
+		tables := chainTables(chains, nSets)
 		workerTables[worker] = tables
 		var key []byte
 		for i, row := range in {
@@ -436,6 +512,9 @@ func (rt *runtime) aggGroupPartitioned(env *aggEnv, in []Row, f fanout) ([]setTa
 				}
 				key = appendSetKey(key[:0], set, kv)
 				acc := tables[si].group(env, key, set, kv, i)
+				if chains != nil {
+					tables[si].chains.add(acc, i)
+				}
 				if err := w.accumulate(env, acc, row); err != nil {
 					return err
 				}
@@ -448,7 +527,7 @@ func (rt *runtime) aggGroupPartitioned(env *aggEnv, in []Row, f fanout) ([]setTa
 	}
 
 	// Phase 3: union the disjoint per-worker tables.
-	tables := newSetTables(nSets)
+	tables := chainTables(chains, nSets)
 	for _, wt := range workerTables {
 		for si := range wt {
 			for key, acc := range wt[si].groups {
@@ -469,8 +548,9 @@ func appendSetKey(dst []byte, set []int, keyVals []sqltypes.Value) []byte {
 
 // emit renders the final rows: group key columns, then aggregates. Set
 // order, then first-seen (first input row) order within a set, for
-// deterministic output. The rows are carved from one block.
-func (env *aggEnv) emit(tables []setTable, inputLen int) ([]Row, error) {
+// deterministic output. The rows are carved from one block. pf publishes
+// the positions of POSITIONS calls (nil when there are none).
+func (env *aggEnv) emit(tables []setTable, inputLen int, pf *posFold) ([]Row, error) {
 	n := env.n
 
 	// A global grouping set (no keys) emits a row even with no input.
@@ -506,15 +586,18 @@ func (env *aggEnv) emit(tables []setTable, inputLen int) ([]Row, error) {
 				}
 			}
 			for i, call := range n.Aggs {
-				if call.Name == "GROUPING" {
+				switch env.calls[i].kind {
+				case callGrouping:
 					g := int64(1)
 					if inSet[call.KeyIndex] {
 						g = 0
 					}
 					row[len(n.GroupExprs)+i] = sqltypes.NewInt(g)
-					continue
+				case callPositions:
+					row[len(n.GroupExprs)+i] = pf.publish(&env.calls[i], acc, tables[si].chains)
+				default:
+					row[len(n.GroupExprs)+i] = acc.states[i].Result()
 				}
-				row[len(n.GroupExprs)+i] = acc.states[i].Result()
 			}
 			out = append(out, row)
 		}
@@ -533,7 +616,7 @@ func sortAccs(accs []*groupAcc) {
 func (rt *runtime) accumulate(env *aggEnv, acc *groupAcc, row Row) error {
 	for i := range env.calls {
 		c := &env.calls[i]
-		if c.kind == callGrouping {
+		if c.def == nil {
 			continue
 		}
 		if c.filter != nil {

@@ -351,12 +351,12 @@ func TestGroupPartitionedAggAllocatesPerGroupNotPerRow(t *testing.T) {
 	settings.Workers = 4
 	rt := newRuntime(context.Background(), settings)
 	f := fanout{workers: 4, grain: 1024}
-	tables, err := rt.aggGroupPartitioned(env, in, f)
+	tables, err := rt.aggGroupPartitioned(env, in, f, nil)
 	if err != nil || len(tables[0].groups) != 97 || len(tables[1].groups) != 1 {
 		t.Fatalf("%d and %d groups, err %v", len(tables[0].groups), len(tables[1].groups), err)
 	}
 	perCall := testing.AllocsPerRun(10, func() {
-		if _, err := rt.aggGroupPartitioned(env, in, f); err != nil {
+		if _, err := rt.aggGroupPartitioned(env, in, f, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -531,5 +531,78 @@ func TestFoldingBuildAllocatesPerBucketNotPerRow(t *testing.T) {
 				t.Fatalf("%s: build over %d rows allocates %.0f objects, want <= %.0f", tc.name, n, perBuild, tc.limit)
 			}
 		}
+	}
+}
+
+// A context link by position allocates per group, not per joined row:
+// the Aggregate chains its groups' rows in place, publishes every
+// group's positions from one buffer, and each group's read allocates
+// its rows' slice. A linked plan over 1 000 and over 8 000 joined rows —
+// four groups, each reaching the same customers — allocates alike.
+func TestLinkByPositionAllocatesPerGroupNotPerRow(t *testing.T) {
+	cust := &testSource{name: "cust", cols: []string{"a"}, types: []sqltypes.Type{intT()}}
+	for i := 0; i < 500; i++ {
+		cust.rows = append(cust.rows, Row{sqltypes.NewInt(int64(i))})
+	}
+	link := &plan.RowLink{Table: cust}
+	linked := func(joined int) plan.Node {
+		src := &testSource{name: "joined", cols: []string{"g", "pos"}, types: []sqltypes.Type{intT(), intT()}}
+		for i := 0; i < joined; i++ {
+			pos := sqltypes.NewInt(int64(i * 7 % 500))
+			if i%10 == 9 { // a NULL-padded row
+				pos = sqltypes.Null(sqltypes.KindInt)
+			}
+			src.rows = append(src.rows, Row{sqltypes.NewInt(int64(i % 4)), pos})
+		}
+		sch := &plan.Schema{Cols: []plan.Col{{Name: "g", Typ: intT()}, {Name: "pos", Typ: intT()}}}
+		agg := &plan.Aggregate{
+			Input:      &plan.Scan{Source: src, Sch: sch},
+			GroupExprs: []plan.Expr{col(0, "g")},
+			Sets:       [][]int{{0}},
+			Aggs: []plan.AggCall{
+				{Name: "COUNT", Star: true, KeyIndex: -1, Typ: intT()},
+				{Name: "POSITIONS", Args: []plan.Expr{col(1, "pos")}, KeyIndex: -1, Link: link, Typ: intT()},
+			},
+			Sch: &plan.Schema{Cols: []plan.Col{{Name: "g", Typ: intT()}, {Name: "n", Typ: intT()}, {Name: "p", Typ: intT()}}},
+		}
+		read := &plan.LinkRead{Link: link, Group: &plan.CorrRef{Levels: 1, Index: 2, Name: "p", Typ: intT()},
+			Sch: &plan.Schema{Cols: []plan.Col{{Name: "a", Typ: intT()}}}}
+		one := &plan.Schema{Cols: []plan.Col{{Name: "c", Typ: intT()}}}
+		count := &plan.Aggregate{Input: read, Sets: [][]int{{}},
+			Aggs: []plan.AggCall{{Name: "COUNT", Star: true, KeyIndex: -1, Typ: intT()}}, Sch: one}
+		sq := &plan.Subquery{Plan: count, Mode: plan.SubScalar, Typ: intT(), Memo: true}
+		return &plan.Project{Input: agg, Sch: one,
+			Exprs: []plan.NamedExpr{{Expr: sq, Col: plan.Col{Name: "c", Typ: intT()}}}}
+	}
+	settings := DefaultSettings()
+	settings.Workers = 1
+	allocs := map[int]float64{}
+	for _, joined := range []int{1000, 8000} {
+		p := linked(joined)
+		rows, err := Run(p, settings)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Group g holds the rows i ≡ g (mod 4) below 500 whose position
+		// 7i mod 500 is not NULL-padded (i mod 10 ≠ 9).
+		for g, row := range rows {
+			want := map[int]bool{}
+			for i := g; i < joined; i += 4 {
+				if i%10 != 9 {
+					want[i*7%500] = true
+				}
+			}
+			if row[0].I != int64(len(want)) {
+				t.Fatalf("%d joined rows, group %d reads %d customers, want %d", joined, g, row[0].I, len(want))
+			}
+		}
+		allocs[joined] = testing.AllocsPerRun(10, func() {
+			if _, err := Run(p, settings); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[1000] != allocs[8000] {
+		t.Fatalf("the linked plan allocates %.0f objects over 1 000 joined rows and %.0f over 8 000", allocs[1000], allocs[8000])
 	}
 }

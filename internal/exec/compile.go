@@ -703,7 +703,7 @@ func compileYear(e *plan.Call, sc *fn.Scalar) evalFn {
 			return sqltypes.Null(nullKind), nil
 		}
 		if v.K == sqltypes.KindDate {
-			return sqltypes.NewInt(int64(v.Time().Year())), nil
+			return sqltypes.NewInt(v.Year()), nil
 		}
 		base := len(rt.args)
 		rt.args = append(rt.args, v)

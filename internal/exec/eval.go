@@ -158,6 +158,10 @@ type shared struct {
 	// spools holds this execution's rows of each plan.Spool.
 	spoolMu sync.Mutex
 	spools  map[*plan.Spool]*spoolRows
+	// links holds this execution's snapshot and position sets of each
+	// plan.RowLink.
+	linkMu sync.Mutex
+	links  map[*plan.RowLink]*linkRows
 }
 
 // subInfo is the per-execution state of one memoized subquery.

@@ -138,6 +138,8 @@ func PartialShape(root plan.Node) (*plan.Aggregate, error) {
 		switch {
 		case call.Name == "GROUPING":
 			return nil, partialShapeError("GROUPING call")
+		case call.Link != nil:
+			return nil, partialShapeError("POSITIONS call: a context link by position reads every shard's rows")
 		case call.Distinct || len(call.WithinDistinct) > 0:
 			return nil, partialShapeError("%s with DISTINCT needs the full row stream in one place", call.Name)
 		case call.Filter != nil:

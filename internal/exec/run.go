@@ -112,6 +112,9 @@ func (rt *runtime) runNode(n plan.Node) ([]Row, error) {
 			rt.scanned = storage.State{}
 			return rt.readSpool(s)
 		}
+		if n.Link != nil {
+			return rt.scanLinked(n)
+		}
 		var rows []Row
 		if src, ok := n.Source.(snapshotSource); ok {
 			rows, rt.scanned = src.Snapshot()
@@ -183,6 +186,9 @@ func (rt *runtime) runNode(n plan.Node) ([]Row, error) {
 
 	case *plan.Join:
 		return rt.runJoin(n)
+
+	case *plan.LinkRead:
+		return rt.readLinked(n)
 
 	case *plan.Aggregate:
 		if n.Spool != nil {

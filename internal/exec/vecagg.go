@@ -26,6 +26,9 @@ type vecAggExprs struct {
 // functional-dependence errors interleave with argument evaluation per
 // row, which column-major evaluation cannot reproduce exactly.
 func (env *aggEnv) vecAggOK() bool {
+	if env.positions > 0 {
+		return false
+	}
 	for _, call := range env.n.Aggs {
 		if len(call.WithinDistinct) > 0 {
 			return false

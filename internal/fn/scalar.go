@@ -255,7 +255,7 @@ func registerDateFuncs() {
 			},
 		})
 	}
-	datePart("YEAR", func(v sqltypes.Value) int64 { return int64(v.Time().Year()) })
+	datePart("YEAR", sqltypes.Value.Year)
 	datePart("MONTH", func(v sqltypes.Value) int64 { return int64(v.Time().Month()) })
 	datePart("DAY", func(v sqltypes.Value) int64 { return int64(v.Time().Day()) })
 	datePart("QUARTER", func(v sqltypes.Value) int64 { return int64((v.Time().Month()-1)/3 + 1) })

@@ -73,6 +73,13 @@ func copyWithChildren(n plan.Node, f func(plan.Node) plan.Node) plan.Node {
 		c.Left = f(n.Left)
 		c.Right = f(n.Right)
 		return &c
+	case *plan.LinkRead:
+		if n.Input == nil {
+			return n
+		}
+		c := *n
+		c.Input = f(n.Input)
+		return &c
 	default:
 		return n
 	}

@@ -88,7 +88,11 @@ type AggCall struct {
 	// KeyIndex is used by GROUPING: the index of the group key it reports
 	// on. -1 otherwise.
 	KeyIndex int
-	Typ      sqltypes.Type
+	// Link marks POSITIONS(col), the fold of a context link by position:
+	// each group keeps the positions its rows carry in col, and the
+	// call's output names that set for the link's reads (see RowLink).
+	Link *RowLink
+	Typ  sqltypes.Type
 }
 
 // ArgTypes returns the types of the call's arguments, which select its
@@ -160,11 +164,14 @@ type Node interface {
 	Explain() string
 }
 
-// Scan reads all rows from a RowSource.
+// Scan reads all rows from a RowSource. With a Link it reads the
+// link's snapshot of Source and appends each row's position in it as a
+// trailing INTEGER column.
 type Scan struct {
 	Source RowSource
 	Alias  string
 	Sch    *Schema
+	Link   *RowLink
 }
 
 // Schema implements Node.
@@ -175,10 +182,63 @@ func (n *Scan) Children() []Node { return nil }
 
 // Explain implements Node.
 func (n *Scan) Explain() string {
+	s := "Scan " + n.Source.Name()
 	if n.Alias != "" && n.Alias != n.Source.Name() {
-		return fmt.Sprintf("Scan %s AS %s", n.Source.Name(), n.Alias)
+		s += " AS " + n.Alias
 	}
-	return "Scan " + n.Source.Name()
+	if n.Link != nil {
+		s += " with positions"
+	}
+	return s
+}
+
+// RowLink is a context link by position (paper §3.6): a measure reached
+// through a join reads exactly the base rows its group's joined rows
+// came from. The relation carrying the measure scans its stored table
+// through a Scan with this Link, which appends each row's position in
+// the snapshot; the outer Aggregate folds each group's positions with a
+// POSITIONS call; the measure's LinkRead reads the rows at them. One
+// execution pins one snapshot per link — the first Scan of it takes the
+// snapshot and every later Scan and LinkRead reads that one — so a
+// position never indexes rows of another generation. The pin exists
+// only inside an execution; the link itself is an identity shared by
+// the plan's nodes.
+type RowLink struct {
+	Table RowSource
+}
+
+// LinkRead reads the rows of its link's snapshot at one group's
+// positions, each once, in position order. The group is Group, the
+// output of the outer Aggregate's POSITIONS call read through a
+// correlated reference; or, with Group nil (the naive strategy), the
+// positions in column Col of Input, the query's FROM tree filtered to
+// the group and run again for each context.
+type LinkRead struct {
+	Link  *RowLink
+	Group Expr
+	Input Node
+	Col   int
+	Sch   *Schema
+}
+
+// Schema implements Node.
+func (n *LinkRead) Schema() *Schema { return n.Sch }
+
+// Children implements Node.
+func (n *LinkRead) Children() []Node {
+	if n.Input == nil {
+		return nil
+	}
+	return []Node{n.Input}
+}
+
+// Explain implements Node.
+func (n *LinkRead) Explain() string {
+	at := fmt.Sprintf("$%d", n.Col)
+	if n.Group != nil {
+		at = n.Group.String()
+	}
+	return fmt.Sprintf("Scan %s [context link by position] at %s", n.Link.Table.Name(), at)
 }
 
 // Spool names the rows an Aggregate's input produces in one execution,

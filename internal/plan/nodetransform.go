@@ -25,6 +25,13 @@ func transformNode(n Node, f func(Expr, int) Expr, depth int) Node {
 	switch n := n.(type) {
 	case *Scan:
 		return n
+	case *LinkRead:
+		c := *n
+		if n.Input != nil {
+			c.Input = transformNode(n.Input, f, depth)
+		}
+		c.Group = tx(n.Group)
+		return &c
 	case *Values:
 		c := *n
 		c.Rows = make([][]Expr, len(n.Rows))

@@ -265,6 +265,10 @@ func visitNodeExprs(n Node, f func(Expr)) {
 				f(e)
 			}
 		}
+	case *LinkRead:
+		if n.Group != nil {
+			f(n.Group)
+		}
 	}
 }
 

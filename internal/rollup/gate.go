@@ -77,11 +77,14 @@ type flatSrc struct {
 	preds []plan.Expr // innermost Filter first
 }
 
+// flatten declines a Scan with a Link: its rows carry positions in one
+// execution's snapshot, which no lattice node holds, so neither the
+// Aggregate folding them nor any other over it is answered here.
 func flatten(n plan.Node) (*flatSrc, bool) {
 	switch t := n.(type) {
 	case *plan.Scan:
 		bt, ok := t.Source.(*catalog.BaseTable)
-		if !ok {
+		if !ok || t.Link != nil {
 			return nil, false
 		}
 		cols := t.Sch.Cols

@@ -280,3 +280,27 @@ func TestArithProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestDateYearMatchesTime: Year agrees with the time package on every
+// day of ±10 000 years — negative day numbers, century and 400-year
+// leap rules, every February 29 and March 1 included.
+func TestDateYearMatchesTime(t *testing.T) {
+	first := time.Date(-10000, 1, 1, 0, 0, 0, 0, time.UTC).Unix() / 86400
+	last := time.Date(10000, 12, 31, 0, 0, 0, 0, time.UTC).Unix() / 86400
+	leapDays := 0
+	for d := first; d <= last; d++ {
+		v := NewDateDays(d)
+		tm := v.Time()
+		if got, want := v.Year(), int64(tm.Year()); got != want {
+			t.Fatalf("day %d (%s): Year = %d, want %d", d, tm.Format("2006-01-02"), got, want)
+		}
+		if tm.Month() == time.February && tm.Day() == 29 {
+			leapDays++
+		}
+	}
+	// 20 001 years hold 4 851 leap days: the 5 001 years divisible by 4
+	// but the 150 centuries not divisible by 400.
+	if leapDays != 4851 {
+		t.Fatalf("%d leap days in the range, want 4851", leapDays)
+	}
+}

@@ -67,6 +67,25 @@ func ParseDate(s string) (Value, error) {
 // for DATE values.
 func (v Value) Time() time.Time { return time.Unix(v.I*86400, 0).UTC() }
 
+// Year returns the proleptic Gregorian year of a DATE value — what
+// v.Time().Year() gives — by civil-from-days integer arithmetic over
+// 400-year eras of 146 097 days, without building a time.Time.
+func (v Value) Year() int64 {
+	z := v.I + 719468 // days since 0000-03-01
+	era := z / 146097
+	if z < 0 && z%146097 != 0 {
+		era--
+	}
+	doe := z - era*146097                                  // [0, 146096]
+	yoe := (doe - doe/1460 + doe/36524 - doe/146096) / 365 // [0, 399]
+	doy := doe - (365*yoe + yoe/4 - yoe/100)               // [0, 365], from March 1
+	y := era*400 + yoe
+	if doy >= 306 { // January or February: the next civil year
+		y++
+	}
+	return y
+}
+
 // IsTrue reports whether v is a non-null TRUE boolean.
 func (v Value) IsTrue() bool { return v.K == KindBool && !v.Null && v.B }
 

@@ -332,7 +332,7 @@ CREATE VIEW FV AS SELECT *, SUM(x) AS MEASURE sx, AVG(x) AS MEASURE ax, COUNT(*)
 // testFoldedContextsVsPerContext runs the shapes a partition folds into
 // states or IN sets — float SUM and AVG, NULL keys under = and IS NOT
 // DISTINCT FROM, empty buckets, a bucket whose fold overflows, a joined
-// measure whose link tuples hold NULL — under the memo and default
+// measure whose link tuples hold NULL, one linked by position — under the memo and default
 // strategies at 1 and 4 workers with the lattice off and on, against the
 // naive strategy at one worker without it, on every value bit for bit.
 func testFoldedContextsVsPerContext(t *testing.T) {
@@ -364,9 +364,14 @@ func testFoldedContextsVsPerContext(t *testing.T) {
 		{"in-set", `SELECT c.k, 'a' IN (SELECT g FROM F WHERE F.k IS NOT DISTINCT FROM c.k) AS hasA,
 			'z' IN (SELECT g FROM F WHERE F.k = c.k) AS hasZ
 			FROM C c ORDER BY c.k NULLS LAST`, true},
+		// A DOUBLE dimension keeps the link on dimension tuples.
 		{"joined-measure-null-link", `SELECT f.k, COUNT(*) AS n, p.avgAge AT (VISIBLE) AS v
-			FROM F AS f JOIN (SELECT *, AVG(age) AS MEASURE avgAge FROM P) AS p ON f.g = p.name
+			FROM F AS f JOIN (SELECT name, age, age * 1.5 AS ageD, AVG(age) AS MEASURE avgAge FROM P) AS p ON f.g = p.name
 			GROUP BY f.k ORDER BY f.k NULLS LAST`, true},
+		// Linked by position, each group reads its own rows.
+		{"joined-measure-by-position", `SELECT f.k, COUNT(*) AS n, p.avgAge AT (VISIBLE) AS v
+			FROM F AS f JOIN (SELECT *, AVG(age) AS MEASURE avgAge FROM P) AS p ON f.g = p.name
+			GROUP BY f.k ORDER BY f.k NULLS LAST`, false},
 	}
 	open := func(s msql.Strategy) *msql.DB {
 		db := msql.Open()

@@ -5,8 +5,8 @@ package msql_test
 // their whole dimension tuple is among the tuples of the query's FROM +
 // WHERE rows in the group. These tests hold the engine to that meaning
 // with an oracle written in plain SQL — no measure, no AT — and pin
-// which plans read the rows the outer Aggregate spooled instead of
-// running the FROM tree again.
+// which plans link by position, which read the rows the outer Aggregate
+// spooled, and which run the FROM tree again.
 
 import (
 	"context"
@@ -225,27 +225,35 @@ const listing9 = `WITH EC AS (SELECT *, AVG(custAge) AS MEASURE avgAge FROM Cust
 	SELECT o.prodName, COUNT(*) AS orderCount, c.avgAge AS avgAge, c.avgAge AT (VISIBLE) AS visibleAvgAge
 	FROM Orders AS o JOIN EC AS c USING (custName) %s GROUP BY o.prodName ORDER BY o.prodName`
 
-// TestContextLinkSpool pins where a context link reads the spooled rows
-// of its Aggregate: under the memo strategies for an uncorrelated,
-// deterministic FROM + WHERE, and nowhere else; every plan gives the
-// naive strategy's rows.
+// TestContextLinkSpool pins how a context link reads its group's rows:
+// by position for Listing 9 (the Aggregate folds each group's positions
+// and nothing is spooled); through the spooled rows of its Aggregate
+// for a link that must match dimension tuples (a DOUBLE dimension)
+// over an uncorrelated, deterministic FROM + WHERE under the memo
+// strategies; and from its own run of the FROM tree otherwise. Every
+// plan gives the naive strategy's rows.
 func TestContextLinkSpool(t *testing.T) {
 	naive := open(t)
 	naive.SetStrategy(msql.StrategyNaive)
+	const doubleDim = `WITH EC AS (SELECT custName, custAge, custAge * 1.5 AS ageD, AVG(custAge) AS MEASURE avgAge FROM Customers)
+	SELECT o.prodName, COUNT(*) AS orderCount, c.avgAge AS avgAge, c.avgAge AT (VISIBLE) AS visibleAvgAge
+	FROM Orders AS o JOIN EC AS c USING (custName) WHERE c.custAge >= 18 GROUP BY o.prodName ORDER BY o.prodName`
 	for _, tc := range []struct {
 		name, sql string
-		spool     bool
+		position  bool // the link reads by position
+		spool     bool // the link reads the Aggregate's spooled rows
 	}{
-		{"listing-9", fmt.Sprintf(listing9, "WHERE c.custAge >= 18"), true},
+		{"listing-9", fmt.Sprintf(listing9, "WHERE c.custAge >= 18"), true, false},
+		{"double-dimension", doubleDim, false, true},
 		// RANDOM() < 2 keeps every row, but the plan cannot know that.
-		{"volatile-where", fmt.Sprintf(listing9, "WHERE c.custAge >= 18 AND RANDOM() < 2"), false},
+		{"volatile-where", fmt.Sprintf(listing9, "WHERE c.custAge >= 18 AND RANDOM() < 2"), false, false},
 		// The grouped join's WHERE reads the enclosing row, so its rows
 		// change from one outer row to the next.
 		{"correlated-subquery", `WITH EC AS (SELECT *, AVG(custAge) AS MEASURE avgAge FROM Customers)
 			SELECT p.prodName, (SELECT MAX(x.a) FROM (SELECT YEAR(o.orderDate) AS y, c.avgAge AS a
 				FROM Orders AS o JOIN EC AS c USING (custName) WHERE o.prodName = p.prodName
 				GROUP BY YEAR(o.orderDate)) AS x) AS maxAvgAge
-			FROM (SELECT DISTINCT prodName FROM Orders) AS p ORDER BY p.prodName`, false},
+			FROM (SELECT DISTINCT prodName FROM Orders) AS p ORDER BY p.prodName`, false, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want, err := naive.Query(tc.sql)
@@ -259,8 +267,14 @@ func TestContextLinkSpool(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !strings.Contains(txt, "[context link]") {
+				if got := strings.Contains(txt, "[context link by position]"); got != tc.position {
+					t.Fatalf("strategy %d: link by position: %v, want %v:\n%s", strategy, got, tc.position, txt)
+				}
+				if !tc.position && !strings.Contains(txt, "[context link]") {
 					t.Fatalf("no context link:\n%s", txt)
+				}
+				if got := strings.Contains(txt, "POSITIONS("); got != tc.position {
+					t.Fatalf("strategy %d: Aggregate folds positions: %v, want %v:\n%s", strategy, got, tc.position, txt)
 				}
 				if got := strings.Contains(txt, "Scan spool"); got != tc.spool {
 					t.Fatalf("strategy %d: link reads a spool: %v, want %v:\n%s", strategy, got, tc.spool, txt)
@@ -277,26 +291,30 @@ func TestContextLinkSpool(t *testing.T) {
 				}
 			}
 			// The naive strategy is the paper's literal per-row rewrite:
-			// every link runs the FROM tree itself.
-			if txt, err := naive.Explain(tc.sql); err != nil || strings.Contains(txt, "spool") {
-				t.Fatalf("naive strategy spools (err %v):\n%s", err, txt)
+			// every link runs the FROM tree itself, by position too.
+			txt, err := naive.Explain(tc.sql)
+			if err != nil || strings.Contains(txt, "spool") || strings.Contains(txt, "POSITIONS(") {
+				t.Fatalf("naive strategy spools or folds positions (err %v):\n%s", err, txt)
+			}
+			if got := strings.Contains(txt, "[context link by position]"); got != tc.position {
+				t.Fatalf("naive: link by position: %v, want %v:\n%s", got, tc.position, txt)
 			}
 		})
 	}
 }
 
 // TestContextLinkSpoolConcurrentExecutions runs one cached plan of
-// Listing 9 from four goroutines at once, each execution spooling its
-// own rows, with four workers each; every result is the one a serial
-// execution gives for its binding.
+// Listing 9 from four goroutines at once, each execution pinning its own
+// snapshot and folding its own position sets, with four workers each;
+// every result is the one a serial execution gives for its binding.
 func TestContextLinkSpoolConcurrentExecutions(t *testing.T) {
 	db := joinedDB(t, 7)
 	db.SetStrategy(msql.StrategyMemo)
 	const q = `SELECT YEAR(o.orderDate) AS y, COUNT(*) AS n, c.avgAge AS a, c.avgAge AT (VISIBLE) AS v
 		FROM Orders AS o JOIN EC AS c USING (custName) WHERE o.revenue > $1 AND c.custAge >= 20
 		GROUP BY YEAR(o.orderDate) ORDER BY y`
-	if txt, err := db.Explain(strings.ReplaceAll(q, "$1", "0")); err != nil || !strings.Contains(txt, "Scan spool") {
-		t.Fatalf("the link does not read a spool (err %v):\n%s", err, txt)
+	if txt, err := db.Explain(strings.ReplaceAll(q, "$1", "0")); err != nil || !strings.Contains(txt, "[context link by position]") {
+		t.Fatalf("the link does not read by position (err %v):\n%s", err, txt)
 	}
 	stmt, err := db.Prepare(q)
 	if err != nil {

@@ -1,0 +1,294 @@
+package msql_test
+
+// A context link by position: a measure reached through a join reads
+// exactly the base rows its group's joined rows came from. These tests
+// hold more join shapes to the plain-SQL meaning of TestJoinedMeasure-
+// MatchesPlainSQL, pin which shapes link by position, pin the one answer
+// that changes (a NULL-padded row adds no base row), and race a reader
+// against TRUNCATE and refill.
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
+	"testing"
+
+	"github.com/measures-sql/msql/msql"
+)
+
+// joinShape is one FROM clause over Orders o and a measure relation c
+// with measures avgAge and cnt, and its plain-SQL forms: from with Customers in
+// place of the measure relation, exists the join whose rows a base row
+// must be among (an inner join where the measure side may be NULL-padded,
+// which adds no base row), and base the measure's base rows.
+type joinShape struct {
+	name, from, plain, exists, base string
+	position                        bool // the link reads by position
+}
+
+var joinShapes = []joinShape{
+	{name: "left-nullable", from: "Orders AS o LEFT JOIN ECN AS c USING (custName)",
+		plain:  "Orders AS o LEFT JOIN Customers AS c USING (custName)",
+		exists: "Orders AS o JOIN Customers AS c USING (custName)", base: "Customers", position: true},
+	{name: "right-nullable", from: "ECN AS c RIGHT JOIN Orders AS o USING (custName)",
+		plain:  "Customers AS c RIGHT JOIN Orders AS o USING (custName)",
+		exists: "Customers AS c JOIN Orders AS o USING (custName)", base: "Customers", position: true},
+	{name: "left-preserved", from: "ECN AS c LEFT JOIN Orders AS o USING (custName)",
+		plain:  "Customers AS c LEFT JOIN Orders AS o USING (custName)",
+		exists: "Customers AS c LEFT JOIN Orders AS o USING (custName)", base: "Customers", position: true},
+	{name: "right-preserved", from: "Orders AS o RIGHT JOIN ECN AS c USING (custName)",
+		plain:  "Orders AS o RIGHT JOIN Customers AS c USING (custName)",
+		exists: "Orders AS o RIGHT JOIN Customers AS c USING (custName)", base: "Customers", position: true},
+	// Customers with a shared name fan each joined row out again.
+	{name: "three-tables", from: "Orders AS o JOIN ECN AS c USING (custName) JOIN Customers AS k ON k.custName = c.custName",
+		plain:  "Orders AS o JOIN Customers AS c USING (custName) JOIN Customers AS k ON k.custName = c.custName",
+		exists: "Orders AS o JOIN Customers AS c USING (custName) JOIN Customers AS k ON k.custName = c.custName",
+		base:   "Customers", position: true},
+	{name: "twins", from: "Orders AS o JOIN ECN AS c USING (custName)",
+		plain:  "Orders AS o JOIN Customers AS c USING (custName)",
+		exists: "Orders AS o JOIN Customers AS c USING (custName)", base: "Customers", position: true},
+	// A view over a view bakes its WHERE clause into the measure.
+	{name: "view-over-view", from: "Orders AS o JOIN ECO AS c USING (custName)",
+		plain:  "Orders AS o JOIN (SELECT * FROM Customers WHERE custAge > 25) AS c USING (custName)",
+		exists: "Orders AS o JOIN (SELECT * FROM Customers WHERE custAge > 25) AS c USING (custName)",
+		base:   "(SELECT * FROM Customers WHERE custAge > 25)", position: true},
+	// Shapes that keep the link on dimension tuples: a DISTINCT between
+	// the base rows and the join, and a DOUBLE dimension.
+	{name: "distinct-in-from", from: "Orders AS o JOIN (SELECT DISTINCT * FROM ECN) AS c USING (custName)",
+		plain:  "Orders AS o JOIN (SELECT DISTINCT * FROM Customers) AS c USING (custName)",
+		exists: "Orders AS o JOIN Customers AS c USING (custName)", base: "Customers"},
+	{name: "double-dimension", from: "Orders AS o JOIN ECD AS c USING (custName)",
+		plain:  "Orders AS o JOIN Customers AS c USING (custName)",
+		exists: "Orders AS o JOIN Customers AS c USING (custName)", base: "Customers"},
+}
+
+// shapeDB is joinedDB plus the views the shapes read and a customer
+// whose dimensions are all NULL, which a NULL-padded row must not bring
+// into a context; twins adds two identical customer rows for the orders
+// of c13.
+func shapeDB(t testing.TB, seed int64, twins bool) *msql.DB {
+	db := joinedDB(t, seed)
+	db.MustExec(`INSERT INTO Customers VALUES (NULL, NULL);
+		CREATE VIEW ECN AS SELECT *, AVG(custAge) AS MEASURE avgAge, COUNT(*) AS MEASURE cnt FROM Customers;
+		CREATE VIEW ECO AS SELECT custName, custAge, avgAge, cnt FROM ECN WHERE custAge > 25;
+		CREATE VIEW ECD AS SELECT custName, custAge, custAge * 1.5 AS ageD,
+			AVG(custAge) AS MEASURE avgAge, COUNT(*) AS MEASURE cnt FROM Customers`)
+	if twins {
+		db.MustExec(`INSERT INTO Customers VALUES ('c13', 41), ('c13', 41), ('c14', NULL), ('c14', NULL)`)
+	}
+	return db
+}
+
+// shapeCases renders each measure form under GROUP BY YEAR(...) and its
+// ROLLUP for one shape and one random predicate, with the plain SQL of
+// TestJoinedMeasureMatchesPlainSQL: the customer's tuple is among the
+// group's rows of exists, matched IS NOT DISTINCT FROM, and VISIBLE adds
+// the WHERE conjuncts over c alone.
+func shapeCases(sh joinShape, rng *rand.Rand) []joinedCase {
+	conjs := make([]joinConj, 1+rng.Intn(3))
+	for i := range conjs {
+		conjs[i] = randomJoinConj(rng)
+	}
+	where := strings.Join(renderConjs(conjs, "o", "c", false), " AND ")
+	var out []joinedCase
+	for _, group := range []string{"YEAR(o.orderDate)", "ROLLUP(YEAR(o.orderDate))"} {
+		for _, form := range []string{"c.%s", "c.%s AT (VISIBLE)", "AGGREGATE(c.%s)"} {
+			sql := fmt.Sprintf(`SELECT YEAR(o.orderDate) AS y, GROUPING(YEAR(o.orderDate)) AS g, COUNT(*) AS n, %s AS m, %s AS k
+				FROM %s WHERE %s GROUP BY %s ORDER BY g, y`,
+				fmt.Sprintf(form, "avgAge"), fmt.Sprintf(form, "cnt"), sh.from, where, group)
+			ctx := []string{fmt.Sprintf(`EXISTS (SELECT 1 FROM %s
+				WHERE %s AND (t.g <> 0 OR YEAR(o.orderDate) IS NOT DISTINCT FROM t.y)
+				AND c.custName IS NOT DISTINCT FROM c2.custName AND c.custAge IS NOT DISTINCT FROM c2.custAge)`, sh.exists, where)}
+			if form != "c.%s" {
+				ctx = append(ctx, renderConjs(conjs, "o", "c2", true)...)
+			}
+			cond := strings.Join(ctx, " AND ")
+			oracle := fmt.Sprintf(`SELECT t.y, t.g, t.n, (SELECT AVG(c2.custAge) FROM %s AS c2 WHERE %s) AS m,
+				(SELECT COUNT(*) FROM %s AS c2 WHERE %s) AS k
+				FROM (SELECT YEAR(o.orderDate) AS y, GROUPING(YEAR(o.orderDate)) AS g, COUNT(*) AS n
+				      FROM %s WHERE %s GROUP BY %s) AS t
+				ORDER BY t.g, t.y`, sh.base, cond, sh.base, cond, sh.plain, where, group)
+			out = append(out, joinedCase{sql, oracle})
+		}
+	}
+	return out
+}
+
+// TestJoinedMeasureShapesMatchPlainSQL: outer joins with the measure on
+// either side, three tables, identical twin rows and a view over a view
+// link by position, a DISTINCT in FROM and a DOUBLE dimension keep the
+// tuple link, and every shape is bit-identical to its plain-SQL
+// expansion under the memo and naive strategies, with 1 and 4 workers,
+// rollups off and on.
+func TestJoinedMeasureShapesMatchPlainSQL(t *testing.T) {
+	const seed = 3307
+	ctx := context.Background()
+	for _, sh := range joinShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			twins := sh.name == "twins"
+			oracleDB := shapeDB(t, seed, twins)
+			oracleDB.SetWorkers(1)
+			dbs := map[string]*msql.DB{"memo": shapeDB(t, seed, twins), "naive": shapeDB(t, seed, twins)}
+			dbs["memo"].SetStrategy(msql.StrategyMemo)
+			dbs["naive"].SetStrategy(msql.StrategyNaive)
+			var cases []joinedCase
+			for i := 0; i < 4; i++ {
+				cases = append(cases, shapeCases(sh, rng)...)
+			}
+			for name, db := range dbs {
+				txt, err := db.Explain(cases[0].sql)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got := strings.Contains(txt, "[context link by position]"); got != sh.position {
+					t.Fatalf("%s: link by position: %v, want %v:\n%s", name, got, sh.position, txt)
+				}
+				if !sh.position && !strings.Contains(txt, "[context link]") {
+					t.Fatalf("%s: no tuple link:\n%s", name, txt)
+				}
+			}
+			wants := make([]string, len(cases))
+			valued := 0
+			for i, tc := range cases {
+				oracle, err := oracleDB.Query(tc.oracle)
+				if err != nil {
+					t.Fatalf("oracle: %v\n%s", err, tc.oracle)
+				}
+				wants[i] = strings.Join(exactRows(oracle), "\n")
+				if strings.Contains(wants[i], "0x") { // a non-NULL DOUBLE
+					valued++
+				}
+			}
+			if valued < len(cases)*3/4 {
+				t.Fatalf("only %d of %d plain-SQL results hold a measure value", valued, len(cases))
+			}
+			for _, rollups := range []bool{false, true} {
+				for _, name := range []string{"memo", "naive"} {
+					db := dbs[name]
+					db.SetRollups(rollups)
+					for i, tc := range cases {
+						for _, workers := range []int{1, 4} {
+							got, err := db.QueryContext(ctx, tc.sql, msql.WithWorkers(workers))
+							if err != nil {
+								t.Fatalf("%s w%d rollups=%v: %v\n%s", name, workers, rollups, err, tc.sql)
+							}
+							if have := strings.Join(exactRows(got), "\n"); have != wants[i] {
+								t.Fatalf("%s w%d rollups=%v:\n%s\ngot:\n%s\nplain SQL:\n%s\nwant:\n%s",
+									name, workers, rollups, tc.sql, have, tc.oracle, wants[i])
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestOuterJoinPaddingAddsNoBaseRow: a group's NULL-padded rows bring no
+// customer into the measure's context. The tuple link matched them to
+// every customer whose dimensions are all NULL: q, r and s counted 2, 2
+// and 1 where their visible customer rows number 1, 1 and 0.
+func TestOuterJoinPaddingAddsNoBaseRow(t *testing.T) {
+	const q = `SELECT o.prodName, c.cnt AT (VISIBLE)
+		FROM O AS o LEFT JOIN (SELECT *, COUNT(*) AS MEASURE cnt FROM C) AS c USING (custName)
+		GROUP BY o.prodName ORDER BY o.prodName`
+	const want = "p 3|q 1|r 1|s 0"
+	for _, strategy := range []msql.Strategy{msql.StrategyDefault, msql.StrategyMemo, msql.StrategyNaive} {
+		db := msql.Open()
+		db.MustExec(`CREATE TABLE C (custName VARCHAR, custAge INTEGER);
+			CREATE TABLE O (prodName VARCHAR, custName VARCHAR);
+			INSERT INTO C VALUES ('a', 10), ('a', 10), ('b', 20), ('c', NULL), (NULL, NULL), ('d', 40);
+			INSERT INTO O VALUES ('p', 'a'), ('p', 'b'), ('q', 'c'), ('q', 'zz'), ('r', NULL), ('r', 'd'), ('s', 'nobody')`)
+		db.SetStrategy(strategy)
+		for _, workers := range []int{1, 4} {
+			res, err := db.QueryContext(context.Background(), q, msql.WithWorkers(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, row := range res.Rows {
+				got = append(got, row[0].String()+" "+row[1].String())
+			}
+			if g := strings.Join(got, "|"); g != want {
+				t.Fatalf("strategy %d w%d: %s, want %s", strategy, workers, g, want)
+			}
+		}
+	}
+}
+
+// TestLinkByPositionTruncateRefill races a linked query against TRUNCATE
+// and refill of the measure's table. A generation holds the customers in
+// one of two orders, so a position indexing the other generation's rows
+// would read other customers: every answer is the one an empty table or
+// either generation gives.
+func TestLinkByPositionTruncateRefill(t *testing.T) {
+	const q = `SELECT YEAR(o.orderDate) AS y, COUNT(*) AS n, c.avgAge AT (VISIBLE) AS v
+		FROM Orders AS o JOIN EC AS c USING (custName) WHERE c.custAge >= 20
+		GROUP BY YEAR(o.orderDate) ORDER BY y`
+	for name, strategy := range map[string]msql.Strategy{"memo": msql.StrategyMemo, "naive": msql.StrategyNaive} {
+		t.Run(name, func(t *testing.T) {
+			db := joinedDB(t, 11)
+			db.SetStrategy(strategy)
+			rows := db.MustQuery(`SELECT custName, custAge FROM Customers`).Rows
+			refill := func(reversed bool) string {
+				var sb strings.Builder
+				sb.WriteString("INSERT INTO Customers VALUES ")
+				for i := range rows {
+					row := rows[i]
+					if reversed {
+						row = rows[len(rows)-1-i]
+					}
+					if i > 0 {
+						sb.WriteString(", ")
+					}
+					fmt.Fprintf(&sb, "(%s, %s)", row[0].SQLLiteral(), row[1].SQLLiteral())
+				}
+				return sb.String()
+			}
+			refills := []string{refill(false), refill(true)}
+			valid := map[string]bool{}
+			for _, fill := range append([]string{""}, refills...) {
+				db.MustExec(`TRUNCATE TABLE Customers`)
+				if fill != "" {
+					db.MustExec(fill)
+				}
+				valid[strings.Join(exactRows(db.MustQuery(q)), "\n")] = true
+			}
+			if len(valid) != 2 {
+				t.Fatalf("want two answers (empty, and both orders alike), got %d", len(valid))
+			}
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			defer func() { close(stop); wg.Wait() }()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					for _, stmt := range []string{`TRUNCATE TABLE Customers`, refills[i%2]} {
+						if err := db.Exec(stmt); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}
+			}()
+			for i := 0; i < 200; i++ {
+				res, err := db.QueryContext(context.Background(), q, msql.WithWorkers(1+i%4))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := strings.Join(exactRows(res), "\n"); !valid[got] {
+					t.Fatalf("run %d: an answer of no generation:\n%s", i, got)
+				}
+			}
+		})
+	}
+}
