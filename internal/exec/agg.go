@@ -12,15 +12,16 @@ import (
 
 // Hash aggregation. An Aggregate is compiled once per plan into an
 // aggEnv: its group expressions and, for every call, how a row reaches
-// the call's state — decided once, not per row (see callKind). A grouping
-// set's table carves its groups, their state slices, their key tuples
-// and the bytes of their map keys from blocks that grow geometrically,
-// so a new group allocates its fn.AggStates and nothing else, and a row
-// of an existing group allocates nothing. The serial, chunk-merge and
-// group-partitioned paths, PartialAggregate, the vectorized accumulate
-// and the folding partition (partition.go) all fold through it. A
-// POSITIONS call keeps no state: its groups chain their rows (rowChains)
-// and emit publishes the positions they carry (link.go).
+// the call's state — decided once, not per row (see callKind) — and
+// which operators beneath it it folds in its own row loop (fuse.go). A
+// grouping set's table carves its groups, their state slices, their key
+// tuples and the bytes of their map keys from blocks that grow
+// geometrically, so a new group allocates its fn.AggStates and nothing
+// else, and a row of an existing group allocates nothing. The serial,
+// chunk-merge and group-partitioned paths, PartialAggregate, the
+// vectorized accumulate and the folding partition (partition.go) all
+// fold through it. A POSITIONS call keeps no state: each group lists the
+// positions its rows carry (posList) and emit publishes them (link.go).
 
 // groupAcc accumulates one group for one grouping set.
 type groupAcc struct {
@@ -32,7 +33,16 @@ type groupAcc struct {
 	// them.
 	dedup  []map[string]bool
 	within []map[string]string
-	order  int // index of the group's first input row (stable output order)
+	// order is the position of the group's first input row in the
+	// input's order (stable output order); fuse.go says what it is when
+	// the input is not materialized.
+	order int
+	// With POSITIONS calls: pos is the list of the table the group was
+	// made in, head 1 + the group's newest entry there (0: none), and more
+	// the same group of later chunks, merged into this one.
+	pos  *posList
+	head int32
+	more *groupAcc
 }
 
 // callKind is how accumulate hands a row to one aggregate call's state.
@@ -50,8 +60,8 @@ const (
 	// row's own cell.
 	callColumn
 	// callPositions is POSITIONS(col), a context link by position: no
-	// state; the group's rows are chained and emit publishes the
-	// positions they carry in col (link.go).
+	// state; the group lists the positions its rows carry in col and emit
+	// publishes them (link.go).
 	callPositions
 )
 
@@ -64,6 +74,7 @@ type aggCall struct {
 	skipNulls bool
 	distinct  bool
 	col       int // callColumn, callPositions: the argument's input column
+	slot      int // callPositions: the call's place in a position entry
 	link      *plan.RowLink
 	filter    predFn // nil when the call has no FILTER
 	args      []evalFn
@@ -79,12 +90,16 @@ type aggEnv struct {
 	// distinct: some call is DISTINCT or WITHIN DISTINCT, so groups carry
 	// dedup and within maps.
 	distinct bool
-	// positions counts the POSITIONS calls: groups chain their rows.
+	// positions counts the POSITIONS calls: groups list their rows'
+	// positions.
 	positions int
+	// fuse is the chain beneath the Aggregate that its row loop runs
+	// (fuse.go); zero when it materializes its input.
+	fuse fusion
 }
 
 func newAggEnv(n *plan.Aggregate) (*aggEnv, error) {
-	env := &aggEnv{n: n, groups: compileExprs(n.GroupExprs), calls: make([]aggCall, len(n.Aggs))}
+	env := &aggEnv{n: n, groups: compileExprs(n.GroupExprs), calls: make([]aggCall, len(n.Aggs)), fuse: planFusion(n)}
 	for i := range n.Aggs {
 		call := &n.Aggs[i]
 		c := &env.calls[i]
@@ -98,7 +113,7 @@ func newAggEnv(n *plan.Aggregate) (*aggEnv, error) {
 			if !ok {
 				return nil, fmt.Errorf("internal error: POSITIONS of %s", call.Args[0])
 			}
-			c.kind, c.col, c.link = callPositions, cr.Index, call.Link
+			c.kind, c.col, c.slot, c.link = callPositions, cr.Index, env.positions, call.Link
 			env.positions++
 			continue
 		}
@@ -182,19 +197,18 @@ type setTable struct {
 	keys     []sqltypes.Value
 	keyBytes []byte
 	carved   int
-	// chains links each group's input rows when the Aggregate folds
-	// positions; nil otherwise.
-	chains *rowChains
+	// pos holds the position entries of the table's groups when the
+	// Aggregate has POSITIONS calls.
+	pos *posList
 }
 
-// rowChains links the input rows of each group of one grouping set,
-// newest first: head[o] is 1 + the newest row of the group whose first
-// row is o, next[i] 1 + the row before row i in its group, and 0 ends a
-// chain. A row costs two stores. One run's arrays are shared by the
-// tables of every chunk and worker, which write only their own groups'
-// entries.
-type rowChains struct {
-	head, next []int32
+// posList is one table's POSITIONS entries, one per row folded into one
+// of its groups: vals holds the position each call's column carries (-1
+// for NULL), env.positions of them per entry, and prev 1 + the entry
+// before it in its group (0 ends the group's list). A row costs two
+// appends and no hashing.
+type posList struct {
+	vals, prev []int32
 }
 
 const maxGroupBlock = 1024
@@ -211,26 +225,36 @@ func newSetTables(n int) []setTable {
 	return tables
 }
 
-// chainTables makes one grouping-set table per set, sharing chains.
-func chainTables(chains []rowChains, n int) []setTable {
-	tables := newSetTables(n)
-	for si := range chains {
-		tables[si].chains = &chains[si]
+// newTables makes the tables one fold fills: one per grouping set, whose
+// position lists, with POSITIONS calls, have room for rows rows.
+func (env *aggEnv) newTables(rows int) []setTable {
+	tables := newSetTables(len(env.n.Sets))
+	if env.positions > 0 {
+		for i := range tables {
+			tables[i].pos = &posList{vals: make([]int32, 0, rows*env.positions), prev: make([]int32, 0, rows)}
+		}
 	}
 	return tables
 }
 
-// add links input row i into acc's chain.
-func (c *rowChains) add(acc *groupAcc, i int) {
-	c.next[i] = c.head[acc.order]
-	c.head[acc.order] = int32(i + 1)
-}
-
-// join links the rows of acc, a later chunk's group, into dst's chain.
-// acc's chain ends at its first row.
-func (c *rowChains) join(dst, acc *groupAcc) {
-	c.next[acc.order] = c.head[dst.order]
-	c.head[dst.order] = c.head[acc.order]
+// addPositions appends the positions row carries to acc's list.
+func (t *setTable) addPositions(env *aggEnv, acc *groupAcc, row Row) {
+	if t.pos == nil {
+		t.pos = &posList{}
+	}
+	p := t.pos
+	for i := range env.calls {
+		if c := &env.calls[i]; c.kind == callPositions {
+			v, x := row[c.col], int32(-1)
+			if !v.Null {
+				x = int32(v.I)
+			}
+			p.vals = append(p.vals, x)
+		}
+	}
+	acc.pos = p
+	p.prev = append(p.prev, acc.head)
+	acc.head = int32(len(p.prev))
 }
 
 // newGroup carves a group whose first input row is order from t's
@@ -299,35 +323,38 @@ func (t *setTable) group(env *aggEnv, key []byte, set []int, keyVals []sqltypes.
 
 // runAggregate evaluates grouping-set hash aggregation. The input is
 // scanned once; every grouping set maintains its own hash table, so
-// ROLLUP/CUBE cost one pass regardless of the number of sets. With
-// spare workers the scan runs in parallel: either by chunk-merging
-// partial states (exact-merge aggregates) or by partitioning groups
-// across workers (order-sensitive aggregates); both orders groups by
-// first input row, reproducing the serial output exactly.
+// ROLLUP/CUBE cost one pass regardless of the number of sets. When the
+// input is a Filter or a hash join the Aggregate may run them in its own
+// row loop (fuse.go). With spare workers the loop runs in parallel:
+// either by chunk-merging partial states (exact-merge aggregates) or by
+// partitioning groups across workers (order-sensitive aggregates); both
+// order groups by first input row, reproducing the serial output exactly.
 func (rt *runtime) runAggregate(n *plan.Aggregate) ([]Row, error) {
-	in, err := rt.run(n.Input)
-	if err != nil {
-		return nil, err
-	}
-	if n.Spool != nil {
-		rt.publishSpool(n.Spool, in)
-	}
 	env, err := rt.aggEnv(n)
 	if err != nil {
 		return nil, err
 	}
-
-	var chains []rowChains
-	if env.positions > 0 {
-		// Chains and the positions they publish: 4 bytes per row each.
-		if err := rt.sh.bud.noteMem(int64(4 * len(in) * len(n.Sets) * (2 + env.positions))); err != nil {
-			return nil, err
-		}
-		chains = make([]rowChains, len(n.Sets))
-		for si := range chains {
-			chains[si] = rowChains{head: make([]int32, len(in)), next: make([]int32, len(in))}
-		}
+	fd, err := rt.openFeed(env, false)
+	if err != nil {
+		return nil, err
 	}
+	tables, rows, err := rt.foldFeed(env, fd)
+	if err != nil {
+		return nil, err
+	}
+	var pf *posFold
+	if env.positions > 0 {
+		pf = &posFold{rt: rt, stride: env.positions, buf: make([]int32, 0, rows*len(n.Sets)*env.positions)}
+	}
+	return env.emit(tables, rows, pf)
+}
+
+// foldFeed folds what fd produces into one table per grouping set and
+// returns them with the number of input rows they hold. A fused chain is
+// then charged to the budget, and reported, as if it had materialized
+// its output.
+func (rt *runtime) foldFeed(env *aggEnv, fd *feed) ([]setTable, int, error) {
+	n := env.n
 
 	// The vectorized accumulate shares the groupAcc machinery, so it
 	// slots into both the serial and the chunk-merge parallel paths. The
@@ -336,7 +363,7 @@ func (rt *runtime) runAggregate(n *plan.Aggregate) ([]Row, error) {
 	// defeats batching.
 	traits := rt.nodeTraits(n)
 	accum := (*runtime).accumulateRows
-	if rt.vecUsable(traits) && env.vecAggOK() {
+	if !fd.fused() && rt.vecUsable(traits) && env.vecAggOK() {
 		vea := rt.vecAgg(env, n.Input.Schema())
 		share := rt.scanShare(n.Input)
 		accum = func(w *runtime, env *aggEnv, tables []setTable, in []Row, lo, hi int) error {
@@ -345,83 +372,130 @@ func (rt *runtime) runAggregate(n *plan.Aggregate) ([]Row, error) {
 	}
 
 	var tables []setTable
-	if f := rt.rowParallelism(len(in), traits); f.workers > 1 {
+	var err error
+	f := fanout{workers: 1}
+	if !fd.serial {
+		f = rt.rowParallelism(len(fd.rows), traits)
+	}
+	if f.workers > 1 {
 		rt.noteFanout(n, f.workers)
+		fd.noteFanout(rt, f.workers)
 		if env.chunkMergeable() {
-			tables, err = rt.aggChunkMerge(env, in, f, accum, chains)
+			tables, err = rt.aggChunkMerge(env, fd, f, accum)
 		} else {
-			tables, err = rt.aggGroupPartitioned(env, in, f, chains)
+			tables, err = rt.aggGroupPartitioned(env, fd, f)
 		}
 	} else {
-		tables = chainTables(chains, len(n.Sets))
-		err = accum(rt, env, tables, in, 0, len(in))
+		fd.passes = fd.tallies(1)
+		tables, err = rt.foldChunk(env, fd, accum, 0, 0, len(fd.rows))
 	}
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-
-	var pf *posFold
+	rows := len(fd.rows)
+	if fd.fused() {
+		if rows, err = rt.settle(fd); err != nil {
+			return nil, 0, err
+		}
+	}
 	if env.positions > 0 {
-		pf = &posFold{rt: rt, in: in, buf: make([]int32, 0, len(in)*len(n.Sets)*env.positions)}
+		// The position lists and the sets they publish.
+		err = rt.sh.bud.noteMem(int64(4 * rows * len(n.Sets) * (2 + env.positions)))
 	}
-	return env.emit(tables, len(in), pf)
+	return tables, rows, err
 }
 
-// accumulateRows folds rows[lo:hi] into tables, creating groups keyed
-// by each grouping set. Group order is the first input-row index. The
-// key tuple and its encoding are per-call buffers: a row that lands in
-// an existing group allocates nothing here.
-func (rt *runtime) accumulateRows(env *aggEnv, tables []setTable, in []Row, lo, hi int) error {
-	n := env.n
-	keyVals := make([]sqltypes.Value, len(n.GroupExprs))
-	var key []byte
-	chained := len(tables) > 0 && tables[0].chains != nil
-	for i := lo; i < hi; i++ {
-		if err := rt.tick(); err != nil {
+// foldChunk folds source rows [lo, hi) of fd, chunk chunk of the run,
+// into fresh tables.
+func (w *runtime) foldChunk(env *aggEnv, fd *feed, accum accumulateFn, chunk, lo, hi int) ([]setTable, error) {
+	tables := env.newTables(hi - lo)
+	if !fd.fused() {
+		return tables, accum(w, env, tables, fd.rows, lo, hi)
+	}
+	return tables, fd.pass(w, chunk, lo, hi, env.newFold(tables, fd))
+}
+
+// aggFold is the sink that folds rows into one set of grouping-set
+// tables, each the moment it is produced: by a materialized input's
+// loop (accumulateRows) or by a fused chain's (fuse.go). The key tuple,
+// its encoding and the row a fused join builds each joined row in are
+// its own scratch, so a row of an existing group allocates nothing.
+type aggFold struct {
+	env     *aggEnv
+	tables  []setTable
+	keyVals []sqltypes.Value
+	key     []byte
+	scratch Row
+	in      tally
+}
+
+// newFold makes the fold of tables; fd is nil for a materialized input.
+func (env *aggEnv) newFold(tables []setTable, fd *feed) *aggFold {
+	f := &aggFold{env: env, tables: tables, keyVals: make([]sqltypes.Value, len(env.n.GroupExprs))}
+	if fd != nil && fd.join != nil {
+		f.scratch = make(Row, fd.join.env.leftWidth+fd.join.env.rightWidth)
+	}
+	return f
+}
+
+// emit folds row, whose place in the input's order is order, into the
+// group of every grouping set.
+func (f *aggFold) emit(w *runtime, row Row, order int) error {
+	f.in.add(row)
+	env := f.env
+	for j, g := range env.groups {
+		v, err := g(w, row)
+		if err != nil {
 			return err
 		}
-		row := in[i]
-		// Evaluate each group expression once per row.
-		for j, g := range env.groups {
-			v, err := g(rt, row)
-			if err != nil {
-				return err
-			}
-			keyVals[j] = v
+		f.keyVals[j] = v
+	}
+	for si, set := range env.n.Sets {
+		t := &f.tables[si]
+		f.key = appendSetKey(f.key[:0], set, f.keyVals)
+		acc := t.group(env, f.key, set, f.keyVals, order)
+		if env.positions > 0 {
+			t.addPositions(env, acc, row)
 		}
-		for si, set := range n.Sets {
-			key = appendSetKey(key[:0], set, keyVals)
-			acc := tables[si].group(env, key, set, keyVals, i)
-			if chained {
-				tables[si].chains.add(acc, i)
-			}
-			if err := rt.accumulate(env, acc, row); err != nil {
-				return err
-			}
+		if err := w.accumulate(env, acc, row); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// aggChunkMerge is the two-phase parallel path: each chunk accumulates
-// private partial tables over its contiguous row range, then partials
-// are merged left-to-right in chunk order. Restricted to exact-merge
-// aggregates, so the result is bit-identical to one serial pass.
-func (rt *runtime) aggChunkMerge(env *aggEnv, in []Row, f fanout, accum accumulateFn, chains []rowChains) ([]setTable, error) {
-	chunkTables := make([][]setTable, numChunks(len(in), f.grain))
-	err := rt.forEachChunk(len(in), f, func(w *runtime, _, chunk, lo, hi int) error {
-		t := chainTables(chains, len(env.n.Sets))
-		if err := accum(w, env, t, in, lo, hi); err != nil {
-			return err
-		}
+// next and reuse make the fold a join's sink: every joined row is built
+// in the one scratch row, which the fold reads and does not keep.
+func (f *aggFold) next() Row     { return f.scratch }
+func (f *aggFold) reuse(Row)     {}
+func (f *aggFold) count() *tally { return &f.in }
+
+// accumulateRows folds rows[lo:hi] of a materialized input into tables,
+// creating groups keyed by each grouping set. Group order is the input
+// row index.
+func (rt *runtime) accumulateRows(env *aggEnv, tables []setTable, in []Row, lo, hi int) error {
+	return emitRows(rt, in, lo, hi, env.newFold(tables, nil))
+}
+
+// aggChunkMerge is the two-phase parallel path: each chunk folds its
+// contiguous range of the feed's source rows into private partial
+// tables, then partials are merged left-to-right in chunk order.
+// Restricted to exact-merge aggregates, so the result is bit-identical
+// to one serial pass. A merged group's position lists stay where they
+// were made: the groups of later chunks are chained to it (more).
+func (rt *runtime) aggChunkMerge(env *aggEnv, fd *feed, f fanout, accum accumulateFn) ([]setTable, error) {
+	chunkTables := make([][]setTable, numChunks(len(fd.rows), f.grain))
+	fd.passes = fd.tallies(len(chunkTables))
+	err := rt.forEachChunk(len(fd.rows), f, func(w *runtime, _, chunk, lo, hi int) error {
+		t, err := w.foldChunk(env, fd, accum, chunk, lo, hi)
 		chunkTables[chunk] = t
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	tables := chainTables(chains, len(env.n.Sets))
+	tables := newSetTables(len(env.n.Sets))
 	for _, ct := range chunkTables {
 		for si := range ct {
 			for key, acc := range ct[si].groups {
@@ -442,8 +516,8 @@ func (rt *runtime) aggChunkMerge(env *aggEnv, in []Row, f fanout, accum accumula
 				if acc.order < dst.order {
 					dst.order = acc.order
 				}
-				if c := tables[si].chains; c != nil {
-					c.join(dst, acc)
+				if env.positions > 0 {
+					acc.more, dst.more = dst.more, acc
 				}
 			}
 		}
@@ -453,40 +527,34 @@ func (rt *runtime) aggChunkMerge(env *aggEnv, in []Row, f fanout, accum accumula
 
 // aggGroupPartitioned is the fallback parallel path for order-sensitive
 // aggregates (floating-point SUM/AVG/VAR, DISTINCT, WITHIN DISTINCT):
-// group keys are precomputed over morsels, then groups are partitioned
-// across workers by key hash, and each worker folds its groups' rows in
+// group keys are computed over morsels of the feed — a fused Filter
+// decides there which rows count — then groups are partitioned across
+// workers by key hash, and each worker folds its groups' rows in
 // ascending input order — exactly the serial accumulation per group.
 // The group-expression values of every row live in one flat array and a
 // set key is encoded into scratch where it is needed, so neither phase
-// allocates per row.
-func (rt *runtime) aggGroupPartitioned(env *aggEnv, in []Row, f fanout, chains []rowChains) ([]setTable, error) {
+// allocates per row. A fused join never comes here: its rows would have
+// to be made twice.
+func (rt *runtime) aggGroupPartitioned(env *aggEnv, fd *feed, f fanout) ([]setTable, error) {
 	workers := f.workers
 	n := env.n
+	in := fd.rows
 	nSets, nKeys := len(n.Sets), len(n.GroupExprs)
 
-	// Phase 1: per-row group-expression values and set-key hashes.
-	keyVals := make([]sqltypes.Value, len(in)*nKeys)
-	setHash := make([]uint32, len(in)*nSets)
-	err := rt.forEachChunk(len(in), f, func(w *runtime, _, _, lo, hi int) error {
-		var key []byte
-		for i := lo; i < hi; i++ {
-			if err := w.tick(); err != nil {
-				return err
-			}
-			kv := keyVals[i*nKeys : (i+1)*nKeys]
-			for j, g := range env.groups {
-				v, err := g(w, in[i])
-				if err != nil {
-					return err
-				}
-				kv[j] = v
-			}
-			for si, set := range n.Sets {
-				key = appendSetKey(key[:0], set, kv)
-				setHash[i*nSets+si] = hash32(key)
-			}
+	// Phase 1: per-row group-expression values and set-key hashes, and
+	// which rows a fused Filter keeps.
+	keys := &keySink{env: env, keyVals: make([]sqltypes.Value, len(in)*nKeys), setHash: make([]uint32, len(in)*nSets)}
+	if fd.fused() {
+		keys.kept = make([]bool, len(in))
+	}
+	fd.passes = fd.tallies(numChunks(len(in), f.grain))
+	err := rt.forEachChunk(len(in), f, func(w *runtime, _, chunk, lo, hi int) error {
+		ks := *keys
+		ks.key, ks.in = nil, tally{}
+		if fd.fused() {
+			return fd.pass(w, chunk, lo, hi, &ks)
 		}
-		return nil
+		return emitRows(w, in, lo, hi, &ks)
 	})
 	if err != nil {
 		return nil, err
@@ -498,22 +566,25 @@ func (rt *runtime) aggGroupPartitioned(env *aggEnv, in []Row, f fanout, chains [
 	// group sees its input in global order on a single goroutine.
 	workerTables := make([][]setTable, workers)
 	err = rt.runWorkers(workers, func(w *runtime, worker int) error {
-		tables := chainTables(chains, nSets)
+		tables := env.newTables(0)
 		workerTables[worker] = tables
 		var key []byte
 		for i, row := range in {
 			if err := w.tick(); err != nil {
 				return err
 			}
-			kv := keyVals[i*nKeys : (i+1)*nKeys]
+			if keys.kept != nil && !keys.kept[i] {
+				continue
+			}
+			kv := keys.keyVals[i*nKeys : (i+1)*nKeys]
 			for si, set := range n.Sets {
-				if int(setHash[i*nSets+si])%workers != worker {
+				if int(keys.setHash[i*nSets+si])%workers != worker {
 					continue
 				}
 				key = appendSetKey(key[:0], set, kv)
 				acc := tables[si].group(env, key, set, kv, i)
-				if chains != nil {
-					tables[si].chains.add(acc, i)
+				if env.positions > 0 {
+					tables[si].addPositions(env, acc, row)
 				}
 				if err := w.accumulate(env, acc, row); err != nil {
 					return err
@@ -527,7 +598,7 @@ func (rt *runtime) aggGroupPartitioned(env *aggEnv, in []Row, f fanout, chains [
 	}
 
 	// Phase 3: union the disjoint per-worker tables.
-	tables := chainTables(chains, nSets)
+	tables := newSetTables(nSets)
 	for _, wt := range workerTables {
 		for si := range wt {
 			for key, acc := range wt[si].groups {
@@ -537,6 +608,42 @@ func (rt *runtime) aggGroupPartitioned(env *aggEnv, in []Row, f fanout, chains [
 	}
 	return tables, nil
 }
+
+// keySink is phase 1 of the group-partitioned path: it records each
+// row's group-expression values and set-key hashes at the row's index,
+// and marks the row kept.
+type keySink struct {
+	env     *aggEnv
+	keyVals []sqltypes.Value
+	setHash []uint32
+	kept    []bool // nil when every row counts
+	key     []byte
+	in      tally
+}
+
+func (s *keySink) emit(w *runtime, row Row, i int) error {
+	s.in.add(row)
+	env := s.env
+	nKeys, nSets := len(env.groups), len(env.n.Sets)
+	kv := s.keyVals[i*nKeys : (i+1)*nKeys]
+	for j, g := range env.groups {
+		v, err := g(w, row)
+		if err != nil {
+			return err
+		}
+		kv[j] = v
+	}
+	for si, set := range env.n.Sets {
+		s.key = appendSetKey(s.key[:0], set, kv)
+		s.setHash[i*nSets+si] = hash32(s.key)
+	}
+	if s.kept != nil {
+		s.kept[i] = true
+	}
+	return nil
+}
+
+func (s *keySink) count() *tally { return &s.in }
 
 // appendSetKey encodes the values of one grouping set's keys onto dst.
 func appendSetKey(dst []byte, set []int, keyVals []sqltypes.Value) []byte {
@@ -594,7 +701,7 @@ func (env *aggEnv) emit(tables []setTable, inputLen int, pf *posFold) ([]Row, er
 					}
 					row[len(n.GroupExprs)+i] = sqltypes.NewInt(g)
 				case callPositions:
-					row[len(n.GroupExprs)+i] = pf.publish(&env.calls[i], acc, tables[si].chains)
+					row[len(n.GroupExprs)+i] = pf.publish(&env.calls[i], acc)
 				default:
 					row[len(n.GroupExprs)+i] = acc.states[i].Result()
 				}

@@ -351,12 +351,12 @@ func TestGroupPartitionedAggAllocatesPerGroupNotPerRow(t *testing.T) {
 	settings.Workers = 4
 	rt := newRuntime(context.Background(), settings)
 	f := fanout{workers: 4, grain: 1024}
-	tables, err := rt.aggGroupPartitioned(env, in, f, nil)
+	tables, err := rt.aggGroupPartitioned(env, &feed{rows: in}, f)
 	if err != nil || len(tables[0].groups) != 97 || len(tables[1].groups) != 1 {
 		t.Fatalf("%d and %d groups, err %v", len(tables[0].groups), len(tables[1].groups), err)
 	}
 	perCall := testing.AllocsPerRun(10, func() {
-		if _, err := rt.aggGroupPartitioned(env, in, f, nil); err != nil {
+		if _, err := rt.aggGroupPartitioned(env, &feed{rows: in}, f); err != nil {
 			t.Fatal(err)
 		}
 	})

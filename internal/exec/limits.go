@@ -111,12 +111,17 @@ func rowsBytes(rows []Row) int64 {
 	if len(rows) == 0 {
 		return 0
 	}
+	return rowBytes(rows[0]) * int64(len(rows))
+}
+
+// rowBytes is the estimated footprint of one materialized row.
+func rowBytes(row Row) int64 {
 	per := int64(bytesPerRow)
-	for _, v := range rows[0] {
+	for _, v := range row {
 		per += bytesPerValue
 		if v.K == sqltypes.KindString {
 			per += int64(len(v.S))
 		}
 	}
-	return per * int64(len(rows))
+	return per
 }

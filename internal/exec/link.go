@@ -6,18 +6,19 @@ package exec
 //   - a Scan with the Link reads the execution's snapshot of the link's
 //     table, pinned by the first such Scan, and appends each row's
 //     position in it;
-//   - the outer Aggregate's POSITIONS call chains each group's input
-//     rows in its own pass (rowChains: two stores a row, no hashing), and
-//     emit turns a group's chain into the sorted, distinct positions its
-//     rows carry — a NULL-padded row carries none — published under the
-//     handle the call outputs;
+//   - the outer Aggregate's POSITIONS call lists the positions each
+//     group's rows carry as it folds them (posList: two appends a row, no
+//     hashing; a fused join folds its joined rows without making them),
+//     and emit turns a group's list into the sorted, distinct positions
+//     — a NULL-padded row carries none — published under the handle the
+//     call outputs;
 //   - the measure's LinkRead reads the snapshot's rows at the positions
 //     its handle names or, under the naive strategy, at the positions of
 //     the rows its own run of the FROM tree keeps.
 //
 // Every Scan and LinkRead of a link in one execution reads the one
 // pinned snapshot, so a position never indexes another generation's
-// rows. Position sets are charged to the budget with the chains.
+// rows. Position sets are charged to the budget with the lists.
 
 import (
 	"fmt"
@@ -138,7 +139,8 @@ func (rt *runtime) readLinked(n *plan.LinkRead) ([]Row, error) {
 // calls.
 type posFold struct {
 	rt *runtime
-	in []Row
+	// stride is the number of POSITIONS calls: values per list entry.
+	stride int
 	// marks is a bitset over the snapshot's positions, all zero between
 	// groups.
 	marks []uint64
@@ -147,21 +149,20 @@ type posFold struct {
 	buf []int32
 }
 
-// publish collects the positions acc's rows carry in c's column,
-// sorted and distinct, and returns the handle it publishes them under.
-func (pf *posFold) publish(c *aggCall, acc *groupAcc, chains *rowChains) sqltypes.Value {
+// publish collects the positions acc's rows carry in c's column — its
+// own list and those of the groups merged into it — sorted and
+// distinct, and returns the handle it publishes them under.
+func (pf *posFold) publish(c *aggCall, acc *groupAcc) sqltypes.Value {
 	e := pf.rt.linkRows(c.link)
 	if words := len(e.pinned(c.link))/64 + 1; len(pf.marks) < words {
 		pf.marks = make([]uint64, words)
 	}
 	start := len(pf.buf)
-	var r int32 // a global set's group over no rows has none
-	if acc.order < len(chains.head) {
-		r = chains.head[acc.order]
-	}
-	for ; r != 0; r = chains.next[r-1] {
-		if v := pf.in[r-1][c.col]; !v.Null {
-			pf.buf = append(pf.buf, int32(v.I))
+	for g := acc; g != nil; g = g.more {
+		for r := g.head; r != 0; r = g.pos.prev[r-1] {
+			if v := g.pos.vals[int(r-1)*pf.stride+c.slot]; v >= 0 {
+				pf.buf = append(pf.buf, v)
+			}
 		}
 	}
 	set := positionSet(pf.buf[start:], pf.marks)

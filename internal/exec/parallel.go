@@ -278,8 +278,11 @@ func (rt *runtime) projectRows(fns []evalFn, in, out []Row, lo, hi int) error {
 	return nil
 }
 
-// filterRows records pred's verdict on in[lo:hi] in keep.
-func (rt *runtime) filterRows(pred predFn, in []Row, keep []bool, lo, hi int) error {
+// filterRows is a Filter's predicate loop: it hands the rows of
+// in[lo:hi] that pred passes to sink, each with its index in in. The
+// Filter's own sink marks them (keepSink); an Aggregate that fuses the
+// Filter folds them (fuse.go).
+func (rt *runtime) filterRows(pred predFn, in []Row, lo, hi int, sink rowSink) error {
 	for i := lo; i < hi; i++ {
 		if err := rt.tick(); err != nil {
 			return err
@@ -288,8 +291,21 @@ func (rt *runtime) filterRows(pred predFn, in []Row, keep []bool, lo, hi int) er
 		if err != nil {
 			return err
 		}
-		keep[i] = t == triTrue
+		if t == triTrue {
+			if err := sink.emit(rt, in[i], i); err != nil {
+				return err
+			}
+		}
 	}
+	return nil
+}
+
+// keepSink is the materializing sink of a Filter: a verdict per input
+// row, all false until the predicate passes the row.
+type keepSink []bool
+
+func (k keepSink) emit(_ *runtime, _ Row, i int) error {
+	k[i] = true
 	return nil
 }
 
@@ -324,7 +340,8 @@ func (rt *runtime) runFilterSerial(pred predFn, in []Row) ([]Row, error) {
 		keep = make([]bool, len(in))
 	}
 	keep = keep[:len(in)]
-	err := rt.filterRows(pred, in, keep, 0, len(in))
+	clear(keep)
+	err := rt.filterRows(pred, in, 0, len(in), keepSink(keep))
 	var out []Row
 	if err == nil {
 		out = keptRows(in, keep)
@@ -338,7 +355,7 @@ func (rt *runtime) runFilterSerial(pred predFn, in []Row) ([]Row, error) {
 func (rt *runtime) runFilterParallel(pred predFn, in []Row, f fanout) ([]Row, error) {
 	keep := make([]bool, len(in))
 	err := rt.forEachChunk(len(in), f, func(w *runtime, _, _, lo, hi int) error {
-		return w.filterRows(pred, in, keep, lo, hi)
+		return w.filterRows(pred, in, lo, hi, keepSink(keep))
 	})
 	if err != nil {
 		return nil, err

@@ -23,15 +23,11 @@ import (
 // "run this query another way", not as a failure.
 var ErrPartialUnsupported = errors.New("query shape not supported for partial aggregation")
 
-// PartialGroup is one group's exported state: the GROUP BY key values,
-// one partial state per aggregate call in plan order, and the index of
-// the group's first post-filter input row on this shard (coordinators
-// combine it with a global-sequence aggregate to reproduce first-seen
-// output order).
+// PartialGroup is one group's exported state: the GROUP BY key values
+// and one partial state per aggregate call in plan order.
 type PartialGroup struct {
 	Key    []sqltypes.Value
 	States []fn.AggState
-	Order  int
 }
 
 // PartialResult is a shard's answer to a partial-aggregation request.
@@ -83,14 +79,14 @@ func PartialAggregate(ctx context.Context, root plan.Node, groups, aggs int, set
 		return nil, err
 	}
 	rt := newRuntime(ctx, settings)
-	in, err := rt.run(agg.Input)
+	// The Aggregate's own fold, serial even on a parallel-capable
+	// runtime: one grouping set, so one table, in first-input-row order.
+	fd, err := rt.openFeed(env, true)
 	if err != nil {
 		return nil, err
 	}
-	// One grouping set, so one table; the serial accumulate path keeps
-	// group order = first input row even with a parallel-capable runtime.
-	tables := newSetTables(1)
-	if err := rt.accumulateRows(env, tables, in, 0, len(in)); err != nil {
+	tables, _, err := rt.foldFeed(env, fd)
+	if err != nil {
 		return nil, err
 	}
 
@@ -101,7 +97,7 @@ func PartialAggregate(ctx context.Context, root plan.Node, groups, aggs int, set
 	sortAccs(accs)
 	out := &PartialResult{Groups: make([]PartialGroup, len(accs))}
 	for i, acc := range accs {
-		out.Groups[i] = PartialGroup{Key: acc.keyVals, States: acc.states, Order: acc.order}
+		out.Groups[i] = PartialGroup{Key: acc.keyVals, States: acc.states}
 	}
 	return out, nil
 }

@@ -520,61 +520,95 @@ func (rt *runtime) runJoin(j *plan.Join) ([]Row, error) {
 	return out, nil
 }
 
-// probeChunk probes left[lo:hi] against the build index, appending
+// probeChunk probes left[lo:hi] against the build index, returning the
 // output rows in left-row order; matched (when non-nil) records right
 // rows that found a partner. Left keys are encoded into one scratch
 // buffer and output rows carved from blocks, so the chunk allocates per
 // block of output, not per row.
 func (env *joinEnv) probeChunk(rt *runtime, left, right []Row, index *joinIndex, matched []bool, lo, hi int) ([]Row, error) {
-	j := env.j
-	blk := newRowBlock(env.leftWidth+env.rightWidth, min(hi-lo, maxBlockRows))
-	var out []Row
-	var key []byte
-	for li := lo; li < hi; li++ {
-		if err := rt.tick(); err != nil {
-			return nil, err
-		}
-		lrow := left[li]
-		var null bool
-		var err error
-		if key, null, err = appendJoinKey(rt, env.prog.left, lrow, key[:0]); err != nil {
-			return nil, err
-		}
-		found := false
-		if s, ok := index.slots[string(key)]; ok && !null {
-			for ri := index.first[s] - 1; ri >= 0; ri = index.next[ri] - 1 {
-				row := env.concat(blk.next(), lrow, right[ri])
-				ok, err := env.residualOK(rt, row)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					blk.reuse(row)
-					continue
-				}
-				found = true
-				if matched != nil {
-					matched[ri] = true
-				}
-				if j.Kind == plan.JoinSemi {
-					blk.reuse(row)
-					break
-				}
-				out = append(out, row)
+	out := &joinRows{blk: newRowBlock(env.leftWidth+env.rightWidth, min(hi-lo, maxBlockRows))}
+	p := &probe{env: env, index: index, right: right, matched: matched, out: out}
+	if err := emitRows(rt, left, lo, hi, p); err != nil {
+		return nil, err
+	}
+	return out.rows, nil
+}
+
+// joinRows is the materializing sink of a hash join: output rows carved
+// from blocks, kept in order.
+type joinRows struct {
+	blk  *rowBlock
+	rows []Row
+}
+
+func (o *joinRows) next() Row     { return o.blk.next() }
+func (o *joinRows) reuse(row Row) { o.blk.reuse(row) }
+func (o *joinRows) emit(_ *runtime, row Row, _ int) error {
+	o.rows = append(o.rows, row)
+	return nil
+}
+
+// probe is a hash join's probe loop body: each left row it is handed is
+// matched against the build index and the joined rows — built in rows
+// out hands out — go to out, which keeps them (joinRows) or folds them
+// (aggFold, fuse.go). A joined row's order is (left row, rank of the
+// match in its chain), so the order of the output the materialized join
+// makes.
+type probe struct {
+	env     *joinEnv
+	index   *joinIndex
+	right   []Row
+	matched []bool
+	out     joinSink
+	key     []byte
+	// in counts the left rows handed in: a fused probe Filter's output.
+	in tally
+}
+
+func (p *probe) emit(w *runtime, lrow Row, li int) error {
+	p.in.add(lrow)
+	env := p.env
+	var null bool
+	var err error
+	if p.key, null, err = appendJoinKey(w, env.prog.left, lrow, p.key[:0]); err != nil {
+		return err
+	}
+	found := false
+	if s, ok := p.index.slots[string(p.key)]; ok && !null {
+		for ri, rank := p.index.first[s]-1, 0; ri >= 0; ri, rank = p.index.next[ri]-1, rank+1 {
+			row := env.concat(p.out.next(), lrow, p.right[ri])
+			ok, err := env.residualOK(w, row)
+			if err != nil {
+				return err
 			}
-		}
-		switch j.Kind {
-		case plan.JoinSemi:
-			if found {
-				out = append(out, lrow)
+			if !ok {
+				p.out.reuse(row)
+				continue
 			}
-		case plan.JoinLeft, plan.JoinFull:
-			if !found {
-				out = append(out, env.concat(blk.next(), lrow, env.rightNulls))
+			found = true
+			if p.matched != nil {
+				p.matched[ri] = true
+			}
+			if env.j.Kind == plan.JoinSemi {
+				p.out.reuse(row)
+				break
+			}
+			if err := p.out.emit(w, row, li<<32|rank); err != nil {
+				return err
 			}
 		}
 	}
-	return out, nil
+	switch env.j.Kind {
+	case plan.JoinSemi:
+		if found {
+			return p.out.emit(w, lrow, li<<32)
+		}
+	case plan.JoinLeft, plan.JoinFull:
+		if !found {
+			return p.out.emit(w, env.concat(p.out.next(), lrow, env.rightNulls), li<<32)
+		}
+	}
+	return nil
 }
 
 // runHashJoin builds a hash index over the right (build) side and
@@ -693,13 +727,16 @@ func (rt *runtime) runNestedLoopJoin(env *joinEnv, left, right []Row) ([]Row, []
 	return out, matched, nil
 }
 
+// sortRows orders rows by items, stably. Every row's key tuple is
+// carved from one block, so a call allocates per call, not per row.
 func (rt *runtime) sortRows(rows []Row, items []plan.SortItem, keyFns []evalFn) ([]Row, error) {
-	keys := make([][]sqltypes.Value, len(rows))
+	w := len(items)
+	keys := make([]sqltypes.Value, len(rows)*w)
 	for i, row := range rows {
 		if err := rt.tick(); err != nil {
 			return nil, err
 		}
-		k := make([]sqltypes.Value, len(items))
+		k := keys[i*w : (i+1)*w]
 		for j, f := range keyFns {
 			v, err := f(rt, row)
 			if err != nil {
@@ -707,7 +744,6 @@ func (rt *runtime) sortRows(rows []Row, items []plan.SortItem, keyFns []evalFn) 
 			}
 			k[j] = v
 		}
-		keys[i] = k
 	}
 	idx := make([]int, len(rows))
 	for i := range idx {
@@ -715,7 +751,7 @@ func (rt *runtime) sortRows(rows []Row, items []plan.SortItem, keyFns []evalFn) 
 	}
 	var sortErr error
 	sort.SliceStable(idx, func(a, b int) bool {
-		ka, kb := keys[idx[a]], keys[idx[b]]
+		ka, kb := keys[idx[a]*w:(idx[a]+1)*w], keys[idx[b]*w:(idx[b]+1)*w]
 		for j, item := range items {
 			c, err := compareForSort(ka[j], kb[j], item)
 			if err != nil && sortErr == nil {

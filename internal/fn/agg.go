@@ -3,6 +3,8 @@ package fn
 import (
 	"fmt"
 	"math"
+	"math/big"
+	"math/bits"
 	"strings"
 
 	"github.com/measures-sql/msql/internal/sqltypes"
@@ -177,23 +179,48 @@ func (s *sumState) Result() sqltypes.Value {
 	return sqltypes.NewFloat(s.fltSum)
 }
 
+// avgState accumulates AVG. Over DOUBLE it keeps a running float sum,
+// which is order-sensitive. Over INTEGER it keeps the exact sum in two
+// words (hi:lo, a 128-bit two's-complement integer) and rounds once, in
+// Result: states then merge exactly in any split, and the mean is the
+// correctly rounded quotient — the value a float sum gives whenever that
+// sum was exact (|sum| < 2^53), independent of row order beyond it.
 type avgState struct {
 	n   int64
 	sum float64
+	// exact: the argument is INTEGER and hi:lo holds its sum.
+	exact bool
+	hi    int64
+	lo    uint64
 }
 
 func (s *avgState) Add(args []sqltypes.Value) error {
 	s.n++
+	if s.exact {
+		s.addExact(args[0].I>>63, uint64(args[0].I))
+		return nil
+	}
 	s.sum += args[0].AsFloat()
 	return nil
 }
 
+// addExact adds the 128-bit integer hi:lo to the exact sum.
+func (s *avgState) addExact(hi int64, lo uint64) {
+	var carry uint64
+	s.lo, carry = bits.Add64(s.lo, lo, 0)
+	s.hi += hi + int64(carry)
+}
+
 func (s *avgState) Merge(other AggState) error {
 	o, ok := other.(*avgState)
-	if !ok {
+	if !ok || o.exact != s.exact {
 		return mergeTypeError(s, other)
 	}
 	s.n += o.n
+	if s.exact {
+		s.addExact(o.hi, o.lo)
+		return nil
+	}
 	s.sum += o.sum
 	return nil
 }
@@ -202,7 +229,19 @@ func (s *avgState) Result() sqltypes.Value {
 	if s.n == 0 {
 		return sqltypes.Null(sqltypes.KindFloat)
 	}
-	return sqltypes.NewFloat(s.sum / float64(s.n))
+	if !s.exact {
+		return sqltypes.NewFloat(s.sum / float64(s.n))
+	}
+	// A sum within ±2^53 converts exactly, and IEEE division rounds the
+	// quotient correctly; beyond that the quotient is rounded from the
+	// exact rational.
+	if v := int64(s.lo); s.hi == v>>63 && v >= -1<<53 && v <= 1<<53 {
+		return sqltypes.NewFloat(float64(v) / float64(s.n))
+	}
+	num := new(big.Int).Lsh(big.NewInt(s.hi), 64)
+	num.Add(num, new(big.Int).SetUint64(s.lo))
+	f, _ := new(big.Rat).SetFrac(num, big.NewInt(s.n)).Float64()
+	return sqltypes.NewFloat(f)
 }
 
 type minMaxState struct {
@@ -435,7 +474,12 @@ func init() {
 			}
 			return sqltypes.Type{Kind: sqltypes.KindFloat}, nil
 		},
-		New: func([]sqltypes.Type) AggState { return &avgState{} },
+		New: func(args []sqltypes.Type) AggState {
+			return &avgState{exact: avgExact(args)}
+		},
+		// An INTEGER mean is folded exactly and rounded once; a DOUBLE
+		// mean is order-sensitive.
+		ExactMerge: avgExact,
 	})
 	minMax := func(name string, wantLess bool) {
 		registerAgg(&Agg{
@@ -481,6 +525,11 @@ func init() {
 	}
 	argExtreme("ARG_MAX", false)
 	argExtreme("ARG_MIN", true)
+}
+
+// avgExact reports whether AVG over args keeps an exact integer sum.
+func avgExact(args []sqltypes.Type) bool {
+	return len(args) > 0 && args[0].Kind == sqltypes.KindInt
 }
 
 // CheckAggArity validates an aggregate call's argument count.

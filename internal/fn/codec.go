@@ -27,6 +27,7 @@ const (
 	tagVar        = 5
 	tagAnyValue   = 6
 	tagArgExtreme = 7
+	tagAvgExact   = 8
 )
 
 // byteReader is a bounds-checked cursor over an untrusted buffer.
@@ -64,6 +65,15 @@ func (r *byteReader) varint() (int64, error) {
 	return v, nil
 }
 
+func (r *byteReader) uint64() (uint64, error) {
+	if len(r.buf)-r.off < 8 {
+		return 0, fmt.Errorf("state codec: truncated word at offset %d", r.off)
+	}
+	v := binary.LittleEndian.Uint64(r.buf[r.off:])
+	r.off += 8
+	return v, nil
+}
+
 func (r *byteReader) float() (float64, error) {
 	if len(r.buf)-r.off < 8 {
 		return 0, fmt.Errorf("state codec: truncated float at offset %d", r.off)
@@ -93,6 +103,13 @@ func AppendState(dst []byte, s AggState) ([]byte, error) {
 		dst = binary.AppendVarint(dst, s.intSum)
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(s.fltSum))
 	case *avgState:
+		if s.exact {
+			dst = append(dst, tagAvgExact)
+			dst = binary.AppendVarint(dst, s.n)
+			dst = binary.AppendVarint(dst, s.hi)
+			dst = binary.LittleEndian.AppendUint64(dst, s.lo)
+			break
+		}
 		dst = append(dst, tagAvg)
 		dst = binary.AppendVarint(dst, s.n)
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(s.sum))
@@ -190,6 +207,26 @@ func (r *byteReader) state() (AggState, error) {
 			return nil, err
 		}
 		return &avgState{n: n, sum: sum}, nil
+	case tagAvgExact:
+		n, err := r.varint()
+		if err != nil {
+			return nil, err
+		}
+		if n < 0 {
+			return nil, fmt.Errorf("state codec: negative AVG count %d", n)
+		}
+		hi, err := r.varint()
+		if err != nil {
+			return nil, err
+		}
+		lo, err := r.uint64()
+		if err != nil {
+			return nil, err
+		}
+		if n == 0 && (hi != 0 || lo != 0) {
+			return nil, fmt.Errorf("state codec: AVG of no rows with a non-zero sum")
+		}
+		return &avgState{n: n, exact: true, hi: hi, lo: lo}, nil
 	case tagMinMax:
 		wantLess, err := r.bool()
 		if err != nil {

@@ -18,14 +18,16 @@ type aggCase struct {
 	argTypes []sqltypes.Type
 }
 
-// codecCases covers every registered aggregate at least once; SUM twice
-// to hit both the exact integer and the order-sensitive float paths.
+// codecCases covers every registered aggregate at least once; SUM and
+// AVG twice to hit both the exact integer and the order-sensitive float
+// paths.
 func codecCases() []aggCase {
 	return []aggCase{
 		{"COUNT", nil},
 		{"SUM", []sqltypes.Type{typ(sqltypes.KindInt)}},
 		{"SUM", []sqltypes.Type{typ(sqltypes.KindFloat)}},
 		{"AVG", []sqltypes.Type{typ(sqltypes.KindFloat)}},
+		{"AVG", []sqltypes.Type{typ(sqltypes.KindInt)}},
 		{"MIN", []sqltypes.Type{typ(sqltypes.KindInt)}},
 		{"MAX", []sqltypes.Type{typ(sqltypes.KindString)}},
 		{"VAR_POP", []sqltypes.Type{typ(sqltypes.KindFloat)}},
@@ -311,6 +313,10 @@ func TestStateCodecRejectsMalformed(t *testing.T) {
 		"var_truncated":       {tagVar, 0, 0, 4, 0, 0, 0},
 		"any_bad_value_kind":  {tagAnyValue, 1, 42},
 		"argmax_half_pair":    {tagArgExtreme, 0, 1, byte(sqltypes.KindInt), 2},
+		"avg_exact_truncated": {tagAvgExact, 4, 0, 1, 2, 3},
+		"avg_exact_negative":  {tagAvgExact, 0x01, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		"avg_exact_no_hi":     {tagAvgExact, 4},
+		"avg_exact_no_rows":   {tagAvgExact, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0},
 	}
 	for name, buf := range cases {
 		if _, _, err := DecodeState(buf); err == nil {
@@ -326,6 +332,46 @@ func TestStateCodecRejectsMalformed(t *testing.T) {
 	hugeTup := []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10}
 	if _, _, err := DecodeValues(hugeTup); err == nil {
 		t.Error("oversized tuple count accepted")
+	}
+}
+
+// AVG over DOUBLE keeps its wire form; AVG over INTEGER ships its exact
+// two-word sum under a tag of its own, and a state decoded from it merges
+// only with its own kind.
+func TestAvgStateBytes(t *testing.T) {
+	def, _ := LookupAgg("AVG")
+	fl := def.New([]sqltypes.Type{typ(sqltypes.KindFloat)})
+	for _, f := range []float64{1.5, 2} {
+		if err := fl.Add([]sqltypes.Value{sqltypes.NewFloat(f)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf, err := EncodeState(fl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []byte{tagAvg, 4, 0, 0, 0, 0, 0, 0, 0x0c, 0x40} // count 2, sum 3.5
+	if !bytes.Equal(buf, want) {
+		t.Fatalf("float AVG state encodes as %x, want %x", buf, want)
+	}
+	in := def.New([]sqltypes.Type{typ(sqltypes.KindInt)})
+	for _, v := range []int64{math.MinInt64, math.MinInt64, 5} {
+		if err := in.Add([]sqltypes.Value{sqltypes.NewInt(v)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if buf, err = EncodeState(in); err != nil || buf[0] != tagAvgExact {
+		t.Fatalf("integer AVG state encodes as %x, err %v", buf, err)
+	}
+	dec, n, err := DecodeState(buf)
+	if err != nil || n != len(buf) {
+		t.Fatalf("decode: %d of %d bytes, err %v", n, len(buf), err)
+	}
+	if got, want := dec.Result(), in.Result(); got.F() != want.F() || want.F() != (2*math.MinInt64+5)/3.0 {
+		t.Fatalf("decoded mean %v, encoded %v", got, want)
+	}
+	if err := dec.Merge(fl); err == nil {
+		t.Fatal("an exact AVG state merged a float one")
 	}
 }
 

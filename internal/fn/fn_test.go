@@ -1,6 +1,7 @@
 package fn
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -376,5 +377,49 @@ func TestAggStatesCopyWhatTheyKeep(t *testing.T) {
 	}
 	if checked < len(aggs) {
 		t.Fatalf("checked %d aggregate × kind pairs for %d aggregates", checked, len(aggs))
+	}
+}
+
+// AVG over INTEGER keeps the exact sum: beyond 2^53 the mean does not
+// depend on the order of the rows or on how they were split into merged
+// partial states, and it is the correctly rounded quotient.
+func TestAvgIntegerIsExact(t *testing.T) {
+	def, _ := LookupAgg("AVG")
+	ints := []sqltypes.Type{{Kind: sqltypes.KindInt}}
+	if !def.MergesExactly(ints) || def.MergesExactly([]sqltypes.Type{{Kind: sqltypes.KindFloat}}) {
+		t.Fatal("AVG must merge exactly over INTEGER only")
+	}
+	mean := func(vals ...int64) float64 {
+		st := def.New(ints)
+		for _, v := range vals {
+			if err := st.Add([]sqltypes.Value{sqltypes.NewInt(v)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return st.Result().F()
+	}
+	const big = 1 << 53
+	// 9007199254740994 / 3 = 3002399751580331.33…, whose nearest double is
+	// …331.5; a running float sum loses the 1s when big comes first.
+	for _, order := range [][]int64{{big, 1, 1}, {1, 1, big}, {1, big, 1}} {
+		if got := mean(order...); got != 3002399751580331.5 {
+			t.Errorf("AVG%v = %v, want 3002399751580331.5", order, got)
+		}
+	}
+	// Below 2^53 the result is the float division of the sum, as before.
+	if got := mean(1, 2, 4); got != 7.0/3 {
+		t.Errorf("AVG(1, 2, 4) = %v, want %v", got, 7.0/3)
+	}
+	// The sum may leave int64 without the mean doing so.
+	if got := mean(math.MaxInt64, math.MaxInt64, math.MaxInt64); got != float64(math.MaxInt64) {
+		t.Errorf("AVG of three MaxInt64 = %v", got)
+	}
+	a, b := def.New(ints), def.New(ints)
+	for _, v := range []int64{big, 1} {
+		_ = a.Add([]sqltypes.Value{sqltypes.NewInt(v)})
+	}
+	_ = b.Add([]sqltypes.Value{sqltypes.NewInt(1)})
+	if err := a.Merge(b); err != nil || a.Result().F() != 3002399751580331.5 {
+		t.Errorf("merged AVG = %v, err %v", a.Result(), err)
 	}
 }

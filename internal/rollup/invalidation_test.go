@@ -49,13 +49,14 @@ func queryStrings(t *testing.T, s *engine.Session, sql string) []string {
 	return out
 }
 
-// TestDirtyMarkingOnOrderSensitiveAggregates: AVG states do not merge
-// exactly, so an INSERT delta must not fold into them in place — the
+// TestDirtyMarkingOnOrderSensitiveAggregates: AVG over DOUBLE does not
+// merge exactly, so an INSERT delta must not fold into it in place — the
 // next query marks the touched groups dirty and rebuilds them, and only
-// them, from base rows.
+// them, from base rows. AVG over INTEGER sums exactly and absorbs the
+// delta in place.
 func TestDirtyMarkingOnOrderSensitiveAggregates(t *testing.T) {
 	s := newRollupSession(t)
-	q := `SELECT region, AVG(amount) FROM Sales GROUP BY region`
+	q := `SELECT region, AVG(amount * 1.0) FROM Sales GROUP BY region`
 	queryStrings(t, s, q)
 	st := s.RollupStats()
 	if st.Hits == 0 {
@@ -83,6 +84,18 @@ func TestDirtyMarkingOnOrderSensitiveAggregates(t *testing.T) {
 	// touched.
 	if st.Rebuilds != 3 {
 		t.Fatalf("rebuilds = %d, want 2 (build) + 1 (east): %+v", st.Rebuilds, st)
+	}
+
+	s = newRollupSession(t)
+	q = `SELECT region, AVG(amount) FROM Sales GROUP BY region`
+	queryStrings(t, s, q)
+	mustExec(t, s, `INSERT INTO Sales VALUES ('east', 50)`)
+	if got := queryStrings(t, s, q); len(got) != 2 || got[0] != "east|30.0" || got[1] != "west|20.0" {
+		t.Fatalf("post-insert integer AVG rows = %v", got)
+	}
+	// 3 rows at the build, 1 in the delta; nothing dirty-marked.
+	if st := s.RollupStats(); st.IncrementalRows != 4 || st.Rebuilds != 0 || st.DirtyGroups != 0 {
+		t.Fatalf("integer AVG did not absorb the delta in place: %+v", st)
 	}
 }
 

@@ -56,3 +56,21 @@ func TestBigIntegerKeys(t *testing.T) {
 		same("prepared run "+string(rune('1'+i)), exactRows(res), tc.want)
 	}
 }
+
+// TestAvgIntegerBeyond2p53: AVG over INTEGER sums exactly and rounds
+// once, so the order rows were inserted in — the order a scan folds them
+// in — does not change the mean once the sum passes 2^53.
+func TestAvgIntegerBeyond2p53(t *testing.T) {
+	for _, order := range []string{"(9007199254740992), (1), (1)", "(1), (1), (9007199254740992)"} {
+		db := msql.Open()
+		db.MustExec(`CREATE TABLE t (x INTEGER); INSERT INTO t VALUES ` + order)
+		res, err := db.Query(`SELECT AVG(x), SUM(x) FROM t`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 9007199254740994 / 3, correctly rounded: 3.0023997515803315e+15.
+		if got, want := exactRows(res), "0x1.5555555555557p+51|9007199254740994"; len(got) != 1 || got[0] != want {
+			t.Errorf("rows inserted %s: AVG, SUM = %v, want %s", order, got, want)
+		}
+	}
+}
