@@ -27,6 +27,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"github.com/measures-sql/msql/internal/exec"
@@ -41,7 +42,7 @@ const maxRequestBytes = 1 << 20
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	endpoints := []endpoint{s.queryEndpoint("/query", nil), s.queryEndpoint("/query.ndjson", writeNDJSON)}
+	endpoints := []endpoint{s.queryEndpoint("/query", appendResult, ""), s.queryEndpoint("/query.ndjson", appendStream, "application/x-ndjson")}
 	if s.node != nil {
 		endpoints = append(endpoints, s.prepareEndpoint(), s.executeEndpoint(), s.partialEndpoint(), s.applyEndpoint())
 		mux.HandleFunc("/catalog", s.serveCatalog)
@@ -87,8 +88,11 @@ type endpoint struct {
 	// endpoint whose reply object reports the catalog version; nil
 	// replies with a wire.QueryResponse.
 	failBody func(version int64, we *wire.Error) any
-	// frame writes a success body; nil encodes it as one JSON object.
-	frame func(w http.ResponseWriter, body any)
+	// frame appends a success body to dst; nil appends it as one JSON
+	// object through encoding/json.
+	frame func(dst []byte, body any) ([]byte, error)
+	// contentType labels a success body; empty is application/json.
+	contentType string
 }
 
 // statement is one decoded request as the envelope sees it.
@@ -151,12 +155,14 @@ type reply struct {
 	version   int64 // catalog version reported next to err
 	body      any
 	rows      int
+	out       *[]byte // the encoded success body, a pooled buffer
 }
 
 // serve is the request envelope of every statement endpoint. process
-// decides the reply; then, in order: the slot is held until the reply
-// is written, the outcome ledger gets exactly one code, the access log
-// exactly one line, and the reply is framed.
+// decides the reply, a success body already encoded; then, in order:
+// the slot is held until the reply is written, the outcome ledger gets
+// exactly one code, the access log exactly one line, and the reply is
+// written.
 func (s *Server) serve(ep endpoint) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -175,10 +181,15 @@ func (s *Server) serve(ep endpoint) http.HandlerFunc {
 		}
 		s.logAccess(ep.path, rep.requestID, rep.status, rep.code, time.Since(start), rep.rows)
 		switch {
-		case rep.err == nil && ep.frame != nil:
-			ep.frame(w, rep.body)
 		case rep.err == nil:
-			writeJSON(w, http.StatusOK, rep.body)
+			contentType := ep.contentType
+			if contentType == "" {
+				contentType = "application/json"
+			}
+			w.Header().Set("Content-Type", contentType)
+			w.WriteHeader(http.StatusOK)
+			w.Write(*rep.out)
+			putBuffer(rep.out)
 		case ep.failBody != nil && rep.admitted:
 			s.writeError(w, rep.status, ep.failBody(rep.version, rep.err))
 		default:
@@ -192,7 +203,10 @@ func (s *Server) serve(ep endpoint) http.HandlerFunc {
 // RUNTIME/500), bounded decode, request-ID resolution and echo, the
 // accept failpoint and admission control, the catalog-version guard,
 // the statement context (canceled with the client connection or by the
-// drain deadline), the timeout clamp, the backend call.
+// drain deadline), the timeout clamp, the backend call, and the
+// encoding of its reply — before any status is chosen, so a result the
+// wire cannot carry (a non-finite DOUBLE) is that request's RUNTIME
+// error, not a 200 with a broken body.
 func (s *Server) process(ep *endpoint, w http.ResponseWriter, r *http.Request) (rep reply) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -242,6 +256,10 @@ func (s *Server) process(ep *endpoint, w http.ResponseWriter, r *http.Request) (
 
 	if rep.body, rep.rows, err = st.run(ctx, opts); err != nil {
 		s.fail(&rep, 0, err)
+		return rep
+	}
+	if rep.out, err = encodeReply(ep.frame, rep.body); err != nil {
+		s.fail(&rep, 0, exec.Wrap(err, exec.CodeRuntime, exec.PhaseExecute))
 		return rep
 	}
 	rep.status = http.StatusOK
@@ -306,6 +324,51 @@ func shed(hint, format string, args ...any) error {
 		Err: fmt.Errorf(format, args...)}
 }
 
+// maxPooledBuffer bounds the reply buffers kept for reuse, so one huge
+// reply does not pin its buffer for the life of the process.
+const maxPooledBuffer = 1 << 20
+
+var bufferPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// encodeReply frames body into a pooled buffer (frame nil: appendJSON),
+// which the caller hands back to putBuffer once it is written.
+func encodeReply(frame func([]byte, any) ([]byte, error), body any) (*[]byte, error) {
+	if frame == nil {
+		frame = appendJSON
+	}
+	buf := bufferPool.Get().(*[]byte)
+	var err error
+	if *buf, err = frame((*buf)[:0], body); err != nil {
+		putBuffer(buf)
+		return nil, err
+	}
+	return buf, nil
+}
+
+func putBuffer(buf *[]byte) {
+	if cap(*buf) <= maxPooledBuffer {
+		bufferPool.Put(buf)
+	}
+}
+
+// appendJSON frames the rare success bodies (/prepare, /apply) through
+// encoding/json: the bytes json.NewEncoder(w).Encode writes.
+func appendJSON(dst []byte, body any) ([]byte, error) {
+	b, err := json.Marshal(body)
+	return append(append(dst, b...), '\n'), err
+}
+
+// appendResult frames a /query or /execute result as one JSON object.
+func appendResult(dst []byte, body any) ([]byte, error) {
+	return body.(*wire.Result).AppendReply(dst)
+}
+
+// appendStream frames a query result as a header line, one line per row
+// and a trailer.
+func appendStream(dst []byte, body any) ([]byte, error) {
+	return body.(*wire.Result).AppendStream(dst)
+}
+
 // writeJSON sends one JSON object.
 func writeJSON(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -331,9 +394,9 @@ func (s *Server) writeError(w http.ResponseWriter, status int, body any) {
 
 // queryEndpoint is POST /query and /query.ndjson: run a script, answer
 // with its last result.
-func (s *Server) queryEndpoint(path string, frame func(http.ResponseWriter, any)) endpoint {
+func (s *Server) queryEndpoint(path string, frame func([]byte, any) ([]byte, error), contentType string) endpoint {
 	return endpoint{
-		path: path, source: "wire", frame: frame,
+		path: path, source: "wire", frame: frame, contentType: contentType,
 		hint: `POST a JSON body like {"sql": "SELECT ..."}`,
 		decode: decodeAs(func(req *wire.QueryRequest) (statement, error) {
 			if req.SQL == "" {
@@ -346,40 +409,13 @@ func (s *Server) queryEndpoint(path string, frame func(http.ResponseWriter, any)
 					if err != nil {
 						return nil, 0, err
 					}
-					resp := &wire.QueryResponse{Message: "ok"}
+					res := &wire.Result{Message: "ok"}
 					if len(results) > 0 {
-						resp = resultBody(results[len(results)-1])
+						res = (*wire.Result)(results[len(results)-1])
 					}
-					return resp, len(resp.Rows), nil
+					return res, len(res.Rows), nil
 				},
 			}, nil
 		}),
 	}
-}
-
-// resultBody is one result on the wire: rows for a query, a message
-// for DDL/DML.
-func resultBody(res *msql.Result) *wire.QueryResponse {
-	if res.Rows == nil && len(res.Columns) == 0 {
-		return &wire.QueryResponse{Message: res.Message}
-	}
-	resp := &wire.QueryResponse{Columns: res.Columns, Rows: wire.EncodeRows(res.Rows)}
-	resp.Types = make([]string, len(res.Types))
-	for i, t := range res.Types {
-		resp.Types[i] = t.String()
-	}
-	return resp
-}
-
-// writeNDJSON frames a query result as a header line, one line per row
-// and a trailer.
-func writeNDJSON(w http.ResponseWriter, body any) {
-	resp := body.(*wire.QueryResponse)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	enc.Encode(wire.Header{Columns: resp.Columns, Types: resp.Types})
-	for _, row := range resp.Rows {
-		enc.Encode(wire.RowLine{Row: row})
-	}
-	enc.Encode(wire.Trailer{Done: true, Rows: len(resp.Rows)})
 }

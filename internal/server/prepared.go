@@ -42,7 +42,7 @@ func (s *Server) prepareEndpoint() endpoint {
 // named statement through the plan cache.
 func (s *Server) executeEndpoint() endpoint {
 	return endpoint{
-		path: "/execute", source: "wire",
+		path: "/execute", source: "wire", frame: appendResult,
 		hint: `POST a JSON body like {"name": "q", "params": [{"type":"INTEGER","value":3}]}`,
 		decode: decodeAs(func(req *wire.ExecuteRequest) (statement, error) {
 			if req.Name == "" {
@@ -59,8 +59,7 @@ func (s *Server) executeEndpoint() endpoint {
 					if err != nil {
 						return nil, 0, err
 					}
-					resp := resultBody(res)
-					return resp, len(resp.Rows), nil
+					return (*wire.Result)(res), len(res.Rows), nil
 				},
 			}, nil
 		}),

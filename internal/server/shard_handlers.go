@@ -47,6 +47,10 @@ func (s *Server) partialEndpoint() endpoint {
 	return endpoint{
 		path: "/partial", source: "shard",
 		failBody: func(v int64, we *wire.Error) any { return wire.PartialResponse{Version: v, Error: we} },
+		frame: func(dst []byte, body any) ([]byte, error) {
+			p := body.(*partialBody)
+			return wire.AppendPartial(dst, p.version, p.groups)
+		},
 		decode: decodeAs(func(req *wire.PartialRequest) (statement, error) {
 			return statement{
 				requestID: req.RequestID, timeoutMs: req.TimeoutMillis, expect: req.ExpectVersion,
@@ -55,19 +59,17 @@ func (s *Server) partialEndpoint() endpoint {
 					if err != nil {
 						return nil, 0, err
 					}
-					resp := wire.PartialResponse{Version: s.node.CatalogVersion(), Groups: make([]wire.PartialGroup, len(res.Groups))}
-					for i, g := range res.Groups {
-						states, err := wire.EncodeStates(g.States)
-						if err != nil {
-							return nil, 0, exec.Wrap(err, exec.CodeRuntime, exec.PhaseExecute)
-						}
-						resp.Groups[i] = wire.PartialGroup{Key: wire.EncodeKey(g.Key), States: states}
-					}
-					return resp, len(resp.Groups), nil
+					return &partialBody{s.node.CatalogVersion(), res.Groups}, len(res.Groups), nil
 				},
 			}, nil
 		}),
 	}
+}
+
+// partialBody is a /partial success body before encoding.
+type partialBody struct {
+	version int64
+	groups  []exec.PartialGroup
 }
 
 // applyEndpoint is POST /apply: a statement or a pre-partitioned row

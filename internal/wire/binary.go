@@ -22,6 +22,8 @@ import (
 const maxBinaryRows = 1 << 22
 
 // EncodeKey encodes a group key (or any value tuple) canonically.
+// AppendPartial writes the same bytes in place; EncodeKey and
+// EncodeStates remain its test oracle.
 func EncodeKey(vals []sqltypes.Value) string {
 	return base64.StdEncoding.EncodeToString(sqltypes.AppendValues(nil, vals))
 }

@@ -99,8 +99,10 @@ func New(baseURL string, opts ...Option) *Client {
 }
 
 // Result is one statement's rows as they came off the wire. Values are
-// JSON-native: nil, bool, json.Number-free float64/int64 depending on
-// decoding, and strings; Types names the SQL type of each column.
+// JSON-native: nil, bool, float64 for every number (json.Number under
+// WithRawNumbers; never int64), and strings; Types names the SQL type
+// of each column. Rows are capacity-limited, so appending to one never
+// writes into the next.
 type Result struct {
 	Columns []string
 	Types   []string
@@ -178,8 +180,10 @@ func (c *Client) Query(ctx context.Context, sql string, opts ...QueryOption) (*R
 }
 
 // QueryStream executes sql over the newline-delimited endpoint, calling
-// fn once per row as rows arrive. It applies the same retry policy as
-// Query (the stream has not started when an overload response arrives).
+// fn once per row, in order, as the reply's lines are decoded (the
+// server encodes a whole reply before sending it). It applies the same
+// retry policy as Query (the stream has not started when an overload
+// response arrives).
 func (c *Client) QueryStream(ctx context.Context, sql string, fn func(row []any) error) (*Result, error) {
 	if fn == nil {
 		fn = func([]any) error { return nil }
@@ -197,7 +201,7 @@ func (c *Client) query(ctx context.Context, path, sql string, rows func([]any) e
 	if err != nil {
 		return nil, err
 	}
-	return rep.result(o.req.RequestID), nil
+	return result(rep, o.req.RequestID), nil
 }
 
 // Kill cancels the in-flight query with the given session query ID (as
@@ -336,16 +340,8 @@ type call struct {
 	rows func(row []any) error
 }
 
-// reply is the union of the endpoints' JSON reply objects; each call
-// reads the fields its endpoint sets.
-type reply struct {
-	wire.QueryResponse                     // /query, /execute; Message and Error are every endpoint's
-	Version            int64               `json:"version"`    // /partial, /apply
-	Groups             []wire.PartialGroup `json:"groups"`     // /partial
-	NumParams          int                 `json:"num_params"` // /prepare
-}
-
-func (r *reply) result(requestID string) *Result {
+// result is a /query or /execute reply as the caller sees it.
+func result(r *wire.Reply, requestID string) *Result {
 	return &Result{Columns: r.Columns, Types: r.Types, Rows: r.Rows, Message: r.Message, RequestID: requestID}
 }
 
@@ -353,7 +349,7 @@ func (r *reply) result(requestID string) *Result {
 // in *id (the request's correlation ID field, generated when the caller
 // set none), sends req to k.path under the backoff policy, and returns
 // the decoded reply or the classified error of the last attempt.
-func (c *Client) roundTrip(ctx context.Context, k call, req any, id *string) (*reply, error) {
+func (c *Client) roundTrip(ctx context.Context, k call, req any, id *string) (*wire.Reply, error) {
 	if *id == "" {
 		*id = c.newRequestID()
 	}
@@ -392,21 +388,27 @@ func (c *Client) roundTrip(ctx context.Context, k call, req any, id *string) (*r
 // *VersionMismatchError; any other failure is the server's structured
 // error — or, when the body carries none, the bare status — retryable
 // exactly when the status is 429 or 503.
-func (c *Client) attempt(ctx context.Context, k *call, body []byte, id string) (*reply, error) {
+//
+// The body is read whole into a pooled buffer and decoded in one pass
+// (wire.DecodeReply, wire.DecodeStream), which copies out everything
+// the reply keeps. A read error surfaces only where decoding ran out of
+// bytes, as it would reading through a json.Decoder.
+func (c *Client) attempt(ctx context.Context, k *call, body []byte, id string) (*wire.Reply, error) {
 	resp, err := c.post(ctx, k.path, body, id)
 	if err != nil {
 		return nil, transportError(err, k.idempotent)
 	}
-	defer resp.Body.Close()
-	dec := json.NewDecoder(resp.Body)
-	if k.rawNumbers {
-		dec.UseNumber()
-	}
-	rep := &reply{}
+	buf, readErr := readReply(resp.Body)
+	defer putBody(buf)
+	resp.Body.Close()
+	rep := &wire.Reply{}
 	if k.rows != nil && resp.StatusCode == http.StatusOK {
-		err = decodeStream(dec, rep, k.rows)
+		err = wire.DecodeStream(*buf, k.rawNumbers, rep, k.rows)
 	} else {
-		err = dec.Decode(rep)
+		err = wire.DecodeReply(*buf, k.rawNumbers, rep)
+	}
+	if readErr != nil && (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) {
+		err = readErr
 	}
 	switch {
 	case err != nil && resp.StatusCode == http.StatusOK:
@@ -426,28 +428,35 @@ func (c *Client) attempt(ctx context.Context, k *call, body []byte, id string) (
 	return nil, err
 }
 
-// decodeStream reads an NDJSON reply — header, row lines, trailer —
-// into rep, handing each row to fn.
-func decodeStream(dec *json.Decoder, rep *reply, fn func(row []any) error) error {
-	var hdr wire.Header
-	if err := dec.Decode(&hdr); err != nil {
-		return fmt.Errorf("stream header: %w", err)
-	}
-	rep.Columns, rep.Types = hdr.Columns, hdr.Types
+// maxPooledBody bounds the reply buffers kept for reuse, so one huge
+// reply does not pin its buffer for the life of the process.
+const maxPooledBody = 1 << 20
+
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// readReply reads r to its end into a pooled buffer, which the caller
+// hands back to putBody once the reply is decoded; io.EOF is success.
+func readReply(r io.Reader) (*[]byte, error) {
+	buf := bodyPool.Get().(*[]byte)
+	b := (*buf)[:0]
 	for {
-		var line struct {
-			Row  []any `json:"row"`
-			Done bool  `json:"done"`
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
 		}
-		if err := dec.Decode(&line); err != nil {
-			return err
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			*buf = b
+			if err == io.EOF {
+				err = nil
+			}
+			return buf, err
 		}
-		if line.Done {
-			return nil
-		}
-		rep.Rows = append(rep.Rows, line.Row)
-		if err := fn(line.Row); err != nil {
-			return err
-		}
+	}
+}
+
+func putBody(buf *[]byte) {
+	if cap(*buf) <= maxPooledBody {
+		bodyPool.Put(buf)
 	}
 }

@@ -98,5 +98,5 @@ func (s *Stmt) ExecParams(ctx context.Context, params []Param, opts ...QueryOpti
 	if err != nil {
 		return nil, err
 	}
-	return rep.result(req.RequestID), nil
+	return result(rep, req.RequestID), nil
 }
