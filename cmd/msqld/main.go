@@ -53,7 +53,7 @@ func main() {
 		paper        = flag.Bool("paper", false, "preload the paper's example data")
 		file         = flag.String("f", "", "run a SQL script before serving (schema/data setup)")
 		strategy     = flag.String("strategy", "default", "measure strategy: default | memo | naive")
-		workers      = flag.Int("workers", 0, "executor workers per query (0 = one per CPU)")
+		workers      = flag.Int("workers", 0, "executor workers per query (0 = up to one per CPU; each other statement in progress takes one away)")
 		maxInflight  = flag.Int("max-inflight", 8, "max concurrently executing statements")
 		maxQueue     = flag.Int("max-queue", 0, "max queued statements (0 = 2×max-inflight)")
 		queueWait    = flag.Duration("queue-wait", time.Second, "max time a request waits for an execution slot")

@@ -329,12 +329,14 @@ func (t *setTable) group(env *aggEnv, key []byte, set []int, keyVals []sqltypes.
 // either by chunk-merging partial states (exact-merge aggregates) or by
 // partitioning groups across workers (order-sensitive aggregates); both
 // order groups by first input row, reproducing the serial output exactly.
+// The worker count is taken once, before the fusion check, and the fold
+// keeps it: what may fuse depends on whether the fold fans out.
 func (rt *runtime) runAggregate(n *plan.Aggregate) ([]Row, error) {
 	env, err := rt.aggEnv(n)
 	if err != nil {
 		return nil, err
 	}
-	fd, err := rt.openFeed(env, false)
+	fd, err := rt.openFeed(env, rt.spareWorkers())
 	if err != nil {
 		return nil, err
 	}
@@ -373,10 +375,7 @@ func (rt *runtime) foldFeed(env *aggEnv, fd *feed) ([]setTable, int, error) {
 
 	var tables []setTable
 	var err error
-	f := fanout{workers: 1}
-	if !fd.serial {
-		f = rt.rowParallelism(len(fd.rows), traits)
-	}
+	f := rowFanout(fd.workers, len(fd.rows), traits)
 	if f.workers > 1 {
 		rt.noteFanout(n, f.workers)
 		fd.noteFanout(rt, f.workers)

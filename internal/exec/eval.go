@@ -90,8 +90,11 @@ type Settings struct {
 	MemoizeSubqueries bool
 	// Workers bounds the number of goroutines an operator may fan out
 	// to. 0 means runtime.GOMAXPROCS(0); 1 runs every operator on the
-	// calling goroutine (the exact serial path). Results are identical
-	// for any value.
+	// calling goroutine (the exact serial path). Under the bound, each
+	// other execution in progress in the process takes one worker away,
+	// down to one: a statement alone fans out to the whole bound, and
+	// statements side by side share the processors. Results are identical
+	// for any value and any load.
 	Workers int
 	// Vectorized routes filter, project, and hash-aggregate through the
 	// columnar batch engine (internal/vec) where every expression either
@@ -186,8 +189,9 @@ type runtime struct {
 	// outer is the stack of outer-frame rows; a CorrRef at level L reads
 	// outer[len(outer)-L].
 	outer []Row
-	// workers is this goroutine's parallelism budget for the operators
-	// it executes; worker runtimes get 1 so fan-out never nests.
+	// workers bounds this goroutine's parallelism for the operators it
+	// executes (spareWorkers takes the executions in progress off it);
+	// worker runtimes get 1 so fan-out never nests.
 	workers int
 	// steps counts rows processed since the last cancellation check;
 	// tick amortizes the context poll over cancelCheckRows rows.

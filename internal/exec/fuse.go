@@ -18,8 +18,9 @@ package exec
 // runs vectorized, when the Filter is the one a partition answers from
 // its kept rows, and below a join that emits rows after the probe (RIGHT,
 // FULL) or has no equi keys. A fused join under an aggregate that is not
-// chunkMergeable fuses only on a serial runtime: the group-partitioned
-// path reads its input twice.
+// chunkMergeable fuses only when the fold is serial — on a serial runtime,
+// or when the executions in progress leave this one a single worker: the
+// group-partitioned path reads its input twice.
 //
 // Order: a fused Filter's row has the order of its scan row, a fused
 // join's row (probe row, rank of the match in its chain); both follow
@@ -77,7 +78,7 @@ func planFusion(n *plan.Aggregate) fusion {
 }
 
 // fusing returns what env's Aggregate folds in this execution; serial
-// reports a fold that will not fan out.
+// reports a fold that will not fan out, whatever the runtime's bound.
 func (rt *runtime) fusing(env *aggEnv, serial bool) fusion {
 	fu := env.fuse
 	if rt.sh.settings.Vectorized {
@@ -101,8 +102,8 @@ type feed struct {
 	fu   fusion
 	pred predFn      // the fused Filter's predicate
 	join *joinSource // the fused join's build side
-	// serial: the fold does not fan out.
-	serial bool
+	// workers bounds the fold's fan-out; 1 keeps it serial.
+	workers int
 	// start is when the chain began to run; passes is what each chunk's
 	// pass produced.
 	start  time.Time
@@ -118,11 +119,12 @@ type joinSource struct {
 
 func (fd *feed) fused() bool { return fd.fu != fusion{} }
 
-// openFeed runs what the Aggregate of env folds: its input, or the
-// sources of the chain it fuses and the join's build side.
-func (rt *runtime) openFeed(env *aggEnv, serial bool) (*feed, error) {
+// openFeed runs what the Aggregate of env folds over at most workers
+// workers: its input, or the sources of the chain it fuses and the
+// join's build side.
+func (rt *runtime) openFeed(env *aggEnv, workers int) (*feed, error) {
 	n := env.n
-	fd := &feed{fu: rt.fusing(env, serial), serial: serial}
+	fd := &feed{fu: rt.fusing(env, workers <= 1), workers: workers}
 	if !fd.fused() {
 		in, err := rt.run(n.Input)
 		if err != nil {

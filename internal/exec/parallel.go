@@ -35,6 +35,24 @@ func resolveWorkers(w int) int {
 	return w
 }
 
+// inProgress counts the executions in progress in this process: every
+// RunContext and PartialAggregate call, from entry to return. The
+// processors are the process's, so the count spans every session and
+// server in it.
+var inProgress atomic.Int64
+
+// spareWorkers is how many workers an operator of this execution may fan
+// out to now: the runtime's bound, less one for every other execution in
+// progress, and at least one. A statement running alone fans out to its
+// whole bound; statements running side by side share the processors
+// instead of each sending workers onto the others' (morsel-driven
+// scheduling's elastic degree of parallelism). Worker runtimes have a
+// bound of one, so fan-out never nests.
+func (rt *runtime) spareWorkers() int {
+	w := rt.workers
+	return min(w, max(1, w-int(inProgress.Load()-1)))
+}
+
 // child creates a worker runtime sharing this runtime's caches and
 // settings. The outer stack is copied so the worker's nested subquery
 // evaluation cannot alias the parent's; workers run nested plans
@@ -55,15 +73,19 @@ type fanout struct {
 
 // rowParallelism decides worker count and chunk size for a row-wise
 // operator over n input rows whose expressions have traits t. Serial
-// (one worker) unless the runtime has spare workers and every expression
+// (one worker) unless the execution has spare workers and every expression
 // is parallel-safe (no volatile functions). Expressions containing
 // subqueries make each row expensive — a handful of rows is then worth
 // fanning out at fine granularity (the memo strategy's Project over a
 // few hundred group contexts is exactly this shape); cheap expressions
 // need a large input and coarse morsels to amortize scheduling.
 func (rt *runtime) rowParallelism(n int, t exprTraits) fanout {
+	return rowFanout(rt.spareWorkers(), n, t)
+}
+
+// rowFanout is rowParallelism with at most w workers.
+func rowFanout(w, n int, t exprTraits) fanout {
 	serial := fanout{workers: 1}
-	w := rt.workers
 	if w <= 1 || n < 2 || t.serial() {
 		return serial
 	}
@@ -93,7 +115,7 @@ func (rt *runtime) rowParallelism(n int, t exprTraits) fanout {
 // is parallel-safe, and the work is worth fanning out (large input, or
 // subquery-bearing expressions that make each task expensive).
 func (rt *runtime) taskParallelism(nTasks, totalRows int, t exprTraits) int {
-	w := rt.workers
+	w := rt.spareWorkers()
 	if w <= 1 || nTasks < 2 || t.serial() {
 		return 1
 	}

@@ -44,6 +44,8 @@ type PartialResult struct {
 // cross-check the expected counts so a coordinator and shard that
 // planned different texts can never silently merge mismatched state.
 func PartialAggregate(ctx context.Context, root plan.Node, groups, aggs int, settings *Settings) (res *PartialResult, err error) {
+	inProgress.Add(1)
+	defer inProgress.Add(-1)
 	if settings == nil {
 		settings = DefaultSettings()
 	}
@@ -81,7 +83,7 @@ func PartialAggregate(ctx context.Context, root plan.Node, groups, aggs int, set
 	rt := newRuntime(ctx, settings)
 	// The Aggregate's own fold, serial even on a parallel-capable
 	// runtime: one grouping set, so one table, in first-input-row order.
-	fd, err := rt.openFeed(env, true)
+	fd, err := rt.openFeed(env, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,7 +24,11 @@ func Run(n plan.Node, settings *Settings) ([]Row, error) {
 // a CodeCanceled/CodeTimeout *Error. When settings.Limits.Timeout is
 // set and ctx has no deadline of its own, the timeout is applied here.
 // Internal panics are recovered and surfaced as CodeRuntime errors.
+// While it runs, the execution counts as in progress: every other
+// execution fans out to one worker fewer (spareWorkers).
 func RunContext(ctx context.Context, n plan.Node, settings *Settings) (rows []Row, err error) {
+	inProgress.Add(1)
+	defer inProgress.Add(-1)
 	if settings == nil {
 		settings = DefaultSettings()
 	}
@@ -727,8 +731,10 @@ func (rt *runtime) runNestedLoopJoin(env *joinEnv, left, right []Row) ([]Row, []
 	return out, matched, nil
 }
 
-// sortRows orders rows by items, stably. Every row's key tuple is
-// carved from one block, so a call allocates per call, not per row.
+// sortRows orders rows by items, stably: rows with equal keys keep their
+// input order, because the input position is the last key. Every row's
+// key tuple is carved from one block, so a call allocates per call, not
+// per row.
 func (rt *runtime) sortRows(rows []Row, items []plan.SortItem, keyFns []evalFn) ([]Row, error) {
 	w := len(items)
 	keys := make([]sqltypes.Value, len(rows)*w)
@@ -750,18 +756,18 @@ func (rt *runtime) sortRows(rows []Row, items []plan.SortItem, keyFns []evalFn) 
 		idx[i] = i
 	}
 	var sortErr error
-	sort.SliceStable(idx, func(a, b int) bool {
-		ka, kb := keys[idx[a]*w:(idx[a]+1)*w], keys[idx[b]*w:(idx[b]+1)*w]
+	slices.SortFunc(idx, func(a, b int) int {
+		ka, kb := keys[a*w:(a+1)*w], keys[b*w:(b+1)*w]
 		for j, item := range items {
 			c, err := compareForSort(ka[j], kb[j], item)
 			if err != nil && sortErr == nil {
 				sortErr = err
 			}
 			if c != 0 {
-				return c < 0
+				return c
 			}
 		}
-		return false
+		return a - b
 	})
 	if sortErr != nil {
 		return nil, sortErr

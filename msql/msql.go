@@ -187,8 +187,10 @@ func (db *DB) SetStrategy(s Strategy) {
 }
 
 // SetWorkers sets the executor's worker-goroutine budget for subsequent
-// statements: 0 means one worker per CPU, 1 runs the exact serial path.
-// Results are identical at every setting; only wall-clock time changes.
+// statements: 0 means up to one worker per CPU, 1 runs the exact serial
+// path. It is an upper bound: each other statement in progress in the
+// process takes one worker away, down to one. Results are identical at
+// every setting; only wall-clock time changes.
 func (db *DB) SetWorkers(n int) {
 	db.session.Update(func(ex *exec.Settings, _ *optimizer.Options) {
 		ex.Workers = n
@@ -239,7 +241,8 @@ func (db *DB) SetLimits(l Limits) {
 // Option adjusts a single Context call without touching session state.
 type Option func(*engine.Overrides)
 
-// WithWorkers overrides the worker budget for one call.
+// WithWorkers overrides the worker budget for one call; like SetWorkers,
+// it bounds the fan-out that other statements in progress leave.
 func WithWorkers(n int) Option {
 	return func(ov *engine.Overrides) { ov.Workers = &n }
 }
