@@ -24,10 +24,12 @@ type aggBinder struct {
 	groupIdx   map[string]int // groupExprs[i].String() -> i
 	grouping   map[int]int    // key index -> agg index of its GROUPING indicator
 	input      plan.Node      // the (filtered) aggregate input
-	spool      *plan.Spool    // the input's rows, published for context links; nil if none reads them
 	// rowLinks holds the link by position of each relation whose rows
 	// carry positions in input.
 	rowLinks map[*Rel]*rowLink
+	// rereads are the link reads of the naive strategy, given their
+	// groups once input is final.
+	rereads []reread
 }
 
 func (ab *aggBinder) nKeys() int       { return len(ab.groupExprs) }
@@ -176,7 +178,8 @@ func (b *Binder) bindAggSelect(sel *ast.Select, items []*selItem, orderBy []ast.
 	for i := len(aggSch.Cols) - ab.nKeys(); i < len(ab.aggs); i++ {
 		aggSch.Cols = append(aggSch.Cols, plan.Col{Name: fmt.Sprintf("agg%d", i), Typ: ab.aggs[i].Typ})
 	}
-	agg.Input, agg.Aggs, agg.Spool = ab.input, ab.aggs, ab.spool
+	agg.Input, agg.Aggs = ab.input, ab.aggs
+	ab.finishRereads()
 	return out, err
 }
 

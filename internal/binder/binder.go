@@ -23,7 +23,8 @@ type Binder struct {
 	ctes      map[string]*cteDef
 	viewDepth int
 	inline    bool
-	spool     bool
+	// positionFold: see WithPositionFold.
+	positionFold bool
 	// inlined records the measures the §6.4 fast path replaced with plain
 	// aggregate calls during the last bind, for lifecycle tracing.
 	inlined []string
@@ -40,7 +41,7 @@ type cteDef struct {
 
 // New creates a Binder over cat.
 func New(cat *catalog.Catalog) *Binder {
-	return &Binder{cat: cat, ctes: map[string]*cteDef{}, inline: true, spool: true}
+	return &Binder{cat: cat, ctes: map[string]*cteDef{}, inline: true, positionFold: true}
 }
 
 // WithInline toggles the measure-inlining fast path (paper §6.4: "in
@@ -52,14 +53,13 @@ func (b *Binder) WithInline(on bool) *Binder {
 	return b
 }
 
-// WithSpool toggles how a context link reads its group's rows under the
-// memo strategies: by position, the positions the Aggregate folds
-// (aggBinder.linkByPosition); by dimension tuple, the Aggregate's
-// spooled input (aggBinder.linkInput). Off — the naive strategy — every
-// link re-runs the query's FROM tree per group, the paper's literal
-// rewrite.
-func (b *Binder) WithSpool(on bool) *Binder {
-	b.spool = on
+// WithPositionFold chooses how a context link finds its group's
+// positions (aggBinder.addLink). On — the memo strategies — the
+// Aggregate folds them as it folds the group's rows. Off — the naive
+// strategy — every link read re-runs the query's FROM tree for its
+// group, the paper's literal rewrite.
+func (b *Binder) WithPositionFold(on bool) *Binder {
+	b.positionFold = on
 	return b
 }
 

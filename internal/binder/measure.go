@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"github.com/measures-sql/msql/internal/ast"
-	"github.com/measures-sql/msql/internal/catalog"
 	"github.com/measures-sql/msql/internal/core"
 	"github.com/measures-sql/msql/internal/plan"
 	"github.com/measures-sql/msql/internal/sqltypes"
@@ -92,8 +91,8 @@ func dimNameOf(e ast.Expr) string {
 // the default evaluation context binds every grouping expression that is
 // derivable from the measure's dimensions to the current group's value
 // (disabled on ROLLUP super-aggregate rows via GROUPING guards); group
-// keys that are not derivable link the base table to the group through
-// the visible joined rows. AT modifiers then transform the context.
+// keys that are not derivable link the base table to the group's rows
+// by position (addLink). AT modifiers then transform the context.
 func (ab *aggBinder) expandAggSite(ph *measurePH) (plan.Expr, error) {
 	info := ph.info
 	mapping := dimMapping(ph.rel, info)
@@ -163,8 +162,7 @@ func (ab *aggBinder) applyAggMod(ctx *core.Context, mod ast.AtMod, ph *measurePH
 		return nil
 
 	case *ast.AtVisible:
-		ab.applyVisible(ctx, ph, linkAdded)
-		return nil
+		return ab.applyVisible(ctx, ph, linkAdded)
 
 	case *ast.AtWhere:
 		pred, err := ab.bindModWhere(m.Pred, ph, ctx)
@@ -288,7 +286,7 @@ func dimRel(info *plan.MeasureInfo) *Rel {
 // measure's dimensions, and — under joins or for inexpressible conjuncts
 // — links the base table to the rows actually visible in the current
 // group (paper §3.5, §3.6).
-func (ab *aggBinder) applyVisible(ctx *core.Context, ph *measurePH, linkAdded *bool) {
+func (ab *aggBinder) applyVisible(ctx *core.Context, ph *measurePH, linkAdded *bool) error {
 	mapping := dimMapping(ph.rel, ph.info)
 	unmapped := false
 	if ab.whereExpr != nil {
@@ -301,62 +299,11 @@ func (ab *aggBinder) applyVisible(ctx *core.Context, ph *measurePH, linkAdded *b
 		}
 	}
 	if (ab.fr.hasJoin || unmapped) && !*linkAdded {
-		// Best effort: if no dimension is derivable the link is
-		// impossible, but in that case the measure likely fails
-		// elsewhere too; AddLink errors are surfaced there.
-		if err := ab.addLink(ctx, ph); err == nil {
-			*linkAdded = true
+		if err := ab.addLink(ctx, ph); err != nil {
+			return err
 		}
+		*linkAdded = true
 	}
-}
-
-// addLink links the measure to the current group's visible rows. By
-// position when linkByPosition can; otherwise through a semijoin term:
-// the measure's whole dimension tuple must appear among the group's
-// rows. Its set plan reads the rows of the query's filtered FROM tree
-// (linkInput) and matches the group keys at correlation level 2 (it
-// runs inside the measure subquery's filter).
-func (ab *aggBinder) addLink(ctx *core.Context, ph *measurePH) error {
-	if read := ab.linkByPosition(ph); read != nil {
-		ctx.AddLinkRead(read)
-		return nil
-	}
-	info := ph.info
-	var baseExprs []plan.Expr
-	var proj []plan.NamedExpr
-	k := 0
-	for ci, col := range ph.rel.Cols {
-		if col.Measure != nil || col.Typ.Measure {
-			continue
-		}
-		if k >= len(info.Dims) {
-			break
-		}
-		d := info.Dims[k]
-		k++
-		if d.Expr == nil {
-			continue
-		}
-		baseExprs = append(baseExprs, d.Expr)
-		proj = append(proj, plan.NamedExpr{
-			Expr: &plan.ColRef{Index: ph.rel.Offset + ci, Name: col.Name, Typ: col.Typ},
-			Col:  plan.Col{Name: col.Name, Typ: col.Typ},
-		})
-	}
-	if len(baseExprs) == 0 {
-		return fmt.Errorf("measure %s cannot be linked to this query: none of its dimensions are derivable", info.Name)
-	}
-
-	setInput := ab.linkInput()
-	if match := ab.groupMatch(2); match != nil {
-		setInput = &plan.Filter{Input: setInput, Pred: match}
-	}
-	sch := &plan.Schema{Cols: make([]plan.Col, len(proj))}
-	for i, ne := range proj {
-		sch.Cols[i] = ne.Col
-	}
-	setPlan := &plan.Project{Input: setInput, Exprs: proj, Sch: sch}
-	ctx.AddLink(baseExprs, setPlan)
 	return nil
 }
 
@@ -395,51 +342,48 @@ func (ab *aggBinder) groupMatch(levels int) plan.Expr {
 }
 
 // rowLink is a relation of the FROM tree whose rows carry positions:
-// the link, and the input column that holds them.
+// the link, the bottom of the measure's base it reads (linkBottom),
+// the input column that holds them, and whether that column names sets
+// of positions instead (a DISTINCT merged rows).
 type rowLink struct {
-	link *plan.RowLink
-	col  int
+	link   *plan.RowLink
+	bottom plan.Node
+	col    int
+	sets   bool
 }
 
-// linkByPosition returns the read that links the measure to its group
-// by position (plan.RowLink), or nil when the link must match dimension
-// tuples. Both mean the same base rows — rows with equal dimension
-// tuples are alike to everything above the relation, so they join and
-// pass the WHERE clause together — when the measure's base relation is
-// a Filter / Project chain over one stored table and deterministic,
-// every dimension is derivable and of a kind whose equality is identity
-// (BOOL, INTEGER, VARCHAR, DATE: the partition's rule; DOUBLE's 0 and
-// -0 are equal), the FROM tree and WHERE clause are deterministic and
-// uncorrelated, and the relation's plan is a Filter / Project chain over
-// the same table. The one difference is a NULL-padded row of an outer
-// join, which carries no position and adds no base row, where the tuple
-// link matches base rows whose dimensions are all NULL.
+// reread is a link read of the naive strategy, the POSITIONS call that
+// folds its group's positions and the predicate that keeps its group's
+// rows of the FROM tree.
+type reread struct {
+	read  *plan.LinkRead
+	fold  plan.AggCall
+	match plan.Expr
+}
+
+// addLink links the measure to the current group's visible rows by
+// position (plan.RowLink): the measure reads exactly the base rows the
+// group's rows of the query's FROM + WHERE came from. The link's rows
+// are those of the bottom of the measure's base, made once per
+// execution, so a volatile base is evaluated once and the measure reads
+// the very rows its group joined.
 //
-// The first link of a relation rewrites it to carry each row's position
-// in the measure column's slot, which holds no value otherwise (a
-// measure has none per row), so no column of the FROM row moves. Under
-// the memo strategies the Aggregate folds each group's positions with a
+// The first link of a relation rewrites it to read the bottom through a
+// LinkRead and carry each row's position in the measure column's slot,
+// which holds no value otherwise (a measure has none per row), so no
+// column of the FROM row moves (withPositions). Under the memo
+// strategies the Aggregate folds each group's positions with a
 // POSITIONS call and the read names the group by that call's output;
-// under the naive strategy the read runs the FROM tree again, filtered
-// to the group.
-func (ab *aggBinder) linkByPosition(ph *measurePH) *plan.LinkRead {
+// under the naive strategy the read folds them itself from its own run
+// of the FROM tree, filtered to the group (finishRereads).
+func (ab *aggBinder) addLink(ctx *core.Context, ph *measurePH) error {
 	info := ph.info
-	scan := baseScan(info.Base)
-	if scan == nil || !plan.Deterministic(info.Base) {
-		return nil
+	bottom := linkBottom(info.Base, relChain(ph.rel.node))
+	if bottom == nil {
+		return fmt.Errorf("measure %s cannot be linked to this query: its relation's rows do not each come from one of its base rows", info.Name)
 	}
-	for _, d := range info.Dims {
-		if d.Expr == nil {
-			return nil
-		}
-		switch d.Expr.Type().Kind {
-		case sqltypes.KindBool, sqltypes.KindInt, sqltypes.KindString, sqltypes.KindDate:
-		default:
-			return nil
-		}
-	}
-	if plan.PlanHasOuterRefs(ab.input, 0) || !plan.Deterministic(ab.input) {
-		return nil
+	if plan.PlanHasOuterRefs(bottom, 0) {
+		return fmt.Errorf("measure %s cannot be linked to this query: its base rows read an enclosing query's row", info.Name)
 	}
 	rl := ab.rowLinks[ph.rel]
 	if rl == nil {
@@ -450,117 +394,234 @@ func (ab *aggBinder) linkByPosition(ph *measurePH) *plan.LinkRead {
 				break
 			}
 		}
-		link := &plan.RowLink{Table: scan.Source}
-		node := withPositions(ph.rel.node, slot, link)
-		if node == nil {
-			return nil
+		link := &plan.RowLink{}
+		if sc, ok := bottom.(*plan.Scan); ok {
+			link.Table = sc.Source
 		}
+		w := len(bottom.Schema().Cols)
+		read := &plan.LinkRead{Link: link, Input: bottom, Sch: &plan.Schema{
+			Cols: append(bottom.Schema().Cols[:w:w], positionCol(0).Col)}}
+		node, sets := withPositions(ph.rel.node, slot, read)
 		input, ok := replaceAt(ab.input, 0, ph.rel, node)
 		if !ok {
-			return nil
+			return fmt.Errorf("internal error: relation of measure %s not found in the FROM tree", info.Name)
 		}
 		ab.input = input
-		rl = &rowLink{link: link, col: ph.rel.Offset + slot}
+		rl = &rowLink{link: link, bottom: bottom, col: ph.rel.Offset + slot, sets: sets}
 		if ab.rowLinks == nil {
 			ab.rowLinks = map[*Rel]*rowLink{}
 		}
 		ab.rowLinks[ph.rel] = rl
 	}
-	if rl.link.Table != scan.Source {
+	if rl.bottom != bottom {
+		return fmt.Errorf("measure %s cannot be linked to this query: another measure of its relation is linked to other base rows", info.Name)
+	}
+	read := &plan.LinkRead{Link: rl.link, Sch: bottom.Schema()}
+	ctx.AddLinkRead(read, bottom)
+	fold := positions(rl.link, rl.col, rl.sets)
+	if !ab.b.positionFold {
+		ab.rereads = append(ab.rereads, reread{read: read, fold: fold, match: ab.groupMatch(2)})
 		return nil
+	}
+	gi := ab.addAgg(fold)
+	read.Group = &plan.CorrRef{Levels: 1, Index: ab.aggOut(gi), Name: "positions", Typ: positionCol(0).Col.Typ}
+	return nil
+}
+
+// positions is the POSITIONS call that folds the positions of link in
+// column col, or the sets of them it names.
+func positions(link *plan.RowLink, col int, sets bool) plan.AggCall {
+	intT := sqltypes.Type{Kind: sqltypes.KindInt}
+	return plan.AggCall{
+		Name:     "POSITIONS",
+		Args:     []plan.Expr{&plan.ColRef{Index: col, Name: "position", Typ: intT}},
+		KeyIndex: -1,
+		Link:     link,
+		Sets:     sets,
+		Typ:      intT,
+	}
+}
+
+// finishRereads gives each read of the naive strategy its group: a
+// subquery that runs the final FROM tree again and folds the positions
+// of its rows in the group. It runs two frames below the FROM tree —
+// inside the measure subquery and the read's own — so its references to
+// enclosing rows move two frames up.
+func (ab *aggBinder) finishRereads() {
+	if len(ab.rereads) == 0 {
+		return
+	}
+	input := ab.input
+	if plan.PlanHasOuterRefs(input, 0) {
+		input = plan.ShiftOuterRefs(input, 2)
 	}
 	intT := sqltypes.Type{Kind: sqltypes.KindInt}
-	read := &plan.LinkRead{Link: rl.link, Sch: scan.Sch}
-	if !ab.b.spool {
-		read.Input, read.Col = ab.input, rl.col
-		if match := ab.groupMatch(1); match != nil {
-			read.Input = &plan.Filter{Input: ab.input, Pred: match}
+	for _, rr := range ab.rereads {
+		in := input
+		if rr.match != nil {
+			in = &plan.Filter{Input: input, Pred: rr.match}
 		}
-		return read
+		rr.read.Group = &plan.Subquery{
+			Plan: &plan.Aggregate{
+				Input: in,
+				Sets:  [][]int{{}},
+				Aggs:  []plan.AggCall{rr.fold},
+				Sch:   &plan.Schema{Cols: []plan.Col{{Name: "positions", Typ: intT}}},
+			},
+			Mode:  plan.SubScalar,
+			Typ:   intT,
+			Label: "the group's positions",
+		}
 	}
-	gi := ab.addAgg(plan.AggCall{
-		Name:     "POSITIONS",
-		Args:     []plan.Expr{&plan.ColRef{Index: rl.col, Name: "position", Typ: intT}},
-		KeyIndex: -1,
-		Link:     rl.link,
-		Typ:      intT,
-	})
-	read.Group = &plan.CorrRef{Levels: 1, Index: ab.aggOut(gi), Name: "positions", Typ: intT}
-	return read
 }
 
-// baseScan returns the Scan of a stored table under a chain of Filters
-// and Projects, or nil.
-func baseScan(n plan.Node) *plan.Scan {
+// relChain returns the nodes of a relation's plan n that a position can
+// be carried through (withPositions), and the node under them.
+func relChain(n plan.Node) map[plan.Node]bool {
+	on := map[plan.Node]bool{}
 	for {
-		switch t := n.(type) {
-		case *plan.Filter:
-			n = t.Input
-		case *plan.Project:
-			n = t.Input
-		case *plan.Scan:
-			if _, ok := t.Source.(*catalog.BaseTable); !ok || t.Link != nil {
+		on[n] = true
+		switch n.(type) {
+		case *plan.Filter, *plan.Project, *plan.Sort, *plan.Limit, *plan.Window, *plan.Distinct:
+			n = n.Children()[0]
+		default:
+			return on
+		}
+	}
+}
+
+// linkBottom returns the node of a measure's base whose rows a context
+// link makes once per execution, or nil when the relation reads none:
+// the first node under the base's Filters and Projects that the
+// relation's plan reads (onChain) and that calls a volatile function —
+// it is evaluated once, for the relation and the measure alike — or the
+// node under them all. Above the bottom the base's Filters are ones the
+// relation applies or restates (a re-export or composition maps a WHERE
+// clause onto the base) and its Projects are deterministic.
+func linkBottom(base plan.Node, onChain map[plan.Node]bool) plan.Node {
+	for {
+		switch n := base.(type) {
+		case *plan.Filter, *plan.Project:
+			if onChain[n] && !plan.NodeParallelSafe(n) {
+				return n
+			}
+			base = n.Children()[0]
+		default:
+			if !onChain[base] {
 				return nil
 			}
-			return t
-		default:
-			return nil
+			return base
 		}
 	}
 }
 
-// withPositions returns a copy of a relation's plan — a Project over a
-// chain of Filters and Projects over a Scan of link's table — whose
-// output column slot holds each row's position in the link's snapshot,
-// or nil for any other plan. The Scan appends the position; every
-// Project below the top one passes it on as a trailing column.
-func withPositions(n plan.Node, slot int, link *plan.RowLink) plan.Node {
-	top, ok := n.(*plan.Project)
-	if !ok || slot < 0 {
-		return nil
-	}
-	var carry func(plan.Node) (plan.Node, int)
-	carry = func(n plan.Node) (plan.Node, int) {
+// withPositions returns a copy of a relation's plan n whose output
+// column slot holds each row's position among the link's rows — past a
+// DISTINCT, the handle of the set of positions the row merged (sets) —
+// with the bottom of the link, a node of n's chain (relChain), replaced
+// by read. Every operator between them carries the position as a
+// trailing column: a Filter, Sort or Limit passes it on, a Project and a
+// Window append it, and a DISTINCT becomes an Aggregate on its visible
+// columns whose POSITIONS call merges the positions of the rows it
+// merges (mergePositions). The top copy moves it into slot.
+func withPositions(n plan.Node, slot int, read *plan.LinkRead) (plan.Node, bool) {
+	var carry func(plan.Node) (plan.Node, bool)
+	carry = func(n plan.Node) (plan.Node, bool) {
+		if n == read.Input {
+			return read, false
+		}
+		in, sets := carry(n.Children()[0])
+		pos := len(in.Schema().Cols) - 1
 		switch t := n.(type) {
 		case *plan.Filter:
-			in, pos := carry(t.Input)
-			if in == nil {
-				return nil, 0
-			}
 			c := *t
 			c.Input = in
-			return &c, pos
+			return &c, sets
+		case *plan.Sort:
+			c := *t
+			c.Input = in
+			return &c, sets
+		case *plan.Limit:
+			c := *t
+			c.Input = in
+			return &c, sets
 		case *plan.Project:
-			in, pos := carry(t.Input)
-			if in == nil {
-				return nil, 0
-			}
 			c := *t
 			c.Input = in
 			c.Exprs = append(t.Exprs[:len(t.Exprs):len(t.Exprs)], positionCol(pos))
 			c.Sch = &plan.Schema{Cols: append(t.Sch.Cols[:len(t.Sch.Cols):len(t.Sch.Cols)], positionCol(pos).Col)}
-			return &c, len(t.Exprs)
-		case *plan.Scan:
-			if t.Source != link.Table || t.Link != nil {
-				return nil, 0
-			}
+			return &c, sets
+		case *plan.Window:
+			// The window's columns follow its input's, the position
+			// among them: move it past them.
 			c := *t
-			c.Link = link
-			c.Sch = &plan.Schema{Cols: append(t.Sch.Cols[:len(t.Sch.Cols):len(t.Sch.Cols)], positionCol(0).Col)}
-			return &c, len(t.Sch.Cols)
-		default:
-			return nil, 0
+			c.Input = in
+			c.Sch = &plan.Schema{Cols: append(append([]plan.Col(nil), in.Schema().Cols...), t.Sch.Cols[pos:]...)}
+			exprs := make([]plan.NamedExpr, 0, len(c.Sch.Cols))
+			for i, col := range c.Sch.Cols {
+				if i != pos {
+					exprs = append(exprs, plan.NamedExpr{Expr: &plan.ColRef{Index: i, Name: col.Name, Typ: col.Typ}, Col: col})
+				}
+			}
+			return project(&c, append(exprs, positionCol(pos))), sets
+		default: // *plan.Distinct
+			return mergePositions(n.Schema().Cols, in, read.Link, sets), true
 		}
 	}
-	in, pos := carry(top.Input)
-	if in == nil {
-		return nil
+	out, sets := carry(n)
+	width := len(n.Schema().Cols)
+	if p, ok := out.(*plan.Project); ok {
+		// A copy made above: its slot takes the position.
+		p.Exprs[slot].Expr = p.Exprs[width].Expr
+		p.Exprs, p.Sch = p.Exprs[:width], &plan.Schema{Cols: p.Sch.Cols[:width]}
+		return p, sets
 	}
-	c := *top
-	c.Input = in
-	c.Exprs = append([]plan.NamedExpr(nil), top.Exprs...)
-	c.Exprs[slot].Expr = positionCol(pos).Expr
-	return &c
+	exprs := make([]plan.NamedExpr, width)
+	for i, col := range n.Schema().Cols {
+		exprs[i] = plan.NamedExpr{Expr: &plan.ColRef{Index: i, Name: col.Name, Typ: col.Typ}, Col: col}
+	}
+	exprs[slot].Expr = positionCol(width).Expr
+	return project(out, exprs), sets
+}
+
+// mergePositions is a DISTINCT over in, whose columns are cols and a
+// trailing position (or, with sets, the handle of a set of them): an
+// Aggregate keyed on the visible columns only — a measure column has no
+// value — whose POSITIONS call names the set of positions each output
+// row merged, in the trailing column.
+func mergePositions(cols []plan.Col, in plan.Node, link *plan.RowLink, sets bool) plan.Node {
+	agg := &plan.Aggregate{Input: in, Sch: &plan.Schema{}}
+	exprs := make([]plan.NamedExpr, len(cols), len(cols)+1)
+	for i, col := range cols {
+		if col.Measure != nil || col.Typ.Measure {
+			exprs[i] = plan.NamedExpr{Expr: &plan.Lit{Val: sqltypes.Null(col.Typ.Kind)}, Col: col}
+			continue
+		}
+		exprs[i] = plan.NamedExpr{Expr: &plan.ColRef{Index: len(agg.GroupExprs), Name: col.Name, Typ: col.Typ}, Col: col}
+		agg.GroupExprs = append(agg.GroupExprs, &plan.ColRef{Index: i, Name: col.Name, Typ: col.Typ})
+		agg.Sch.Cols = append(agg.Sch.Cols, col)
+	}
+	if len(agg.GroupExprs) == 0 {
+		// A key all the same, so that no input makes no row.
+		agg.GroupExprs = []plan.Expr{&plan.Lit{Val: sqltypes.NewBool(true)}}
+		agg.Sch.Cols = []plan.Col{{Name: "key", Typ: sqltypes.Type{Kind: sqltypes.KindBool}}}
+	}
+	agg.Sets = [][]int{make([]int, len(agg.GroupExprs))}
+	for j := range agg.Sets[0] {
+		agg.Sets[0][j] = j
+	}
+	agg.Aggs = []plan.AggCall{positions(link, len(cols), sets)}
+	agg.Sch.Cols = append(agg.Sch.Cols, positionCol(0).Col)
+	return project(agg, append(exprs, positionCol(len(agg.Sch.Cols)-1)))
+}
+
+// project is a Project of exprs over in.
+func project(in plan.Node, exprs []plan.NamedExpr) *plan.Project {
+	sch := &plan.Schema{Cols: make([]plan.Col, len(exprs))}
+	for i, ne := range exprs {
+		sch.Cols[i] = ne.Col
+	}
+	return &plan.Project{Input: in, Exprs: exprs, Sch: sch}
 }
 
 // positionCol passes on the position column at index pos.
@@ -600,22 +661,6 @@ func replaceAt(n plan.Node, off int, rel *Rel, node plan.Node) (plan.Node, bool)
 		}
 	}
 	return nil, false
-}
-
-// linkInput returns the rows a context link matches against its group:
-// a Scan of the Aggregate's spooled input — the very rows the Aggregate
-// folds, so the FROM tree runs once per execution — or, where those rows
-// may differ between runs (an input reading an enclosing query's row or
-// calling a volatile function) and under the naive strategy, the input
-// itself, run again for each context.
-func (ab *aggBinder) linkInput() plan.Node {
-	if !ab.b.spool || plan.PlanHasOuterRefs(ab.input, 0) || !plan.Deterministic(ab.input) {
-		return ab.input
-	}
-	if ab.spool == nil {
-		ab.spool = &plan.Spool{Sch: ab.input.Schema()}
-	}
-	return &plan.Scan{Source: ab.spool, Sch: ab.spool.Sch}
 }
 
 // ---------------------------------------------------------------------------
@@ -752,8 +797,9 @@ func (b *Binder) applyRowMod(ctx *core.Context, mod ast.AtMod, ph *measurePH, fr
 // defineMeasure binds an AS MEASURE select item into MeasureInfo. The
 // formula may reference sibling measures in the same SELECT (substituted
 // at the AST level) and measures of the input table (composed through
-// the shared base relation, paper §5.4).
-func (b *Binder) defineMeasure(item *selItem, items []*selItem, fr *fromResult, whereExpr plan.Expr) (*plan.MeasureInfo, error) {
+// the shared base relation, paper §5.4); a measure of its own has base,
+// the select's FROM rows that pass its WHERE clause.
+func (b *Binder) defineMeasure(item *selItem, items []*selItem, fr *fromResult, base plan.Node, whereExpr plan.Expr) (*plan.MeasureInfo, error) {
 	astExpr, err := substituteSiblings(item, items)
 	if err != nil {
 		return nil, err
@@ -775,10 +821,6 @@ func (b *Binder) defineMeasure(item *selItem, items []*selItem, fr *fromResult, 
 		return b.defineComposedMeasure(item, items, fr, whereExpr, raw, phs)
 	}
 
-	base := fr.node
-	if whereExpr != nil {
-		base = &plan.Filter{Input: base, Pred: whereExpr}
-	}
 	var aggs []plan.AggCall
 	formula := plan.TransformExpr(raw, func(x plan.Expr) plan.Expr {
 		if ph, ok := x.(*aggPH); ok {

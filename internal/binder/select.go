@@ -141,6 +141,9 @@ func (b *Binder) bindPlainSelect(sel *ast.Select, items []*selItem, orderBy []as
 	if whereExpr != nil {
 		input = &plan.Filter{Input: input, Pred: whereExpr}
 	}
+	// The rows of the measures defined here: the very node the select
+	// reads, so a context link finds it on the select's plan.
+	base := input
 
 	// QUALIFY: bound with the select items so its window functions share
 	// the Window node.
@@ -210,7 +213,7 @@ func (b *Binder) bindPlainSelect(sel *ast.Select, items []*selItem, orderBy []as
 		if !item.measureDef {
 			continue
 		}
-		info, err := b.defineMeasure(item, items, fr, whereExpr)
+		info, err := b.defineMeasure(item, items, fr, base, whereExpr)
 		if err != nil {
 			return nil, fmt.Errorf("in measure %s: %w", item.alias, err)
 		}

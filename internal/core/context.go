@@ -15,9 +15,8 @@
 //     modifier's residual WHERE clause, or an AT (WHERE ...) modifier);
 //   - Link:   a term restricting the base rows to those the current
 //     group's rows of the query's FROM + WHERE came from — this is what
-//     keeps measures at their own grain under joins (paper §3.6). By
-//     position, the measure reads exactly those rows (plan.LinkRead);
-//     otherwise it is a semijoin on the base row's whole dimension tuple.
+//     keeps measures at their own grain under joins (paper §3.6). The
+//     measure reads exactly those rows, by position (plan.LinkRead).
 //
 // The binder builds a default Context for each call site, applies the
 // AT modifiers in order, and then calls Predicate to reify the context
@@ -41,8 +40,7 @@ const (
 	TermDimEq TermKind = iota
 	// TermPred is an arbitrary predicate over base columns.
 	TermPred
-	// TermLink restricts the base rows to the group's: by position, or
-	// by a semijoin on the group's dimension tuples.
+	// TermLink restricts the base rows to the group's, by position.
 	TermLink
 )
 
@@ -66,15 +64,10 @@ type Term struct {
 	// Pred is the predicate over the base row (Pred terms).
 	Pred plan.Expr
 
-	// LinkExprs and LinkPlan implement Link terms: the tuple of base-row
-	// expressions must appear in the rows produced by LinkPlan (which is
-	// correlated to the call-site row at level 2, since it runs inside the
-	// measure subquery's filter).
-	LinkExprs []plan.Expr
-	LinkPlan  plan.Node
-	// LinkRead, set instead of LinkExprs and LinkPlan, links by position:
-	// it replaces the Scan under the measure's base relation.
-	LinkRead *plan.LinkRead
+	// LinkRead and LinkBottom implement Link terms: the read replaces
+	// the node LinkBottom of the measure's base relation (readAt).
+	LinkRead   *plan.LinkRead
+	LinkBottom plan.Node
 }
 
 // Context is an evaluation context: the conjunction of Terms. The zero
@@ -127,14 +120,10 @@ func (c *Context) AddPred(pred plan.Expr) {
 	c.Terms = append(c.Terms, Term{Kind: TermPred, Pred: pred})
 }
 
-// AddLink appends a semijoin link term.
-func (c *Context) AddLink(linkExprs []plan.Expr, linkPlan plan.Node) {
-	c.Terms = append(c.Terms, Term{Kind: TermLink, LinkExprs: linkExprs, LinkPlan: linkPlan})
-}
-
-// AddLinkRead appends a link term by position.
-func (c *Context) AddLinkRead(read *plan.LinkRead) {
-	c.Terms = append(c.Terms, Term{Kind: TermLink, LinkRead: read})
+// AddLinkRead appends a link term: read replaces the node bottom of the
+// measure's base relation.
+func (c *Context) AddLinkRead(read *plan.LinkRead, bottom plan.Node) {
+	c.Terms = append(c.Terms, Term{Kind: TermLink, LinkRead: read, LinkBottom: bottom})
 }
 
 // ReplaceWith implements "AT (WHERE pred)": the context becomes exactly
@@ -178,8 +167,8 @@ func (c *Context) CurrentValue(dim string) plan.Expr {
 // measure "cares about ... do I include this row in the total, or not?"
 // (§3.5). A nil result means TRUE (no filtering needed). It fails if a
 // surviving term constrains a dimension that is not derivable from the
-// base table (BaseExpr nil). A link by position adds no conjunct: the
-// measure reads only the linked rows (BuildMeasureSubquery).
+// base table (BaseExpr nil). A link adds no conjunct: the measure reads
+// only the linked rows (BuildMeasureSubquery).
 func (c *Context) Predicate() (plan.Expr, error) {
 	var conj plan.Expr
 	and := func(e plan.Expr) {
@@ -210,19 +199,6 @@ func (c *Context) Predicate() (plan.Expr, error) {
 			and(eq)
 		case TermPred:
 			and(t.Pred)
-		case TermLink:
-			if t.LinkRead != nil {
-				continue
-			}
-			and(&plan.Subquery{
-				Plan:     t.LinkPlan,
-				Mode:     plan.SubIn,
-				Exprs:    t.LinkExprs,
-				Typ:      sqltypes.Type{Kind: sqltypes.KindBool},
-				Memo:     true,
-				NullSafe: true,
-				Label:    "context link",
-			})
 		}
 	}
 	return conj, nil
@@ -245,31 +221,30 @@ func (c *Context) Describe() string {
 		case TermPred:
 			parts = append(parts, t.Pred.String())
 		case TermLink:
-			if t.LinkRead != nil {
-				parts = append(parts, "linked to the group's rows by position")
-			} else {
-				parts = append(parts, "linked to the group's dimension tuples")
-			}
+			parts = append(parts, "linked to the group's rows by position")
 		}
 	}
 	return strings.Join(parts, " AND ")
 }
 
-// readAt returns base, a chain of Filters and Projects over one Scan,
-// with the Scan replaced by read (the binder checked the shape).
-func readAt(base plan.Node, read *plan.LinkRead) plan.Node {
+// readAt returns base, a chain of Filters and Projects over bottom, with
+// bottom replaced by read. The Projects run again over the linked rows;
+// the Filters do not: each linked row passed every one of them, or the
+// WHERE clause it restates, in the relation's plan.
+func readAt(base, bottom plan.Node, read *plan.LinkRead) plan.Node {
 	switch n := base.(type) {
 	case *plan.Filter:
-		c := *n
-		c.Input = readAt(n.Input, read)
-		return &c
+		if n != bottom {
+			return readAt(n.Input, bottom, read)
+		}
 	case *plan.Project:
-		c := *n
-		c.Input = readAt(n.Input, read)
-		return &c
-	default:
-		return read
+		if n != bottom {
+			c := *n
+			c.Input = readAt(n.Input, bottom, read)
+			return &c
+		}
 	}
+	return read
 }
 
 // BuildMeasureSubquery assembles the correlated scalar subquery that
@@ -290,7 +265,7 @@ func BuildMeasureSubquery(info *plan.MeasureInfo, c *Context) (*plan.Subquery, e
 	var input plan.Node = info.Base
 	for _, t := range c.Terms {
 		if t.LinkRead != nil {
-			input = readAt(input, t.LinkRead)
+			input = readAt(input, t.LinkBottom, t.LinkRead)
 		}
 	}
 	if pred != nil {

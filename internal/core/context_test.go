@@ -133,17 +133,31 @@ func TestPredicateAssembly(t *testing.T) {
 	}
 }
 
+// TestPredicateLinkTerm: a link adds no conjunct to the predicate; the
+// measure reads the linked rows in place of its base's bottom, under the
+// base's Projects and without its Filters, which the linked rows passed.
 func TestPredicateLinkTerm(t *testing.T) {
-	setPlan := &plan.Values{Rows: nil, Sch: &plan.Schema{Cols: []plan.Col{{Name: "k"}}}}
+	intT := sqltypes.Type{Kind: sqltypes.KindInt}
+	bottom := &plan.Values{Sch: &plan.Schema{Cols: []plan.Col{{Name: "x", Typ: intT}}}}
+	proj := &plan.Project{Input: bottom, Sch: bottom.Sch,
+		Exprs: []plan.NamedExpr{{Expr: &plan.ColRef{Index: 0, Name: "x", Typ: intT}, Col: bottom.Sch.Cols[0]}}}
+	base := &plan.Filter{Input: proj, Pred: &plan.IsNull{X: colRef(0, "x")}}
+	read := &plan.LinkRead{Link: &plan.RowLink{}, Group: corrRef(1, "positions"), Sch: bottom.Sch}
 	c := &Context{}
-	c.AddLink([]plan.Expr{colRef(0, "k")}, setPlan)
-	pred, err := c.Predicate()
+	c.AddLinkRead(read, bottom)
+	if pred, err := c.Predicate(); err != nil || pred != nil {
+		t.Fatalf("a link adds no conjunct, got %v %v", pred, err)
+	}
+	info := &plan.MeasureInfo{Name: "m", ValueType: intT, Base: base,
+		Formula: &plan.AggRef{Index: 0, Typ: intT},
+		Aggs:    []plan.AggCall{{Name: "COUNT", Star: true, KeyIndex: -1, Typ: intT}}}
+	sq, err := BuildMeasureSubquery(info, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sq, ok := pred.(*plan.Subquery)
-	if !ok || sq.Mode != plan.SubIn || !sq.NullSafe || !sq.Memo {
-		t.Fatalf("link term should be a memoized null-safe IN subquery, got %v", pred)
+	p, ok := sq.Plan.(*plan.Project).Input.(*plan.Aggregate).Input.(*plan.Project)
+	if !ok || p == proj || p.Input != read {
+		t.Fatalf("the linked rows must replace the base's bottom under its Project alone:\n%s", plan.ExplainTree(sq.Plan))
 	}
 }
 
@@ -154,7 +168,7 @@ func TestDescribe(t *testing.T) {
 	}
 	c.Terms = []Term{dimTerm("a", 0, 0)}
 	c.AddPred(&plan.IsNull{X: colRef(1, "b")})
-	c.AddLink([]plan.Expr{colRef(0, "a")}, &plan.Values{Sch: &plan.Schema{}})
+	c.AddLinkRead(&plan.LinkRead{Link: &plan.RowLink{}, Group: corrRef(1, "positions")}, nil)
 	d := c.Describe()
 	for _, want := range []string{"a =", "IS NULL", "linked"} {
 		if !strings.Contains(d, want) {

@@ -546,7 +546,7 @@ func (s *Session) planQuery(env *stmtEnv, q *ast.Query) (plan.Node, int64, error
 // planQueryParams is planQuery for parameterized queries: kinds types
 // the statement's placeholders (nil rejects parameters entirely).
 func (s *Session) planQueryParams(env *stmtEnv, q *ast.Query, kinds []sqltypes.Kind) (plan.Node, int64, error) {
-	b := binder.New(s.cat).WithInline(env.cfg.opt.InlineMeasures).WithSpool(env.cfg.opt.MemoizeSubqueries)
+	b := binder.New(s.cat).WithInline(env.cfg.opt.InlineMeasures).WithPositionFold(env.cfg.opt.MemoizeSubqueries)
 	if kinds != nil {
 		b = b.WithParams(kinds)
 	}

@@ -76,6 +76,7 @@ type aggCall struct {
 	col       int // callColumn, callPositions: the argument's input column
 	slot      int // callPositions: the call's place in a position entry
 	link      *plan.RowLink
+	sets      bool   // callPositions: the column names sets (plan.AggCall.Sets)
 	filter    predFn // nil when the call has no FILTER
 	args      []evalFn
 	within    []evalFn
@@ -113,7 +114,7 @@ func newAggEnv(n *plan.Aggregate) (*aggEnv, error) {
 			if !ok {
 				return nil, fmt.Errorf("internal error: POSITIONS of %s", call.Args[0])
 			}
-			c.kind, c.col, c.slot, c.link = callPositions, cr.Index, env.positions, call.Link
+			c.kind, c.col, c.slot, c.link, c.sets = callPositions, cr.Index, env.positions, call.Link, call.Sets
 			env.positions++
 			continue
 		}

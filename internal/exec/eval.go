@@ -158,10 +158,7 @@ type shared struct {
 	// scans counts the Scan nodes executed so far; forEachChunk reads it
 	// to tell a chunk of lookups from one that read a table.
 	scans atomic.Int64
-	// spools holds this execution's rows of each plan.Spool.
-	spoolMu sync.Mutex
-	spools  map[*plan.Spool]*spoolRows
-	// links holds this execution's snapshot and position sets of each
+	// links holds this execution's rows and position sets of each
 	// plan.RowLink.
 	linkMu sync.Mutex
 	links  map[*plan.RowLink]*linkRows
@@ -435,11 +432,6 @@ func (rt *runtime) evalSubquery(sq *plan.Subquery, left []operand, row Row) (sql
 		}
 		rt.args, rt.keyBuf = rt.args[:base], key
 		member := set.keys[string(key)]
-		if sq.NullSafe {
-			// Evaluation-context link terms: IS NOT DISTINCT FROM
-			// membership, never NULL.
-			return sqltypes.NewBool(member != sq.Neg), nil
-		}
 		if !leftNull && member {
 			return sqltypes.NewBool(!sq.Neg), nil
 		}

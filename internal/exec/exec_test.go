@@ -133,41 +133,35 @@ func TestScalarSubqueryEmptyAndMulti(t *testing.T) {
 	}
 }
 
+// TestNullSafeInSubquery: an IN subquery is safe around NULL the SQL
+// way — a NULL on the left, or no match in a set that holds NULL, is
+// NULL, never FALSE; a match is TRUE whatever else the set holds.
 func TestNullSafeInSubquery(t *testing.T) {
 	nullLit := &plan.Lit{Val: sqltypes.Null(sqltypes.KindInt)}
 	setWithNull := &plan.Values{
 		Rows: [][]plan.Expr{{nullLit}, {&plan.Lit{Val: sqltypes.NewInt(1)}}},
 		Sch:  &plan.Schema{Cols: []plan.Col{{Name: "v", Typ: intT()}}},
 	}
-	mk := func(nullSafe bool) plan.Node {
-		in := &plan.Subquery{
-			Plan:     setWithNull,
-			Mode:     plan.SubIn,
-			Exprs:    []plan.Expr{nullLit},
-			Typ:      boolT(),
-			NullSafe: nullSafe,
-		}
-		return &plan.Project{
+	for _, tc := range []struct {
+		left plan.Expr
+		want string
+	}{
+		{nullLit, "NULL"},
+		{&plan.Lit{Val: sqltypes.NewInt(1)}, "TRUE"},
+		{&plan.Lit{Val: sqltypes.NewInt(2)}, "NULL"},
+	} {
+		in := &plan.Subquery{Plan: setWithNull, Mode: plan.SubIn, Exprs: []plan.Expr{tc.left}, Typ: boolT()}
+		rows, err := Run(&plan.Project{
 			Input: valuesNode([]string{"a"}, []int64{0}),
 			Exprs: []plan.NamedExpr{{Expr: in, Col: plan.Col{Name: "v", Typ: boolT()}}},
 			Sch:   &plan.Schema{Cols: []plan.Col{{Name: "v", Typ: boolT()}}},
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// NULL-safe: NULL IN {NULL, 1} is TRUE.
-	rows, err := Run(mk(true), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rows[0][0].IsTrue() {
-		t.Errorf("null-safe membership: %v", rows[0][0])
-	}
-	// Plain SQL: NULL IN anything non-empty is NULL.
-	rows, err = Run(mk(false), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rows[0][0].Null {
-		t.Errorf("SQL IN with NULL lhs: %v", rows[0][0])
+		if got := rows[0][0].String(); got != tc.want {
+			t.Errorf("%s IN {NULL, 1}: %s, want %s", tc.left, got, tc.want)
+		}
 	}
 }
 

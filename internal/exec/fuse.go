@@ -12,14 +12,14 @@ package exec
 //
 // Eligibility is decided once per plan (planFusion, cached with the
 // aggEnv) and checked against the execution (runtime.fusing). The
-// Aggregate materializes its input when it spools it for a tuple link,
-// when its own expressions or the chain's predicate or probe expressions
-// are volatile or hold a subquery (those keep their own fan-out), when it
-// runs vectorized, when the Filter is the one a partition answers from
-// its kept rows, and below a join that emits rows after the probe (RIGHT,
-// FULL) or has no equi keys. A fused join under an aggregate that is not
-// chunkMergeable fuses only when the fold is serial — on a serial runtime,
-// or when the executions in progress leave this one a single worker: the
+// Aggregate materializes its input when its own expressions or the
+// chain's predicate or probe expressions are volatile or hold a subquery
+// (those keep their own fan-out), when it runs vectorized, when the
+// Filter is the one a partition answers from its kept rows, and below a
+// join that emits rows after the probe (RIGHT, FULL) or has no equi
+// keys. A fused join under an aggregate that is not chunkMergeable fuses
+// only when the fold is serial — on a serial runtime, or when the
+// executions in progress leave this one a single worker: the
 // group-partitioned path reads its input twice.
 //
 // Order: a fused Filter's row has the order of its scan row, a fused
@@ -51,7 +51,7 @@ type fusion struct {
 func planFusion(n *plan.Aggregate) fusion {
 	var agg exprTraits
 	plan.VisitNodeExprs(n, func(e plan.Expr) { agg.add(e) })
-	if n.Spool != nil || agg != 0 {
+	if agg != 0 {
 		return fusion{}
 	}
 	filter := func(in plan.Node) *plan.Filter {
@@ -129,9 +129,6 @@ func (rt *runtime) openFeed(env *aggEnv, workers int) (*feed, error) {
 		in, err := rt.run(n.Input)
 		if err != nil {
 			return nil, err
-		}
-		if n.Spool != nil {
-			rt.publishSpool(n.Spool, in)
 		}
 		fd.rows = in
 		return fd, nil

@@ -129,8 +129,6 @@ func fuseShapes() []fuseShape {
 		pc.Link = link
 		return pc
 	}
-	spooled := groupedBy(filtered(), []plan.Expr{g}, nil, countStar, sumA)
-	spooled.Spool = &plan.Spool{Sch: spooled.Input.Schema()}
 	return []fuseShape{
 		{name: "filter chunk-merge", agg: groupedBy(filtered(), []plan.Expr{g}, nil, countStar, sumA, avgA),
 			fused1: true, fused4: true, filter: true},
@@ -154,7 +152,6 @@ func fuseShapes() []fuseShape {
 		{name: "two links", agg: groupedBy(fuseJoin(plan.JoinLeft, fuseProbe(n), nil), []plan.Expr{g}, nil,
 			countStar, positions(4, pLink), positions(7, qLink)),
 			fused1: true, fused4: true, join: true},
-		{name: "spool", agg: spooled},
 	}
 }
 
@@ -171,8 +168,22 @@ func materialized(t *testing.T, agg *plan.Aggregate) *plan.Aggregate {
 	sch := agg.Input.Schema()
 	m := *agg
 	m.Input = &plan.Scan{Source: &testSource{name: "input", rows: in}, Sch: sch}
-	m.Spool = nil
 	return &m
+}
+
+// runAgg runs agg on a runtime of its own; with materialize it fuses
+// nothing, the way an Aggregate over its input's materialized rows runs.
+func runAgg(settings *Settings, agg *plan.Aggregate, materialize bool) (*runtime, error) {
+	rt := newRuntime(context.Background(), settings)
+	if materialize {
+		env, err := rt.aggEnv(agg)
+		if err != nil {
+			return nil, err
+		}
+		env.fuse = fusion{}
+	}
+	_, err := rt.run(agg)
+	return rt, err
 }
 
 // foldAgg runs agg on a runtime of its own and renders every POSITIONS
@@ -230,8 +241,6 @@ func TestFusedExplainAnalyzeRows(t *testing.T) {
 		if !sh.fused4 {
 			continue
 		}
-		base := *sh.agg
-		base.Spool = &plan.Spool{Sch: sh.agg.Input.Schema()} // never fused
 		var ops []plan.Node
 		if j, ok := sh.agg.Input.(*plan.Join); ok {
 			ops = append(ops, j)
@@ -242,16 +251,16 @@ func TestFusedExplainAnalyzeRows(t *testing.T) {
 			ops = append(ops, sh.agg.Input)
 		}
 		for _, workers := range []int{1, 4} {
-			profile := func(agg *plan.Aggregate) *Profile {
+			profile := func(materialize bool) *Profile {
 				settings := DefaultSettings()
 				settings.Workers = workers
-				settings.Profile = NewProfile(agg)
-				if _, err := Run(agg, settings); err != nil {
+				settings.Profile = NewProfile(sh.agg)
+				if _, err := runAgg(settings, sh.agg, materialize); err != nil {
 					t.Fatal(err)
 				}
 				return settings.Profile
 			}
-			got, want := profile(sh.agg), profile(&base)
+			got, want := profile(false), profile(true)
 			for _, op := range ops {
 				g, w := got.NodeMetrics(nil, op).Load(), want.NodeMetrics(nil, op).Load()
 				if g.RowsOut != w.RowsOut || g.Calls != 1 || w.Calls != 1 {
@@ -274,31 +283,29 @@ func TestFusedJoinBudget(t *testing.T) {
 		if !sh.join {
 			continue
 		}
-		base := *sh.agg
-		base.Spool = &plan.Spool{Sch: sh.agg.Input.Schema()}
-		totals := func(agg *plan.Aggregate) (int64, int64) {
+		totals := func(materialize bool) (int64, int64) {
 			settings := DefaultSettings()
 			settings.Workers = 1
 			settings.Limits.MaxMemBytes = 1 << 60 // memory is counted only under a limit
-			rt := newRuntime(context.Background(), settings)
-			if _, err := rt.run(agg); err != nil {
+			rt, err := runAgg(settings, sh.agg, materialize)
+			if err != nil {
 				t.Fatal(err)
 			}
 			return rt.sh.bud.rows.Load(), rt.sh.bud.memBytes.Load()
 		}
-		rows, mem := totals(sh.agg)
-		if wr, wm := totals(&base); rows != wr || mem != wm {
+		rows, mem := totals(false)
+		if wr, wm := totals(true); rows != wr || mem != wm {
 			t.Fatalf("%s: fused charges %d rows and %d bytes, materialized %d and %d", sh.name, rows, mem, wr, wm)
 		}
 		for _, lim := range []Limits{{MaxRows: rows - 1}, {MaxRows: rows}, {MaxMemBytes: mem - 1}, {MaxMemBytes: mem}} {
-			run := func(agg *plan.Aggregate) error {
+			run := func(materialize bool) error {
 				settings := DefaultSettings()
 				settings.Workers = 4
 				settings.Limits = lim
-				_, err := Run(agg, settings)
+				_, err := runAgg(settings, sh.agg, materialize)
 				return err
 			}
-			got, want := run(sh.agg), run(&base)
+			got, want := run(false), run(true)
 			if (got == nil) != (want == nil) || (want != nil && !errors.Is(got, CodeResourceExhausted)) {
 				t.Fatalf("%s under %+v: fused %v, materialized %v", sh.name, lim, got, want)
 			}

@@ -3,44 +3,48 @@ package exec
 // Context links by position (plan.RowLink). A measure reached through a
 // join reads exactly the base rows its group's joined rows came from:
 //
-//   - a Scan with the Link reads the execution's snapshot of the link's
-//     table, pinned by the first such Scan, and appends each row's
-//     position in it;
-//   - the outer Aggregate's POSITIONS call lists the positions each
-//     group's rows carry as it folds them (posList: two appends a row, no
-//     hashing; a fused join folds its joined rows without making them),
-//     and emit turns a group's list into the sorted, distinct positions
-//     — a NULL-padded row carries none — published under the handle the
-//     call outputs;
-//   - the measure's LinkRead reads the snapshot's rows at the positions
-//     its handle names or, under the naive strategy, at the positions of
-//     the rows its own run of the FROM tree keeps.
+//   - the relation's LinkRead makes the link's rows once per execution —
+//     it runs its Input once, so a Scan of a stored table takes one
+//     snapshot — and returns each row copied with its position in them
+//     appended;
+//   - a POSITIONS call lists the positions each group's rows carry as
+//     the Aggregate folds them (posList: two appends a row, no hashing; a
+//     fused join folds its joined rows without making them), and emit
+//     turns a group's list into the sorted, distinct positions — a
+//     NULL-padded row carries none; with Sets, the union of the sets its
+//     rows name — published under the handle the call outputs;
+//   - the measure's LinkRead reads the link's rows at the positions of
+//     the set its Group names.
 //
-// Every Scan and LinkRead of a link in one execution reads the one
-// pinned snapshot, so a position never indexes another generation's
-// rows. Position sets are charged to the budget with the lists.
+// Every LinkRead of a link in one execution reads the one evaluation of
+// its rows, so a position never indexes rows of another generation or
+// of another run of a volatile plan. Position sets are charged to the
+// budget with the lists.
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"github.com/measures-sql/msql/internal/plan"
 	"github.com/measures-sql/msql/internal/sqltypes"
 	"github.com/measures-sql/msql/internal/storage"
 )
 
-// linkRows is one execution's state of a plan.RowLink: the pinned
-// snapshot and the position sets published so far, a set's handle being
-// its index.
+// linkRows is one execution's state of a plan.RowLink: its rows, made
+// under once, and the position sets published so far, a set's handle
+// being its index, under mu.
 type linkRows struct {
 	once sync.Once
-	rows []Row
 	mu   sync.Mutex
+	rows []Row
+	err  error
 	sets [][]int32
 }
+
+var errLinkUnmade = errors.New("internal error: the rows of a context link were not made")
 
 func (rt *runtime) linkRows(l *plan.RowLink) *linkRows {
 	sh := rt.sh
@@ -57,77 +61,68 @@ func (rt *runtime) linkRows(l *plan.RowLink) *linkRows {
 	return e
 }
 
-// pinned returns the link's snapshot, taking it on first use.
-func (e *linkRows) pinned(l *plan.RowLink) []Row {
+// make returns l's rows, making them the first time: input's rows or,
+// for a reader that makes none (input nil), a snapshot of l's Table. The
+// bottom is uncorrelated, so the frames on the stack do not matter to
+// it, and run charges its rows to the budget once.
+func (e *linkRows) make(rt *runtime, l *plan.RowLink, input plan.Node) ([]Row, error) {
 	e.once.Do(func() {
-		if src, ok := l.Table.(snapshotSource); ok {
-			e.rows, _ = src.Snapshot()
-		} else {
-			e.rows = l.Table.Rows()
+		// Reported if the run below panics, or if nothing makes the rows.
+		e.err = errLinkUnmade
+		switch {
+		case input != nil:
+			e.rows, e.err = rt.run(input)
+		case l.Table != nil:
+			e.rows, e.err = l.Table.Rows(), nil
 		}
 	})
-	return e.rows
-}
-
-// scanLinked runs a Scan with a Link: the pinned snapshot's rows, each
-// copied with its position appended.
-func (rt *runtime) scanLinked(n *plan.Scan) ([]Row, error) {
-	rows := rt.linkRows(n.Link).pinned(n.Link)
-	rt.sh.scans.Add(1)
-	// The rows are this execution's: no column share may keep them.
-	rt.scanned = storage.State{}
-	if s := rt.sh.settings.Stats; s != nil {
-		atomic.AddInt64(&s.RowsScanned, int64(len(rows)))
-	}
-	w := len(n.Sch.Cols)
-	block := make([]sqltypes.Value, len(rows)*w)
-	out := make([]Row, len(rows))
-	for i, row := range rows {
-		if err := rt.tick(); err != nil {
-			return nil, err
-		}
-		r := block[:w:w]
-		block = block[w:]
-		copy(r, row)
-		r[w-1] = sqltypes.NewInt(int64(i))
-		out[i] = r
-	}
-	return out, nil
+	return e.rows, e.err
 }
 
 // readLinked runs a LinkRead.
 func (rt *runtime) readLinked(n *plan.LinkRead) ([]Row, error) {
 	e := rt.linkRows(n.Link)
-	var pos []int32
-	if n.Group != nil {
-		v, err := rt.evalOnce(n.Group)
+	if n.Input != nil {
+		rows, err := e.make(rt, n.Link, n.Input)
 		if err != nil {
 			return nil, err
 		}
-		e.mu.Lock()
-		if !v.Null && v.I >= 0 && v.I < int64(len(e.sets)) {
-			pos = e.sets[v.I]
-		} else {
-			err = fmt.Errorf("internal error: no position set %s for a context link", v.SQLLiteral())
-		}
-		e.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		in, err := rt.run(n.Input)
-		if err != nil {
-			return nil, err
-		}
-		for _, row := range in {
-			if v := row[n.Col]; !v.Null {
-				pos = append(pos, int32(v.I))
+		// The rows are this execution's: no column share may keep them.
+		rt.scanned = storage.State{}
+		w := len(n.Sch.Cols)
+		block := make([]sqltypes.Value, len(rows)*w)
+		out := make([]Row, len(rows))
+		for i, row := range rows {
+			if err := rt.tick(); err != nil {
+				return nil, err
 			}
+			r := block[:w:w]
+			block = block[w:]
+			copy(r, row)
+			r[w-1] = sqltypes.NewInt(int64(i))
+			out[i] = r
 		}
-		slices.Sort(pos)
-		pos = slices.Compact(pos)
+		return out, nil
 	}
-	rows := e.pinned(n.Link)
+	v, err := rt.evalOnce(n.Group)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := e.make(rt, n.Link, nil)
+	if err != nil {
+		return nil, err
+	}
+	var pos []int32
+	e.mu.Lock()
+	if !v.Null && v.I >= 0 && v.I < int64(len(e.sets)) {
+		pos = e.sets[v.I]
+	} else {
+		err = fmt.Errorf("internal error: no position set %s for a context link", v.SQLLiteral())
+	}
+	e.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
 	out := make([]Row, len(pos))
 	for i, p := range pos {
 		out[i] = rows[p]
@@ -150,17 +145,25 @@ type posFold struct {
 }
 
 // publish collects the positions acc's rows carry in c's column — its
-// own list and those of the groups merged into it — sorted and
-// distinct, and returns the handle it publishes them under.
+// own list and those of the groups merged into it; with c.sets, the
+// positions of the sets they name — sorted and distinct, and returns
+// the handle it publishes them under.
 func (pf *posFold) publish(c *aggCall, acc *groupAcc) sqltypes.Value {
 	e := pf.rt.linkRows(c.link)
-	if words := len(e.pinned(c.link))/64 + 1; len(pf.marks) < words {
+	rows, _ := e.make(pf.rt, c.link, nil)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if words := len(rows)/64 + 1; len(pf.marks) < words {
 		pf.marks = make([]uint64, words)
 	}
 	start := len(pf.buf)
 	for g := acc; g != nil; g = g.more {
 		for r := g.head; r != 0; r = g.pos.prev[r-1] {
-			if v := g.pos.vals[int(r-1)*pf.stride+c.slot]; v >= 0 {
+			switch v := g.pos.vals[int(r-1)*pf.stride+c.slot]; {
+			case v < 0:
+			case c.sets:
+				pf.buf = append(pf.buf, e.sets[v]...)
+			default:
 				pf.buf = append(pf.buf, v)
 			}
 		}
@@ -168,10 +171,8 @@ func (pf *posFold) publish(c *aggCall, acc *groupAcc) sqltypes.Value {
 	set := positionSet(pf.buf[start:], pf.marks)
 	pf.buf = pf.buf[:start+len(set)]
 	set = set[:len(set):len(set)]
-	e.mu.Lock()
 	h := len(e.sets)
 	e.sets = append(e.sets, set)
-	e.mu.Unlock()
 	return sqltypes.NewInt(int64(h))
 }
 

@@ -268,14 +268,11 @@ func TestPartitionExistsAndIn(t *testing.T) {
 	}
 	in := &plan.Subquery{Plan: sProj(), Mode: plan.SubIn, Typ: boolT(), Memo: true,
 		Exprs: []plan.Expr{&plan.ColRef{Index: 1, Name: "s", Typ: strT()}}}
-	nullSafeIn := &plan.Subquery{Plan: sProj(), Mode: plan.SubIn, NullSafe: true, Typ: boolT(), Memo: true,
-		Exprs: []plan.Expr{&plan.ColRef{Index: 1, Name: "s", Typ: strT()}}}
-	checkAgainstOracle(t, overCtx(exists, notExists, in, nullSafeIn), true)
+	checkAgainstOracle(t, overCtx(exists, notExists, in), true)
 }
 
-// TestPartitionTwoLevelCorrelation is the Listing 9 shape: the measure
-// subquery filters its base by a context-link IN subquery that is
-// correlated two frames up.
+// TestPartitionTwoLevelCorrelation: a measure subquery filters its base
+// by an IN subquery that is correlated two frames up.
 func TestPartitionTwoLevelCorrelation(t *testing.T) {
 	link := &plan.Subquery{
 		Plan: &plan.Project{
@@ -284,7 +281,7 @@ func TestPartitionTwoLevelCorrelation(t *testing.T) {
 			Exprs: []plan.NamedExpr{{Expr: &plan.ColRef{Index: 1, Name: "s", Typ: strT()}, Col: plan.Col{Name: "s", Typ: strT()}}},
 			Sch:   &plan.Schema{Cols: []plan.Col{{Name: "s", Typ: strT()}}},
 		},
-		Mode: plan.SubIn, NullSafe: true, Typ: boolT(), Memo: true, Label: "context link",
+		Mode: plan.SubIn, Typ: boolT(), Memo: true,
 		Exprs: []plan.Expr{&plan.ColRef{Index: 1, Name: "s", Typ: strT()}},
 	}
 	measure := scalarSub(aggOver(&plan.Filter{Input: factScan(60), Pred: link}, sumF), floatT())
@@ -567,50 +564,64 @@ func TestExplainAnalyzeSharedScan(t *testing.T) {
 	}
 }
 
-// spooledQuery is the shape of a context link: an Aggregate publishes
-// its input rows and a correlated subquery over its output reads them,
-// restricted to the current group's key.
+// linkedQuery is the naive strategy's shape of a context link whose
+// base is no stored table: the relation's LinkRead makes the rows of its
+// bottom, fact WHERE d > 20, and the Aggregate over them counts each
+// key's rows; the measure of each group reads the rows at the positions
+// its own run of the FROM tree keeps for the group.
 //
-//	SELECT k, COUNT(*), (SELECT SUM(f) FROM spool WHERE k IS NOT DISTINCT FROM outer.k)
-//	FROM fact WHERE d > 20 GROUP BY k
-func spooledQuery() *plan.Project {
-	input := &plan.Filter{Input: factScan(300), Pred: &plan.Call{Name: ">", Typ: boolT(),
+//	SELECT k, COUNT(*), (SELECT SUM(f) FROM <the group's linked rows>)
+//	FROM <fact WHERE d > 20 with positions> GROUP BY k
+func linkedQuery() *plan.Project {
+	bottom := &plan.Filter{Input: factScan(300), Pred: &plan.Call{Name: ">", Typ: boolT(),
 		Args: []plan.Expr{col(3, "d"), intLit(20)}}}
-	spool := &plan.Spool{Sch: input.Schema()}
-	agg := &plan.Aggregate{Input: input, GroupExprs: []plan.Expr{col(0, "k")}, Sets: [][]int{{0}},
-		Aggs: []plan.AggCall{countStar}, Spool: spool,
-		Sch: &plan.Schema{Cols: []plan.Col{{Name: "k", Typ: intT()}, {Name: "n", Typ: intT()}}}}
-	link := scalarSub(aggOver(&plan.Filter{Input: &plan.Scan{Source: spool, Sch: spool.Sch},
-		Pred: notDistinct(col(0, "k"), corr(0, "k", intT()))}, sumF), floatT())
+	link := &plan.RowLink{}
+	from := &plan.LinkRead{Link: link, Input: bottom,
+		Sch: &plan.Schema{Cols: append(bottom.Schema().Cols[:4:4], plan.Col{Name: "position", Typ: intT()})}}
+	agg := &plan.Aggregate{Input: from, GroupExprs: []plan.Expr{col(0, "k")}, Sets: [][]int{{0}},
+		Aggs: []plan.AggCall{countStar},
+		Sch:  &plan.Schema{Cols: []plan.Col{{Name: "k", Typ: intT()}, {Name: "n", Typ: intT()}}}}
+	positions := plan.AggCall{Name: "POSITIONS", Args: []plan.Expr{col(4, "position")}, KeyIndex: -1, Link: link, Typ: intT()}
+	group := scalarSub(aggOver(&plan.Filter{Input: from,
+		Pred: notDistinct(col(0, "k"), &plan.CorrRef{Levels: 2, Index: 0, Name: "k", Typ: intT()})}, positions), intT())
+	group.Memo = false
+	read := &plan.LinkRead{Link: link, Group: group, Sch: bottom.Schema()}
+	measure := scalarSub(aggOver(read, sumF), floatT())
+	measure.Memo = false
 	return &plan.Project{Input: agg, Exprs: []plan.NamedExpr{
 		{Expr: col(0, "k"), Col: plan.Col{Name: "k", Typ: intT()}},
 		{Expr: col(1, "n"), Col: plan.Col{Name: "n", Typ: intT()}},
-		{Expr: link, Col: plan.Col{Name: "s", Typ: floatT()}},
+		{Expr: measure, Col: plan.Col{Name: "s", Typ: floatT()}},
 	}, Sch: &plan.Schema{Cols: []plan.Col{{Name: "k", Typ: intT()}, {Name: "n", Typ: intT()}, {Name: "s", Typ: floatT()}}}}
 }
 
-// answersSpooled is a lattice that answers every spooled Aggregate with
-// the rows it was given and reads no table.
-type answersSpooled struct{ rows [][]sqltypes.Value }
+// answersOne is a lattice that answers one Aggregate with the rows it
+// was given and reads no table.
+type answersOne struct {
+	agg  *plan.Aggregate
+	rows [][]sqltypes.Value
+}
 
-func (a *answersSpooled) Analyze(n *plan.Aggregate) any {
-	if n.Spool == nil {
+func (a *answersOne) Analyze(n *plan.Aggregate) any {
+	if n != a.agg {
 		return nil
 	}
 	return n
 }
 
-func (a *answersSpooled) Answer(n any, _ func(plan.Expr) (sqltypes.Value, error)) ([][]sqltypes.Value, bool, error) {
+func (a *answersOne) Answer(n any, _ func(plan.Expr) (sqltypes.Value, error)) ([][]sqltypes.Value, bool, error) {
 	return a.rows, n != nil, nil
 }
 
-// When the lattice answers a spooled Aggregate nothing runs its input,
-// so the first read of the spool runs it, once, and every link reads
-// those rows: the input table is scanned exactly once either way and the
-// rows are those of a run without the lattice. Four executions of one
-// cached plan at once, with four workers each, agree too.
-func TestSpoolReadWhenTheLatticeAnswered(t *testing.T) {
-	node := spooledQuery()
+// The base rows of a context link are made once per execution, by
+// whichever read comes first: when the lattice answers the Aggregate,
+// nothing runs its input and the first group's read makes them. The
+// input table is scanned exactly once either way, the rows are those of
+// a run without the lattice and every group's sum is that of its rows.
+// Four executions of one cached plan at once, with four workers each,
+// make their own and agree too.
+func TestLinkBaseMadeOnceWhenTheLatticeAnswered(t *testing.T) {
+	node := linkedQuery()
 	agg := node.Input.(*plan.Aggregate)
 	run := func(rollups RollupProvider, workers int, pipe *Pipeline) ([]Row, Stats, error) {
 		settings := DefaultSettings()
@@ -625,13 +636,24 @@ func TestSpoolReadWhenTheLatticeAnswered(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stats.RowsScanned != 300 {
-		t.Fatalf("without the lattice: %d rows scanned, want 300 (the links read the spool)", stats.RowsScanned)
+		t.Fatalf("without the lattice: %d rows scanned, want 300 (every read reads the rows made once)", stats.RowsScanned)
+	}
+	sums := map[string]float64{}
+	for i, row := range factScan(300).Source.Rows() {
+		if i > 20 {
+			sums[row[0].String()] += row[2].F()
+		}
+	}
+	for _, row := range want {
+		if s := sums[row[0].String()]; row[2].F() != s {
+			t.Fatalf("group %s sums %v, want %v", row[0], row[2], s)
+		}
 	}
 	aggRows, err := Run(agg, DefaultSettings())
 	if err != nil {
 		t.Fatal(err)
 	}
-	lattice := &answersSpooled{rows: aggRows}
+	lattice := &answersOne{agg: agg, rows: aggRows}
 	for _, workers := range []int{1, 4} {
 		got, stats, err := run(lattice, workers, nil)
 		if err != nil {

@@ -2,10 +2,8 @@ package exec
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -64,7 +62,7 @@ func (rt *runtime) run(n plan.Node) ([]Row, error) {
 		rows, err := rt.runNode(n)
 		rt.inputRows = len(rows)
 		if err == nil {
-			err = rt.charge(n, rows)
+			err = rt.charge(rows)
 		}
 		return rows, err
 	}
@@ -74,19 +72,13 @@ func (rt *runtime) run(n plan.Node) ([]Row, error) {
 	m.Record(len(rows), int64(time.Since(start)))
 	rt.inputRows = len(rows)
 	if err == nil {
-		err = rt.charge(n, rows)
+		err = rt.charge(rows)
 	}
 	return rows, err
 }
 
-// charge notes an operator's output against the budget. A spool read
-// hands out rows that were charged when the Aggregate's input made them.
-func (rt *runtime) charge(n plan.Node, rows []Row) error {
-	if sc, ok := n.(*plan.Scan); ok {
-		if _, ok := sc.Source.(*plan.Spool); ok {
-			return nil
-		}
-	}
+// charge notes an operator's output against the budget.
+func (rt *runtime) charge(rows []Row) error {
 	return rt.sh.bud.noteRows(len(rows), rowsBytes(rows))
 }
 
@@ -110,15 +102,6 @@ type snapshotSource interface {
 func (rt *runtime) runNode(n plan.Node) ([]Row, error) {
 	switch n := n.(type) {
 	case *plan.Scan:
-		if s, ok := n.Source.(*plan.Spool); ok {
-			rt.sh.scans.Add(1)
-			// The rows are this execution's: no column share may keep them.
-			rt.scanned = storage.State{}
-			return rt.readSpool(s)
-		}
-		if n.Link != nil {
-			return rt.scanLinked(n)
-		}
 		var rows []Row
 		if src, ok := n.Source.(snapshotSource); ok {
 			rows, rt.scanned = src.Snapshot()
@@ -195,9 +178,6 @@ func (rt *runtime) runNode(n plan.Node) ([]Row, error) {
 		return rt.readLinked(n)
 
 	case *plan.Aggregate:
-		if n.Spool != nil {
-			rt.openSpool(n.Spool, n.Input)
-		}
 		if rows, ok, err := rt.tryRollup(n); err != nil {
 			return nil, err
 		} else if ok {
@@ -281,65 +261,6 @@ func (rt *runtime) runNode(n plan.Node) ([]Row, error) {
 	default:
 		return nil, fmt.Errorf("internal error: cannot execute %T", n)
 	}
-}
-
-// spoolRows is one execution's rows of a plan.Spool. The Aggregate
-// that folds them publishes them; when the lattice answered it instead
-// and nothing ran its input, the first read runs input and publishes
-// what it made. Either way they are made once, under once, and only
-// read afterwards.
-type spoolRows struct {
-	input plan.Node
-	once  sync.Once
-	rows  []Row
-	err   error
-}
-
-// openSpool makes s's entry for this execution, on the Aggregate's
-// dispatch and before the lattice is asked; a later dispatch of the same
-// node (an enclosing subquery run again) finds it and changes nothing.
-func (rt *runtime) openSpool(s *plan.Spool, input plan.Node) *spoolRows {
-	sh := rt.sh
-	sh.spoolMu.Lock()
-	defer sh.spoolMu.Unlock()
-	e := sh.spools[s]
-	if e == nil {
-		if sh.spools == nil {
-			sh.spools = map[*plan.Spool]*spoolRows{}
-		}
-		e = &spoolRows{input: input}
-		sh.spools[s] = e
-	}
-	return e
-}
-
-// publishSpool hands the rows an Aggregate's input made to the links
-// reading s, unless this execution's spool is already made: the input is
-// uncorrelated and deterministic, so every run of it makes the same rows.
-func (rt *runtime) publishSpool(s *plan.Spool, rows []Row) {
-	e := rt.openSpool(s, nil)
-	e.once.Do(func() { e.rows = rows })
-}
-
-var errSpoolUnmade = errors.New("spooled aggregate input was not produced")
-
-// readSpool returns this execution's rows of s, running the Aggregate's
-// input the first time if nothing published them.
-func (rt *runtime) readSpool(s *plan.Spool) ([]Row, error) {
-	rt.sh.spoolMu.Lock()
-	e := rt.sh.spools[s]
-	rt.sh.spoolMu.Unlock()
-	if e == nil {
-		return nil, fmt.Errorf("internal error: spool read before its Aggregate ran")
-	}
-	e.once.Do(func() {
-		// Reported if the run below panics.
-		e.err = errSpoolUnmade
-		// The input is uncorrelated, so the frames on the stack do not
-		// matter to it.
-		e.rows, e.err = rt.run(e.input)
-	})
-	return e.rows, e.err
 }
 
 // joinEnv bundles per-join helpers shared by the serial and parallel

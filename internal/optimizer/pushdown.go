@@ -26,8 +26,7 @@ import (
 //	                             keys and aggregate arguments
 //
 // so a view's full SELECT list is not materialized per input row when
-// the aggregate reads two or three of its columns. A Scan of a spool is
-// a leaf like any other, so pushdown stops there.
+// the aggregate reads two or three of its columns.
 func pushDown(n plan.Node, rep *Report) plan.Node {
 	switch n := n.(type) {
 	case *plan.Filter:
@@ -109,13 +108,8 @@ func pushFilter(f *plan.Filter, rep *Report) plan.Node {
 // projection must be subquery-free and non-volatile — dropping or
 // duplicating an evaluation must be unobservable — and every expression
 // of the aggregate must substitute through it (none holds a subquery,
-// whose correlated references would index the vanished row layout). A
-// spooled Aggregate keeps its input: the context links reading the spool
-// index its row layout.
+// whose correlated references would index the vanished row layout).
 func mergeProject(agg *plan.Aggregate, rep *Report) plan.Node {
-	if agg.Spool != nil {
-		return agg
-	}
 	for {
 		proj, ok := agg.Input.(*plan.Project)
 		if !ok {

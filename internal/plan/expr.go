@@ -269,10 +269,6 @@ type Subquery struct {
 	Exprs []Expr // IN left-hand tuple (evaluated in the outer row)
 	Typ   sqltypes.Type
 	Memo  bool
-	// NullSafe IN-membership treats NULL as equal to NULL (IS NOT
-	// DISTINCT FROM semantics); evaluation-context link terms use it so
-	// NULL dimension values group correctly. Plain SQL IN leaves it off.
-	NullSafe bool
 	// Label carries a human-readable origin, e.g. "measure profitMargin",
 	// used by EXPLAIN.
 	Label string

@@ -91,7 +91,11 @@ type AggCall struct {
 	// Link marks POSITIONS(col), the fold of a context link by position:
 	// each group keeps the positions its rows carry in col, and the
 	// call's output names that set for the link's reads (see RowLink).
+	// With Sets, col holds the names of sets a POSITIONS call beneath
+	// published (a DISTINCT merged rows), and the group's set is their
+	// union.
 	Link *RowLink
+	Sets bool
 	Typ  sqltypes.Type
 }
 
@@ -164,14 +168,11 @@ type Node interface {
 	Explain() string
 }
 
-// Scan reads all rows from a RowSource. With a Link it reads the
-// link's snapshot of Source and appends each row's position in it as a
-// trailing INTEGER column.
+// Scan reads all rows from a RowSource.
 type Scan struct {
 	Source RowSource
 	Alias  string
 	Sch    *Schema
-	Link   *RowLink
 }
 
 // Schema implements Node.
@@ -186,38 +187,39 @@ func (n *Scan) Explain() string {
 	if n.Alias != "" && n.Alias != n.Source.Name() {
 		s += " AS " + n.Alias
 	}
-	if n.Link != nil {
-		s += " with positions"
-	}
 	return s
 }
 
 // RowLink is a context link by position (paper §3.6): a measure reached
 // through a join reads exactly the base rows its group's joined rows
-// came from. The relation carrying the measure scans its stored table
-// through a Scan with this Link, which appends each row's position in
-// the snapshot; the outer Aggregate folds each group's positions with a
-// POSITIONS call; the measure's LinkRead reads the rows at them. One
-// execution pins one snapshot per link — the first Scan of it takes the
-// snapshot and every later Scan and LinkRead reads that one — so a
-// position never indexes rows of another generation. The pin exists
-// only inside an execution; the link itself is an identity shared by
-// the plan's nodes.
+// came from. Its rows are those of the bottom of the measure's base — a
+// node of it that the relation's plan reads too — made once per
+// execution: the bottom runs once, so a Scan of a stored table, Table,
+// takes one snapshot of it, which a read that comes first takes
+// instead. The relation carrying the measure reads them through a
+// LinkRead with the bottom as Input, which appends each row's position;
+// the outer Aggregate folds each group's positions with a POSITIONS
+// call; the measure's LinkRead reads the rows at them. A position never
+// indexes rows of another generation or of another run of a volatile
+// plan. The rows exist only inside an execution; the link itself is an
+// identity shared by the plan's nodes.
 type RowLink struct {
 	Table RowSource
 }
 
-// LinkRead reads the rows of its link's snapshot at one group's
-// positions, each once, in position order. The group is Group, the
-// output of the outer Aggregate's POSITIONS call read through a
-// correlated reference; or, with Group nil (the naive strategy), the
-// positions in column Col of Input, the query's FROM tree filtered to
-// the group and run again for each context.
+// LinkRead reads the rows of a context link (RowLink). With Input, the
+// bottom of the measure relation's plan, it is the relation's side: it
+// makes the link's rows by running Input and returns each with its
+// position appended as a trailing INTEGER column. Otherwise it is the measure's
+// side: the rows at the positions of the set Group names, each once, in
+// position order. Group is the output of the outer Aggregate's POSITIONS
+// call read through a correlated reference or, under the naive
+// strategy, a subquery that folds the positions of the query's FROM tree
+// run again and filtered to the group.
 type LinkRead struct {
 	Link  *RowLink
-	Group Expr
 	Input Node
-	Col   int
+	Group Expr
 	Sch   *Schema
 }
 
@@ -234,45 +236,15 @@ func (n *LinkRead) Children() []Node {
 
 // Explain implements Node.
 func (n *LinkRead) Explain() string {
-	at := fmt.Sprintf("$%d", n.Col)
-	if n.Group != nil {
-		at = n.Group.String()
+	if n.Input != nil {
+		return "With positions"
 	}
-	return fmt.Sprintf("Scan %s [context link by position] at %s", n.Link.Table.Name(), at)
-}
-
-// Spool names the rows an Aggregate's input produces in one execution,
-// so that a context link (a measure reached through a join, paper §3.6)
-// reads the rows the Aggregate folds instead of running the query's FROM
-// tree again. The Aggregate holds it in its Spool field; the link reads
-// it through a Scan whose Source it is. The rows exist only inside an
-// execution, so Rows returns nil and the executor keeps them.
-type Spool struct {
-	Sch *Schema
-}
-
-// Name implements RowSource.
-func (s *Spool) Name() string { return "spool" }
-
-// ColNames implements RowSource.
-func (s *Spool) ColNames() []string { return s.Sch.ColNames() }
-
-// ColTypes implements RowSource.
-func (s *Spool) ColTypes() []sqltypes.Type {
-	types := make([]sqltypes.Type, len(s.Sch.Cols))
-	for i, c := range s.Sch.Cols {
-		types[i] = c.Typ
+	name := "linked rows"
+	if n.Link.Table != nil {
+		name = n.Link.Table.Name()
 	}
-	return types
+	return fmt.Sprintf("Scan %s [context link by position] at %s", name, n.Group)
 }
-
-// Rows implements RowSource; see Spool.
-func (s *Spool) Rows() [][]sqltypes.Value { return nil }
-
-// DataState implements RowSource with a state that is always the Same:
-// the rows follow the tables under the Aggregate, which are sources of
-// the same plan and carry the states of their own.
-func (s *Spool) DataState() storage.State { return storage.State{Gen: 1} }
 
 // Values produces a fixed list of rows of constant expressions; with one
 // empty row it implements SELECT-without-FROM.
@@ -414,15 +386,12 @@ func (n *Join) Explain() string {
 // set containing every index, a global aggregate has one empty set, and
 // ROLLUP/CUBE/GROUPING SETS produce several. Output columns are the group
 // keys (NULL when absent from the row's set) followed by the aggregates.
-// A non-nil Spool publishes the Input's rows to the context links that
-// read it.
 type Aggregate struct {
 	Input      Node
 	GroupExprs []Expr
 	Sets       [][]int
 	Aggs       []AggCall
 	Sch        *Schema
-	Spool      *Spool
 }
 
 // Schema implements Node.
@@ -458,9 +427,6 @@ func (n *Aggregate) Explain() string {
 	}
 	if len(n.Aggs) > 0 {
 		sb.WriteString("]")
-	}
-	if n.Spool != nil {
-		sb.WriteString(" spool")
 	}
 	return sb.String()
 }

@@ -92,6 +92,20 @@ func ShiftCorr(e Expr, delta int) Expr {
 	})
 }
 
+// ShiftOuterRefs returns a copy of n to run delta frames further down:
+// every reference to a row outside n, in its subquery plans too, gains
+// delta levels.
+func ShiftOuterRefs(n Node, delta int) Node {
+	return TransformNodeExprs(n, func(e Expr, depth int) Expr {
+		if c, ok := e.(*CorrRef); ok && c.Levels > depth {
+			s := *c
+			s.Levels += delta
+			return &s
+		}
+		return e
+	})
+}
+
 // SubstituteCols replaces every ColRef in e using m; refs absent from m
 // are returned unchanged. CorrRefs are left alone.
 func SubstituteCols(e Expr, m func(*ColRef) (Expr, bool)) Expr {

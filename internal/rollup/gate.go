@@ -77,14 +77,15 @@ type flatSrc struct {
 	preds []plan.Expr // innermost Filter first
 }
 
-// flatten declines a Scan with a Link: its rows carry positions in one
-// execution's snapshot, which no lattice node holds, so neither the
-// Aggregate folding them nor any other over it is answered here.
+// flatten declines a plan.LinkRead like any other node: its rows carry
+// positions in one execution's rows of a context link, which no lattice
+// node holds, so neither the Aggregate folding them nor any other over
+// it is answered here.
 func flatten(n plan.Node) (*flatSrc, bool) {
 	switch t := n.(type) {
 	case *plan.Scan:
 		bt, ok := t.Source.(*catalog.BaseTable)
-		if !ok || t.Link != nil {
+		if !ok {
 			return nil, false
 		}
 		cols := t.Sch.Cols

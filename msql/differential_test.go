@@ -312,8 +312,8 @@ func TestDifferentialPartitionedVsPerContext(t *testing.T) {
 // measure's base (k has NULLs and a bucket, 4, no context reads, whose
 // INTEGER sum overflows; x carries long mantissas, so accumulation order
 // shows in the low bits), C holds the contexts (NULL, and 9, which no row
-// of F has), P is joined to F and has NULL ages, so the context link's
-// tuples contain NULL.
+// of F has), P is joined to F and has NULL ages, so the rows a context
+// link reads contain NULL.
 const foldSetupSQL = `
 CREATE TABLE F (k INTEGER, g VARCHAR, x DOUBLE, big INTEGER);
 INSERT INTO F VALUES
@@ -331,8 +331,8 @@ CREATE VIEW FV AS SELECT *, SUM(x) AS MEASURE sx, AVG(x) AS MEASURE ax, COUNT(*)
 
 // testFoldedContextsVsPerContext runs the shapes a partition folds into
 // states or IN sets — float SUM and AVG, NULL keys under = and IS NOT
-// DISTINCT FROM, empty buckets, a bucket whose fold overflows, a joined
-// measure whose link tuples hold NULL, one linked by position — under the memo and default
+// DISTINCT FROM, empty buckets, a bucket whose fold overflows — and
+// joined measures whose linked rows hold NULL — under the memo and default
 // strategies at 1 and 4 workers with the lattice off and on, against the
 // naive strategy at one worker without it, on every value bit for bit.
 func testFoldedContextsVsPerContext(t *testing.T) {
@@ -364,11 +364,11 @@ func testFoldedContextsVsPerContext(t *testing.T) {
 		{"in-set", `SELECT c.k, 'a' IN (SELECT g FROM F WHERE F.k IS NOT DISTINCT FROM c.k) AS hasA,
 			'z' IN (SELECT g FROM F WHERE F.k = c.k) AS hasZ
 			FROM C c ORDER BY c.k NULLS LAST`, true},
-		// A DOUBLE dimension keeps the link on dimension tuples.
+		// Linked by position, with a DOUBLE dimension and without, each
+		// group reads its own rows: nothing is partitioned.
 		{"joined-measure-null-link", `SELECT f.k, COUNT(*) AS n, p.avgAge AT (VISIBLE) AS v
 			FROM F AS f JOIN (SELECT name, age, age * 1.5 AS ageD, AVG(age) AS MEASURE avgAge FROM P) AS p ON f.g = p.name
-			GROUP BY f.k ORDER BY f.k NULLS LAST`, true},
-		// Linked by position, each group reads its own rows.
+			GROUP BY f.k ORDER BY f.k NULLS LAST`, false},
 		{"joined-measure-by-position", `SELECT f.k, COUNT(*) AS n, p.avgAge AT (VISIBLE) AS v
 			FROM F AS f JOIN (SELECT *, AVG(age) AS MEASURE avgAge FROM P) AS p ON f.g = p.name
 			GROUP BY f.k ORDER BY f.k NULLS LAST`, false},

@@ -1,12 +1,13 @@
 package msql_test
 
 // A measure reached through a join is linked to its group through the
-// group's visible rows (paper §3.6): the measure's base rows count if
-// their whole dimension tuple is among the tuples of the query's FROM +
-// WHERE rows in the group. These tests hold the engine to that meaning
-// with an oracle written in plain SQL — no measure, no AT — and pin
-// which plans link by position, which read the rows the outer Aggregate
-// spooled, and which run the FROM tree again.
+// group's visible rows (paper §3.6): the measure reads the base rows the
+// group's rows of the query's FROM + WHERE came from. Over a stored
+// table these are the base rows whose whole dimension tuple is among the
+// group's joined tuples. These tests hold the engine to that meaning
+// with an oracle written in plain SQL — no measure, no AT — and pin how
+// a link reads its group's rows: through the outer Aggregate's fold, or
+// from its own run of the FROM tree.
 
 import (
 	"context"
@@ -225,62 +226,53 @@ const listing9 = `WITH EC AS (SELECT *, AVG(custAge) AS MEASURE avgAge FROM Cust
 	SELECT o.prodName, COUNT(*) AS orderCount, c.avgAge AS avgAge, c.avgAge AT (VISIBLE) AS visibleAvgAge
 	FROM Orders AS o JOIN EC AS c USING (custName) %s GROUP BY o.prodName ORDER BY o.prodName`
 
-// TestContextLinkSpool pins how a context link reads its group's rows:
-// by position for Listing 9 (the Aggregate folds each group's positions
-// and nothing is spooled); through the spooled rows of its Aggregate
-// for a link that must match dimension tuples (a DOUBLE dimension)
-// over an uncorrelated, deterministic FROM + WHERE under the memo
-// strategies; and from its own run of the FROM tree otherwise. Every
-// plan gives the naive strategy's rows.
-func TestContextLinkSpool(t *testing.T) {
+// TestContextLinkBase pins how a context link reads its group's rows:
+// by position for Listing 9, a DOUBLE dimension, a volatile WHERE, a
+// grouped join in a correlated subquery and a base that is no stored
+// table. Under the memo strategies the outer Aggregate folds each
+// group's positions and the measure reads them through its output;
+// under the naive strategy each read folds them from its own run of the
+// FROM tree. Every plan gives the naive strategy's rows.
+func TestContextLinkBase(t *testing.T) {
 	naive := open(t)
 	naive.SetStrategy(msql.StrategyNaive)
 	const doubleDim = `WITH EC AS (SELECT custName, custAge, custAge * 1.5 AS ageD, AVG(custAge) AS MEASURE avgAge FROM Customers)
 	SELECT o.prodName, COUNT(*) AS orderCount, c.avgAge AS avgAge, c.avgAge AT (VISIBLE) AS visibleAvgAge
 	FROM Orders AS o JOIN EC AS c USING (custName) WHERE c.custAge >= 18 GROUP BY o.prodName ORDER BY o.prodName`
-	for _, tc := range []struct {
-		name, sql string
-		position  bool // the link reads by position
-		spool     bool // the link reads the Aggregate's spooled rows
-	}{
-		{"listing-9", fmt.Sprintf(listing9, "WHERE c.custAge >= 18"), true, false},
-		{"double-dimension", doubleDim, false, true},
+	for _, tc := range []struct{ name, sql string }{
+		{"listing-9", fmt.Sprintf(listing9, "WHERE c.custAge >= 18")},
+		{"double-dimension", doubleDim},
 		// RANDOM() < 2 keeps every row, but the plan cannot know that.
-		{"volatile-where", fmt.Sprintf(listing9, "WHERE c.custAge >= 18 AND RANDOM() < 2"), false, false},
+		{"volatile-where", fmt.Sprintf(listing9, "WHERE c.custAge >= 18 AND RANDOM() < 2")},
 		// The grouped join's WHERE reads the enclosing row, so its rows
 		// change from one outer row to the next.
 		{"correlated-subquery", `WITH EC AS (SELECT *, AVG(custAge) AS MEASURE avgAge FROM Customers)
 			SELECT p.prodName, (SELECT MAX(x.a) FROM (SELECT YEAR(o.orderDate) AS y, c.avgAge AS a
 				FROM Orders AS o JOIN EC AS c USING (custName) WHERE o.prodName = p.prodName
 				GROUP BY YEAR(o.orderDate)) AS x) AS maxAvgAge
-			FROM (SELECT DISTINCT prodName FROM Orders) AS p ORDER BY p.prodName`, false, false},
+			FROM (SELECT DISTINCT prodName FROM Orders) AS p ORDER BY p.prodName`},
+		{"distinct-base", strings.Replace(fmt.Sprintf(listing9, ""), "FROM Customers",
+			"FROM (SELECT DISTINCT custName, custAge FROM Customers)", 1)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want, err := naive.Query(tc.sql)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, strategy := range []msql.Strategy{msql.StrategyDefault, msql.StrategyMemo} {
+			for _, strategy := range []msql.Strategy{msql.StrategyDefault, msql.StrategyMemo, msql.StrategyNaive} {
 				db := open(t)
 				db.SetStrategy(strategy)
 				txt, err := db.Explain(tc.sql)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := strings.Contains(txt, "[context link by position]"); got != tc.position {
-					t.Fatalf("strategy %d: link by position: %v, want %v:\n%s", strategy, got, tc.position, txt)
+				if !strings.Contains(txt, "[context link by position]") {
+					t.Fatalf("strategy %d: no link by position:\n%s", strategy, txt)
 				}
-				if !tc.position && !strings.Contains(txt, "[context link]") {
-					t.Fatalf("no context link:\n%s", txt)
-				}
-				if got := strings.Contains(txt, "POSITIONS("); got != tc.position {
-					t.Fatalf("strategy %d: Aggregate folds positions: %v, want %v:\n%s", strategy, got, tc.position, txt)
-				}
-				if got := strings.Contains(txt, "Scan spool"); got != tc.spool {
-					t.Fatalf("strategy %d: link reads a spool: %v, want %v:\n%s", strategy, got, tc.spool, txt)
-				}
-				if got := strings.Contains(txt, "] spool\n"); got != tc.spool {
-					t.Fatalf("strategy %d: Aggregate spools: %v, want %v:\n%s", strategy, got, tc.spool, txt)
+				// The naive strategy is the paper's literal per-row
+				// rewrite: every read runs the FROM tree itself.
+				if got, want := strings.Contains(txt, "[the group's positions]"), strategy == msql.StrategyNaive; got != want {
+					t.Fatalf("strategy %d: the read folds its own positions: %v, want %v:\n%s", strategy, got, want, txt)
 				}
 				got, err := db.Query(tc.sql)
 				if err != nil {
@@ -290,28 +282,35 @@ func TestContextLinkSpool(t *testing.T) {
 					t.Fatalf("strategy %d:\n%s\nnaive:\n%s", strategy, g, w)
 				}
 			}
-			// The naive strategy is the paper's literal per-row rewrite:
-			// every link runs the FROM tree itself, by position too.
-			txt, err := naive.Explain(tc.sql)
-			if err != nil || strings.Contains(txt, "spool") || strings.Contains(txt, "POSITIONS(") {
-				t.Fatalf("naive strategy spools or folds positions (err %v):\n%s", err, txt)
-			}
-			if got := strings.Contains(txt, "[context link by position]"); got != tc.position {
-				t.Fatalf("naive: link by position: %v, want %v:\n%s", got, tc.position, txt)
-			}
 		})
+	}
+	// A base that is no stored table is made once per execution: the
+	// naive strategy runs the FROM tree once for the Aggregate and once
+	// for each of the four groups' reads, and reads C's 6 rows once.
+	db := linkDB(t, false)
+	const q = `SELECT o.prodName, c.cnt AT (VISIBLE)
+		FROM O AS o LEFT JOIN (SELECT *, COUNT(*) AS MEASURE cnt FROM (SELECT DISTINCT custName, custAge FROM C)) AS c USING (custName)
+		GROUP BY o.prodName`
+	for strategy, scanned := range map[msql.Strategy]int64{msql.StrategyMemo: 7 + 6, msql.StrategyNaive: 5*7 + 6} {
+		db.SetStrategy(strategy)
+		db.MustQuery(q)
+		if st := db.LastStats(); st.RowsScanned != scanned {
+			t.Fatalf("strategy %d: %d rows scanned, want %d", strategy, st.RowsScanned, scanned)
+		}
 	}
 }
 
-// TestContextLinkSpoolConcurrentExecutions runs one cached plan of
-// Listing 9 from four goroutines at once, each execution pinning its own
-// snapshot and folding its own position sets, with four workers each;
-// every result is the one a serial execution gives for its binding.
-func TestContextLinkSpoolConcurrentExecutions(t *testing.T) {
+// TestContextLinkBaseConcurrentExecutions runs one cached plan of
+// Listing 9, over a base that is no stored table, from four goroutines
+// at once, each execution making its own base rows and folding its own
+// position sets, with four workers each; every result is the one a
+// serial execution gives for its binding.
+func TestContextLinkBaseConcurrentExecutions(t *testing.T) {
 	db := joinedDB(t, 7)
 	db.SetStrategy(msql.StrategyMemo)
 	const q = `SELECT YEAR(o.orderDate) AS y, COUNT(*) AS n, c.avgAge AS a, c.avgAge AT (VISIBLE) AS v
-		FROM Orders AS o JOIN EC AS c USING (custName) WHERE o.revenue > $1 AND c.custAge >= 20
+		FROM Orders AS o JOIN (SELECT *, AVG(custAge) AS MEASURE avgAge FROM (SELECT DISTINCT custName, custAge FROM Customers)) AS c
+		USING (custName) WHERE o.revenue > $1 AND c.custAge >= 20
 		GROUP BY YEAR(o.orderDate) ORDER BY y`
 	if txt, err := db.Explain(strings.ReplaceAll(q, "$1", "0")); err != nil || !strings.Contains(txt, "[context link by position]") {
 		t.Fatalf("the link does not read by position (err %v):\n%s", err, txt)

@@ -43,13 +43,12 @@ func TestPartitionedContextsSQL(t *testing.T) {
 			EXISTS (SELECT 1 FROM Orders o WHERE o.custName = c.custName AND o.revenue > 90) AS big,
 			c.custAge IN (SELECT o.cost FROM Orders o WHERE o.custName = c.custName) AS ageIsACost
 			FROM Customers c ORDER BY c.custName`, true},
-		// Listing 9 with a DOUBLE dimension: the context link matches
-		// dimension tuples, correlated two frames up.
+		// Listing 9, with a DOUBLE dimension and without, links by
+		// position: each group reads its own rows, and there is nothing
+		// to partition.
 		{"listing-9-join", `SELECT YEAR(o.orderDate) AS y, COUNT(*) AS n, c.avgAge AT (VISIBLE) AS visibleAvgAge
 			FROM Orders AS o JOIN (SELECT custName, custAge * 1.5 AS ageD, AVG(custAge) AS MEASURE avgAge FROM Customers) AS c USING (custName)
-			WHERE o.revenue > 20 GROUP BY YEAR(o.orderDate) ORDER BY y`, true},
-		// Listing 9 itself links by position: each group reads its own
-		// rows, and there is nothing to partition.
+			WHERE o.revenue > 20 GROUP BY YEAR(o.orderDate) ORDER BY y`, false},
 		{"listing-9-join-by-position", `SELECT YEAR(o.orderDate) AS y, COUNT(*) AS n, c.avgAge AT (VISIBLE) AS visibleAvgAge
 			FROM Orders AS o JOIN (SELECT *, AVG(custAge) AS MEASURE avgAge FROM Customers) AS c USING (custName)
 			WHERE o.revenue > 20 GROUP BY YEAR(o.orderDate) ORDER BY y`, false},

@@ -3,9 +3,10 @@ package msql_test
 // A context link by position: a measure reached through a join reads
 // exactly the base rows its group's joined rows came from. These tests
 // hold more join shapes to the plain-SQL meaning of TestJoinedMeasure-
-// MatchesPlainSQL, pin which shapes link by position, pin the one answer
-// that changes (a NULL-padded row adds no base row), and race a reader
-// against TRUNCATE and refill.
+// MatchesPlainSQL, hold every shape of measure relation to that one
+// meaning (a NULL-padded row adds no base row; a base row counts once,
+// whatever its values; a volatile base is evaluated once), and race a
+// reader against TRUNCATE and refill.
 
 import (
 	"context"
@@ -25,37 +26,36 @@ import (
 // which adds no base row), and base the measure's base rows.
 type joinShape struct {
 	name, from, plain, exists, base string
-	position                        bool // the link reads by position
 }
 
 var joinShapes = []joinShape{
 	{name: "left-nullable", from: "Orders AS o LEFT JOIN ECN AS c USING (custName)",
 		plain:  "Orders AS o LEFT JOIN Customers AS c USING (custName)",
-		exists: "Orders AS o JOIN Customers AS c USING (custName)", base: "Customers", position: true},
+		exists: "Orders AS o JOIN Customers AS c USING (custName)", base: "Customers"},
 	{name: "right-nullable", from: "ECN AS c RIGHT JOIN Orders AS o USING (custName)",
 		plain:  "Customers AS c RIGHT JOIN Orders AS o USING (custName)",
-		exists: "Customers AS c JOIN Orders AS o USING (custName)", base: "Customers", position: true},
+		exists: "Customers AS c JOIN Orders AS o USING (custName)", base: "Customers"},
 	{name: "left-preserved", from: "ECN AS c LEFT JOIN Orders AS o USING (custName)",
 		plain:  "Customers AS c LEFT JOIN Orders AS o USING (custName)",
-		exists: "Customers AS c LEFT JOIN Orders AS o USING (custName)", base: "Customers", position: true},
+		exists: "Customers AS c LEFT JOIN Orders AS o USING (custName)", base: "Customers"},
 	{name: "right-preserved", from: "Orders AS o RIGHT JOIN ECN AS c USING (custName)",
 		plain:  "Orders AS o RIGHT JOIN Customers AS c USING (custName)",
-		exists: "Orders AS o RIGHT JOIN Customers AS c USING (custName)", base: "Customers", position: true},
+		exists: "Orders AS o RIGHT JOIN Customers AS c USING (custName)", base: "Customers"},
 	// Customers with a shared name fan each joined row out again.
 	{name: "three-tables", from: "Orders AS o JOIN ECN AS c USING (custName) JOIN Customers AS k ON k.custName = c.custName",
 		plain:  "Orders AS o JOIN Customers AS c USING (custName) JOIN Customers AS k ON k.custName = c.custName",
 		exists: "Orders AS o JOIN Customers AS c USING (custName) JOIN Customers AS k ON k.custName = c.custName",
-		base:   "Customers", position: true},
+		base:   "Customers"},
 	{name: "twins", from: "Orders AS o JOIN ECN AS c USING (custName)",
 		plain:  "Orders AS o JOIN Customers AS c USING (custName)",
-		exists: "Orders AS o JOIN Customers AS c USING (custName)", base: "Customers", position: true},
+		exists: "Orders AS o JOIN Customers AS c USING (custName)", base: "Customers"},
 	// A view over a view bakes its WHERE clause into the measure.
 	{name: "view-over-view", from: "Orders AS o JOIN ECO AS c USING (custName)",
 		plain:  "Orders AS o JOIN (SELECT * FROM Customers WHERE custAge > 25) AS c USING (custName)",
 		exists: "Orders AS o JOIN (SELECT * FROM Customers WHERE custAge > 25) AS c USING (custName)",
-		base:   "(SELECT * FROM Customers WHERE custAge > 25)", position: true},
-	// Shapes that keep the link on dimension tuples: a DISTINCT between
-	// the base rows and the join, and a DOUBLE dimension.
+		base:   "(SELECT * FROM Customers WHERE custAge > 25)"},
+	// A DISTINCT between the base rows and the join merges rows, and
+	// the merged row stands for all of them; a DOUBLE dimension.
 	{name: "distinct-in-from", from: "Orders AS o JOIN (SELECT DISTINCT * FROM ECN) AS c USING (custName)",
 		plain:  "Orders AS o JOIN (SELECT DISTINCT * FROM Customers) AS c USING (custName)",
 		exists: "Orders AS o JOIN Customers AS c USING (custName)", base: "Customers"},
@@ -117,11 +117,10 @@ func shapeCases(sh joinShape, rng *rand.Rand) []joinedCase {
 }
 
 // TestJoinedMeasureShapesMatchPlainSQL: outer joins with the measure on
-// either side, three tables, identical twin rows and a view over a view
-// link by position, a DISTINCT in FROM and a DOUBLE dimension keep the
-// tuple link, and every shape is bit-identical to its plain-SQL
-// expansion under the memo and naive strategies, with 1 and 4 workers,
-// rollups off and on.
+// either side, three tables, identical twin rows, a view over a view, a
+// DISTINCT in FROM and a DOUBLE dimension all link by position, and
+// every shape is bit-identical to its plain-SQL expansion under the memo
+// and naive strategies, with 1 and 4 workers, rollups off and on.
 func TestJoinedMeasureShapesMatchPlainSQL(t *testing.T) {
 	const seed = 3307
 	ctx := context.Background()
@@ -143,11 +142,8 @@ func TestJoinedMeasureShapesMatchPlainSQL(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				if got := strings.Contains(txt, "[context link by position]"); got != sh.position {
-					t.Fatalf("%s: link by position: %v, want %v:\n%s", name, got, sh.position, txt)
-				}
-				if !sh.position && !strings.Contains(txt, "[context link]") {
-					t.Fatalf("%s: no tuple link:\n%s", name, txt)
+				if !strings.Contains(txt, "[context link by position]") {
+					t.Fatalf("%s: no link by position:\n%s", name, txt)
 				}
 			}
 			wants := make([]string, len(cases))
@@ -290,5 +286,157 @@ func TestLinkByPositionTruncateRefill(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// linkDB is the tables of TestOuterJoinPaddingAddsNoBaseRow — two equal
+// customer rows, a NULL age, a customer whose columns are all NULL, and
+// orders of no customer — and CM, the plain measure view over C; with
+// double, custAge is a DOUBLE.
+func linkDB(t testing.TB, double bool) *msql.DB {
+	t.Helper()
+	age := "INTEGER"
+	if double {
+		age = "DOUBLE"
+	}
+	db := msql.Open()
+	db.MustExec(`CREATE TABLE C (custName VARCHAR, custAge ` + age + `);
+		CREATE TABLE O (prodName VARCHAR, custName VARCHAR);
+		INSERT INTO C VALUES ('a', 10), ('a', 10), ('b', 20), ('c', NULL), (NULL, NULL), ('d', 40);
+		INSERT INTO O VALUES ('p', 'a'), ('p', 'b'), ('q', 'c'), ('q', 'zz'), ('r', NULL), ('r', 'd'), ('s', 'nobody');
+		CREATE VIEW CM AS SELECT *, COUNT(*) AS MEASURE cnt FROM C`)
+	return db
+}
+
+// strategyRows runs q under every strategy, with 1 and 4 workers and
+// rollups off and on, and fails unless each run renders as want (the
+// columns of each row joined by spaces, the rows by "|").
+func strategyRows(t *testing.T, db *msql.DB, q, want string) {
+	t.Helper()
+	for _, strategy := range []msql.Strategy{msql.StrategyDefault, msql.StrategyMemo, msql.StrategyNaive} {
+		db.SetStrategy(strategy)
+		for _, rollups := range []bool{false, true} {
+			db.SetRollups(rollups)
+			for _, workers := range []int{1, 4} {
+				res, err := db.QueryContext(context.Background(), q, msql.WithWorkers(workers))
+				if err != nil {
+					t.Fatalf("strategy %d w%d rollups=%v: %v\n%s", strategy, workers, rollups, err, q)
+				}
+				if got := renderRows(res); got != want {
+					t.Fatalf("strategy %d w%d rollups=%v: %s, want %s\n%s", strategy, workers, rollups, got, want, q)
+				}
+			}
+		}
+	}
+}
+
+func renderRows(res *msql.Result) string {
+	rows := make([]string, len(res.Rows))
+	for i, row := range res.Rows {
+		cols := make([]string, len(row))
+		for j, v := range row {
+			cols[j] = v.String()
+		}
+		rows[i] = strings.Join(cols, " ")
+	}
+	return strings.Join(rows, "|")
+}
+
+// TestContextLinkOneMeaning: whatever lies between a measure's base rows
+// and the join — a DOUBLE dimension, a DISTINCT, a GROUP BY, a UNION
+// ALL, a volatile WHERE, a re-export through DISTINCT, a join — the
+// measure counts the base rows its group's visible rows came from, each
+// once (DESIGN.md §3), and links by position.
+func TestContextLinkOneMeaning(t *testing.T) {
+	for _, tc := range []struct {
+		name, rel string
+		double    bool
+		want      string
+	}{
+		{"table", `(SELECT *, COUNT(*) AS MEASURE cnt FROM C)`, false, "p 3|q 1|r 1|s 0"},
+		{"double-dimension", `(SELECT *, COUNT(*) AS MEASURE cnt FROM C)`, true, "p 3|q 1|r 1|s 0"},
+		{"distinct-base", `(SELECT *, COUNT(*) AS MEASURE cnt FROM (SELECT DISTINCT custName, custAge FROM C))`, false, "p 2|q 1|r 1|s 0"},
+		{"grouped-base", `(SELECT *, COUNT(*) AS MEASURE cnt FROM (SELECT custName, MAX(custAge) AS custAge FROM C GROUP BY custName))`, false, "p 2|q 1|r 1|s 0"},
+		{"union-all-base", `(SELECT *, COUNT(*) AS MEASURE cnt FROM (SELECT * FROM C UNION ALL SELECT * FROM C))`, false, "p 6|q 2|r 2|s 0"},
+		// RANDOM() < 2 keeps every row, but no plan can know that.
+		{"volatile-base", `(SELECT *, COUNT(*) AS MEASURE cnt FROM C WHERE RANDOM() < 2)`, false, "p 3|q 1|r 1|s 0"},
+		{"distinct-re-export", `(SELECT DISTINCT custName, cnt FROM CM)`, false, "p 3|q 1|r 1|s 0"},
+		{"joined-base", `(SELECT *, COUNT(*) AS MEASURE cnt FROM C JOIN C AS k USING (custName))`, false, "p 5|q 1|r 1|s 0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := `SELECT o.prodName, c.cnt AT (VISIBLE) FROM O AS o LEFT JOIN ` + tc.rel +
+				` AS c USING (custName) GROUP BY o.prodName ORDER BY o.prodName`
+			db := linkDB(t, tc.double)
+			for _, strategy := range []msql.Strategy{msql.StrategyDefault, msql.StrategyMemo, msql.StrategyNaive} {
+				db.SetStrategy(strategy)
+				txt, err := db.Explain(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !strings.Contains(txt, "[context link by position]") || strings.Contains(txt, "[context link]") {
+					t.Fatalf("strategy %d: not one link by position:\n%s", strategy, txt)
+				}
+			}
+			strategyRows(t, db, q, tc.want)
+		})
+	}
+}
+
+// TestJoinedMeasureInCorrelatedSubquery: a joined measure inside a
+// correlated subquery, with and without VISIBLE, answers for each outer
+// row what the uncorrelated query answers for its group, and NULL where
+// the group has no row.
+func TestJoinedMeasureInCorrelatedSubquery(t *testing.T) {
+	db := linkDB(t, false)
+	const grouped = `SELECT o2.prodName, c.cnt AT (VISIBLE), c.cnt FROM O AS o2 JOIN CM AS c USING (custName)
+		GROUP BY o2.prodName ORDER BY o2.prodName`
+	const want = "p 3 3|q 1 1|r 1 1|s NULL NULL"
+	if got := renderRows(db.MustQuery(grouped)); got+"|s NULL NULL" != want {
+		t.Fatalf("uncorrelated: %s, want the groups of %s", got, want)
+	}
+	const q = `SELECT p.prodName,
+		(SELECT c.cnt AT (VISIBLE) FROM O AS o2 JOIN CM AS c USING (custName)
+			WHERE o2.prodName = p.prodName GROUP BY o2.prodName),
+		(SELECT c.cnt FROM O AS o2 JOIN CM AS c USING (custName)
+			WHERE o2.prodName = p.prodName GROUP BY o2.prodName)
+		FROM (SELECT DISTINCT prodName FROM O) AS p ORDER BY p.prodName`
+	strategyRows(t, db, q, want)
+}
+
+// TestVolatileBaseIsMadeOncePerExecution: a measure whose base keeps a
+// random half of the customers reads, in every group, exactly the
+// customers the group joined — the one evaluation of its base the join
+// read (DESIGN.md §3).
+func TestVolatileBaseIsMadeOncePerExecution(t *testing.T) {
+	db := msql.Open()
+	db.MustExec(`CREATE TABLE C (custName VARCHAR, custAge INTEGER); CREATE TABLE O (prodName VARCHAR, custName VARCHAR)`)
+	var cs, os []string
+	for i := 0; i < 200; i++ {
+		cs = append(cs, fmt.Sprintf("('c%d', %d)", i, 20+i%50))
+		os = append(os, fmt.Sprintf("('p%d', 'c%d'), ('p%d', 'c%d')", i%5, i, (i+1)%5, i))
+	}
+	db.MustExec(`INSERT INTO C VALUES ` + strings.Join(cs, ", ") + `; INSERT INTO O VALUES ` + strings.Join(os, ", "))
+	const q = `SELECT o.prodName, COUNT(DISTINCT c.custName), c.cnt AT (VISIBLE), c.cnt
+		FROM O AS o JOIN (SELECT *, COUNT(*) AS MEASURE cnt FROM C WHERE RANDOM() < 0.5) AS c USING (custName)
+		GROUP BY o.prodName ORDER BY o.prodName`
+	for _, strategy := range []msql.Strategy{msql.StrategyDefault, msql.StrategyMemo, msql.StrategyNaive} {
+		db.SetStrategy(strategy)
+		for _, workers := range []int{1, 4} {
+			for run := 0; run < 3; run++ {
+				res, err := db.QueryContext(context.Background(), q, msql.WithWorkers(workers))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Rows) != 5 {
+					t.Fatalf("strategy %d: %d groups, want 5", strategy, len(res.Rows))
+				}
+				for _, row := range res.Rows {
+					if n := row[1].String(); row[2].String() != n || row[3].String() != n {
+						t.Fatalf("strategy %d w%d: group %s joined %s customers, the measure read %s and %s",
+							strategy, workers, row[0], n, row[2], row[3])
+					}
+				}
+			}
+		}
 	}
 }
