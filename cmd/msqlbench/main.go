@@ -324,18 +324,19 @@ func e13() error {
 
 func e14() error {
 	db := paperDB()
-	queries := map[string]string{
-		"margin by product": `SELECT prodName, AGGREGATE(profitMargin) AS m
-		                      FROM EnhancedOrders GROUP BY prodName`,
-		"share of total": `SELECT prodName, AGGREGATE(sumRevenue) AS r,
+	queries := []struct{ name, sql string }{
+		{"margin by product", `SELECT prodName, AGGREGATE(profitMargin) AS m
+		                      FROM EnhancedOrders GROUP BY prodName`},
+		{"share of total", `SELECT prodName, AGGREGATE(sumRevenue) AS r,
 		                          sumRevenue / sumRevenue AT (ALL prodName) AS share
-		                   FROM OrdersWithRevenue GROUP BY prodName`,
-		"year over year": `SELECT prodName, YEAR(orderDate) AS orderYear,
+		                   FROM OrdersWithRevenue GROUP BY prodName`},
+		{"year over year", `SELECT prodName, YEAR(orderDate) AS orderYear,
 		                          sumRevenue / sumRevenue AT (SET orderYear = CURRENT orderYear - 1) AS ratio
-		                   FROM OrdersWithRevenue GROUP BY prodName, YEAR(orderDate)`,
+		                   FROM OrdersWithRevenue GROUP BY prodName, YEAR(orderDate)`},
 	}
 	fmt.Printf("%-20s %16s %16s %8s\n", "query", "measure tokens", "expanded tokens", "ratio")
-	for name, sql := range queries {
+	for _, q := range queries {
+		name, sql := q.name, q.sql
 		expanded, err := db.Expand(sql)
 		if err != nil {
 			return err

@@ -285,13 +285,15 @@ func dimRel(info *plan.MeasureInfo) *Rel {
 // adds the query's WHERE conjuncts that are expressible over the
 // measure's dimensions, and — under joins or for inexpressible conjuncts
 // — links the base table to the rows actually visible in the current
-// group (paper §3.5, §3.6).
+// group (paper §3.5, §3.6). A volatile conjunct counts as inexpressible:
+// restated over the base rows it would be drawn again, and pick other
+// rows than the ones the group holds.
 func (ab *aggBinder) applyVisible(ctx *core.Context, ph *measurePH, linkAdded *bool) error {
 	mapping := dimMapping(ph.rel, ph.info)
 	unmapped := false
 	if ab.whereExpr != nil {
 		for _, c := range plan.SplitConj(ab.whereExpr) {
-			if mc, ok := mapWholeExpr(c, mapping); ok {
+			if mc, ok := mapWholeExpr(c, mapping); ok && plan.ExprParallelSafe(c) {
 				ctx.AddPred(mc)
 			} else {
 				unmapped = true
@@ -375,7 +377,8 @@ type reread struct {
 // strategies the Aggregate folds each group's positions with a
 // POSITIONS call and the read names the group by that call's output;
 // under the naive strategy the read folds them itself from its own run
-// of the FROM tree, filtered to the group (finishRereads).
+// of the FROM tree, filtered to the group (finishRereads), unless that
+// run could draw other rows (redraws).
 func (ab *aggBinder) addLink(ctx *core.Context, ph *measurePH) error {
 	info := ph.info
 	bottom := linkBottom(info.Base, relChain(ph.rel.node))
@@ -419,13 +422,33 @@ func (ab *aggBinder) addLink(ctx *core.Context, ph *measurePH) error {
 	read := &plan.LinkRead{Link: rl.link, Sch: bottom.Schema()}
 	ctx.AddLinkRead(read, bottom)
 	fold := positions(rl.link, rl.col, rl.sets)
-	if !ab.b.positionFold {
+	if !ab.b.positionFold && !redraws(ab.input) {
 		ab.rereads = append(ab.rereads, reread{read: read, fold: fold, match: ab.groupMatch(2)})
 		return nil
 	}
 	gi := ab.addAgg(fold)
 	read.Group = &plan.CorrRef{Levels: 1, Index: ab.aggOut(gi), Name: "positions", Typ: positionCol(0).Col.Typ}
 	return nil
+}
+
+// redraws reports whether running n again may give other rows: a node
+// of n calls a volatile function, outside the bottoms of context links,
+// which are made once per execution. A read of the naive strategy that
+// ran such a FROM tree again would fold other rows than its group's, so
+// the Aggregate folds them instead.
+func redraws(n plan.Node) bool {
+	if lr, ok := n.(*plan.LinkRead); ok && lr.Input != nil {
+		return false
+	}
+	if !plan.NodeParallelSafe(n) {
+		return true
+	}
+	for _, c := range n.Children() {
+		if redraws(c) {
+			return true
+		}
+	}
+	return false
 }
 
 // positions is the POSITIONS call that folds the positions of link in

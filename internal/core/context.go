@@ -228,9 +228,10 @@ func (c *Context) Describe() string {
 }
 
 // readAt returns base, a chain of Filters and Projects over bottom, with
-// bottom replaced by read. The Projects run again over the linked rows;
-// the Filters do not: each linked row passed every one of them, or the
-// WHERE clause it restates, in the relation's plan.
+// bottom replaced by read. The Projects run again over the linked rows,
+// lifted into the measure subquery's frame (lift); the Filters do not
+// run: each linked row passed every one of them, or the WHERE clause it
+// restates, in the relation's plan.
 func readAt(base, bottom plan.Node, read *plan.LinkRead) plan.Node {
 	switch n := base.(type) {
 	case *plan.Filter:
@@ -239,12 +240,24 @@ func readAt(base, bottom plan.Node, read *plan.LinkRead) plan.Node {
 		}
 	case *plan.Project:
 		if n != bottom {
-			c := *n
+			c := *lift(n).(*plan.Project)
 			c.Input = readAt(n.Input, bottom, read)
 			return &c
 		}
 	}
 	return read
+}
+
+// lift returns n as the measure subquery runs it. n was bound in the
+// measure's relation, where the enclosing query's rows are as many
+// frames away as they are from the query over it; the subquery puts its
+// own frame in between, so each reference to an enclosing row gains a
+// level.
+func lift(n plan.Node) plan.Node {
+	if !plan.PlanHasOuterRefs(n, 0) {
+		return n
+	}
+	return plan.ShiftOuterRefs(n, 1)
 }
 
 // BuildMeasureSubquery assembles the correlated scalar subquery that
@@ -262,10 +275,10 @@ func BuildMeasureSubquery(info *plan.MeasureInfo, c *Context) (*plan.Subquery, e
 	if err != nil {
 		return nil, fmt.Errorf("measure %s: %v", info.Name, err)
 	}
-	var input plan.Node = info.Base
+	input := lift(info.Base)
 	for _, t := range c.Terms {
 		if t.LinkRead != nil {
-			input = readAt(input, t.LinkBottom, t.LinkRead)
+			input = readAt(info.Base, t.LinkBottom, t.LinkRead)
 		}
 	}
 	if pred != nil {

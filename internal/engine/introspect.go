@@ -182,36 +182,28 @@ func (s *Session) registerSystemTables() {
 	mustRegister(&catalog.VirtualTable{
 		TableName: "msql_stats.rollups",
 		Cols: []string{
-			"table_name", "keys", "aggs", "groups", "dirty", "rows_seen",
-			"exact", "disabled",
+			"table_name", "keys", "aggs", "groups", "rows_seen", "disabled",
 		},
-		Types: []sqltypes.Type{
-			strT, strT, strT, intT, intT, intT,
-			intT, intT,
-		},
+		Types: []sqltypes.Type{strT, strT, strT, intT, intT, intT},
 		Provider: func() [][]sqltypes.Value {
 			l := s.rollups.Load()
 			if l == nil {
 				return nil // rollups disabled: no lattice to report
 			}
-			boolInt := func(b bool) sqltypes.Value {
-				if b {
-					return sqltypes.NewInt(1)
-				}
-				return sqltypes.NewInt(0)
-			}
 			infos := l.Snapshot()
 			rows := make([][]sqltypes.Value, 0, len(infos))
 			for _, ni := range infos {
+				disabled := int64(0)
+				if ni.Disabled {
+					disabled = 1
+				}
 				rows = append(rows, []sqltypes.Value{
 					sqltypes.NewString(ni.Table),
 					sqltypes.NewString(ni.Keys),
 					sqltypes.NewString(ni.Aggs),
 					sqltypes.NewInt(int64(ni.Groups)),
-					sqltypes.NewInt(int64(ni.Dirty)),
 					sqltypes.NewInt(int64(ni.RowsSeen)),
-					boolInt(ni.Exact),
-					boolInt(ni.Disabled),
+					sqltypes.NewInt(disabled),
 				})
 			}
 			return rows

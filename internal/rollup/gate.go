@@ -53,10 +53,6 @@ type request struct {
 	terms    []term
 	consts   []plan.Expr // wholly row-independent conjuncts
 	groupKey []int       // GroupExprs[j] -> index into keys
-	// exact: every aggregate merges exactly (fn.MergesExactly), so the
-	// node maintains states in place on INSERT; otherwise mutations mark
-	// touched groups dirty for lazy rebuild.
-	exact bool
 	// derivExact: every aggregate tolerates deriving a coarser grouping
 	// from a finer one (fn.MergesInterleaved).
 	derivExact bool
@@ -196,7 +192,7 @@ func analyze(n *plan.Aggregate) *request {
 		return nil
 	}
 
-	req := &request{src: f.src, n: n, exact: true, derivExact: true}
+	req := &request{src: f.src, n: n, derivExact: true}
 
 	// Aggregates: rebased argument expressions must be baked; DISTINCT /
 	// WITHIN DISTINCT / FILTER need the raw row stream.
@@ -230,9 +226,6 @@ func analyze(n *plan.Aggregate) *request {
 		}
 		sp.sig = strings.Join(sigParts, ",")
 		req.aggs = append(req.aggs, sp)
-		if !def.MergesExactly(sp.argTypes) {
-			req.exact = false
-		}
 		if !def.MergesInterleaved(sp.argTypes) {
 			req.derivExact = false
 		}

@@ -30,7 +30,6 @@ type node struct {
 	keys      []plan.Expr
 	aggs      []aggSpec
 	preds     []plan.Expr
-	exact     bool
 	maxGroups int
 
 	// The node's expressions, compiled once when the node is created:
@@ -44,15 +43,11 @@ type node struct {
 	// The groups, a struct of arrays in the order of each group's first
 	// qualifying base row — the executor's first-seen output order, so a
 	// group's position is its order. Group g's key tuple (node key order)
-	// is keyVals[g*len(keys):], its aggregate states (nil slots for
-	// GROUPING placeholders) states[g*len(aggs):], and bit g of dirty
-	// marks states that are stale and must be rebuilt from the base rows
-	// before being read.
+	// is keyVals[g*len(keys):] and its aggregate states (nil slots for
+	// GROUPING placeholders) states[g*len(aggs):].
 	nGroups int
 	keyVals []sqltypes.Value
 	states  []fn.AggState
-	dirty   []uint64
-	nDirty  int
 	// byKey finds a group by its key tuple: the hash of the tuple's
 	// AppendKey encoding (the executor's group identity, RowKey) maps to 1
 	// + the newest group with that hash, and chain[g] to 1 + the one
@@ -111,7 +106,6 @@ func newNode(req *request, maxGroups int) *node {
 		keys:      req.keys,
 		aggs:      req.aggs,
 		preds:     req.preds,
-		exact:     req.exact,
 		maxGroups: maxGroups,
 		predFns:   predFns,
 		keyFns:    compile(req.keys),
@@ -135,19 +129,10 @@ func (nd *node) statesOf(g int) []fn.AggState {
 	return nd.states[g*na : g*na+na]
 }
 
-func (nd *node) isDirty(g int) bool { return nd.dirty[g>>6]&(1<<(g&63)) != 0 }
-
-func (nd *node) markDirty(g int) {
-	if !nd.isDirty(g) {
-		nd.dirty[g>>6] |= 1 << (g & 63)
-		nd.nDirty++
-	}
-}
-
 // dropGroups drops every group and every column index.
 func (nd *node) dropGroups() {
-	nd.nGroups, nd.nDirty = 0, 0
-	nd.keyVals, nd.states, nd.dirty, nd.chain = nil, nil, nil, nil
+	nd.nGroups = 0
+	nd.keyVals, nd.states, nd.chain = nil, nil, nil
 	nd.byKey = map[uint64]int32{}
 	for k := range nd.byCol {
 		nd.byCol[k] = nil
@@ -184,24 +169,17 @@ func (nd *node) find(h uint64) int {
 }
 
 // add appends a group with key tuple nd.key, whose encoding hashes to h,
-// and returns its position. An exactly-mergeable node's group starts
-// with fresh states; an order-sensitive one's starts dirty.
+// and returns its position. The group starts with fresh states.
 func (nd *node) add(h uint64) int {
 	g := nd.nGroups
 	nd.nGroups++
 	nd.keyVals = append(nd.keyVals, nd.key...)
 	for i := range nd.aggs {
 		var st fn.AggState
-		if sp := &nd.aggs[i]; nd.exact && sp.def != nil {
+		if sp := &nd.aggs[i]; sp.def != nil {
 			st = sp.def.New(sp.argTypes)
 		}
 		nd.states = append(nd.states, st)
-	}
-	if g&63 == 0 {
-		nd.dirty = append(nd.dirty, 0)
-	}
-	if !nd.exact {
-		nd.markDirty(g)
 	}
 	nd.chain = append(nd.chain, nd.byKey[h])
 	nd.byKey[h] = int32(g + 1)
@@ -241,10 +219,11 @@ func isNaN(v sqltypes.Value) bool {
 // sync brings the node from the state it has seen to now, the state of
 // the snapshot rows: rows appended since are the INSERT delta; if the
 // seen rows are no longer a prefix of the table the node starts over.
-// Exactly-mergeable nodes accumulate delta rows in place (incremental
-// maintenance: each group's Add stream stays in global row order,
-// identical to a serial rescan); order-sensitive nodes only mark the
-// touched groups dirty for lazy rebuild.
+// Delta rows are folded into their groups' states in place, in global
+// row order, so each group's Add stream is the one a serial scan makes
+// and the states are bit-identical to a rescan's — for every aggregate,
+// order-sensitive float accumulation included: only merging states
+// depends on order, and sync merges none.
 func (nd *node) sync(rows [][]sqltypes.Value, now storage.State, c *counters) error {
 	if _, ok := now.Since(nd.seen); !ok {
 		nd.dropGroups()
@@ -265,14 +244,10 @@ func (nd *node) sync(rows [][]sqltypes.Value, now storage.State, c *counters) er
 		if g < 0 {
 			g = nd.add(h)
 		}
-		if nd.exact {
-			if err := nd.accumulate(g, row); err != nil {
-				return err
-			}
-			c.incrementalRows.Add(1)
-		} else {
-			nd.markDirty(g)
+		if err := nd.accumulate(g, row); err != nil {
+			return err
 		}
+		c.incrementalRows.Add(1)
 	}
 	nd.seen = now
 	if nd.nGroups > nd.maxGroups {
@@ -331,46 +306,6 @@ func (nd *node) accumulate(g int, row []sqltypes.Value) error {
 			return err
 		}
 	}
-	return nil
-}
-
-// rebuildDirty recomputes every dirty group's states in one pass over
-// the synced prefix of the snapshot, in global row order — the lazy
-// rebuild path for order-sensitive aggregates.
-func (nd *node) rebuildDirty(rows [][]sqltypes.Value, c *counters) error {
-	if nd.nDirty == 0 {
-		return nil
-	}
-	for g := 0; g < nd.nGroups; g++ {
-		if !nd.isDirty(g) {
-			continue
-		}
-		states := nd.statesOf(g)
-		for i := range nd.aggs {
-			if sp := &nd.aggs[i]; sp.def != nil {
-				states[i] = sp.def.New(sp.argTypes)
-			}
-		}
-	}
-	for _, row := range rows {
-		ok, err := nd.rowKey(row)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		g := nd.find(maphash.Bytes(nd.seed, nd.enc))
-		if g < 0 || !nd.isDirty(g) {
-			continue
-		}
-		if err := nd.accumulate(g, row); err != nil {
-			return err
-		}
-	}
-	c.rebuilds.Add(int64(nd.nDirty))
-	clear(nd.dirty)
-	nd.nDirty = 0
 	return nil
 }
 

@@ -101,9 +101,6 @@ func syncAll(t *testing.T, nd *node, bt *catalog.BaseTable) {
 	if err := nd.sync(rows, now, &counters{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := nd.rebuildDirty(rows, &counters{}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // keyPos returns the node key position of column c of t.
@@ -266,47 +263,32 @@ func TestNodeSelectionAgreesWithScan(t *testing.T) {
 	}
 }
 
-// TestNodeFoldDoesNotAllocate: folding rows into existing groups — the
-// INSERT delta of an exactly-mergeable node in sync, and the rebuild
-// pass of an order-sensitive one — reuses the node's scratch key,
-// encoding and argument buffers.
+// TestNodeFoldDoesNotAllocate: folding an INSERT delta into existing
+// groups reuses the node's scratch key, encoding and argument buffers,
+// whatever the node's aggregates.
 func TestNodeFoldDoesNotAllocate(t *testing.T) {
 	bt := newTable(t)
 	insert(t, bt, tRows(0, 1000))
 	rows, now := bt.Snapshot()
 	c := &counters{}
-
-	exact := newNode(groupBy(t, bt, []int{1, 2}, sumV, countV), defaultMaxGroupsPerNode)
-	if err := exact.sync(rows, now, c); err != nil {
-		t.Fatal(err)
-	}
 	// Refold the second half: every row lands in an existing group.
 	half := now
 	half.Rows /= 2
-	if n := testing.AllocsPerRun(20, func() {
-		exact.seen = half
-		if err := exact.sync(rows, now, c); err != nil {
+	for _, nd := range []*node{
+		newNode(groupBy(t, bt, []int{1, 2}, sumV, countV), defaultMaxGroupsPerNode),
+		newNode(groupBy(t, bt, []int{1, 2}, avgV), defaultMaxGroupsPerNode),
+	} {
+		if err := nd.sync(rows, now, c); err != nil {
 			t.Fatal(err)
 		}
-	}); n != 0 {
-		t.Errorf("sync allocates %.0f objects folding %d rows (SUM and COUNT add without allocating)", n, now.Rows-half.Rows)
-	}
-
-	sens := newNode(groupBy(t, bt, []int{1, 2}, avgV), defaultMaxGroupsPerNode)
-	if err := sens.sync(rows, now, c); err != nil {
-		t.Fatal(err)
-	}
-	if err := sens.rebuildDirty(rows, c); err != nil {
-		t.Fatal(err)
-	}
-	// One dirty group: a fresh state for it, then a pass over all rows.
-	if n := testing.AllocsPerRun(20, func() {
-		sens.markDirty(0)
-		if err := sens.rebuildDirty(rows, c); err != nil {
-			t.Fatal(err)
+		if n := testing.AllocsPerRun(20, func() {
+			nd.seen = half
+			if err := nd.sync(rows, now, c); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("sync allocates %.0f objects folding %d rows into %s", n, now.Rows-half.Rows, nd.aggs[0].sig)
 		}
-	}); n > 1 {
-		t.Errorf("rebuildDirty allocates %.0f objects over %d rows, want the dirty group's 1 state", n, len(rows))
 	}
 }
 

@@ -14,12 +14,13 @@
 //
 // Maintenance: a node records the storage.State of the rows it has
 // folded and compares it, at every read, with the state of the table's
-// snapshot. Rows appended since are folded into exactly-mergeable nodes
-// in place (each group's Add stream stays in global row order, so the
-// states are bit-identical to a serial rescan); order-sensitive
-// aggregates (floating-point accumulation, AVG/VAR/STDDEV) only mark
-// the touched groups dirty and are rebuilt in one pass before
-// answering. Any other change (TRUNCATE) resets the node. A replaced
+// snapshot. Rows appended since are folded into every node in place,
+// each aggregate's Init / Iter / Final in Data Cube terms: a group's
+// Add stream stays in global row order, the stream a serial rescan
+// makes, so the states are bit-identical to a rescan's whatever the
+// aggregate — floating-point accumulation included, since only merging
+// states depends on order. Any other change (TRUNCATE) resets the node,
+// and the next read folds the table from its first row. A replaced
 // table is another node; the engine's DDL hook only releases the dead
 // one's memory. The lattice is derived state: it is never logged to the
 // WAL and rebuilds naturally from the recovered store after a crash.
@@ -59,10 +60,11 @@ type counters struct {
 
 // Counters is a snapshot of lattice activity. Hits/Misses count Answer
 // outcomes, one per execution of an Aggregate; Builds counts node
-// creations; Rebuilds counts dirty groups rebuilt lazily;
-// IncrementalRows counts delta rows folded into exactly-mergeable nodes
-// in place; Invalidations counts truncate resets and DDL drops.
-// Nodes/Groups/DirtyGroups are point-in-time gauges.
+// creations; IncrementalRows counts rows folded into node states in
+// place, a node's first rows included; Invalidations counts truncate
+// resets and DDL drops. Rebuilds stays 0: every node folds its delta
+// in place, and the field remains only because the repository
+// benchmark still reports it. Nodes/Groups are point-in-time gauges.
 type Counters struct {
 	Hits            int64 `json:"hits" prom:"msql_rollup_hits_total,counter" help:"Aggregate executions answered from the rollup lattice."`
 	Misses          int64 `json:"misses" prom:"msql_rollup_misses_total,counter" help:"Lattice consultations that fell back to direct execution."`
@@ -72,7 +74,6 @@ type Counters struct {
 	Invalidations   int64 `json:"invalidations" prom:"msql_rollup_invalidations_total,counter" help:"Rollup nodes reset by TRUNCATE or dropped by DDL."`
 	Nodes           int64 `json:"nodes" prom:"msql_rollup_nodes,gauge" help:"Rollup lattice nodes currently materialized."`
 	Groups          int64 `json:"groups" prom:"msql_rollup_groups,gauge" help:"Groups currently materialized across all rollup nodes."`
-	DirtyGroups     int64 `json:"dirty_groups" prom:"msql_rollup_dirty_groups,gauge" help:"Materialized groups currently awaiting lazy rebuild."`
 }
 
 // NodeInfo describes one lattice node for introspection
@@ -82,9 +83,7 @@ type NodeInfo struct {
 	Keys     string
 	Aggs     string
 	Groups   int
-	Dirty    int
 	RowsSeen int
-	Exact    bool
 	Disabled bool
 }
 
@@ -209,11 +208,6 @@ func (l *Lattice) Answer(a any, eval func(plan.Expr) (sqltypes.Value, error)) ([
 		l.c.misses.Add(1)
 		return nil, false, nil
 	}
-	if err := nd.rebuildDirty(rows, &l.c); err != nil {
-		nd.disable()
-		l.c.misses.Add(1)
-		return nil, false, nil
-	}
 	out, err := nd.answer(req, active, empty)
 	if err != nil {
 		nd.disable()
@@ -317,7 +311,6 @@ func (l *Lattice) Stats() Counters {
 		nd.mu.Lock()
 		c.Nodes++
 		c.Groups += int64(nd.nGroups)
-		c.DirtyGroups += int64(nd.nDirty)
 		nd.mu.Unlock()
 	}
 	return c
@@ -348,9 +341,7 @@ func (l *Lattice) Snapshot() []NodeInfo {
 			Keys:     strings.Join(keySigs, ", "),
 			Aggs:     strings.Join(aggSigs, ", "),
 			Groups:   nd.nGroups,
-			Dirty:    nd.nDirty,
 			RowsSeen: nd.seen.Rows,
-			Exact:    nd.exact,
 			Disabled: nd.disabled,
 		})
 		nd.mu.Unlock()

@@ -440,3 +440,53 @@ func TestVolatileBaseIsMadeOncePerExecution(t *testing.T) {
 		}
 	}
 }
+
+// TestVolatileWhereIsNotAContextPredicate: a volatile WHERE conjunct
+// reaches AGGREGATE and AT (VISIBLE) through the link to the group's
+// rows, not as a predicate over the measure's base rows, where it would
+// be drawn again: each group counts exactly the rows it holds.
+func TestVolatileWhereIsNotAContextPredicate(t *testing.T) {
+	const q = `SELECT prodName, COUNT(*) AS n, AGGREGATE(cnt) AS a, cnt AT (VISIBLE) AS v
+		FROM EO WHERE RANDOM() < 0.5 GROUP BY prodName`
+	for _, strategy := range []msql.Strategy{msql.StrategyDefault, msql.StrategyMemo, msql.StrategyNaive} {
+		db := buildRandomDB(t, 5, strategy)
+		for _, workers := range []int{1, 4} {
+			res, err := db.QueryContext(context.Background(), q, msql.WithWorkers(workers))
+			if err != nil {
+				t.Fatalf("strategy %d w%d: %v", strategy, workers, err)
+			}
+			if len(res.Rows) == 0 {
+				t.Fatalf("strategy %d w%d: no group", strategy, workers)
+			}
+			for _, row := range res.Rows {
+				if n := row[1].String(); row[2].String() != n || row[3].String() != n {
+					t.Fatalf("strategy %d w%d: %s", strategy, workers, renderRows(res))
+				}
+			}
+		}
+	}
+}
+
+// TestMeasureBaseReadsEnclosingRow: a measure whose base filters on the
+// enclosing query's row gives every strategy the default strategy's
+// answer, linked through a join or not.
+func TestMeasureBaseReadsEnclosingRow(t *testing.T) {
+	db := msql.Open()
+	db.MustExec(`CREATE TABLE C (custName VARCHAR, custAge INTEGER);
+		CREATE TABLE O (prodName VARCHAR, custName VARCHAR);
+		INSERT INTO C VALUES ('a', 1), ('b', 2), ('a', 3);
+		INSERT INTO O VALUES ('p', 'a'), ('q', 'b'), ('r', 'z')`)
+	const base = `(SELECT *, COUNT(*) AS MEASURE cnt FROM C WHERE C.custName = p.custName) AS c`
+	for _, tc := range []struct{ name, sub, want string }{
+		{"measure", `SELECT c.cnt FROM ` + base + ` GROUP BY c.custName`, "p 2|q 1|r NULL"},
+		{"aggregate", `SELECT AGGREGATE(c.cnt) FROM ` + base, "p 2|q 1|r 0"},
+		{"at-all", `SELECT c.cnt AT (ALL custName) FROM ` + base + ` GROUP BY c.custName`, "p 2|q 1|r NULL"},
+		{"at-set", `SELECT c.cnt AT (SET custAge = 3) FROM ` + base + ` WHERE c.custAge = 1`, "p 1|q NULL|r NULL"},
+		{"visible", `SELECT c.cnt AT (VISIBLE) FROM ` + base + ` WHERE c.custAge > 1 GROUP BY c.custName`, "p 1|q 1|r NULL"},
+		{"joined", `SELECT c.cnt AT (VISIBLE) FROM O AS o JOIN ` + base + ` USING (custName) GROUP BY o.custName`, "p 2|q 1|r NULL"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			strategyRows(t, db, `SELECT p.prodName, (`+tc.sub+`) FROM O AS p ORDER BY p.prodName`, tc.want)
+		})
+	}
+}

@@ -216,10 +216,10 @@ func pinnedQueries(i int) []string {
 }
 
 // TestRollupRaceHammer races lattice-answered queries against
-// inserters, an AVG querier (AVG states are order-sensitive, so its node
-// exercises the dirty-mark/lazy-rebuild path) and a pinned querier (the
-// lazy column-index build and its maintenance by sync) on one shared
-// database. Run under -race in CI; also asserts no goroutine leaks.
+// inserters, an AVG querier (AVG over DOUBLE is order-sensitive, so its
+// node folds deltas that no state merge could reproduce) and a pinned
+// querier (the lazy column-index build and its maintenance by sync) on
+// one shared database. Run under -race in CI; also asserts no goroutine leaks.
 func TestRollupRaceHammer(t *testing.T) {
 	db := rollupDB(t, 17)
 	base := runtime.NumGoroutine()
@@ -245,14 +245,14 @@ func TestRollupRaceHammer(t *testing.T) {
 			}
 		}()
 	}
-	// Dirty-rebuilder: order-sensitive aggregate, rebuilt lazily after
-	// every insert round.
+	// Order-sensitive querier: its node folds each insert round's
+	// delta in place.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iterations; i++ {
-			if _, err := db.Query(`SELECT custName, AVG(revenue) FROM Orders GROUP BY custName`); err != nil {
-				report(fmt.Errorf("rebuilder: %w", err))
+			if _, err := db.Query(`SELECT custName, AVG(revenue * 1.0) FROM Orders GROUP BY custName`); err != nil {
+				report(fmt.Errorf("order-sensitive querier: %w", err))
 				return
 			}
 		}
