@@ -79,9 +79,11 @@ type Expand struct {
 	Query *Query
 }
 
-// QueryStmt wraps a query used as a statement.
+// QueryStmt wraps a query used as a statement. NParams is the highest
+// parameter index ($n or ?) the query references, 0 for none.
 type QueryStmt struct {
-	Query *Query
+	Query   *Query
+	NParams int
 }
 
 // Prepare is PREPARE name [(type, ...)] AS query. Types, when present,

@@ -783,10 +783,13 @@ func (b *Binder) applyRowMod(ctx *core.Context, mod ast.AtMod, ph *measurePH, fr
 		if whereExpr == nil {
 			return nil
 		}
+		// applyVisible's rule: a volatile conjunct is inexpressible,
+		// since restated over the base rows it would be drawn again. A
+		// row site has no group whose rows it could link instead.
 		mapping := dimMapping(ph.rel, ph.info)
 		for _, c := range plan.SplitConj(whereExpr) {
 			mc, ok := mapWholeExpr(c, mapping)
-			if !ok {
+			if !ok || !plan.ExprParallelSafe(c) {
 				return fmt.Errorf("VISIBLE: the WHERE clause is not expressible over the dimensions of measure %s", ph.info.Name)
 			}
 			ctx.AddPred(mc)

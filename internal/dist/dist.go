@@ -32,6 +32,7 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -312,9 +313,10 @@ func (c *Coordinator) hedgeDelay(ep *endpoint) time.Duration {
 
 // callShard runs op against sh with the full failure envelope: breaker
 // gating, failover across endpoints in order, and hedging to the next
-// endpoint after the p99 delay. It returns the first success; if every
-// endpoint fails (or is shed by its breaker) the error reports the
-// shard as unavailable.
+// endpoint after the p99 delay. It returns the first answer: a success,
+// or a statementError, which is the statement's and not the endpoint's
+// (see asStatementError). If every endpoint fails (or is shed by its
+// breaker) the error reports the shard as unavailable.
 func callShard[T any](ctx context.Context, c *Coordinator, sh *shard, name, reqID string, op func(context.Context, *endpoint) (T, error)) (T, error) {
 	var zero T
 	var lastErr error
@@ -333,8 +335,9 @@ func callShard[T any](ctx context.Context, c *Coordinator, sh *shard, name, reqI
 			"request_id": reqID,
 			"ok":         fmt.Sprintf("%t", err == nil),
 		}})
+		var se *statementError
 		switch {
-		case err == nil:
+		case err == nil || errors.As(err, &se):
 			ep.lat.record(dur)
 			ep.br.Success()
 		case cctx.Err() != nil && ctx.Err() == nil:
@@ -368,18 +371,18 @@ func callShard[T any](ctx context.Context, c *Coordinator, sh *shard, name, reqI
 			// (but alive) primary no longer holds the whole query's tail
 			// latency hostage.
 			next := eps[i+1]
-			v, out, err := client.Hedge(ctx, c.hedgeDelay(ep),
-				func(hctx context.Context) (T, error) { return run(hctx, ep) },
-				func(hctx context.Context) (T, error) {
+			a, out, err := client.Hedge(ctx, c.hedgeDelay(ep),
+				func(hctx context.Context) (answer[T], error) { return answered(run(hctx, ep)) },
+				func(hctx context.Context) (answer[T], error) {
 					c.metrics.hedges.Add(1)
 					next.hedges.Add(1)
-					return run(hctx, next)
+					return answered(run(hctx, next))
 				})
 			if err == nil {
 				if out.Winner == 1 {
 					c.metrics.failovers.Add(1)
 				}
-				return v, nil
+				return a.v, a.err
 			}
 			lastErr = err
 			if out.Hedged {
@@ -387,9 +390,9 @@ func callShard[T any](ctx context.Context, c *Coordinator, sh *shard, name, reqI
 			}
 			continue
 		}
-		v, err := run(ctx, ep)
+		a, err := answered(run(ctx, ep))
 		if err == nil {
-			return v, nil
+			return a.v, a.err
 		}
 		lastErr = err
 	}
@@ -397,6 +400,23 @@ func callShard[T any](ctx context.Context, c *Coordinator, sh *shard, name, reqI
 		return zero, err
 	}
 	return zero, fmt.Errorf("shard %d: all endpoints failed: %w", sh.idx, lastErr)
+}
+
+// answer is what an endpoint answered a statement: a value, or the
+// statementError that is the statement's answer.
+type answer[T any] struct {
+	v   T
+	err error
+}
+
+// answered turns an endpoint call's result into an answer; err is left
+// only for a fault of the endpoint.
+func answered[T any](v T, err error) (answer[T], error) {
+	var se *statementError
+	if errors.As(err, &se) {
+		return answer[T]{err: err}, nil
+	}
+	return answer[T]{v: v}, err
 }
 
 func lower(s string) string {

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -45,4 +46,29 @@ func unavailable(shards map[int]error) error {
 		Hint:  "restart or reconnect the lost shard endpoints; the coordinator replays missed mutations on rejoin",
 		Err:   &ShardUnavailableError{Shards: idxs, Err: last},
 	}
+}
+
+// statementError is a shard's structured reply to the statement itself
+// — a PARSE, BIND or RUNTIME error — rather than a fault of the
+// endpoint: every endpoint would answer the same, so it is the
+// statement's answer. callShard counts it as the endpoint's success and
+// neither retries nor fails over.
+type statementError struct{ err *exec.Error }
+
+func (e *statementError) Error() string { return e.err.Error() }
+func (e *statementError) Unwrap() error { return e.err }
+
+// asStatementError marks err as a statementError when it is one. A
+// catalog-version miss, RUNTIME in phase "catalog", is the endpoint's
+// state, not the statement's.
+func asStatementError(err error) error {
+	var ee *exec.Error
+	if !errors.As(err, &ee) || ee.Phase == "catalog" {
+		return err
+	}
+	switch ee.Code {
+	case exec.CodeParse, exec.CodeBind, exec.CodeRuntime:
+		return &statementError{err: ee}
+	}
+	return err
 }

@@ -155,8 +155,9 @@ func (c *Coordinator) execInsert(ctx context.Context, s *ast.Insert, reqID strin
 	case s.Query != nil:
 		// INSERT ... SELECT: run the source query through the
 		// coordinator itself (it may touch sharded tables), then
-		// partition the materialized rows.
-		res, err := c.queryText(ctx, ast.FormatQuery(s.Query), reqID)
+		// partition the materialized rows. An INSERT does not record
+		// whether its source holds placeholders, so its literals stay.
+		res, err := c.query(ctx, s.Query, false, reqID)
 		if err != nil {
 			return nil, err
 		}

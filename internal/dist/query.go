@@ -58,7 +58,7 @@ func (c *Coordinator) RunContext(ctx context.Context, sql string, opts ...msql.O
 	for _, stmt := range stmts {
 		var res *msql.Result
 		if qs, ok := stmt.(*ast.QueryStmt); ok {
-			res, err = c.queryText(ctx, ast.FormatQuery(qs.Query), reqID)
+			res, err = c.query(ctx, qs.Query, qs.NParams == 0, reqID)
 		} else {
 			res, err = c.execStmt(ctx, stmt, reqID)
 		}
@@ -95,28 +95,91 @@ func (c *Coordinator) MustExec(sql string) {
 	}
 }
 
-// queryText executes one query, picking the cheapest safe path.
-func (c *Coordinator) queryText(ctx context.Context, sql, reqID string) (*msql.Result, error) {
+// query executes one query, picking the cheapest safe path. When
+// liftable — q has no placeholders of its own, whose $n the lifted ones
+// would take over — its WHERE literals are lifted into parameters once
+// (lift), and the local plan comes from the plan cache under the lifted
+// text, so statements of one shape plan once. The routed, local and
+// gather paths run the literal text.
+func (c *Coordinator) query(ctx context.Context, q *ast.Query, liftable bool, reqID string) (*msql.Result, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.QueryTimeout)
 	defer cancel()
 
-	node, err := c.local.PlanQuery(ctx, sql)
+	var st shape
+	if liftable {
+		st = lift(q)
+	}
+	if st.params == nil {
+		st = shape{q: q, sql: ast.FormatQuery(q)}
+	}
+	node, err := c.local.PlanQuery(ctx, st.sql, st.params)
+	if err != nil && st.params != nil {
+		// Lifting only saves planning: whatever the lifted form does not
+		// plan, the literal statement answers in its own words.
+		st = shape{q: q, sql: ast.FormatQuery(q)}
+		node, err = c.local.PlanQuery(ctx, st.sql, nil)
+	}
 	if err != nil {
 		return nil, err
 	}
+	literal := func() string {
+		if st.params == nil {
+			return st.sql
+		}
+		return ast.FormatQuery(q)
+	}
 	sharded := c.scanShardTables(node)
 	if len(sharded) == 0 {
-		return c.local.QueryContext(ctx, sql)
+		return c.local.QueryContext(ctx, literal())
 	}
-	if q, err := parser.ParseQuery(sql); err == nil {
-		if idx, ok := c.routeSingle(q); ok {
-			return c.routed(ctx, idx, sql, reqID)
-		}
+	if idx, ok := c.routeSingle(q); ok {
+		return c.routed(ctx, idx, literal(), reqID)
 	}
-	if res, handled, err := c.scatter(ctx, sql, node, reqID); handled {
+	if res, handled, err := c.scatter(ctx, st, node, reqID); handled {
 		return res, err
 	}
-	return c.gather(ctx, sql, sharded, reqID)
+	return c.gather(ctx, literal(), sharded, reqID)
+}
+
+// shape is a query with the literals of its top-level WHERE clause
+// lifted into parameters: the query, its text — the key the local,
+// shadow and shard plan caches file it under — and the lifted values.
+type shape struct {
+	q      *ast.Query
+	sql    string
+	params []msql.Value
+}
+
+// lift lifts the number, string, BOOLEAN and DATE literals of q's
+// top-level WHERE clause into $n parameters, in text order, as the
+// statement fingerprint normalizes them (NULL stays: it changes typing).
+// Subqueries keep their literals. With nothing to lift it returns the
+// zero shape.
+func lift(q *ast.Query) shape {
+	sel, ok := q.Body.(*ast.Select)
+	if !ok || sel.Where == nil {
+		return shape{}
+	}
+	var params []msql.Value
+	where := ast.TransformExpr(sel.Where, func(x ast.Expr) ast.Expr {
+		switch x.(type) {
+		case *ast.NumberLit, *ast.StringLit, *ast.BoolLit, *ast.DateLit:
+			// A malformed DATE stays literal, for the binder to reject.
+			if v, err := engine.EvalConstExpr(x); err == nil {
+				params = append(params, v)
+				return &ast.Param{Index: len(params)}
+			}
+		}
+		return x
+	})
+	if params == nil {
+		return shape{}
+	}
+	ls := *sel
+	ls.Where = where
+	lq := *q
+	lq.Body = &ls
+	return shape{q: &lq, sql: ast.FormatQuery(&lq), params: params}
 }
 
 // scanShardTables collects the sharded tables the plan scans, looking
@@ -315,15 +378,23 @@ func (c *Coordinator) shardQuery(ctx context.Context, sh *shard, ep *endpoint, s
 			res, err = run()
 		}
 	}
-	return res, err
+	return res, asStatementError(err)
 }
 
 // shardFailure classifies a set of per-shard failures: a context
-// cancellation/timeout keeps its own taxonomy code, anything else is
-// the structured unavailability error.
+// cancellation/timeout keeps its own taxonomy code, a shard's statement
+// error is the statement's answer (the lowest-numbered shard's, so the
+// answer does not depend on which shard replied first), and anything
+// else is the structured unavailability error.
 func (c *Coordinator) shardFailure(ctx context.Context, failed map[int]error) error {
 	if err := ctx.Err(); err != nil {
 		return exec.CtxError(err)
+	}
+	for i := range c.shards {
+		var se *statementError
+		if errors.As(failed[i], &se) {
+			return se.err
+		}
 	}
 	c.metrics.shardErrors.Add(1)
 	return unavailable(failed)
@@ -332,14 +403,11 @@ func (c *Coordinator) shardFailure(ctx context.Context, failed map[int]error) er
 // ---------------------------------------------------------------------------
 // Scatter execution (partial aggregation + exact merge)
 
-// scatter attempts the scatter/partial path. handled=false means the
-// query's shape is not scatter-safe and the caller should gather.
-func (c *Coordinator) scatter(ctx context.Context, sql string, localPlan plan.Node, reqID string) (res *msql.Result, handled bool, err error) {
-	q, perr := parser.ParseQuery(sql)
-	if perr != nil {
-		return nil, false, nil
-	}
-	sel, ok := q.Body.(*ast.Select)
+// scatter attempts the scatter/partial path on the lifted statement st.
+// handled=false means the query's shape is not scatter-safe and the
+// caller should gather.
+func (c *Coordinator) scatter(ctx context.Context, st shape, localPlan plan.Node, reqID string) (res *msql.Result, handled bool, err error) {
+	sel, ok := st.q.Body.(*ast.Select)
 	if !ok || sel.Distinct || sel.Having != nil || sel.Qualify != nil {
 		return nil, false, nil
 	}
@@ -348,20 +416,23 @@ func (c *Coordinator) scatter(ctx context.Context, sql string, localPlan plan.No
 			return nil, false, nil
 		}
 	}
-	// Append the bookkeeping aggregate and strip the post-aggregation
-	// clauses (they run on the coordinator after the merge). Appending
-	// (not prepending) keeps GROUP BY ordinals valid.
-	sel.Items = append(sel.Items, ast.SelectItem{
+	// Rewrite a copy: append the bookkeeping aggregate and strip the
+	// post-aggregation clauses (they run on the coordinator after the
+	// merge). Appending (not prepending) keeps GROUP BY ordinals valid.
+	ss := *sel
+	ss.Items = append(sel.Items[:len(sel.Items):len(sel.Items)], ast.SelectItem{
 		Expr:  &ast.FuncCall{Name: "MIN", Args: []ast.Expr{&ast.Ident{Parts: []string{seqCol}}}},
 		Alias: "__mseq_min",
 	})
-	q.OrderBy, q.Limit, q.Offset = nil, nil, nil
-	shardSQL := ast.FormatQuery(q)
+	sq := *st.q
+	sq.Body = &ss
+	sq.OrderBy, sq.Limit, sq.Offset = nil, nil, nil
+	shardSQL := ast.FormatQuery(&sq)
 
 	// Validate the rewrite against the shard-schema mirror before any
 	// shard sees it; any planning failure (hidden column not in scope,
 	// ambiguity through a join) simply falls through to gather.
-	shadowPlan, perr := c.shadow.PlanQuery(ctx, shardSQL)
+	shadowPlan, perr := c.shadow.PlanQuery(ctx, shardSQL, st.params)
 	if perr != nil {
 		return nil, false, nil
 	}
@@ -395,7 +466,7 @@ func (c *Coordinator) scatter(ctx context.Context, sql string, localPlan plan.No
 			return nil, false, nil
 		}
 	}
-	out, err := c.scatterRun(ctx, sql, shardSQL, localPlan, aggLoc, groupCount, aggCount, reqID)
+	out, err := c.scatterRun(ctx, st.params, shardSQL, localPlan, aggLoc, groupCount, aggCount, reqID)
 	return out, true, err
 }
 
@@ -456,11 +527,13 @@ type partialPiece struct {
 	states []fn.AggState
 }
 
-// scatterRun fans the rewritten query out, merges the partial states in
-// global insertion order, and finishes the original plan locally with
-// the merged groups substituted for its Aggregate node.
-func (c *Coordinator) scatterRun(ctx context.Context, sql, shardSQL string, localPlan plan.Node, aggLoc *plan.Aggregate, groupCount, aggCount int, reqID string) (*msql.Result, error) {
+// scatterRun fans the rewritten query out with the statement's
+// parameters, merges the partial states in global insertion order, and
+// finishes the original plan locally with the merged groups substituted
+// for its Aggregate node.
+func (c *Coordinator) scatterRun(ctx context.Context, params []msql.Value, shardSQL string, localPlan plan.Node, aggLoc *plan.Aggregate, groupCount, aggCount int, reqID string) (*msql.Result, error) {
 	c.metrics.scatters.Add(int64(len(c.shards)))
+	wireParams := wire.EncodeParams(params)
 	type shardOut struct {
 		idx int
 		p   *client.Partials
@@ -473,7 +546,7 @@ func (c *Coordinator) scatterRun(ctx context.Context, sql, shardSQL string, loca
 		go func(i int, sh *shard) {
 			defer wg.Done()
 			p, err := callShard(ctx, c, sh, "partial", reqID, func(cctx context.Context, ep *endpoint) (*client.Partials, error) {
-				return c.shardPartial(cctx, sh, ep, shardSQL, groupCount, aggCount+1, reqID)
+				return c.shardPartial(cctx, sh, ep, shardSQL, wireParams, groupCount, aggCount+1, reqID)
 			})
 			outs[i] = shardOut{idx: i, p: p, err: err}
 		}(i, sh)
@@ -521,10 +594,11 @@ func (c *Coordinator) scatterRun(ctx context.Context, sql, shardSQL string, loca
 		}
 	}
 	if len(order) == 0 {
-		// No shard saw a qualifying row. The coordinator's empty local
-		// mirror produces the exact empty-input answer, including the
-		// one-row result of an ungrouped aggregate.
-		return c.local.QueryContext(ctx, sql)
+		// No shard saw a qualifying row. The local plan reads the
+		// coordinator's empty mirror, so it produces the exact
+		// empty-input answer, including the one-row result of an
+		// ungrouped aggregate.
+		return finish(ctx, localPlan, params)
 	}
 	type mergedGroup struct {
 		key    []sqltypes.Value
@@ -573,21 +647,29 @@ func (c *Coordinator) scatterRun(ctx context.Context, sql, shardSQL string, loca
 	if !ok {
 		return nil, exec.Wrap(fmt.Errorf("internal: aggregate node not found for substitution"), exec.CodeRuntime, exec.PhaseExecute)
 	}
-	outRows, err := exec.RunContext(ctx, newRoot, exec.DefaultSettings())
+	return finish(ctx, newRoot, params)
+}
+
+// finish runs a plan over the coordinator's local mirror with the
+// statement's parameters.
+func finish(ctx context.Context, root plan.Node, params []msql.Value) (*msql.Result, error) {
+	settings := exec.DefaultSettings()
+	settings.Params = params
+	rows, err := exec.RunContext(ctx, root, settings)
 	if err != nil {
 		return nil, err
 	}
-	sch := newRoot.Schema()
+	sch := root.Schema()
 	types := make([]sqltypes.Type, len(sch.Cols))
 	for i, col := range sch.Cols {
 		types[i] = col.Typ
 	}
-	return &msql.Result{Columns: sch.ColNames(), Types: types, Rows: outRows}, nil
+	return &msql.Result{Columns: sch.ColNames(), Types: types, Rows: rows}, nil
 }
 
 // shardPartial runs the partial-aggregation call on one endpoint,
 // syncing its log cursor first and repairing once on version mismatch.
-func (c *Coordinator) shardPartial(ctx context.Context, sh *shard, ep *endpoint, shardSQL string, groups, aggs int, reqID string) (*client.Partials, error) {
+func (c *Coordinator) shardPartial(ctx context.Context, sh *shard, ep *endpoint, shardSQL string, params []client.Param, groups, aggs int, reqID string) (*client.Partials, error) {
 	if err := c.ensureSynced(ctx, sh, ep, reqID); err != nil {
 		return nil, err
 	}
@@ -596,7 +678,7 @@ func (c *Coordinator) shardPartial(ctx context.Context, sh *shard, ep *endpoint,
 		if d, ok := ctx.Deadline(); ok {
 			opts = append(opts, client.WithTimeout(time.Until(d)))
 		}
-		return ep.cli.Partial(ctx, shardSQL, groups, aggs, ep.version(), opts...)
+		return ep.cli.Partial(ctx, shardSQL, params, groups, aggs, ep.version(), opts...)
 	}
 	p, err := run()
 	if vm := (*client.VersionMismatchError)(nil); errorsAs(err, &vm) {
@@ -604,7 +686,7 @@ func (c *Coordinator) shardPartial(ctx context.Context, sh *shard, ep *endpoint,
 			p, err = run()
 		}
 	}
-	return p, err
+	return p, asStatementError(err)
 }
 
 // replaceAggregate rebuilds the root chain with repl in place of

@@ -235,6 +235,16 @@ func (s *Session) span(sp exec.Span) {
 // queries — funnels through here so span and error handling cannot
 // drift between entry points.
 func (s *Session) parseSpanned(sql string, parse func() (int, error)) error {
+	err := s.parseTraced(s.tracer, sql, parse)
+	if err != nil {
+		s.metrics.recordOutcome(s.strategyLabel(), err)
+	}
+	return err
+}
+
+// parseTraced is parseSpanned minus the metrics: a parse inside the
+// statement guard rail leaves the outcome to it.
+func (s *Session) parseTraced(t exec.Tracer, sql string, parse func() (int, error)) error {
 	start := time.Now()
 	n, err := parse()
 	sp := exec.Span{Phase: "parse", Name: "parse", DurNs: int64(time.Since(start))}
@@ -243,10 +253,11 @@ func (s *Session) parseSpanned(sql string, parse func() (int, error)) error {
 	} else {
 		sp.Attrs = map[string]string{"error": err.Error()}
 	}
-	s.span(sp)
+	if t != nil {
+		t.Span(sp)
+	}
 	if err != nil {
 		err = exec.WithQuery(exec.Wrap(err, exec.CodeParse, exec.PhaseParse), sql)
-		s.metrics.recordOutcome(s.strategyLabel(), err)
 	}
 	return err
 }

@@ -2,8 +2,10 @@
 // parameter types, and the settings that influenced planning, with LRU
 // eviction. A cached entry carries the optimized plan.Node plus a
 // reusable exec.Pipeline (compiled vectorized expression trees and
-// pooled batch scratch), so a warm EXECUTE skips parse, bind, optimize,
-// and vectorized compilation entirely. Plan and pipeline are derived
+// pooled batch scratch), so a warm EXECUTE — or a coordinator's or
+// shard's plan of a statement whose literals were lifted into
+// parameters (PlanQuery, PartialAggregate) — skips parse, bind,
+// optimize, and vectorized compilation entirely. Plan and pipeline are derived
 // from definitions and valid while the catalog's schema counter stands
 // still; the result memo on the entry is derived from rows and follows
 // the storage.State of the tables the plan scans (DESIGN.md §4.1).
@@ -38,6 +40,9 @@ type cachedPlan struct {
 	types   []sqltypes.Type
 	// sources are the tables the plan scans, subquery plans included.
 	sources []plan.RowSource
+	// fp is the statement-stats fingerprint of the planned query, so a
+	// hit retargets the stats without fingerprinting.
+	fp string
 
 	// Identical-binding result memo: dashboards re-issue the same query
 	// with the same arguments, so each entry keeps the result rows of
@@ -156,14 +161,14 @@ func (e *cachedPlan) memoStore(key string, at []storage.State, rows [][]sqltypes
 // PlanCacheCounters is a point-in-time copy of the plan cache's
 // counters, embedded in MetricsSnapshot and served by msqld.
 type PlanCacheCounters struct {
-	Hits          int64 `json:"hits" prom:"msql_plan_cache_hits_total,counter" help:"Prepared executions served from the plan cache."`
-	Misses        int64 `json:"misses" prom:"msql_plan_cache_misses_total,counter" help:"Prepared executions that had to plan."`
+	Hits          int64 `json:"hits" prom:"msql_plan_cache_hits_total,counter" help:"Plan lookups (prepared executions, coordinator and shard plans) served from the plan cache."`
+	Misses        int64 `json:"misses" prom:"msql_plan_cache_misses_total,counter" help:"Plan lookups that had to plan."`
 	Evictions     int64 `json:"evictions" prom:"msql_plan_cache_evictions_total,counter" help:"Plan-cache entries evicted by the LRU cap."`
 	Invalidations int64 `json:"invalidations" prom:"msql_plan_cache_invalidations_total,counter" help:"Plan-cache entries dropped after DDL."`
 	// Bypasses counts executions that skipped the cache because the
 	// plan contains volatile expressions (e.g. RANDOM) or caching is
 	// disabled.
-	Bypasses int64 `json:"bypasses" prom:"msql_plan_cache_bypasses_total,counter" help:"Prepared executions that skipped the plan cache (volatile or disabled)."`
+	Bypasses int64 `json:"bypasses" prom:"msql_plan_cache_bypasses_total,counter" help:"Plan lookups that skipped the plan cache (volatile or disabled)."`
 	// MemoHits counts executions answered from a cached entry's
 	// identical-binding result memo without re-executing the plan.
 	MemoHits int64 `json:"memo_hits" prom:"msql_plan_cache_memo_hits_total,counter" help:"Prepared executions answered from an entry's identical-binding result memo."`
@@ -308,8 +313,13 @@ func planCacheKey(sqlNorm string, kinds []sqltypes.Kind, cfg *stmtConfig) string
 		sb.WriteString(k.String())
 	}
 	ex := cfg.exec
+	// The timeout is a deadline, not a planning input, and a statement
+	// sent with one (a coordinator's call to a shard) carries whatever
+	// time it has left.
+	limits := ex.Limits
+	limits.Timeout = 0
 	fmt.Fprintf(&sb, "\x00strategy=%s workers=%d vec=%t memo=%t limits=%+v opt=%+v",
-		cfg.strategy, ex.Workers, ex.Vectorized, ex.MemoizeSubqueries, ex.Limits, cfg.opt)
+		cfg.strategy, ex.Workers, ex.Vectorized, ex.MemoizeSubqueries, limits, cfg.opt)
 	return sb.String()
 }
 

@@ -430,3 +430,57 @@ func TestPlanCacheConcurrentHammer(t *testing.T) {
 	}
 	t.Logf("hammer counters: %+v", pc)
 }
+
+// TestPlanQueryAndPartialAggregateUseThePlanCache: PlanQuery and
+// PartialAggregate look their plans up as a prepared execution does —
+// one text, kinds and settings make one entry, a hit on it skips
+// parsing, and the statement stats gather under the query's fingerprint
+// — while a wrong parameter count is a bind error and a disabled cache
+// plans every call.
+func TestPlanQueryAndPartialAggregateUseThePlanCache(t *testing.T) {
+	ctx := context.Background()
+	s := newPrepSession(t)
+	const q = "SELECT b, COUNT(*) FROM t WHERE a > $1 GROUP BY b"
+	one := []sqltypes.Value{sqltypes.NewInt(1)}
+	if _, err := s.PlanQuery(ctx, q, one, nil); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.PartialAggregate(ctx, q, []sqltypes.Value{sqltypes.NewInt(2)}, 1, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Groups) != 1 || res.Groups[0].Key[0].S != "z" {
+		t.Fatalf("partial groups %+v, want z alone", res.Groups)
+	}
+	if pc := s.PlanCacheCountersSnapshot(); pc.Misses != 1 || pc.Hits != 1 || pc.Entries != 1 {
+		t.Fatalf("PlanQuery then PartialAggregate of one text: %+v, want 1 miss, 1 hit, 1 entry", pc)
+	}
+	var calls int64
+	for _, st := range s.StatementStats() {
+		if strings.Contains(st.Fingerprint, "COUNT(*)") {
+			calls += st.Calls
+		}
+	}
+	if calls != 2 {
+		t.Fatalf("statement stats counted %d calls of the query, want 2", calls)
+	}
+
+	if _, err := s.PlanQuery(ctx, q, nil, nil); err == nil || !strings.Contains(err.Error(), "parameter $1 outside a prepared statement") {
+		t.Fatalf("no parameters for $1: %v", err)
+	}
+	two := []sqltypes.Value{sqltypes.NewInt(1), sqltypes.NewInt(2)}
+	if _, err := s.PlanQuery(ctx, q, two, nil); err == nil || !strings.Contains(err.Error(), "statement has 1 parameters, got 2") {
+		t.Fatalf("two parameters for $1: %v", err)
+	}
+
+	s.SetPlanCacheSize(0)
+	before := s.PlanCacheCountersSnapshot()
+	for i := 0; i < 2; i++ {
+		if _, err := s.PlanQuery(ctx, q, one, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if pc := s.PlanCacheCountersSnapshot(); pc.Hits != before.Hits || pc.Bypasses != before.Bypasses+2 {
+		t.Fatalf("disabled cache: %+v after %+v, want two bypasses and no hit", pc, before)
+	}
+}

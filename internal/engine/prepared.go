@@ -199,32 +199,71 @@ func (s *Session) execExecuteStmt(env *stmtEnv, stmt *ast.ExecuteStmt) (*Result,
 }
 
 // preparedPlan resolves the plan for one execution of p with the given
-// parameter values: a plan-cache lookup keyed on normalized text +
-// parameter kinds + settings, falling back to bind/optimize on a miss.
-// Freshly planned entries are inserted unless the plan is volatile or
-// the cache is disabled (both counted as bypasses).
+// parameter values (see cachedPlanFor).
 func (s *Session) preparedPlan(env *stmtEnv, p *Prepared, vals []sqltypes.Value) (entry *cachedPlan, cached bool, key string, planNs int64, err error) {
+	return s.cachedPlanFor(env, p.sql, paramKinds(vals), p)
+}
+
+// paramKinds lists the kinds of parameter values, the plan-cache key's
+// parameter signature.
+func paramKinds(vals []sqltypes.Value) []sqltypes.Kind {
 	kinds := make([]sqltypes.Kind, len(vals))
 	for i, v := range vals {
 		kinds[i] = v.K
 	}
-	key = planCacheKey(p.sql, kinds, &env.cfg)
+	return kinds
+}
+
+// cachedPlanFor is the one plan-cache lookup: the key is the query's
+// text + parameter kinds + settings, and a hit does no parsing,
+// fingerprinting or binding. On a miss it plans p's query or, with p
+// nil, parses sql first (its parameter count must match kinds). Freshly
+// planned entries are inserted unless the plan is volatile or the cache
+// is disabled (both counted as bypasses). A text statement's stats are
+// retargeted to its fingerprint; a prepared one's caller does that.
+func (s *Session) cachedPlanFor(env *stmtEnv, sql string, kinds []sqltypes.Kind, p *Prepared) (entry *cachedPlan, cached bool, key string, planNs int64, err error) {
+	key = planCacheKey(sql, kinds, &env.cfg)
 	schema := s.cat.SchemaVersion()
 	useCache := s.plans.enabled()
 	if useCache {
 		if e := s.plans.lookup(key, schema); e != nil {
+			if p == nil {
+				s.retargetStats(env, e.fp)
+			}
 			return e, true, key, 0, nil
 		}
 	} else {
 		s.plans.noteBypass()
 	}
-	node, ns, err := s.planQueryParams(env, p.query, kinds)
+	q, fp := (*ast.Query)(nil), ""
+	if p != nil {
+		q, fp = p.query, p.fp
+	} else {
+		var n int
+		if err := s.parseTraced(env.tracer, sql, func() (int, error) {
+			var err error
+			q, n, err = parser.ParseQueryWithParams(sql)
+			return 1, err
+		}); err != nil {
+			return nil, false, key, 0, err
+		}
+		if len(kinds) == 0 {
+			// No parameters: the binder rejects any placeholder in its
+			// own words.
+			kinds = nil
+		} else if n != len(kinds) {
+			return nil, false, key, 0, exec.Wrap(fmt.Errorf("statement has %d parameters, got %d", n, len(kinds)), exec.CodeBind, exec.PhaseBind)
+		}
+		fp = fingerprintQuery(q)
+		s.retargetStats(env, fp)
+	}
+	node, ns, err := s.planQueryParams(env, q, kinds)
 	if err != nil {
 		return nil, false, key, 0, err
 	}
 	columns, types := outputColumns(node)
 	e := &cachedPlan{key: key, schema: schema, node: node, pipe: exec.NewPipeline(),
-		columns: columns, types: types, sources: planSources(node)}
+		columns: columns, types: types, sources: planSources(node), fp: fp}
 	if useCache {
 		// A plan containing RANDOM() is replanned per execution so that
 		// constant folding and pipeline reuse cannot freeze its per-row
@@ -238,6 +277,15 @@ func (s *Session) preparedPlan(env *stmtEnv, p *Prepared, vals []sqltypes.Value)
 	return e, false, key, ns, nil
 }
 
+// retargetStats points the statement's stats at fingerprint fp, so a
+// planned or prepared execution aggregates with the equivalent direct
+// query.
+func (s *Session) retargetStats(env *stmtEnv, fp string) {
+	if e := s.stmts.entry(fp); e != nil {
+		env.stats = e
+	}
+}
+
 // execPrepared runs one prepared execution end to end: plan-cache
 // lookup (or plan+insert), parameter injection via Settings.Params, and
 // pipeline attachment, annotating the execute span with cached= and
@@ -246,11 +294,7 @@ func (s *Session) preparedPlan(env *stmtEnv, p *Prepared, vals []sqltypes.Value)
 // without touching the executor; such an execution is a query that
 // took no plan and no exec time.
 func (s *Session) execPrepared(env *stmtEnv, p *Prepared, vals []sqltypes.Value) (*Result, error) {
-	// Retarget statement stats to the underlying query's fingerprint so
-	// SQL EXECUTE and the equivalent direct query aggregate together.
-	if e := s.stmts.entry(p.fp); e != nil {
-		env.stats = e
-	}
+	s.retargetStats(env, p.fp)
 	entry, cached, key, planNs, err := s.preparedPlan(env, p, vals)
 	if err != nil {
 		return nil, err

@@ -15,7 +15,6 @@ import (
 	"github.com/measures-sql/msql/internal/ast"
 	"github.com/measures-sql/msql/internal/catalog"
 	"github.com/measures-sql/msql/internal/exec"
-	"github.com/measures-sql/msql/internal/parser"
 	"github.com/measures-sql/msql/internal/plan"
 	"github.com/measures-sql/msql/internal/sqltypes"
 )
@@ -28,30 +27,24 @@ func (s *Session) RegisterVirtualTable(name string, cols []string, types []sqlty
 	return s.cat.RegisterVirtual(&catalog.VirtualTable{TableName: name, Cols: cols, Types: types, Provider: provider})
 }
 
-// PlanQuery plans a single query without executing it and returns the
-// physical plan tree. A coordinator uses the shape of the plan — which
-// tables are scanned, whether the root is a mergeable aggregate,
-// whether subqueries appear — to pick a distributed execution path
-// before any shard sees the statement. Planning runs inside the usual
-// statement guard rail, so coordinator-side planning shows up in
-// msql_stats.statements like any other statement.
-func (s *Session) PlanQuery(ctx context.Context, sql string, ov *Overrides) (plan.Node, error) {
-	var q *ast.Query
-	if err := s.parseSpanned(sql, func() (int, error) {
-		var err error
-		q, err = parser.ParseQuery(sql)
-		return 0, err
-	}); err != nil {
-		return nil, err
-	}
-	stmt := &ast.QueryStmt{Query: q}
+// PlanQuery plans a single query, whose placeholders take params,
+// without executing it and returns the physical plan tree. A
+// coordinator uses the shape of the plan — which tables are scanned,
+// whether the root is a mergeable aggregate, whether subqueries appear
+// — to pick a distributed execution path before any shard sees the
+// statement. The plan comes from the session plan cache (cachedPlanFor),
+// so a coordinator that re-issues one shape with new parameter values
+// plans it once. Planning runs inside the usual statement guard rail,
+// so coordinator-side planning shows up in msql_stats.statements like
+// any other statement.
+func (s *Session) PlanQuery(ctx context.Context, sql string, params []sqltypes.Value, ov *Overrides) (plan.Node, error) {
 	var node plan.Node
-	_, err := s.withStmtEnv(ctx, ov, s.statementInfo(stmt), func(env *stmtEnv) (*Result, error) {
-		n, _, err := s.planQuery(env, q)
+	_, err := s.withStmtEnv(ctx, ov, stmtInfo{sql: oneLine(sql)}, func(env *stmtEnv) (*Result, error) {
+		entry, _, _, _, err := s.cachedPlanFor(env, sql, paramKinds(params), nil)
 		if err != nil {
 			return nil, err
 		}
-		node = n
+		node = entry.node
 		return &Result{Message: "planned"}, nil
 	})
 	if err != nil {
@@ -73,30 +66,23 @@ func EvalConstExpr(e ast.Expr) (sqltypes.Value, error) {
 // token that makes replicated mutations exactly-once.
 func (s *Session) CatalogVersion() int64 { return s.cat.Version() }
 
-// PartialAggregate plans sql and runs its scan/filter/group phase,
+// PartialAggregate plans sql, whose placeholders take params, through
+// the session plan cache and runs its scan/filter/group phase,
 // returning per-group partial aggregate states instead of final rows.
 // groups and aggs cross-check the plan shape (see exec.PartialAggregate).
-func (s *Session) PartialAggregate(ctx context.Context, sql string, groups, aggs int, ov *Overrides) (*exec.PartialResult, error) {
-	var q *ast.Query
-	if err := s.parseSpanned(sql, func() (int, error) {
-		var err error
-		q, err = parser.ParseQuery(sql)
-		return 0, err
-	}); err != nil {
-		return nil, err
-	}
-	stmt := &ast.QueryStmt{Query: q}
+func (s *Session) PartialAggregate(ctx context.Context, sql string, params []sqltypes.Value, groups, aggs int, ov *Overrides) (*exec.PartialResult, error) {
 	var out *exec.PartialResult
-	_, err := s.withStmtEnv(ctx, ov, s.statementInfo(stmt), func(env *stmtEnv) (*Result, error) {
-		node, planNs, err := s.planQuery(env, q)
+	_, err := s.withStmtEnv(ctx, ov, stmtInfo{sql: oneLine(sql)}, func(env *stmtEnv) (*Result, error) {
+		entry, _, _, planNs, err := s.cachedPlanFor(env, sql, paramKinds(params), nil)
 		if err != nil {
 			return nil, err
 		}
 		env.live.setPhase(phaseExecute)
 		settings := env.cfg.exec
 		settings.Tracer = env.tracer
+		settings.Params = params
 		start := time.Now()
-		res, err := exec.PartialAggregate(env.ctx, node, groups, aggs, &settings)
+		res, err := exec.PartialAggregate(env.ctx, entry.node, groups, aggs, &settings)
 		execNs := int64(time.Since(start))
 		if err != nil {
 			return nil, err

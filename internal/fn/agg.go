@@ -386,6 +386,11 @@ type argExtremeState struct {
 
 func (s *argExtremeState) Add(args []sqltypes.Value) error {
 	x, y := args[0], args[1]
+	if y.Null {
+		// A row with no ordering value has no rank: skipped, as a NULL
+		// first argument already is (SkipNulls).
+		return nil
+	}
 	if !s.any {
 		s.val, s.bestKey, s.any = x, y, true
 		return nil

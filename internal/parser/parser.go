@@ -309,7 +309,7 @@ func (p *Parser) parseStatement() (ast.Statement, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &ast.QueryStmt{Query: q}, nil
+		return &ast.QueryStmt{Query: q, NParams: p.maxParam}, nil
 	default:
 		return nil, p.errHere("expected a statement")
 	}

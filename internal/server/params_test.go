@@ -1,0 +1,92 @@
+package server_test
+
+import (
+	"context"
+	"encoding/json"
+	"math"
+	"testing"
+
+	"github.com/measures-sql/msql/internal/server"
+	"github.com/measures-sql/msql/internal/wire"
+	"github.com/measures-sql/msql/msql"
+	"github.com/measures-sql/msql/msql/client"
+)
+
+// TestIntegerParamsCrossExactly: an INTEGER parameter reaches the engine
+// as the int64 the client sent, on /execute and on /partial, including
+// values a float64 cannot hold.
+func TestIntegerParamsCrossExactly(t *testing.T) {
+	ctx := context.Background()
+	db := msql.Open()
+	db.MustExec(`CREATE TABLE t (x INTEGER); INSERT INTO t VALUES (0)`)
+	_, ts := startServer(t, db, server.Config{})
+	c := client.New(ts.URL)
+	stmt, err := c.Prepare(ctx, "q", `SELECT $1 + 0 AS x`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []int64{1<<53 + 1, -(1<<53 + 1), 1<<53 + 3, math.MaxInt64, math.MinInt64} {
+		p, err := client.ParamOf(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := stmt.ExecParams(ctx, []client.Param{p}, client.WithRawNumbers())
+		if err != nil {
+			t.Fatalf("/execute %d: %v", v, err)
+		}
+		got, err := res.Rows[0][0].(json.Number).Int64()
+		if err != nil || got != v {
+			t.Fatalf("/execute %d answered %v (%v)", v, res.Rows[0][0], err)
+		}
+
+		part, err := c.Partial(ctx, `SELECT MAX(x + $1) FROM t`, []client.Param{p}, 0, 1, 0)
+		if err != nil {
+			t.Fatalf("/partial %d: %v", v, err)
+		}
+		states, err := wire.DecodeStates(part.Groups[0].States)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := states[0].Result(); r.Null || r.I != v {
+			t.Fatalf("/partial %d answered %v", v, r)
+		}
+	}
+}
+
+// TestParamDecodeKeepsNumbers: a JSON-decoded parameter keeps its
+// number's text, INTEGER accepts any int64 and integral numbers up to
+// 2^53 in other forms, and rejects the rest.
+func TestParamDecodeKeepsNumbers(t *testing.T) {
+	for _, tc := range []struct {
+		body string
+		want string // "" = rejected
+	}{
+		{`{"type":"INTEGER","value":9223372036854775807}`, "9223372036854775807"},
+		{`{"type":"INTEGER","value":-9223372036854775808}`, "-9223372036854775808"},
+		{`{"type":"INTEGER","value":9007199254740993}`, "9007199254740993"},
+		{`{"type":"INTEGER","value":3.0}`, "3"},
+		{`{"type":"INTEGER","value":1e3}`, "1000"},
+		{`{"type":"INTEGER","value":3.5}`, ""},
+		{`{"type":"INTEGER","value":9223372036854775808}`, ""},
+		{`{"type":"INTEGER","value":"7"}`, ""},
+		{`{"type":"DOUBLE","value":-0.5}`, "-0.5"},
+		{`{"type":"DOUBLE","value":7}`, "7.0"},
+		{`{"type":"VARCHAR","value":"a\"b"}`, `a"b`},
+		{`{"type":"BOOLEAN","value":true}`, "TRUE"},
+		{`{"type":"INTEGER","value":null}`, "NULL"},
+	} {
+		var p wire.Param
+		if err := json.Unmarshal([]byte(tc.body), &p); err != nil {
+			t.Fatalf("%s: %v", tc.body, err)
+		}
+		v, err := p.Decode()
+		switch {
+		case tc.want == "" && err == nil:
+			t.Fatalf("%s decoded to %v, want a rejection", tc.body, v)
+		case tc.want != "" && err != nil:
+			t.Fatalf("%s: %v", tc.body, err)
+		case tc.want != "" && v.String() != tc.want:
+			t.Fatalf("%s decoded to %s, want %s", tc.body, v, tc.want)
+		}
+	}
+}

@@ -52,10 +52,14 @@ func (s *Server) partialEndpoint() endpoint {
 			return wire.AppendPartial(dst, p.version, p.groups)
 		},
 		decode: decodeAs(func(req *wire.PartialRequest) (statement, error) {
+			params, err := wire.DecodeParams(req.Params)
+			if err != nil {
+				return statement{}, err
+			}
 			return statement{
 				requestID: req.RequestID, timeoutMs: req.TimeoutMillis, expect: req.ExpectVersion,
 				run: func(ctx context.Context, opts []msql.Option) (any, int, error) {
-					res, err := s.node.PartialAggregate(ctx, req.SQL, req.Groups, req.Aggs, opts...)
+					res, err := s.node.PartialAggregate(ctx, req.SQL, params, req.Groups, req.Aggs, opts...)
 					if err != nil {
 						return nil, 0, err
 					}

@@ -8,8 +8,10 @@ package wire
 // number would make one client flip a server between cache entries.
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"github.com/measures-sql/msql/internal/sqltypes"
@@ -43,9 +45,32 @@ type ExecuteRequest struct {
 // Param is one typed parameter value. Type is the SQL type name
 // (BOOLEAN, INTEGER, DOUBLE, VARCHAR, DATE); Value is the JSON-native
 // encoding EncodeValue produces (null encodes SQL NULL of that type).
+// A number decoded from JSON is kept as its text (json.Number), so an
+// INTEGER beyond 2^53 reaches Decode exactly.
 type Param struct {
 	Type  string `json:"type"`
 	Value any    `json:"value"`
+}
+
+// UnmarshalJSON decodes a parameter, keeping a numeric value as
+// json.Number rather than rounding it through float64.
+func (p *Param) UnmarshalJSON(data []byte) error {
+	var raw struct {
+		Type  string          `json:"type"`
+		Value json.RawMessage `json:"value"`
+	}
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return err
+	}
+	p.Type, p.Value = raw.Type, nil
+	switch v := raw.Value; {
+	case len(v) == 0:
+	case v[0] == '-' || '0' <= v[0] && v[0] <= '9':
+		p.Value = json.Number(v)
+	default:
+		return json.Unmarshal(v, &p.Value)
+	}
+	return nil
 }
 
 // EncodeParam converts a SQL value to its wire form.
@@ -84,13 +109,13 @@ func (p Param) Decode() (sqltypes.Value, error) {
 		}
 		return sqltypes.NewBool(b), nil
 	case sqltypes.KindInt:
-		f, ok := p.Value.(float64)
-		if !ok || f != math.Trunc(f) || math.Abs(f) > 1<<53 {
+		i, ok := intParam(p.Value)
+		if !ok {
 			return sqltypes.Value{}, fmt.Errorf("INTEGER parameter carries %v (%T)", p.Value, p.Value)
 		}
-		return sqltypes.NewInt(int64(f)), nil
+		return sqltypes.NewInt(i), nil
 	case sqltypes.KindFloat:
-		f, ok := p.Value.(float64)
+		f, ok := floatParam(p.Value)
 		if !ok {
 			return sqltypes.Value{}, fmt.Errorf("DOUBLE parameter carries %T", p.Value)
 		}
@@ -114,6 +139,40 @@ func (p Param) Decode() (sqltypes.Value, error) {
 	default:
 		return sqltypes.Value{}, fmt.Errorf("parameter with no type carries non-null %T", p.Value)
 	}
+}
+
+// intParam reads an INTEGER parameter's value as EncodeParam (int64) or
+// the JSON decode (json.Number) leaves it: any int64 written as an
+// integer, or an integral number up to 2^53 written otherwise (3.0,
+// 1e3), which a float64 still holds exactly.
+func intParam(v any) (int64, bool) {
+	switch x := v.(type) {
+	case int64:
+		return x, true
+	case json.Number:
+		if i, err := strconv.ParseInt(string(x), 10, 64); err == nil {
+			return i, true
+		}
+		f, err := x.Float64()
+		if err != nil || f != math.Trunc(f) || math.Abs(f) > 1<<53 {
+			return 0, false
+		}
+		return int64(f), true
+	}
+	return 0, false
+}
+
+// floatParam reads a DOUBLE parameter's value as EncodeParam (float64)
+// or the JSON decode (json.Number) leaves it.
+func floatParam(v any) (float64, bool) {
+	switch x := v.(type) {
+	case float64:
+		return x, true
+	case json.Number:
+		f, err := x.Float64()
+		return f, err == nil
+	}
+	return 0, false
 }
 
 // DecodeParams reconstructs a parameter list.

@@ -48,6 +48,10 @@ type PartialRequest struct {
 	// plan is a plain aggregate (no DISTINCT aggregates, no GROUPING
 	// SETS) whose shape matches Groups/Aggs.
 	SQL string `json:"sql"`
+	// Params are the values of SQL's placeholders ($n), typed as on
+	// /execute: a coordinator lifts a statement's WHERE literals into
+	// them, so every statement of one shape plans once per shard.
+	Params []Param `json:"params,omitempty"`
 	// Groups/Aggs cross-check the expected plan shape: the number of
 	// GROUP BY expressions and of aggregate calls in SQL.
 	Groups int `json:"groups"`

@@ -54,11 +54,11 @@ func ParamOf(v any) (Param, error) {
 	case bool:
 		return Param{Type: "BOOLEAN", Value: v}, nil
 	case int:
-		return Param{Type: "INTEGER", Value: float64(v)}, nil
+		return Param{Type: "INTEGER", Value: int64(v)}, nil
 	case int32:
-		return Param{Type: "INTEGER", Value: float64(v)}, nil
+		return Param{Type: "INTEGER", Value: int64(v)}, nil
 	case int64:
-		return Param{Type: "INTEGER", Value: float64(v)}, nil
+		return Param{Type: "INTEGER", Value: v}, nil
 	case float32:
 		return Param{Type: "DOUBLE", Value: float64(v)}, nil
 	case float64:

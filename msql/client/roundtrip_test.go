@@ -110,7 +110,7 @@ func TestRoundTripClassification(t *testing.T) {
 			return resultOf((&Stmt{c: c, name: "q", sql: "SELECT 1"}).Exec(ctx, 1))
 		}},
 		{name: "Partial", idempotent: true, cas: true, do: func(ctx context.Context, c *Client) outcome {
-			_, err := c.Partial(ctx, "SELECT 1", 0, 1, 3)
+			_, err := c.Partial(ctx, "SELECT 1", nil, 0, 1, 3)
 			return outcome{err: err}
 		}},
 		{name: "Apply", once: true, cas: true, do: func(ctx context.Context, c *Client) outcome {

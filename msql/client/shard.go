@@ -61,16 +61,17 @@ func (e *VersionMismatchError) Error() string {
 }
 
 // Partial runs an aggregation query's scan/filter/group phase on the
-// server and returns serialized per-group partial states. It retries
-// transient failures like an idempotent Query; a catalog-version miss
-// surfaces as *VersionMismatchError.
-func (c *Client) Partial(ctx context.Context, sql string, groups, aggs int, expectVersion int64, opts ...QueryOption) (*Partials, error) {
+// server, with params as the values of its placeholders, and returns
+// serialized per-group partial states. It retries transient failures
+// like an idempotent Query; a catalog-version miss surfaces as
+// *VersionMismatchError.
+func (c *Client) Partial(ctx context.Context, sql string, params []Param, groups, aggs int, expectVersion int64, opts ...QueryOption) (*Partials, error) {
 	o := requestOpts{idempotent: true}
 	for _, f := range opts {
 		f(&o)
 	}
 	req := wire.PartialRequest{
-		SQL: sql, Groups: groups, Aggs: aggs,
+		SQL: sql, Params: params, Groups: groups, Aggs: aggs,
 		ExpectVersion: expectVersion,
 		TimeoutMillis: o.req.TimeoutMillis,
 		RequestID:     o.req.RequestID,

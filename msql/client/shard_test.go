@@ -169,7 +169,7 @@ func TestPartialVersionMismatch(t *testing.T) {
 	defer ts.Close()
 
 	c := New(ts.URL, WithBackoff(Backoff{Attempts: 2, Base: time.Millisecond, Max: time.Millisecond, Seed: 1}))
-	_, err := c.Partial(context.Background(), "SELECT COUNT(*) FROM t", 0, 1, 9)
+	_, err := c.Partial(context.Background(), "SELECT COUNT(*) FROM t", nil, 0, 1, 9)
 	var vm *VersionMismatchError
 	if !errors.As(err, &vm) {
 		t.Fatalf("want VersionMismatchError, got %v", err)

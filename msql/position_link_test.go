@@ -10,6 +10,7 @@ package msql_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -463,6 +464,23 @@ func TestVolatileWhereIsNotAContextPredicate(t *testing.T) {
 					t.Fatalf("strategy %d w%d: %s", strategy, workers, renderRows(res))
 				}
 			}
+		}
+	}
+}
+
+// TestRowSiteVisibleRejectsVolatileWhere: at a row site, AT (VISIBLE)
+// cannot restate a volatile WHERE conjunct — drawn again over the base
+// rows it would pick other rows than the visible one — and there is no
+// group whose rows it could link instead, so the statement is the bind
+// error of any WHERE clause inexpressible over the measure's dimensions.
+func TestRowSiteVisibleRejectsVolatileWhere(t *testing.T) {
+	const q = `SELECT prodName, custName, cnt AT (VISIBLE) FROM EO
+		WHERE RANDOM() < 0.5 AND prodName = 'prod001' AND custName = 'cust0003'`
+	for _, strategy := range []msql.Strategy{msql.StrategyDefault, msql.StrategyMemo, msql.StrategyNaive} {
+		db := buildRandomDB(t, 5, strategy)
+		_, err := db.Query(q)
+		if !errors.Is(err, msql.ErrBind) || !strings.Contains(err.Error(), "VISIBLE: the WHERE clause is not expressible") {
+			t.Fatalf("strategy %d: %v, want the VISIBLE bind error", strategy, err)
 		}
 	}
 }

@@ -20,12 +20,14 @@ type PartialResult = exec.PartialResult
 // PartialGroup is one group of a PartialResult.
 type PartialGroup = exec.PartialGroup
 
-// PlanQuery plans a single query without executing it. The returned
-// tree is the engine's internal plan representation — usable only
-// inside this module; coordinators walk it to classify queries for
+// PlanQuery plans a single query, whose placeholders ($n or ?) take
+// params, without executing it. The plan comes from the plan cache, so
+// one shape re-issued with new parameter values is planned once. The
+// returned tree is the engine's internal plan representation — usable
+// only inside this module; coordinators walk it to classify queries for
 // distributed execution.
-func (db *DB) PlanQuery(ctx context.Context, sql string, opts ...Option) (plan.Node, error) {
-	return db.session.PlanQuery(ctx, sql, overrides(opts))
+func (db *DB) PlanQuery(ctx context.Context, sql string, params []Value, opts ...Option) (plan.Node, error) {
+	return db.session.PlanQuery(ctx, sql, params, overrides(opts))
 }
 
 // CatalogVersion returns the catalog's mutation counter. Every DDL and
@@ -34,13 +36,14 @@ func (db *DB) PlanQuery(ctx context.Context, sql string, opts ...Option) (plan.N
 // for exactly-once replicated mutations.
 func (db *DB) CatalogVersion() int64 { return db.session.CatalogVersion() }
 
-// PartialAggregate plans sql and runs its scan/filter/group phase,
-// returning per-group partial aggregate states instead of final rows.
+// PartialAggregate plans sql, whose placeholders take params, through
+// the plan cache and runs its scan/filter/group phase, returning
+// per-group partial aggregate states instead of final rows.
 // groups/aggs cross-check the plan shape; a query whose shape cannot be
 // merged across shards fails with a structured BIND error wrapping
 // exec.ErrPartialUnsupported.
-func (db *DB) PartialAggregate(ctx context.Context, sql string, groups, aggs int, opts ...Option) (*PartialResult, error) {
-	return db.session.PartialAggregate(ctx, sql, groups, aggs, overrides(opts))
+func (db *DB) PartialAggregate(ctx context.Context, sql string, params []Value, groups, aggs int, opts ...Option) (*PartialResult, error) {
+	return db.session.PartialAggregate(ctx, sql, params, groups, aggs, overrides(opts))
 }
 
 // ExecCAS executes one mutation statement iff the catalog version
