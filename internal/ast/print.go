@@ -539,13 +539,8 @@ func (p *printer) expr(e Expr, min int) {
 	case *Param:
 		// Canonical $n form: ? placeholders print with their assigned
 		// index, so equivalent texts normalize identically for the plan
-		// cache key. Index 0 never occurs in parsed SQL; the statement
-		// fingerprint normalizer uses it to stand in for literals.
-		if e.Index <= 0 {
-			p.ws("?")
-		} else {
-			p.wf("$%d", e.Index)
-		}
+		// cache key.
+		p.wf("$%d", e.Index)
 	default:
 		p.wf("/* unknown expr %T */", e)
 	}

@@ -149,6 +149,12 @@ func (eb *exprBinder) bind(e ast.Expr) (plan.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		if x, lo, err = dateOperands(x, lo, e.X, e.Lo); err != nil {
+			return nil, err
+		}
+		if x, hi, err = dateOperands(x, hi, e.X, e.Hi); err != nil {
+			return nil, err
+		}
 		ge, err := eb.call(">=", []plan.Expr{x, lo})
 		if err != nil {
 			return nil, err
@@ -172,6 +178,9 @@ func (eb *exprBinder) bind(e ast.Expr) (plan.Expr, error) {
 		for i, item := range e.List {
 			bi, err := eb.bind(item)
 			if err != nil {
+				return nil, err
+			}
+			if bi, err = asDate(bi, item, x); err != nil {
 				return nil, err
 			}
 			if _, err := sqltypes.CommonType(x.Type().Kind, bi.Type().Kind); err != nil {
@@ -326,8 +335,41 @@ func (eb *exprBinder) bindBinary(e *ast.Binary) (plan.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		switch e.Op {
+		case "=", "<>", "<", "<=", ">", ">=":
+			if l, r, err = dateOperands(l, r, e.L, e.R); err != nil {
+				return nil, err
+			}
+		}
 		return eb.call(e.Op, []plan.Expr{l, r})
 	}
+}
+
+// dateOperands binds a string literal compared with a DATE operand, on
+// either side, as the DATE it spells, as SQL reads '2024-01-01' next to
+// a date; ls and rs are the operands' source. A string that spells no
+// date is a bind error that names it.
+func dateOperands(l, r plan.Expr, ls, rs ast.Expr) (plan.Expr, plan.Expr, error) {
+	l, err := asDate(l, ls, r)
+	if err != nil {
+		return nil, nil, err
+	}
+	r, err = asDate(r, rs, l)
+	return l, r, err
+}
+
+// asDate is x, bound from src, as a DATE when src is a string literal
+// and other a DATE operand.
+func asDate(x plan.Expr, src ast.Expr, other plan.Expr) (plan.Expr, error) {
+	s, ok := src.(*ast.StringLit)
+	if !ok || other.Type().Kind != sqltypes.KindDate {
+		return x, nil
+	}
+	v, err := sqltypes.ParseDate(s.Val)
+	if err != nil {
+		return nil, err
+	}
+	return &plan.Lit{Val: v}, nil
 }
 
 // call builds a plan.Call for a registered scalar function, computing the

@@ -96,22 +96,35 @@ func (c *Coordinator) MustExec(sql string) {
 }
 
 // query executes one query, picking the cheapest safe path. When
-// liftable — q has no placeholders of its own, whose $n the lifted ones
-// would take over — its WHERE literals are lifted into parameters once
-// (lift), and the local plan comes from the plan cache under the lifted
-// text, so statements of one shape plan once. The routed, local and
-// gather paths run the literal text.
+// liftable — q has no placeholders of its own, which no caller here
+// could give values — it is planned as its shape (ast.Lift), its WHERE
+// literals the shape's parameters, and the local plan comes from the
+// plan cache under the shape's text, so statements of one shape plan
+// once. The routed, local and gather paths run the literal text.
 func (c *Coordinator) query(ctx context.Context, q *ast.Query, liftable bool, reqID string) (*msql.Result, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.QueryTimeout)
 	defer cancel()
 
-	var st shape
+	st := shape{q: q}
 	if liftable {
-		st = lift(q)
+		if lq, lits := ast.Lift(q, 0); lits != nil {
+			params := make([]msql.Value, len(lits))
+			for i, lit := range lits {
+				v, err := engine.EvalConstExpr(lit)
+				if err != nil {
+					// A malformed DATE: the literal text is planned, and
+					// the binder rejects it in its own words.
+					params = nil
+					break
+				}
+				params[i] = v
+			}
+			if params != nil {
+				st = shape{q: lq, params: params}
+			}
+		}
 	}
-	if st.params == nil {
-		st = shape{q: q, sql: ast.FormatQuery(q)}
-	}
+	st.sql = ast.FormatQuery(st.q)
 	node, err := c.local.PlanQuery(ctx, st.sql, st.params)
 	if err != nil && st.params != nil {
 		// Lifting only saves planning: whatever the lifted form does not
@@ -141,45 +154,13 @@ func (c *Coordinator) query(ctx context.Context, q *ast.Query, liftable bool, re
 	return c.gather(ctx, literal(), sharded, reqID)
 }
 
-// shape is a query with the literals of its top-level WHERE clause
-// lifted into parameters: the query, its text — the key the local,
-// shadow and shard plan caches file it under — and the lifted values.
+// shape is a query as it is planned: its shape (ast.Lift) with the
+// lifted values, or the literal query with none. sql is its text, the
+// key the local, shadow and shard plan caches file it under.
 type shape struct {
 	q      *ast.Query
 	sql    string
 	params []msql.Value
-}
-
-// lift lifts the number, string, BOOLEAN and DATE literals of q's
-// top-level WHERE clause into $n parameters, in text order, as the
-// statement fingerprint normalizes them (NULL stays: it changes typing).
-// Subqueries keep their literals. With nothing to lift it returns the
-// zero shape.
-func lift(q *ast.Query) shape {
-	sel, ok := q.Body.(*ast.Select)
-	if !ok || sel.Where == nil {
-		return shape{}
-	}
-	var params []msql.Value
-	where := ast.TransformExpr(sel.Where, func(x ast.Expr) ast.Expr {
-		switch x.(type) {
-		case *ast.NumberLit, *ast.StringLit, *ast.BoolLit, *ast.DateLit:
-			// A malformed DATE stays literal, for the binder to reject.
-			if v, err := engine.EvalConstExpr(x); err == nil {
-				params = append(params, v)
-				return &ast.Param{Index: len(params)}
-			}
-		}
-		return x
-	})
-	if params == nil {
-		return shape{}
-	}
-	ls := *sel
-	ls.Where = where
-	lq := *q
-	lq.Body = &ls
-	return shape{q: &lq, sql: ast.FormatQuery(&lq), params: params}
 }
 
 // scanShardTables collects the sharded tables the plan scans, looking

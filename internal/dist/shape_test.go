@@ -7,9 +7,12 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/measures-sql/msql/internal/ast"
 	"github.com/measures-sql/msql/internal/dist"
+	"github.com/measures-sql/msql/internal/engine"
 	"github.com/measures-sql/msql/internal/exec"
 	"github.com/measures-sql/msql/internal/paperdata"
+	"github.com/measures-sql/msql/internal/parser"
 	"github.com/measures-sql/msql/msql"
 )
 
@@ -75,6 +78,7 @@ func TestLiftedLiteralsMatchSingleNode(t *testing.T) {
 		for _, pred := range literalPredicates {
 			q := fmt.Sprintf(shape, pred)
 			want, werr := oracle.QueryContext(ctx, q)
+			preparedShapeMatches(t, oracle, pred, q, want, werr)
 			got, gerr := coord.Query(ctx, q)
 			if werr != nil || gerr != nil {
 				if code(gerr) != code(werr) {
@@ -85,6 +89,48 @@ func TestLiftedLiteralsMatchSingleNode(t *testing.T) {
 			sameResult(t, q, got, want)
 		}
 	}
+}
+
+// unboundShapes are the predicates whose shape does not bind where the
+// literal text answers: a string literal next to a DATE reads as a DATE,
+// a VARCHAR parameter does not, so the coordinator plans the text.
+var unboundShapes = map[string]bool{`dt > '2024-01-01'`: true}
+
+// preparedShapeMatches checks that q's shape (ast.Lift), prepared on the
+// single node db and run with the literals it took, answers as q's text
+// did: the same rows or error code.
+func preparedShapeMatches(t *testing.T, db *msql.DB, pred, q string, want *msql.Result, werr error) {
+	t.Helper()
+	parsed, err := parser.ParseQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lifted, lits := ast.Lift(parsed, 0)
+	args := make([]any, len(lits))
+	for i, lit := range lits {
+		if args[i], err = engine.EvalConstExpr(lit); err != nil {
+			t.Fatalf("%s: literal %s: %v", q, ast.FormatExpr(lit), err)
+		}
+	}
+	sql := ast.FormatQuery(lifted)
+	stmt, gerr := db.Prepare(sql)
+	var got *msql.Result
+	if gerr == nil {
+		got, gerr = stmt.QueryContext(context.Background(), args)
+	}
+	if unboundShapes[pred] {
+		if werr != nil || code(gerr) != exec.CodeBind {
+			t.Fatalf("%s: shape %s answered %v, text %v; want a bind error and rows", q, sql, gerr, werr)
+		}
+		return
+	}
+	if werr != nil || gerr != nil {
+		if code(gerr) != code(werr) {
+			t.Fatalf("%s:\nshape %s error %v\ntext error %v", q, sql, gerr, werr)
+		}
+		return
+	}
+	sameResult(t, sql, got, want)
 }
 
 // code is err's taxonomy code, CodeUnknown for none.

@@ -1,10 +1,11 @@
-// Statement fingerprinting for the statement-stats store: queries that
-// differ only in literal values share one fingerprint, in the
-// pg_stat_statements tradition. The normalization reuses the plan
-// cache's canonicalization (ast.FormatQuery over the parsed tree, which
-// already renders parameters as $n) and additionally replaces every
-// literal with a `?` placeholder, so `WHERE revenue > 10` and
-// `WHERE revenue > 99` aggregate into the same statistics row.
+// Statement fingerprinting for the statement-stats store: statements of
+// one shape share one fingerprint, in the pg_stat_statements tradition.
+// The fingerprint is the statement's lifted text (ast.Lift, DESIGN.md
+// §4.1): the number, string, BOOLEAN and DATE literals of its top-level
+// WHERE become $n parameters numbered after its own, so
+// `WHERE revenue > 10`, `WHERE revenue > 99` and the prepared
+// `WHERE revenue > $1` aggregate into one statistics row. Literals
+// elsewhere (the select list, LIMIT, subqueries) stay in the text.
 package engine
 
 import (
@@ -27,15 +28,15 @@ func oneLine(s string) string { return strings.Join(strings.Fields(s), " ") }
 
 // statementInfo derives the display text and fingerprint for one parsed
 // statement. When the stats store is disabled, fingerprinting (which
-// deep-copies the query) is skipped entirely — that is the overhead
-// msqlbench's E27 measures.
+// copies the WHERE clause and prints the query a second time) is skipped
+// entirely — that is the overhead msqlbench's E27 measures.
 func (s *Session) statementInfo(stmt ast.Statement) stmtInfo {
 	track := s.stmts.enabledNow()
 	switch st := stmt.(type) {
 	case *ast.QueryStmt:
 		info := stmtInfo{sql: oneLine(ast.FormatQuery(st.Query))}
 		if track {
-			info.fingerprint = fingerprintQuery(st.Query)
+			info.fingerprint = fingerprintQuery(st.Query, st.NParams)
 		}
 		return info
 	case *ast.ExecuteStmt:
@@ -65,144 +66,9 @@ func (s *Session) statementInfo(stmt ast.Statement) stmtInfo {
 	}
 }
 
-// fingerprintQuery renders q with literals replaced by ?, on one line.
-func fingerprintQuery(q *ast.Query) string {
-	return oneLine(ast.FormatQuery(normalizeQuery(q)))
-}
-
-// normalizeQuery deep-copies q with every literal replaced by a
-// placeholder (ast.Param with index 0 prints as `?`). The walk descends
-// into CTEs, set operations, derived tables, and subquery expressions,
-// so literals anywhere in the statement normalize.
-func normalizeQuery(q *ast.Query) *ast.Query {
-	if q == nil {
-		return nil
-	}
-	c := *q
-	if q.With != nil {
-		c.With = make([]ast.CTE, len(q.With))
-		for i, cte := range q.With {
-			cte.Query = normalizeQuery(cte.Query)
-			c.With[i] = cte
-		}
-	}
-	c.Body = normalizeBody(q.Body)
-	if q.OrderBy != nil {
-		c.OrderBy = make([]ast.OrderItem, len(q.OrderBy))
-		for i, o := range q.OrderBy {
-			o.Expr = normalizeExpr(o.Expr)
-			c.OrderBy[i] = o
-		}
-	}
-	c.Limit = normalizeExpr(q.Limit)
-	c.Offset = normalizeExpr(q.Offset)
-	return &c
-}
-
-func normalizeBody(b ast.Body) ast.Body {
-	switch b := b.(type) {
-	case *ast.Select:
-		return normalizeSelect(b)
-	case *ast.SetOp:
-		c := *b
-		c.Left = normalizeBody(b.Left)
-		c.Right = normalizeBody(b.Right)
-		return &c
-	case *ast.SubqueryBody:
-		c := *b
-		c.Query = normalizeQuery(b.Query)
-		return &c
-	default:
-		return b
-	}
-}
-
-func normalizeSelect(sel *ast.Select) *ast.Select {
-	c := *sel
-	if sel.Items != nil {
-		c.Items = make([]ast.SelectItem, len(sel.Items))
-		for i, it := range sel.Items {
-			it.Expr = normalizeExpr(it.Expr)
-			c.Items[i] = it
-		}
-	}
-	c.From = normalizeTableExpr(sel.From)
-	c.Where = normalizeExpr(sel.Where)
-	if sel.GroupBy != nil {
-		c.GroupBy = make([]ast.GroupItem, len(sel.GroupBy))
-		for i, g := range sel.GroupBy {
-			g.Exprs = normalizeExprList(g.Exprs)
-			if g.Sets != nil {
-				sets := make([][]ast.Expr, len(g.Sets))
-				for j, set := range g.Sets {
-					sets[j] = normalizeExprList(set)
-				}
-				g.Sets = sets
-			}
-			c.GroupBy[i] = g
-		}
-	}
-	c.Having = normalizeExpr(sel.Having)
-	c.Qualify = normalizeExpr(sel.Qualify)
-	return &c
-}
-
-func normalizeTableExpr(te ast.TableExpr) ast.TableExpr {
-	switch te := te.(type) {
-	case *ast.SubqueryTable:
-		c := *te
-		c.Query = normalizeQuery(te.Query)
-		return &c
-	case *ast.JoinExpr:
-		c := *te
-		c.Left = normalizeTableExpr(te.Left)
-		c.Right = normalizeTableExpr(te.Right)
-		c.On = normalizeExpr(te.On)
-		return &c
-	default: // *ast.TableName or nil
-		return te
-	}
-}
-
-func normalizeExprList(list []ast.Expr) []ast.Expr {
-	if list == nil {
-		return nil
-	}
-	out := make([]ast.Expr, len(list))
-	for i, e := range list {
-		out[i] = normalizeExpr(e)
-	}
-	return out
-}
-
-// normalizeExpr applies the literal replacement through TransformExpr
-// and recurses into subquery-bearing expressions (which TransformExpr
-// deliberately does not descend).
-func normalizeExpr(e ast.Expr) ast.Expr {
-	if e == nil {
-		return nil
-	}
-	return ast.TransformExpr(e, func(x ast.Expr) ast.Expr {
-		switch x := x.(type) {
-		case *ast.NumberLit, *ast.StringLit, *ast.BoolLit, *ast.DateLit:
-			// NULL stays: it changes typing and plan shape, and NULL
-			// literals are not the parameter-like values that explode
-			// fingerprint cardinality.
-			return &ast.Param{Index: 0}
-		case *ast.InSubquery:
-			c := *x
-			c.Query = normalizeQuery(x.Query)
-			return &c
-		case *ast.Exists:
-			c := *x
-			c.Query = normalizeQuery(x.Query)
-			return &c
-		case *ast.ScalarSubquery:
-			c := *x
-			c.Query = normalizeQuery(x.Query)
-			return &c
-		default:
-			return x
-		}
-	})
+// fingerprintQuery is the fingerprint of q, whose own placeholders run
+// to $n: its shape (ast.Lift) on one line.
+func fingerprintQuery(q *ast.Query, n int) string {
+	lifted, _ := ast.Lift(q, n)
+	return oneLine(ast.FormatQuery(lifted))
 }

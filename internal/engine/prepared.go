@@ -41,7 +41,7 @@ func (p *Prepared) SQL() string { return p.sql }
 // query once so definition errors surface at PREPARE time.
 func (s *Session) newPrepared(name string, q *ast.Query, nParams int, typeNames []string) (*Prepared, error) {
 	p := &Prepared{name: name, sql: ast.FormatQuery(q), query: q, nParams: nParams}
-	p.fp = fingerprintQuery(q)
+	p.fp = fingerprintQuery(q, nParams)
 	if len(typeNames) > 0 {
 		if len(typeNames) != nParams {
 			return nil, fmt.Errorf("prepared statement declares %d parameter types but uses %d parameters", len(typeNames), nParams)
@@ -254,7 +254,7 @@ func (s *Session) cachedPlanFor(env *stmtEnv, sql string, kinds []sqltypes.Kind,
 		} else if n != len(kinds) {
 			return nil, false, key, 0, exec.Wrap(fmt.Errorf("statement has %d parameters, got %d", n, len(kinds)), exec.CodeBind, exec.PhaseBind)
 		}
-		fp = fingerprintQuery(q)
+		fp = fingerprintQuery(q, n)
 		s.retargetStats(env, fp)
 	}
 	node, ns, err := s.planQueryParams(env, q, kinds)

@@ -201,7 +201,7 @@ func TestStatementsEndpoint(t *testing.T) {
 	}
 	found := false
 	for _, st := range out.Statements {
-		if strings.Contains(st.Fingerprint, "a > ?") {
+		if strings.Contains(st.Fingerprint, "a > $1") {
 			found = true
 			if st.Calls != 3 || st.Exec.Count != 3 || st.Exec.P99Ns <= 0 {
 				t.Errorf("statement entry = %+v", st)

@@ -47,7 +47,7 @@ func TestStatementStatsFingerprint(t *testing.T) {
 	found := false
 	for _, row := range res.Rows {
 		fp := row[0].String()
-		if strings.Contains(fp, "revenue > ?") {
+		if strings.Contains(fp, "revenue > $1") {
 			found = true
 			if got := row[1].String(); got != "3" {
 				t.Errorf("calls for %q = %s, want 3 (literals must share a fingerprint)", fp, got)
@@ -68,7 +68,7 @@ func TestStatementStatsFingerprint(t *testing.T) {
 	stats := db.StatementStats()
 	var entry *msql.StatementStat
 	for i := range stats {
-		if strings.Contains(stats[i].Fingerprint, "revenue > ?") {
+		if strings.Contains(stats[i].Fingerprint, "revenue > $1") {
 			entry = &stats[i]
 		}
 	}
@@ -83,6 +83,34 @@ func TestStatementStatsFingerprint(t *testing.T) {
 	}
 	if entry.Exec.P99Ns < entry.Exec.P50Ns {
 		t.Errorf("p99 %d < p50 %d", entry.Exec.P99Ns, entry.Exec.P50Ns)
+	}
+}
+
+// TestStatementStatsTextAndPreparedShareAShape: a text statement and the
+// prepared statement of its shape — its WHERE literals as parameters —
+// are one msql_stats.statements row.
+func TestStatementStatsTextAndPreparedShareAShape(t *testing.T) {
+	db := open(t)
+	db.ResetStatementStats()
+	stmt, err := db.Prepare(`SELECT prodName, COUNT(*) AS n FROM Orders WHERE prodName = $1 GROUP BY prodName`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stmt.Query("Happy"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Query(`SELECT prodName, COUNT(*) AS n FROM Orders WHERE prodName = 'Acme' GROUP BY prodName`); err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Query(`SELECT fingerprint, calls FROM msql_stats.statements WHERE fingerprint LIKE '%FROM Orders WHERE prodName%'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 {
+		t.Fatalf("want one row for the shape, got %v", res.Rows)
+	}
+	if fp, calls := res.Rows[0][0].String(), res.Rows[0][1].String(); !strings.Contains(fp, "prodName = $1") || calls != "2" {
+		t.Fatalf("row %q with %s calls, want the shape's text with 2", fp, calls)
 	}
 }
 

@@ -7,10 +7,12 @@ package msql_test
 // behaviour.
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"github.com/measures-sql/msql/internal/datagen"
+	"github.com/measures-sql/msql/internal/exec"
 	"github.com/measures-sql/msql/internal/paperdata"
 	"github.com/measures-sql/msql/msql"
 )
@@ -409,6 +411,38 @@ func TestMeasureOverEmptyTable(t *testing.T) {
 	// the global aggregate returns SUM NULL / COUNT 0.
 	got := mustRows(t, db, `SELECT AGGREGATE(s) AS s, AGGREGATE(c) AS c FROM EM`)
 	sameRows(t, got, [][]string{{"NULL", "0"}}, "measure over empty table")
+}
+
+// TestStringComparedWithDateIsADate: a string literal next to a DATE
+// operand reads as the DATE it spells, on either side of a comparison,
+// in BETWEEN, in an IN list and in a measure's AT (WHERE ...); one that
+// spells no date is a bind error that names it.
+func TestStringComparedWithDateIsADate(t *testing.T) {
+	db := open(t)
+	for _, tc := range []struct{ where, want string }{
+		{`orderDate = '2023-11-28'`, "1"},
+		{`'2023-11-28' <> orderDate`, "4"},
+		{`orderDate < '2023-11-27'`, "2"},
+		{`orderDate <= '2023-11-27'`, "3"},
+		{`'2023-11-28' > orderDate`, "3"},
+		{`orderDate >= '2023/11/28'`, "2"},
+		{`orderDate BETWEEN '2023-01-01' AND '2023-12-31'`, "3"},
+		{`orderDate IN ('2024-11-28', DATE '2022-11-27')`, "2"},
+	} {
+		got := mustRows(t, db, `SELECT COUNT(*) AS n FROM Orders WHERE `+tc.where)
+		sameRows(t, got, [][]string{{tc.want}}, tc.where)
+	}
+	got := mustRows(t, db, `SELECT prodName, rev AT (WHERE orderDate >= '2023-01-01') AS r
+		FROM (SELECT *, SUM(revenue) AS MEASURE rev FROM Orders) AS o GROUP BY prodName ORDER BY prodName`)
+	sameRows(t, got, [][]string{{"Acme", "21"}, {"Happy", "21"}, {"Whizz", "21"}}, "AT (WHERE orderDate >= '2023-01-01')")
+
+	for _, where := range []string{`orderDate = '2023-13-01'`, `orderDate IN ('soon')`, `orderDate BETWEEN 'a' AND '2024-01-01'`} {
+		_, err := db.Query(`SELECT COUNT(*) FROM Orders WHERE ` + where)
+		var ee *exec.Error
+		if !errors.As(err, &ee) || ee.Code != exec.CodeBind || !strings.Contains(err.Error(), "invalid DATE literal") {
+			t.Errorf("%s: got %v, want a bind error naming the string", where, err)
+		}
+	}
 }
 
 // ---------------------------------------------------------------------------
