@@ -14,7 +14,18 @@ import (
 // (AS MEASURE → plan.MeasureInfo), re-export through non-aggregating
 // projections (closure, §5.4), and expansion of measure uses into
 // correlated scalar subqueries whose WHERE clause is the reified
-// evaluation context (§4.2), at both aggregate and row call sites.
+// evaluation context (§4.2).
+//
+// One routine expands a measure reference at every call site (expand):
+// it builds the default context from the site's keys and applies each AT
+// modifier (applyMod). Besides its keys, a row site and an aggregate
+// site differ in three things (site): the frame modifier expressions
+// bind in (the FROM row, or the group keys); the names ALL and SET may
+// use besides the measure's dimensions (none at a row site, whose keys
+// are the dimensions; the group keys' aliases, ad hoc dimensions, at an
+// aggregate site); and what VISIBLE does with a WHERE conjunct it cannot
+// restate (a bind error at a row site, a link to the group's rows by
+// position at an aggregate site).
 
 // dimMapping returns a substitution from FROM-row column references
 // within rel to expressions over the measure's base row. Columns outside
@@ -85,52 +96,98 @@ func dimNameOf(e ast.Expr) string {
 }
 
 // ---------------------------------------------------------------------------
-// Aggregate call site
+// Call sites
 
-// expandAggSite expands a measure reference appearing above an Aggregate:
-// the default evaluation context binds every grouping expression that is
-// derivable from the measure's dimensions to the current group's value
-// (disabled on ROLLUP super-aggregate rows via GROUPING guards); group
-// keys that are not derivable link the base table to the group's rows
-// by position (addLink). AT modifiers then transform the context.
-func (ab *aggBinder) expandAggSite(ph *measurePH) (plan.Expr, error) {
-	info := ph.info
-	mapping := dimMapping(ph.rel, info)
-	if e, ok := ab.tryInline(ph, mapping); ok {
-		return e, nil
-	}
+// site is what a call site gives the expansion of a measure reference
+// there (expand); every AT modifier means the same at every site. A row
+// site (expandRowSite) and an aggregate site (expandAggSite) differ only
+// in these fields.
+type site struct {
+	// keys bind the default context, each to its value at the site; an
+	// ALL or SET modifier may name a key as a dimension.
+	keys []siteKey
+	// frame is the FROM row, where AT modifier expressions bind at a row
+	// site (scope).
+	frame *Scope
+	// where is the query's WHERE clause, which VISIBLE restates over the
+	// measure's base rows.
+	where plan.Expr
+	// group is the aggregate query whose group the site is; a row site
+	// has none. Modifier expressions bind in its keys (scope), its
+	// GROUPING indicators drop keys on ROLLUP super-aggregate rows, and
+	// the context is linked to its rows (addLink) for a key or a VISIBLE
+	// conjunct that the measure's dimensions cannot restate, or under a
+	// join. linked records that it is.
+	group  *aggBinder
+	linked bool
+}
+
+// siteKey is a key of a call site: expr over the FROM row, whose value at
+// the site is value, a reference one frame up from the measure subquery.
+type siteKey struct {
+	name  string
+	expr  plan.Expr
+	value plan.Expr
+}
+
+// expand expands measure reference ph at call site s into the measure's
+// correlated subquery, whose WHERE clause is the evaluation context
+// (§4.2); mapping (dimMapping) restates FROM-row expressions over the
+// measure's base row. The default context binds each key to its value
+// at the site. A key the measure's dimensions cannot restate links the
+// context to the site's group, or, where there is none, stays in it with
+// no base expression and fails only if no modifier removes it. The AT
+// modifiers then transform the context left to right (§3).
+func (b *Binder) expand(ph *measurePH, s *site, mapping func(*plan.ColRef) (plan.Expr, bool)) (plan.Expr, error) {
 	ctx := &core.Context{}
 	needLink := false
-	for j, g := range ab.groupExprs {
-		mapped, ok := mapWholeExpr(g, mapping)
-		if !ok {
+	for i, k := range s.keys {
+		base, ok := mapWholeExpr(k.expr, mapping)
+		if !ok && s.group != nil {
 			needLink = true
 			continue
 		}
-		ctx.Terms = append(ctx.Terms, core.Term{
-			Kind:     core.TermDimEq,
-			Dim:      ab.groupNames[j],
-			BaseExpr: mapped,
-			Value:    &plan.CorrRef{Levels: 1, Index: j, Name: ab.groupNames[j], Typ: g.Type()},
-			Grouping: ab.groupingGuard(j),
-		})
+		t := core.Term{Kind: core.TermDimEq, Dim: k.name, BaseExpr: base, Value: k.value}
+		if s.group != nil {
+			t.Grouping = s.group.groupingGuard(i)
+		}
+		ctx.Terms = append(ctx.Terms, t)
 	}
-	linkAdded := false
 	if needLink {
-		if err := ab.addLink(ctx, ph); err != nil {
+		if err := s.linkOnce(ctx, ph); err != nil {
 			return nil, err
 		}
-		linkAdded = true
 	}
 	for _, mod := range ph.mods {
-		if err := ab.applyAggMod(ctx, mod, ph, &linkAdded); err != nil {
+		if err := b.applyMod(ctx, mod, ph, s, mapping); err != nil {
 			return nil, err
 		}
 	}
-	return core.BuildMeasureSubquery(info, ctx)
+	return core.BuildMeasureSubquery(ph.info, ctx)
 }
 
-func (ab *aggBinder) applyAggMod(ctx *core.Context, mod ast.AtMod, ph *measurePH, linkAdded *bool) error {
+// scope is the frame AT modifier expressions bind in: the group keys at
+// an aggregate site (callScope), the FROM row at a row site.
+func (s *site) scope() *Scope {
+	if s.group != nil {
+		return s.group.callScope()
+	}
+	return s.frame
+}
+
+// linkOnce links ctx to the site's group unless it is linked already.
+func (s *site) linkOnce(ctx *core.Context, ph *measurePH) error {
+	if s.linked {
+		return nil
+	}
+	s.linked = true
+	return s.group.addLink(ctx, ph)
+}
+
+// applyMod applies one AT modifier to ctx, the context of measure
+// reference ph at call site s (paper Table 3).
+func (b *Binder) applyMod(ctx *core.Context, mod ast.AtMod, ph *measurePH, s *site, mapping func(*plan.ColRef) (plan.Expr, bool)) error {
+	info := ph.info
 	switch m := mod.(type) {
 	case *ast.AtAll:
 		if len(m.Dims) == 0 {
@@ -139,37 +196,77 @@ func (ab *aggBinder) applyAggMod(ctx *core.Context, mod ast.AtMod, ph *measurePH
 		}
 		for _, d := range m.Dims {
 			name := dimNameOf(d)
-			removed := ctx.RemoveDim(name)
-			if !removed {
-				if _, ok := ph.info.DimByName(name); !ok && !ab.hasGroupName(name) {
-					return fmt.Errorf("ALL %s: unknown dimension of measure %s", name, ph.info.Name)
-				}
+			if ctx.RemoveDim(name) {
+				continue
+			}
+			if _, ok := info.DimByName(name); !ok && !s.hasKey(name) {
+				return fmt.Errorf("ALL %s: unknown dimension of measure %s", name, info.Name)
 			}
 		}
 		return nil
 
 	case *ast.AtSet:
+		// Identifiers in the value resolve against the site's frame one
+		// level up, so the value is already right inside the measure
+		// subquery; CURRENT resolves against the context being built.
 		name := dimNameOf(m.Dim)
-		baseExpr, err := ab.dimBaseExpr(name, ctx, ph)
+		base, err := s.dimBase(name, ctx, info, mapping)
 		if err != nil {
 			return err
 		}
-		value, err := ab.bindModValue(m.Value, ctx)
+		eb := &exprBinder{b: b, scope: &Scope{parent: s.scope()}, currentCtx: ctx}
+		value, err := eb.bind(m.Value)
 		if err != nil {
 			return fmt.Errorf("SET %s: %w", name, err)
 		}
-		ctx.SetDim(name, baseExpr, value)
+		if err := validateModExpr(value, "AT modifier expressions"); err != nil {
+			return err
+		}
+		ctx.SetDim(name, base, value)
 		return nil
 
 	case *ast.AtVisible:
-		return ab.applyVisible(ctx, ph, linkAdded)
+		// The WHERE conjuncts expressible over the measure's dimensions
+		// restate it over the base rows (§3.5). A volatile conjunct is
+		// not: drawn again there, it would pick other rows than the site
+		// holds. The rest, and a join (§3.6), are the link's.
+		restated := true
+		if s.where != nil {
+			for _, c := range plan.SplitConj(s.where) {
+				if mc, ok := mapWholeExpr(c, mapping); ok && plan.ExprParallelSafe(c) {
+					ctx.AddPred(mc)
+				} else {
+					restated = false
+				}
+			}
+		}
+		if s.group == nil {
+			if !restated {
+				return fmt.Errorf("VISIBLE: the WHERE clause is not expressible over the dimensions of measure %s", info.Name)
+			}
+			return nil
+		}
+		if restated && !s.group.fr.hasJoin {
+			return nil
+		}
+		return s.linkOnce(ctx, ph)
 
 	case *ast.AtWhere:
-		pred, err := ab.bindModWhere(m.Pred, ph, ctx)
+		// Unqualified names resolve first against the measure's
+		// dimensions, as base-row expressions, then against the frame.
+		scope := &Scope{parent: s.scope(), rels: []*Rel{dimRel(info)}}
+		eb := &exprBinder{b: b, scope: scope, currentCtx: ctx}
+		p, err := eb.bind(m.Pred)
 		if err != nil {
+			return fmt.Errorf("in AT (WHERE ...): %w", err)
+		}
+		if err := requireBool(p, "AT (WHERE ...) predicate"); err != nil {
 			return err
 		}
-		ctx.ReplaceWith(pred)
+		if err := validateModExpr(p, "AT (WHERE ...) predicates"); err != nil {
+			return err
+		}
+		ctx.ReplaceWith(p)
 		return nil
 
 	default:
@@ -177,40 +274,116 @@ func (ab *aggBinder) applyAggMod(ctx *core.Context, mod ast.AtMod, ph *measurePH
 	}
 }
 
-// dimBaseExpr finds the base-row expression for a dimension named in a
-// SET modifier: an existing context term's expression, a dimension of
-// the measure's table, or an ad hoc dimension (a grouping expression's
-// alias).
-func (ab *aggBinder) dimBaseExpr(name string, ctx *core.Context, ph *measurePH) (plan.Expr, error) {
+// hasKey reports whether the site has a key named name.
+func (s *site) hasKey(name string) bool {
+	for _, k := range s.keys {
+		if strings.EqualFold(k.name, name) {
+			return true
+		}
+	}
+	return false
+}
+
+// dimBase finds the base-row expression of the dimension a SET modifier
+// names: that of its term in ctx, the measure's dimension, or a key of
+// the site's (an ad hoc dimension, §3.5).
+func (s *site) dimBase(name string, ctx *core.Context, info *plan.MeasureInfo, mapping func(*plan.ColRef) (plan.Expr, bool)) (plan.Expr, error) {
 	for _, t := range ctx.Terms {
 		if t.Kind == core.TermDimEq && strings.EqualFold(t.Dim, name) && t.BaseExpr != nil {
 			return t.BaseExpr, nil
 		}
 	}
-	if d, ok := ph.info.DimByName(name); ok {
+	if d, ok := info.DimByName(name); ok {
 		if d.Expr == nil {
-			return nil, fmt.Errorf("dimension %s is not derivable from the base table of measure %s", name, ph.info.Name)
+			return nil, fmt.Errorf("dimension %s is not derivable from the base table of measure %s", name, info.Name)
 		}
 		return d.Expr, nil
 	}
-	mapping := dimMapping(ph.rel, ph.info)
-	for j, g := range ab.groupExprs {
-		if strings.EqualFold(ab.groupNames[j], name) {
-			if mapped, ok := mapWholeExpr(g, mapping); ok {
-				return mapped, nil
+	for _, k := range s.keys {
+		if strings.EqualFold(k.name, name) {
+			if base, ok := mapWholeExpr(k.expr, mapping); ok {
+				return base, nil
 			}
 		}
 	}
-	return nil, fmt.Errorf("unknown dimension %s of measure %s", name, ph.info.Name)
+	return nil, fmt.Errorf("unknown dimension %s of measure %s", name, info.Name)
 }
 
-func (ab *aggBinder) hasGroupName(name string) bool {
-	for _, n := range ab.groupNames {
-		if strings.EqualFold(n, name) {
-			return true
+func dimRel(info *plan.MeasureInfo) *Rel {
+	cols := make([]plan.Col, len(info.Dims))
+	exprs := make([]plan.Expr, len(info.Dims))
+	for i, d := range info.Dims {
+		typ := sqltypes.Type{Kind: sqltypes.KindUnknown}
+		if d.Expr != nil {
+			typ = d.Expr.Type()
+		}
+		cols[i] = plan.Col{Name: d.Name, Typ: typ}
+		exprs[i] = d.Expr
+	}
+	return &Rel{Cols: cols, Exprs: exprs}
+}
+
+// expandRowSite replaces every measure placeholder in e with its
+// expansion at the current row: the keys are the row's dimension
+// columns, AT modifier expressions bind in the FROM row, and there is no
+// group to link (paper Listing 12 query 4 overrides the keys with AT
+// WHERE).
+func (b *Binder) expandRowSite(e plan.Expr, fr *fromResult, whereExpr plan.Expr) (plan.Expr, error) {
+	if findMeasurePH(e) == nil {
+		return e, nil
+	}
+	var err error
+	out := plan.TransformExpr(e, func(x plan.Expr) plan.Expr {
+		if ph, ok := x.(*measurePH); ok && err == nil {
+			s := &site{keys: make([]siteKey, 0, len(ph.info.Dims)), frame: fr.scope, where: whereExpr}
+			for ci, col := range ph.rel.Cols {
+				if col.Measure != nil || col.Typ.Measure {
+					continue
+				}
+				if len(s.keys) == len(ph.info.Dims) {
+					break
+				}
+				i := ph.rel.Offset + ci
+				s.keys = append(s.keys, siteKey{
+					name:  ph.info.Dims[len(s.keys)].Name,
+					expr:  &plan.ColRef{Index: i, Name: col.Name, Typ: col.Typ},
+					value: &plan.CorrRef{Levels: 1, Index: i, Name: col.Name, Typ: col.Typ},
+				})
+			}
+			var ex plan.Expr
+			ex, err = b.expand(ph, s, dimMapping(ph.rel, ph.info))
+			if err == nil {
+				return ex
+			}
+		}
+		return x
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// expandAggSite expands a measure reference above an Aggregate: the keys
+// are the group keys, dropped on ROLLUP super-aggregate rows by their
+// GROUPING indicators; AT modifier expressions bind in the group keys
+// (callScope); and what the measure's dimensions cannot restate links
+// the base table to the group's rows by position (addLink). A reference
+// plain aggregation can answer is inlined instead (tryInline).
+func (ab *aggBinder) expandAggSite(ph *measurePH) (plan.Expr, error) {
+	mapping := dimMapping(ph.rel, ph.info)
+	if e, ok := ab.tryInline(ph, mapping); ok {
+		return e, nil
+	}
+	s := &site{keys: make([]siteKey, len(ab.groupExprs)), where: ab.whereExpr, group: ab}
+	for j, g := range ab.groupExprs {
+		s.keys[j] = siteKey{
+			name:  ab.groupNames[j],
+			expr:  g,
+			value: &plan.CorrRef{Levels: 1, Index: j, Name: ab.groupNames[j], Typ: g.Type()},
 		}
 	}
-	return false
+	return ab.b.expand(ph, s, mapping)
 }
 
 // callScope is the synthetic frame seen by AT modifier expressions at an
@@ -231,83 +404,8 @@ func (ab *aggBinder) callScope() *Scope {
 	return &Scope{parent: parent, rels: []*Rel{{Cols: cols, AnyAlias: true}}}
 }
 
-// bindModValue binds the value expression of a SET modifier. Identifiers
-// resolve against the call-site row (group keys) one frame up, so the
-// resulting expression is already correct inside the measure subquery;
-// CURRENT resolves against the context being built.
-func (ab *aggBinder) bindModValue(e ast.Expr, ctx *core.Context) (plan.Expr, error) {
-	scope := &Scope{parent: ab.callScope()}
-	eb := &exprBinder{b: ab.b, scope: scope, currentCtx: ctx}
-	v, err := eb.bind(e)
-	if err != nil {
-		return nil, err
-	}
-	if err := validateModExpr(v, "AT modifier expressions"); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
-// bindModWhere binds an AT (WHERE ...) predicate: unqualified names
-// resolve first against the measure's dimensions (as base-row
-// expressions), then against the call-site row.
-func (ab *aggBinder) bindModWhere(pred ast.Expr, ph *measurePH, ctx *core.Context) (plan.Expr, error) {
-	dimFrame := &Scope{parent: ab.callScope(), rels: []*Rel{dimRel(ph.info)}}
-	eb := &exprBinder{b: ab.b, scope: dimFrame, currentCtx: ctx}
-	p, err := eb.bind(pred)
-	if err != nil {
-		return nil, fmt.Errorf("in AT (WHERE ...): %w", err)
-	}
-	if err := requireBool(p, "AT (WHERE ...) predicate"); err != nil {
-		return nil, err
-	}
-	if err := validateModExpr(p, "AT (WHERE ...) predicates"); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-func dimRel(info *plan.MeasureInfo) *Rel {
-	cols := make([]plan.Col, len(info.Dims))
-	exprs := make([]plan.Expr, len(info.Dims))
-	for i, d := range info.Dims {
-		typ := sqltypes.Type{Kind: sqltypes.KindUnknown}
-		if d.Expr != nil {
-			typ = d.Expr.Type()
-		}
-		cols[i] = plan.Col{Name: d.Name, Typ: typ}
-		exprs[i] = d.Expr
-	}
-	return &Rel{Cols: cols, Exprs: exprs}
-}
-
-// applyVisible implements the VISIBLE modifier at an aggregate site: it
-// adds the query's WHERE conjuncts that are expressible over the
-// measure's dimensions, and — under joins or for inexpressible conjuncts
-// — links the base table to the rows actually visible in the current
-// group (paper §3.5, §3.6). A volatile conjunct counts as inexpressible:
-// restated over the base rows it would be drawn again, and pick other
-// rows than the ones the group holds.
-func (ab *aggBinder) applyVisible(ctx *core.Context, ph *measurePH, linkAdded *bool) error {
-	mapping := dimMapping(ph.rel, ph.info)
-	unmapped := false
-	if ab.whereExpr != nil {
-		for _, c := range plan.SplitConj(ab.whereExpr) {
-			if mc, ok := mapWholeExpr(c, mapping); ok && plan.ExprParallelSafe(c) {
-				ctx.AddPred(mc)
-			} else {
-				unmapped = true
-			}
-		}
-	}
-	if (ab.fr.hasJoin || unmapped) && !*linkAdded {
-		if err := ab.addLink(ctx, ph); err != nil {
-			return err
-		}
-		*linkAdded = true
-	}
-	return nil
-}
+// ---------------------------------------------------------------------------
+// Context links
 
 // groupMatch is the predicate over a FROM row that holds for the rows
 // of the current group, whose output row is levels frames up; nil with
@@ -684,137 +782,6 @@ func replaceAt(n plan.Node, off int, rel *Rel, node plan.Node) (plan.Node, bool)
 		}
 	}
 	return nil, false
-}
-
-// ---------------------------------------------------------------------------
-// Row call site
-
-// expandRowSite replaces every measure placeholder in e with its row-
-// context expansion: by default all dimensions are bound to the current
-// row's values (paper Listing 12 query 4 then overrides with AT WHERE).
-func (b *Binder) expandRowSite(e plan.Expr, fr *fromResult, whereExpr plan.Expr) (plan.Expr, error) {
-	if findMeasurePH(e) == nil {
-		return e, nil
-	}
-	var err error
-	out := plan.TransformExpr(e, func(x plan.Expr) plan.Expr {
-		if ph, ok := x.(*measurePH); ok && err == nil {
-			var ex plan.Expr
-			ex, err = b.expandRowSitePH(ph, fr, whereExpr)
-			if err == nil {
-				return ex
-			}
-		}
-		return x
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func (b *Binder) expandRowSitePH(ph *measurePH, fr *fromResult, whereExpr plan.Expr) (plan.Expr, error) {
-	info := ph.info
-	ctx := &core.Context{}
-	k := 0
-	for ci, col := range ph.rel.Cols {
-		if col.Measure != nil || col.Typ.Measure {
-			continue
-		}
-		if k >= len(info.Dims) {
-			break
-		}
-		d := info.Dims[k]
-		k++
-		ctx.Terms = append(ctx.Terms, core.Term{
-			Kind:     core.TermDimEq,
-			Dim:      d.Name,
-			BaseExpr: d.Expr,
-			Value:    &plan.CorrRef{Levels: 1, Index: ph.rel.Offset + ci, Name: col.Name, Typ: col.Typ},
-		})
-	}
-	for _, mod := range ph.mods {
-		if err := b.applyRowMod(ctx, mod, ph, fr, whereExpr); err != nil {
-			return nil, err
-		}
-	}
-	return core.BuildMeasureSubquery(info, ctx)
-}
-
-func (b *Binder) applyRowMod(ctx *core.Context, mod ast.AtMod, ph *measurePH, fr *fromResult, whereExpr plan.Expr) error {
-	switch m := mod.(type) {
-	case *ast.AtAll:
-		if len(m.Dims) == 0 {
-			ctx.Clear()
-			return nil
-		}
-		for _, d := range m.Dims {
-			name := dimNameOf(d)
-			if !ctx.RemoveDim(name) {
-				if _, ok := ph.info.DimByName(name); !ok {
-					return fmt.Errorf("ALL %s: unknown dimension of measure %s", name, ph.info.Name)
-				}
-			}
-		}
-		return nil
-
-	case *ast.AtSet:
-		name := dimNameOf(m.Dim)
-		var baseExpr plan.Expr
-		if d, ok := ph.info.DimByName(name); ok {
-			baseExpr = d.Expr
-		}
-		if baseExpr == nil {
-			return fmt.Errorf("SET %s: unknown or non-derivable dimension of measure %s", name, ph.info.Name)
-		}
-		scope := &Scope{parent: fr.scope}
-		eb := &exprBinder{b: b, scope: scope, currentCtx: ctx}
-		value, err := eb.bind(m.Value)
-		if err != nil {
-			return fmt.Errorf("SET %s: %w", name, err)
-		}
-		if err := validateModExpr(value, "AT modifier expressions"); err != nil {
-			return err
-		}
-		ctx.SetDim(name, baseExpr, value)
-		return nil
-
-	case *ast.AtVisible:
-		if whereExpr == nil {
-			return nil
-		}
-		// applyVisible's rule: a volatile conjunct is inexpressible,
-		// since restated over the base rows it would be drawn again. A
-		// row site has no group whose rows it could link instead.
-		mapping := dimMapping(ph.rel, ph.info)
-		for _, c := range plan.SplitConj(whereExpr) {
-			mc, ok := mapWholeExpr(c, mapping)
-			if !ok || !plan.ExprParallelSafe(c) {
-				return fmt.Errorf("VISIBLE: the WHERE clause is not expressible over the dimensions of measure %s", ph.info.Name)
-			}
-			ctx.AddPred(mc)
-		}
-		return nil
-
-	case *ast.AtWhere:
-		dimFrame := &Scope{parent: fr.scope, rels: []*Rel{dimRel(ph.info)}}
-		eb := &exprBinder{b: b, scope: dimFrame, currentCtx: ctx}
-		p, err := eb.bind(m.Pred)
-		if err != nil {
-			return fmt.Errorf("in AT (WHERE ...): %w", err)
-		}
-		if err := requireBool(p, "AT (WHERE ...) predicate"); err != nil {
-			return err
-		}
-		if err := validateModExpr(p, "AT (WHERE ...) predicates"); err != nil {
-			return err
-		}
-		ctx.ReplaceWith(p)
-		return nil
-
-	default:
-		return fmt.Errorf("unsupported AT modifier %T", mod)
-	}
 }
 
 // ---------------------------------------------------------------------------

@@ -120,16 +120,22 @@ func decodeAs[Req any](bind func(*Req) (statement, error)) func(*http.Request) (
 
 var errNotPost = errors.New("POST only")
 
-// readJSON decodes a bounded POST body.
+// readJSON decodes a bounded POST body in one pass. A number bound for
+// an interface value (a parameter's) keeps its text, as json.Number.
+// Like json.Unmarshal, it rejects anything after the body's one value.
 func readJSON(r *http.Request, into any) error {
 	if r.Method != http.MethodPost {
 		return errNotPost
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes))
-	if err != nil {
+	dec := json.NewDecoder(io.LimitReader(r.Body, maxRequestBytes))
+	dec.UseNumber()
+	if err := dec.Decode(into); err != nil {
 		return err
 	}
-	return json.Unmarshal(body, into)
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("invalid JSON: data after the top-level value")
+	}
+	return nil
 }
 
 // badRequest is the structured rejection of an undecodable request; a

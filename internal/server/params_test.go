@@ -4,6 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"github.com/measures-sql/msql/internal/server"
@@ -53,9 +56,9 @@ func TestIntegerParamsCrossExactly(t *testing.T) {
 	}
 }
 
-// TestParamDecodeKeepsNumbers: a JSON-decoded parameter keeps its
-// number's text, INTEGER accepts any int64 and integral numbers up to
-// 2^53 in other forms, and rejects the rest.
+// TestParamDecodeKeepsNumbers: a parameter decoded by the server's
+// request decoder keeps its number's text, INTEGER accepts any int64
+// and integral numbers up to 2^53 in other forms, and rejects the rest.
 func TestParamDecodeKeepsNumbers(t *testing.T) {
 	for _, tc := range []struct {
 		body string
@@ -76,7 +79,8 @@ func TestParamDecodeKeepsNumbers(t *testing.T) {
 		{`{"type":"INTEGER","value":null}`, "NULL"},
 	} {
 		var p wire.Param
-		if err := json.Unmarshal([]byte(tc.body), &p); err != nil {
+		r := httptest.NewRequest(http.MethodPost, "/execute", strings.NewReader(tc.body))
+		if err := server.ReadJSON(r, &p); err != nil {
 			t.Fatalf("%s: %v", tc.body, err)
 		}
 		v, err := p.Decode()
@@ -87,6 +91,35 @@ func TestParamDecodeKeepsNumbers(t *testing.T) {
 			t.Fatalf("%s: %v", tc.body, err)
 		case tc.want != "" && v.String() != tc.want:
 			t.Fatalf("%s decoded to %s, want %s", tc.body, v, tc.want)
+		}
+	}
+}
+
+// TestReadJSONRejectsTrailingData: a request body is one JSON value, as
+// json.Unmarshal would take it; anything but white space after it is
+// rejected.
+func TestReadJSONRejectsTrailingData(t *testing.T) {
+	for _, tc := range []struct {
+		body string
+		ok   bool
+	}{
+		{`{"sql":"SELECT 1"}`, true},
+		{" {\"sql\":\"SELECT 1\"} \r\n\t", true},
+		{`{"sql":"SELECT 1"} x`, false},
+		{`{"sql":"SELECT 1"}}`, false},
+		{`{"sql":"SELECT 1"} {"sql":"SELECT 2"}`, false},
+		{`{"sql":"SELECT 1"} 7`, false},
+		{`{"sql":"SELECT 1"`, false},
+		{``, false},
+	} {
+		var req wire.QueryRequest
+		r := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(tc.body))
+		err := server.ReadJSON(r, &req)
+		if (err == nil) != tc.ok {
+			t.Errorf("%q: error %v, want ok=%v", tc.body, err, tc.ok)
+		}
+		if tc.ok && req.SQL != "SELECT 1" {
+			t.Errorf("%q: decoded SQL %q", tc.body, req.SQL)
 		}
 	}
 }

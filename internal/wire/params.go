@@ -45,32 +45,12 @@ type ExecuteRequest struct {
 // Param is one typed parameter value. Type is the SQL type name
 // (BOOLEAN, INTEGER, DOUBLE, VARCHAR, DATE); Value is the JSON-native
 // encoding EncodeValue produces (null encodes SQL NULL of that type).
-// A number decoded from JSON is kept as its text (json.Number), so an
-// INTEGER beyond 2^53 reaches Decode exactly.
+// The server decodes request bodies with json.Decoder.UseNumber, so a
+// number is kept as its text (json.Number) and an INTEGER beyond 2^53
+// reaches Decode exactly.
 type Param struct {
 	Type  string `json:"type"`
 	Value any    `json:"value"`
-}
-
-// UnmarshalJSON decodes a parameter, keeping a numeric value as
-// json.Number rather than rounding it through float64.
-func (p *Param) UnmarshalJSON(data []byte) error {
-	var raw struct {
-		Type  string          `json:"type"`
-		Value json.RawMessage `json:"value"`
-	}
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return err
-	}
-	p.Type, p.Value = raw.Type, nil
-	switch v := raw.Value; {
-	case len(v) == 0:
-	case v[0] == '-' || '0' <= v[0] && v[0] <= '9':
-		p.Value = json.Number(v)
-	default:
-		return json.Unmarshal(v, &p.Value)
-	}
-	return nil
 }
 
 // EncodeParam converts a SQL value to its wire form.
