@@ -540,14 +540,6 @@ type Param struct {
 	Pos   int
 }
 
-// Placeholder is an internal marker node used by rewrite passes (e.g.
-// the EXPAND statement's measure rewriter) to thread intermediate state
-// through TransformExpr. It never appears in parsed SQL and the printer
-// rejects it.
-type Placeholder struct {
-	Tag any
-}
-
 func (*Ident) node()          {}
 func (*NumberLit) node()      {}
 func (*StringLit) node()      {}
@@ -568,7 +560,6 @@ func (*Cast) node()           {}
 func (*FuncCall) node()       {}
 func (*At) node()             {}
 func (*Param) node()          {}
-func (*Placeholder) node()    {}
 func (*AtAll) node()          {}
 func (*AtSet) node()          {}
 func (*AtVisible) node()      {}
@@ -596,7 +587,6 @@ func (*FuncCall) expr()       {}
 func (*At) expr()             {}
 func (*Current) expr()        {}
 func (*Param) expr()          {}
-func (*Placeholder) expr()    {}
 
 func (*AtAll) atMod()     {}
 func (*AtSet) atMod()     {}

@@ -28,6 +28,9 @@ type Binder struct {
 	// inlined records the measures the §6.4 fast path replaced with plain
 	// aggregate calls during the last bind, for lifecycle tracing.
 	inlined []string
+	// expansions, when non-nil, records each measure reference's
+	// expansion (Expansions).
+	expansions map[*ast.Ident]Expansion
 	// params holds the declared kinds of prepared-statement parameters;
 	// $n binds to params[n-1]. Nil means parameters are rejected.
 	params []sqltypes.Kind

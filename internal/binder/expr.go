@@ -36,12 +36,14 @@ func (p *windowPH) Type() sqltypes.Type { return p.fn.Typ }
 func (p *windowPH) String() string      { return "windowPH{" + p.fn.Name + "}" }
 
 // measurePH marks a measure reference together with its collected AT
-// modifier chain (in application order). bare reports whether the raw
-// reference was a plain column reference (re-exportable through a
-// non-aggregating projection — the closure property of §5.4).
+// modifier chain (in application order). id is the reference's
+// identifier; bare reports whether the raw reference was a plain column
+// reference (re-exportable through a non-aggregating projection — the
+// closure property of §5.4).
 type measurePH struct {
 	info *plan.MeasureInfo
 	rel  *Rel
+	id   *ast.Ident
 	mods []ast.AtMod
 	bare bool
 }
@@ -297,7 +299,7 @@ func (eb *exprBinder) bindIdent(e *ast.Ident) (plan.Expr, error) {
 		if res.levels > 0 {
 			return nil, fmt.Errorf("correlated references to measure %s are not supported", res.col.Name)
 		}
-		return &measurePH{info: res.col.Measure, rel: res.rel, bare: true}, nil
+		return &measurePH{info: res.col.Measure, rel: res.rel, id: e, bare: true}, nil
 	}
 	if res.col.Typ.Measure {
 		return nil, fmt.Errorf("column %s has measure type but lost its definition (e.g. through a set operation) and cannot be used", res.col.Name)

@@ -25,7 +25,8 @@ import (
 // are the dimensions; the group keys' aliases, ad hoc dimensions, at an
 // aggregate site); and what VISIBLE does with a WHERE conjunct it cannot
 // restate (a bind error at a row site, a link to the group's rows by
-// position at an aggregate site).
+// position at an aggregate site). db.Expand prints the contexts expand
+// builds (Expansions), so AT has this one implementation.
 
 // dimMapping returns a substitution from FROM-row column references
 // within rel to expressions over the measure's base row. Columns outside
@@ -117,9 +118,8 @@ type site struct {
 	// GROUPING indicators drop keys on ROLLUP super-aggregate rows, and
 	// the context is linked to its rows (addLink) for a key or a VISIBLE
 	// conjunct that the measure's dimensions cannot restate, or under a
-	// join. linked records that it is.
-	group  *aggBinder
-	linked bool
+	// join.
+	group *aggBinder
 }
 
 // siteKey is a key of a call site: expr over the FROM row, whose value at
@@ -163,7 +163,37 @@ func (b *Binder) expand(ph *measurePH, s *site, mapping func(*plan.ColRef) (plan
 			return nil, err
 		}
 	}
+	if b.expansions != nil {
+		x := Expansion{Measure: ph.info, Context: ctx}
+		if s.group != nil {
+			x.Keys = s.group.groupExprs
+		}
+		b.expansions[ph.id] = x
+	}
 	return core.BuildMeasureSubquery(ph.info, ctx)
+}
+
+// Expansion is how the binder expanded a measure reference (Expansions).
+type Expansion struct {
+	// Measure is the measure referenced.
+	Measure *plan.MeasureInfo
+	// Context is the reference's final evaluation context; nil when a
+	// non-aggregating SELECT re-exports the measure instead (§5.4).
+	Context *core.Context
+	// Keys are the group keys, over the FROM row, of an aggregate call
+	// site: there a reference one frame up from the measure subquery
+	// names a key. At a row site Keys is nil and such a reference names
+	// a column of the FROM row.
+	Keys []plan.Expr
+}
+
+// Expansions binds q and returns the expansion of each measure reference
+// in it, keyed by the reference's identifier. With inlining off
+// (WithInline) every evaluated reference has a context.
+func (b *Binder) Expansions(q *ast.Query) (map[*ast.Ident]Expansion, error) {
+	b.expansions = map[*ast.Ident]Expansion{}
+	_, err := b.BindQuery(q)
+	return b.expansions, err
 }
 
 // scope is the frame AT modifier expressions bind in: the group keys at
@@ -175,12 +205,14 @@ func (s *site) scope() *Scope {
 	return s.frame
 }
 
-// linkOnce links ctx to the site's group unless it is linked already.
+// linkOnce links ctx to the site's group unless it holds a link already:
+// an ALL or WHERE modifier may have removed the default context's.
 func (s *site) linkOnce(ctx *core.Context, ph *measurePH) error {
-	if s.linked {
-		return nil
+	for _, t := range ctx.Terms {
+		if t.Kind == core.TermLink {
+			return nil
+		}
 	}
-	s.linked = true
 	return s.group.addLink(ctx, ph)
 }
 

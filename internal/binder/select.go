@@ -184,6 +184,9 @@ func (b *Binder) bindPlainSelect(sel *ast.Select, items []*selItem, orderBy []as
 		if ph, ok := raw.(*measurePH); ok && ph.bare && len(ph.mods) == 0 {
 			// Closure property (§5.4): project the measure through.
 			outs[i] = outCol{reMeas: ph}
+			if b.expansions != nil {
+				b.expansions[ph.id] = Expansion{Measure: ph.info}
+			}
 			continue
 		}
 		expanded, err := b.expandRowSite(raw, fr, whereExpr)

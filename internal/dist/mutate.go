@@ -20,6 +20,7 @@ import (
 	"github.com/measures-sql/msql/internal/engine"
 	"github.com/measures-sql/msql/internal/exec"
 	"github.com/measures-sql/msql/internal/sqltypes"
+	"github.com/measures-sql/msql/internal/storage"
 	"github.com/measures-sql/msql/internal/wire"
 	"github.com/measures-sql/msql/msql"
 )
@@ -187,7 +188,7 @@ func (c *Coordinator) execInsert(ctx context.Context, s *ast.Insert, reqID strin
 	c.mu.Lock()
 	for _, row := range full {
 		for i := range row {
-			v, err := coerceValue(row[i], meta.kinds[i])
+			v, err := storage.Coerce(row[i], meta.kinds[i])
 			if err != nil {
 				c.mu.Unlock()
 				return nil, exec.Wrap(fmt.Errorf("column %s: %w", meta.cols[i], err), exec.CodeRuntime, exec.PhaseExecute)
@@ -260,30 +261,6 @@ func expandInsertColumns(meta *tableMeta, cols []string, rows [][]sqltypes.Value
 		out[r] = full
 	}
 	return out, nil
-}
-
-// coerceValue mirrors the storage layer's insert coercion so the value
-// the coordinator hashes is byte-identical to the value the shard
-// stores (and to the literal a routed query will hash later).
-func coerceValue(v sqltypes.Value, kind sqltypes.Kind) (sqltypes.Value, error) {
-	if v.Null {
-		return sqltypes.Null(kind), nil
-	}
-	if v.K == kind {
-		return v, nil
-	}
-	switch {
-	case kind == sqltypes.KindFloat && v.K == sqltypes.KindInt,
-		kind == sqltypes.KindDate && v.K == sqltypes.KindString:
-		return sqltypes.Cast(v, kind)
-	case kind == sqltypes.KindInt && v.K == sqltypes.KindFloat:
-		if f := v.F(); f == float64(int64(f)) {
-			return sqltypes.NewInt(int64(f)), nil
-		}
-		return sqltypes.Value{}, fmt.Errorf("cannot insert non-integral %v into INTEGER column", v)
-	default:
-		return sqltypes.Value{}, fmt.Errorf("cannot insert %s value into %s column", v.K, kind)
-	}
 }
 
 // shardFor hashes a coerced partition value's canonical encoding. The

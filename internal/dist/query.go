@@ -27,6 +27,7 @@ import (
 	"github.com/measures-sql/msql/internal/parser"
 	"github.com/measures-sql/msql/internal/plan"
 	"github.com/measures-sql/msql/internal/sqltypes"
+	"github.com/measures-sql/msql/internal/storage"
 	"github.com/measures-sql/msql/internal/wire"
 	"github.com/measures-sql/msql/msql"
 	"github.com/measures-sql/msql/msql/client"
@@ -250,7 +251,7 @@ func (c *Coordinator) routeSingle(q *ast.Query) (int, bool) {
 			if err != nil {
 				continue
 			}
-			cv, err := coerceValue(v, meta.kinds[meta.pcol])
+			cv, err := storage.Coerce(v, meta.kinds[meta.pcol])
 			if err != nil {
 				continue
 			}

@@ -6,28 +6,33 @@ import (
 
 	"github.com/measures-sql/msql/internal/ast"
 	"github.com/measures-sql/msql/internal/binder"
+	"github.com/measures-sql/msql/internal/core"
 	"github.com/measures-sql/msql/internal/fn"
+	"github.com/measures-sql/msql/internal/plan"
+	"github.com/measures-sql/msql/internal/sqltypes"
 )
 
 // ExpandQuery rewrites a query that uses measures into measure-free SQL,
 // the paper's §4.2 static-rewrite strategy shown in Listings 5 and 11:
 // each measure reference becomes a correlated scalar subquery over the
-// measure's base table whose WHERE clause spells out the evaluation
-// context. The returned text re-parses and executes on this same engine,
-// and the golden tests assert it produces identical results to the
-// measure query.
+// measure's base table whose WHERE clause is the evaluation context. The
+// context is the one the binder built to execute the query, printed
+// (contextSQL), so the printed and the executed expansion cannot differ.
+// The returned text re-parses and executes on this same engine, and the
+// golden tests assert it produces identical results to the measure query.
 //
 // Supported shape: a SELECT whose FROM is a single view, CTE or derived
 // table defining measures (or any measure-free query, returned
-// unchanged); GROUP BY of plain expressions; the AT modifiers of Table 3.
-// Joins and ROLLUP fall back with an error — the executable closure
-// strategy still handles them; only the SQL *display* is limited.
+// unchanged); GROUP BY of plain expressions. Joins, ROLLUP, a bare
+// re-export and a context this file cannot print (a link to the group's
+// rows, a GROUPING guard) are refused with an error; the executable
+// rewrite still evaluates them.
 func (s *Session) ExpandQuery(q *ast.Query) (string, error) {
-	// Validate the original binds before rewriting.
-	if _, err := binder.New(s.cat).BindQuery(q); err != nil {
+	uses, err := binder.New(s.cat).WithInline(false).Expansions(q)
+	if err != nil {
 		return "", err
 	}
-	out, err := s.expandQueryAST(q)
+	out, err := s.expandQueryAST(q, uses)
 	if err != nil {
 		return "", err
 	}
@@ -40,7 +45,7 @@ type measureDef struct {
 
 // expander holds the rewrite context for one SELECT.
 type expander struct {
-	session    *Session
+	uses       map[*ast.Ident]binder.Expansion
 	measures   map[string]*measureDef
 	dims       map[string]ast.Expr // dim name -> expression over base columns
 	dimOrder   []string
@@ -48,13 +53,9 @@ type expander struct {
 	baseWhere  ast.Expr      // view's own WHERE (baked in)
 	outerAlias string
 	innerAlias string
-	groupExprs []ast.Expr
-	groupNames []string
-	outerWhere ast.Expr
-	aggregate  bool
 }
 
-func (s *Session) expandQueryAST(q *ast.Query) (*ast.Query, error) {
+func (s *Session) expandQueryAST(q *ast.Query, uses map[*ast.Ident]binder.Expansion) (*ast.Query, error) {
 	sel, ok := q.Body.(*ast.Select)
 	if !ok {
 		return q, nil
@@ -70,12 +71,11 @@ func (s *Session) expandQueryAST(q *ast.Query) (*ast.Query, error) {
 	}
 
 	ex := &expander{
-		session:    s,
+		uses:       uses,
 		measures:   map[string]*measureDef{},
 		dims:       map[string]ast.Expr{},
 		outerAlias: alias,
 		innerAlias: "i",
-		outerWhere: sel.Where,
 	}
 	if strings.EqualFold(ex.outerAlias, "i") {
 		ex.innerAlias = "i2"
@@ -87,48 +87,14 @@ func (s *Session) expandQueryAST(q *ast.Query) (*ast.Query, error) {
 		return q, nil
 	}
 
-	// Group keys.
-	ex.aggregate = len(sel.GroupBy) > 0 || sel.Having != nil
-	if !ex.aggregate {
-		for _, item := range sel.Items {
-			if !item.Star && astUsesAgg(item.Expr) {
-				ex.aggregate = true
-			}
-		}
+	aggregate := len(sel.GroupBy) > 0 || sel.Having != nil
+	for _, item := range sel.Items {
+		aggregate = aggregate || !item.Star && astUsesAgg(item.Expr)
 	}
 	for _, g := range sel.GroupBy {
 		if g.Kind != ast.GroupExpr {
 			return nil, fmt.Errorf("EXPAND does not support ROLLUP/CUBE/GROUPING SETS (the executable rewrite does)")
 		}
-		e := g.Exprs[0]
-		name := ""
-		if n, ok := e.(*ast.NumberLit); ok && n.IsInt && int(n.Int) >= 1 && int(n.Int) <= len(sel.Items) {
-			item := sel.Items[n.Int-1]
-			e = item.Expr
-			name = item.Alias
-		}
-		if id, ok := e.(*ast.Ident); ok {
-			name = id.Name()
-			// Alias of a select item?
-			for _, item := range sel.Items {
-				if !item.Star && strings.EqualFold(item.Alias, id.Name()) && !item.Measure {
-					if _, isDim := ex.dims[strings.ToLower(id.Name())]; !isDim {
-						e = item.Expr
-					}
-					break
-				}
-			}
-		} else {
-			for _, item := range sel.Items {
-				if !item.Star && item.Alias != "" && !item.Measure &&
-					ast.FormatExpr(item.Expr) == ast.FormatExpr(e) {
-					name = item.Alias
-					break
-				}
-			}
-		}
-		ex.groupExprs = append(ex.groupExprs, e)
-		ex.groupNames = append(ex.groupNames, name)
 	}
 
 	// Rewrite the select items, HAVING, WHERE and ORDER BY.
@@ -167,7 +133,7 @@ func (s *Session) expandQueryAST(q *ast.Query) (*ast.Query, error) {
 	// measures now consists solely of uncorrelated scalar subqueries — it
 	// must still return exactly one row, so the outer FROM and WHERE are
 	// dropped (grouped queries keep their GROUP BY and stay aggregates).
-	if ex.aggregate && len(sel.GroupBy) == 0 && !selectTouchesOuter(&newSel) {
+	if aggregate && len(sel.GroupBy) == 0 && !selectTouchesOuter(&newSel) {
 		newSel.From = nil
 		newSel.Where = nil
 	} else {
@@ -272,7 +238,7 @@ func (ex *expander) loadProvider(sel *ast.Select) error {
 			ex.measures[strings.ToLower(item.Alias)] = &measureDef{formula: item.Expr}
 		case item.Star:
 			// Star: dims are the base table's columns, passed through.
-			// Mark with a sentinel so dimExpr falls back to the name.
+			// The sentinel makes measureFreeFrom keep the "*" item.
 			ex.dims["*"] = nil
 		default:
 			name := item.Alias
@@ -397,129 +363,82 @@ func astUsesAgg(e ast.Expr) bool {
 	return found
 }
 
-// pendingMeasure accumulates a measure reference and its AT modifier
-// chain while the bottom-up rewrite climbs out of nested AT and
-// AGGREGATE/EVAL wrappers.
-type pendingMeasure struct {
-	def  *measureDef
-	mods []ast.AtMod
-}
-
-// rewriteExpr replaces measure references (bare, AT-modified, or wrapped
-// in AGGREGATE/EVAL) with correlated scalar subqueries. The transform is
-// bottom-up, so measure idents first become placeholders; enclosing AT
-// nodes prepend their modifiers (outer modifiers apply first, paper
-// §3.5); AGGREGATE prepends VISIBLE; a final pass converts placeholders
-// to subqueries.
+// rewriteExpr replaces each measure reference in e, with the AT,
+// AGGREGATE or EVAL around it, by the correlated subquery of its
+// expansion. The transform is bottom-up: the reference's identifier
+// becomes the subquery, which then replaces each wrapper it is the
+// operand of.
 func (ex *expander) rewriteExpr(e ast.Expr) (ast.Expr, error) {
 	var rerr error
-	marked := ast.TransformExpr(e, func(x ast.Expr) ast.Expr {
+	made := map[ast.Expr]bool{}
+	out := ast.TransformExpr(e, func(x ast.Expr) ast.Expr {
 		if rerr != nil {
 			return x
 		}
 		switch x := x.(type) {
 		case *ast.Ident:
-			if def := ex.measureOf(x); def != nil {
-				return &ast.Placeholder{Tag: &pendingMeasure{def: def}}
+			if u, ok := ex.uses[x]; ok {
+				sub, err := ex.measureSubquery(u)
+				if err != nil {
+					rerr = err
+					return x
+				}
+				made[sub] = true
+				return sub
 			}
 		case *ast.At:
-			if ph, ok := placeholderOf(x.X); ok {
-				ph.mods = append(append([]ast.AtMod{}, x.Mods...), ph.mods...)
-				return &ast.Placeholder{Tag: ph}
+			if made[x.X] {
+				return x.X
 			}
-			rerr = fmt.Errorf("AT applied to a non-measure expression")
 		case *ast.FuncCall:
-			name := strings.ToUpper(x.Name)
-			if name != "AGGREGATE" && name != "EVAL" {
-				return x
+			// Only AGGREGATE and EVAL are peeled; any other call, such
+			// as ROUND or ABS, keeps the subquery as its argument.
+			if (strings.EqualFold(x.Name, "AGGREGATE") || strings.EqualFold(x.Name, "EVAL")) &&
+				len(x.Args) == 1 && made[x.Args[0]] {
+				return x.Args[0]
 			}
-			if len(x.Args) != 1 {
-				rerr = fmt.Errorf("%s takes exactly one argument", name)
-				return x
-			}
-			ph, ok := placeholderOf(x.Args[0])
-			if !ok {
-				rerr = fmt.Errorf("%s argument must be a measure", name)
-				return x
-			}
-			if name == "AGGREGATE" {
-				ph.mods = append([]ast.AtMod{&ast.AtVisible{}}, ph.mods...)
-			}
-			return &ast.Placeholder{Tag: ph}
-		}
-		return x
-	})
-	if rerr != nil {
-		return nil, rerr
-	}
-	out := ast.TransformExpr(marked, func(x ast.Expr) ast.Expr {
-		if rerr != nil {
-			return x
-		}
-		if ph, ok := placeholderOf(x); ok {
-			sub, err := ex.measureSubquery(ph.def, ph.mods)
-			if err != nil {
-				rerr = err
-				return x
-			}
-			return sub
 		}
 		return x
 	})
 	return out, rerr
 }
 
-func placeholderOf(e ast.Expr) (*pendingMeasure, bool) {
-	if p, ok := e.(*ast.Placeholder); ok {
-		if ph, ok := p.Tag.(*pendingMeasure); ok {
-			return ph, true
-		}
-	}
-	return nil, false
-}
-
-func (ex *expander) measureOf(id *ast.Ident) *measureDef {
-	if q := id.Qualifier(); q != "" && !strings.EqualFold(q, ex.outerAlias) {
-		return nil
-	}
-	return ex.measures[strings.ToLower(id.Name())]
-}
-
 // ---------------------------------------------------------------------------
 // Subquery assembly
 
-// sqlTerm is one conjunct of the SQL-level evaluation context.
-type sqlTerm struct {
-	dim   string   // dimension name for SET/ALL matching; "" for predicates
-	pred  ast.Expr // the predicate, already rewritten to the inner alias
-	value ast.Expr // the call-site value (for CURRENT), outer-qualified
-}
-
-// measureSubquery builds the correlated scalar subquery for one measure
-// reference with its modifier chain — the textual form of the paper's
-// computeM(rowPredicate) call (Listing 5 / Listing 11).
-func (ex *expander) measureSubquery(def *measureDef, mods []ast.AtMod) (ast.Expr, error) {
-	terms, err := ex.defaultTerms()
+// measureSubquery builds the correlated scalar subquery of measure
+// reference u — the textual form of the paper's computeM(rowPredicate)
+// call (Listing 5 / Listing 11): the measure's formula over its base
+// relation, whose WHERE clause is the baked WHERE and the reference's
+// context.
+func (ex *expander) measureSubquery(u binder.Expansion) (ast.Expr, error) {
+	if u.Context == nil {
+		return nil, fmt.Errorf("EXPAND: %s is a re-export of the measure, which has no expansion; evaluate it with AGGREGATE or AT", u.Measure.Name)
+	}
+	def, ok := ex.measures[strings.ToLower(u.Measure.Name)]
+	if !ok {
+		return nil, fmt.Errorf("EXPAND: measure %s is not defined by the query's FROM", u.Measure.Name)
+	}
+	formula, err := ex.iRewrite(def.formula)
 	if err != nil {
 		return nil, err
 	}
-	for _, mod := range mods {
-		terms, err = ex.applyMod(terms, mod)
-		if err != nil {
-			return nil, err
+	// The formula reads the measure's base rows. A measure composed from
+	// measures of the provider's FROM reads their base rows, which are not
+	// that FROM's, and its formula names their measures.
+	base := u.Measure.Base.Schema().Cols
+	ast.WalkExpr(formula, func(x ast.Expr) bool {
+		if id, ok := x.(*ast.Ident); ok && id.Qualifier() == ex.innerAlias && baseIndex(base, id.Name()) < 0 && err == nil {
+			err = fmt.Errorf("EXPAND: measure %s: %s is not a column of its base rows", u.Measure.Name, id.Name())
 		}
-	}
-
-	formula, err := ex.iRewrite(def.formula)
+		return true
+	})
 	if err != nil {
 		return nil, err
 	}
 
 	var where ast.Expr
 	and := func(e ast.Expr) {
-		if e == nil {
-			return
-		}
 		if where == nil {
 			where = e
 		} else {
@@ -533,8 +452,12 @@ func (ex *expander) measureSubquery(def *measureDef, mods []ast.AtMod) (ast.Expr
 		}
 		and(bw)
 	}
-	for _, t := range terms {
-		and(t.pred)
+	ctx, err := ex.contextSQL(u)
+	if err != nil {
+		return nil, fmt.Errorf("EXPAND: measure %s: %w", u.Measure.Name, err)
+	}
+	for _, c := range ctx {
+		and(c)
 	}
 
 	from, err := ex.innerFrom()
@@ -554,10 +477,6 @@ func (ex *expander) measureSubquery(def *measureDef, mods []ast.AtMod) (ast.Expr
 func (ex *expander) innerFrom() (ast.TableExpr, error) {
 	switch f := ex.baseFrom.(type) {
 	case *ast.TableName:
-		if f.Alias != "" && !strings.EqualFold(f.Alias, ex.innerAlias) {
-			// The provider's own alias stays usable; re-alias to i.
-			return &ast.TableName{Name: f.Name, Alias: ex.innerAlias}, nil
-		}
 		return &ast.TableName{Name: f.Name, Alias: ex.innerAlias}, nil
 	case *ast.SubqueryTable:
 		return &ast.SubqueryTable{Query: f.Query, Alias: ex.innerAlias}, nil
@@ -571,216 +490,149 @@ func (ex *expander) innerFrom() (ast.TableExpr, error) {
 	}
 }
 
-// defaultTerms builds the default evaluation context for the call site:
-// at an aggregate site, one term per grouping expression; at a row site,
-// one term per dimension of the measure's table.
-func (ex *expander) defaultTerms() ([]sqlTerm, error) {
-	var terms []sqlTerm
-	if ex.aggregate {
-		for j, g := range ex.groupExprs {
-			iSide, err := ex.iRewrite(g)
-			if err != nil {
-				return nil, err
-			}
-			oSide := ex.oQualify(g)
-			terms = append(terms, sqlTerm{
-				dim:   ex.groupNames[j],
-				pred:  &ast.IsDistinct{L: iSide, R: oSide, Not: true},
-				value: oSide,
-			})
+// contextSQL prints the conjuncts of u's context, reified by
+// core.Context.Predicate: a column of the measure's base row is the inner
+// alias's; a reference to the call site is, at an aggregate site, the
+// group key it names over the outer alias, and at a row site the outer
+// alias's column.
+func (ex *expander) contextSQL(u binder.Expansion) ([]ast.Expr, error) {
+	for _, t := range u.Context.Terms {
+		switch {
+		case t.Kind == core.TermLink:
+			return nil, fmt.Errorf("the context is linked to the group's rows, which has no SQL form here")
+		case t.Grouping != nil:
+			return nil, fmt.Errorf("the context holds a GROUPING guard on dimension %s, which has no SQL form here", t.Dim)
 		}
-		return terms, nil
 	}
-	names, err := ex.allDimNames()
-	if err != nil {
+	pred, err := u.Context.Predicate()
+	if err != nil || pred == nil {
 		return nil, err
 	}
-	for _, name := range names {
-		iSide, err := ex.iRewrite(&ast.Ident{Parts: []string{name}})
-		if err != nil {
-			return nil, err
+	base := u.Measure.Base.Schema().Cols
+	innerCol := func(c *plan.ColRef) (ast.Expr, error) {
+		name := base[c.Index].Name
+		if baseIndex(base, name) != c.Index {
+			return nil, fmt.Errorf("column %s of its base rows is hidden by another of that name", name)
 		}
-		oSide := &ast.Ident{Parts: []string{ex.outerAlias, name}}
-		terms = append(terms, sqlTerm{
-			dim:   name,
-			pred:  &ast.IsDistinct{L: iSide, R: oSide, Not: true},
-			value: oSide,
-		})
-	}
-	return terms, nil
-}
-
-// allDimNames enumerates the measure table's dimension names, resolving
-// SELECT * through the catalog when possible.
-func (ex *expander) allDimNames() ([]string, error) {
-	var names []string
-	if _, hasStar := ex.dims["*"]; hasStar {
-		tn, ok := ex.baseFrom.(*ast.TableName)
-		if !ok {
-			return nil, fmt.Errorf("EXPAND: cannot enumerate dimensions of SELECT * over a derived base; list the columns")
-		}
-		t, ok := ex.session.cat.Table(tn.Name)
-		if !ok {
-			return nil, fmt.Errorf("EXPAND: cannot enumerate dimensions: %s is not a base table", tn.Name)
-		}
-		names = append(names, t.ColNames()...)
-	}
-	names = append(names, ex.dimOrder...)
-	return names, nil
-}
-
-func (ex *expander) applyMod(terms []sqlTerm, mod ast.AtMod) ([]sqlTerm, error) {
-	switch m := mod.(type) {
-	case *ast.AtAll:
-		if len(m.Dims) == 0 {
-			return nil, nil
-		}
-		for _, d := range m.Dims {
-			name := dimNameFor(d)
-			out := terms[:0]
-			for _, t := range terms {
-				if !strings.EqualFold(t.dim, name) {
-					out = append(out, t)
-				}
-			}
-			terms = out
-		}
-		return terms, nil
-
-	case *ast.AtSet:
-		name := dimNameFor(m.Dim)
-		var current ast.Expr
-		for _, t := range terms {
-			if strings.EqualFold(t.dim, name) {
-				current = t.value
-			}
-		}
-		value, err := ex.rewriteModValue(m.Value, name, current)
-		if err != nil {
-			return nil, err
-		}
-		iSide, err := ex.dimExprFor(name)
-		if err != nil {
-			return nil, err
-		}
-		out := terms[:0]
-		for _, t := range terms {
-			if !strings.EqualFold(t.dim, name) {
-				out = append(out, t)
-			}
-		}
-		return append(out, sqlTerm{
-			dim:   name,
-			pred:  &ast.IsDistinct{L: iSide, R: value, Not: true},
-			value: value,
-		}), nil
-
-	case *ast.AtVisible:
-		if ex.outerWhere == nil {
-			return terms, nil
-		}
-		vis, err := ex.iRewrite(ex.outerWhere)
-		if err != nil {
-			return nil, fmt.Errorf("VISIBLE: %w", err)
-		}
-		return append(terms, sqlTerm{pred: vis}), nil
-
-	case *ast.AtWhere:
-		pred, err := ex.rewriteModWhere(m.Pred, terms)
-		if err != nil {
-			return nil, err
-		}
-		return []sqlTerm{{pred: pred}}, nil
-
-	default:
-		return nil, fmt.Errorf("unsupported AT modifier %T", mod)
-	}
-}
-
-func dimNameFor(e ast.Expr) string {
-	if id, ok := e.(*ast.Ident); ok {
-		return id.Name()
-	}
-	return ast.FormatExpr(e)
-}
-
-// dimExprFor returns the inner-side expression for a dimension name,
-// which may be a projected dimension, a base column (star), or an ad hoc
-// dimension named by a grouping alias.
-func (ex *expander) dimExprFor(name string) (ast.Expr, error) {
-	if e, ok := ex.dims[strings.ToLower(name)]; ok && e != nil {
-		return ex.iRewrite(e)
-	}
-	// Ad hoc dimensions (grouping-expression aliases) take precedence
-	// over falling back to a base column of a star projection.
-	for j, n := range ex.groupNames {
-		if strings.EqualFold(n, name) {
-			return ex.iRewrite(ex.groupExprs[j])
-		}
-	}
-	if _, hasStar := ex.dims["*"]; hasStar {
 		return &ast.Ident{Parts: []string{ex.innerAlias, name}}, nil
 	}
-	return nil, fmt.Errorf("unknown dimension %s", name)
+	outerCol := func(c *plan.ColRef) (ast.Expr, error) {
+		return &ast.Ident{Parts: []string{ex.outerAlias, c.Name}}, nil
+	}
+	noCorr := func(c *plan.CorrRef) (ast.Expr, error) {
+		return nil, fmt.Errorf("a reference to an enclosing query's row (%s) has no SQL form here", c)
+	}
+	site := func(c *plan.CorrRef) (ast.Expr, error) {
+		switch {
+		case c.Levels != 1:
+			return noCorr(c)
+		case u.Keys != nil:
+			return sqlOf(u.Keys[c.Index], outerCol, noCorr)
+		}
+		return &ast.Ident{Parts: []string{ex.outerAlias, c.Name}}, nil
+	}
+	conj := plan.SplitConj(pred)
+	out := make([]ast.Expr, len(conj))
+	for i, c := range conj {
+		if out[i], err = sqlOf(c, innerCol, site); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
-// rewriteModValue rewrites a SET value: CURRENT dim becomes the current
-// call-site value (or NULL when unconstrained); other identifiers are
-// outer-qualified.
-func (ex *expander) rewriteModValue(e ast.Expr, dim string, current ast.Expr) (ast.Expr, error) {
-	var rerr error
-	out := ast.TransformExpr(e, func(x ast.Expr) ast.Expr {
-		switch x := x.(type) {
-		case *ast.Current:
-			id, ok := x.Dim.(*ast.Ident)
-			if !ok {
-				rerr = fmt.Errorf("CURRENT requires a dimension name")
-				return x
-			}
-			if strings.EqualFold(id.Name(), dim) && current != nil {
-				return current
-			}
-			// CURRENT of another constrained dimension.
-			for j, n := range ex.groupNames {
-				if strings.EqualFold(n, id.Name()) {
-					return ex.oQualify(ex.groupExprs[j])
-				}
-			}
-			return &ast.NullLit{}
-		case *ast.Ident:
-			if x.Qualifier() == "" {
-				return &ast.Ident{Parts: []string{ex.outerAlias, x.Name()}}
-			}
+// baseIndex is the index of the column of base, the row of a measure
+// subquery's inner alias, that name resolves to in the printed SQL: the
+// first of that name, as a USING join's column resolves; -1 if none.
+func baseIndex(base []plan.Col, name string) int {
+	for i, c := range base {
+		if strings.EqualFold(c.Name, name) {
+			return i
 		}
-		return x
-	})
-	return out, rerr
+	}
+	return -1
 }
 
-// rewriteModWhere rewrites an AT (WHERE ...) predicate: dimension names
-// go to the inner side; outer-qualified references stay as correlations.
-func (ex *expander) rewriteModWhere(e ast.Expr, _ []sqlTerm) (ast.Expr, error) {
-	var rerr error
-	out := ast.TransformExpr(e, func(x ast.Expr) ast.Expr {
-		id, ok := x.(*ast.Ident)
-		if !ok || rerr != nil {
-			return x
+// sqlOf converts plan expression e back to SQL; col prints a column of
+// the row e is over and corr a reference to an enclosing row. An
+// expression kind it does not know is an error that names it.
+func sqlOf(e plan.Expr, col func(*plan.ColRef) (ast.Expr, error), corr func(*plan.CorrRef) (ast.Expr, error)) (ast.Expr, error) {
+	var err error
+	sql := func(x plan.Expr) ast.Expr {
+		if x == nil || err != nil {
+			return nil
 		}
-		if q := id.Qualifier(); q != "" {
-			if strings.EqualFold(q, ex.outerAlias) {
-				return x // correlation to the outer query
-			}
-			rerr = fmt.Errorf("unknown qualifier %s in AT (WHERE ...)", q)
-			return x
+		var out ast.Expr
+		out, err = sqlOf(x, col, corr)
+		return out
+	}
+	sqls := func(xs []plan.Expr) []ast.Expr {
+		out := make([]ast.Expr, len(xs))
+		for i, x := range xs {
+			out[i] = sql(x)
 		}
-		inner, err := ex.dimExprFor(id.Name())
-		if err != nil {
-			rerr = err
-			return x
+		return out
+	}
+	var out ast.Expr
+	switch e := e.(type) {
+	case *plan.ColRef:
+		return col(e)
+	case *plan.CorrRef:
+		return corr(e)
+	case *plan.Lit:
+		return litSQL(e.Val)
+	case *plan.Call:
+		args := sqls(e.Args)
+		switch e.Name {
+		case "NEG":
+			out = &ast.Unary{Op: "-", X: args[0]}
+		case "+", "-", "*", "/", "%", "||", "=", "<>", "<", "<=", ">", ">=", "LIKE", "NOT LIKE":
+			out = &ast.Binary{Op: e.Name, L: args[0], R: args[1]}
+		default:
+			out = &ast.FuncCall{Name: e.Name, Args: args}
 		}
-		return inner
-	})
-	return out, rerr
+	case *plan.And:
+		out = &ast.Binary{Op: "AND", L: sql(e.L), R: sql(e.R)}
+	case *plan.Or:
+		out = &ast.Binary{Op: "OR", L: sql(e.L), R: sql(e.R)}
+	case *plan.Not:
+		out = &ast.Unary{Op: "NOT", X: sql(e.X)}
+	case *plan.IsNull:
+		out = &ast.IsNull{X: sql(e.X), Not: e.Neg}
+	case *plan.IsDistinct:
+		out = &ast.IsDistinct{L: sql(e.L), R: sql(e.R), Not: e.Neg}
+	case *plan.InList:
+		out = &ast.InList{X: sql(e.X), List: sqls(e.List), Not: e.Neg}
+	case *plan.Case:
+		c := &ast.Case{Whens: make([]ast.When, len(e.Whens)), Else: sql(e.Else)}
+		for i, w := range e.Whens {
+			c.Whens[i] = ast.When{Cond: sql(w.Cond), Then: sql(w.Then)}
+		}
+		out = c
+	case *plan.Cast:
+		out = &ast.Cast{X: sql(e.X), TypeName: e.Kind.String()}
+	default:
+		return nil, fmt.Errorf("a %T has no SQL form here", e)
+	}
+	return out, err
+}
+
+// litSQL is the SQL literal of v.
+func litSQL(v sqltypes.Value) (ast.Expr, error) {
+	if v.Null {
+		return &ast.NullLit{}, nil
+	}
+	switch v.K {
+	case sqltypes.KindBool:
+		return &ast.BoolLit{Val: v.B}, nil
+	case sqltypes.KindInt, sqltypes.KindFloat:
+		return &ast.NumberLit{Text: v.SQLLiteral()}, nil
+	case sqltypes.KindString:
+		return &ast.StringLit{Val: v.S}, nil
+	case sqltypes.KindDate:
+		return &ast.DateLit{Val: v.Time().Format("2006-01-02")}, nil
+	}
+	return nil, fmt.Errorf("the literal %s has no SQL form here", v)
 }
 
 // iRewrite maps an expression written over the measure table's columns
@@ -818,14 +670,4 @@ func (ex *expander) iRewrite(e ast.Expr) (ast.Expr, error) {
 	}
 	out := rewrite(e, 0)
 	return out, rerr
-}
-
-// oQualify qualifies bare column references with the outer alias.
-func (ex *expander) oQualify(e ast.Expr) ast.Expr {
-	return ast.TransformExpr(e, func(x ast.Expr) ast.Expr {
-		if id, ok := x.(*ast.Ident); ok && id.Qualifier() == "" {
-			return &ast.Ident{Parts: []string{ex.outerAlias, id.Name()}}
-		}
-		return x
-	})
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -21,6 +22,7 @@ func expandSession(t *testing.T) *Session {
 		SELECT *, SUM(revenue) AS MEASURE rev,
 		       (SUM(revenue) - SUM(cost)) / SUM(revenue) AS MEASURE margin
 		FROM Orders;
+		CREATE VIEW EO AS SELECT *, SUM(revenue) AS MEASURE sumRevenue FROM Orders;
 	`); err != nil {
 		t.Fatal(err)
 	}
@@ -122,6 +124,12 @@ func TestExpandUnsupportedShapes(t *testing.T) {
 	                 GROUP BY m.prodName`, "join")
 	expandErr(t, s, `SELECT * FROM MV`, "SELECT *")
 	expandErr(t, s, `SELECT prodName, SUM(revenue) AS MEASURE m2 FROM MV GROUP BY prodName`, "aggregate query")
+	// A bare measure in a non-aggregating SELECT re-exports it and shows
+	// NULL: it has no expansion.
+	expandErr(t, s, `SELECT prodName, custName, sumRevenue AS r FROM EO`, "re-export")
+	// A measure composed from its FROM's measures reads their base rows.
+	expandErr(t, s, `WITH V2 AS (SELECT *, rev * 2 AS MEASURE r2 FROM MV)
+	                 SELECT prodName, AGGREGATE(r2) AS r FROM V2 GROUP BY prodName`, "not a column")
 }
 
 func TestExpandRecursiveMeasureRejected(t *testing.T) {
@@ -137,4 +145,43 @@ func TestExpandRecursiveMeasureRejected(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "recursive") {
 		t.Errorf("recursive measure should fail at CREATE VIEW: %v", err)
 	}
+}
+
+// An expansion answers as its query. CURRENT d in AT (WHERE ...) is the
+// context's value of d: the row's at a row site, the group's at an
+// aggregate site. A call around a measure reference keeps the
+// reference's subquery as its argument; only AGGREGATE and EVAL are
+// peeled.
+func TestExpandAgreesWithQuery(t *testing.T) {
+	s := expandSession(t)
+	for _, c := range []struct{ sql, want string }{
+		{`SELECT prodName, custName, sumRevenue AT (WHERE prodName = CURRENT prodName) AS r FROM EO ORDER BY custName, r`, "i.prodName = o.prodName"},
+		{`SELECT prodName, sumRevenue AT (WHERE prodName = CURRENT prodName) AS r FROM EO GROUP BY prodName ORDER BY prodName`, "i.prodName = o.prodName"},
+		{`SELECT prodName, ABS(AGGREGATE(rev)) AS r FROM MV GROUP BY prodName ORDER BY prodName`, "ABS("},
+		{`SELECT prodName, custName, ROUND(sumRevenue AT (ALL)) AS r FROM EO ORDER BY custName, prodName`, "ROUND("},
+		{`SELECT prodName, COALESCE(EVAL(margin)) AS r FROM MV GROUP BY prodName ORDER BY prodName`, "COALESCE("},
+	} {
+		if out := expandAgrees(t, s, c.sql); !strings.Contains(out, c.want) {
+			t.Errorf("expansion lacks %q:\n%s", c.want, out)
+		}
+	}
+}
+
+// expandAgrees expands sql, checks that running the expansion gives the
+// rows sql gives, and returns the expansion.
+func expandAgrees(t *testing.T, s *Session, sql string) string {
+	t.Helper()
+	out := expand(t, s, sql)
+	want, err := s.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Query(out)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	if w, g := fmt.Sprint(want.Rows), fmt.Sprint(got.Rows); w != g {
+		t.Errorf("%s\nexpansion answers %s, want %s\n%s", sql, g, w, out)
+	}
+	return out
 }

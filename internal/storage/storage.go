@@ -122,7 +122,7 @@ func (t *Table) CoerceRows(rows [][]sqltypes.Value) ([][]sqltypes.Value, error) 
 		}
 		out := make([]sqltypes.Value, len(row))
 		for j, v := range row {
-			c, err := coerce(v, t.types[j].Kind)
+			c, err := Coerce(v, t.types[j].Kind)
 			if err != nil {
 				return nil, fmt.Errorf("column %s of table %s: %v", t.cols[j], t.name, err)
 			}
@@ -169,9 +169,10 @@ func (t *Table) Truncate() {
 	}
 }
 
-// coerce converts v to kind where the conversion is implicit-safe
-// (numeric widening, string-to-date for literals, NULL retyping).
-func coerce(v sqltypes.Value, kind sqltypes.Kind) (sqltypes.Value, error) {
+// Coerce converts v to kind where the conversion is implicit-safe
+// (numeric widening, string-to-date for literals, NULL retyping): the
+// value an INSERT stores, and the one a coordinator hashes to route it.
+func Coerce(v sqltypes.Value, kind sqltypes.Kind) (sqltypes.Value, error) {
 	if v.Null {
 		return sqltypes.Null(kind), nil
 	}

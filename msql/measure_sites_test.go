@@ -100,11 +100,37 @@ func TestMeasureSitesExplainGolden(t *testing.T) {
 	}
 }
 
+// TestAllVisibleAtALinkedSite: a site grouped by the other side of a
+// join links its context to the group's rows. ALL removes that link and
+// VISIBLE makes it again, so AT (ALL VISIBLE) reads the group's visible
+// rows, as AT (VISIBLE) and AGGREGATE do; Whizz, whose one customer
+// fails the WHERE clause, is in no group.
+func TestAllVisibleAtALinkedSite(t *testing.T) {
+	const q = `SELECT o.prodName, c.custAge, %s AS r
+ FROM OrdersWithRevenue AS o JOIN Customers AS c USING (custName)
+ WHERE c.custAge > 20 GROUP BY o.prodName, c.custAge ORDER BY 1, 2`
+	const want = "Acme 41 5 | Happy 23 13 | Happy 41 4"
+	for _, st := range siteStrategies {
+		db := open(t)
+		db.SetStrategy(st.s)
+		for _, m := range []string{"o.sumRevenue AT (ALL VISIBLE)", "o.sumRevenue AT (VISIBLE)", "AGGREGATE(o.sumRevenue)"} {
+			res, err := db.Query(fmt.Sprintf(q, m))
+			if err != nil {
+				t.Fatalf("%s, %s: %v", st.name, m, err)
+			}
+			if got := sortedRows(res); got != want {
+				t.Errorf("%s, %s: %s, want %s", st.name, m, got, want)
+			}
+		}
+	}
+}
+
 // TestRowSiteEqualsGroupedSite: a measure referenced at a row gives the
 // value it gives at the group of that row when the query groups by
 // every dimension, for every database of at most two distinct rows over
 // T(a, b, x), every modifier sequence, WHERE clause and strategy. The
-// rows are distinct, so each group holds one row.
+// rows are distinct, so each group holds one row. Under the default
+// strategy each query also answers as its expansion (db.Expand) does.
 //
 // Two cases are left out, since the sites differ there by design:
 //   - a bare reference (no AT) in a non-aggregating SELECT is a
@@ -120,6 +146,9 @@ func TestRowSiteEqualsGroupedSite(t *testing.T) {
 		"VISIBLE",
 		"WHERE b IS NULL",
 		"ALL a SET b = 'u'",
+		"SET b = CURRENT a",
+		"WHERE a = CURRENT a",
+		"WHERE x > CURRENT x",
 	}
 	wheres := []string{"", " WHERE a IS NOT NULL", " WHERE x > 1"}
 	var items []string
@@ -147,6 +176,7 @@ func TestRowSiteEqualsGroupedSite(t *testing.T) {
 		t.Fatalf("%d databases, want 172", len(dbs))
 	}
 
+	refused := 0
 	for _, rows := range dbs {
 		for _, st := range siteStrategies {
 			db := msql.Open()
@@ -169,8 +199,31 @@ func TestRowSiteEqualsGroupedSite(t *testing.T) {
 				if got, want := sortedRows(row), sortedRows(group); got != want {
 					t.Fatalf("%s, rows %v%s:\nrow site: %s\ngrouped:  %s", st.name, rows, where, got, want)
 				}
+				if st.s != msql.StrategyDefault {
+					continue
+				}
+				for _, c := range []struct {
+					sql string
+					res *msql.Result
+				}{{q, row}, {q + ` GROUP BY a, b, x`, group}} {
+					ex, err := db.Expand(c.sql)
+					if err != nil {
+						refused++
+						continue
+					}
+					plain, err := db.Query(ex)
+					if err != nil {
+						t.Fatalf("rows %v: the expansion does not run: %v\n%s\n%s", rows, err, c.sql, ex)
+					}
+					if got, want := sortedRows(plain), sortedRows(c.res); got != want {
+						t.Fatalf("rows %v: the expansion answers otherwise:\n%s\n%s\nexpansion: %s\nquery:     %s", rows, c.sql, ex, got, want)
+					}
+				}
 			}
 		}
+	}
+	if refused > 0 {
+		t.Errorf("Expand refused %d of %d queries", refused, 2*len(dbs)*len(wheres))
 	}
 }
 
