@@ -18,12 +18,16 @@ type aggBinder struct {
 	whereExpr  plan.Expr // over the FROM row
 	groupExprs []plan.Expr
 	groupNames []string // dimension names: column name or select alias, "" if unnameable
-	sets       [][]int
-	aggs       []plan.AggCall
-	aggIdx     map[string]int
-	groupIdx   map[string]int // groupExprs[i].String() -> i
-	grouping   map[int]int    // key index -> agg index of its GROUPING indicator
-	input      plan.Node      // the (filtered) aggregate input
+	// groupCols names the column of a key that is a bare column with a
+	// select alias ("" for any other key): the column names its
+	// dimension, and the alias, groupNames, names it too.
+	groupCols []string
+	sets      [][]int
+	aggs      []plan.AggCall
+	aggIdx    map[string]int
+	groupIdx  map[string]int // groupExprs[i].String() -> i
+	grouping  map[int]int    // key index -> agg index of its GROUPING indicator
+	input     plan.Node      // the (filtered) aggregate input
 	// rowLinks holds the link by position of each relation whose rows
 	// carry positions in input.
 	rowLinks map[*Rel]*rowLink
@@ -191,7 +195,7 @@ func (ab *aggBinder) bindGroupBy(groupBy []ast.GroupItem, items []*selItem) erro
 	ab.sets = [][]int{{}}
 
 	addKey := func(e ast.Expr) (int, error) {
-		bound, name, err := ab.bindGroupExpr(e, items)
+		bound, name, col, err := ab.bindGroupExpr(e, items)
 		if err != nil {
 			return 0, err
 		}
@@ -202,6 +206,7 @@ func (ab *aggBinder) bindGroupBy(groupBy []ast.GroupItem, items []*selItem) erro
 		j := len(ab.groupExprs)
 		ab.groupExprs = append(ab.groupExprs, bound)
 		ab.groupNames = append(ab.groupNames, name)
+		ab.groupCols = append(ab.groupCols, col)
 		ab.groupIdx[key] = j
 		return j, nil
 	}
@@ -281,19 +286,19 @@ func (ab *aggBinder) bindGroupBy(groupBy []ast.GroupItem, items []*selItem) erro
 // bindGroupExpr binds one grouping expression. It resolves ordinals and
 // select aliases, and derives the dimension name used by AT (SET/ALL)
 // modifiers: the bare column name, or the select alias whose expression
-// matches (an "ad hoc dimension", paper §3.5).
-func (ab *aggBinder) bindGroupExpr(e ast.Expr, items []*selItem) (plan.Expr, string, error) {
+// matches (an "ad hoc dimension", paper §3.5). A bare column with such an
+// alias is named by both: name is the alias and col the column.
+func (ab *aggBinder) bindGroupExpr(e ast.Expr, items []*selItem) (bound plan.Expr, name, col string, err error) {
 	// Ordinal: GROUP BY 1.
 	if n, ok := e.(*ast.NumberLit); ok && n.IsInt {
 		if n.Int < 1 || int(n.Int) > len(items) {
-			return nil, "", fmt.Errorf("GROUP BY position %d is out of range", n.Int)
+			return nil, "", "", fmt.Errorf("GROUP BY position %d is out of range", n.Int)
 		}
 		e = items[n.Int-1].astExpr
 	}
 	eb := &exprBinder{b: ab.b, scope: ab.fr.scope}
-	bound, err := eb.bind(e)
+	bound, err = eb.bind(e)
 	if err == nil {
-		name := ""
 		if id, ok := e.(*ast.Ident); ok {
 			name = id.Name()
 		}
@@ -305,11 +310,14 @@ func (ab *aggBinder) bindGroupExpr(e ast.Expr, items []*selItem) (plan.Expr, str
 			ib := &exprBinder{b: ab.b, scope: ab.fr.scope}
 			ibound, ierr := ib.bind(item.astExpr)
 			if ierr == nil && ibound.String() == bound.String() {
+				if _, ok := item.astExpr.(*ast.Ident); ok {
+					col = name
+				}
 				name = item.alias
 				break
 			}
 		}
-		return bound, name, nil
+		return bound, name, col, nil
 	}
 	// Alias: GROUP BY aliasName (only when not resolvable as a column).
 	if id, ok := e.(*ast.Ident); ok && id.Qualifier() == "" {
@@ -318,13 +326,16 @@ func (ab *aggBinder) bindGroupExpr(e ast.Expr, items []*selItem) (plan.Expr, str
 				ib := &exprBinder{b: ab.b, scope: ab.fr.scope}
 				bound, err2 := ib.bind(item.astExpr)
 				if err2 != nil {
-					return nil, "", err2
+					return nil, "", "", err2
 				}
-				return bound, item.alias, nil
+				if cid, ok := item.astExpr.(*ast.Ident); ok {
+					col = cid.Name()
+				}
+				return bound, item.alias, col, nil
 			}
 		}
 	}
-	return nil, "", fmt.Errorf("in GROUP BY: %w", err)
+	return nil, "", "", fmt.Errorf("in GROUP BY: %w", err)
 }
 
 // rewrite converts a raw bound expression (over the FROM row, with

@@ -124,10 +124,16 @@ type site struct {
 
 // siteKey is a key of a call site: expr over the FROM row, whose value at
 // the site is value, a reference one frame up from the measure subquery.
+// A modifier names it by name or, when set, by alias (core.Term.Alias).
 type siteKey struct {
-	name  string
-	expr  plan.Expr
-	value plan.Expr
+	name, alias string
+	expr        plan.Expr
+	value       plan.Expr
+}
+
+// names reports whether a modifier naming dim names k.
+func (k *siteKey) names(dim string) bool {
+	return strings.EqualFold(k.name, dim) || k.alias != "" && strings.EqualFold(k.alias, dim)
 }
 
 // expand expands measure reference ph at call site s into the measure's
@@ -147,7 +153,7 @@ func (b *Binder) expand(ph *measurePH, s *site, mapping func(*plan.ColRef) (plan
 			needLink = true
 			continue
 		}
-		t := core.Term{Kind: core.TermDimEq, Dim: k.name, BaseExpr: base, Value: k.value}
+		t := core.Term{Kind: core.TermDimEq, Dim: k.name, Alias: k.alias, BaseExpr: base, Value: k.value}
 		if s.group != nil {
 			t.Grouping = s.group.groupingGuard(i)
 		}
@@ -308,8 +314,8 @@ func (b *Binder) applyMod(ctx *core.Context, mod ast.AtMod, ph *measurePH, s *si
 
 // hasKey reports whether the site has a key named name.
 func (s *site) hasKey(name string) bool {
-	for _, k := range s.keys {
-		if strings.EqualFold(k.name, name) {
+	for i := range s.keys {
+		if s.keys[i].names(name) {
 			return true
 		}
 	}
@@ -321,7 +327,7 @@ func (s *site) hasKey(name string) bool {
 // the site's (an ad hoc dimension, §3.5).
 func (s *site) dimBase(name string, ctx *core.Context, info *plan.MeasureInfo, mapping func(*plan.ColRef) (plan.Expr, bool)) (plan.Expr, error) {
 	for _, t := range ctx.Terms {
-		if t.Kind == core.TermDimEq && strings.EqualFold(t.Dim, name) && t.BaseExpr != nil {
+		if t.Names(name) && t.BaseExpr != nil {
 			return t.BaseExpr, nil
 		}
 	}
@@ -331,8 +337,8 @@ func (s *site) dimBase(name string, ctx *core.Context, info *plan.MeasureInfo, m
 		}
 		return d.Expr, nil
 	}
-	for _, k := range s.keys {
-		if strings.EqualFold(k.name, name) {
+	for i := range s.keys {
+		if k := &s.keys[i]; k.names(name) {
 			if base, ok := mapWholeExpr(k.expr, mapping); ok {
 				return base, nil
 			}
@@ -413,6 +419,9 @@ func (ab *aggBinder) expandAggSite(ph *measurePH) (plan.Expr, error) {
 			name:  ab.groupNames[j],
 			expr:  g,
 			value: &plan.CorrRef{Levels: 1, Index: j, Name: ab.groupNames[j], Typ: g.Type()},
+		}
+		if col := ab.groupCols[j]; col != "" {
+			s.keys[j].name, s.keys[j].alias = col, ab.groupNames[j]
 		}
 	}
 	return ab.b.expand(ph, s, mapping)

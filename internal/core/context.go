@@ -51,6 +51,9 @@ type Term struct {
 	// Dim is the dimension name for DimEq terms (dimension column name or
 	// ad hoc dimension alias). Empty for Pred/Link terms.
 	Dim string
+	// Alias is another name of a DimEq term's dimension: the select alias
+	// of a group key that is a bare column, whose column is Dim.
+	Alias string
 	// BaseExpr is the dimension expression over the base row (DimEq).
 	BaseExpr plan.Expr
 	// Value is the call-site value expression; references to the call-site
@@ -87,13 +90,19 @@ func (c *Context) Clone() *Context {
 // its entire base table).
 func (c *Context) Clear() { c.Terms = nil }
 
+// Names reports whether t is a DimEq term on the dimension named dim,
+// by its name or its alias.
+func (t *Term) Names(dim string) bool {
+	return t.Kind == TermDimEq && (strings.EqualFold(t.Dim, dim) || t.Alias != "" && strings.EqualFold(t.Alias, dim))
+}
+
 // RemoveDim removes DimEq terms on the named dimension ("AT (ALL dim)").
 // It reports whether any term was removed.
 func (c *Context) RemoveDim(dim string) bool {
 	removed := false
 	out := c.Terms[:0]
 	for _, t := range c.Terms {
-		if t.Kind == TermDimEq && strings.EqualFold(t.Dim, dim) {
+		if t.Names(dim) {
 			removed = true
 			continue
 		}
@@ -104,15 +113,18 @@ func (c *Context) RemoveDim(dim string) bool {
 }
 
 // SetDim implements "AT (SET dim = value)": any existing terms on the
-// dimension are removed and the new constraint is appended.
+// dimension are removed and the new constraint, under their names, is
+// appended.
 func (c *Context) SetDim(dim string, baseExpr, value plan.Expr) {
+	t := Term{Kind: TermDimEq, Dim: dim, BaseExpr: baseExpr, Value: value}
+	for _, old := range c.Terms {
+		if old.Names(dim) {
+			t.Dim, t.Alias = old.Dim, old.Alias
+			break
+		}
+	}
 	c.RemoveDim(dim)
-	c.Terms = append(c.Terms, Term{
-		Kind:     TermDimEq,
-		Dim:      dim,
-		BaseExpr: baseExpr,
-		Value:    value,
-	})
+	c.Terms = append(c.Terms, t)
 }
 
 // AddPred appends a predicate term (VISIBLE residuals).
@@ -140,7 +152,7 @@ func (c *Context) ReplaceWith(pred plan.Expr) {
 // caller substitutes a NULL literal).
 func (c *Context) CurrentValue(dim string) plan.Expr {
 	for _, t := range c.Terms {
-		if t.Kind == TermDimEq && strings.EqualFold(t.Dim, dim) {
+		if t.Names(dim) {
 			if t.Grouping == nil {
 				return t.Value
 			}

@@ -281,17 +281,7 @@ func TestInsertSpreadsAcrossShards(t *testing.T) {
 func TestSignedZeroMinMaxMatchesSingleNode(t *testing.T) {
 	ctx := context.Background()
 	coord, oracle, nodes := cluster(t, 2)
-	// Learn one partition key that lands on each shard.
-	execBoth(t, coord, oracle, `CREATE TABLE probe (p INTEGER)`)
-	execBoth(t, coord, oracle, `INSERT INTO probe VALUES (0), (1), (2), (3), (4), (5), (6), (7)`)
-	var keyOn [2]int64
-	for i, n := range nodes {
-		res, err := n.db.QueryContext(ctx, `SELECT MIN(p) FROM probe`)
-		if err != nil || res.Rows[0][0].Null {
-			t.Fatalf("shard %d holds no probe row: %v", i, err)
-		}
-		keyOn[i] = res.Rows[0][0].I
-	}
+	keyOn := shardKeys(t, coord, oracle, nodes)
 	a, b := keyOn[0], keyOn[1]
 	execBoth(t, coord, oracle, `CREATE TABLE z (p INTEGER, g VARCHAR, x DOUBLE)`)
 	execBoth(t, coord, oracle, fmt.Sprintf(`INSERT INTO z VALUES
@@ -330,6 +320,134 @@ func TestSignedZeroMinMaxMatchesSingleNode(t *testing.T) {
 			t.Fatalf("group %s: coordinator answers %v, a single node 0", r[0].S, x)
 		}
 	}
+}
+
+// shardKeys learns an INTEGER partition key that lands on each of two
+// shards.
+func shardKeys(t *testing.T, coord *dist.Coordinator, oracle *msql.DB, nodes []*shardNode) [2]int64 {
+	t.Helper()
+	execBoth(t, coord, oracle, `CREATE TABLE probe (p INTEGER)`)
+	execBoth(t, coord, oracle, `INSERT INTO probe VALUES (0), (1), (2), (3), (4), (5), (6), (7)`)
+	var keyOn [2]int64
+	for i, n := range nodes[:2] {
+		res, err := n.db.QueryContext(context.Background(), `SELECT MIN(p) FROM probe`)
+		if err != nil || res.Rows[0][0].Null {
+			t.Fatalf("shard %d holds no probe row: %v", i, err)
+		}
+		keyOn[i] = res.Rows[0][0].I
+	}
+	return keyOn
+}
+
+// scatterBoth is queryBoth for a statement the coordinator must scatter
+// to every shard, not gather; want, when set, is the answer rendered as
+// rows of space-separated values joined by " | ".
+func scatterBoth(t *testing.T, c *dist.Coordinator, oracle *msql.DB, shards int, sql, want string) {
+	t.Helper()
+	before := dist.Scatters(c)
+	res := queryBoth(t, c, oracle, sql)
+	if got := dist.Scatters(c) - before; got != int64(shards) {
+		t.Fatalf("%s: %d scatter calls, want %d", sql, got, shards)
+	}
+	if want == "" {
+		return
+	}
+	var rows []string
+	for _, r := range res.Rows {
+		var cells []string
+		for _, v := range r {
+			cells = append(cells, v.String())
+		}
+		rows = append(rows, strings.Join(cells, " "))
+	}
+	if got := strings.Join(rows, " | "); got != want {
+		t.Fatalf("%s:\ngot  %s\nwant %s", sql, got, want)
+	}
+}
+
+// TestScatterMergesGroupsAsOneNode: a scattered statement's groups are
+// found as a single node finds them, by key equality rather than by the
+// bytes a shard sent, and take their key values and order from their
+// first row: keys of different kinds that compare equal (1 and 1.0) are
+// one group, whichever shard holds its first row; NULL keys are one
+// group; a shard with no rows or no qualifying rows adds nothing, and a
+// keyless aggregate over no qualifying rows answers its empty-input row.
+// Every statement scatters, and every answer is the single node's.
+func TestScatterMergesGroupsAsOneNode(t *testing.T) {
+	t.Run("equal keys of different kinds", func(t *testing.T) {
+		coord, oracle, nodes := cluster(t, 2)
+		execBoth(t, coord, oracle, `CREATE TABLE T (a INTEGER, x INTEGER);
+INSERT INTO T VALUES (1, 10), (2, 20), (3, 30), (4, 40)`)
+		held := 0
+		for _, n := range nodes {
+			res, err := n.db.QueryContext(context.Background(), `SELECT COUNT(*) FROM T`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Rows[0][0].I > 0 {
+				held++
+			}
+		}
+		if held != 2 {
+			t.Fatalf("the rows sit on %d shards, want both", held)
+		}
+		scatterBoth(t, coord, oracle, 2, `SELECT CASE WHEN a = 1 THEN 1 ELSE 1.0 END AS k, COUNT(*) AS n, SUM(x) AS s
+FROM T GROUP BY CASE WHEN a = 1 THEN 1 ELSE 1.0 END`, "1 4 100")
+	})
+
+	coord, oracle, nodes := cluster(t, 2)
+	on := shardKeys(t, coord, oracle, nodes)
+	execBoth(t, coord, oracle, `CREATE TABLE G (p INTEGER, g VARCHAR, x INTEGER)`)
+	// A group's first row on the second shard, then on the first; a
+	// NULL key on both; a group on one shard only.
+	execBoth(t, coord, oracle, fmt.Sprintf(`INSERT INTO G VALUES
+		(%[2]d, 'b', 1), (%[1]d, 'a', 2), (%[1]d, 'b', 3), (%[2]d, 'a', 4),
+		(%[1]d, NULL, 5), (%[2]d, NULL, 6), (%[2]d, 'c', 7), (%[1]d, 'b', NULL)`, on[0], on[1]))
+	for _, q := range []struct{ sql, want string }{
+		{`SELECT g, COUNT(*) AS n, COUNT(x) AS nx, SUM(x) AS s, MIN(x) AS lo, MAX(x) AS hi FROM G GROUP BY g`,
+			"b 3 2 4 1 3 | a 2 2 6 2 4 | NULL 2 2 11 5 6 | c 1 1 7 7 7"},
+		{`SELECT CASE WHEN p = ` + fmt.Sprint(on[1]) + ` THEN 1.0 ELSE 1 END AS k, COUNT(*) AS n FROM G GROUP BY CASE WHEN p = ` + fmt.Sprint(on[1]) + ` THEN 1.0 ELSE 1 END`,
+			"1.0 8"},
+		{`SELECT g, SUM(x) AS s FROM G WHERE p = ` + fmt.Sprint(on[0]) + ` OR p = ` + fmt.Sprint(on[0]) + ` GROUP BY g ORDER BY g DESC LIMIT 2`, ""},
+		{`SELECT COUNT(*) AS n, SUM(x) AS s, MIN(g) AS lo FROM G WHERE x > 100`, "0 NULL NULL"},
+		{`SELECT g, COUNT(*) AS n FROM G WHERE x > 100 GROUP BY g`, ""},
+		{`SELECT COUNT(*) AS n, MAX(x) AS hi FROM G`, "8 7"},
+	} {
+		scatterBoth(t, coord, oracle, 2, q.sql, q.want)
+	}
+
+	t.Run("one empty shard", func(t *testing.T) {
+		execBoth(t, coord, oracle, fmt.Sprintf(`CREATE TABLE E (p INTEGER, g VARCHAR, x INTEGER);
+INSERT INTO E VALUES (%[1]d, 'a', 1), (%[1]d, 'b', 2), (%[1]d, 'a', NULL)`, on[1]))
+		scatterBoth(t, coord, oracle, 2, `SELECT g, COUNT(*) AS n, SUM(x) AS s FROM E GROUP BY g`, "a 2 1 | b 1 2")
+		scatterBoth(t, coord, oracle, 2, `SELECT COUNT(*) AS n, SUM(x) AS s FROM E`, "3 3")
+	})
+
+	// ANY_VALUE skips NULLs, so a piece whose first row is NULL does not
+	// hold the group's first value: a single node answers 8 here, while
+	// merging the pieces in first-row order would answer 9. Such a
+	// statement is not scattered.
+	t.Run("ANY_VALUE after a NULL first row", func(t *testing.T) {
+		execBoth(t, coord, oracle, fmt.Sprintf(`CREATE TABLE A (p INTEGER, g VARCHAR, x INTEGER);
+INSERT INTO A VALUES (%[1]d, 'n', NULL), (%[2]d, 'n', 8), (%[1]d, 'n', 9)`, on[0], on[1]))
+		if got := queryBoth(t, coord, oracle, `SELECT g, ANY_VALUE(x) AS v FROM A GROUP BY g`); got.Rows[0][1].I != 8 {
+			t.Fatalf("ANY_VALUE = %v, want 8", got.Rows[0][1])
+		}
+	})
+
+	t.Run("more than one block of groups", func(t *testing.T) {
+		var ins strings.Builder
+		ins.WriteString(`CREATE TABLE M (p INTEGER, g INTEGER, x INTEGER); INSERT INTO M VALUES `)
+		for i := 0; i < 3000; i++ {
+			if i > 0 {
+				ins.WriteString(", ")
+			}
+			fmt.Fprintf(&ins, "(%d, %d, %d)", on[i%2], (i*7919)%1500, i)
+		}
+		execBoth(t, coord, oracle, ins.String())
+		scatterBoth(t, coord, oracle, 2, `SELECT g, COUNT(*) AS n, SUM(x) AS s, MIN(x) AS lo FROM M GROUP BY g`, "")
+		scatterBoth(t, coord, oracle, 2, `SELECT g, SUM(x) AS s FROM M WHERE x > 1000 GROUP BY g ORDER BY s DESC, g LIMIT 5`, "")
+	})
 }
 
 func asInt64(t *testing.T, v any) int64 {

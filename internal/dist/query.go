@@ -4,11 +4,11 @@ package dist
 // bit-identical to a single-node session running the same statements:
 // routed queries read exactly one partition that provably contains
 // every qualifying row; scattered aggregations merge only aggregates
-// whose two-phase merge is exact, ordering per-group partials by the
-// global insertion sequence so even first-seen-sensitive aggregates
-// (ANY_VALUE) and group output order match the oracle; and the gather
-// fallback rebuilds the tables in insertion order and runs the original
-// statement unchanged.
+// whose states merge exactly however the shards interleave a group's
+// rows, in the executor's own grouping table, ordering per-group
+// partials by the global insertion sequence so group output order and
+// key values match the oracle; and the gather fallback rebuilds the
+// tables in insertion order and runs the original statement unchanged.
 
 import (
 	"context"
@@ -436,10 +436,10 @@ func (c *Coordinator) scatter(ctx context.Context, st shape, localPlan plan.Node
 			return nil, false, nil
 		}
 	}
-	// Align the local plan: the merged groups replace its Aggregate
-	// node, so the aggregates must correspond one to one.
-	aggLoc, ok := unwrapLocalAgg(localPlan)
-	if !ok || len(aggLoc.Aggs) != aggCount || len(aggLoc.GroupExprs) != groupCount {
+	// Align the local plan: the shards' groups merge into its
+	// Aggregate, so the aggregates must correspond one to one.
+	aggLoc, err := exec.MergeShape(localPlan)
+	if err != nil || len(aggLoc.Aggs) != aggCount || len(aggLoc.GroupExprs) != groupCount {
 		return nil, false, nil
 	}
 	for i := 0; i < aggCount; i++ {
@@ -448,28 +448,8 @@ func (c *Coordinator) scatter(ctx context.Context, st shape, localPlan plan.Node
 			return nil, false, nil
 		}
 	}
-	out, err := c.scatterRun(ctx, st.params, shardSQL, localPlan, aggLoc, groupCount, aggCount, reqID)
+	out, err := c.scatterRun(ctx, st.params, shardSQL, localPlan, groupCount, aggCount, reqID)
 	return out, true, err
-}
-
-// unwrapLocalAgg walks the local plan's root chain (Project/Sort/Limit
-// — the operators that legally sit above a merged aggregate) down to
-// its Aggregate.
-func unwrapLocalAgg(n plan.Node) (*plan.Aggregate, bool) {
-	for {
-		switch t := n.(type) {
-		case *plan.Project:
-			n = t.Input
-		case *plan.Sort:
-			n = t.Input
-		case *plan.Limit:
-			n = t.Input
-		case *plan.Aggregate:
-			return t, true
-		default:
-			return nil, false
-		}
-	}
 }
 
 // scatterPlanSafe requires exactly one table scan (no joins — a
@@ -503,25 +483,16 @@ func (c *Coordinator) scatterPlanSafe(n plan.Node) bool {
 	return safe && scans == 1
 }
 
-// partialPiece is one shard's contribution to one group.
-type partialPiece struct {
-	seq    int64 // the shard's MIN(__mseq) for the group
-	states []fn.AggState
-}
-
 // scatterRun fans the rewritten query out with the statement's
-// parameters, merges the partial states in global insertion order, and
-// finishes the original plan locally with the merged groups substituted
-// for its Aggregate node.
-func (c *Coordinator) scatterRun(ctx context.Context, params []msql.Value, shardSQL string, localPlan plan.Node, aggLoc *plan.Aggregate, groupCount, aggCount int, reqID string) (*msql.Result, error) {
+// parameters and merges the shards' partial tables into the local
+// plan's Aggregate (exec.MergePartials), which finishes the plan. Each
+// shard's groups carry MIN(__mseq) last, so groups and their pieces
+// merge in global insertion order.
+func (c *Coordinator) scatterRun(ctx context.Context, params []msql.Value, shardSQL string, localPlan plan.Node, groupCount, aggCount int, reqID string) (*msql.Result, error) {
 	c.metrics.scatters.Add(int64(len(c.shards)))
 	wireParams := wire.EncodeParams(params)
-	type shardOut struct {
-		idx int
-		p   *client.Partials
-		err error
-	}
-	outs := make([]shardOut, len(c.shards))
+	frames := make([][]byte, len(c.shards))
+	errs := make([]error, len(c.shards))
 	var wg sync.WaitGroup
 	for i, sh := range c.shards {
 		wg.Add(1)
@@ -530,118 +501,31 @@ func (c *Coordinator) scatterRun(ctx context.Context, params []msql.Value, shard
 			p, err := callShard(ctx, c, sh, "partial", reqID, func(cctx context.Context, ep *endpoint) (*client.Partials, error) {
 				return c.shardPartial(cctx, sh, ep, shardSQL, wireParams, groupCount, aggCount+1, reqID)
 			})
-			outs[i] = shardOut{idx: i, p: p, err: err}
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			frames[i] = p.Frame
 		}(i, sh)
 	}
 	wg.Wait()
 	failed := map[int]error{}
-	for _, o := range outs {
-		if o.err != nil {
-			failed[o.idx] = o.err
+	for i, err := range errs {
+		if err != nil {
+			failed[i] = err
 		}
 	}
 	if len(failed) > 0 {
 		return nil, c.shardFailure(ctx, failed)
 	}
 
-	// Merge per group, ordering each group's pieces (and the groups
-	// themselves) by the minimum global sequence they contain — the
-	// order a single node would first have seen them.
-	type groupAcc struct {
-		key    string
-		pieces []partialPiece
-	}
-	byKey := map[string]*groupAcc{}
-	var order []*groupAcc
-	for _, o := range outs {
-		for _, g := range o.p.Groups {
-			states, err := wire.DecodeStates(g.States)
-			if err != nil {
-				return nil, exec.Wrap(fmt.Errorf("shard %d partial state: %w", o.idx, err), exec.CodeRuntime, exec.PhaseExecute)
-			}
-			if len(states) != aggCount+1 {
-				return nil, exec.Wrap(fmt.Errorf("shard %d returned %d states, want %d", o.idx, len(states), aggCount+1), exec.CodeRuntime, exec.PhaseExecute)
-			}
-			seqv := states[aggCount].Result()
-			if seqv.Null || seqv.K != sqltypes.KindInt {
-				return nil, exec.Wrap(fmt.Errorf("shard %d returned no sequence for a group", o.idx), exec.CodeRuntime, exec.PhaseExecute)
-			}
-			acc := byKey[g.Key]
-			if acc == nil {
-				acc = &groupAcc{key: g.Key}
-				byKey[g.Key] = acc
-				order = append(order, acc)
-			}
-			acc.pieces = append(acc.pieces, partialPiece{seq: seqv.I, states: states[:aggCount]})
-		}
-	}
-	if len(order) == 0 {
-		// No shard saw a qualifying row. The local plan reads the
-		// coordinator's empty mirror, so it produces the exact
-		// empty-input answer, including the one-row result of an
-		// ungrouped aggregate.
-		return finish(ctx, localPlan, params)
-	}
-	type mergedGroup struct {
-		key    []sqltypes.Value
-		vals   []sqltypes.Value
-		minSeq int64
-	}
-	merged := make([]mergedGroup, 0, len(order))
-	for _, acc := range order {
-		sort.Slice(acc.pieces, func(i, j int) bool { return acc.pieces[i].seq < acc.pieces[j].seq })
-		base := acc.pieces[0].states
-		for _, p := range acc.pieces[1:] {
-			for i := range base {
-				if err := base[i].Merge(p.states[i]); err != nil {
-					return nil, exec.Wrap(err, exec.CodeRuntime, exec.PhaseExecute)
-				}
-			}
-		}
-		key, err := wire.DecodeKey(acc.key)
-		if err != nil {
-			return nil, exec.Wrap(err, exec.CodeRuntime, exec.PhaseExecute)
-		}
-		if len(key) != groupCount {
-			return nil, exec.Wrap(fmt.Errorf("group key has %d values, want %d", len(key), groupCount), exec.CodeRuntime, exec.PhaseExecute)
-		}
-		vals := make([]sqltypes.Value, len(base))
-		for i, st := range base {
-			vals[i] = st.Result()
-		}
-		merged = append(merged, mergedGroup{key: key, vals: vals, minSeq: acc.pieces[0].seq})
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].minSeq < merged[j].minSeq })
-
-	rows := make([][]plan.Expr, len(merged))
-	for i, g := range merged {
-		row := make([]plan.Expr, 0, groupCount+aggCount)
-		for _, v := range g.key {
-			row = append(row, &plan.Lit{Val: v})
-		}
-		for _, v := range g.vals {
-			row = append(row, &plan.Lit{Val: v})
-		}
-		rows[i] = row
-	}
-	values := &plan.Values{Rows: rows, Sch: aggLoc.Schema()}
-	newRoot, ok := replaceAggregate(localPlan, aggLoc, values)
-	if !ok {
-		return nil, exec.Wrap(fmt.Errorf("internal: aggregate node not found for substitution"), exec.CodeRuntime, exec.PhaseExecute)
-	}
-	return finish(ctx, newRoot, params)
-}
-
-// finish runs a plan over the coordinator's local mirror with the
-// statement's parameters.
-func finish(ctx context.Context, root plan.Node, params []msql.Value) (*msql.Result, error) {
 	settings := exec.DefaultSettings()
 	settings.Params = params
-	rows, err := exec.RunContext(ctx, root, settings)
+	rows, err := exec.MergePartials(ctx, localPlan, frames, settings)
 	if err != nil {
 		return nil, err
 	}
-	sch := root.Schema()
+	sch := localPlan.Schema()
 	types := make([]sqltypes.Type, len(sch.Cols))
 	for i, col := range sch.Cols {
 		types[i] = col.Typ
@@ -669,35 +553,6 @@ func (c *Coordinator) shardPartial(ctx context.Context, sh *shard, ep *endpoint,
 		}
 	}
 	return p, asStatementError(err)
-}
-
-// replaceAggregate rebuilds the root chain with repl in place of
-// target, copying the pass-through nodes.
-func replaceAggregate(n plan.Node, target *plan.Aggregate, repl plan.Node) (plan.Node, bool) {
-	if n == plan.Node(target) {
-		return repl, true
-	}
-	switch t := n.(type) {
-	case *plan.Project:
-		if in, ok := replaceAggregate(t.Input, target, repl); ok {
-			cp := *t
-			cp.Input = in
-			return &cp, true
-		}
-	case *plan.Sort:
-		if in, ok := replaceAggregate(t.Input, target, repl); ok {
-			cp := *t
-			cp.Input = in
-			return &cp, true
-		}
-	case *plan.Limit:
-		if in, ok := replaceAggregate(t.Input, target, repl); ok {
-			cp := *t
-			cp.Input = in
-			return &cp, true
-		}
-	}
-	return nil, false
 }
 
 // ---------------------------------------------------------------------------

@@ -67,6 +67,11 @@ func (s *Session) expandQueryAST(q *ast.Query, uses map[*ast.Ident]binder.Expans
 		return nil, err
 	}
 	if inner == nil {
+		if len(uses) > 0 {
+			// The measures come through a relation that only re-exports
+			// them: it holds no formula to expand.
+			return nil, fmt.Errorf("EXPAND: %s re-exports measures it does not define; expand a query over the view that defines them", relationName(sel.From))
+		}
 		return q, nil // no measures anywhere; nothing to do
 	}
 
@@ -212,6 +217,21 @@ func (s *Session) providerSelect(q *ast.Query, from ast.TableExpr) (*ast.Select,
 		return nil, "", nil
 	default:
 		return nil, "", nil
+	}
+}
+
+// relationName names a FROM relation in an error.
+func relationName(from ast.TableExpr) string {
+	switch from := from.(type) {
+	case *ast.TableName:
+		return from.Name
+	case *ast.SubqueryTable:
+		if from.Alias != "" {
+			return "derived table " + from.Alias
+		}
+		return "a derived table"
+	default:
+		return "the FROM clause"
 	}
 }
 

@@ -130,6 +130,10 @@ func TestExpandUnsupportedShapes(t *testing.T) {
 	// A measure composed from its FROM's measures reads their base rows.
 	expandErr(t, s, `WITH V2 AS (SELECT *, rev * 2 AS MEASURE r2 FROM MV)
 	                 SELECT prodName, AGGREGATE(r2) AS r FROM V2 GROUP BY prodName`, "not a column")
+	// A relation that only re-exports measures holds no formula to expand.
+	expandErr(t, s, `SELECT prodName, AGGREGATE(r) AS x FROM (SELECT prodName, rev AS r FROM MV) AS d GROUP BY prodName`, "derived table d re-exports")
+	expandErr(t, s, `WITH RE AS (SELECT prodName, rev AS r FROM MV)
+	                 SELECT prodName, AGGREGATE(r) AS x FROM RE GROUP BY prodName`, "RE re-exports")
 }
 
 func TestExpandRecursiveMeasureRejected(t *testing.T) {

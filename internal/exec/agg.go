@@ -15,13 +15,14 @@ import (
 // the call's state — decided once, not per row (see callKind) — and
 // which operators beneath it it folds in its own row loop (fuse.go). A
 // grouping set's table carves its groups, their state slices, their key
-// tuples and the bytes of their map keys from blocks that grow
-// geometrically, so a new group allocates its fn.AggStates and nothing
-// else, and a row of an existing group allocates nothing. The serial,
-// chunk-merge and group-partitioned paths, PartialAggregate, the
-// vectorized accumulate and the folding partition (partition.go) all
-// fold through it. A POSITIONS call keeps no state: each group lists the
-// positions its rows carry (posList) and emit publishes them (link.go).
+// tuples, their fn.AggStates and the bytes of their map keys from blocks
+// that grow geometrically, so a new group allocates nothing but its
+// share of a block, and a row of an existing group allocates nothing.
+// The serial, chunk-merge and group-partitioned paths, PartialAggregate,
+// MergePartials, the vectorized accumulate and the folding partition
+// (partition.go) all fold through it. A POSITIONS call keeps no state:
+// each group lists the positions its rows carry (posList) and emit
+// publishes them (link.go).
 
 // groupAcc accumulates one group for one grouping set.
 type groupAcc struct {
@@ -259,13 +260,19 @@ func (t *setTable) addPositions(env *aggEnv, acc *groupAcc, row Row) {
 }
 
 // newGroup carves a group whose first input row is order from t's
-// blocks: set's columns of keyVals, fresh states.
+// blocks: set's columns of keyVals, fresh states. A block's states are
+// made with it, one allocation per call (fn.Agg.NewBlock).
 func (t *setTable) newGroup(env *aggEnv, set []int, keyVals []sqltypes.Value, order int) *groupAcc {
 	na, nk := len(env.calls), len(env.n.GroupExprs)
 	if len(t.accs) == 0 {
 		b := min(max(t.carved, 1), maxGroupBlock)
 		t.accs = make([]groupAcc, b)
 		t.states = make([]fn.AggState, b*na)
+		for i := range env.calls {
+			if c := &env.calls[i]; c.def != nil {
+				c.def.NewBlock(c.argTypes, t.states[i:], na)
+			}
+		}
 		t.keys = make([]sqltypes.Value, b*nk)
 	}
 	t.carved++
@@ -275,11 +282,6 @@ func (t *setTable) newGroup(env *aggEnv, set []int, keyVals []sqltypes.Value, or
 	acc.keyVals, t.keys = t.keys[:nk:nk], t.keys[nk:]
 	maskKeyVals(acc.keyVals, set, keyVals)
 	acc.order = order
-	for i := range env.calls {
-		if c := &env.calls[i]; c.def != nil {
-			acc.states[i] = c.def.New(c.argTypes)
-		}
-	}
 	if env.distinct {
 		acc.dedup, acc.within = make([]map[string]bool, na), make([]map[string]string, na)
 		for i, call := range env.n.Aggs {

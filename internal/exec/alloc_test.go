@@ -427,11 +427,11 @@ func TestCarvedRowsDoNotShareCapacity(t *testing.T) {
 	}
 }
 
-// A grouped aggregate allocates, per group, the group's states and
-// nothing else: accumulators, state slices, key tuples, map-key bytes and
-// output rows are carved from blocks that double, so 2000 one-row groups
-// of two calls cost their 4000 states plus a logarithmic tail.
-func TestGroupedAggregateAllocatesOnlyStatesPerGroup(t *testing.T) {
+// A grouped aggregate allocates nothing per group: accumulators, state
+// slices, each call's states, key tuples, map-key bytes and output rows
+// are carved from blocks that double, so 2000 one-row groups of two
+// calls cost a logarithmic number of blocks, not their 4000 states.
+func TestGroupedAggregateAllocatesPerBlockNotPerGroup(t *testing.T) {
 	const groups = 2000
 	agg := &plan.Aggregate{
 		Input:      bigScan(groups),
@@ -454,10 +454,11 @@ func TestGroupedAggregateAllocatesOnlyStatesPerGroup(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// The states; the blocks, the map's growth and emit's slices are the
-	// tail (an eighth of a group is ample for it).
-	if limit := float64(2*groups + groups/8); perCall > limit {
-		t.Fatalf("GROUP BY over %d groups allocates %.0f objects, want <= %.0f (two states per group)", groups, perCall, limit)
+	// The blocks — groups, state slices, each call's states, keys, key
+	// bytes — the map's growth and emit's slices: an eighth of an
+	// allocation per group is ample, one state per group is not.
+	if limit := float64(groups / 8); perCall > limit {
+		t.Fatalf("GROUP BY over %d groups allocates %.0f objects, want <= %.0f (per block, not per group)", groups, perCall, limit)
 	}
 }
 

@@ -208,6 +208,9 @@ type runtime struct {
 	// executing: its correlated Filter, or the Aggregate over it, is
 	// answered from the buckets.
 	part *partition
+	// merged, when set, answers its Aggregate with the groups merged
+	// from shards' partial tables (MergePartials).
+	merged *mergedAgg
 	// inputRows is the row count of the operator output this runtime
 	// made last: the input of the operator now evaluating expressions
 	// over it. A subquery evaluated by an operator with more than one

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -10,12 +11,13 @@ import (
 	"github.com/measures-sql/msql/internal/sqltypes"
 )
 
-// Partial aggregation: the shard-side half of scatter-gather. A
-// coordinator pushes an aggregation query to each shard; instead of
-// finishing the aggregates, the shard exports per-group fn.AggState
-// partials for the coordinator to Merge across shards — the Data Cube
-// decomposition that makes distributed GROUP BY exact for every
-// aggregate whose states merge exactly.
+// Partial aggregation, both halves of scatter-gather. A coordinator
+// pushes an aggregation query to each shard; instead of finishing the
+// aggregates, the shard exports its grouping table — per-group
+// fn.AggState partials — as one frame (AppendFrame), and the coordinator
+// merges every shard's frame into one grouping table of its own plan
+// (MergePartials): the Data Cube decomposition that makes distributed
+// GROUP BY exact for every aggregate whose states merge exactly.
 
 // ErrPartialUnsupported reports a plan whose shape the partial path
 // cannot export (set operations, grouping sets, DISTINCT aggregates,
@@ -43,26 +45,7 @@ type PartialResult struct {
 // The plan must have the shape PartialShape accepts; groups and aggs
 // cross-check the expected counts so a coordinator and shard that
 // planned different texts can never silently merge mismatched state.
-func PartialAggregate(ctx context.Context, root plan.Node, groups, aggs int, settings *Settings) (res *PartialResult, err error) {
-	inProgress.Add(1)
-	defer inProgress.Add(-1)
-	if settings == nil {
-		settings = DefaultSettings()
-	}
-	if t := settings.Limits.Timeout; t > 0 {
-		if _, has := ctx.Deadline(); !has {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, t)
-			defer cancel()
-		}
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, PanicError(r, PhaseExecute)
-		}
-		err = Wrap(err, CodeRuntime, PhaseExecute)
-	}()
-
+func PartialAggregate(ctx context.Context, root plan.Node, groups, aggs int, settings *Settings) (*PartialResult, error) {
 	agg, err := PartialShape(root)
 	if err != nil {
 		return nil, err
@@ -75,33 +58,228 @@ func PartialAggregate(ctx context.Context, root plan.Node, groups, aggs int, set
 				len(agg.GroupExprs), len(agg.Aggs), groups, aggs),
 		}
 	}
-
-	env, err := newAggEnv(agg)
+	var out *PartialResult
+	err = execute(ctx, settings, func(rt *runtime) error {
+		env, err := newAggEnv(agg)
+		if err != nil {
+			return err
+		}
+		// The Aggregate's own fold, serial even on a parallel-capable
+		// runtime: one grouping set, so one table, in first-input-row
+		// order.
+		fd, err := rt.openFeed(env, 1)
+		if err != nil {
+			return err
+		}
+		tables, _, err := rt.foldFeed(env, fd)
+		if err != nil {
+			return err
+		}
+		accs := make([]*groupAcc, 0, len(tables[0].groups))
+		for _, acc := range tables[0].groups {
+			accs = append(accs, acc)
+		}
+		sortAccs(accs)
+		out = &PartialResult{Groups: make([]PartialGroup, len(accs))}
+		for i, acc := range accs {
+			out.Groups[i] = PartialGroup{Key: acc.keyVals, States: acc.states}
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	rt := newRuntime(ctx, settings)
-	// The Aggregate's own fold, serial even on a parallel-capable
-	// runtime: one grouping set, so one table, in first-input-row order.
-	fd, err := rt.openFeed(env, 1)
-	if err != nil {
-		return nil, err
-	}
-	tables, _, err := rt.foldFeed(env, fd)
-	if err != nil {
-		return nil, err
-	}
-
-	accs := make([]*groupAcc, 0, len(tables[0].groups))
-	for _, acc := range tables[0].groups {
-		accs = append(accs, acc)
-	}
-	sortAccs(accs)
-	out := &PartialResult{Groups: make([]PartialGroup, len(accs))}
-	for i, acc := range accs {
-		out.Groups[i] = PartialGroup{Key: acc.keyVals, States: acc.states}
 	}
 	return out, nil
+}
+
+// AppendFrame appends the frame of groups, a shard's whole partial table
+// in one buffer: a uvarint group count, then per group its key values
+// (sqltypes.AppendValues) and its states (fn.AppendState), in order.
+// MergePartials reads it.
+func AppendFrame(dst []byte, groups []PartialGroup) ([]byte, error) {
+	dst = binary.AppendUvarint(dst, uint64(len(groups)))
+	for _, g := range groups {
+		dst = sqltypes.AppendValues(dst, g.Key)
+		for j, st := range g.States {
+			var err error
+			if dst, err = fn.AppendState(dst, st); err != nil {
+				return dst, fmt.Errorf("aggregate %d: %w", j, err)
+			}
+		}
+	}
+	return dst, nil
+}
+
+// MergePartials is the coordinator's half: it merges the frames
+// (AppendFrame) of every shard's partial table for root's Aggregate into
+// one grouping table, as the Aggregate's own fold would have built it,
+// and runs what root stacks on the Aggregate (MergeShape) over its
+// groups. The empty-input row of a keyless Aggregate is made as a
+// single node makes it.
+//
+// A frame's groups carry one state more than the Aggregate has calls:
+// a MIN over the global sequence numbers of the group's rows on that
+// shard. A group is found by its key (sqltypes.Value.AppendKey), as the
+// fold finds it, so keys that are equal but differ in bytes (1 and 1.0)
+// are one group. Its key values and its place in the output come from
+// its piece with the lowest sequence, and its pieces merge as if in
+// sequence order: a later piece folds into the group's states, an
+// earlier one takes their place. Neither allocates a state: a piece is
+// decoded into the group's own states when it makes the group and into
+// the merge's scratch states otherwise. The answer is a single node's
+// when every call's states merge interleaved (fn.Agg.MergesInterleaved),
+// which the caller checks. A malformed frame is an error naming it,
+// never a panic, and a count it claims beyond its bytes is refused
+// before anything is allocated for it.
+func MergePartials(ctx context.Context, root plan.Node, frames [][]byte, settings *Settings) ([]Row, error) {
+	agg, err := MergeShape(root)
+	if err != nil {
+		return nil, err
+	}
+	var rows []Row
+	err = execute(ctx, settings, func(rt *runtime) error {
+		env, err := newAggEnv(agg)
+		if err != nil {
+			return err
+		}
+		m := env.newMerger()
+		for i, frame := range frames {
+			if err := m.merge(frame); err != nil {
+				return fmt.Errorf("partial frame %d: %w", i, err)
+			}
+		}
+		groups, err := env.emit(m.tables, 0, nil)
+		if err != nil {
+			return err
+		}
+		rt.merged = &mergedAgg{agg: agg, rows: groups}
+		rows, err = rt.run(root)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
+// mergedAgg is an Aggregate's output made by MergePartials.
+type mergedAgg struct {
+	agg  *plan.Aggregate
+	rows []Row
+}
+
+// merger merges frames into tables, the one table of env's Aggregate.
+// scratch holds a piece's states when its group exists already, and
+// every piece's sequence last; keyVals and key are a piece's key.
+type merger struct {
+	env     *aggEnv
+	tables  []setTable
+	scratch []fn.AggState
+	keyVals []sqltypes.Value
+	key     []byte
+}
+
+func (env *aggEnv) newMerger() *merger {
+	na := len(env.calls)
+	m := &merger{env: env, tables: newSetTables(1), scratch: make([]fn.AggState, na+1)}
+	for i := range env.calls {
+		c := &env.calls[i]
+		m.scratch[i] = c.def.New(c.argTypes)
+	}
+	minDef, _ := fn.LookupAgg("MIN")
+	m.scratch[na] = minDef.New([]sqltypes.Type{{Kind: sqltypes.KindInt}})
+	return m
+}
+
+// merge merges one frame's groups into the table.
+func (m *merger) merge(frame []byte) error {
+	env, t, scratch := m.env, &m.tables[0], m.scratch
+	set := env.n.Sets[0]
+	nk, na := len(env.n.GroupExprs), len(env.calls)
+	r := sqltypes.NewReader(frame)
+	count, err := r.Uvarint()
+	if err != nil {
+		return err
+	}
+	// A group takes at least its key's count byte and a tag per state.
+	if count > uint64(r.Left()/(na+2)) {
+		return fmt.Errorf("%d groups overrun the %d bytes left", count, r.Left())
+	}
+	for g := uint64(0); g < count; g++ {
+		if m.keyVals, err = r.Values(m.keyVals); err != nil {
+			return err
+		}
+		if len(m.keyVals) != nk {
+			return fmt.Errorf("group %d has %d key values, want %d", g, len(m.keyVals), nk)
+		}
+		m.key = appendSetKey(m.key[:0], set, m.keyVals)
+		acc := t.groups[string(m.key)]
+		fresh := acc == nil
+		piece := scratch[:na]
+		if fresh {
+			acc = t.newGroup(env, set, m.keyVals, 0)
+			piece = acc.states
+		}
+		for i, st := range piece {
+			if _, err := fn.ReadState(&r, st); err != nil {
+				return fmt.Errorf("group %d aggregate %d: %w", g, i, err)
+			}
+		}
+		if _, err := fn.ReadState(&r, scratch[na]); err != nil {
+			return fmt.Errorf("group %d sequence: %w", g, err)
+		}
+		seq := scratch[na].Result()
+		if seq.Null || seq.K != sqltypes.KindInt {
+			return fmt.Errorf("group %d has no sequence", g)
+		}
+		switch order := int(seq.I); {
+		case fresh:
+			acc.order = order
+			t.insert(m.key, acc)
+		case order < acc.order:
+			// The piece's rows come first: it is the receiver, and the
+			// group's states become scratch.
+			for i, st := range piece {
+				if err := st.Merge(acc.states[i]); err != nil {
+					return err
+				}
+				acc.states[i], piece[i] = st, acc.states[i]
+			}
+			maskKeyVals(acc.keyVals, set, m.keyVals)
+			acc.order = order
+		default:
+			for i, st := range piece {
+				if err := acc.states[i].Merge(st); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	if r.Left() != 0 {
+		return fmt.Errorf("%d trailing bytes", r.Left())
+	}
+	return nil
+}
+
+// MergeShape returns the Aggregate MergePartials merges into: root is
+// the Aggregate under nothing but Project, Sort and Limit operators,
+// and the Aggregate has the shape PartialShape accepts.
+func MergeShape(root plan.Node) (*plan.Aggregate, error) {
+	n := root
+	for {
+		switch t := n.(type) {
+		case *plan.Project:
+			n = t.Input
+		case *plan.Sort:
+			n = t.Input
+		case *plan.Limit:
+			n = t.Input
+		case *plan.Aggregate:
+			return PartialShape(t)
+		default:
+			return nil, partialShapeError("plan has %T above the aggregate", n)
+		}
+	}
 }
 
 // PartialShape returns the Aggregate of a plan whose per-group states

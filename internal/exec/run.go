@@ -24,7 +24,23 @@ func Run(n plan.Node, settings *Settings) ([]Row, error) {
 // Internal panics are recovered and surfaced as CodeRuntime errors.
 // While it runs, the execution counts as in progress: every other
 // execution fans out to one worker fewer (spareWorkers).
-func RunContext(ctx context.Context, n plan.Node, settings *Settings) (rows []Row, err error) {
+func RunContext(ctx context.Context, n plan.Node, settings *Settings) ([]Row, error) {
+	var rows []Row
+	err := execute(ctx, settings, func(rt *runtime) (err error) {
+		rows, err = rt.run(n)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
+// execute runs body on a fresh runtime as one execution: it counts as
+// in progress, settings (nil: the defaults) bound it with their timeout
+// when ctx has no deadline, a panic is recovered as a CodeRuntime error,
+// and an error is wrapped in the taxonomy.
+func execute(ctx context.Context, settings *Settings, body func(rt *runtime) error) (err error) {
 	inProgress.Add(1)
 	defer inProgress.Add(-1)
 	if settings == nil {
@@ -39,12 +55,11 @@ func RunContext(ctx context.Context, n plan.Node, settings *Settings) (rows []Ro
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			rows, err = nil, PanicError(r, PhaseExecute)
+			err = PanicError(r, PhaseExecute)
 		}
 		err = Wrap(err, CodeRuntime, PhaseExecute)
 	}()
-	rt := newRuntime(ctx, settings)
-	return rt.run(n)
+	return body(newRuntime(ctx, settings))
 }
 
 // run executes one operator. Besides dispatching to runNode it hosts
@@ -178,6 +193,9 @@ func (rt *runtime) runNode(n plan.Node) ([]Row, error) {
 		return rt.readLinked(n)
 
 	case *plan.Aggregate:
+		if m := rt.merged; m != nil && m.agg == n {
+			return m.rows, nil
+		}
 		if rows, ok, err := rt.tryRollup(n); err != nil {
 			return nil, err
 		} else if ok {

@@ -46,6 +46,11 @@ type Agg struct {
 	Ret func(args []sqltypes.Type) (sqltypes.Type, error)
 	// New creates a fresh accumulator for a group.
 	New func(args []sqltypes.Type) AggState
+	// NewBlock fills dst[0], dst[stride], dst[2*stride], … with fresh
+	// accumulators, all carved from one allocation: a table that makes
+	// the states of many groups at once allocates per block, not per
+	// group.
+	NewBlock func(args []sqltypes.Type, dst []AggState, stride int)
 	// ExactMerge reports whether two-phase accumulation (per-chunk states
 	// combined with Merge) reproduces single-pass accumulation
 	// bit-for-bit for the given argument types. It is false for
@@ -68,15 +73,16 @@ func (a *Agg) MergesExactly(args []sqltypes.Type) bool {
 // reproduces single-pass accumulation bit for bit, provided the states
 // are merged in ascending order of their first row. That is stronger
 // than MergesExactly. COUNT and non-float SUM commute (modulo overflow,
-// as for MergesExactly); non-float MIN/MAX ties are value-identical;
-// ANY_VALUE keeps the receiver, which the merge order makes the first
-// row. A float MIN/MAX tie is not value-identical (0 and -0 compare
-// equal), so the merge order would pick which survives; ARG_MAX/ARG_MIN
-// break ties by row order; float accumulation is order-sensitive
-// outright.
+// as for MergesExactly); non-float MIN/MAX ties are value-identical. A
+// float MIN/MAX tie is not value-identical (0 and -0 compare equal), so
+// the merge order would pick which survives; ARG_MAX/ARG_MIN break ties
+// by row order; float accumulation is order-sensitive outright; and
+// ANY_VALUE keeps the first non-NULL value, whose row a state's first
+// row does not place: a piece whose first row is NULL may hold a later
+// value than a piece that starts after it.
 func (a *Agg) MergesInterleaved(args []sqltypes.Type) bool {
 	switch a.Name {
-	case "COUNT", "ANY_VALUE":
+	case "COUNT":
 		return true
 	case "SUM", "MIN", "MAX":
 		return len(args) > 0 && args[0].Kind != sqltypes.KindFloat
@@ -99,7 +105,26 @@ func IsAggName(name string) bool {
 	return ok
 }
 
-func registerAgg(a *Agg) { aggs[a.Name] = a }
+// registerAgg registers a, whose states are the T init makes: New
+// allocates one, NewBlock a block of them.
+func registerAgg[T any, P interface {
+	*T
+	AggState
+}](a *Agg, init func(args []sqltypes.Type) T) {
+	a.New = func(args []sqltypes.Type) AggState {
+		s := init(args)
+		return P(&s)
+	}
+	a.NewBlock = func(args []sqltypes.Type, dst []AggState, stride int) {
+		blk := make([]T, (len(dst)+stride-1)/stride)
+		s := init(args)
+		for k := range blk {
+			blk[k] = s
+			dst[k*stride] = P(&blk[k])
+		}
+	}
+	aggs[a.Name] = a
+}
 
 // ---------------------------------------------------------------------------
 // States
@@ -445,9 +470,8 @@ func init() {
 	registerAgg(&Agg{
 		Name: "COUNT", MinArgs: 0, MaxArgs: 1, Star: true, SkipNulls: true,
 		Ret:        func([]sqltypes.Type) (sqltypes.Type, error) { return sqltypes.Type{Kind: sqltypes.KindInt}, nil },
-		New:        func([]sqltypes.Type) AggState { return &countState{} },
 		ExactMerge: alwaysExact,
-	})
+	}, func([]sqltypes.Type) countState { return countState{} })
 	registerAgg(&Agg{
 		Name: "SUM", MinArgs: 1, MaxArgs: 1, SkipNulls: true,
 		Ret: func(args []sqltypes.Type) (sqltypes.Type, error) {
@@ -459,17 +483,16 @@ func init() {
 			}
 			return sqltypes.Type{Kind: sqltypes.KindInt}, nil
 		},
-		New: func(args []sqltypes.Type) AggState {
-			kind := sqltypes.KindInt
-			if len(args) > 0 && args[0].Kind == sqltypes.KindFloat {
-				kind = sqltypes.KindFloat
-			}
-			return &sumState{kind: kind}
-		},
 		// Integer sums are associative; float sums are order-sensitive.
 		ExactMerge: func(args []sqltypes.Type) bool {
 			return len(args) == 0 || args[0].Kind != sqltypes.KindFloat
 		},
+	}, func(args []sqltypes.Type) sumState {
+		kind := sqltypes.KindInt
+		if len(args) > 0 && args[0].Kind == sqltypes.KindFloat {
+			kind = sqltypes.KindFloat
+		}
+		return sumState{kind: kind}
 	})
 	registerAgg(&Agg{
 		Name: "AVG", MinArgs: 1, MaxArgs: 1, SkipNulls: true,
@@ -479,20 +502,16 @@ func init() {
 			}
 			return sqltypes.Type{Kind: sqltypes.KindFloat}, nil
 		},
-		New: func(args []sqltypes.Type) AggState {
-			return &avgState{exact: avgExact(args)}
-		},
 		// An INTEGER mean is folded exactly and rounded once; a DOUBLE
 		// mean is order-sensitive.
 		ExactMerge: avgExact,
-	})
+	}, func(args []sqltypes.Type) avgState { return avgState{exact: avgExact(args)} })
 	minMax := func(name string, wantLess bool) {
 		registerAgg(&Agg{
 			Name: name, MinArgs: 1, MaxArgs: 1, SkipNulls: true,
 			Ret:        func(args []sqltypes.Type) (sqltypes.Type, error) { return args[0].Scalar(), nil },
-			New:        func([]sqltypes.Type) AggState { return &minMaxState{wantLess: wantLess} },
 			ExactMerge: alwaysExact,
-		})
+		}, func([]sqltypes.Type) minMaxState { return minMaxState{wantLess: wantLess} })
 	}
 	minMax("MIN", true)
 	minMax("MAX", false)
@@ -505,8 +524,7 @@ func init() {
 				}
 				return sqltypes.Type{Kind: sqltypes.KindFloat}, nil
 			},
-			New: func([]sqltypes.Type) AggState { return &varState{sample: sample, stddev: stddev} },
-		})
+		}, func([]sqltypes.Type) varState { return varState{sample: sample, stddev: stddev} })
 	}
 	variance("VAR_POP", false, false)
 	variance("VAR_SAMP", true, false)
@@ -517,16 +535,14 @@ func init() {
 	registerAgg(&Agg{
 		Name: "ANY_VALUE", MinArgs: 1, MaxArgs: 1, SkipNulls: true,
 		Ret:        func(args []sqltypes.Type) (sqltypes.Type, error) { return args[0].Scalar(), nil },
-		New:        func([]sqltypes.Type) AggState { return &anyValueState{} },
 		ExactMerge: alwaysExact,
-	})
+	}, func([]sqltypes.Type) anyValueState { return anyValueState{} })
 	argExtreme := func(name string, wantLess bool) {
 		registerAgg(&Agg{
 			Name: name, MinArgs: 2, MaxArgs: 2, SkipNulls: true,
 			Ret:        func(args []sqltypes.Type) (sqltypes.Type, error) { return args[0].Scalar(), nil },
-			New:        func([]sqltypes.Type) AggState { return &argExtremeState{wantLess: wantLess} },
 			ExactMerge: alwaysExact,
-		})
+		}, func([]sqltypes.Type) argExtremeState { return argExtremeState{wantLess: wantLess} })
 	}
 	argExtreme("ARG_MAX", false)
 	argExtreme("ARG_MIN", true)

@@ -6,7 +6,7 @@
 //
 // Values inside a state use the sqltypes value codec. The decoder
 // follows its discipline: every read is bounds-checked through
-// byteReader, and a malformed buffer produces a structured error —
+// sqltypes.Reader, and a malformed buffer produces a structured error —
 // never a panic or an over-allocation.
 package fn
 
@@ -29,68 +29,6 @@ const (
 	tagArgExtreme = 7
 	tagAvgExact   = 8
 )
-
-// byteReader is a bounds-checked cursor over an untrusted buffer.
-type byteReader struct {
-	buf []byte
-	off int
-}
-
-func (r *byteReader) byte() (byte, error) {
-	if r.off >= len(r.buf) {
-		return 0, fmt.Errorf("state codec: truncated buffer at offset %d", r.off)
-	}
-	b := r.buf[r.off]
-	r.off++
-	return b, nil
-}
-
-func (r *byteReader) bool() (bool, error) {
-	b, err := r.byte()
-	if err != nil {
-		return false, err
-	}
-	if b > 1 {
-		return false, fmt.Errorf("state codec: invalid bool byte 0x%02x at offset %d", b, r.off-1)
-	}
-	return b == 1, nil
-}
-
-func (r *byteReader) varint() (int64, error) {
-	v, n := binary.Varint(r.buf[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("state codec: bad varint at offset %d", r.off)
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *byteReader) uint64() (uint64, error) {
-	if len(r.buf)-r.off < 8 {
-		return 0, fmt.Errorf("state codec: truncated word at offset %d", r.off)
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v, nil
-}
-
-func (r *byteReader) float() (float64, error) {
-	if len(r.buf)-r.off < 8 {
-		return 0, fmt.Errorf("state codec: truncated float at offset %d", r.off)
-	}
-	bits := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return math.Float64frombits(bits), nil
-}
-
-func (r *byteReader) value() (sqltypes.Value, error) {
-	v, n, err := sqltypes.DecodeValue(r.buf[r.off:])
-	if err != nil {
-		return sqltypes.Value{}, fmt.Errorf("state codec: offset %d: %w", r.off, err)
-	}
-	r.off += n
-	return v, nil
-}
 
 // AppendState serializes one aggregate partial state.
 func AppendState(dst []byte, s AggState) ([]byte, error) {
@@ -149,152 +87,216 @@ func boolByte(b bool) byte {
 // returning the bytes consumed. The result is ready for Merge with
 // other states of the same tag, and for Result.
 func DecodeState(buf []byte) (AggState, int, error) {
-	r := &byteReader{buf: buf}
-	s, err := r.state()
+	r := sqltypes.NewReader(buf)
+	s, err := ReadState(&r, nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	return s, r.off, nil
+	return s, r.Offset(), nil
 }
 
-func (r *byteReader) state() (AggState, error) {
-	tag, err := r.byte()
+// ReadState decodes the next state of r. With into nil it makes a state
+// of the tag's type; otherwise it overwrites into, which must be a state
+// of that type, and returns it, so a decode allocates nothing beyond a
+// VARCHAR value's bytes.
+func ReadState(r *sqltypes.Reader, into AggState) (AggState, error) {
+	s, err := readState(r, into)
+	if err != nil {
+		return nil, fmt.Errorf("state codec: %w", err)
+	}
+	return s, nil
+}
+
+// stateFor returns into as a *T, or a new T when into is nil.
+func stateFor[T any, P interface {
+	*T
+	AggState
+}](into AggState) (P, error) {
+	if into == nil {
+		return new(T), nil
+	}
+	s, ok := into.(P)
+	if !ok {
+		return nil, fmt.Errorf("a %T cannot be decoded into a %T", P(nil), into)
+	}
+	return s, nil
+}
+
+// readNonNeg reads a varint count that must not be negative.
+func readNonNeg(r *sqltypes.Reader, what string) (int64, error) {
+	n, err := r.Varint()
+	if err == nil && n < 0 {
+		err = fmt.Errorf("negative %s %d", what, n)
+	}
+	return n, err
+}
+
+func readState(r *sqltypes.Reader, into AggState) (AggState, error) {
+	tag, err := r.Byte()
 	if err != nil {
 		return nil, err
 	}
 	switch tag {
 	case tagCount:
-		n, err := r.varint()
+		s, err := stateFor[countState](into)
 		if err != nil {
 			return nil, err
 		}
-		if n < 0 {
-			return nil, fmt.Errorf("state codec: negative COUNT %d", n)
+		n, err := readNonNeg(r, "COUNT")
+		if err != nil {
+			return nil, err
 		}
-		return &countState{n: n}, nil
+		*s = countState{n: n}
+		return s, nil
 	case tagSum:
-		kb, err := r.byte()
+		s, err := stateFor[sumState](into)
+		if err != nil {
+			return nil, err
+		}
+		kb, err := r.Byte()
 		if err != nil {
 			return nil, err
 		}
 		kind := sqltypes.Kind(kb)
 		if kind > sqltypes.KindDate {
-			return nil, fmt.Errorf("state codec: unknown SUM kind %d", kb)
+			return nil, fmt.Errorf("unknown SUM kind %d", kb)
 		}
-		any, err := r.bool()
+		any, err := r.Bool()
 		if err != nil {
 			return nil, err
 		}
-		intSum, err := r.varint()
+		intSum, err := r.Varint()
 		if err != nil {
 			return nil, err
 		}
-		fltSum, err := r.float()
+		fltSum, err := r.Float()
 		if err != nil {
 			return nil, err
 		}
-		return &sumState{kind: kind, any: any, intSum: intSum, fltSum: fltSum}, nil
+		*s = sumState{kind: kind, any: any, intSum: intSum, fltSum: fltSum}
+		return s, nil
 	case tagAvg:
-		n, err := r.varint()
+		s, err := stateFor[avgState](into)
 		if err != nil {
 			return nil, err
 		}
-		if n < 0 {
-			return nil, fmt.Errorf("state codec: negative AVG count %d", n)
-		}
-		sum, err := r.float()
+		n, err := readNonNeg(r, "AVG count")
 		if err != nil {
 			return nil, err
 		}
-		return &avgState{n: n, sum: sum}, nil
+		sum, err := r.Float()
+		if err != nil {
+			return nil, err
+		}
+		*s = avgState{n: n, sum: sum}
+		return s, nil
 	case tagAvgExact:
-		n, err := r.varint()
+		s, err := stateFor[avgState](into)
 		if err != nil {
 			return nil, err
 		}
-		if n < 0 {
-			return nil, fmt.Errorf("state codec: negative AVG count %d", n)
-		}
-		hi, err := r.varint()
+		n, err := readNonNeg(r, "AVG count")
 		if err != nil {
 			return nil, err
 		}
-		lo, err := r.uint64()
+		hi, err := r.Varint()
+		if err != nil {
+			return nil, err
+		}
+		lo, err := r.Uint64()
 		if err != nil {
 			return nil, err
 		}
 		if n == 0 && (hi != 0 || lo != 0) {
-			return nil, fmt.Errorf("state codec: AVG of no rows with a non-zero sum")
+			return nil, fmt.Errorf("AVG of no rows with a non-zero sum")
 		}
-		return &avgState{n: n, exact: true, hi: hi, lo: lo}, nil
+		*s = avgState{n: n, exact: true, hi: hi, lo: lo}
+		return s, nil
 	case tagMinMax:
-		wantLess, err := r.bool()
+		s, err := stateFor[minMaxState](into)
 		if err != nil {
 			return nil, err
 		}
-		any, err := r.bool()
+		wantLess, err := r.Bool()
 		if err != nil {
 			return nil, err
 		}
-		best, err := r.value()
+		any, err := r.Bool()
 		if err != nil {
 			return nil, err
 		}
-		return &minMaxState{wantLess: wantLess, any: any, best: best}, nil
+		best, err := r.Value()
+		if err != nil {
+			return nil, err
+		}
+		*s = minMaxState{wantLess: wantLess, any: any, best: best}
+		return s, nil
 	case tagVar:
-		sample, err := r.bool()
+		s, err := stateFor[varState](into)
 		if err != nil {
 			return nil, err
 		}
-		stddev, err := r.bool()
+		sample, err := r.Bool()
 		if err != nil {
 			return nil, err
 		}
-		n, err := r.varint()
+		stddev, err := r.Bool()
 		if err != nil {
 			return nil, err
 		}
-		if n < 0 {
-			return nil, fmt.Errorf("state codec: negative VAR count %d", n)
-		}
-		mean, err := r.float()
+		n, err := readNonNeg(r, "VAR count")
 		if err != nil {
 			return nil, err
 		}
-		m2, err := r.float()
+		mean, err := r.Float()
 		if err != nil {
 			return nil, err
 		}
-		return &varState{n: n, mean: mean, m2: m2, sample: sample, stddev: stddev}, nil
+		m2, err := r.Float()
+		if err != nil {
+			return nil, err
+		}
+		*s = varState{n: n, mean: mean, m2: m2, sample: sample, stddev: stddev}
+		return s, nil
 	case tagAnyValue:
-		any, err := r.bool()
+		s, err := stateFor[anyValueState](into)
 		if err != nil {
 			return nil, err
 		}
-		val, err := r.value()
+		any, err := r.Bool()
 		if err != nil {
 			return nil, err
 		}
-		return &anyValueState{any: any, val: val}, nil
+		val, err := r.Value()
+		if err != nil {
+			return nil, err
+		}
+		*s = anyValueState{any: any, val: val}
+		return s, nil
 	case tagArgExtreme:
-		wantLess, err := r.bool()
+		s, err := stateFor[argExtremeState](into)
 		if err != nil {
 			return nil, err
 		}
-		any, err := r.bool()
+		wantLess, err := r.Bool()
 		if err != nil {
 			return nil, err
 		}
-		bestKey, err := r.value()
+		any, err := r.Bool()
 		if err != nil {
 			return nil, err
 		}
-		val, err := r.value()
+		bestKey, err := r.Value()
 		if err != nil {
 			return nil, err
 		}
-		return &argExtremeState{wantLess: wantLess, any: any, bestKey: bestKey, val: val}, nil
+		val, err := r.Value()
+		if err != nil {
+			return nil, err
+		}
+		*s = argExtremeState{wantLess: wantLess, any: any, bestKey: bestKey, val: val}
+		return s, nil
 	default:
-		return nil, fmt.Errorf("state codec: unknown state tag %d", tag)
+		return nil, fmt.Errorf("unknown state tag %d", tag)
 	}
 }

@@ -9,7 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/measures-sql/msql/internal/fn"
 	"github.com/measures-sql/msql/internal/server"
+	"github.com/measures-sql/msql/internal/sqltypes"
 	"github.com/measures-sql/msql/internal/wire"
 	"github.com/measures-sql/msql/msql"
 	"github.com/measures-sql/msql/msql/client"
@@ -46,11 +48,20 @@ func TestIntegerParamsCrossExactly(t *testing.T) {
 		if err != nil {
 			t.Fatalf("/partial %d: %v", v, err)
 		}
-		states, err := wire.DecodeStates(part.Groups[0].States)
+		// The frame: one group, its empty key, the MAX state.
+		r := sqltypes.NewReader(part.Frame)
+		n, err := r.Uvarint()
+		if err != nil || n != 1 {
+			t.Fatalf("/partial %d: %d groups (%v), want 1", v, n, err)
+		}
+		if _, err := r.Values(nil); err != nil {
+			t.Fatal(err)
+		}
+		st, err := fn.ReadState(&r, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r := states[0].Result(); r.Null || r.I != v {
+		if r := st.Result(); r.Null || r.I != v {
 			t.Fatalf("/partial %d answered %v", v, r)
 		}
 	}

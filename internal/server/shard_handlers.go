@@ -4,7 +4,7 @@ package server
 // than interactive clients:
 //
 //	POST /partial  run an aggregation's scan/filter/group phase and
-//	               return serialized per-group partial states
+//	               return its partial table as one frame
 //	POST /apply    apply one replicated mutation, guarded by a
 //	               catalog-version compare-and-swap
 //	GET  /catalog  shard identity + catalog version/contents, for

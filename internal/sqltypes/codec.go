@@ -10,14 +10,16 @@ package sqltypes
 // snapshots, the shard endpoints' keys, rows and aggregate states, and
 // the coordinator's partition hash all use it.
 //
-// Decoding follows one discipline: every read is bounds-checked, a
-// length is validated against the remaining buffer before anything is
-// allocated, and malformed input is an error, never a panic.
+// Decoding follows one discipline, which Reader carries to every format
+// built on this one: every read is bounds-checked, a length is validated
+// against the remaining buffer before anything is allocated, and
+// malformed input is an error, never a panic.
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 )
 
 // nullFlag marks a NULL in the kind byte.
@@ -105,23 +107,142 @@ func DecodeValue(buf []byte) (Value, int, error) {
 // DecodeValues decodes a count-prefixed tuple from the front of buf,
 // returning the bytes consumed.
 func DecodeValues(buf []byte) ([]Value, int, error) {
-	count, off := binary.Uvarint(buf)
-	if off <= 0 {
-		return nil, 0, errors.New("value codec: bad tuple count")
+	r := NewReader(buf)
+	vals, err := r.Values(nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	return vals, r.Offset(), nil
+}
+
+// Reader is a bounds-checked cursor over bytes in this codec's family of
+// formats: the write-ahead log's records and snapshots, aggregate states
+// and the shard endpoints' partial frames are all read through it. A
+// read past the end or a malformed field is an error naming its offset,
+// never a panic, and a count or length is checked against the bytes
+// left before anything is allocated for it.
+type Reader struct {
+	buf []byte
+	off int
+}
+
+// NewReader returns a Reader at the front of buf.
+func NewReader(buf []byte) Reader { return Reader{buf: buf} }
+
+// Offset is the number of bytes read so far.
+func (r *Reader) Offset() int { return r.off }
+
+// Left is the number of bytes not yet read.
+func (r *Reader) Left() int { return len(r.buf) - r.off }
+
+// Byte reads one byte.
+func (r *Reader) Byte() (byte, error) {
+	if r.off >= len(r.buf) {
+		return 0, fmt.Errorf("unexpected end of buffer at offset %d", r.off)
+	}
+	b := r.buf[r.off]
+	r.off++
+	return b, nil
+}
+
+// Bool reads a 0/1 byte.
+func (r *Reader) Bool() (bool, error) {
+	b, err := r.Byte()
+	if err != nil {
+		return false, err
+	}
+	if b > 1 {
+		return false, fmt.Errorf("invalid bool byte 0x%02x at offset %d", b, r.off-1)
+	}
+	return b == 1, nil
+}
+
+// Uvarint reads an unsigned varint.
+func (r *Reader) Uvarint() (uint64, error) {
+	v, n := binary.Uvarint(r.buf[r.off:])
+	if n <= 0 {
+		return 0, fmt.Errorf("bad uvarint at offset %d", r.off)
+	}
+	r.off += n
+	return v, nil
+}
+
+// Varint reads a zigzag varint.
+func (r *Reader) Varint() (int64, error) {
+	v, n := binary.Varint(r.buf[r.off:])
+	if n <= 0 {
+		return 0, fmt.Errorf("bad varint at offset %d", r.off)
+	}
+	r.off += n
+	return v, nil
+}
+
+// Uint64 reads a little-endian 64-bit word.
+func (r *Reader) Uint64() (uint64, error) {
+	if r.Left() < 8 {
+		return 0, fmt.Errorf("truncated word at offset %d", r.off)
+	}
+	v := binary.LittleEndian.Uint64(r.buf[r.off:])
+	r.off += 8
+	return v, nil
+}
+
+// Float reads the little-endian IEEE-754 bits of a float64.
+func (r *Reader) Float() (float64, error) {
+	bits, err := r.Uint64()
+	return math.Float64frombits(bits), err
+}
+
+// Bytes reads the next n bytes, which alias the buffer.
+func (r *Reader) Bytes(n uint64) ([]byte, error) {
+	if n > uint64(r.Left()) {
+		return nil, fmt.Errorf("%d bytes at offset %d overrun the %d left", n, r.off, r.Left())
+	}
+	b := r.buf[r.off : r.off+int(n)]
+	r.off += int(n)
+	return b, nil
+}
+
+// Str reads a uvarint length and that many bytes as a string.
+func (r *Reader) Str() (string, error) {
+	n, err := r.Uvarint()
+	if err != nil {
+		return "", err
+	}
+	b, err := r.Bytes(n)
+	return string(b), err
+}
+
+// Value reads one value (AppendValue).
+func (r *Reader) Value() (Value, error) {
+	v, n, err := DecodeValue(r.buf[r.off:])
+	if err != nil {
+		return Value{}, fmt.Errorf("value at offset %d: %w", r.off, err)
+	}
+	r.off += n
+	return v, nil
+}
+
+// Values reads a count-prefixed tuple (AppendValues) into dst's storage,
+// which it reuses when the tuple fits.
+func (r *Reader) Values(dst []Value) ([]Value, error) {
+	count, err := r.Uvarint()
+	if err != nil {
+		return nil, err
 	}
 	// Each value needs at least its kind byte, so the count can never
-	// exceed the remaining buffer; reject before allocating.
-	if count > uint64(len(buf)-off) {
-		return nil, 0, fmt.Errorf("value codec: tuple of %d values exceeds %d remaining bytes", count, len(buf)-off)
+	// exceed the bytes left; reject before allocating.
+	if count > uint64(r.Left()) {
+		return nil, fmt.Errorf("tuple of %d values exceeds the %d bytes left at offset %d", count, r.Left(), r.off)
 	}
-	vals := make([]Value, count)
-	for i := range vals {
-		v, n, err := DecodeValue(buf[off:])
-		if err != nil {
-			return nil, 0, fmt.Errorf("value %d at offset %d: %w", i, off, err)
+	if uint64(cap(dst)) < count {
+		dst = make([]Value, count)
+	}
+	dst = dst[:count]
+	for i := range dst {
+		if dst[i], err = r.Value(); err != nil {
+			return nil, err
 		}
-		vals[i] = v
-		off += n
 	}
-	return vals, off, nil
+	return dst, nil
 }

@@ -114,73 +114,6 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// byteReader walks a payload buffer with bounds checks; every decode
-// error is a structured corruption error, never a panic.
-type byteReader struct {
-	buf []byte
-	off int
-}
-
-func (r *byteReader) err(format string, args ...any) error {
-	return &CorruptError{Detail: fmt.Sprintf(format, args...)}
-}
-
-func (r *byteReader) byte() (byte, error) {
-	if r.off >= len(r.buf) {
-		return 0, r.err("unexpected end of record at offset %d", r.off)
-	}
-	b := r.buf[r.off]
-	r.off++
-	return b, nil
-}
-
-func (r *byteReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		return 0, r.err("bad uvarint at offset %d", r.off)
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *byteReader) varint() (int64, error) {
-	v, n := binary.Varint(r.buf[r.off:])
-	if n <= 0 {
-		return 0, r.err("bad varint at offset %d", r.off)
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *byteReader) bytes(n uint64) ([]byte, error) {
-	if n > uint64(len(r.buf)-r.off) {
-		return nil, r.err("string of %d bytes overruns record (%d left)", n, len(r.buf)-r.off)
-	}
-	b := r.buf[r.off : r.off+int(n)]
-	r.off += int(n)
-	return b, nil
-}
-
-func (r *byteReader) string() (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	b, err := r.bytes(n)
-	return string(b), err
-}
-
-// value decodes one value with the sqltypes codec; a NULL of any kind
-// (bare NULL vs typed NULL included) round-trips exactly.
-func (r *byteReader) value() (sqltypes.Value, error) {
-	v, n, err := sqltypes.DecodeValue(r.buf[r.off:])
-	if err != nil {
-		return sqltypes.Value{}, r.err("value at offset %d: %v", r.off, err)
-	}
-	r.off += n
-	return v, nil
-}
-
 // encodePayload renders a record's payload (seq + type + body).
 func encodePayload(rec *Record) []byte {
 	b := make([]byte, 0, 64)
@@ -240,106 +173,114 @@ func DecodePayload(buf []byte) (*Record, error) {
 	if uint64(len(buf)) > MaxRecordBytes {
 		return nil, &CorruptError{Detail: fmt.Sprintf("payload of %d bytes exceeds cap", len(buf))}
 	}
-	r := &byteReader{buf: buf}
-	seq, err := r.uvarint()
+	rec, err := decodePayload(buf)
+	if err != nil {
+		return nil, &CorruptError{Detail: err.Error()}
+	}
+	return rec, nil
+}
+
+func decodePayload(buf []byte) (*Record, error) {
+	r := sqltypes.NewReader(buf)
+	seq, err := r.Uvarint()
 	if err != nil {
 		return nil, err
 	}
-	tb, err := r.byte()
+	tb, err := r.Byte()
 	if err != nil {
 		return nil, err
 	}
 	rec := &Record{Seq: seq, Type: RecordType(tb)}
 	switch rec.Type {
 	case RecCreateTable:
-		if rec.Name, err = r.string(); err != nil {
+		if rec.Name, err = r.Str(); err != nil {
 			return nil, err
 		}
-		orb, err := r.byte()
+		orb, err := r.Byte()
 		if err != nil {
 			return nil, err
 		}
 		rec.OrReplace = orb != 0
-		n, err := r.uvarint()
+		n, err := r.Uvarint()
 		if err != nil {
 			return nil, err
 		}
 		if n > uint64(len(buf)) { // each column costs ≥2 bytes
-			return nil, r.err("column count %d exceeds payload", n)
+			return nil, fmt.Errorf("column count %d exceeds payload", n)
 		}
 		rec.Cols = make([]string, n)
 		rec.Types = make([]sqltypes.Type, n)
 		for i := range rec.Cols {
-			if rec.Cols[i], err = r.string(); err != nil {
+			if rec.Cols[i], err = r.Str(); err != nil {
 				return nil, err
 			}
-			kb, err := r.byte()
+			kb, err := r.Byte()
 			if err != nil {
 				return nil, err
 			}
 			if sqltypes.Kind(kb) > sqltypes.KindDate {
-				return nil, r.err("unknown column kind %d", kb)
+				return nil, fmt.Errorf("unknown column kind %d", kb)
 			}
 			rec.Types[i] = sqltypes.Type{Kind: sqltypes.Kind(kb)}
 		}
 	case RecCreateView:
-		if rec.Name, err = r.string(); err != nil {
+		if rec.Name, err = r.Str(); err != nil {
 			return nil, err
 		}
-		orb, err := r.byte()
+		orb, err := r.Byte()
 		if err != nil {
 			return nil, err
 		}
 		rec.OrReplace = orb != 0
-		if rec.SQL, err = r.string(); err != nil {
+		if rec.SQL, err = r.Str(); err != nil {
 			return nil, err
 		}
 	case RecDrop:
-		if rec.Kind, err = r.string(); err != nil {
+		if rec.Kind, err = r.Str(); err != nil {
 			return nil, err
 		}
-		if rec.Name, err = r.string(); err != nil {
+		if rec.Name, err = r.Str(); err != nil {
 			return nil, err
 		}
 	case RecInsert:
-		if rec.Name, err = r.string(); err != nil {
+		if rec.Name, err = r.Str(); err != nil {
 			return nil, err
 		}
-		nrows, err := r.uvarint()
+		nrows, err := r.Uvarint()
 		if err != nil {
 			return nil, err
 		}
-		ncols, err := r.uvarint()
+		ncols, err := r.Uvarint()
 		if err != nil {
 			return nil, err
 		}
 		if nrows > maxDecodeRows || ncols > maxDecodeRows {
-			return nil, r.err("row/column count %d×%d exceeds cap", nrows, ncols)
+			return nil, fmt.Errorf("row/column count %d×%d exceeds cap", nrows, ncols)
 		}
 		// Every value costs at least one byte; reject impossible claims
 		// before allocating row storage.
-		if nrows*max(ncols, 1) > uint64(len(buf)-r.off) {
-			return nil, r.err("%d×%d values overrun %d remaining bytes", nrows, ncols, len(buf)-r.off)
+		if nrows*max(ncols, 1) > uint64(r.Left()) {
+			return nil, fmt.Errorf("%d×%d values overrun %d remaining bytes", nrows, ncols, r.Left())
 		}
 		rec.Rows = make([][]sqltypes.Value, nrows)
 		for i := range rec.Rows {
 			row := make([]sqltypes.Value, ncols)
 			for j := range row {
-				if row[j], err = r.value(); err != nil {
+				if row[j], err = r.Value(); err != nil {
 					return nil, err
 				}
 			}
 			rec.Rows[i] = row
 		}
 	case RecTruncate:
-		if rec.Name, err = r.string(); err != nil {
+		if rec.Name, err = r.Str(); err != nil {
 			return nil, err
 		}
 	default:
-		return nil, r.err("unknown record type %d", tb)
+		return nil, fmt.Errorf("unknown record type %d", tb)
 	}
-	if r.off != len(buf) {
-		return nil, r.err("%d trailing bytes after record body", len(buf)-r.off)
+	if r.Left() != 0 {
+		return nil, fmt.Errorf("%d trailing bytes after record body", r.Left())
 	}
 	return rec, nil
 }

@@ -205,8 +205,16 @@ func encodeSnapshot(dump *StoreDump, lastSeq uint64) []byte {
 // *CorruptError, never a panic; allocation is bounded by the input
 // length.
 func DecodeSnapshot(data []byte) (*StoreDump, uint64, error) {
+	dump, lastSeq, err := decodeSnapshot(data)
+	if err != nil {
+		return nil, 0, &CorruptError{File: snapName, Offset: -1, Detail: err.Error()}
+	}
+	return dump, lastSeq, nil
+}
+
+func decodeSnapshot(data []byte) (*StoreDump, uint64, error) {
 	fail := func(format string, args ...any) (*StoreDump, uint64, error) {
-		return nil, 0, &CorruptError{File: snapName, Offset: -1, Detail: fmt.Sprintf(format, args...)}
+		return nil, 0, fmt.Errorf(format, args...)
 	}
 	if len(data) < len(snapMagic)+4 {
 		return fail("file of %d bytes is too short", len(data))
@@ -219,17 +227,17 @@ func DecodeSnapshot(data []byte) (*StoreDump, uint64, error) {
 	if got := crc32.Checksum(payload, castagnoli); got != want {
 		return fail("checksum mismatch (got %08x, want %08x)", got, want)
 	}
-	r := &byteReader{buf: payload}
-	lastSeq, err := r.uvarint()
+	r := sqltypes.NewReader(payload)
+	lastSeq, err := r.Uvarint()
 	if err != nil {
 		return nil, 0, err
 	}
-	version, err := r.varint()
+	version, err := r.Varint()
 	if err != nil {
 		return nil, 0, err
 	}
 	dump := &StoreDump{Version: version}
-	ntables, err := r.uvarint()
+	ntables, err := r.Uvarint()
 	if err != nil {
 		return nil, 0, err
 	}
@@ -239,10 +247,10 @@ func DecodeSnapshot(data []byte) (*StoreDump, uint64, error) {
 	dump.Tables = make([]TableDump, 0, ntables)
 	for ti := uint64(0); ti < ntables; ti++ {
 		var t TableDump
-		if t.Name, err = r.string(); err != nil {
+		if t.Name, err = r.Str(); err != nil {
 			return nil, 0, err
 		}
-		ncols, err := r.uvarint()
+		ncols, err := r.Uvarint()
 		if err != nil {
 			return nil, 0, err
 		}
@@ -252,10 +260,10 @@ func DecodeSnapshot(data []byte) (*StoreDump, uint64, error) {
 		t.Cols = make([]string, ncols)
 		t.Types = make([]sqltypes.Type, ncols)
 		for j := range t.Cols {
-			if t.Cols[j], err = r.string(); err != nil {
+			if t.Cols[j], err = r.Str(); err != nil {
 				return nil, 0, err
 			}
-			kb, err := r.byte()
+			kb, err := r.Byte()
 			if err != nil {
 				return nil, 0, err
 			}
@@ -264,7 +272,7 @@ func DecodeSnapshot(data []byte) (*StoreDump, uint64, error) {
 			}
 			t.Types[j] = sqltypes.Type{Kind: sqltypes.Kind(kb)}
 		}
-		nrows, err := r.uvarint()
+		nrows, err := r.Uvarint()
 		if err != nil {
 			return nil, 0, err
 		}
@@ -272,14 +280,14 @@ func DecodeSnapshot(data []byte) (*StoreDump, uint64, error) {
 		// nrows*ncols can wrap uint64, slipping a huge allocation past the
 		// bound. Every value costs at least one encoded byte, so nrows must
 		// fit in remaining/ncols.
-		if nrows > uint64(len(payload)-r.off)/max(ncols, 1) {
-			return fail("%d×%d values overrun %d remaining bytes", nrows, ncols, len(payload)-r.off)
+		if nrows > uint64(r.Left())/max(ncols, 1) {
+			return fail("%d×%d values overrun %d remaining bytes", nrows, ncols, r.Left())
 		}
 		t.Rows = make([][]sqltypes.Value, nrows)
 		for i := range t.Rows {
 			row := make([]sqltypes.Value, ncols)
 			for j := range row {
-				if row[j], err = r.value(); err != nil {
+				if row[j], err = r.Value(); err != nil {
 					return nil, 0, err
 				}
 			}
@@ -287,7 +295,7 @@ func DecodeSnapshot(data []byte) (*StoreDump, uint64, error) {
 		}
 		dump.Tables = append(dump.Tables, t)
 	}
-	nviews, err := r.uvarint()
+	nviews, err := r.Uvarint()
 	if err != nil {
 		return nil, 0, err
 	}
@@ -297,16 +305,16 @@ func DecodeSnapshot(data []byte) (*StoreDump, uint64, error) {
 	dump.Views = make([]ViewDump, 0, nviews)
 	for i := uint64(0); i < nviews; i++ {
 		var v ViewDump
-		if v.Name, err = r.string(); err != nil {
+		if v.Name, err = r.Str(); err != nil {
 			return nil, 0, err
 		}
-		if v.SQL, err = r.string(); err != nil {
+		if v.SQL, err = r.Str(); err != nil {
 			return nil, 0, err
 		}
 		dump.Views = append(dump.Views, v)
 	}
-	if r.off != len(payload) {
-		return fail("%d trailing bytes after snapshot body", len(payload)-r.off)
+	if r.Left() != 0 {
+		return fail("%d trailing bytes after snapshot body", r.Left())
 	}
 	return dump, lastSeq, nil
 }

@@ -7,6 +7,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -56,18 +57,21 @@ func oracleStream(r *Result) []byte {
 	return b.Bytes()
 }
 
-// oraclePartial is a /partial reply as encoding/json framed it.
+// oraclePartial is a /partial reply as encoding/json framed it: the
+// frame built on its own, base64-encoded by encoding/json.
 func oraclePartial(version int64, groups []exec.PartialGroup) ([]byte, error) {
-	resp := PartialResponse{Version: version, Groups: make([]PartialGroup, len(groups))}
-	for i, g := range groups {
-		states, err := EncodeStates(g.States)
-		if err != nil {
-			return nil, err
+	frame := binary.AppendUvarint(nil, uint64(len(groups)))
+	for _, g := range groups {
+		frame = sqltypes.AppendValues(frame, g.Key)
+		for _, st := range g.States {
+			var err error
+			if frame, err = fn.AppendState(frame, st); err != nil {
+				return nil, err
+			}
 		}
-		resp.Groups[i] = PartialGroup{Key: EncodeKey(g.Key), States: states}
 	}
 	var b bytes.Buffer
-	json.NewEncoder(&b).Encode(resp)
+	json.NewEncoder(&b).Encode(PartialResponse{Version: version, Frame: frame})
 	return b.Bytes(), nil
 }
 

@@ -40,10 +40,10 @@ import (
 // Reply is the union of the statement endpoints' reply objects; each
 // caller reads the fields its endpoint sets.
 type Reply struct {
-	QueryResponse                // /query, /execute; Message and Error are every endpoint's
-	Version       int64          `json:"version"`    // /partial, /apply
-	Groups        []PartialGroup `json:"groups"`     // /partial
-	NumParams     int            `json:"num_params"` // /prepare
+	QueryResponse        // /query, /execute; Message and Error are every endpoint's
+	Version       int64  `json:"version"`    // /partial, /apply
+	Frame         string `json:"frame"`      // /partial: the base64 partial frame
+	NumParams     int    `json:"num_params"` // /prepare
 }
 
 // DecodeReply decodes the first JSON value of data into rep, as
@@ -276,11 +276,10 @@ func match(key []byte, names []string) int {
 }
 
 var (
-	replyFields  = []string{"columns", "types", "rows", "message", "error", "version", "groups", "num_params"}
+	replyFields  = []string{"columns", "types", "rows", "message", "error", "version", "frame", "num_params"}
 	headerFields = []string{"columns", "types"}
 	lineFields   = []string{"row", "done"}
 	errorFields  = []string{"code", "phase", "offset", "hint", "message", "request_id"}
-	groupFields  = []string{"key", "states"}
 )
 
 func (d *decoder) reply(rep *Reply) {
@@ -303,7 +302,7 @@ func (d *decoder) reply(rep *Reply) {
 		case 5:
 			setInt(d, &rep.Version)
 		case 6:
-			d.setGroups(&rep.Groups)
+			d.setString(&rep.Frame)
 		case 7:
 			setInt(d, &rep.NumParams)
 		default:
@@ -394,52 +393,6 @@ func (d *decoder) setError(p **Error) {
 			d.skip()
 		}
 	}
-}
-
-// setGroups decodes into the existing slice, element by element, as
-// encoding/json does: a repeated key merges into the groups an earlier
-// one stored.
-func (d *decoder) setGroups(p *[]PartialGroup) {
-	switch d.data[d.pos] {
-	case 'n':
-		d.literal("null")
-		*p = nil
-		return
-	case '[':
-	default:
-		d.typeError("[]wire.PartialGroup")
-		return
-	}
-	gs := *p
-	i := 0
-	for ; d.elem(i); i++ {
-		gs = extend(gs, i)
-		g := &gs[i]
-		switch d.data[d.pos] {
-		case 'n':
-			d.literal("null")
-			continue
-		case '{':
-		default:
-			d.typeError("wire.PartialGroup")
-			continue
-		}
-		for j := 0; ; j++ {
-			key, ok := d.member(j)
-			if !ok {
-				break
-			}
-			switch match(key, groupFields) {
-			case 0:
-				d.setString(&g.Key)
-			case 1:
-				d.setStrings(&g.States)
-			default:
-				d.skip()
-			}
-		}
-	}
-	*p = truncate(gs, i)
 }
 
 // extend makes s[i] addressable the way encoding/json does: within the

@@ -15,7 +15,6 @@ import (
 	"unicode/utf8"
 
 	"github.com/measures-sql/msql/internal/exec"
-	"github.com/measures-sql/msql/internal/fn"
 	"github.com/measures-sql/msql/internal/sqltypes"
 )
 
@@ -244,33 +243,19 @@ func appendString(dst []byte, s string) []byte {
 }
 
 // AppendPartial appends the body of a /partial reply: the catalog
-// version and, per group, its canonical key and one state per aggregate,
-// each base64-encoded as EncodeKey and EncodeStates do.
+// version and the frame of groups (exec.AppendFrame), base64-encoded
+// once. The frame is built in dst's spare room past the reply and
+// encoded back over itself, so a buffer with room allocates nothing.
 func AppendPartial(dst []byte, version int64, groups []exec.PartialGroup) ([]byte, error) {
 	dst = strconv.AppendInt(append(dst, `{"version":`...), version, 10)
-	if len(groups) > 0 {
-		dst = append(dst, `,"groups":[`...)
-		var scratch [256]byte
-		bin := scratch[:0]
-		for i, g := range groups {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			bin = sqltypes.AppendValues(bin[:0], g.Key)
-			dst = append(base64.StdEncoding.AppendEncode(append(dst, `{"key":"`...), bin), `","states":[`...)
-			for j, st := range g.States {
-				if j > 0 {
-					dst = append(dst, ',')
-				}
-				var err error
-				if bin, err = fn.AppendState(bin[:0], st); err != nil {
-					return dst, fmt.Errorf("aggregate %d: %w", j, err)
-				}
-				dst = append(base64.StdEncoding.AppendEncode(append(dst, '"'), bin), '"')
-			}
-			dst = append(dst, "]}"...)
-		}
-		dst = append(dst, ']')
+	dst = append(dst, `,"frame":"`...)
+	mark := len(dst)
+	dst, err := exec.AppendFrame(dst, groups)
+	if err != nil {
+		return dst[:mark], err
 	}
-	return append(dst, "}\n"...), nil
+	frame := dst[mark:]
+	dst = base64.StdEncoding.AppendEncode(dst, frame)
+	dst = dst[:mark+copy(dst[mark:], dst[mark+len(frame):])]
+	return append(dst, "\"}\n"...), nil
 }

@@ -40,9 +40,9 @@ type QueryRequest struct {
 }
 
 // PartialRequest is the body of POST /partial: run an aggregation
-// query's scan/filter/group phase and return serialized per-group
-// AggStates instead of final values, for a coordinator to Merge with
-// partials from other shards.
+// query's scan/filter/group phase and return its partial table — per
+// group the key values and serialized AggStates — instead of final
+// values, for a coordinator to merge with other shards' tables.
 type PartialRequest struct {
 	// SQL is a single aggregation SELECT. The server validates that its
 	// plan is a plain aggregate (no DISTINCT aggregates, no GROUPING
@@ -64,23 +64,15 @@ type PartialRequest struct {
 	RequestID     string `json:"request_id,omitempty"`
 }
 
-// PartialGroup is one group's worth of partial aggregate state.
-type PartialGroup struct {
-	// Key is the base64 binary encoding (sqltypes.AppendValues) of the
-	// group's GROUP BY values; canonical, so coordinators merge groups by
-	// comparing keys byte-wise.
-	Key string `json:"key"`
-	// States holds one base64 fn.EncodeState blob per aggregate, in
-	// select-list order.
-	States []string `json:"states"`
-}
-
 // PartialResponse is the body of a POST /partial reply.
 type PartialResponse struct {
 	// Version is the catalog version the query ran at.
-	Version int64          `json:"version"`
-	Groups  []PartialGroup `json:"groups,omitempty"`
-	Error   *Error         `json:"error,omitempty"`
+	Version int64 `json:"version"`
+	// Frame is the shard's whole partial table (exec.AppendFrame): its
+	// groups in first-row order, each its key values and one state per
+	// aggregate. encoding/json carries it as base64.
+	Frame []byte `json:"frame,omitempty"`
+	Error *Error `json:"error,omitempty"`
 }
 
 // ApplyRequest is the body of POST /apply: one replicated mutation —

@@ -6,8 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/measures-sql/msql/internal/exec"
+	"github.com/measures-sql/msql/internal/fn"
 	"github.com/measures-sql/msql/internal/sqltypes"
-	"github.com/measures-sql/msql/internal/wire"
 	"github.com/measures-sql/msql/msql"
 )
 
@@ -90,17 +91,33 @@ func TestArgExtremeSkipsNullOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Through the frame a shard sends: a group count, then each
+		// group's key values and its two states.
+		frame, err := exec.AppendFrame(nil, res.Groups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := sqltypes.NewReader(frame)
+		n, err := r.Uvarint()
+		if err != nil {
+			t.Fatal(err)
+		}
 		var got []string
-		for _, g := range res.Groups {
-			enc, err := wire.EncodeStates(g.States)
+		for ; n > 0; n-- {
+			key, err := r.Values(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			states, err := wire.DecodeStates(enc)
-			if err != nil {
-				t.Fatal(err)
+			var states [2]fn.AggState
+			for i := range states {
+				if states[i], err = fn.ReadState(&r, nil); err != nil {
+					t.Fatal(err)
+				}
 			}
-			got = append(got, fmt.Sprintf("%s %s %s", g.Key[0], states[0].Result(), states[1].Result()))
+			got = append(got, fmt.Sprintf("%s %s %s", key[0], states[0].Result(), states[1].Result()))
+		}
+		if r.Left() != 0 {
+			t.Fatalf("%d bytes after the last group", r.Left())
 		}
 		// Groups come in order of first appearance.
 		if g, w := strings.Join(got, "|"), "a a4 a5|b NULL NULL|c c2 c2|z z1500 z1500"; g != w {

@@ -14,6 +14,7 @@ package client
 
 import (
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -24,20 +25,15 @@ import (
 	"github.com/measures-sql/msql/internal/wire"
 )
 
-// Partials is one shard's partial-aggregation answer: per-group keys
-// and aggregate states, still in their canonical base64 wire form (the
-// coordinator merges keys byte-wise and decodes states lazily).
+// Partials is one shard's partial-aggregation answer: its whole partial
+// table as one frame (exec.AppendFrame) — the groups in first-row order,
+// each its key values and one state per aggregate — decoded from the
+// reply's base64 but not parsed: the coordinator's merge
+// (exec.MergePartials) reads it straight into its grouping table.
 type Partials struct {
 	// Version is the shard's catalog version the query ran at.
 	Version int64
-	Groups  []PartialGroup
-}
-
-// PartialGroup mirrors the wire shape: a canonical base64 group key
-// and one base64 aggregate state per call.
-type PartialGroup struct {
-	Key    string
-	States []string
+	Frame   []byte
 }
 
 // CatalogInfo is a shard's identity and catalog state.
@@ -62,7 +58,7 @@ func (e *VersionMismatchError) Error() string {
 
 // Partial runs an aggregation query's scan/filter/group phase on the
 // server, with params as the values of its placeholders, and returns
-// serialized per-group partial states. It retries transient failures
+// the shard's partial table as one frame. It retries transient failures
 // like an idempotent Query; a catalog-version miss surfaces as
 // *VersionMismatchError.
 func (c *Client) Partial(ctx context.Context, sql string, params []Param, groups, aggs int, expectVersion int64, opts ...QueryOption) (*Partials, error) {
@@ -81,11 +77,11 @@ func (c *Client) Partial(ctx context.Context, sql string, params []Param, groups
 	if err != nil {
 		return nil, err
 	}
-	out := &Partials{Version: rep.Version, Groups: make([]PartialGroup, len(rep.Groups))}
-	for i, g := range rep.Groups {
-		out.Groups[i] = PartialGroup{Key: g.Key, States: g.States}
+	frame, err := base64.StdEncoding.DecodeString(rep.Frame)
+	if err != nil {
+		return nil, fmt.Errorf("partial frame: %w", err)
 	}
-	return out, nil
+	return &Partials{Version: rep.Version, Frame: frame}, nil
 }
 
 // ApplyDDL applies one DDL/DML statement under the catalog-version CAS:

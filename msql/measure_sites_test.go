@@ -240,3 +240,37 @@ func sortedRows(res *msql.Result) string {
 	sort.Strings(lines)
 	return strings.Join(lines, " | ")
 }
+
+// TestAliasedGroupKeyKeepsItsDimension: a group key that is a bare
+// column keeps the column's name as its dimension when the select list
+// aliases it, and the alias names it too. ALL and SET by either name
+// reach the key's term, however the key is written: by position, by the
+// alias or by the column. Each answer is the unaliased query's: 25 and
+// 17 on every row.
+func TestAliasedGroupKeyKeepsItsDimension(t *testing.T) {
+	const want = "Acme 25 17 | Happy 25 17 | Whizz 25 17"
+	const q = `SELECT prodName%s, sumRevenue AT (ALL %s) AS r, sumRevenue AT (SET %s = 'Happy') AS h
+ FROM OrdersWithRevenue GROUP BY %s`
+	for _, st := range siteStrategies {
+		db := open(t)
+		db.SetStrategy(st.s)
+		for _, c := range []struct{ alias, dim, key string }{
+			{"", "prodName", "prodName"},
+			{" AS p", "prodName", "1"},
+			{" AS p", "prodName", "p"},
+			{" AS p", "prodName", "prodName"},
+			{" AS p", "p", "1"},
+			{" AS p", "p", "p"},
+			{" AS p", "p", "prodName"},
+		} {
+			sql := fmt.Sprintf(q, c.alias, c.dim, c.dim, c.key)
+			res, err := db.Query(sql)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", st.name, sql, err)
+			}
+			if got := sortedRows(res); got != want {
+				t.Errorf("%s, %s:\ngot  %s\nwant %s", st.name, sql, got, want)
+			}
+		}
+	}
+}
