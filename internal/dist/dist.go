@@ -9,17 +9,24 @@
 //   - local: queries touching no sharded table run on the coordinator's
 //     own session (msql_stats.* introspection, constants).
 //   - routed: a query whose WHERE pins the partition column to a literal
-//     runs whole on the one shard that owns that partition.
+//     runs whole on the one shard that owns that partition, which
+//     answers with its rows.
 //   - scatter: a mergeable aggregation is rewritten (ORDER BY/LIMIT
 //     stripped, a MIN(__mseq) bookkeeping aggregate appended) and pushed
 //     to every shard; the per-shard partial states merge exactly on the
 //     coordinator, which then finishes the original plan locally.
 //     Only aggregates whose two-phase merge is provably exact are
 //     scattered — everything else falls through.
-//   - gather: any other query fetches the sharded tables' rows, rebuilds
-//     them in global insertion order in a scratch session, and runs the
-//     original statement there. Slow but always available and always
-//     exact.
+//   - gather: any other query reads the sharded tables' rows from every
+//     shard, orders them by global insertion sequence, and runs the
+//     coordinator's own plan of the statement over them in place of its
+//     (empty) local tables. Slow but always available and always exact.
+//
+// Rows (routed, gather) and partial tables (scatter) cross from a shard
+// as one binary frame in reply to the same shard read — the statement's
+// shape, its parameters and the catalog version it was planned at — so
+// every value keeps its kind exactly and every shape plans once per
+// shard.
 //
 // The robustness contract: every query either returns a complete
 // result, transparently retries/hedges/fails over to finish anyway, or
@@ -157,12 +164,11 @@ type Coordinator struct {
 	// shard sees them.
 	shadow *msql.DB
 
-	// catalog state. mu guards tables/ddl/seq; mutations additionally
+	// catalog state. mu guards tables/seq; mutations additionally
 	// serialize on mutMu for the whole broadcast.
 	mu     sync.Mutex
 	mutMu  sync.Mutex
 	tables map[string]*tableMeta // key: lower(name)
-	ddl    []string              // original-form DDL replay log (scratch sessions)
 	seq    int64                 // next global __mseq
 
 	reqSeq  atomic.Int64
@@ -259,14 +265,6 @@ func (c *Coordinator) meta(name string) (*tableMeta, bool) {
 	defer c.mu.Unlock()
 	t, ok := c.tables[lower(name)]
 	return t, ok
-}
-
-func (c *Coordinator) ddlSnapshot() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, len(c.ddl))
-	copy(out, c.ddl)
-	return out
 }
 
 // latRing records recent call latencies for the p99 hedge delay.

@@ -22,6 +22,7 @@ import (
 	"github.com/measures-sql/msql/internal/exec"
 	"github.com/measures-sql/msql/internal/paperdata"
 	"github.com/measures-sql/msql/internal/server"
+	"github.com/measures-sql/msql/internal/sqltypes"
 	"github.com/measures-sql/msql/msql"
 	"github.com/measures-sql/msql/msql/client"
 )
@@ -235,6 +236,21 @@ func TestDifferentialAgainstSingleNode(t *testing.T) {
 				queryBoth(t, coord, oracle, q)
 			}
 		})
+	}
+}
+
+// TestNonFiniteDoubleCrossesFromShards: a DOUBLE holding +Inf crosses
+// from the shards as it is stored. Gathered statements whose answers
+// hold no +Inf answer as a single node does, and so does a routed
+// statement whose answer holds it.
+func TestNonFiniteDoubleCrossesFromShards(t *testing.T) {
+	coord, oracle, _ := cluster(t, 2)
+	execBoth(t, coord, oracle, `CREATE TABLE T (k INTEGER, x DOUBLE); INSERT INTO T VALUES (1, 1e308 * 10), (2, 1.5), (3, 2.5)`)
+	queryBoth(t, coord, oracle, `SELECT DISTINCT k FROM T ORDER BY k`)
+	queryBoth(t, coord, oracle, `SELECT k, AVG(x) AS a FROM T WHERE k > 1 GROUP BY k ORDER BY k`)
+	got := queryBoth(t, coord, oracle, `SELECT k, x FROM T WHERE k = 1`)
+	if x := got.Rows[0][1]; x.K != sqltypes.KindFloat || !math.IsInf(x.F(), 1) {
+		t.Fatalf("routed +Inf answered %v", x)
 	}
 }
 

@@ -26,7 +26,7 @@ import (
 )
 
 // seqCol is the hidden ordering column appended to every sharded
-// table: a global insertion sequence that lets the coordinator rebuild
+// table: a global insertion sequence that lets the coordinator order
 // (or merge) rows in exactly the order a single node would have seen
 // them, which is what makes gathered and scattered results bit-
 // identical to the single-node oracle.
@@ -114,7 +114,6 @@ func (c *Coordinator) execCreateTable(ctx context.Context, s *ast.CreateTable, r
 
 	c.mu.Lock()
 	c.tables[lower(s.Name)] = meta
-	c.ddl = append(c.ddl, localSQL)
 	c.mu.Unlock()
 	return res, c.broadcast(ctx, mutation{sql: shardSQL}, reqID)
 }
@@ -139,9 +138,6 @@ func (c *Coordinator) execSchemaChange(ctx context.Context, stmt ast.Statement, 
 		delete(c.tables, lower(d.Name))
 		c.mu.Unlock()
 	}
-	c.mu.Lock()
-	c.ddl = append(c.ddl, sql)
-	c.mu.Unlock()
 	return res, c.broadcast(ctx, mutation{sql: sql}, reqID)
 }
 

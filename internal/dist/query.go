@@ -7,15 +7,17 @@ package dist
 // whose states merge exactly however the shards interleave a group's
 // rows, in the executor's own grouping table, ordering per-group
 // partials by the global insertion sequence so group output order and
-// key values match the oracle; and the gather fallback rebuilds the
-// tables in insertion order and runs the original statement unchanged.
+// key values match the oracle; and the gather fallback reads the
+// tables' rows in insertion order and runs the coordinator's own plan
+// of the statement over them. Rows and partial tables cross from a
+// shard as one binary frame, so every value keeps its kind exactly.
 
 import (
+	"cmp"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -101,7 +103,8 @@ func (c *Coordinator) MustExec(sql string) {
 // could give values — it is planned as its shape (ast.Lift), its WHERE
 // literals the shape's parameters, and the local plan comes from the
 // plan cache under the shape's text, so statements of one shape plan
-// once. The routed, local and gather paths run the literal text.
+// once, on the coordinator and on every shard. Only the local path runs
+// the literal text.
 func (c *Coordinator) query(ctx context.Context, q *ast.Query, liftable bool, reqID string) (*msql.Result, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.QueryTimeout)
 	defer cancel()
@@ -136,23 +139,17 @@ func (c *Coordinator) query(ctx context.Context, q *ast.Query, liftable bool, re
 	if err != nil {
 		return nil, err
 	}
-	literal := func() string {
-		if st.params == nil {
-			return st.sql
-		}
-		return ast.FormatQuery(q)
-	}
-	sharded := c.scanShardTables(node)
+	sharded := c.shardSources(node)
 	if len(sharded) == 0 {
-		return c.local.QueryContext(ctx, literal())
+		return c.local.QueryContext(ctx, ast.FormatQuery(q))
 	}
 	if idx, ok := c.routeSingle(q); ok {
-		return c.routed(ctx, idx, literal(), reqID)
+		return c.routed(ctx, idx, st, node, reqID)
 	}
 	if res, handled, err := c.scatter(ctx, st, node, reqID); handled {
 		return res, err
 	}
-	return c.gather(ctx, literal(), sharded, reqID)
+	return c.gather(ctx, st, node, sharded, reqID)
 }
 
 // shape is a query as it is planned: its shape (ast.Lift) with the
@@ -164,16 +161,25 @@ type shape struct {
 	params []msql.Value
 }
 
-// scanShardTables collects the sharded tables the plan scans, looking
-// through view expansions and subquery plans.
-func (c *Coordinator) scanShardTables(node plan.Node) map[string]*tableMeta {
-	out := map[string]*tableMeta{}
+// shardSources maps every source of a sharded table the plan reads —
+// by a Scan or through a context link, looking through view expansions
+// and subquery plans — to the table's record.
+func (c *Coordinator) shardSources(node plan.Node) map[plan.RowSource]*tableMeta {
+	out := map[plan.RowSource]*tableMeta{}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	add := func(src plan.RowSource) {
+		if meta, ok := c.tables[lower(src.Name())]; ok {
+			out[src] = meta
+		}
+	}
 	plan.Walk(node, func(n plan.Node) {
-		if sc, ok := n.(*plan.Scan); ok {
-			if meta, ok := c.tables[lower(sc.Source.Name())]; ok {
-				out[lower(meta.name)] = meta
+		switch n := n.(type) {
+		case *plan.Scan:
+			add(n.Source)
+		case *plan.LinkRead:
+			if n.Link.Table != nil {
+				add(n.Link.Table)
 			}
 		}
 	})
@@ -326,41 +332,64 @@ func mentionsCol(e ast.Expr, col string) bool {
 	return found
 }
 
-// routed executes sql whole on shard idx.
-func (c *Coordinator) routed(ctx context.Context, idx int, sql, reqID string) (*msql.Result, error) {
-	sh := c.shards[idx]
-	res, err := callShard(ctx, c, sh, "route", reqID, func(cctx context.Context, ep *endpoint) (*client.Result, error) {
-		return c.shardQuery(cctx, sh, ep, sql, reqID)
-	})
+// routed runs st whole on shard idx; node, the statement's local plan,
+// names and types the columns.
+func (c *Coordinator) routed(ctx context.Context, idx int, st shape, node plan.Node, reqID string) (*msql.Result, error) {
+	rows, err := c.readRows(ctx, idx, "route", st.sql, wire.EncodeParams(st.params), reqID)
 	if err != nil {
 		return nil, c.shardFailure(ctx, map[int]error{idx: err})
 	}
-	return decodeClientResult(res)
+	return planResult(node, rows), nil
 }
 
-// shardQuery runs a full query on one endpoint at its expected catalog
-// version, syncing first and repairing once on a version mismatch.
-func (c *Coordinator) shardQuery(ctx context.Context, sh *shard, ep *endpoint, sql, reqID string) (*client.Result, error) {
-	if err := c.ensureSynced(ctx, sh, ep, reqID); err != nil {
+// readRows runs sql, whose placeholders take params, on shard idx
+// (/rows) under the failure envelope, name labelling its span. A frame
+// that does not decode is the endpoint's fault, as an undecodable reply
+// is.
+func (c *Coordinator) readRows(ctx context.Context, idx int, name, sql string, params []client.Param, reqID string) ([][]msql.Value, error) {
+	sh := c.shards[idx]
+	return callShard(ctx, c, sh, name, reqID, func(cctx context.Context, ep *endpoint) ([][]msql.Value, error) {
+		f, err := c.shardRead(cctx, sh, ep, "/rows", wire.ReadRequest{SQL: sql, Params: params, RequestID: reqID})
+		if err != nil {
+			return nil, err
+		}
+		return wire.DecodeRowsFrame(f.Frame)
+	})
+}
+
+// shardRead sends one shard read (client.Read) to ep at the catalog
+// version ep should be at, with what is left of ctx's deadline as its
+// timeout, syncing ep's log cursor first and repairing once on a
+// version mismatch.
+func (c *Coordinator) shardRead(ctx context.Context, sh *shard, ep *endpoint, path string, req wire.ReadRequest) (*client.Frame, error) {
+	if err := c.ensureSynced(ctx, sh, ep, req.RequestID); err != nil {
 		return nil, err
 	}
-	run := func() (*client.Result, error) {
-		opts := []client.QueryOption{
-			client.WithIdempotent(), client.WithRawNumbers(),
-			client.WithRequestID(reqID), client.WithExpectCatalogVersion(ep.version()),
-		}
+	run := func() (*client.Frame, error) {
+		req.ExpectVersion = ep.version()
 		if d, ok := ctx.Deadline(); ok {
-			opts = append(opts, client.WithTimeout(time.Until(d)))
+			req.TimeoutMillis = int64(time.Until(d) / time.Millisecond)
 		}
-		return ep.cli.Query(ctx, sql, opts...)
+		return ep.cli.Read(ctx, path, req)
 	}
-	res, err := run()
-	if err != nil && strings.Contains(err.Error(), "catalog version mismatch") {
-		if serr := c.rewindAndSync(ctx, sh, ep, reqID); serr == nil {
-			res, err = run()
+	f, err := run()
+	if vm := (*client.VersionMismatchError)(nil); errorsAs(err, &vm) {
+		if serr := c.rewindAndSync(ctx, sh, ep, req.RequestID); serr == nil {
+			f, err = run()
 		}
 	}
-	return res, asStatementError(err)
+	return f, asStatementError(err)
+}
+
+// planResult is rows as the answer of node: its output columns' names
+// and types.
+func planResult(node plan.Node, rows [][]msql.Value) *msql.Result {
+	sch := node.Schema()
+	types := make([]sqltypes.Type, len(sch.Cols))
+	for i, col := range sch.Cols {
+		types[i] = col.Typ
+	}
+	return &msql.Result{Columns: sch.ColNames(), Types: types, Rows: rows}
 }
 
 // shardFailure classifies a set of per-shard failures: a context
@@ -498,8 +527,9 @@ func (c *Coordinator) scatterRun(ctx context.Context, params []msql.Value, shard
 		wg.Add(1)
 		go func(i int, sh *shard) {
 			defer wg.Done()
-			p, err := callShard(ctx, c, sh, "partial", reqID, func(cctx context.Context, ep *endpoint) (*client.Partials, error) {
-				return c.shardPartial(cctx, sh, ep, shardSQL, wireParams, groupCount, aggCount+1, reqID)
+			p, err := callShard(ctx, c, sh, "partial", reqID, func(cctx context.Context, ep *endpoint) (*client.Frame, error) {
+				return c.shardRead(cctx, sh, ep, "/partial", wire.ReadRequest{
+					SQL: shardSQL, Params: wireParams, Groups: groupCount, Aggs: aggCount + 1, RequestID: reqID})
 			})
 			if err != nil {
 				errs[i] = err
@@ -525,56 +555,28 @@ func (c *Coordinator) scatterRun(ctx context.Context, params []msql.Value, shard
 	if err != nil {
 		return nil, err
 	}
-	sch := localPlan.Schema()
-	types := make([]sqltypes.Type, len(sch.Cols))
-	for i, col := range sch.Cols {
-		types[i] = col.Typ
-	}
-	return &msql.Result{Columns: sch.ColNames(), Types: types, Rows: rows}, nil
-}
-
-// shardPartial runs the partial-aggregation call on one endpoint,
-// syncing its log cursor first and repairing once on version mismatch.
-func (c *Coordinator) shardPartial(ctx context.Context, sh *shard, ep *endpoint, shardSQL string, params []client.Param, groups, aggs int, reqID string) (*client.Partials, error) {
-	if err := c.ensureSynced(ctx, sh, ep, reqID); err != nil {
-		return nil, err
-	}
-	run := func() (*client.Partials, error) {
-		opts := []client.QueryOption{client.WithRequestID(reqID)}
-		if d, ok := ctx.Deadline(); ok {
-			opts = append(opts, client.WithTimeout(time.Until(d)))
-		}
-		return ep.cli.Partial(ctx, shardSQL, params, groups, aggs, ep.version(), opts...)
-	}
-	p, err := run()
-	if vm := (*client.VersionMismatchError)(nil); errorsAs(err, &vm) {
-		if serr := c.rewindAndSync(ctx, sh, ep, reqID); serr == nil {
-			p, err = run()
-		}
-	}
-	return p, asStatementError(err)
+	return planResult(localPlan, rows), nil
 }
 
 // ---------------------------------------------------------------------------
 // Gather execution (fallback)
 
-// gather fetches every referenced sharded table's rows from every
-// shard, rebuilds them in global insertion order in a scratch session,
-// and runs the original query there. It is the always-correct fallback
-// for any query shape.
-func (c *Coordinator) gather(ctx context.Context, sql string, sharded map[string]*tableMeta, reqID string) (*msql.Result, error) {
-	ddl := c.ddlSnapshot()
-
+// gather answers a statement the shards cannot split, the
+// always-correct fallback for any query shape: it reads the rows of
+// every sharded table node reads from every shard (/rows), orders each
+// table's rows by the global insertion sequence — a single node's order
+// — and runs node, with st's parameters, over them (exec.RunGathered).
+func (c *Coordinator) gather(ctx context.Context, st shape, node plan.Node, sharded map[plan.RowSource]*tableMeta, reqID string) (*msql.Result, error) {
 	type fetch struct {
-		meta *tableMeta
+		src  plan.RowSource
 		idx  int
-		rows [][]sqltypes.Value
+		rows [][]msql.Value
 		err  error
 	}
 	var jobs []*fetch
-	for _, meta := range sharded {
+	for src := range sharded {
 		for i := range c.shards {
-			jobs = append(jobs, &fetch{meta: meta, idx: i})
+			jobs = append(jobs, &fetch{src: src, idx: i})
 		}
 	}
 	var wg sync.WaitGroup
@@ -582,28 +584,11 @@ func (c *Coordinator) gather(ctx context.Context, sql string, sharded map[string
 		wg.Add(1)
 		go func(j *fetch) {
 			defer wg.Done()
-			sh := c.shards[j.idx]
 			fetchSQL := ast.FormatQuery(&ast.Query{Body: &ast.Select{
 				Items: []ast.SelectItem{{Star: true}},
-				From:  &ast.TableName{Name: j.meta.name},
+				From:  &ast.TableName{Name: sharded[j.src].name},
 			}})
-			res, err := callShard(ctx, c, sh, "gather", reqID, func(cctx context.Context, ep *endpoint) (*client.Result, error) {
-				return c.shardQuery(cctx, sh, ep, fetchSQL, reqID)
-			})
-			if err != nil {
-				j.err = err
-				return
-			}
-			if len(res.Columns) == 0 || res.Columns[len(res.Columns)-1] != seqCol {
-				j.err = fmt.Errorf("shard %d table %s: missing %s ordering column", j.idx, j.meta.name, seqCol)
-				return
-			}
-			dec, err := decodeClientResult(res)
-			if err != nil {
-				j.err = err
-				return
-			}
-			j.rows = dec.Rows
+			j.rows, j.err = c.readRows(ctx, j.idx, "gather", fetchSQL, nil, reqID)
 		}(j)
 	}
 	wg.Wait()
@@ -617,119 +602,31 @@ func (c *Coordinator) gather(ctx context.Context, sql string, sharded map[string
 		return nil, c.shardFailure(ctx, failed)
 	}
 
-	scratch := msql.Open()
-	defer scratch.Close()
-	for _, stmt := range ddl {
-		if _, err := runOne(ctx, scratch, stmt); err != nil {
-			return nil, exec.Wrap(fmt.Errorf("rebuilding schema: %w", err), exec.CodeRuntime, exec.PhaseExecute)
-		}
-	}
-	byTable := map[string][][]sqltypes.Value{}
+	tables := make(map[plan.RowSource][]exec.Row, len(sharded))
 	for _, j := range jobs {
-		key := lower(j.meta.name)
-		byTable[key] = append(byTable[key], j.rows...)
+		tables[j.src] = append(tables[j.src], j.rows...)
 	}
-	for _, meta := range sharded {
-		rows := byTable[lower(meta.name)]
-		// Global insertion order: the hidden sequence travels as the
-		// last column.
-		sort.SliceStable(rows, func(i, j int) bool {
-			return rows[i][len(rows[i])-1].I < rows[j][len(rows[j])-1].I
-		})
-		stripped := make([][]sqltypes.Value, len(rows))
+	for src, rows := range tables {
+		// The hidden sequence travels as the last column.
+		seq := len(src.ColNames())
+		for _, r := range rows {
+			if len(r) != seq+1 || r[seq].Null || r[seq].K != sqltypes.KindInt {
+				return nil, exec.Wrap(fmt.Errorf("table %s: a shard row lacks its %s ordering column", src.Name(), seqCol), exec.CodeRuntime, exec.PhaseExecute)
+			}
+		}
+		slices.SortFunc(rows, func(a, b []msql.Value) int { return cmp.Compare(a[seq].I, b[seq].I) })
 		for i, r := range rows {
-			stripped[i] = r[:len(r)-1]
-		}
-		if err := scratch.InsertRows(meta.name, stripped); err != nil {
-			return nil, err
+			rows[i] = r[:seq:seq]
 		}
 	}
-	return scratch.QueryContext(ctx, sql)
+	settings := exec.DefaultSettings()
+	settings.Params = st.params
+	rows, err := exec.RunGathered(ctx, node, tables, settings)
+	if err != nil {
+		return nil, err
+	}
+	return planResult(node, rows), nil
 }
-
-// ---------------------------------------------------------------------------
-// Wire decoding
-
-// decodeClientResult converts a wire result (decoded with UseNumber)
-// back to typed values, preserving 64-bit integers exactly.
-func decodeClientResult(res *client.Result) (*msql.Result, error) {
-	types := make([]sqltypes.Type, len(res.Types))
-	for i, name := range res.Types {
-		t, err := parseTypeName(name)
-		if err != nil {
-			return nil, err
-		}
-		types[i] = t
-	}
-	rows := make([][]sqltypes.Value, len(res.Rows))
-	for r, in := range res.Rows {
-		if len(in) != len(types) {
-			return nil, fmt.Errorf("row %d has %d values, want %d", r, len(in), len(types))
-		}
-		row := make([]sqltypes.Value, len(in))
-		for i, v := range in {
-			sv, err := decodeWireValue(v, types[i].Kind)
-			if err != nil {
-				return nil, fmt.Errorf("row %d column %s: %w", r, res.Columns[i], err)
-			}
-			row[i] = sv
-		}
-		rows[r] = row
-	}
-	return &msql.Result{Columns: res.Columns, Types: types, Rows: rows, Message: res.Message}, nil
-}
-
-func parseTypeName(name string) (sqltypes.Type, error) {
-	base, measure := strings.CutSuffix(name, " MEASURE")
-	k := sqltypes.KindFromName(base)
-	if k == sqltypes.KindUnknown && !strings.EqualFold(base, "UNKNOWN") {
-		return sqltypes.Type{}, fmt.Errorf("unknown wire type %q", name)
-	}
-	return sqltypes.Type{Kind: k, Measure: measure}, nil
-}
-
-func decodeWireValue(v any, kind sqltypes.Kind) (sqltypes.Value, error) {
-	if v == nil {
-		return sqltypes.Null(kind), nil
-	}
-	switch x := v.(type) {
-	case bool:
-		return sqltypes.NewBool(x), nil
-	case json.Number:
-		switch kind {
-		case sqltypes.KindFloat:
-			f, err := x.Float64()
-			if err != nil {
-				return sqltypes.Value{}, err
-			}
-			return sqltypes.NewFloat(f), nil
-		default:
-			if i, err := x.Int64(); err == nil {
-				return sqltypes.NewInt(i), nil
-			}
-			f, err := x.Float64()
-			if err != nil {
-				return sqltypes.Value{}, err
-			}
-			return sqltypes.NewFloat(f), nil
-		}
-	case string:
-		if kind == sqltypes.KindDate {
-			return sqltypes.ParseDate(x)
-		}
-		return sqltypes.NewString(x), nil
-	case float64:
-		// Only reachable without UseNumber; kept for safety.
-		if kind == sqltypes.KindInt && f64IsInt(x) {
-			return sqltypes.NewInt(int64(x)), nil
-		}
-		return sqltypes.NewFloat(x), nil
-	default:
-		return sqltypes.Value{}, fmt.Errorf("unsupported wire value %T", v)
-	}
-}
-
-func f64IsInt(f float64) bool { return f == float64(int64(f)) }
 
 // errorsAs is a typed wrapper over errors.As.
 func errorsAs[T error](err error, target *T) bool {

@@ -190,6 +190,58 @@ INSERT INTO T VALUES (2, TRUE, 'b'), (7, FALSE, 'c'), (1, TRUE, 'z'), (4, NULL, 
 	check(before)
 }
 
+// TestRoutedAndGatheredPlanOncePerShape: statements of one routed shape
+// with other literals are planned once by the shard that answers them,
+// as scatter's are, and every later one is a plan cache hit. A gathered
+// shape is planned once by the coordinator, which runs its own plan
+// over the shards' rows; the shards plan only the read of the table.
+func TestRoutedAndGatheredPlanOncePerShape(t *testing.T) {
+	const k = 5
+	coord, oracle, nodes := cluster(t, 2)
+	execBoth(t, coord, oracle, literalSchema)
+	caches := func() []msql.PlanCacheCounters {
+		out := []msql.PlanCacheCounters{coord.Local().PlanCacheStats()}
+		for _, n := range nodes {
+			out = append(out, n.db.PlanCacheStats())
+		}
+		return out
+	}
+	run := func(shape string) (local, shards []msql.PlanCacheCounters) {
+		t.Helper()
+		before := caches()
+		for j := 0; j < k; j++ {
+			queryBoth(t, coord, oracle, fmt.Sprintf(shape, j))
+		}
+		after := caches()
+		for i := range after {
+			after[i].Hits -= before[i].Hits
+			after[i].Misses -= before[i].Misses
+		}
+		return after[:1], after[1:]
+	}
+	once := func(what string, c msql.PlanCacheCounters) {
+		t.Helper()
+		if c.Misses != 1 || c.Hits != k-1 {
+			t.Fatalf("%s: %d misses and %d hits over %d statements of one shape, want 1 and %d", what, c.Misses, c.Hits, k, k-1)
+		}
+	}
+
+	local, shards := run(`SELECT g, i, s FROM T WHERE p = 'p2' AND k > %d ORDER BY g, i`)
+	once("routed, local", local[0])
+	var answered msql.PlanCacheCounters
+	for _, c := range shards {
+		answered.Hits += c.Hits
+		answered.Misses += c.Misses
+	}
+	once("routed, shards", answered)
+
+	local, shards = run(`SELECT g, AVG(d) AS a FROM T WHERE k > %d GROUP BY g ORDER BY g`)
+	once("gathered, local", local[0])
+	for i, c := range shards {
+		once(fmt.Sprintf("gathered, shard %d", i), c)
+	}
+}
+
 // TestShardStatementErrorIsTheStatementsAnswer: a statement a shard
 // rejects in its own words (here a RUNTIME overflow) is the statement's
 // error with that code, as on a single node, and not an outage: no

@@ -1,9 +1,9 @@
 // Shard-facing session surface: the engine entry points msqld exposes
 // when it serves as one shard of a distributed topology. A coordinator
-// (internal/dist) drives these through the /partial and /apply wire
-// endpoints; they run inside the same withStmtEnv guard rail as every
-// other statement, so KILL, timeouts, metrics, statement stats, and the
-// slow-query log all see shard traffic.
+// (internal/dist) drives these through the /partial, /rows and /apply
+// wire endpoints; they run inside the same withStmtEnv guard rail as
+// every other statement, so KILL, timeouts, metrics, statement stats,
+// and the slow-query log all see shard traffic.
 package engine
 
 import (
@@ -65,6 +65,28 @@ func EvalConstExpr(e ast.Expr) (sqltypes.Value, error) {
 // the pre-crash value). Coordinators use it as the compare-and-swap
 // token that makes replicated mutations exactly-once.
 func (s *Session) CatalogVersion() int64 { return s.cat.Version() }
+
+// QueryParams runs one query, whose placeholders take params, on the
+// plan the session plan cache holds for its text (cachedPlanFor), so
+// statements of one shape with other values plan once. Unlike a
+// prepared execution it keeps no result memo: a shard answering a
+// coordinator's reads would hold a copy of each answer that only an
+// unchanged binding at an unchanged data state could reuse.
+func (s *Session) QueryParams(ctx context.Context, sql string, params []sqltypes.Value, ov *Overrides) (*Result, error) {
+	return s.withStmtEnv(ctx, ov, stmtInfo{sql: oneLine(sql)}, func(env *stmtEnv) (*Result, error) {
+		entry, _, _, planNs, err := s.cachedPlanFor(env, sql, paramKinds(params), nil)
+		if err != nil {
+			return nil, err
+		}
+		env.cfg.exec.Params = params
+		env.cfg.exec.Pipeline = entry.pipe
+		rows, _, err := s.execPlan(env, entry.node, planNs, false)
+		if err != nil {
+			return nil, err
+		}
+		return queryResult(entry.columns, entry.types, rows), nil
+	})
+}
 
 // PartialAggregate plans sql, whose placeholders take params, through
 // the session plan cache and runs its scan/filter/group phase,

@@ -162,6 +162,9 @@ type shared struct {
 	// plan.RowLink.
 	linkMu sync.Mutex
 	links  map[*plan.RowLink]*linkRows
+	// gathered holds the rows read in place of a source's own
+	// (RunGathered); nil reads every source.
+	gathered map[plan.RowSource][]Row
 }
 
 // subInfo is the per-execution state of one memoized subquery.

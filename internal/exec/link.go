@@ -62,9 +62,10 @@ func (rt *runtime) linkRows(l *plan.RowLink) *linkRows {
 }
 
 // make returns l's rows, making them the first time: input's rows or,
-// for a reader that makes none (input nil), a snapshot of l's Table. The
-// bottom is uncorrelated, so the frames on the stack do not matter to
-// it, and run charges its rows to the budget once.
+// for a reader that makes none (input nil), a snapshot of l's Table —
+// or the rows RunGathered reads in its place. The bottom is
+// uncorrelated, so the frames on the stack do not matter to it, and run
+// charges its rows to the budget once.
 func (e *linkRows) make(rt *runtime, l *plan.RowLink, input plan.Node) ([]Row, error) {
 	e.once.Do(func() {
 		// Reported if the run below panics, or if nothing makes the rows.
@@ -73,7 +74,11 @@ func (e *linkRows) make(rt *runtime, l *plan.RowLink, input plan.Node) ([]Row, e
 		case input != nil:
 			e.rows, e.err = rt.run(input)
 		case l.Table != nil:
-			e.rows, e.err = l.Table.Rows(), nil
+			var ok bool
+			if e.rows, ok = rt.sh.gathered[l.Table]; !ok {
+				e.rows = l.Table.Rows()
+			}
+			e.err = nil
 		}
 	})
 	return e.rows, e.err

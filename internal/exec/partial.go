@@ -17,7 +17,9 @@ import (
 // fn.AggState partials — as one frame (AppendFrame), and the coordinator
 // merges every shard's frame into one grouping table of its own plan
 // (MergePartials): the Data Cube decomposition that makes distributed
-// GROUP BY exact for every aggregate whose states merge exactly.
+// GROUP BY exact for every aggregate whose states merge exactly. A
+// statement no shard can split runs whole on the coordinator over the
+// shards' rows (RunGathered).
 
 // ErrPartialUnsupported reports a plan whose shape the partial path
 // cannot export (set operations, grouping sets, DISTINCT aggregates,
@@ -153,6 +155,25 @@ func MergePartials(ctx context.Context, root plan.Node, frames [][]byte, setting
 			return err
 		}
 		rt.merged = &mergedAgg{agg: agg, rows: groups}
+		rows, err = rt.run(root)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
+// RunGathered is the coordinator's answer to a statement its shards
+// cannot split: it runs root as RunContext does, except that a Scan of
+// a source in tables — and a context link (plan.RowLink) to one — reads
+// the rows given for it there instead of the source's own. Given every
+// shard's rows of a table in global insertion order, the answer is a
+// single node's.
+func RunGathered(ctx context.Context, root plan.Node, tables map[plan.RowSource][]Row, settings *Settings) ([]Row, error) {
+	var rows []Row
+	err := execute(ctx, settings, func(rt *runtime) (err error) {
+		rt.sh.gathered = tables
 		rows, err = rt.run(root)
 		return err
 	})

@@ -25,15 +25,7 @@ func Run(n plan.Node, settings *Settings) ([]Row, error) {
 // While it runs, the execution counts as in progress: every other
 // execution fans out to one worker fewer (spareWorkers).
 func RunContext(ctx context.Context, n plan.Node, settings *Settings) ([]Row, error) {
-	var rows []Row
-	err := execute(ctx, settings, func(rt *runtime) (err error) {
-		rows, err = rt.run(n)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
+	return RunGathered(ctx, n, nil, settings)
 }
 
 // execute runs body on a fresh runtime as one execution: it counts as
@@ -118,7 +110,9 @@ func (rt *runtime) runNode(n plan.Node) ([]Row, error) {
 	switch n := n.(type) {
 	case *plan.Scan:
 		var rows []Row
-		if src, ok := n.Source.(snapshotSource); ok {
+		if g, ok := rt.sh.gathered[n.Source]; ok {
+			rows, rt.scanned = g, storage.State{}
+		} else if src, ok := n.Source.(snapshotSource); ok {
 			rows, rt.scanned = src.Snapshot()
 		} else {
 			rows, rt.scanned = n.Source.Rows(), storage.State{}

@@ -17,7 +17,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -78,7 +77,7 @@ func dbHarness(t *testing.T) *contractHarness {
 	srv, ts := startServer(t, db, contractConfig(log))
 	return &contractHarness{
 		name: "db", srv: srv, url: ts.URL, log: log, version: db.CatalogVersion, slowSQL: contractSlow,
-		served: map[string]bool{"/query": true, "/query.ndjson": true, "/prepare": true, "/execute": true, "/partial": true, "/apply": true},
+		served: map[string]bool{"/query": true, "/query.ndjson": true, "/prepare": true, "/execute": true, "/rows": true, "/partial": true, "/apply": true},
 	}
 }
 
@@ -152,6 +151,10 @@ var contractEndpoints = []contractEndpoint{
 			}
 			return fmt.Sprintf(`{"name": %q, "params": [{"type": "INTEGER", "value": 1}], "timeout_ms": %d}`, name, ms)
 		}},
+	{path: "/rows", timeout: true, version: true, operators: true,
+		body: func(h *contractHarness, ms, v int64) string {
+			return fmt.Sprintf(`{"sql": %q, "timeout_ms": %d, "expect_version": %d}`, h.sql(ms), ms, v)
+		}},
 	{path: "/partial", timeout: true, version: true, operators: true,
 		body: func(h *contractHarness, ms, v int64) string {
 			return fmt.Sprintf(`{"sql": %q, "groups": 1, "aggs": 1, "timeout_ms": %d, "expect_version": %d}`, h.sql(ms), ms, v)
@@ -196,26 +199,10 @@ func (h *contractHarness) outcomes() (total int64) {
 	return total
 }
 
-// holdOperators arms the FailOperator site to block every operator
-// execution until the returned release is called.
-func holdOperators(t *testing.T) (release func()) {
-	gate := make(chan struct{})
-	exec.SetFailPoint(exec.FailOperator, func() error { <-gate; return nil })
-	var once sync.Once
-	release = func() {
-		once.Do(func() {
-			exec.SetFailPoint(exec.FailOperator, nil)
-			close(gate)
-		})
-	}
-	t.Cleanup(release)
-	return release
-}
-
 // occupy fills the execution slot with a held /query and returns a
 // function that lets it finish and waits for it.
 func (h *contractHarness) occupy(t *testing.T, id string) (finish func()) {
-	release := holdOperators(t)
+	release, _ := holdOperators(t)
 	done := make(chan probe, 1)
 	body := queryBody(h, 0, 0)
 	go func() {
@@ -356,7 +343,7 @@ var contractConditions = []contractCondition{
 			if !strings.Contains(string(p.body), "catalog version mismatch") {
 				t.Errorf("409 body does not name the mismatch: %s", p.body)
 			}
-			if ep.path == "/partial" || ep.path == "/apply" {
+			if ep.path == "/rows" || ep.path == "/partial" || ep.path == "/apply" {
 				var shape struct {
 					Version *int64 `json:"version"`
 				}

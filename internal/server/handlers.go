@@ -12,8 +12,8 @@ package server
 //	     /debug/pprof/  profiling, when Config.EnablePprof
 //
 // and, over an embedded session (msqld) only: /prepare and /execute
-// (prepared.go), /partial, /apply and /catalog (shard_handlers.go),
-// /statements, /queries and /kill (introspect.go).
+// (prepared.go), /rows, /partial, /apply and /catalog
+// (shard_handlers.go), /statements, /queries and /kill (introspect.go).
 //
 // Every statement endpoint is an endpoint value served through serve,
 // the one request envelope; what a request goes through, and in what
@@ -44,7 +44,7 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	endpoints := []endpoint{s.queryEndpoint("/query", appendResult, ""), s.queryEndpoint("/query.ndjson", appendStream, "application/x-ndjson")}
 	if s.node != nil {
-		endpoints = append(endpoints, s.prepareEndpoint(), s.executeEndpoint(), s.partialEndpoint(), s.applyEndpoint())
+		endpoints = append(endpoints, s.prepareEndpoint(), s.executeEndpoint(), s.rowsEndpoint(), s.partialEndpoint(), s.applyEndpoint())
 		mux.HandleFunc("/catalog", s.serveCatalog)
 	}
 	for _, ep := range endpoints {

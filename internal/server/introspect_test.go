@@ -226,7 +226,7 @@ func TestStatementsEndpoint(t *testing.T) {
 // checks the client sees a structured CANCELED error.
 func TestKillEndpoint(t *testing.T) {
 	db := testDB(t)
-	slowOperators(t)
+	release, _ := holdOperators(t)
 	_, ts := startServer(t, db, server.Config{})
 	c := client.New(ts.URL)
 
@@ -274,6 +274,7 @@ func TestKillEndpoint(t *testing.T) {
 	if err != nil || !killed {
 		t.Fatalf("Kill(%d) = %v, %v", id, killed, err)
 	}
+	release()
 	if err := <-done; !errors.Is(err, msql.ErrCanceled) {
 		t.Fatalf("killed wire query returned %v, want ErrCanceled", err)
 	}

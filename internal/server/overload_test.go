@@ -22,6 +22,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/measures-sql/msql/internal/exec"
 	"github.com/measures-sql/msql/internal/server"
 	"github.com/measures-sql/msql/msql"
 	"github.com/measures-sql/msql/msql/client"
@@ -29,7 +30,9 @@ import (
 
 func TestOverloadSweepE24(t *testing.T) {
 	db := testDB(t)
-	slowOperators(t) // ~1ms per operator => listing3 takes a few ms
+	// ~1ms per operator => listing3 takes a few ms.
+	exec.SetFailPoint(exec.FailOperator, func() error { time.Sleep(time.Millisecond); return nil })
+	t.Cleanup(exec.ClearFailPoints)
 
 	const (
 		queueWait = 25 * time.Millisecond

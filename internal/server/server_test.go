@@ -52,21 +52,29 @@ func testDB(t testing.TB) *msql.DB {
 
 const slowQuery = `SELECT b, AGGREGATE(sumA) FROM bigM GROUP BY b ORDER BY b`
 
-// slowOperators makes every operator execution take ~1ms, so slowQuery
-// runs for on the order of 100ms while staying promptly cancelable.
-// The returned gauge records the wall time of the latest operator
-// execution — i.e. when the engine last did work — for asserting that
+// holdOperators holds every operator execution at the FailOperator
+// site until the returned release is called, so a statement the test
+// started cannot end before the test has acted on it, however loaded
+// the machine; released, operators run at full speed. The returned
+// gauge records the wall time of the latest operator execution let
+// through — i.e. when the engine last did work — for asserting that
 // nothing executes past a drain.
-func slowOperators(t testing.TB) *atomic.Int64 {
+func holdOperators(t testing.TB) (release func(), lastFire *atomic.Int64) {
 	t.Helper()
-	var lastFire atomic.Int64
+	gate := make(chan struct{})
+	lastFire = new(atomic.Int64)
 	exec.SetFailPoint(exec.FailOperator, func() error {
+		<-gate
 		lastFire.Store(time.Now().UnixNano())
-		time.Sleep(time.Millisecond)
 		return nil
 	})
-	t.Cleanup(exec.ClearFailPoints)
-	return &lastFire
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(func() {
+		release()
+		exec.ClearFailPoints()
+	})
+	return release, lastFire
 }
 
 // startServer wires a Server over db into an httptest listener.
@@ -191,8 +199,7 @@ func TestErrorTaxonomyOverWire(t *testing.T) {
 // server must stay healthy throughout.
 func TestOverloadShedding(t *testing.T) {
 	db := testDB(t)
-	db.SetStrategy(msql.StrategyNaive)
-	slowOperators(t)
+	release, _ := holdOperators(t)
 	srv, ts := startServer(t, db, server.Config{
 		MaxInflight: 1,
 		MaxQueue:    1,
@@ -228,6 +235,9 @@ func TestOverloadShedding(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	// The admitted statement is held until every other one is shed.
+	waitFor(t, 5*time.Second, func() bool { return srv.Counters().Shed == n-1 })
+	release()
 	wg.Wait()
 
 	if ok.Load() == 0 {
@@ -251,8 +261,7 @@ func TestOverloadShedding(t *testing.T) {
 // return.
 func TestGracefulDrain(t *testing.T) {
 	db := testDB(t)
-	db.SetStrategy(msql.StrategyNaive)
-	lastFire := slowOperators(t)
+	release, lastFire := holdOperators(t)
 	srv, ts := startServer(t, db, server.Config{
 		MaxInflight:  4,
 		DrainTimeout: 5 * time.Second,
@@ -269,8 +278,15 @@ func TestGracefulDrain(t *testing.T) {
 			_, errs[i] = c.Query(context.Background(), slowQuery)
 		}(i)
 	}
-	// Let both statements get admitted before draining.
+	// Let both statements get admitted before draining, and hold them
+	// until the drain has begun.
 	waitFor(t, time.Second, func() bool { return srv.Counters().Inflight == inflight })
+	go func() {
+		for !srv.Draining() {
+			time.Sleep(time.Millisecond)
+		}
+		release()
+	}()
 
 	srv.Drain(context.Background())
 	drainReturned := time.Now()
@@ -315,11 +331,20 @@ func TestDrainDeadlineCancelsStragglers(t *testing.T) {
 	db := testDB(t)
 	db.SetStrategy(msql.StrategyNaive)
 	db.SetWorkers(1)
-	slowOperators(t)
 	srv, ts := startServer(t, db, server.Config{
 		MaxInflight:  2,
 		DrainTimeout: 30 * time.Millisecond,
 	})
+	// Operators are held until the drain deadline has passed, so the
+	// statement cannot end first, and then take ~1ms each, so it is
+	// still running when the cancellation reaches it.
+	killed := server.DrainKilled(srv)
+	exec.SetFailPoint(exec.FailOperator, func() error {
+		<-killed
+		time.Sleep(time.Millisecond)
+		return nil
+	})
+	t.Cleanup(exec.ClearFailPoints)
 	c := client.New(ts.URL, client.WithBackoff(client.Backoff{Attempts: 1, Base: time.Millisecond, Max: time.Millisecond, Seed: 5}))
 
 	done := make(chan error, 1)

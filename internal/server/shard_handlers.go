@@ -3,6 +3,9 @@ package server
 // Shard-facing endpoints, used by a coordinator (internal/dist) rather
 // than interactive clients:
 //
+//	POST /rows     run a query (a statement's shape and its parameters)
+//	               on its plan-cache entry and return its rows as one
+//	               frame
 //	POST /partial  run an aggregation's scan/filter/group phase and
 //	               return its partial table as one frame
 //	POST /apply    apply one replicated mutation, guarded by a
@@ -10,8 +13,11 @@ package server
 //	GET  /catalog  shard identity + catalog version/contents, for
 //	               endpoint attachment and lost-ack probes
 //
-// /partial and /apply are served through the request envelope like
-// /query; /catalog is a cheap read like /metrics.
+// /rows and /partial are the two shard reads: one request
+// (wire.ReadRequest) pinned to a catalog version, one reply carrying
+// the version and a frame (wire.ReadResponse). They and /apply are
+// served through the request envelope like /query; /catalog is a cheap
+// read like /metrics.
 
 import (
 	"context"
@@ -42,16 +48,14 @@ func versionMismatch(have, want int64) error {
 		Hint: "resynchronize the endpoint, then retry", Err: &versionMismatchError{have, want}}
 }
 
-// partialEndpoint is POST /partial.
-func (s *Server) partialEndpoint() endpoint {
+// readEndpoint is a shard read at path: read answers the request, its
+// parameters decoded, with a success body that frame encodes.
+func (s *Server) readEndpoint(path string, frame func(dst []byte, body any) ([]byte, error),
+	read func(ctx context.Context, req *wire.ReadRequest, params []msql.Value, opts []msql.Option) (any, int, error)) endpoint {
 	return endpoint{
-		path: "/partial", source: "shard",
-		failBody: func(v int64, we *wire.Error) any { return wire.PartialResponse{Version: v, Error: we} },
-		frame: func(dst []byte, body any) ([]byte, error) {
-			p := body.(*partialBody)
-			return wire.AppendPartial(dst, p.version, p.groups)
-		},
-		decode: decodeAs(func(req *wire.PartialRequest) (statement, error) {
+		path: path, source: "shard", frame: frame,
+		failBody: func(v int64, we *wire.Error) any { return wire.ReadResponse{Version: v, Error: we} },
+		decode: decodeAs(func(req *wire.ReadRequest) (statement, error) {
 			params, err := wire.DecodeParams(req.Params)
 			if err != nil {
 				return statement{}, err
@@ -59,15 +63,49 @@ func (s *Server) partialEndpoint() endpoint {
 			return statement{
 				requestID: req.RequestID, timeoutMs: req.TimeoutMillis, expect: req.ExpectVersion,
 				run: func(ctx context.Context, opts []msql.Option) (any, int, error) {
-					res, err := s.node.PartialAggregate(ctx, req.SQL, params, req.Groups, req.Aggs, opts...)
-					if err != nil {
-						return nil, 0, err
-					}
-					return &partialBody{s.node.CatalogVersion(), res.Groups}, len(res.Groups), nil
+					return read(ctx, req, params, opts)
 				},
 			}, nil
 		}),
 	}
+}
+
+// rowsEndpoint is POST /rows.
+func (s *Server) rowsEndpoint() endpoint {
+	return s.readEndpoint("/rows",
+		func(dst []byte, body any) ([]byte, error) {
+			r := body.(*rowsBody)
+			return wire.AppendRows(dst, r.version, r.rows)
+		},
+		func(ctx context.Context, req *wire.ReadRequest, params []msql.Value, opts []msql.Option) (any, int, error) {
+			res, err := s.node.QueryParams(ctx, req.SQL, params, opts...)
+			if err != nil {
+				return nil, 0, err
+			}
+			return &rowsBody{s.node.CatalogVersion(), res.Rows}, len(res.Rows), nil
+		})
+}
+
+// rowsBody is a /rows success body before encoding.
+type rowsBody struct {
+	version int64
+	rows    [][]msql.Value
+}
+
+// partialEndpoint is POST /partial.
+func (s *Server) partialEndpoint() endpoint {
+	return s.readEndpoint("/partial",
+		func(dst []byte, body any) ([]byte, error) {
+			p := body.(*partialBody)
+			return wire.AppendPartial(dst, p.version, p.groups)
+		},
+		func(ctx context.Context, req *wire.ReadRequest, params []msql.Value, opts []msql.Option) (any, int, error) {
+			res, err := s.node.PartialAggregate(ctx, req.SQL, params, req.Groups, req.Aggs, opts...)
+			if err != nil {
+				return nil, 0, err
+			}
+			return &partialBody{s.node.CatalogVersion(), res.Groups}, len(res.Groups), nil
+		})
 }
 
 // partialBody is a /partial success body before encoding.

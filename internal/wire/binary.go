@@ -1,10 +1,12 @@
 package wire
 
-// Binary payload of /apply: bulk rows travel as base64-wrapped binary
-// (the sqltypes value codec) rather than JSON values, so they keep their
-// kinds exactly and a decode failure is always a structured error, never
-// a silent zero. /partial's frame is exec.AppendFrame's, carried the
-// same way (AppendPartial).
+// Binary rows: /apply's bulk rows and a /rows reply travel as one frame
+// of rows (the sqltypes value codec) rather than as JSON values, so they
+// keep their kinds exactly — an INTEGER beyond 2^53, a non-finite
+// DOUBLE — and a decode failure is always a structured error, never a
+// silent zero. /apply carries the frame as a base64 string
+// (EncodeRowsBinary); a /rows reply carries it as its frame (AppendRows),
+// as a /partial reply carries exec.AppendFrame's (AppendPartial).
 
 import (
 	"encoding/base64"
@@ -14,46 +16,54 @@ import (
 	"github.com/measures-sql/msql/internal/sqltypes"
 )
 
-// maxBinaryRows bounds a decoded /apply batch, mirroring the value
+// maxBinaryRows bounds a decoded frame of rows, mirroring the value
 // codec's discipline of validating lengths before allocating.
 const maxBinaryRows = 1 << 22
 
-// EncodeRowsBinary packs rows for ApplyRequest.Rows: a uvarint row
-// count, then one sqltypes.AppendValues tuple per row.
-func EncodeRowsBinary(rows [][]sqltypes.Value) string {
-	buf := binary.AppendUvarint(nil, uint64(len(rows)))
+// AppendRowsFrame appends the frame of rows: a uvarint row count, then
+// one sqltypes.AppendValues tuple per row.
+func AppendRowsFrame(dst []byte, rows [][]sqltypes.Value) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(rows)))
 	for _, row := range rows {
-		buf = sqltypes.AppendValues(buf, row)
+		dst = sqltypes.AppendValues(dst, row)
 	}
-	return base64.StdEncoding.EncodeToString(buf)
+	return dst
 }
 
-// DecodeRowsBinary reverses EncodeRowsBinary, validating the declared
-// count against the remaining bytes before allocating.
+// EncodeRowsBinary packs rows for ApplyRequest.Rows: their frame
+// (AppendRowsFrame), base64-encoded.
+func EncodeRowsBinary(rows [][]sqltypes.Value) string {
+	return base64.StdEncoding.EncodeToString(AppendRowsFrame(nil, rows))
+}
+
+// DecodeRowsBinary reverses EncodeRowsBinary.
 func DecodeRowsBinary(s string) ([][]sqltypes.Value, error) {
 	buf, err := base64.StdEncoding.DecodeString(s)
 	if err != nil {
 		return nil, fmt.Errorf("rows: %w", err)
 	}
-	count, n := binary.Uvarint(buf)
-	if n <= 0 {
+	return DecodeRowsFrame(buf)
+}
+
+// DecodeRowsFrame reads a frame of rows (AppendRowsFrame), validating
+// the declared count against the remaining bytes before allocating.
+func DecodeRowsFrame(buf []byte) ([][]sqltypes.Value, error) {
+	r := sqltypes.NewReader(buf)
+	count, err := r.Uvarint()
+	if err != nil {
 		return nil, fmt.Errorf("rows: bad count prefix")
 	}
-	if count > maxBinaryRows || count > uint64(len(buf)-n) {
+	if count > maxBinaryRows || count > uint64(r.Left()) {
 		return nil, fmt.Errorf("rows: count %d exceeds payload", count)
 	}
-	rest := buf[n:]
-	rows := make([][]sqltypes.Value, 0, count)
-	for i := uint64(0); i < count; i++ {
-		vals, used, err := sqltypes.DecodeValues(rest)
-		if err != nil {
+	rows := make([][]sqltypes.Value, count)
+	for i := range rows {
+		if rows[i], err = r.Values(nil); err != nil {
 			return nil, fmt.Errorf("row %d: %w", i, err)
 		}
-		rest = rest[used:]
-		rows = append(rows, vals)
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("rows: %d trailing bytes", len(rest))
+	if r.Left() != 0 {
+		return nil, fmt.Errorf("rows: %d trailing bytes", r.Left())
 	}
 	return rows, nil
 }

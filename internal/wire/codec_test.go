@@ -15,6 +15,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -71,7 +72,7 @@ func oraclePartial(version int64, groups []exec.PartialGroup) ([]byte, error) {
 		}
 	}
 	var b bytes.Buffer
-	json.NewEncoder(&b).Encode(PartialResponse{Version: version, Frame: frame})
+	json.NewEncoder(&b).Encode(ReadResponse{Version: version, Frame: frame})
 	return b.Bytes(), nil
 }
 
@@ -258,6 +259,50 @@ func TestPartialEncodingMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// A /rows reply is what encoding/json frames for the rows' frame, and
+// the frame reads back to the very values: kinds, 64-bit integers and
+// non-finite DOUBLEs included, which JSON cannot carry.
+func TestRowsFrameRoundTrips(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 500; i++ {
+		rows := make([][]sqltypes.Value, r.Intn(5))
+		for j := range rows {
+			rows[j] = make([]sqltypes.Value, r.Intn(4))
+			for k := range rows[j] {
+				rows[j][k] = randValue(r, kinds[1+r.Intn(len(kinds)-1)])
+			}
+		}
+		rows = append(rows, []sqltypes.Value{sqltypes.NewFloat(math.Inf(1)), sqltypes.NewFloat(math.Inf(-1)),
+			sqltypes.NewInt(math.MinInt64), sqltypes.NewInt(math.MaxInt64)})
+		version := r.Int63n(1000)
+		got, err := AppendRows(nil, version, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		json.NewEncoder(&b).Encode(ReadResponse{Version: version, Frame: AppendRowsFrame(nil, rows)})
+		if !bytes.Equal(got, b.Bytes()) {
+			t.Fatalf("rows %d:\ngot  %q\nwant %q", i, got, b.Bytes())
+		}
+		var rep ReadResponse
+		if err := json.Unmarshal(got, &rep); err != nil {
+			t.Fatal(err)
+		}
+		back, err := DecodeRowsFrame(rep.Frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.EqualFunc(back, rows, slices.Equal[[]sqltypes.Value]) {
+			t.Fatalf("rows %d read back as %#v, want %#v", i, back, rows)
+		}
+	}
+	for _, bad := range [][]byte{nil, {5}, {1, 9}, append(AppendRowsFrame(nil, nil), 0)} {
+		if _, err := DecodeRowsFrame(bad); err == nil {
+			t.Errorf("frame %v decoded", bad)
+		}
+	}
+}
+
 // A non-finite DOUBLE has no JSON literal: the reply fails naming the
 // column instead of writing something a client cannot read.
 func TestNonFiniteDoubleFailsTheReply(t *testing.T) {
@@ -278,22 +323,16 @@ func TestNonFiniteDoubleFailsTheReply(t *testing.T) {
 
 // oracleDecode is the client's decode before the hand-written decoder:
 // json.Decoder.Decode into a Reply.
-func oracleDecode(data []byte, raw bool) (*Reply, error) {
+func oracleDecode(data []byte) (*Reply, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
-	if raw {
-		dec.UseNumber()
-	}
 	rep := &Reply{}
 	return rep, dec.Decode(rep)
 }
 
 // oracleStreamDecode is the client's NDJSON decode before the
 // hand-written decoder.
-func oracleStreamDecode(data []byte, raw bool, fn func([]any) error) (*Reply, error) {
+func oracleStreamDecode(data []byte, fn func([]any) error) (*Reply, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
-	if raw {
-		dec.UseNumber()
-	}
 	rep := &Reply{}
 	var hdr Header
 	if err := dec.Decode(&hdr); err != nil {
@@ -337,29 +376,27 @@ func sameOutcome(t *testing.T, what string, data []byte, got, want any, gotErr, 
 }
 
 // checkDecode holds DecodeReply and DecodeStream to encoding/json on
-// data, in both number modes.
+// data.
 func checkDecode(t *testing.T, data []byte) {
 	t.Helper()
-	for _, raw := range []bool{false, true} {
-		got := &Reply{}
-		gotErr := DecodeReply(data, raw, got)
-		want, wantErr := oracleDecode(data, raw)
-		sameOutcome(t, fmt.Sprintf("DecodeReply(raw=%v)", raw), data, got, want, gotErr, wantErr)
+	got := &Reply{}
+	gotErr := DecodeReply(data, got)
+	want, wantErr := oracleDecode(data)
+	sameOutcome(t, "DecodeReply", data, got, want, gotErr, wantErr)
 
-		var gotRows, wantRows [][]any
-		got = &Reply{}
-		gotErr = DecodeStream(data, raw, got, func(row []any) error {
-			gotRows = append(gotRows, row)
-			return nil
-		})
-		want, wantErr = oracleStreamDecode(data, raw, func(row []any) error {
-			wantRows = append(wantRows, row)
-			return nil
-		})
-		sameOutcome(t, fmt.Sprintf("DecodeStream(raw=%v)", raw), data, got, want, gotErr, wantErr)
-		if gotErr == nil && !reflect.DeepEqual(gotRows, wantRows) {
-			t.Fatalf("DecodeStream(raw=%v) of %q handed out rows %#v, want %#v", raw, data, gotRows, wantRows)
-		}
+	var gotRows, wantRows [][]any
+	got = &Reply{}
+	gotErr = DecodeStream(data, got, func(row []any) error {
+		gotRows = append(gotRows, row)
+		return nil
+	})
+	want, wantErr = oracleStreamDecode(data, func(row []any) error {
+		wantRows = append(wantRows, row)
+		return nil
+	})
+	sameOutcome(t, "DecodeStream", data, got, want, gotErr, wantErr)
+	if gotErr == nil && !reflect.DeepEqual(gotRows, wantRows) {
+		t.Fatalf("DecodeStream of %q handed out rows %#v, want %#v", data, gotRows, wantRows)
 	}
 }
 
@@ -417,7 +454,7 @@ func TestDecodeMatchesEncodingJSON(t *testing.T) {
 	}
 	// reflect.DeepEqual calls -0 and 0 equal; the sign must survive too.
 	rep := &Reply{}
-	if err := DecodeReply([]byte(`{"rows":[[-0,0,-0.0]]}`), false, rep); err != nil {
+	if err := DecodeReply([]byte(`{"rows":[[-0,0,-0.0]]}`), rep); err != nil {
 		t.Fatal(err)
 	}
 	for i, want := range []bool{true, false, true} {
@@ -449,9 +486,9 @@ func TestReplyRowsDoNotShareCapacity(t *testing.T) {
 	stream, _ := res.AppendStream(nil)
 	var streamed [][]any
 	for name, decode := range map[string]func(*Reply) error{
-		"reply": func(rep *Reply) error { return DecodeReply(reply, false, rep) },
+		"reply": func(rep *Reply) error { return DecodeReply(reply, rep) },
 		"stream": func(rep *Reply) error {
-			return DecodeStream(stream, false, rep, func(r []any) error { streamed = append(streamed, r); return nil })
+			return DecodeStream(stream, rep, func(r []any) error { streamed = append(streamed, r); return nil })
 		},
 	} {
 		rep := &Reply{}
@@ -519,6 +556,14 @@ func TestReplyEncodeAllocatesNothingPerRow(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("partial of %d groups: %v allocations, want 0", n, allocs)
 		}
+		allocs = testing.AllocsPerRun(20, func() {
+			if _, err := AppendRows(buf[:0], 1, res.Rows); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("rows reply of %d rows: %v allocations, want 0", n, allocs)
+		}
 	}
 }
 
@@ -534,21 +579,18 @@ func TestReplyDecodeAllocatesPerCellNotPerRow(t *testing.T) {
 		reply, _ := res.AppendReply(nil)
 		stream, _ := res.AppendStream(nil)
 		cells := float64(4 * n) // i, f, s, d; b and z box without allocating
-		for _, raw := range []bool{false, true} {
-			for name, decode := range map[string]func(){
-				"reply":  func() { mustDecode(t, DecodeReply(reply, raw, &Reply{})) },
-				"stream": func() { mustDecode(t, DecodeStream(stream, raw, &Reply{}, func([]any) error { return nil })) },
-			} {
-				extra := testing.AllocsPerRun(20, decode) - cells
-				if extra > perReply {
-					t.Errorf("%s of %d rows (raw=%v): %v allocations beyond one per cell, want at most %d", name, n, raw, extra, perReply)
-				}
-				key := fmt.Sprint(name, raw)
-				if small, ok := fixed[key]; ok && extra > small {
-					t.Errorf("%s (raw=%v): %v allocations beyond one per cell at %d rows, %v at 100", name, raw, extra, n, small)
-				}
-				fixed[key] = extra
+		for name, decode := range map[string]func(){
+			"reply":  func() { mustDecode(t, DecodeReply(reply, &Reply{})) },
+			"stream": func() { mustDecode(t, DecodeStream(stream, &Reply{}, func([]any) error { return nil })) },
+		} {
+			extra := testing.AllocsPerRun(20, decode) - cells
+			if extra > perReply {
+				t.Errorf("%s of %d rows: %v allocations beyond one per cell, want at most %d", name, n, extra, perReply)
 			}
+			if small, ok := fixed[name]; ok && extra > small {
+				t.Errorf("%s: %v allocations beyond one per cell at %d rows, %v at 100", name, extra, n, small)
+			}
+			fixed[name] = extra
 		}
 	}
 }

@@ -6,8 +6,7 @@ package wire
 // lines) and failing exactly when it fails:
 //
 //   - numbers in cells become float64 via strconv.ParseFloat (a number
-//     out of range fails the reply), or json.Number under rawNumbers;
-//     integer fields take strconv.ParseInt and fail on anything else;
+//     out of range fails the reply); integer fields take strconv.ParseInt and fail on anything else;
 //   - strings are fully unescaped (\uXXXX, surrogate pairs, U+FFFD for
 //     unpaired surrogates and invalid UTF-8);
 //   - keys match exactly or else case-insensitively (bytes.EqualFold),
@@ -27,7 +26,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -41,25 +39,24 @@ import (
 // caller reads the fields its endpoint sets.
 type Reply struct {
 	QueryResponse        // /query, /execute; Message and Error are every endpoint's
-	Version       int64  `json:"version"`    // /partial, /apply
-	Frame         string `json:"frame"`      // /partial: the base64 partial frame
+	Version       int64  `json:"version"`    // /partial, /rows, /apply
+	Frame         string `json:"frame"`      // /partial, /rows: the base64 frame
 	NumParams     int    `json:"num_params"` // /prepare
 }
 
 // DecodeReply decodes the first JSON value of data into rep, as
-// json.NewDecoder(bytes.NewReader(data)).Decode(rep) does (with
-// UseNumber when rawNumbers is set); bytes after that value are not
-// read.
-func DecodeReply(data []byte, rawNumbers bool, rep *Reply) error {
-	d := decoder{data: data, raw: rawNumbers}
+// json.NewDecoder(bytes.NewReader(data)).Decode(rep) does; bytes after
+// that value are not read.
+func DecodeReply(data []byte, rep *Reply) error {
+	d := decoder{data: data}
 	return d.top(func() { d.reply(rep) })
 }
 
 // DecodeStream decodes a /query.ndjson body — a Header, then row lines
 // up to a Trailer — into rep's Columns, Types and Rows, handing each
 // row to fn as it is decoded. It stops at fn's first error.
-func DecodeStream(data []byte, rawNumbers bool, rep *Reply, fn func(row []any) error) error {
-	d := decoder{data: data, raw: rawNumbers}
+func DecodeStream(data []byte, rep *Reply, fn func(row []any) error) error {
+	d := decoder{data: data}
 	if err := d.top(func() { d.header(rep) }); err != nil {
 		return fmt.Errorf("stream header: %w", err)
 	}
@@ -88,7 +85,6 @@ const maxDepth = 10000
 type decoder struct {
 	data  []byte
 	pos   int
-	raw   bool  // numbers in cells as json.Number
 	err   error // the first type mismatch of the current value
 	depth int
 	// arena holds the reply's unescaped strings; bytes once handed out
@@ -607,9 +603,6 @@ func (d *decoder) value() any {
 		}
 		start := d.pos
 		num := d.number()
-		if d.raw {
-			return json.Number(d.intern(num))
-		}
 		if v, ok := smallInt(num); ok {
 			return v
 		}

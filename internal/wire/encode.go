@@ -243,14 +243,27 @@ func appendString(dst []byte, s string) []byte {
 }
 
 // AppendPartial appends the body of a /partial reply: the catalog
-// version and the frame of groups (exec.AppendFrame), base64-encoded
-// once. The frame is built in dst's spare room past the reply and
-// encoded back over itself, so a buffer with room allocates nothing.
+// version and the frame of groups (exec.AppendFrame).
 func AppendPartial(dst []byte, version int64, groups []exec.PartialGroup) ([]byte, error) {
+	return appendRead(dst, version, func(dst []byte) ([]byte, error) { return exec.AppendFrame(dst, groups) })
+}
+
+// AppendRows appends the body of a /rows reply: the catalog version and
+// the frame of rows (AppendRowsFrame).
+func AppendRows(dst []byte, version int64, rows [][]sqltypes.Value) ([]byte, error) {
+	return appendRead(dst, version, func(dst []byte) ([]byte, error) { return AppendRowsFrame(dst, rows), nil })
+}
+
+// appendRead appends the body of a shard read's reply (ReadResponse):
+// the catalog version and the frame appendFrame appends,
+// base64-encoded once. The frame is built in dst's spare room past the
+// reply and encoded back over itself, so a buffer with room allocates
+// nothing.
+func appendRead(dst []byte, version int64, appendFrame func([]byte) ([]byte, error)) ([]byte, error) {
 	dst = strconv.AppendInt(append(dst, `{"version":`...), version, 10)
 	dst = append(dst, `,"frame":"`...)
 	mark := len(dst)
-	dst, err := exec.AppendFrame(dst, groups)
+	dst, err := appendFrame(dst)
 	if err != nil {
 		return dst[:mark], err
 	}

@@ -33,29 +33,32 @@ type QueryRequest struct {
 	// engine's tracer spans, and any error payload.
 	RequestID string `json:"request_id,omitempty"`
 	// ExpectCatalogVersion, when > 0, makes the server reject the query
-	// with a structured RUNTIME error unless its catalog version matches.
-	// Shard coordinators use it to keep a scatter from silently reading
-	// an endpoint that missed (or replayed ahead of) a mutation.
+	// with a structured RUNTIME error unless its catalog version matches,
+	// so a caller that planned against one catalog never reads an
+	// endpoint that missed (or replayed ahead of) a mutation.
 	ExpectCatalogVersion int64 `json:"expect_catalog_version,omitempty"`
 }
 
-// PartialRequest is the body of POST /partial: run an aggregation
-// query's scan/filter/group phase and return its partial table — per
-// group the key values and serialized AggStates — instead of final
-// values, for a coordinator to merge with other shards' tables.
-type PartialRequest struct {
-	// SQL is a single aggregation SELECT. The server validates that its
-	// plan is a plain aggregate (no DISTINCT aggregates, no GROUPING
+// ReadRequest is the body of a shard read, POST /partial or POST
+// /rows: one query — a coordinator sends a statement's shape, its WHERE
+// literals lifted into Params, so every statement of one shape plans
+// once per shard — run at the catalog version it was planned against.
+// /rows answers with the query's rows; /partial runs an aggregation's
+// scan/filter/group phase and answers with its partial table — per
+// group the key values and serialized AggStates — for a coordinator to
+// merge with other shards' tables.
+type ReadRequest struct {
+	// SQL is a single SELECT. For /partial the server validates that
+	// its plan is a plain aggregate (no DISTINCT aggregates, no GROUPING
 	// SETS) whose shape matches Groups/Aggs.
 	SQL string `json:"sql"`
 	// Params are the values of SQL's placeholders ($n), typed as on
-	// /execute: a coordinator lifts a statement's WHERE literals into
-	// them, so every statement of one shape plans once per shard.
+	// /execute.
 	Params []Param `json:"params,omitempty"`
-	// Groups/Aggs cross-check the expected plan shape: the number of
-	// GROUP BY expressions and of aggregate calls in SQL.
-	Groups int `json:"groups"`
-	Aggs   int `json:"aggs"`
+	// Groups/Aggs (/partial only) cross-check the expected plan shape:
+	// the number of GROUP BY expressions and of aggregate calls in SQL.
+	Groups int `json:"groups,omitempty"`
+	Aggs   int `json:"aggs,omitempty"`
 	// ExpectVersion, when > 0, is the catalog version this request was
 	// planned against; a mismatched server rejects instead of answering
 	// from a stale (or differently-mutated) catalog.
@@ -64,13 +67,15 @@ type PartialRequest struct {
 	RequestID     string `json:"request_id,omitempty"`
 }
 
-// PartialResponse is the body of a POST /partial reply.
-type PartialResponse struct {
+// ReadResponse is the body of a shard read's reply.
+type ReadResponse struct {
 	// Version is the catalog version the query ran at.
 	Version int64 `json:"version"`
-	// Frame is the shard's whole partial table (exec.AppendFrame): its
-	// groups in first-row order, each its key values and one state per
-	// aggregate. encoding/json carries it as base64.
+	// Frame is the query's answer as one frame: for /rows its rows
+	// (AppendRowsFrame), for /partial its whole partial table
+	// (exec.AppendFrame) — its groups in first-row order, each its key
+	// values and one state per aggregate. encoding/json carries it as
+	// base64.
 	Frame []byte `json:"frame,omitempty"`
 	Error *Error `json:"error,omitempty"`
 }

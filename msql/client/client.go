@@ -99,10 +99,9 @@ func New(baseURL string, opts ...Option) *Client {
 }
 
 // Result is one statement's rows as they came off the wire. Values are
-// JSON-native: nil, bool, float64 for every number (json.Number under
-// WithRawNumbers; never int64), and strings; Types names the SQL type
-// of each column. Rows are capacity-limited, so appending to one never
-// writes into the next.
+// JSON-native: nil, bool, float64 for every number (never int64), and
+// strings; Types names the SQL type of each column. Rows are
+// capacity-limited, so appending to one never writes into the next.
 type Result struct {
 	Columns []string
 	Types   []string
@@ -121,7 +120,6 @@ type Result struct {
 type requestOpts struct {
 	req        wire.QueryRequest
 	idempotent bool
-	rawNumbers bool
 }
 
 // QueryOption adjusts one request.
@@ -146,21 +144,6 @@ func WithRequestID(id string) QueryOption {
 // side effects.
 func WithIdempotent() QueryOption {
 	return func(o *requestOpts) { o.idempotent = true }
-}
-
-// WithExpectCatalogVersion pins the catalog version the statement was
-// planned against; a server whose catalog has diverged rejects with a
-// structured error instead of answering from the wrong schema.
-func WithExpectCatalogVersion(v int64) QueryOption {
-	return func(o *requestOpts) { o.req.ExpectCatalogVersion = v }
-}
-
-// WithRawNumbers decodes numeric result values as json.Number instead
-// of float64, preserving 64-bit integers exactly. Coordinators
-// gathering rows for re-insertion need this: a float64 round trip
-// silently rounds integers beyond 2^53.
-func WithRawNumbers() QueryOption {
-	return func(o *requestOpts) { o.rawNumbers = true }
 }
 
 // newRequestID draws a fresh correlation ID from the client's jitter
@@ -196,7 +179,7 @@ func (c *Client) query(ctx context.Context, path, sql string, rows func([]any) e
 	for _, f := range opts {
 		f(&o)
 	}
-	k := call{path: path, sql: sql, idempotent: o.idempotent, rawNumbers: o.rawNumbers, rows: rows}
+	k := call{path: path, sql: sql, idempotent: o.idempotent, rows: rows}
 	rep, err := c.roundTrip(ctx, k, &o.req, &o.req.RequestID)
 	if err != nil {
 		return nil, err
@@ -330,8 +313,7 @@ type call struct {
 	// once forbids any resend: a version-guarded mutation whose ack is
 	// lost may have executed, and the caller finds out by probing
 	// /catalog, not by sending it again.
-	once       bool
-	rawNumbers bool
+	once bool
 	// cas makes a 409 a *VersionMismatchError wanting expect; otherwise
 	// it is the server's structured error like any other status.
 	cas    bool
@@ -403,9 +385,9 @@ func (c *Client) attempt(ctx context.Context, k *call, body []byte, id string) (
 	resp.Body.Close()
 	rep := &wire.Reply{}
 	if k.rows != nil && resp.StatusCode == http.StatusOK {
-		err = wire.DecodeStream(*buf, k.rawNumbers, rep, k.rows)
+		err = wire.DecodeStream(*buf, rep, k.rows)
 	} else {
-		err = wire.DecodeReply(*buf, k.rawNumbers, rep)
+		err = wire.DecodeReply(*buf, rep)
 	}
 	if readErr != nil && (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) {
 		err = readErr

@@ -93,7 +93,7 @@ func (s *Stmt) ExecParams(ctx context.Context, params []Param, opts ...QueryOpti
 		f(&o)
 	}
 	req := wire.ExecuteRequest{Name: s.name, Params: params, RequestID: o.req.RequestID, TimeoutMillis: o.req.TimeoutMillis}
-	k := call{path: "/execute", sql: s.sql, idempotent: o.idempotent, rawNumbers: o.rawNumbers}
+	k := call{path: "/execute", sql: s.sql, idempotent: o.idempotent}
 	rep, err := s.c.roundTrip(ctx, k, &req, &req.RequestID)
 	if err != nil {
 		return nil, err

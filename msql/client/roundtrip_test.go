@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/measures-sql/msql/internal/wire"
 	"github.com/measures-sql/msql/msql"
 )
 
@@ -110,7 +111,11 @@ func TestRoundTripClassification(t *testing.T) {
 			return resultOf((&Stmt{c: c, name: "q", sql: "SELECT 1"}).Exec(ctx, 1))
 		}},
 		{name: "Partial", idempotent: true, cas: true, do: func(ctx context.Context, c *Client) outcome {
-			_, err := c.Partial(ctx, "SELECT 1", nil, 0, 1, 3)
+			_, err := c.Read(ctx, "/partial", wire.ReadRequest{SQL: "SELECT 1", Aggs: 1, ExpectVersion: 3})
+			return outcome{err: err}
+		}},
+		{name: "Rows", idempotent: true, cas: true, do: func(ctx context.Context, c *Client) outcome {
+			_, err := c.Read(ctx, "/rows", wire.ReadRequest{SQL: "SELECT 1", ExpectVersion: 3})
 			return outcome{err: err}
 		}},
 		{name: "Apply", once: true, cas: true, do: func(ctx context.Context, c *Client) outcome {
@@ -191,7 +196,7 @@ func TestRoundTripClassification(t *testing.T) {
 					if out.err != nil {
 						t.Fatalf("err = %v, want success", out.err)
 					}
-					if call.name != "Prepare" && call.name != "Partial" && call.name != "Apply" && out.requestID != ids[0] {
+					if call.name != "Prepare" && call.name != "Partial" && call.name != "Rows" && call.name != "Apply" && out.requestID != ids[0] {
 						t.Fatalf("Result.RequestID = %q, sent %q", out.requestID, ids[0])
 					}
 				case structured:

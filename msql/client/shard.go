@@ -1,10 +1,10 @@
 package client
 
-// Coordinator-facing methods: the shard endpoints (/partial, /apply,
-// /catalog) and the hedging helper a coordinator races a lagging
-// shard's replica with.
+// Coordinator-facing methods: the shard endpoints (/partial, /rows,
+// /apply, /catalog) and the hedging helper a coordinator races a
+// lagging shard's replica with.
 //
-// Retry policy differs by endpoint. Partial and Catalog are idempotent
+// Retry policy differs by endpoint. Read and Catalog are idempotent
 // reads, so they retry the full transient set (429/503, refused,
 // reset/EOF). Apply is a version-guarded mutation: the client never
 // resends it on a transport error, because a lost ack leaves "did it
@@ -25,13 +25,15 @@ import (
 	"github.com/measures-sql/msql/internal/wire"
 )
 
-// Partials is one shard's partial-aggregation answer: its whole partial
-// table as one frame (exec.AppendFrame) — the groups in first-row order,
-// each its key values and one state per aggregate — decoded from the
-// reply's base64 but not parsed: the coordinator's merge
-// (exec.MergePartials) reads it straight into its grouping table.
-type Partials struct {
-	// Version is the shard's catalog version the query ran at.
+// Frame is a shard read's answer: the shard's catalog version the
+// query ran at and the reply's frame, decoded from its base64 but not
+// parsed. The frame of /rows holds the query's rows
+// (wire.DecodeRowsFrame reads it); that of /partial the shard's whole
+// partial table (exec.AppendFrame) — the groups in first-row order,
+// each its key values and one state per aggregate — which the
+// coordinator's merge (exec.MergePartials) reads straight into its
+// grouping table.
+type Frame struct {
 	Version int64
 	Frame   []byte
 }
@@ -56,32 +58,22 @@ func (e *VersionMismatchError) Error() string {
 	return fmt.Sprintf("catalog version mismatch: server at %d, expected %d", e.Have, e.Want)
 }
 
-// Partial runs an aggregation query's scan/filter/group phase on the
-// server, with params as the values of its placeholders, and returns
-// the shard's partial table as one frame. It retries transient failures
-// like an idempotent Query; a catalog-version miss surfaces as
-// *VersionMismatchError.
-func (c *Client) Partial(ctx context.Context, sql string, params []Param, groups, aggs int, expectVersion int64, opts ...QueryOption) (*Partials, error) {
-	o := requestOpts{idempotent: true}
-	for _, f := range opts {
-		f(&o)
-	}
-	req := wire.PartialRequest{
-		SQL: sql, Params: params, Groups: groups, Aggs: aggs,
-		ExpectVersion: expectVersion,
-		TimeoutMillis: o.req.TimeoutMillis,
-		RequestID:     o.req.RequestID,
-	}
-	k := call{path: "/partial", sql: sql, idempotent: true, cas: true, expect: expectVersion}
+// Read sends one shard read, req, to path: /rows runs the query and
+// answers with its rows, /partial runs an aggregation's
+// scan/filter/group phase and answers with the shard's partial table.
+// It retries transient failures like an idempotent Query; a
+// catalog-version miss surfaces as *VersionMismatchError.
+func (c *Client) Read(ctx context.Context, path string, req wire.ReadRequest) (*Frame, error) {
+	k := call{path: path, sql: req.SQL, idempotent: true, cas: true, expect: req.ExpectVersion}
 	rep, err := c.roundTrip(ctx, k, &req, &req.RequestID)
 	if err != nil {
 		return nil, err
 	}
 	frame, err := base64.StdEncoding.DecodeString(rep.Frame)
 	if err != nil {
-		return nil, fmt.Errorf("partial frame: %w", err)
+		return nil, fmt.Errorf("%s frame: %w", path, err)
 	}
-	return &Partials{Version: rep.Version, Frame: frame}, nil
+	return &Frame{Version: rep.Version, Frame: frame}, nil
 }
 
 // ApplyDDL applies one DDL/DML statement under the catalog-version CAS:

@@ -162,14 +162,14 @@ func TestPartialVersionMismatch(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusConflict)
-		json.NewEncoder(w).Encode(wire.PartialResponse{Version: 12, Error: &wire.Error{
+		json.NewEncoder(w).Encode(wire.ReadResponse{Version: 12, Error: &wire.Error{
 			Code: "RUNTIME", Phase: "catalog", Offset: -1, Message: "catalog version mismatch",
 		}})
 	}))
 	defer ts.Close()
 
 	c := New(ts.URL, WithBackoff(Backoff{Attempts: 2, Base: time.Millisecond, Max: time.Millisecond, Seed: 1}))
-	_, err := c.Partial(context.Background(), "SELECT COUNT(*) FROM t", nil, 0, 1, 9)
+	_, err := c.Read(context.Background(), "/partial", wire.ReadRequest{SQL: "SELECT COUNT(*) FROM t", Aggs: 1, ExpectVersion: 9})
 	var vm *VersionMismatchError
 	if !errors.As(err, &vm) {
 		t.Fatalf("want VersionMismatchError, got %v", err)

@@ -2,8 +2,8 @@ package msql
 
 // Distributed-execution surface: the DB methods a shard server
 // (internal/server) and a coordinator (internal/dist) need beyond the
-// plain query API — partial aggregation, version-guarded mutations, and
-// the shard-health metrics/virtual-table hooks.
+// plain query API — parameterized and partial reads, version-guarded
+// mutations, and the shard-health metrics/virtual-table hooks.
 
 import (
 	"context"
@@ -35,6 +35,14 @@ func (db *DB) PlanQuery(ctx context.Context, sql string, params []Value, opts ..
 // pre-crash value, so coordinators use it as the compare-and-swap token
 // for exactly-once replicated mutations.
 func (db *DB) CatalogVersion() int64 { return db.session.CatalogVersion() }
+
+// QueryParams runs one query, whose placeholders ($n or ?) take
+// params, on the plan the plan cache holds for its text: statements of
+// one shape with other values are planned once, as executions of one
+// prepared statement are.
+func (db *DB) QueryParams(ctx context.Context, sql string, params []Value, opts ...Option) (*Result, error) {
+	return db.session.QueryParams(ctx, sql, params, overrides(opts))
+}
 
 // PartialAggregate plans sql, whose placeholders take params, through
 // the plan cache and runs its scan/filter/group phase, returning
