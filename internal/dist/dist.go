@@ -4,19 +4,21 @@
 //
 // Execution picks the cheapest of four paths per query, every one of
 // which is bit-identical to running the same statements on a single
-// node:
+// node. The coordinator plans each statement once, through its local
+// plan cache, and reads the path off that plan:
 //
 //   - local: queries touching no sharded table run on the coordinator's
-//     own session (msql_stats.* introspection, constants).
-//   - routed: a query whose WHERE pins the partition column to a literal
-//     runs whole on the one shard that owns that partition, which
-//     answers with its rows.
-//   - scatter: a mergeable aggregation is rewritten (ORDER BY/LIMIT
-//     stripped, a MIN(__mseq) bookkeeping aggregate appended) and pushed
-//     to every shard; the per-shard partial states merge exactly on the
-//     coordinator, which then finishes the original plan locally.
-//     Only aggregates whose two-phase merge is provably exact are
-//     scattered — everything else falls through.
+//     own session, on that plan (msql_stats.* introspection, constants).
+//   - routed: a query every scan of which sits under a filter pinning
+//     the partition column to a literal, every pin naming one shard,
+//     runs whole on that shard, which answers with its rows.
+//   - scatter: a mergeable aggregation over one filtered scan
+//     (exec.PartialShape) runs on every shard, which folds each group's
+//     partial states and the MIN of its rows' global insertion
+//     sequence (__mseq); the per-shard partial states merge exactly
+//     into the coordinator's plan, which then finishes it. Only
+//     aggregates whose two-phase merge is provably exact are scattered
+//     — everything else falls through.
 //   - gather: any other query reads the sharded tables' rows from every
 //     shard, orders them by global insertion sequence, and runs the
 //     coordinator's own plan of the statement over them in place of its
@@ -153,15 +155,14 @@ type Coordinator struct {
 	shards []*shard
 
 	// local mirrors the original (user-visible) schema and stays empty
-	// of rows: it plans queries for classification, answers queries
-	// that touch no sharded table, synthesizes empty-input aggregate
-	// rows, and hosts the msql_stats.shards virtual table and shard
-	// metrics.
+	// of rows: it plans every query once, for its path and to finish
+	// it, answers queries that touch no sharded table, and hosts the
+	// msql_stats.shards virtual table and shard metrics.
 	local *msql.DB
 	// shadow mirrors the shard-side schema — every sharded table gets
-	// the hidden __mseq INTEGER ordering column appended — so shard-
-	// bound query rewrites can be planned and validated before any
-	// shard sees them.
+	// the hidden __mseq INTEGER ordering column appended — and only
+	// checks DDL: a view that does not bind there would fail on every
+	// shard, so it is refused before it is logged.
 	shadow *msql.DB
 
 	// catalog state. mu guards tables/seq; mutations additionally

@@ -219,6 +219,9 @@ var differentialQueries = []string{
 	`SELECT custName, AGGREGATE(sumRevenue) AS rev FROM OrdersWithRevenue GROUP BY custName ORDER BY custName`,
 	`SELECT prodName, profitMargin FROM SummarizedOrders ORDER BY prodName, profitMargin`,
 	`SELECT * FROM Orders ORDER BY revenue, prodName`,
+	// an aggregate over a LIMIT: each shard's LIMIT is not the statement's
+	`SELECT COUNT(*) AS n FROM (SELECT * FROM Orders LIMIT 2) AS d`,
+	`SELECT prodName, COUNT(*) AS n FROM (SELECT * FROM Orders LIMIT 3) AS d GROUP BY prodName`,
 }
 
 func TestDifferentialAgainstSingleNode(t *testing.T) {

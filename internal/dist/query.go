@@ -1,16 +1,18 @@
 package dist
 
-// Query classification and the four execution paths. Every path is
-// bit-identical to a single-node session running the same statements:
-// routed queries read exactly one partition that provably contains
-// every qualifying row; scattered aggregations merge only aggregates
-// whose states merge exactly however the shards interleave a group's
-// rows, in the executor's own grouping table, ordering per-group
-// partials by the global insertion sequence so group output order and
-// key values match the oracle; and the gather fallback reads the
-// tables' rows in insertion order and runs the coordinator's own plan
-// of the statement over them. Rows and partial tables cross from a
-// shard as one binary frame, so every value keeps its kind exactly.
+// Query classification and the four execution paths, both read off the
+// one plan the coordinator caches for a statement's shape. Every path
+// is bit-identical to a single-node session running the same
+// statements: routed queries read exactly one partition that provably
+// contains every row any scan of the plan reads; scattered aggregations
+// send the statement itself and merge only aggregates whose states
+// merge exactly however the shards interleave a group's rows, in the
+// executor's own grouping table, ordering per-group partials by the
+// global insertion sequence so group output order and key values match
+// the oracle; and the gather fallback reads the tables' rows in
+// insertion order and runs the coordinator's own plan of the statement
+// over them. Rows and partial tables cross from a shard as one binary
+// frame, so every value keeps its kind exactly.
 
 import (
 	"cmp"
@@ -18,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -103,8 +104,8 @@ func (c *Coordinator) MustExec(sql string) {
 // could give values — it is planned as its shape (ast.Lift), its WHERE
 // literals the shape's parameters, and the local plan comes from the
 // plan cache under the shape's text, so statements of one shape plan
-// once, on the coordinator and on every shard. Only the local path runs
-// the literal text.
+// once, on the coordinator and on every shard, and the path is read off
+// that plan.
 func (c *Coordinator) query(ctx context.Context, q *ast.Query, liftable bool, reqID string) (*msql.Result, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.QueryTimeout)
 	defer cancel()
@@ -141,20 +142,20 @@ func (c *Coordinator) query(ctx context.Context, q *ast.Query, liftable bool, re
 	}
 	sharded := c.shardSources(node)
 	if len(sharded) == 0 {
-		return c.local.QueryContext(ctx, ast.FormatQuery(q))
+		return c.local.QueryParams(ctx, st.sql, st.params)
 	}
-	if idx, ok := c.routeSingle(q); ok {
+	if idx, ok := c.route(st, node, sharded); ok {
 		return c.routed(ctx, idx, st, node, reqID)
 	}
-	if res, handled, err := c.scatter(ctx, st, node, reqID); handled {
-		return res, err
+	if agg, ok := scatterShape(node); ok {
+		return c.scatter(ctx, st, node, agg, reqID)
 	}
 	return c.gather(ctx, st, node, sharded, reqID)
 }
 
 // shape is a query as it is planned: its shape (ast.Lift) with the
 // lifted values, or the literal query with none. sql is its text, the
-// key the local, shadow and shard plan caches file it under.
+// key the local and shard plan caches file it under.
 type shape struct {
 	q      *ast.Query
 	sql    string
@@ -189,147 +190,118 @@ func (c *Coordinator) shardSources(node plan.Node) map[plan.RowSource]*tableMeta
 // ---------------------------------------------------------------------------
 // Routed execution (single-shard)
 
-// routeSingle reports whether q can run whole on one shard: its FROM is
-// a single sharded table and the WHERE pins that table's partition
-// column to a literal, so every qualifying row — and every row any
-// measure or AT context in the query can reach — lives on the owning
-// shard.
-func (c *Coordinator) routeSingle(q *ast.Query) (int, bool) {
-	if len(q.With) != 0 {
+// route returns the one shard that holds every row node reads, when
+// there is one: every Scan in the plan — measure expansions and
+// subqueries included — reads the one sharded table directly under a
+// Filter whose top-level conjunct pins the partition column to a
+// parameter or literal, and every pin hashes to that shard. A shard's
+// tables also hold the sequence column, so the statement runs there
+// only where that cannot show: its select list holds no `*`, and no
+// other operator names every column of the table (wholeRow).
+func (c *Coordinator) route(st shape, node plan.Node, sharded map[plan.RowSource]*tableMeta) (int, bool) {
+	if len(sharded) != 1 || selectsStar(st.q) {
 		return 0, false
 	}
-	sel, ok := q.Body.(*ast.Select)
-	if !ok || sel.From == nil {
-		return 0, false
+	var src plan.RowSource
+	var meta *tableMeta
+	for src, meta = range sharded {
 	}
-	tn, ok := sel.From.(*ast.TableName)
-	if !ok {
-		return 0, false
-	}
-	meta, ok := c.meta(tn.Name)
-	if !ok {
-		return 0, false
-	}
-	pcol := meta.cols[meta.pcol]
-	alias := tn.Alias
-	if alias == "" {
-		alias = tn.Name
-	}
-	// A shard-side SELECT * would expose the hidden sequence column.
-	for _, it := range sel.Items {
-		if it.Star {
-			return 0, false
+	idx, scans, pinned := -1, 0, 0
+	plan.Walk(node, func(n plan.Node) {
+		switch n := n.(type) {
+		case *plan.Scan:
+			scans++
+		case *plan.Filter:
+			if scan, ok := n.Input.(*plan.Scan); ok && scan.Source == src {
+				if i, ok := c.pin(n.Pred, meta, st.params); ok && (idx < 0 || i == idx) {
+					idx = i
+					pinned++
+				}
+			}
 		}
+	})
+	if idx < 0 || pinned != scans {
+		return 0, false
 	}
-	var exprs []ast.Expr
-	for _, it := range sel.Items {
-		exprs = append(exprs, it.Expr)
-	}
-	exprs = append(exprs, sel.Where, sel.Having, sel.Qualify, q.Limit, q.Offset)
-	for _, gi := range sel.GroupBy {
-		exprs = append(exprs, gi.Exprs...)
-		for _, set := range gi.Sets {
-			exprs = append(exprs, set...)
-		}
-	}
-	for _, oi := range q.OrderBy {
-		exprs = append(exprs, oi.Expr)
-	}
-	for _, e := range exprs {
-		if !routeSafeExpr(e, pcol) {
-			return 0, false
-		}
-	}
-	for _, conj := range conjuncts(sel.Where) {
-		b, ok := conj.(*ast.Binary)
-		if !ok || b.Op != "=" {
+	list, wide := selectList(node), false
+	plan.Walk(node, func(n plan.Node) {
+		wide = wide || n != list && wholeRow(n, meta)
+	})
+	return idx, !wide
+}
+
+// pin returns the shard of the partition a top-level conjunct of pred,
+// a filter over the table's Scan, pins: partition column = parameter or
+// literal.
+func (c *Coordinator) pin(pred plan.Expr, meta *tableMeta, params []msql.Value) (int, bool) {
+	for _, conj := range plan.SplitKeyTerms(pred) {
+		k := conj.Key
+		if k == nil || len(k.Guards) > 0 {
 			continue
 		}
-		for _, pair := range [][2]ast.Expr{{b.L, b.R}, {b.R, b.L}} {
-			id, ok := pair[0].(*ast.Ident)
-			if !ok || !strings.EqualFold(id.Name(), pcol) {
-				continue
-			}
-			if qual := id.Qualifier(); qual != "" && !strings.EqualFold(qual, alias) {
-				continue
-			}
-			v, err := engine.EvalConstExpr(pair[1])
-			if err != nil {
-				continue
-			}
-			cv, err := storage.Coerce(v, meta.kinds[meta.pcol])
-			if err != nil {
-				continue
-			}
+		if col, ok := k.Inner.(*plan.ColRef); !ok || col.Index != meta.pcol {
+			continue
+		}
+		var v msql.Value
+		switch o := k.Outer.(type) {
+		case *plan.Param:
+			v = params[o.Index]
+		case *plan.Lit:
+			v = o.Val
+		default:
+			continue
+		}
+		if cv, err := storage.Coerce(v, meta.kinds[meta.pcol]); err == nil {
 			return c.shardFor(cv), true
 		}
 	}
 	return 0, false
 }
 
-// conjuncts flattens a top-level AND chain.
-func conjuncts(e ast.Expr) []ast.Expr {
-	b, ok := e.(*ast.Binary)
-	if ok && strings.EqualFold(b.Op, "AND") {
-		return append(conjuncts(b.L), conjuncts(b.R)...)
-	}
-	if e == nil {
-		return nil
-	}
-	return []ast.Expr{e}
+// selectsStar reports whether q's select list holds a `*`, which on a
+// shard also returns the sequence column.
+func selectsStar(q *ast.Query) bool {
+	sel, ok := q.Body.(*ast.Select)
+	return ok && slices.ContainsFunc(sel.Items, func(it ast.SelectItem) bool { return it.Star })
 }
 
-// routeSafeExpr rejects expressions that could reach rows outside the
-// pinned partition: subqueries, AT WHERE, AT ALL with no dimensions
-// (full context reset), and AT modifiers that touch the partition
-// column itself.
-func routeSafeExpr(e ast.Expr, pcol string) bool {
-	if e == nil {
-		return true
+// selectList is the Project that computes node's select list, beneath
+// the operators that finish it, or nil.
+func selectList(node plan.Node) plan.Node {
+	for {
+		switch n := node.(type) {
+		case *plan.Sort:
+			node = n.Input
+		case *plan.Limit:
+			node = n.Input
+		case *plan.Distinct:
+			node = n.Input
+		case *plan.Project:
+			return n
+		default:
+			return nil
+		}
 	}
-	safe := true
-	ast.WalkExpr(e, func(x ast.Expr) bool {
-		switch t := x.(type) {
-		case *ast.ScalarSubquery, *ast.InSubquery, *ast.Exists:
-			safe = false
-		case *ast.At:
-			for _, mod := range t.Mods {
-				switch m := mod.(type) {
-				case *ast.AtVisible:
-				case *ast.AtWhere:
-					safe = false
-				case *ast.AtAll:
-					if len(m.Dims) == 0 {
-						safe = false
-					}
-					for _, d := range m.Dims {
-						if mentionsCol(d, pcol) {
-							safe = false
-						}
-					}
-				case *ast.AtSet:
-					if mentionsCol(m.Dim, pcol) {
-						safe = false
-					}
-				default:
-					safe = false
-				}
+}
+
+// wholeRow reports whether n's own expressions name every column of
+// the table: a `*`, a NATURAL JOIN or a measure's row context over a
+// `*` view, each of which a shard also expands to the sequence column.
+func wholeRow(n plan.Node, meta *tableMeta) bool {
+	named := map[string]bool{}
+	plan.VisitNodeExprs(n, func(e plan.Expr) {
+		plan.WalkExprs(e, func(x plan.Expr) {
+			if col, ok := x.(*plan.ColRef); ok {
+				named[lower(col.Name)] = true
 			}
-		}
-		return safe
+		})
 	})
-	return safe
-}
-
-func mentionsCol(e ast.Expr, col string) bool {
-	found := false
-	ast.WalkExpr(e, func(x ast.Expr) bool {
-		if id, ok := x.(*ast.Ident); ok && strings.EqualFold(id.Name(), col) {
-			found = true
+	for _, col := range meta.cols {
+		if !named[lower(col)] {
+			return false
 		}
-		return !found
-	})
-	return found
+	}
+	return true
 }
 
 // routed runs st whole on shard idx; node, the statement's local plan,
@@ -414,112 +386,43 @@ func (c *Coordinator) shardFailure(ctx context.Context, failed map[int]error) er
 // ---------------------------------------------------------------------------
 // Scatter execution (partial aggregation + exact merge)
 
-// scatter attempts the scatter/partial path on the lifted statement st.
-// handled=false means the query's shape is not scatter-safe and the
-// caller should gather.
-func (c *Coordinator) scatter(ctx context.Context, st shape, localPlan plan.Node, reqID string) (res *msql.Result, handled bool, err error) {
-	sel, ok := st.q.Body.(*ast.Select)
-	if !ok || sel.Distinct || sel.Having != nil || sel.Qualify != nil {
-		return nil, false, nil
+// scatterShape returns the Aggregate node splits at when it scatters:
+// the plan reads one Scan, under nothing but Filters, under an Aggregate
+// exec.PartialShape accepts, and every aggregate call's states merge
+// exactly however the shards interleave a group's rows.
+func scatterShape(node plan.Node) (*plan.Aggregate, bool) {
+	agg, err := exec.PartialShape(node)
+	if err != nil {
+		return nil, false
 	}
-	for _, it := range sel.Items {
-		if it.Star {
-			return nil, false, nil
+	reads := 0
+	plan.Walk(node, func(n plan.Node) {
+		switch n.(type) {
+		case *plan.Scan, *plan.LinkRead:
+			reads++
 		}
-	}
-	// Rewrite a copy: append the bookkeeping aggregate and strip the
-	// post-aggregation clauses (they run on the coordinator after the
-	// merge). Appending (not prepending) keeps GROUP BY ordinals valid.
-	ss := *sel
-	ss.Items = append(sel.Items[:len(sel.Items):len(sel.Items)], ast.SelectItem{
-		Expr:  &ast.FuncCall{Name: "MIN", Args: []ast.Expr{&ast.Ident{Parts: []string{seqCol}}}},
-		Alias: "__mseq_min",
 	})
-	sq := *st.q
-	sq.Body = &ss
-	sq.OrderBy, sq.Limit, sq.Offset = nil, nil, nil
-	shardSQL := ast.FormatQuery(&sq)
-
-	// Validate the rewrite against the shard-schema mirror before any
-	// shard sees it; any planning failure (hidden column not in scope,
-	// ambiguity through a join) simply falls through to gather.
-	shadowPlan, perr := c.shadow.PlanQuery(ctx, shardSQL, st.params)
-	if perr != nil {
-		return nil, false, nil
+	if reads != 1 {
+		return nil, false
 	}
-	// The shard runs exactly this check on the same plan; on top of it,
-	// every aggregate's shard states must merge exactly in first-sequence
-	// order, however the shards interleave a group's rows.
-	aggSh, err := exec.PartialShape(shadowPlan)
-	if err != nil || !c.scatterPlanSafe(shadowPlan) {
-		return nil, false, nil
-	}
-	aggCount := len(aggSh.Aggs) - 1
-	groupCount := len(aggSh.GroupExprs)
-	if aggCount < 0 || aggSh.Aggs[aggCount].Name != "MIN" {
-		return nil, false, nil
-	}
-	for _, a := range aggSh.Aggs[:aggCount] {
+	for _, a := range agg.Aggs {
 		def, ok := fn.LookupAgg(a.Name)
 		if !ok || !def.MergesInterleaved(a.ArgTypes()) {
-			return nil, false, nil
+			return nil, false
 		}
 	}
-	// Align the local plan: the shards' groups merge into its
-	// Aggregate, so the aggregates must correspond one to one.
-	aggLoc, err := exec.MergeShape(localPlan)
-	if err != nil || len(aggLoc.Aggs) != aggCount || len(aggLoc.GroupExprs) != groupCount {
-		return nil, false, nil
-	}
-	for i := 0; i < aggCount; i++ {
-		a, b := aggLoc.Aggs[i], aggSh.Aggs[i]
-		if a.Name != b.Name || a.Star != b.Star || a.Distinct != b.Distinct || len(a.Args) != len(b.Args) {
-			return nil, false, nil
-		}
-	}
-	out, err := c.scatterRun(ctx, st.params, shardSQL, localPlan, groupCount, aggCount, reqID)
-	return out, true, err
+	return agg, true
 }
 
-// scatterPlanSafe requires exactly one table scan (no joins — a
-// per-shard join of per-shard slices is not the global join), every
-// scan on a sharded table, and no subqueries or window functions
-// anywhere (measure expansions that survive as correlated subqueries
-// need rows beyond the shard's partition).
-func (c *Coordinator) scatterPlanSafe(n plan.Node) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	safe := true
-	scans := 0
-	plan.Walk(n, func(m plan.Node) {
-		switch t := m.(type) {
-		case *plan.Scan:
-			scans++
-			if _, ok := c.tables[lower(t.Source.Name())]; !ok {
-				safe = false
-			}
-		case *plan.Window, *plan.Join, *plan.SetOp, *plan.Distinct:
-			safe = false
-		}
-		plan.VisitNodeExprs(m, func(e plan.Expr) {
-			plan.WalkExprs(e, func(x plan.Expr) {
-				if _, ok := x.(*plan.Subquery); ok {
-					safe = false
-				}
-			})
-		})
-	})
-	return safe && scans == 1
-}
-
-// scatterRun fans the rewritten query out with the statement's
-// parameters and merges the shards' partial tables into the local
-// plan's Aggregate (exec.MergePartials), which finishes the plan. Each
-// shard's groups carry MIN(__mseq) last, so groups and their pieces
-// merge in global insertion order.
-func (c *Coordinator) scatterRun(ctx context.Context, params []msql.Value, shardSQL string, localPlan plan.Node, groupCount, aggCount int, reqID string) (*msql.Result, error) {
+// scatter sends st to every shard (/partial), each folding its rows
+// with node's Aggregate, agg, and the per-group MIN of the sequence
+// column, and merges the shards' partial tables into node's Aggregate
+// (exec.MergePartials), which finishes the plan: groups and their
+// pieces merge in global insertion order.
+func (c *Coordinator) scatter(ctx context.Context, st shape, node plan.Node, agg *plan.Aggregate, reqID string) (*msql.Result, error) {
 	c.metrics.scatters.Add(int64(len(c.shards)))
-	wireParams := wire.EncodeParams(params)
+	req := wire.ReadRequest{SQL: st.sql, Params: wire.EncodeParams(st.params), Seq: seqCol,
+		Groups: len(agg.GroupExprs), Aggs: len(agg.Aggs), RequestID: reqID}
 	frames := make([][]byte, len(c.shards))
 	errs := make([]error, len(c.shards))
 	var wg sync.WaitGroup
@@ -528,8 +431,7 @@ func (c *Coordinator) scatterRun(ctx context.Context, params []msql.Value, shard
 		go func(i int, sh *shard) {
 			defer wg.Done()
 			p, err := callShard(ctx, c, sh, "partial", reqID, func(cctx context.Context, ep *endpoint) (*client.Frame, error) {
-				return c.shardRead(cctx, sh, ep, "/partial", wire.ReadRequest{
-					SQL: shardSQL, Params: wireParams, Groups: groupCount, Aggs: aggCount + 1, RequestID: reqID})
+				return c.shardRead(cctx, sh, ep, "/partial", req)
 			})
 			if err != nil {
 				errs[i] = err
@@ -550,12 +452,12 @@ func (c *Coordinator) scatterRun(ctx context.Context, params []msql.Value, shard
 	}
 
 	settings := exec.DefaultSettings()
-	settings.Params = params
-	rows, err := exec.MergePartials(ctx, localPlan, frames, settings)
+	settings.Params = st.params
+	rows, err := exec.MergePartials(ctx, node, frames, settings)
 	if err != nil {
 		return nil, err
 	}
-	return planResult(localPlan, rows), nil
+	return planResult(node, rows), nil
 }
 
 // ---------------------------------------------------------------------------

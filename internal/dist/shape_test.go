@@ -146,8 +146,8 @@ func code(err error) exec.Code {
 }
 
 // TestScatterPlansOncePerShape: scatter statements of one shape with
-// other literals are planned once — by the coordinator's local and
-// shadow sessions and by every shard — and every later one is a plan
+// other literals are planned once — by the coordinator's local session
+// and by every shard — and every later one is a plan
 // cache hit; a table dropped and re-created with other column types
 // replans everywhere.
 func TestScatterPlansOncePerShape(t *testing.T) {
@@ -155,13 +155,13 @@ func TestScatterPlansOncePerShape(t *testing.T) {
 	coord, oracle, nodes := cluster(t, 2)
 	execBoth(t, coord, oracle, literalSchema)
 	caches := func() []msql.PlanCacheCounters {
-		out := []msql.PlanCacheCounters{coord.Local().PlanCacheStats(), dist.ShadowPlanCacheStats(coord)}
+		out := []msql.PlanCacheCounters{coord.Local().PlanCacheStats()}
 		for _, n := range nodes {
 			out = append(out, n.db.PlanCacheStats())
 		}
 		return out
 	}
-	names := []string{"local", "shadow", "shard 0", "shard 1"}
+	names := []string{"local", "shard 0", "shard 1"}
 	run := func() {
 		t.Helper()
 		for j := 0; j < k; j++ {

@@ -445,7 +445,7 @@ func TestPlanQueryAndPartialAggregateUseThePlanCache(t *testing.T) {
 	if _, err := s.PlanQuery(ctx, q, one, nil); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.PartialAggregate(ctx, q, []sqltypes.Value{sqltypes.NewInt(2)}, 1, 1, nil)
+	res, err := s.PartialAggregate(ctx, q, []sqltypes.Value{sqltypes.NewInt(2)}, "", 1, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

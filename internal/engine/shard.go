@@ -90,9 +90,10 @@ func (s *Session) QueryParams(ctx context.Context, sql string, params []sqltypes
 
 // PartialAggregate plans sql, whose placeholders take params, through
 // the session plan cache and runs its scan/filter/group phase,
-// returning per-group partial aggregate states instead of final rows.
+// returning per-group partial aggregate states instead of final rows;
+// with seq, each group also carries the MIN of that column of its rows.
 // groups and aggs cross-check the plan shape (see exec.PartialAggregate).
-func (s *Session) PartialAggregate(ctx context.Context, sql string, params []sqltypes.Value, groups, aggs int, ov *Overrides) (*exec.PartialResult, error) {
+func (s *Session) PartialAggregate(ctx context.Context, sql string, params []sqltypes.Value, seq string, groups, aggs int, ov *Overrides) (*exec.PartialResult, error) {
 	var out *exec.PartialResult
 	_, err := s.withStmtEnv(ctx, ov, stmtInfo{sql: oneLine(sql)}, func(env *stmtEnv) (*Result, error) {
 		entry, _, _, planNs, err := s.cachedPlanFor(env, sql, paramKinds(params), nil)
@@ -104,7 +105,7 @@ func (s *Session) PartialAggregate(ctx context.Context, sql string, params []sql
 		settings.Tracer = env.tracer
 		settings.Params = params
 		start := time.Now()
-		res, err := exec.PartialAggregate(env.ctx, entry.node, groups, aggs, &settings)
+		res, err := exec.PartialAggregate(env.ctx, entry.node, seq, groups, aggs, &settings)
 		execNs := int64(time.Since(start))
 		if err != nil {
 			return nil, err

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 
 	"github.com/measures-sql/msql/internal/fn"
 	"github.com/measures-sql/msql/internal/plan"
@@ -45,9 +46,13 @@ type PartialResult struct {
 // PartialAggregate evaluates the scan/filter/group phase of an
 // aggregation plan and exports partial states instead of final values.
 // The plan must have the shape PartialShape accepts; groups and aggs
-// cross-check the expected counts so a coordinator and shard that
-// planned different texts can never silently merge mismatched state.
-func PartialAggregate(ctx context.Context, root plan.Node, groups, aggs int, settings *Settings) (*PartialResult, error) {
+// cross-check the expected counts of its Aggregate, so a coordinator and
+// shard that planned different texts can never silently merge
+// mismatched state. With seq, the name of a column the Aggregate's input
+// reads, every group carries one state more, last: the MIN of seq over
+// the group's rows, folded by a copy of the Aggregate, so root is only
+// read.
+func PartialAggregate(ctx context.Context, root plan.Node, seq string, groups, aggs int, settings *Settings) (*PartialResult, error) {
 	agg, err := PartialShape(root)
 	if err != nil {
 		return nil, err
@@ -58,6 +63,11 @@ func PartialAggregate(ctx context.Context, root plan.Node, groups, aggs int, set
 			Phase: PhaseBind,
 			Err: fmt.Errorf("partial aggregation shape mismatch: plan has %d keys and %d aggregates, request expects %d and %d",
 				len(agg.GroupExprs), len(agg.Aggs), groups, aggs),
+		}
+	}
+	if seq != "" {
+		if agg, err = withSequence(agg, seq); err != nil {
+			return nil, err
 		}
 	}
 	var out *PartialResult
@@ -94,6 +104,24 @@ func PartialAggregate(ctx context.Context, root plan.Node, groups, aggs int, set
 	return out, nil
 }
 
+// withSequence is a copy of agg that also folds MIN(seq), seq a column
+// of its input, as its last call.
+func withSequence(agg *plan.Aggregate, seq string) (*plan.Aggregate, error) {
+	for i, col := range agg.Input.Schema().Cols {
+		if !strings.EqualFold(col.Name, seq) {
+			continue
+		}
+		n := len(agg.Aggs)
+		cp := *agg
+		cp.Aggs = append(agg.Aggs[:n:n], plan.AggCall{Name: "MIN",
+			Args: []plan.Expr{&plan.ColRef{Index: i, Name: col.Name, Typ: col.Typ}}, KeyIndex: -1, Typ: col.Typ})
+		cols := agg.Sch.Cols
+		cp.Sch = &plan.Schema{Cols: append(cols[:len(cols):len(cols)], plan.Col{Name: col.Name, Typ: col.Typ})}
+		return &cp, nil
+	}
+	return nil, partialShapeError("the aggregate reads no column %s", seq)
+}
+
 // AppendFrame appends the frame of groups, a shard's whole partial table
 // in one buffer: a uvarint group count, then per group its key values
 // (sqltypes.AppendValues) and its states (fn.AppendState), in order.
@@ -113,15 +141,15 @@ func AppendFrame(dst []byte, groups []PartialGroup) ([]byte, error) {
 }
 
 // MergePartials is the coordinator's half: it merges the frames
-// (AppendFrame) of every shard's partial table for root's Aggregate into
-// one grouping table, as the Aggregate's own fold would have built it,
-// and runs what root stacks on the Aggregate (MergeShape) over its
-// groups. The empty-input row of a keyless Aggregate is made as a
+// (AppendFrame) of every shard's partial table for root's Aggregate
+// (PartialShape) into one grouping table, as the Aggregate's own fold
+// would have built it, and runs what root stacks on the Aggregate over
+// its groups. The empty-input row of a keyless Aggregate is made as a
 // single node makes it.
 //
 // A frame's groups carry one state more than the Aggregate has calls:
 // a MIN over the global sequence numbers of the group's rows on that
-// shard. A group is found by its key (sqltypes.Value.AppendKey), as the
+// shard (PartialAggregate with a sequence column). A group is found by its key (sqltypes.Value.AppendKey), as the
 // fold finds it, so keys that are equal but differ in bytes (1 and 1.0)
 // are one group. Its key values and its place in the output come from
 // its piece with the lowest sequence, and its pieces merge as if in
@@ -134,7 +162,7 @@ func AppendFrame(dst []byte, groups []PartialGroup) ([]byte, error) {
 // never a panic, and a count it claims beyond its bytes is refused
 // before anything is allocated for it.
 func MergePartials(ctx context.Context, root plan.Node, frames [][]byte, settings *Settings) ([]Row, error) {
-	agg, err := MergeShape(root)
+	agg, err := PartialShape(root)
 	if err != nil {
 		return nil, err
 	}
@@ -282,12 +310,19 @@ func (m *merger) merge(frame []byte) error {
 	return nil
 }
 
-// MergeShape returns the Aggregate MergePartials merges into: root is
-// the Aggregate under nothing but Project, Sort and Limit operators,
-// and the Aggregate has the shape PartialShape accepts.
-func MergeShape(root plan.Node) (*plan.Aggregate, error) {
-	n := root
-	for {
+// PartialShape returns the Aggregate a plan splits at across shards:
+// one Aggregate under nothing but the Project, Sort and Limit operators
+// that finish it (any other operator above it means the answer is not a
+// pure merge of per-shard groups), over nothing but Filters over one
+// Scan, with one grouping set that covers every key, no GROUPING call,
+// and no aggregate that needs the full row stream in one place
+// (DISTINCT, WITHIN DISTINCT), carries a FILTER or folds a context
+// link. A coordinator checks the plan it is about to scatter with it, a
+// shard the plan it folds, and MergePartials the plan it finishes.
+// Anything else is an ErrPartialUnsupported error.
+func PartialShape(root plan.Node) (*plan.Aggregate, error) {
+	var agg *plan.Aggregate
+	for n := root; agg == nil; {
 		switch t := n.(type) {
 		case *plan.Project:
 			n = t.Input
@@ -296,34 +331,20 @@ func MergeShape(root plan.Node) (*plan.Aggregate, error) {
 		case *plan.Limit:
 			n = t.Input
 		case *plan.Aggregate:
-			return PartialShape(t)
+			agg = t
 		default:
 			return nil, partialShapeError("plan has %T above the aggregate", n)
 		}
 	}
-}
-
-// PartialShape returns the Aggregate of a plan whose per-group states
-// merge group-wise across shards: one Aggregate under nothing but the
-// Projects the planner stacks on top for select-list shaping (any other
-// operator above it means the query's final answer is not a pure merge
-// of per-shard groups), with one grouping set that covers every key, no
-// GROUPING call, and no aggregate that needs the full row stream in one
-// place (DISTINCT, WITHIN DISTINCT) or carries a FILTER. A coordinator
-// checks the plan it is about to push with it; a shard checks the plan
-// it was sent. Anything else is an ErrPartialUnsupported error.
-func PartialShape(root plan.Node) (*plan.Aggregate, error) {
-	n := root
-	for {
-		p, ok := n.(*plan.Project)
-		if !ok {
-			break
+	for n := agg.Input; ; {
+		if f, ok := n.(*plan.Filter); ok {
+			n = f.Input
+			continue
 		}
-		n = p.Input
-	}
-	agg, ok := n.(*plan.Aggregate)
-	if !ok {
-		return nil, partialShapeError("plan has %T above the aggregate", n)
+		if _, ok := n.(*plan.Scan); !ok {
+			return nil, partialShapeError("the aggregate reads %T, not a filtered scan", n)
+		}
+		break
 	}
 	if len(agg.Sets) != 1 {
 		return nil, partialShapeError("%d grouping sets", len(agg.Sets))

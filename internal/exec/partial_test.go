@@ -10,9 +10,9 @@ import (
 	"github.com/measures-sql/msql/internal/sqltypes"
 )
 
-// The scatter-gather pair over rows (a, b, seq): a shard's Aggregate
-// groups by b and appends MIN(seq), as a coordinator's rewrite does; the
-// coordinator's Aggregate is the same without it.
+// The scatter-gather pair over rows (a, b, seq): one Aggregate grouping
+// by b, which a shard folds with MIN(seq) appended (PartialAggregate
+// with a sequence column) and a coordinator merges into.
 // ANY_VALUE(seq) takes the first row's value only if the pieces merge in
 // sequence order.
 var mergeCalls = []plan.AggCall{
@@ -28,11 +28,6 @@ func mergeAgg(in plan.Node, calls []plan.AggCall) *plan.Aggregate {
 		sch.Cols = append(sch.Cols, plan.Col{Name: c.Name, Typ: c.Typ})
 	}
 	return &plan.Aggregate{Input: in, GroupExprs: []plan.Expr{col(1, "b")}, Sets: [][]int{{0}}, Aggs: calls, Sch: sch}
-}
-
-func shardAgg(in plan.Node) *plan.Aggregate {
-	seq := plan.AggCall{Name: "MIN", Args: []plan.Expr{col(2, "seq")}, KeyIndex: -1, Typ: intT()}
-	return mergeAgg(in, append(mergeCalls[:len(mergeCalls):len(mergeCalls)], seq))
 }
 
 func abSeqScan(rows []Row) *plan.Scan {
@@ -62,9 +57,13 @@ func shardFrames(t testing.TB, n int, group func(int) int64, onFirst func(int) b
 		shards[s] = append(shards[s], row)
 	}
 	for _, rows := range shards {
-		res, err := PartialAggregate(context.Background(), shardAgg(abSeqScan(rows)), 1, len(mergeCalls)+1, nil)
+		agg := mergeAgg(abSeqScan(rows), mergeCalls)
+		res, err := PartialAggregate(context.Background(), agg, "seq", 1, len(mergeCalls), nil)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(agg.Aggs) != len(mergeCalls) || len(agg.Sch.Cols) != len(mergeCalls)+1 {
+			t.Fatalf("the shard's fold wrote its plan: %d calls, %d columns", len(agg.Aggs), len(agg.Sch.Cols))
 		}
 		frame, err := AppendFrame(nil, res.Groups)
 		if err != nil {
@@ -108,8 +107,7 @@ func TestMergePartialsMatchesOneFold(t *testing.T) {
 		})
 	}
 	t.Run("keyless over no rows", func(t *testing.T) {
-		seq := plan.AggCall{Name: "MIN", Args: []plan.Expr{col(2, "seq")}, KeyIndex: -1, Typ: intT()}
-		res, err := PartialAggregate(context.Background(), aggOver(abSeqScan(nil), append(mergeCalls[:4:4], seq)...), 0, 5, nil)
+		res, err := PartialAggregate(context.Background(), aggOver(abSeqScan(nil), mergeCalls...), "seq", 0, 4, nil)
 		if err != nil || len(res.Groups) != 0 {
 			t.Fatalf("%d groups from no rows (%v)", len(res.Groups), err)
 		}

@@ -100,7 +100,7 @@ func (s *Server) partialEndpoint() endpoint {
 			return wire.AppendPartial(dst, p.version, p.groups)
 		},
 		func(ctx context.Context, req *wire.ReadRequest, params []msql.Value, opts []msql.Option) (any, int, error) {
-			res, err := s.node.PartialAggregate(ctx, req.SQL, params, req.Groups, req.Aggs, opts...)
+			res, err := s.node.PartialAggregate(ctx, req.SQL, params, req.Seq, req.Groups, req.Aggs, opts...)
 			if err != nil {
 				return nil, 0, err
 			}

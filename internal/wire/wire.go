@@ -49,8 +49,9 @@ type QueryRequest struct {
 // merge with other shards' tables.
 type ReadRequest struct {
 	// SQL is a single SELECT. For /partial the server validates that
-	// its plan is a plain aggregate (no DISTINCT aggregates, no GROUPING
-	// SETS) whose shape matches Groups/Aggs.
+	// its plan is a plain aggregate over a filtered scan (no DISTINCT
+	// aggregates, no GROUPING SETS; exec.PartialShape) whose shape
+	// matches Groups/Aggs.
 	SQL string `json:"sql"`
 	// Params are the values of SQL's placeholders ($n), typed as on
 	// /execute.
@@ -59,6 +60,11 @@ type ReadRequest struct {
 	// the number of GROUP BY expressions and of aggregate calls in SQL.
 	Groups int `json:"groups,omitempty"`
 	Aggs   int `json:"aggs,omitempty"`
+	// Seq (/partial only), when set, names a column of the table the
+	// aggregate reads — a coordinator's global insertion sequence —
+	// whose per-group MIN the shard folds as one state more, after the
+	// Aggs states, so the coordinator merges groups in first-row order.
+	Seq string `json:"seq,omitempty"`
 	// ExpectVersion, when > 0, is the catalog version this request was
 	// planned against; a mismatched server rejects instead of answering
 	// from a stale (or differently-mutated) catalog.

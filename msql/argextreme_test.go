@@ -87,7 +87,7 @@ func TestArgExtremeSkipsNullOrdering(t *testing.T) {
 
 	t.Run("partial-codec", func(t *testing.T) {
 		db := openArgExtreme(t)
-		res, err := db.PartialAggregate(ctx, `SELECT g, ARG_MAX(h, x), ARG_MIN(h, x) FROM F GROUP BY g`, nil, 1, 2)
+		res, err := db.PartialAggregate(ctx, `SELECT g, ARG_MAX(h, x), ARG_MIN(h, x) FROM F GROUP BY g`, nil, "", 1, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,12 +46,13 @@ func (db *DB) QueryParams(ctx context.Context, sql string, params []Value, opts 
 
 // PartialAggregate plans sql, whose placeholders take params, through
 // the plan cache and runs its scan/filter/group phase, returning
-// per-group partial aggregate states instead of final rows.
-// groups/aggs cross-check the plan shape; a query whose shape cannot be
-// merged across shards fails with a structured BIND error wrapping
-// exec.ErrPartialUnsupported.
-func (db *DB) PartialAggregate(ctx context.Context, sql string, params []Value, groups, aggs int, opts ...Option) (*PartialResult, error) {
-	return db.session.PartialAggregate(ctx, sql, params, groups, aggs, overrides(opts))
+// per-group partial aggregate states instead of final rows; with seq,
+// the name of a column the aggregate reads, each group carries the MIN
+// of it as one state more, last. groups/aggs cross-check the plan
+// shape; a query whose shape cannot be merged across shards fails with
+// a structured BIND error wrapping exec.ErrPartialUnsupported.
+func (db *DB) PartialAggregate(ctx context.Context, sql string, params []Value, seq string, groups, aggs int, opts ...Option) (*PartialResult, error) {
+	return db.session.PartialAggregate(ctx, sql, params, seq, groups, aggs, overrides(opts))
 }
 
 // ExecCAS executes one mutation statement iff the catalog version
