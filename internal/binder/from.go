@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"github.com/measures-sql/msql/internal/ast"
+	"github.com/measures-sql/msql/internal/catalog"
 	"github.com/measures-sql/msql/internal/plan"
 	"github.com/measures-sql/msql/internal/sqltypes"
 )
@@ -227,12 +228,14 @@ func shiftLeft(e plan.Expr, leftWidth int) plan.Expr {
 	})
 }
 
+// naturalColumns are the non-measure columns both sides name, but for
+// the system column (catalog.SequenceColumn).
 func naturalColumns(left, right []*Rel) []string {
 	var out []string
 	seen := map[string]bool{}
 	for _, lr := range left {
 		for _, lc := range lr.Cols {
-			if lc.Measure != nil {
+			if lc.Measure != nil || strings.EqualFold(lc.Name, catalog.SequenceColumn) {
 				continue
 			}
 			name := strings.ToLower(lc.Name)

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"github.com/measures-sql/msql/internal/ast"
+	"github.com/measures-sql/msql/internal/catalog"
 	"github.com/measures-sql/msql/internal/fn"
 	"github.com/measures-sql/msql/internal/plan"
 	"github.com/measures-sql/msql/internal/sqltypes"
@@ -54,7 +55,8 @@ func (b *Binder) bindSelect(sel *ast.Select, orderBy []ast.OrderItem, outer *Sco
 	return b.bindPlainSelect(sel, items, orderBy, fr, whereExpr)
 }
 
-// expandStars flattens * and t.* select items into explicit items.
+// expandStars flattens * and t.* select items into explicit items. The
+// system column (catalog.SequenceColumn) is read only by name.
 func (b *Binder) expandStars(sel *ast.Select, fr *fromResult) ([]*selItem, error) {
 	var items []*selItem
 	for _, item := range sel.Items {
@@ -74,6 +76,9 @@ func (b *Binder) expandStars(sel *ast.Select, fr *fromResult) ([]*selItem, error
 			}
 			matched = true
 			for _, col := range rel.Cols {
+				if strings.EqualFold(col.Name, catalog.SequenceColumn) {
+					continue
+				}
 				// USING columns appear once in a * expansion.
 				if item.StarTable == "" && rel.Using != nil && rel.Using[strings.ToLower(col.Name)] {
 					if seenUsing[strings.ToLower(col.Name)] {

@@ -15,6 +15,15 @@ import (
 	"github.com/measures-sql/msql/internal/storage"
 )
 
+// SequenceColumn is a system column, as PostgreSQL's ctid or SQLite's
+// rowid: a column read only by name. `*` and `t.*` never expand it, and
+// a NATURAL JOIN never counts it as a common column. A sharded table
+// holds it on every shard: the coordinator's global insertion sequence,
+// which orders gathered rows and scattered groups as one node would
+// have seen them. So a shard's tables bind every statement and view as
+// the user's tables do.
+const SequenceColumn = "__mseq"
+
 // BaseTable is a stored table; it implements plan.RowSource.
 type BaseTable struct {
 	Data *storage.Table

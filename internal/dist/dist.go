@@ -15,14 +15,20 @@
 //   - scatter: a mergeable aggregation over one filtered scan
 //     (exec.PartialShape) runs on every shard, which folds each group's
 //     partial states and the MIN of its rows' global insertion
-//     sequence (__mseq); the per-shard partial states merge exactly
-//     into the coordinator's plan, which then finishes it. Only
-//     aggregates whose two-phase merge is provably exact are scattered
-//     — everything else falls through.
-//   - gather: any other query reads the sharded tables' rows from every
-//     shard, orders them by global insertion sequence, and runs the
-//     coordinator's own plan of the statement over them in place of its
-//     (empty) local tables. Slow but always available and always exact.
+//     sequence; the per-shard partial states merge exactly into the
+//     coordinator's plan, which then finishes it. Only aggregates
+//     whose two-phase merge is provably exact are scattered —
+//     everything else falls through.
+//   - gather: any other query reads the sharded tables' rows, with
+//     their global insertion sequence, from every shard, orders them by
+//     it, and runs the coordinator's own plan of the statement over
+//     them in place of its (empty) local tables. Slow but always
+//     available and always exact.
+//
+// The sequence is catalog.SequenceColumn, a system column every shard's
+// tables hold and `*` never expands: a shard's schema binds every
+// statement and view as the user's schema does, and only a read that
+// names the column sees it.
 //
 // Rows (routed, gather) and partial tables (scatter) cross from a shard
 // as one binary frame in reply to the same shard read — the statement's
@@ -154,23 +160,18 @@ type Coordinator struct {
 	cfg    Config
 	shards []*shard
 
-	// local mirrors the original (user-visible) schema and stays empty
-	// of rows: it plans every query once, for its path and to finish
-	// it, answers queries that touch no sharded table, and hosts the
+	// local mirrors the schema and stays empty of rows: it checks DDL,
+	// plans every query once, for its path and to finish it, answers
+	// queries that touch no sharded table, and hosts the
 	// msql_stats.shards virtual table and shard metrics.
 	local *msql.DB
-	// shadow mirrors the shard-side schema — every sharded table gets
-	// the hidden __mseq INTEGER ordering column appended — and only
-	// checks DDL: a view that does not bind there would fail on every
-	// shard, so it is refused before it is logged.
-	shadow *msql.DB
 
 	// catalog state. mu guards tables/seq; mutations additionally
 	// serialize on mutMu for the whole broadcast.
 	mu     sync.Mutex
 	mutMu  sync.Mutex
 	tables map[string]*tableMeta // key: lower(name)
-	seq    int64                 // next global __mseq
+	seq    int64                 // next global insertion sequence
 
 	reqSeq  atomic.Int64
 	metrics counters
@@ -191,7 +192,6 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:    cfg,
 		local:  msql.Open(),
-		shadow: msql.Open(),
 		tables: map[string]*tableMeta{},
 	}
 	for i, urls := range cfg.Shards {
@@ -218,7 +218,7 @@ func New(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// Close releases the coordinator's local sessions and drops idle shard
+// Close releases the coordinator's local session and drops idle shard
 // connections. Shard processes are not touched.
 func (c *Coordinator) Close() error {
 	for _, sh := range c.shards {
@@ -226,11 +226,7 @@ func (c *Coordinator) Close() error {
 			ep.tr.CloseIdleConnections()
 		}
 	}
-	err := c.local.Close()
-	if err2 := c.shadow.Close(); err == nil {
-		err = err2
-	}
-	return err
+	return c.local.Close()
 }
 
 // Local exposes the coordinator's local session (schema mirror,

@@ -14,9 +14,11 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sync"
 
 	"github.com/measures-sql/msql/internal/ast"
+	"github.com/measures-sql/msql/internal/catalog"
 	"github.com/measures-sql/msql/internal/engine"
 	"github.com/measures-sql/msql/internal/exec"
 	"github.com/measures-sql/msql/internal/sqltypes"
@@ -24,13 +26,6 @@ import (
 	"github.com/measures-sql/msql/internal/wire"
 	"github.com/measures-sql/msql/msql"
 )
-
-// seqCol is the hidden ordering column appended to every sharded
-// table: a global insertion sequence that lets the coordinator order
-// (or merge) rows in exactly the order a single node would have seen
-// them, which is what makes gathered and scattered results bit-
-// identical to the single-node oracle.
-const seqCol = "__mseq"
 
 func bindErr(format string, args ...any) error {
 	return &exec.Error{Code: exec.CodeBind, Phase: exec.PhaseBind, Pos: -1, Err: fmt.Errorf(format, args...)}
@@ -72,65 +67,39 @@ func (c *Coordinator) execStmt(ctx context.Context, stmt ast.Statement, reqID st
 	}
 }
 
+// execCreateTable creates s on the coordinator and, with the sequence
+// column appended, on every shard.
 func (c *Coordinator) execCreateTable(ctx context.Context, s *ast.CreateTable, reqID string) (*msql.Result, error) {
-	for _, col := range s.Cols {
-		if lower(col.Name) == seqCol {
-			return nil, bindErr("column name %q is reserved for distributed execution", seqCol)
-		}
-	}
-	localSQL := ast.FormatStatement(s)
-	shardStmt := *s
-	shardStmt.Cols = append(append([]ast.ColumnDef{}, s.Cols...), ast.ColumnDef{Name: seqCol, TypeName: "INTEGER"})
-	shardSQL := ast.FormatStatement(&shardStmt)
-
-	res, err := runOne(ctx, c.local, localSQL)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := runOne(ctx, c.shadow, shardSQL); err != nil {
-		// Keep the mirrors consistent: undo the local side.
-		_, _ = runOne(ctx, c.local, "DROP TABLE "+s.Name)
-		return nil, err
-	}
-
 	meta := &tableMeta{name: s.Name, pcol: 0}
 	for _, col := range s.Cols {
+		if lower(col.Name) == catalog.SequenceColumn {
+			return nil, bindErr("column name %q is reserved for distributed execution", catalog.SequenceColumn)
+		}
 		meta.cols = append(meta.cols, col.Name)
 		meta.kinds = append(meta.kinds, sqltypes.KindFromName(col.TypeName))
 	}
 	if want, ok := c.cfg.PartitionCols[lower(s.Name)]; ok {
-		meta.pcol = -1
-		for i, col := range meta.cols {
-			if lower(col) == lower(want) {
-				meta.pcol = i
-			}
-		}
+		meta.pcol = slices.IndexFunc(meta.cols, func(col string) bool { return lower(col) == lower(want) })
 		if meta.pcol < 0 {
-			_, _ = runOne(ctx, c.local, "DROP TABLE "+s.Name)
-			_, _ = runOne(ctx, c.shadow, "DROP TABLE "+s.Name)
 			return nil, bindErr("partition column %q not found in table %s", want, s.Name)
 		}
 	}
-
+	res, err := runOne(ctx, c.local, ast.FormatStatement(s))
+	if err != nil {
+		return nil, err
+	}
+	shardStmt := *s
+	shardStmt.Cols = append(s.Cols[:len(s.Cols):len(s.Cols)], ast.ColumnDef{Name: catalog.SequenceColumn, TypeName: "INTEGER"})
 	c.mu.Lock()
 	c.tables[lower(s.Name)] = meta
 	c.mu.Unlock()
-	return res, c.broadcast(ctx, mutation{sql: shardSQL}, reqID)
+	return res, c.broadcast(ctx, mutation{sql: ast.FormatStatement(&shardStmt)}, reqID)
 }
 
 func (c *Coordinator) execSchemaChange(ctx context.Context, stmt ast.Statement, reqID string) (*msql.Result, error) {
 	sql := ast.FormatStatement(stmt)
 	res, err := runOne(ctx, c.local, sql)
 	if err != nil {
-		return nil, err
-	}
-	if _, err := runOne(ctx, c.shadow, sql); err != nil {
-		// A view can be valid against the original schema yet invalid
-		// against the shard schema only in pathological cases; surface
-		// it rather than diverge, and undo the local apply.
-		if cv, ok := stmt.(*ast.CreateView); ok {
-			_, _ = runOne(ctx, c.local, "DROP VIEW "+cv.Name)
-		}
 		return nil, err
 	}
 	if d, ok := stmt.(*ast.Drop); ok && d.Kind == "TABLE" {
@@ -259,11 +228,15 @@ func expandInsertColumns(meta *tableMeta, cols []string, rows [][]sqltypes.Value
 	return out, nil
 }
 
-// shardFor hashes a coerced partition value's canonical encoding. The
-// FNV digest gets a 64-bit avalanche finalizer: raw FNV modulo a small
-// (especially power-of-two) shard count collapses onto a few residues
-// for dense integer keys, which would leave shards empty.
+// shardFor hashes a coerced partition value's canonical encoding, in
+// which -0.0 is 0.0, as `=` holds them. The FNV digest gets a 64-bit
+// avalanche finalizer: raw FNV modulo a small (especially power-of-two)
+// shard count collapses onto a few residues for dense integer keys,
+// which would leave shards empty.
 func (c *Coordinator) shardFor(v sqltypes.Value) int {
+	if v.K == sqltypes.KindFloat && !v.Null && v.F() == 0 {
+		v = sqltypes.NewFloat(0)
+	}
 	h := fnv.New64a()
 	h.Write(sqltypes.AppendValue(nil, v))
 	x := h.Sum64()

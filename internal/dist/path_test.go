@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/measures-sql/msql/internal/dist"
 	"github.com/measures-sql/msql/internal/exec"
 	"github.com/measures-sql/msql/internal/paperdata"
 )
@@ -49,13 +48,14 @@ var shapePaths = []struct{ path, sql string }{
 	// Every scan pinned to one partition, or not.
 	{"route", `SELECT k, x FROM T WHERE p = 'p2' AND k > (SELECT MIN(k) FROM T WHERE p = 'p2') ORDER BY k`},
 	{"gather", `SELECT k, x FROM T WHERE p = 'p2' AND k > (SELECT MIN(k) FROM T) ORDER BY k`},
-	// Pinned, but a shard's row is wider by the sequence column: a
-	// `*`, a NATURAL JOIN and a measure's row context over a `*` view
-	// would tell the duplicated rows apart there.
-	{"gather", `SELECT * FROM T WHERE p = 'p2' ORDER BY k`},
-	{"gather", `SELECT COUNT(*) AS n FROM (SELECT DISTINCT * FROM T WHERE p = 'p2') AS d`},
-	{"gather", `SELECT a.k FROM T a NATURAL JOIN T b WHERE a.p = 'p2' AND b.p = 'p2' ORDER BY a.k`},
-	{"gather", `SELECT g, k, cnt AT (VISIBLE) AS c FROM TV WHERE p = 'p2' ORDER BY g, k`},
+	// Pinned, and naming every column of the table: a shard's table
+	// also holds the sequence column, but `*`, DISTINCT *, a NATURAL
+	// JOIN and a measure's row context over a `*` view never see it, so
+	// the duplicated rows stay alike there and the statement routes.
+	{"route", `SELECT * FROM T WHERE p = 'p2' ORDER BY k`},
+	{"route", `SELECT COUNT(*) AS n FROM (SELECT DISTINCT * FROM T WHERE p = 'p2') AS d`},
+	{"route", `SELECT a.k FROM T a NATURAL JOIN T b WHERE a.p = 'p2' AND b.p = 'p2' ORDER BY a.k`},
+	{"route", `SELECT g, k, cnt AT (VISIBLE) AS c FROM TV WHERE p = 'p2' ORDER BY g, k`},
 }
 
 // TestEachShapeTakesItsPath: the coordinator picks routed, scatter or
@@ -124,28 +124,43 @@ func TestLocalStatementPlansOnce(t *testing.T) {
 	}
 }
 
-// TestShardSchemaRefusesAView: a view that binds over the tables as the
-// user made them but not over a shard's, whose tables also hold the
-// sequence column, is refused before it is logged for the shards, and
-// the coordinator's schema keeps no trace of it.
-func TestShardSchemaRefusesAView(t *testing.T) {
-	ctx := context.Background()
+// TestStarViewBindsOnShards: a shard's tables also hold the sequence
+// column, which `*` never expands, so a view that unions a `*` with the
+// table's columns named one by one binds on the shards as on the
+// coordinator, and answers as a single node does.
+func TestStarViewBindsOnShards(t *testing.T) {
 	coord, oracle, _ := cluster(t, 2)
 	execBoth(t, coord, oracle, paperdata.All)
-	const view = `CREATE VIEW U AS SELECT * FROM Orders UNION ALL SELECT prodName, custName, orderDate, revenue, cost FROM Orders`
-	if err := oracle.Exec(view); err != nil {
-		t.Fatalf("single node: %v", err)
+	execBoth(t, coord, oracle, `CREATE VIEW U AS SELECT * FROM Orders UNION ALL SELECT prodName, custName, orderDate, revenue, cost FROM Orders`)
+	queryBoth(t, coord, oracle, `SELECT COUNT(*) AS n FROM U`)
+	queryBoth(t, coord, oracle, `SELECT prodName, COUNT(*) AS n, SUM(revenue) AS rev FROM U GROUP BY prodName ORDER BY prodName`)
+	queryBoth(t, coord, oracle, `SELECT * FROM U ORDER BY prodName, custName, revenue`)
+}
+
+// TestSignedZeroPartitionKeyRoutes: 0.0 = -0.0, so rows keyed by either
+// zero sit on one shard, and a statement pinning the key to 0.0 routes
+// there and finds both, as a single node does.
+func TestSignedZeroPartitionKeyRoutes(t *testing.T) {
+	coord, oracle, _ := cluster(t, 4)
+	execBoth(t, coord, oracle, `CREATE TABLE Z (d DOUBLE, v INTEGER);
+INSERT INTO Z VALUES (0.0, 1), (-0.0, 2), (1.5, 3)`)
+	var mu sync.Mutex
+	calls := map[string]int{}
+	coord.SetTrace(traceFunc(func(s exec.Span) {
+		if s.Phase == "shard" {
+			mu.Lock()
+			calls[s.Name]++
+			mu.Unlock()
+		}
+	}))
+	res := queryBoth(t, coord, oracle, `SELECT v FROM Z WHERE d = 0.0 ORDER BY v`)
+	if len(res.Rows) != 2 {
+		t.Fatalf("d = 0.0: %v, want the rows of both zeros", res.Rows)
 	}
-	if err := coord.Exec(ctx, view); err == nil {
-		t.Fatal("the coordinator accepted a view its shards cannot bind")
-	}
-	if _, err := coord.Query(ctx, `SELECT COUNT(*) FROM U`); err == nil {
-		t.Fatal("the refused view is in the coordinator's schema")
-	}
-	queryBoth(t, coord, oracle, `SELECT prodName, COUNT(*) AS n FROM Orders GROUP BY prodName ORDER BY prodName`)
-	before := dist.Scatters(coord)
-	queryBoth(t, coord, oracle, `SELECT COUNT(*) AS n FROM Orders`)
-	if dist.Scatters(coord) == before {
-		t.Fatal("the shards no longer answer after the refused view")
+	queryBoth(t, coord, oracle, `SELECT v FROM Z WHERE d = -0.0 ORDER BY v`)
+	mu.Lock()
+	defer mu.Unlock()
+	if calls["route"] != 2 || len(calls) != 1 {
+		t.Fatalf("shard calls %v, want two routed reads", calls)
 	}
 }

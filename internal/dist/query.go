@@ -3,16 +3,18 @@ package dist
 // Query classification and the four execution paths, both read off the
 // one plan the coordinator caches for a statement's shape. Every path
 // is bit-identical to a single-node session running the same
-// statements: routed queries read exactly one partition that provably
-// contains every row any scan of the plan reads; scattered aggregations
-// send the statement itself and merge only aggregates whose states
-// merge exactly however the shards interleave a group's rows, in the
-// executor's own grouping table, ordering per-group partials by the
-// global insertion sequence so group output order and key values match
-// the oracle; and the gather fallback reads the tables' rows in
-// insertion order and runs the coordinator's own plan of the statement
-// over them. Rows and partial tables cross from a shard as one binary
-// frame, so every value keeps its kind exactly.
+// statements, since a shard's tables differ from the user's only by the
+// sequence column, which `*` never expands: routed queries run whole on
+// the one partition that provably contains every row any scan of the
+// plan reads; scattered aggregations send the statement itself and
+// merge only aggregates whose states merge exactly however the shards
+// interleave a group's rows, in the executor's own grouping table,
+// ordering per-group partials by the global insertion sequence so group
+// output order and key values match the oracle; and the gather fallback
+// reads the tables' rows with the sequence column, orders them by it
+// and runs the coordinator's own plan of the statement over them. Rows
+// and partial tables cross from a shard as one binary frame, so every
+// value keeps its kind exactly.
 
 import (
 	"cmp"
@@ -24,6 +26,7 @@ import (
 	"time"
 
 	"github.com/measures-sql/msql/internal/ast"
+	"github.com/measures-sql/msql/internal/catalog"
 	"github.com/measures-sql/msql/internal/engine"
 	"github.com/measures-sql/msql/internal/exec"
 	"github.com/measures-sql/msql/internal/fn"
@@ -194,12 +197,9 @@ func (c *Coordinator) shardSources(node plan.Node) map[plan.RowSource]*tableMeta
 // there is one: every Scan in the plan — measure expansions and
 // subqueries included — reads the one sharded table directly under a
 // Filter whose top-level conjunct pins the partition column to a
-// parameter or literal, and every pin hashes to that shard. A shard's
-// tables also hold the sequence column, so the statement runs there
-// only where that cannot show: its select list holds no `*`, and no
-// other operator names every column of the table (wholeRow).
+// parameter or literal, and every pin hashes to that shard.
 func (c *Coordinator) route(st shape, node plan.Node, sharded map[plan.RowSource]*tableMeta) (int, bool) {
-	if len(sharded) != 1 || selectsStar(st.q) {
+	if len(sharded) != 1 {
 		return 0, false
 	}
 	var src plan.RowSource
@@ -220,14 +220,7 @@ func (c *Coordinator) route(st shape, node plan.Node, sharded map[plan.RowSource
 			}
 		}
 	})
-	if idx < 0 || pinned != scans {
-		return 0, false
-	}
-	list, wide := selectList(node), false
-	plan.Walk(node, func(n plan.Node) {
-		wide = wide || n != list && wholeRow(n, meta)
-	})
-	return idx, !wide
+	return idx, idx >= 0 && pinned == scans
 }
 
 // pin returns the shard of the partition a top-level conjunct of pred,
@@ -256,52 +249,6 @@ func (c *Coordinator) pin(pred plan.Expr, meta *tableMeta, params []msql.Value) 
 		}
 	}
 	return 0, false
-}
-
-// selectsStar reports whether q's select list holds a `*`, which on a
-// shard also returns the sequence column.
-func selectsStar(q *ast.Query) bool {
-	sel, ok := q.Body.(*ast.Select)
-	return ok && slices.ContainsFunc(sel.Items, func(it ast.SelectItem) bool { return it.Star })
-}
-
-// selectList is the Project that computes node's select list, beneath
-// the operators that finish it, or nil.
-func selectList(node plan.Node) plan.Node {
-	for {
-		switch n := node.(type) {
-		case *plan.Sort:
-			node = n.Input
-		case *plan.Limit:
-			node = n.Input
-		case *plan.Distinct:
-			node = n.Input
-		case *plan.Project:
-			return n
-		default:
-			return nil
-		}
-	}
-}
-
-// wholeRow reports whether n's own expressions name every column of
-// the table: a `*`, a NATURAL JOIN or a measure's row context over a
-// `*` view, each of which a shard also expands to the sequence column.
-func wholeRow(n plan.Node, meta *tableMeta) bool {
-	named := map[string]bool{}
-	plan.VisitNodeExprs(n, func(e plan.Expr) {
-		plan.WalkExprs(e, func(x plan.Expr) {
-			if col, ok := x.(*plan.ColRef); ok {
-				named[lower(col.Name)] = true
-			}
-		})
-	})
-	for _, col := range meta.cols {
-		if !named[lower(col)] {
-			return false
-		}
-	}
-	return true
 }
 
 // routed runs st whole on shard idx; node, the statement's local plan,
@@ -421,7 +368,7 @@ func scatterShape(node plan.Node) (*plan.Aggregate, bool) {
 // pieces merge in global insertion order.
 func (c *Coordinator) scatter(ctx context.Context, st shape, node plan.Node, agg *plan.Aggregate, reqID string) (*msql.Result, error) {
 	c.metrics.scatters.Add(int64(len(c.shards)))
-	req := wire.ReadRequest{SQL: st.sql, Params: wire.EncodeParams(st.params), Seq: seqCol,
+	req := wire.ReadRequest{SQL: st.sql, Params: wire.EncodeParams(st.params), Seq: catalog.SequenceColumn,
 		Groups: len(agg.GroupExprs), Aggs: len(agg.Aggs), RequestID: reqID}
 	frames := make([][]byte, len(c.shards))
 	errs := make([]error, len(c.shards))
@@ -465,8 +412,8 @@ func (c *Coordinator) scatter(ctx context.Context, st shape, node plan.Node, agg
 
 // gather answers a statement the shards cannot split, the
 // always-correct fallback for any query shape: it reads the rows of
-// every sharded table node reads from every shard (/rows), orders each
-// table's rows by the global insertion sequence — a single node's order
+// every sharded table node reads, and their sequence column, from every
+// shard (/rows), orders each table's rows by it — a single node's order
 // — and runs node, with st's parameters, over them (exec.RunGathered).
 func (c *Coordinator) gather(ctx context.Context, st shape, node plan.Node, sharded map[plan.RowSource]*tableMeta, reqID string) (*msql.Result, error) {
 	type fetch struct {
@@ -487,7 +434,7 @@ func (c *Coordinator) gather(ctx context.Context, st shape, node plan.Node, shar
 		go func(j *fetch) {
 			defer wg.Done()
 			fetchSQL := ast.FormatQuery(&ast.Query{Body: &ast.Select{
-				Items: []ast.SelectItem{{Star: true}},
+				Items: []ast.SelectItem{{Star: true}, {Expr: &ast.Ident{Parts: []string{catalog.SequenceColumn}}}},
 				From:  &ast.TableName{Name: sharded[j.src].name},
 			}})
 			j.rows, j.err = c.readRows(ctx, j.idx, "gather", fetchSQL, nil, reqID)
@@ -509,11 +456,11 @@ func (c *Coordinator) gather(ctx context.Context, st shape, node plan.Node, shar
 		tables[j.src] = append(tables[j.src], j.rows...)
 	}
 	for src, rows := range tables {
-		// The hidden sequence travels as the last column.
+		// The sequence column travels last, as the read names it.
 		seq := len(src.ColNames())
 		for _, r := range rows {
 			if len(r) != seq+1 || r[seq].Null || r[seq].K != sqltypes.KindInt {
-				return nil, exec.Wrap(fmt.Errorf("table %s: a shard row lacks its %s ordering column", src.Name(), seqCol), exec.CodeRuntime, exec.PhaseExecute)
+				return nil, exec.Wrap(fmt.Errorf("table %s: a shard row lacks its %s ordering column", src.Name(), catalog.SequenceColumn), exec.CodeRuntime, exec.PhaseExecute)
 			}
 		}
 		slices.SortFunc(rows, func(a, b []msql.Value) int { return cmp.Compare(a[seq].I, b[seq].I) })

@@ -236,10 +236,11 @@ func (s *Server) process(ep *endpoint, w http.ResponseWriter, r *http.Request) (
 	rep.admitted = true
 
 	// A coordinator pins the version its plan was built against so a
-	// lagging or diverged shard rejects instead of answering from the
-	// wrong schema.
+	// lagging shard, or one that lost state, rejects instead of
+	// answering from a catalog missing a mutation. One past it has only
+	// applied a concurrent mutation since, and answers.
 	if st.expect > 0 {
-		if v := s.db.CatalogVersion(); v != st.expect {
+		if v := s.db.CatalogVersion(); v < st.expect {
 			s.fail(&rep, 0, versionMismatch(v, st.expect))
 			return rep
 		}

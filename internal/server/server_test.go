@@ -24,6 +24,7 @@ import (
 	"github.com/measures-sql/msql/internal/paperdata"
 	"github.com/measures-sql/msql/internal/server"
 	"github.com/measures-sql/msql/internal/sqltypes"
+	"github.com/measures-sql/msql/internal/wire"
 	"github.com/measures-sql/msql/msql"
 	"github.com/measures-sql/msql/msql/client"
 )
@@ -124,6 +125,33 @@ func TestServeListing3(t *testing.T) {
 		if fmt.Sprint(res.Rows[i]) != fmt.Sprint(sres.Rows[i]) {
 			t.Fatalf("row %d differs between framings: %v vs %v", i, res.Rows[i], sres.Rows[i])
 		}
+	}
+}
+
+// TestShardReadAtOrPastItsVersion: a shard read pins the catalog
+// version it was planned at. A shard below it has missed a mutation and
+// rejects; one at it or past it (it has since applied a concurrent
+// mutation) answers.
+func TestShardReadAtOrPastItsVersion(t *testing.T) {
+	db := msql.Open()
+	defer db.Close()
+	db.MustExec(`CREATE TABLE t (x INTEGER); INSERT INTO t VALUES (1)`)
+	_, ts := startServer(t, db, server.Config{})
+	c := client.New(ts.URL, client.WithBackoff(fastBackoff(1)))
+	v := db.CatalogVersion()
+	for _, expect := range []int64{v - 1, v} {
+		f, err := c.Read(context.Background(), "/rows", wire.ReadRequest{SQL: "SELECT x FROM t", ExpectVersion: expect})
+		if err != nil {
+			t.Fatalf("shard at %d, read expecting %d: %v", v, expect, err)
+		}
+		if rows, err := wire.DecodeRowsFrame(f.Frame); err != nil || len(rows) != 1 {
+			t.Fatalf("shard at %d, read expecting %d: rows %v, %v", v, expect, rows, err)
+		}
+	}
+	_, err := c.Read(context.Background(), "/rows", wire.ReadRequest{SQL: "SELECT x FROM t", ExpectVersion: v + 1})
+	var vm *client.VersionMismatchError
+	if !errors.As(err, &vm) || vm.Have != v || vm.Want != v+1 {
+		t.Fatalf("shard at %d, read expecting %d: %v, want a version mismatch", v, v+1, err)
 	}
 }
 

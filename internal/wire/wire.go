@@ -33,9 +33,10 @@ type QueryRequest struct {
 	// engine's tracer spans, and any error payload.
 	RequestID string `json:"request_id,omitempty"`
 	// ExpectCatalogVersion, when > 0, makes the server reject the query
-	// with a structured RUNTIME error unless its catalog version matches,
-	// so a caller that planned against one catalog never reads an
-	// endpoint that missed (or replayed ahead of) a mutation.
+	// with a structured RUNTIME error while its catalog version is below
+	// it, so a caller that planned against one catalog never reads an
+	// endpoint that missed a mutation. A server past it answers: it has
+	// applied mutations concurrent with the query.
 	ExpectCatalogVersion int64 `json:"expect_catalog_version,omitempty"`
 }
 
@@ -66,8 +67,8 @@ type ReadRequest struct {
 	// Aggs states, so the coordinator merges groups in first-row order.
 	Seq string `json:"seq,omitempty"`
 	// ExpectVersion, when > 0, is the catalog version this request was
-	// planned against; a mismatched server rejects instead of answering
-	// from a stale (or differently-mutated) catalog.
+	// planned against; a server below it rejects instead of answering
+	// from a stale catalog, and one at or past it answers.
 	ExpectVersion int64  `json:"expect_version,omitempty"`
 	TimeoutMillis int64  `json:"timeout_ms,omitempty"`
 	RequestID     string `json:"request_id,omitempty"`
