@@ -774,3 +774,40 @@ func TestConcurrentScatterQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestShardMetricsCountPartialReads: a shard's /partial fold is a query
+// of that shard, counted in its metrics as a routed /rows read is: one
+// scattered GROUP BY moves each shard's query count by one and their
+// scanned rows by the table's.
+func TestShardMetricsCountPartialReads(t *testing.T) {
+	ctx := context.Background()
+	coord, _, nodes := cluster(t, 2)
+	if err := coord.Exec(ctx, `CREATE TABLE T (k INTEGER, v INTEGER);
+INSERT INTO T VALUES (1, 10), (2, 20), (3, 30), (4, 40), (5, 50), (6, 60)`); err != nil {
+		t.Fatal(err)
+	}
+	metrics := func() []msql.MetricsSnapshot {
+		var out []msql.MetricsSnapshot
+		for _, n := range nodes {
+			out = append(out, n.db.Metrics())
+		}
+		return out
+	}
+	before, scatters := metrics(), dist.Scatters(coord)
+	if _, err := coord.Query(ctx, `SELECT k, SUM(v) AS s FROM T GROUP BY k`); err != nil {
+		t.Fatal(err)
+	}
+	if got := dist.Scatters(coord) - scatters; got != 2 {
+		t.Fatalf("%d scatter calls, want 2", got)
+	}
+	scanned := int64(0)
+	for i, after := range metrics() {
+		if got := after.Queries - before[i].Queries; got != 1 {
+			t.Errorf("shard %d counted %d queries for its partial fold, want 1", i, got)
+		}
+		scanned += after.RowsScanned - before[i].RowsScanned
+	}
+	if scanned != 6 {
+		t.Errorf("the shards counted %d scanned rows, want 6", scanned)
+	}
+}

@@ -169,21 +169,17 @@ func (c *Coordinator) execInsert(ctx context.Context, s *ast.Insert, reqID strin
 	}
 	c.mu.Unlock()
 
-	failed := map[int]error{}
+	var touched []*shard
 	for idx, batch := range batches {
 		if len(batch) == 0 {
 			continue
 		}
-		m := mutation{table: meta.name, rows: wire.EncodeRowsBinary(batch)}
 		sh := c.shards[idx]
-		sh.log.append(m)
-		if err := c.pushShard(ctx, sh, reqID); err != nil {
-			failed[idx] = err
-		}
+		sh.log.append(mutation{table: meta.name, rows: wire.EncodeRowsBinary(batch)})
+		touched = append(touched, sh)
 	}
-	if len(failed) > 0 {
-		c.metrics.shardErrors.Add(1)
-		return nil, unavailable(failed)
+	if err := c.push(ctx, touched, reqID); err != nil {
+		return nil, err
 	}
 	return &msql.Result{Message: fmt.Sprintf("%d rows inserted", len(full))}, nil
 }
@@ -248,16 +244,22 @@ func (c *Coordinator) shardFor(v sqltypes.Value) int {
 	return int(x % uint64(len(c.shards)))
 }
 
-// broadcast logs m on every shard and pushes; shards with no reachable
-// endpoint are reported as unavailable (the entry replays on rejoin).
+// broadcast logs m on every shard and pushes.
 func (c *Coordinator) broadcast(ctx context.Context, m mutation, reqID string) error {
 	for _, sh := range c.shards {
 		sh.log.append(m)
 	}
+	return c.push(ctx, c.shards, reqID)
+}
+
+// push replicates the logs of shards concurrently, once each has logged
+// its entry; shards with no reachable endpoint are reported as
+// unavailable (their entries replay on rejoin).
+func (c *Coordinator) push(ctx context.Context, shards []*shard, reqID string) error {
 	failed := map[int]error{}
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for _, sh := range c.shards {
+	for _, sh := range shards {
 		wg.Add(1)
 		go func(sh *shard) {
 			defer wg.Done()

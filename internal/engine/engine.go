@@ -648,14 +648,7 @@ func (s *Session) execPlan(env *stmtEnv, node plan.Node, planNs int64, withProfi
 			Attrs: map[string]string{"error": err.Error()}})
 		return nil, nil, err
 	}
-	st := s.lastStats.Snapshot()
-	s.metrics.recordQuery(env.cfg.strategy, len(rows), st, planNs, execNs)
-	if e := env.stats; e != nil {
-		e.rows.Add(int64(len(rows)))
-		e.cacheHits.Add(st.SubqueryCacheHits)
-		e.plan.Observe(planNs)
-		e.exec.Observe(execNs)
-	}
+	st := s.recordExec(env, len(rows), planNs, execNs)
 	attrs := map[string]string{
 		"rows":    fmt.Sprintf("%d", len(rows)),
 		"scanned": fmt.Sprintf("%d", st.RowsScanned),
@@ -679,6 +672,20 @@ func (s *Session) execPlan(env *stmtEnv, node plan.Node, planNs int64, withProfi
 		exec.PlanSpans(node, prof, env.tracer)
 	}
 	return rows, prof, nil
+}
+
+// recordExec folds one execution, counted into lastStats, into the
+// session's metrics and the statement's stats, and returns its counters.
+func (s *Session) recordExec(env *stmtEnv, rows int, planNs, execNs int64) exec.Stats {
+	st := s.lastStats.Snapshot()
+	s.metrics.recordQuery(env.cfg.strategy, rows, st, planNs, execNs)
+	if e := env.stats; e != nil {
+		e.rows.Add(int64(rows))
+		e.cacheHits.Add(st.SubqueryCacheHits)
+		e.plan.Observe(planNs)
+		e.exec.Observe(execNs)
+	}
+	return st
 }
 
 func (s *Session) runQuery(env *stmtEnv, q *ast.Query) (*Result, error) {

@@ -101,7 +101,9 @@ func (s *Session) PartialAggregate(ctx context.Context, sql string, params []sql
 			return nil, err
 		}
 		env.live.setPhase(phaseExecute)
+		s.lastStats.Reset()
 		settings := env.cfg.exec
+		settings.Stats = &s.lastStats
 		settings.Tracer = env.tracer
 		settings.Params = params
 		start := time.Now()
@@ -110,11 +112,7 @@ func (s *Session) PartialAggregate(ctx context.Context, sql string, params []sql
 		if err != nil {
 			return nil, err
 		}
-		if e := env.stats; e != nil {
-			e.rows.Add(int64(len(res.Groups)))
-			e.plan.Observe(planNs)
-			e.exec.Observe(execNs)
-		}
+		s.recordExec(env, len(res.Groups), planNs, execNs)
 		env.span(exec.Span{Phase: "execute", Name: "partial", DurNs: execNs,
 			Attrs: map[string]string{"groups": fmt.Sprintf("%d", len(res.Groups))}})
 		out = res

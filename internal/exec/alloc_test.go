@@ -53,8 +53,8 @@ func TestEvalCallDoesNotAllocate(t *testing.T) {
 }
 
 // A row that lands in an existing group costs no allocation in
-// accumulateRows: the key tuple and its encoding are reused and the map
-// is probed without copying the key.
+// accumulateRows: the key tuple and its encoding are reused and the
+// table is probed by hash and key values.
 func TestAccumulateRowsAllocatesPerGroupNotPerRow(t *testing.T) {
 	scan := bigScan(4000)
 	in := scan.Source.Rows()
@@ -72,7 +72,7 @@ func TestAccumulateRowsAllocatesPerGroupNotPerRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := newRuntime(context.Background(), DefaultSettings())
-	tables := newSetTables(1)
+	tables := env.newTables(0)
 	// First pass creates the 97 groups and grows the buffers.
 	if err := rt.accumulateRows(env, tables, in, 0, len(in)); err != nil {
 		t.Fatal(err)

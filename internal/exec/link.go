@@ -149,11 +149,11 @@ type posFold struct {
 	buf []int32
 }
 
-// publish collects the positions acc's rows carry in c's column — its
-// own list and those of the groups merged into it; with c.sets, the
-// positions of the sets they name — sorted and distinct, and returns
-// the handle it publishes them under.
-func (pf *posFold) publish(c *aggCall, acc *groupAcc) sqltypes.Value {
+// publish collects the positions the rows of group g of t carry in c's
+// column — its own list and its links into t's parts; with c.sets, the
+// positions of the sets they name — sorted and distinct, and returns the
+// handle it publishes them under.
+func (pf *posFold) publish(c *aggCall, t *setTable, g int) sqltypes.Value {
 	e := pf.rt.linkRows(c.link)
 	rows, _ := e.make(pf.rt, c.link, nil)
 	e.mu.Lock()
@@ -162,9 +162,9 @@ func (pf *posFold) publish(c *aggCall, acc *groupAcc) sqltypes.Value {
 		pf.marks = make([]uint64, words)
 	}
 	start := len(pf.buf)
-	for g := acc; g != nil; g = g.more {
-		for r := g.head; r != 0; r = g.pos.prev[r-1] {
-			switch v := g.pos.vals[int(r-1)*pf.stride+c.slot]; {
+	for p, r, l := t.pos, t.head[g], t.more[g]; ; {
+		for ; r != 0; r = p.prev[r-1] {
+			switch v := p.vals[int(r-1)*pf.stride+c.slot]; {
 			case v < 0:
 			case c.sets:
 				pf.buf = append(pf.buf, e.sets[v]...)
@@ -172,6 +172,11 @@ func (pf *posFold) publish(c *aggCall, acc *groupAcc) sqltypes.Value {
 				pf.buf = append(pf.buf, v)
 			}
 		}
+		if l == 0 {
+			break
+		}
+		k := &t.links[l-1]
+		p, r, l = t.parts[k.part], k.head, k.next
 	}
 	set := positionSet(pf.buf[start:], pf.marks)
 	pf.buf = pf.buf[:start+len(set)]

@@ -439,9 +439,8 @@ type memoEntry struct {
 	err    error
 }
 
-// hash32 is FNV-1a, used to shard memo entries and partition aggregate
-// groups across workers.
-func hash32[T string | []byte](s T) uint32 {
+// hash32 is FNV-1a, used to shard memo entries.
+func hash32(s []byte) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
 		h ^= uint32(s[i])

@@ -422,3 +422,62 @@ func TestResolveWorkers(t *testing.T) {
 		t.Fatal("default worker count must be at least 1")
 	}
 }
+
+// TestParallelPositionsMatchSerial: a POSITIONS call under both parallel
+// paths publishes the positions a serial fold does — chunk-merge joins a
+// group's position lists across chunks, group-partitioned unites the
+// workers' — for every grouping set: each group then reads the same
+// linked rows.
+func TestParallelPositionsMatchSerial(t *testing.T) {
+	cust := &testSource{name: "cust", cols: []string{"a"}, types: []sqltypes.Type{intT()}}
+	for i := 0; i < 500; i++ {
+		cust.rows = append(cust.rows, Row{sqltypes.NewInt(int64(i))})
+	}
+	link := &plan.RowLink{Table: cust}
+	src := &testSource{name: "joined", cols: []string{"g", "pos", "f"}, types: []sqltypes.Type{intT(), intT(), floatT()}}
+	for i := 0; i < 20000; i++ {
+		pos := sqltypes.NewInt(int64(i * 7 % 500))
+		if i%10 == 9 {
+			pos = sqltypes.Null(sqltypes.KindInt)
+		}
+		src.rows = append(src.rows, Row{sqltypes.NewInt(int64(i % 97)), pos, sqltypes.NewFloat(float64(i) * 0.37)})
+	}
+	sch := &plan.Schema{Cols: []plan.Col{{Name: "g", Typ: intT()}, {Name: "pos", Typ: intT()}, {Name: "f", Typ: floatT()}}}
+	for _, call := range []plan.AggCall{
+		{Name: "COUNT", Star: true, KeyIndex: -1, Typ: intT()},
+		{Name: "SUM", Args: []plan.Expr{&plan.ColRef{Index: 2, Name: "f", Typ: floatT()}}, KeyIndex: -1, Typ: floatT()},
+	} {
+		agg := &plan.Aggregate{
+			Input:      &plan.Scan{Source: src, Sch: sch},
+			GroupExprs: []plan.Expr{col(0, "g")},
+			Sets:       [][]int{{0}, {}},
+			Aggs: []plan.AggCall{call,
+				{Name: "POSITIONS", Args: []plan.Expr{col(1, "pos")}, KeyIndex: -1, Link: link, Typ: intT()}},
+			Sch: &plan.Schema{Cols: []plan.Col{{Name: "g", Typ: intT()}, {Name: "n", Typ: call.Typ}, {Name: "p", Typ: intT()}}},
+		}
+		read := &plan.LinkRead{Link: link, Group: &plan.CorrRef{Levels: 1, Index: 2, Name: "p", Typ: intT()},
+			Sch: &plan.Schema{Cols: []plan.Col{{Name: "a", Typ: intT()}}}}
+		sum := &plan.Aggregate{Input: read, Sets: [][]int{{}},
+			Aggs: []plan.AggCall{{Name: "SUM", Args: []plan.Expr{col(0, "a")}, KeyIndex: -1, Typ: intT()}},
+			Sch:  &plan.Schema{Cols: []plan.Col{{Name: "s", Typ: intT()}}}}
+		sq := &plan.Subquery{Plan: sum, Mode: plan.SubScalar, Typ: intT()}
+		out := &plan.Schema{Cols: []plan.Col{{Name: "g", Typ: intT()}, {Name: "n", Typ: call.Typ}, {Name: "s", Typ: intT()}}}
+		proj := &plan.Project{Input: agg, Sch: out, Exprs: []plan.NamedExpr{
+			{Expr: col(0, "g"), Col: out.Cols[0]},
+			{Expr: &plan.ColRef{Index: 1, Name: "n", Typ: call.Typ}, Col: out.Cols[1]},
+			{Expr: sq, Col: out.Cols[2]}}}
+		settings := DefaultSettings()
+		settings.Workers = 4
+		var stats Stats
+		settings.Stats = &stats
+		if _, err := Run(agg, settings); err != nil {
+			t.Fatal(err)
+		}
+		if stats.Snapshot().ParallelFanouts == 0 {
+			t.Fatalf("%s: the Aggregate did not fan out", call.Name)
+		}
+		if rows := runBoth(t, proj); len(rows) != 98 {
+			t.Fatalf("%s: %d groups, want 98", call.Name, len(rows))
+		}
+	}
+}

@@ -87,14 +87,10 @@ func PartialAggregate(ctx context.Context, root plan.Node, seq string, groups, a
 		if err != nil {
 			return err
 		}
-		accs := make([]*groupAcc, 0, len(tables[0].groups))
-		for _, acc := range tables[0].groups {
-			accs = append(accs, acc)
-		}
-		sortAccs(accs)
-		out = &PartialResult{Groups: make([]PartialGroup, len(accs))}
-		for i, acc := range accs {
-			out.Groups[i] = PartialGroup{Key: acc.keyVals, States: acc.states}
+		t := &tables[0]
+		out = &PartialResult{Groups: make([]PartialGroup, len(t.groups))}
+		for g := range out.Groups {
+			out.Groups[g] = PartialGroup{Key: t.key(g), States: t.statesOf(g)}
 		}
 		return nil
 	})
@@ -178,6 +174,7 @@ func MergePartials(ctx context.Context, root plan.Node, frames [][]byte, setting
 				return fmt.Errorf("partial frame %d: %w", i, err)
 			}
 		}
+		m.tables[0] = ordered(m.tables)
 		groups, err := env.emit(m.tables, 0, nil)
 		if err != nil {
 			return err
@@ -217,27 +214,21 @@ type mergedAgg struct {
 	rows []Row
 }
 
-// merger merges frames into tables, the one table of env's Aggregate.
-// scratch holds a piece's states when its group exists already, and
-// every piece's sequence last; keyVals and key are a piece's key.
+// merger merges frames into tables, the one table of env's Aggregate,
+// whose groups' first rows are the lowest sequences of their pieces so
+// far. scratch holds a piece's states when its group exists already, and
+// every piece's sequence last; keyVals is a piece's key.
 type merger struct {
 	env     *aggEnv
 	tables  []setTable
 	scratch []fn.AggState
 	keyVals []sqltypes.Value
-	key     []byte
 }
 
 func (env *aggEnv) newMerger() *merger {
-	na := len(env.calls)
-	m := &merger{env: env, tables: newSetTables(1), scratch: make([]fn.AggState, na+1)}
-	for i := range env.calls {
-		c := &env.calls[i]
-		m.scratch[i] = c.def.New(c.argTypes)
-	}
 	minDef, _ := fn.LookupAgg("MIN")
-	m.scratch[na] = minDef.New([]sqltypes.Type{{Kind: sqltypes.KindInt}})
-	return m
+	scratch := append(env.newStates(), minDef.New([]sqltypes.Type{{Kind: sqltypes.KindInt}}))
+	return &merger{env: env, tables: env.newTables(0), scratch: scratch}
 }
 
 // merge merges one frame's groups into the table.
@@ -254,51 +245,54 @@ func (m *merger) merge(frame []byte) error {
 	if count > uint64(r.Left()/(na+2)) {
 		return fmt.Errorf("%d groups overrun the %d bytes left", count, r.Left())
 	}
-	for g := uint64(0); g < count; g++ {
+	for i := uint64(0); i < count; i++ {
 		if m.keyVals, err = r.Values(m.keyVals); err != nil {
 			return err
 		}
 		if len(m.keyVals) != nk {
-			return fmt.Errorf("group %d has %d key values, want %d", g, len(m.keyVals), nk)
+			return fmt.Errorf("group %d has %d key values, want %d", i, len(m.keyVals), nk)
 		}
-		m.key = appendSetKey(m.key[:0], set, m.keyVals)
-		acc := t.groups[string(m.key)]
-		fresh := acc == nil
+		h := hashKey(set, m.keyVals)
+		g := t.find(h, m.keyVals)
+		fresh := g < 0
 		piece := scratch[:na]
 		if fresh {
-			acc = t.newGroup(env, set, m.keyVals, 0)
-			piece = acc.states
+			g = t.add(h, m.keyVals, 0)
+			piece = t.statesOf(g)
 		}
-		for i, st := range piece {
+		for j, st := range piece {
 			if _, err := fn.ReadState(&r, st); err != nil {
-				return fmt.Errorf("group %d aggregate %d: %w", g, i, err)
+				return fmt.Errorf("group %d aggregate %d: %w", i, j, err)
 			}
 		}
 		if _, err := fn.ReadState(&r, scratch[na]); err != nil {
-			return fmt.Errorf("group %d sequence: %w", g, err)
+			return fmt.Errorf("group %d sequence: %w", i, err)
 		}
 		seq := scratch[na].Result()
 		if seq.Null || seq.K != sqltypes.KindInt {
-			return fmt.Errorf("group %d has no sequence", g)
+			return fmt.Errorf("group %d has no sequence", i)
 		}
+		states := t.statesOf(g)
 		switch order := int(seq.I); {
 		case fresh:
-			acc.order = order
-			t.insert(m.key, acc)
-		case order < acc.order:
+			t.groups[g] = order
+		case order < t.groups[g]:
 			// The piece's rows come first: it is the receiver, and the
 			// group's states become scratch.
-			for i, st := range piece {
-				if err := st.Merge(acc.states[i]); err != nil {
+			for j, st := range piece {
+				if err := st.Merge(states[j]); err != nil {
 					return err
 				}
-				acc.states[i], piece[i] = st, acc.states[i]
+				states[j], piece[j] = st, states[j]
 			}
-			maskKeyVals(acc.keyVals, set, m.keyVals)
-			acc.order = order
+			key := t.key(g)
+			for _, j := range set {
+				key[j] = m.keyVals[j]
+			}
+			t.groups[g] = order
 		default:
-			for i, st := range piece {
-				if err := acc.states[i].Merge(st); err != nil {
+			for j, st := range piece {
+				if err := states[j].Merge(st); err != nil {
 					return err
 				}
 			}

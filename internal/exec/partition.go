@@ -45,6 +45,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/measures-sql/msql/internal/fn"
 	"github.com/measures-sql/msql/internal/plan"
 	"github.com/measures-sql/msql/internal/sqltypes"
 )
@@ -67,6 +68,7 @@ type partition struct {
 	filter *plan.Filter // its Input is Below
 	rest   []predFn     // uncorrelated conjuncts, over Below's row
 	keys   []partKey    // one per correlated conjunct
+	keySet []int        // every key column: foldStates tells buckets apart by all
 	fold   foldKind
 	agg    *plan.Aggregate // foldStates: the Aggregate whose input is filter
 	// foldSet: the Project between the subquery and filter, and its
@@ -92,18 +94,23 @@ type partIndex struct {
 	buildErr error    // statement-fatal build error
 }
 
-// buckets holds, per inner key, what the partition's fold keeps: rows,
-// an aggregate group, or an IN set.
+// buckets is one execution's buckets of a partition, n of them: a group
+// of index per inner key, holding the Aggregate's states with
+// foldStates; rows or sets hold what a bucket keeps otherwise, by its
+// group's position.
 type buckets struct {
-	rows   map[string]*[]Row
-	states setTable
-	empty  *groupAcc // the states of a context no row reaches
-	sets   map[string]*inSet
-	n      int
+	index setTable
+	empty []fn.AggState // foldStates: the states of a context no row reaches
+	rows  [][]Row
+	sets  []*inSet
+	n     int
 }
 
 // emptyInSet is the IN set of a context no row reaches.
 var emptyInSet = &inSet{}
+
+// keysOnly is the table environment of buckets that keep no states.
+var keysOnly = &aggEnv{n: &plan.Aggregate{}}
 
 // partition returns sq's partition, analysing the plan on first use; nil
 // when the shape is not eligible. The typed nil is a non-nil any, so the
@@ -165,6 +172,7 @@ func analyzePartition(sq *plan.Subquery) *partition {
 		if k.Outer.Type().Kind != kind {
 			return nil
 		}
+		p.keySet = append(p.keySet, len(p.keys))
 		p.keys = append(p.keys, partKey{inner: compileExpr(k.Inner), outer: compileExpr(k.Outer), kind: kind, nullSafe: k.NullSafe})
 	}
 
@@ -204,69 +212,65 @@ func foldsRows(n plan.Node) bool {
 func (p *partition) folds() bool { return p.fold != keepRows }
 
 // probe returns this execution's buckets, building them on first use,
-// and the current context's bucket key, encoded onto buf. ok=false sends
-// the caller down the per-context path (failed build, or an outer key
-// the index cannot serve); a nil key with ok=true is a context no row
-// reaches (a NULL under `=`).
-func (p *partition) probe(rt *runtime, buf []byte) (b *buckets, key []byte, ok bool, err error) {
+// and the position of the current context's bucket, -1 when no row
+// reaches the context. ok=false sends the caller down the per-context
+// path (failed build, or an outer key the index cannot serve).
+func (p *partition) probe(rt *runtime) (b *buckets, g int, ok bool, err error) {
 	idx := &rt.subInfo(p.sq).index
 	if err := idx.ensureBuilt(rt, p); err != nil {
-		return nil, nil, false, err
+		return nil, -1, false, err
 	}
 	if idx.b == nil {
-		return nil, nil, false, nil
+		return nil, -1, false, nil
 	}
-	key = buf[:0]
-	for _, k := range p.keys {
+	var vals [4]sqltypes.Value
+	kv := vals[:]
+	if len(p.keys) > len(vals) {
+		kv = make([]sqltypes.Value, len(p.keys))
+	}
+	for i, k := range p.keys {
 		v, err := k.outer(rt, nil)
 		if err != nil {
 			// Per-context evaluation raises this only if a row gets as
 			// far as the conjunct; let it decide.
-			return nil, nil, false, nil
+			return nil, -1, false, nil
 		}
 		if v.Null {
 			if !k.nullSafe {
-				return idx.b, nil, true, nil
+				return idx.b, -1, true, nil
 			}
 		} else if v.K != k.kind {
-			return nil, nil, false, nil
+			return nil, -1, false, nil
 		}
-		key = v.AppendKey(key)
+		kv[i] = v
 	}
-	return idx.b, key, true, nil
+	return idx.b, idx.b.index.find(hashKey(p.keySet, kv), kv), true, nil
 }
 
 // lookup answers the partition's Filter for the context on top of the
 // runtime's frame stack, for a partition that keeps rows.
 func (p *partition) lookup(rt *runtime) (rows []Row, ok bool, err error) {
-	var buf [64]byte
-	b, key, ok, err := p.probe(rt, buf[:])
-	if !ok || key == nil {
+	b, g, ok, err := p.probe(rt)
+	if !ok || g < 0 {
 		return nil, ok, err
 	}
-	if r := b.rows[string(key)]; r != nil {
-		return *r, true, nil
-	}
-	return nil, true, nil
+	return b.rows[g], true, nil
 }
 
 // aggregate answers the partition's Aggregate for the current context
 // from its bucket's states: the one row the Aggregate would have made
 // over the rows the Filter passes.
 func (p *partition) aggregate(rt *runtime) ([]Row, bool, error) {
-	var buf [64]byte
-	b, key, ok, err := p.probe(rt, buf[:])
+	b, g, ok, err := p.probe(rt)
 	if !ok {
 		return nil, false, err
 	}
-	acc := b.empty
-	if key != nil {
-		if g := b.states.groups[string(key)]; g != nil {
-			acc = g
-		}
+	states := b.empty
+	if g >= 0 {
+		states = b.index.statesOf(g)
 	}
-	row := make(Row, len(acc.states))
-	for i, s := range acc.states {
+	row := make(Row, len(states))
+	for i, s := range states {
 		row[i] = s.Result()
 	}
 	return []Row{row}, true, nil
@@ -275,17 +279,11 @@ func (p *partition) aggregate(rt *runtime) ([]Row, bool, error) {
 // set answers the subquery for the current context with its bucket's IN
 // set.
 func (p *partition) set(rt *runtime) (*inSet, bool, error) {
-	var buf [64]byte
-	b, key, ok, err := p.probe(rt, buf[:])
-	if !ok {
-		return nil, false, err
+	b, g, ok, err := p.probe(rt)
+	if !ok || g < 0 {
+		return emptyInSet, ok, err
 	}
-	if key != nil {
-		if s := b.sets[string(key)]; s != nil {
-			return s, true, nil
-		}
-	}
-	return emptyInSet, true, nil
+	return b.sets[g], true, nil
 }
 
 // ensureBuilt builds the buckets of p at most once per execution.
@@ -333,21 +331,16 @@ func (p *partition) build(rt *runtime) (*buckets, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &buckets{}
-	var env *aggEnv
-	switch p.fold {
-	case keepRows:
-		b.rows = map[string]*[]Row{}
-	case foldStates:
+	env := keysOnly
+	if p.fold == foldStates {
 		if env, err = rt.aggEnv(p.agg); err != nil {
 			return nil, err
 		}
-		b.states.groups = map[string]*groupAcc{}
-	case foldSet:
-		b.sets = map[string]*inSet{}
 	}
+	b := &buckets{index: setTable{env: env, set: p.keySet, nk: len(p.keys)}}
 	var kept int
-	var key, tuple []byte
+	var tuple []byte
+	kv := make([]sqltypes.Value, len(p.keys))
 rows:
 	for _, row := range in {
 		if err := rt.tick(); err != nil {
@@ -362,8 +355,7 @@ rows:
 				continue rows
 			}
 		}
-		key = key[:0]
-		for _, k := range p.keys {
+		for i, k := range p.keys {
 			v, err := k.inner(rt, row)
 			if err != nil {
 				return nil, err
@@ -375,22 +367,24 @@ rows:
 			} else if v.K != k.kind {
 				return nil, errKeyKind
 			}
-			key = v.AppendKey(key)
+			kv[i] = v
 		}
+		g := b.index.group(hashKey(p.keySet, kv), kv, kept)
 		switch p.fold {
 		case keepRows:
-			r := b.rows[string(key)]
-			if r == nil {
-				r = &[]Row{}
-				b.rows[string(key)] = r
+			if g == len(b.rows) {
+				b.rows = append(b.rows, nil)
 			}
-			*r = append(*r, row)
+			b.rows[g] = append(b.rows[g], row)
 		case foldStates:
-			if err := rt.accumulate(env, b.states.group(env, key, nil, nil, kept), row); err != nil {
+			if err := rt.accumulate(env, &b.index, g, row); err != nil {
 				return nil, err
 			}
 		case foldSet:
-			if tuple, err = p.appendTuple(rt, tuple[:0], b, key, row); err != nil {
+			if g == len(b.sets) {
+				b.sets = append(b.sets, &inSet{keys: map[string]bool{}})
+			}
+			if tuple, err = p.appendTuple(rt, tuple[:0], b.sets[g], row); err != nil {
 				return nil, err
 			}
 		}
@@ -401,18 +395,16 @@ rows:
 	// charged like one materialized Filter output, states and sets by
 	// their estimated size.
 	var held int64
+	b.n = len(b.index.groups)
 	switch p.fold {
 	case keepRows:
-		b.n = len(b.rows)
 		if kept > 0 {
 			held = int64(kept) * rowsBytes(in[:1])
 		}
 	case foldStates:
-		b.n = len(b.states.groups)
-		b.empty = b.states.newGroup(env, nil, nil, 0)
+		b.empty = env.newStates()
 		held = int64(b.n) * (bytesPerRow + int64(len(env.calls))*bytesPerState)
 	case foldSet:
-		b.n = len(b.sets)
 		for _, s := range b.sets {
 			held += bytesPerRow
 			for k := range s.keys {
@@ -437,14 +429,8 @@ rows:
 }
 
 // appendTuple adds row's IN tuple — the row, or the Project's values
-// over it — to the set of bucket key, encoded onto scratch, which it
-// returns.
-func (p *partition) appendTuple(rt *runtime, scratch []byte, b *buckets, key []byte, row Row) ([]byte, error) {
-	s := b.sets[string(key)]
-	if s == nil {
-		s = &inSet{keys: map[string]bool{}}
-		b.sets[string(key)] = s
-	}
+// over it — to s, encoded onto scratch, which it returns.
+func (p *partition) appendTuple(rt *runtime, scratch []byte, s *inSet, row Row) ([]byte, error) {
 	null := false
 	if p.tuple == nil {
 		for _, v := range row {

@@ -176,7 +176,6 @@ func (rt *runtime) vecAgg(env *aggEnv, inSchema *plan.Schema) *vecAggExprs {
 // instance is reused only when the shape matches.
 type aggScratch struct {
 	kv         []sqltypes.Value
-	keyBuf     []byte
 	argBufs    [][]sqltypes.Value
 	filterCols []*vec.Col
 	argCols    [][]*vec.Col

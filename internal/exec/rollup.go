@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync/atomic"
 
+	"github.com/measures-sql/msql/internal/fn"
 	"github.com/measures-sql/msql/internal/plan"
 	"github.com/measures-sql/msql/internal/sqltypes"
 )
@@ -83,35 +84,54 @@ func (rt *runtime) rollupAnalysis(rp RollupProvider, n *plan.Aggregate) any {
 	return a
 }
 
-// Evaluator compiles plan expressions for evaluation over raw rows
-// outside a query: the rollup lattice uses it to compute group keys and
-// aggregate arguments during materialization and incremental maintenance.
-// It only supports expressions that read nothing but the row and no
-// parameter (plan.RowOnly, without plan.Param — exactly what the
-// lattice's gate admits), so results are identical to any in-query
-// evaluation of the same expression. Neither it nor what it compiles is safe for
-// concurrent use.
-type Evaluator struct {
-	rt *runtime
+// Table is a grouping table that outlives a query: a rollup lattice
+// node keeps one. It folds rows with the kernel of n, an Aggregate of one
+// grouping set, and with the predicate of n's Input when that is a
+// Filter; the Input itself is never run. n's expressions must read
+// nothing but the row and no parameter (plan.RowOnly, without
+// plan.Param: what the lattice's gate admits), so a fold is every
+// query's fold of the same rows. A Table is not safe for concurrent use.
+type Table struct {
+	rt   *runtime
+	pred predFn
+	fold *aggFold
 }
 
-// NewEvaluator returns a fresh expression evaluator.
-func NewEvaluator() *Evaluator {
-	return &Evaluator{rt: newRuntime(context.Background(), DefaultSettings())}
-}
-
-// Compile compiles e once; the result evaluates it against a row.
-func (ev *Evaluator) Compile(e plan.Expr) func(row Row) (sqltypes.Value, error) {
-	f, rt := compileExpr(e), ev.rt
-	return func(row Row) (sqltypes.Value, error) { return f(rt, row) }
-}
-
-// CompilePred compiles e once; the result reports whether e is TRUE of a
-// row.
-func (ev *Evaluator) CompilePred(e plan.Expr) func(row Row) (bool, error) {
-	p, rt := compilePred(e), ev.rt
-	return func(row Row) (bool, error) {
-		t, err := p(rt, row)
-		return t == triTrue, err
+// NewTable returns the empty table of n.
+func NewTable(n *plan.Aggregate) (*Table, error) {
+	env, err := newAggEnv(n)
+	if err != nil {
+		return nil, err
 	}
+	t := &Table{rt: newRuntime(context.Background(), DefaultSettings()), fold: env.newFold(env.newTables(0), nil),
+		pred: func(*runtime, Row) (tri, error) { return triTrue, nil }}
+	if f, ok := n.Input.(*plan.Filter); ok {
+		t.pred = compilePred(f.Pred)
+	}
+	return t, nil
 }
+
+// Fold folds rows[from:] in order, a row's index its place in the input,
+// and returns how many the predicate passed.
+func (t *Table) Fold(rows []Row, from int) (int, error) {
+	before := t.fold.in.rows
+	err := t.rt.filterRows(t.pred, rows, from, len(rows), t.fold)
+	return t.fold.in.rows - before, err
+}
+
+// Len returns the number of groups, none for a nil Table. Groups are
+// positions 0 to Len()-1, in the order of their first folded row.
+func (t *Table) Len() int {
+	if t == nil {
+		return 0
+	}
+	return len(t.fold.tables[0].groups)
+}
+
+// Key returns group g's key tuple, the Aggregate's group expressions in
+// order.
+func (t *Table) Key(g int) []sqltypes.Value { return t.fold.tables[0].key(g) }
+
+// States returns group g's states, one per call of the Aggregate, nil for
+// a call that keeps none (GROUPING).
+func (t *Table) States(g int) []fn.AggState { return t.fold.tables[0].statesOf(g) }

@@ -8,7 +8,7 @@ import (
 
 // Vectorized hash aggregation: group expressions, FILTER predicates, and
 // aggregate arguments are evaluated column-at-a-time per batch, then a
-// row loop folds values into the same groupAcc machinery the row path
+// row loop folds values into the same grouping table the row path
 // uses — so grouping-set semantics, DISTINCT dedup, first-input-row
 // group order, and aggregate state transitions are shared, not cloned.
 
@@ -75,11 +75,7 @@ func (rt *runtime) accumulateRowsVec(env *aggEnv, vea *vecAggExprs, share *colSh
 	n := env.n
 	sc := rt.getAggScratch(n)
 	kv := sc.kv
-	keyBuf := sc.keyBuf[:0]
-	defer func() {
-		sc.keyBuf = keyBuf
-		rt.putAggScratch(sc)
-	}()
+	defer rt.putAggScratch(sc)
 	argBufs := sc.argBufs
 	filterCols := sc.filterCols
 	argCols := sc.argCols
@@ -137,12 +133,9 @@ func (rt *runtime) accumulateRowsVec(env *aggEnv, vea *vecAggExprs, share *colSh
 				kv[j] = c.Value(r)
 			}
 			for si, set := range n.Sets {
-				keyBuf = keyBuf[:0]
-				for _, j := range set {
-					keyBuf = kv[j].AppendKey(keyBuf)
-				}
-				acc := tables[si].group(env, keyBuf, set, kv, blo+r)
-				if err := env.accumulateVecRow(acc, r, filterCols, argCols, argBufs); err != nil {
+				t := &tables[si]
+				g := t.group(hashKey(set, kv), kv, blo+r)
+				if err := env.accumulateVecRow(t, g, r, filterCols, argCols, argBufs); err != nil {
 					return err
 				}
 			}
@@ -153,9 +146,10 @@ func (rt *runtime) accumulateRowsVec(env *aggEnv, vea *vecAggExprs, share *colSh
 	return nil
 }
 
-// accumulateVecRow folds row r of the current batch into acc, mirroring
-// accumulate() over pre-evaluated columns.
-func (env *aggEnv) accumulateVecRow(acc *groupAcc, r int, filterCols []*vec.Col, argCols [][]*vec.Col, argBufs [][]sqltypes.Value) error {
+// accumulateVecRow folds row r of the current batch into group g of t,
+// mirroring accumulate() over pre-evaluated columns.
+func (env *aggEnv) accumulateVecRow(t *setTable, g, r int, filterCols []*vec.Col, argCols [][]*vec.Col, argBufs [][]sqltypes.Value) error {
+	states := t.statesOf(g)
 	for i, call := range env.n.Aggs {
 		if call.Name == "GROUPING" {
 			continue
@@ -177,12 +171,13 @@ func (env *aggEnv) accumulateVecRow(acc *groupAcc, r int, filterCols []*vec.Col,
 		}
 		if call.Distinct {
 			key := sqltypes.RowKey(args)
-			if acc.dedup[i][key] {
+			dedup := t.dedup[g*len(env.calls)+i]
+			if dedup[key] {
 				continue
 			}
-			acc.dedup[i][key] = true
+			dedup[key] = true
 		}
-		if err := acc.states[i].Add(args); err != nil {
+		if err := states[i].Add(args); err != nil {
 			return err
 		}
 	}

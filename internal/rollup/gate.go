@@ -46,6 +46,7 @@ type term struct {
 // request is the analyzed form of an eligible Aggregate node.
 type request struct {
 	src      *catalog.BaseTable
+	scan     *plan.Scan  // of src, under the Aggregate's input
 	keys     []plan.Expr // rebased key expressions, sorted by signature
 	keySigs  []string
 	aggs     []aggSpec
@@ -69,6 +70,7 @@ const maxKeys = 64
 // expressions over the raw base-table row.
 type flatSrc struct {
 	src   *catalog.BaseTable
+	scan  *plan.Scan
 	exprs []plan.Expr
 	preds []plan.Expr // innermost Filter first
 }
@@ -89,7 +91,7 @@ func flatten(n plan.Node) (*flatSrc, bool) {
 		for i, c := range cols {
 			exprs[i] = &plan.ColRef{Index: i, Name: c.Name, Typ: c.Typ}
 		}
-		return &flatSrc{src: bt, exprs: exprs}, true
+		return &flatSrc{src: bt, scan: t, exprs: exprs}, true
 	case *plan.Filter:
 		f, ok := flatten(t.Input)
 		if !ok {
@@ -192,7 +194,7 @@ func analyze(n *plan.Aggregate) *request {
 		return nil
 	}
 
-	req := &request{src: f.src, n: n, derivExact: true}
+	req := &request{src: f.src, scan: f.scan, n: n, derivExact: true}
 
 	// Aggregates: rebased argument expressions must be baked; DISTINCT /
 	// WITHIN DISTINCT / FILTER need the raw row stream.

@@ -1,7 +1,6 @@
 package rollup
 
 import (
-	"bytes"
 	"fmt"
 	"hash/maphash"
 	"math"
@@ -10,192 +9,99 @@ import (
 
 	"github.com/measures-sql/msql/internal/catalog"
 	"github.com/measures-sql/msql/internal/exec"
-	"github.com/measures-sql/msql/internal/fn"
 	"github.com/measures-sql/msql/internal/plan"
 	"github.com/measures-sql/msql/internal/sqltypes"
 	"github.com/measures-sql/msql/internal/storage"
 )
 
-// valueFn is a compiled expression: it evaluates over one base row.
-type valueFn = func([]sqltypes.Value) (sqltypes.Value, error)
-
 // node is one lattice vertex: materialized aggregate states for one
-// (base table, key set, aggregate list, row predicate) combination.
-// All access goes through mu; the compiled expressions and the scratch
-// buffers are single-threaded and only used under it.
+// (base table, key set, aggregate list, row predicate) combination. Its
+// groups are an exec.Table: the executor's grouping table, folding the
+// base rows with the kernel of agg, the one-set Aggregate of the node's
+// keys, aggregates and predicates. Group g's key tuple is in node key
+// order, its states in aggregate order, nil for GROUPING placeholders;
+// groups are in the order of their first qualifying base row — the
+// executor's first-seen output order, so a group's position is its
+// order. All access goes through mu.
 type node struct {
 	mu        sync.Mutex
 	src       *catalog.BaseTable
 	srcName   string
 	keys      []plan.Expr
 	aggs      []aggSpec
-	preds     []plan.Expr
+	agg       *plan.Aggregate
 	maxGroups int
 
-	// The node's expressions, compiled once when the node is created:
-	// row predicates, key expressions, and each aggregate's arguments.
-	predFns []func([]sqltypes.Value) (bool, error)
-	keyFns  []valueFn
-	argFns  [][]valueFn
 	// seen is the data state of the rows folded into groups so far.
 	seen storage.State
-
-	// The groups, a struct of arrays in the order of each group's first
-	// qualifying base row — the executor's first-seen output order, so a
-	// group's position is its order. Group g's key tuple (node key order)
-	// is keyVals[g*len(keys):] and its aggregate states (nil slots for
-	// GROUPING placeholders) states[g*len(aggs):].
-	nGroups int
-	keyVals []sqltypes.Value
-	states  []fn.AggState
-	// byKey finds a group by its key tuple: the hash of the tuple's
-	// AppendKey encoding (the executor's group identity, RowKey) maps to 1
-	// + the newest group with that hash, and chain[g] to 1 + the one
-	// before g (0 ends a chain).
-	seed  maphash.Seed
-	byKey map[uint64]int32
-	chain []int32
+	// tab holds the groups: nil until a row is folded, and after a reset.
+	tab *exec.Table
 	// byCol[k] indexes key column k, built when a request first pins it
-	// and kept up to date by sync from then on.
+	// and kept up to date by sync from then on, by values' KeyHash under
+	// seed.
 	byCol    []*colIndex
+	seed     maphash.Seed
 	disabled bool
-
-	// Scratch for folding a row: its key tuple and that tuple's encoding,
-	// another encoding, and one aggregate's arguments.
-	key  []sqltypes.Value
-	enc  []byte
-	cand []byte
-	args []sqltypes.Value
 
 	lastUse int64 // LRU tick, written under the lattice mutex
 }
 
-// colIndex maps the hash of a key value's AppendKey encoding to the
-// positions of the groups holding that value, ascending. AppendKey folds
-// INT and FLOAT of equal value as NotDistinct compares them, so a
-// look-up finds every group a term selects (and, on a collision, a few
-// more that the term then rejects) — unless a NaN is involved, which
-// NotDistinct finds equal to every number.
+// colIndex maps the hash of a key value (sqltypes.Value.KeyHash, alike
+// for values of one AppendKey encoding) to the positions of the groups
+// holding that value, ascending. AppendKey folds INT and FLOAT of equal
+// value as NotDistinct compares them, so a look-up finds every group a
+// term selects (and, on a collision, a few more that the term then
+// rejects) — unless a NaN is involved, which NotDistinct finds equal to
+// every number.
 type colIndex struct {
 	pos map[uint64][]int32
 	nan bool // a NaN key is indexed: look-ups must scan
 }
 
 func newNode(req *request, maxGroups int) *node {
-	ev := exec.NewEvaluator()
-	compile := func(exprs []plan.Expr) []valueFn {
-		fns := make([]valueFn, len(exprs))
-		for i, e := range exprs {
-			fns[i] = ev.Compile(e)
+	set := make([]int, len(req.keys))
+	for i := range set {
+		set[i] = i
+	}
+	agg := &plan.Aggregate{Input: req.scan, GroupExprs: req.keys, Sets: [][]int{set}}
+	for _, sp := range req.aggs {
+		// A GROUPING placeholder keeps no state: answer computes it.
+		agg.Aggs = append(agg.Aggs, plan.AggCall{Name: sp.call.Name, Args: sp.args, Star: sp.call.Star, KeyIndex: -1, Typ: sp.call.Typ})
+	}
+	if len(req.preds) > 0 {
+		pred := req.preds[0]
+		for _, p := range req.preds[1:] {
+			pred = &plan.And{L: pred, R: p}
 		}
-		return fns
-	}
-	predFns := make([]func([]sqltypes.Value) (bool, error), len(req.preds))
-	for i, p := range req.preds {
-		predFns[i] = ev.CompilePred(p)
-	}
-	argFns := make([][]valueFn, len(req.aggs))
-	maxArgs := 0
-	for i := range req.aggs {
-		argFns[i] = compile(req.aggs[i].args)
-		maxArgs = max(maxArgs, len(req.aggs[i].args))
+		agg.Input = &plan.Filter{Input: req.scan, Pred: pred}
 	}
 	return &node{
 		src:       req.src,
 		srcName:   strings.ToLower(req.src.Name()),
 		keys:      req.keys,
 		aggs:      req.aggs,
-		preds:     req.preds,
+		agg:       agg,
 		maxGroups: maxGroups,
-		predFns:   predFns,
-		keyFns:    compile(req.keys),
-		argFns:    argFns,
 		seen:      storage.State{Gen: req.src.DataState().Gen},
-		seed:      maphash.MakeSeed(),
-		byKey:     map[uint64]int32{},
 		byCol:     make([]*colIndex, len(req.keys)),
-		key:       make([]sqltypes.Value, len(req.keys)),
-		args:      make([]sqltypes.Value, maxArgs),
+		seed:      maphash.MakeSeed(),
 	}
-}
-
-func (nd *node) keyOf(g int) []sqltypes.Value {
-	nk := len(nd.keys)
-	return nd.keyVals[g*nk : g*nk+nk]
-}
-
-func (nd *node) statesOf(g int) []fn.AggState {
-	na := len(nd.aggs)
-	return nd.states[g*na : g*na+na]
 }
 
 // dropGroups drops every group and every column index.
-func (nd *node) dropGroups() {
-	nd.nGroups = 0
-	nd.keyVals, nd.states, nd.chain = nil, nil, nil
-	nd.byKey = map[uint64]int32{}
-	for k := range nd.byCol {
-		nd.byCol[k] = nil
-	}
-}
+func (nd *node) dropGroups() { nd.tab, nd.byCol = nil, make([]*colIndex, len(nd.keys)) }
 
 // disable gives up on the node and releases its groups.
 func (nd *node) disable() {
 	nd.dropGroups()
-	nd.byKey = nil
 	nd.disabled = true
-}
-
-// hash returns the hash of v's AppendKey encoding.
-func (nd *node) hash(v sqltypes.Value) uint64 {
-	nd.cand = v.AppendKey(nd.cand[:0])
-	return maphash.Bytes(nd.seed, nd.cand)
-}
-
-// find returns the position of the group whose key tuple encodes to
-// nd.enc, which hashes to h, or -1.
-func (nd *node) find(h uint64) int {
-	for p := nd.byKey[h]; p != 0; p = nd.chain[p-1] {
-		g := int(p - 1)
-		nd.cand = nd.cand[:0]
-		for _, v := range nd.keyOf(g) {
-			nd.cand = v.AppendKey(nd.cand)
-		}
-		if bytes.Equal(nd.cand, nd.enc) {
-			return g
-		}
-	}
-	return -1
-}
-
-// add appends a group with key tuple nd.key, whose encoding hashes to h,
-// and returns its position. The group starts with fresh states.
-func (nd *node) add(h uint64) int {
-	g := nd.nGroups
-	nd.nGroups++
-	nd.keyVals = append(nd.keyVals, nd.key...)
-	for i := range nd.aggs {
-		var st fn.AggState
-		if sp := &nd.aggs[i]; sp.def != nil {
-			st = sp.def.New(sp.argTypes)
-		}
-		nd.states = append(nd.states, st)
-	}
-	nd.chain = append(nd.chain, nd.byKey[h])
-	nd.byKey[h] = int32(g + 1)
-	for k, ci := range nd.byCol {
-		if ci != nil {
-			nd.index(ci, k, g)
-		}
-	}
-	return g
 }
 
 // index adds group g to ci, the index of key column k.
 func (nd *node) index(ci *colIndex, k, g int) {
-	v := nd.keyOf(g)[k]
+	v := nd.tab.Key(g)[k]
 	ci.nan = ci.nan || isNaN(v)
-	h := nd.hash(v)
+	h := v.KeyHash(nd.seed)
 	ci.pos[h] = append(ci.pos[h], int32(g))
 }
 
@@ -204,7 +110,7 @@ func (nd *node) column(k int) *colIndex {
 	ci := nd.byCol[k]
 	if ci == nil {
 		ci = &colIndex{pos: map[uint64][]int32{}}
-		for g := 0; g < nd.nGroups; g++ {
+		for g := 0; g < nd.tab.Len(); g++ {
 			nd.index(ci, k, g)
 		}
 		nd.byCol[k] = ci
@@ -230,81 +136,29 @@ func (nd *node) sync(rows [][]sqltypes.Value, now storage.State, c *counters) er
 		nd.seen = storage.State{Gen: now.Gen}
 		c.invalidations.Add(1)
 	}
-	for i := nd.seen.Rows; i < len(rows); i++ {
-		row := rows[i]
-		ok, err := nd.rowKey(row)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		h := maphash.Bytes(nd.seed, nd.enc)
-		g := nd.find(h)
-		if g < 0 {
-			g = nd.add(h)
-		}
-		if err := nd.accumulate(g, row); err != nil {
-			return err
-		}
-		c.incrementalRows.Add(1)
-	}
-	nd.seen = now
-	if nd.nGroups > nd.maxGroups {
-		nd.disable()
-	}
-	return nil
-}
-
-// rowKey evaluates row's key tuple into nd.key and its encoding into
-// nd.enc; it reports false when row fails a node predicate.
-func (nd *node) rowKey(row []sqltypes.Value) (bool, error) {
-	for _, p := range nd.predFns {
-		if ok, err := p(row); err != nil || !ok {
-			return false, err
-		}
-	}
-	nd.enc = nd.enc[:0]
-	for k, f := range nd.keyFns {
-		v, err := f(row)
-		if err != nil {
-			return false, err
-		}
-		nd.key[k] = v
-		nd.enc = v.AppendKey(nd.enc)
-	}
-	return true, nil
-}
-
-// accumulate replicates the executor's per-row aggregate accumulation
-// (internal/exec/agg.go) for the gate's restricted shape: no DISTINCT,
-// WITHIN DISTINCT, or FILTER clauses, so only argument evaluation and
-// the SkipNulls rule remain.
-func (nd *node) accumulate(g int, row []sqltypes.Value) error {
-	states := nd.statesOf(g)
-	for ai := range nd.aggs {
-		sp := &nd.aggs[ai]
-		if sp.def == nil {
-			continue
-		}
-		args := nd.args[:len(sp.args)]
-		skip := false
-		for j, a := range nd.argFns[ai] {
-			v, err := a(row)
+	if nd.seen.Rows < len(rows) {
+		if nd.tab == nil {
+			tab, err := exec.NewTable(nd.agg)
 			if err != nil {
 				return err
 			}
-			args[j] = v
-			if j == 0 && v.Null && sp.def.SkipNulls {
-				skip = true
-			}
+			nd.tab = tab
 		}
-		if skip {
-			continue
-		}
-		if err := states[ai].Add(args); err != nil {
+		before := nd.tab.Len()
+		n, err := nd.tab.Fold(rows, nd.seen.Rows)
+		c.incrementalRows.Add(int64(n))
+		if err != nil {
 			return err
 		}
+		for k, ci := range nd.byCol {
+			for g := before; ci != nil && g < nd.tab.Len(); g++ {
+				nd.index(ci, k, g)
+			}
+		}
+	}
+	nd.seen = now
+	if nd.tab.Len() > nd.maxGroups {
+		nd.disable()
 	}
 	return nil
 }
@@ -339,14 +193,14 @@ func (nd *node) selection(active []activeTerm) []int32 {
 	scan := true
 	for _, t := range active {
 		if ci := nd.column(t.key); !ci.nan && !isNaN(t.val) {
-			if pos := ci.pos[nd.hash(t.val)]; scan || len(pos) < len(cands) {
+			if pos := ci.pos[t.val.KeyHash(nd.seed)]; scan || len(pos) < len(cands) {
 				cands, scan = pos, false
 			}
 		}
 	}
 	var sel []int32
 	pick := func(g int) {
-		kv := nd.keyOf(g)
+		kv := nd.tab.Key(g)
 		for _, t := range active {
 			if !t.matches(kv[t.key]) {
 				return
@@ -360,7 +214,7 @@ func (nd *node) selection(active []activeTerm) []int32 {
 		}
 		return sel
 	}
-	for g := 0; g < nd.nGroups; g++ {
+	for g := 0; g < nd.tab.Len(); g++ {
 		pick(g)
 	}
 	return sel
@@ -391,16 +245,18 @@ func (nd *node) answer(req *request, active []activeTerm, empty bool) ([][]sqlty
 		// an output group's members, first-row order throughout.
 		buckets := map[string]int{}
 		var ordered [][]int32
+		var buf [64]byte
+		enc := buf[:0]
 		for _, g := range sel {
-			kv := nd.keyOf(int(g))
-			nd.enc = nd.enc[:0]
+			kv := nd.tab.Key(int(g))
+			enc = enc[:0]
 			for _, j := range set {
-				nd.enc = kv[req.groupKey[j]].AppendKey(nd.enc)
+				enc = kv[req.groupKey[j]].AppendKey(enc)
 			}
-			i, ok := buckets[string(nd.enc)]
+			i, ok := buckets[string(enc)]
 			if !ok {
 				i = len(ordered)
-				buckets[string(nd.enc)] = i
+				buckets[string(enc)] = i
 				ordered = append(ordered, nil)
 			}
 			ordered[i] = append(ordered[i], g)
@@ -413,7 +269,7 @@ func (nd *node) answer(req *request, active []activeTerm, empty bool) ([][]sqlty
 			row := make([]sqltypes.Value, 0, len(n.GroupExprs)+len(n.Aggs))
 			for j := range n.GroupExprs {
 				if inSet&(1<<j) != 0 && len(members) > 0 {
-					row = append(row, nd.keyOf(int(members[0]))[req.groupKey[j]])
+					row = append(row, nd.tab.Key(int(members[0]))[req.groupKey[j]])
 				} else {
 					row = append(row, sqltypes.Null(n.GroupExprs[j].Type().Kind))
 				}
@@ -432,13 +288,13 @@ func (nd *node) answer(req *request, active []activeTerm, empty bool) ([][]sqlty
 				case 0:
 					row = append(row, sp.def.New(sp.argTypes).Result())
 				case 1:
-					row = append(row, nd.statesOf(int(members[0]))[ai].Result())
+					row = append(row, nd.tab.States(int(members[0]))[ai].Result())
 				default:
 					// Derive the coarser group by merging finer states in
 					// ascending first-row order; gated on derivExact.
 					st := sp.def.New(sp.argTypes)
 					for _, m := range members {
-						if err := st.Merge(nd.statesOf(int(m))[ai]); err != nil {
+						if err := st.Merge(nd.tab.States(int(m))[ai]); err != nil {
 							return nil, fmt.Errorf("rollup derivation merge: %w", err)
 						}
 					}

@@ -8,9 +8,11 @@
 // every Aggregate node, so plain GROUP BY dashboards, measure
 // evaluation contexts (whose expansion is an Aggregate under a
 // key-pinning Filter), AT (ALL …) contexts, and ROLLUP queries are all
-// served in O(groups selected) once materialized: a node addresses its
-// groups by key, and a request's pinned key values are looked up in
-// per-column indexes rather than searched for.
+// served in O(groups selected) once materialized: a node's groups are an
+// exec.Table, the executor's grouping table folded by the kernel of a
+// one-set Aggregate of the node's keys, aggregates and predicates, and a
+// request's pinned key values are looked up in per-column indexes over
+// them rather than searched for.
 //
 // Maintenance: a node records the storage.State of the rows it has
 // folded and compares it, at every read, with the state of the table's
@@ -310,7 +312,7 @@ func (l *Lattice) Stats() Counters {
 	for _, nd := range nodes {
 		nd.mu.Lock()
 		c.Nodes++
-		c.Groups += int64(nd.nGroups)
+		c.Groups += int64(nd.tab.Len())
 		nd.mu.Unlock()
 	}
 	return c
@@ -340,7 +342,7 @@ func (l *Lattice) Snapshot() []NodeInfo {
 			Table:    nd.srcName,
 			Keys:     strings.Join(keySigs, ", "),
 			Aggs:     strings.Join(aggSigs, ", "),
-			Groups:   nd.nGroups,
+			Groups:   nd.tab.Len(),
 			RowsSeen: nd.seen.Rows,
 			Disabled: nd.disabled,
 		})

@@ -3,6 +3,7 @@ package sqltypes
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"strconv"
 	"time"
@@ -260,6 +261,36 @@ func (v Value) AppendKey(dst []byte) []byte {
 	default:
 		return append(dst, 0)
 	}
+}
+
+// KeyEqual reports whether a and b have one key encoding (AppendKey),
+// without encoding a string: grouping tables compare candidate keys so.
+func KeyEqual(a, b Value) bool {
+	if a.K == b.K && !a.Null && !b.Null {
+		switch a.K {
+		case KindBool:
+			return a.B == b.B
+		case KindInt, KindDate:
+			return a.I == b.I
+		case KindString:
+			return a.S == b.S
+		}
+	}
+	if a.K == KindString && !a.Null || b.K == KindString && !b.Null {
+		return false // a string's tag is no other kind's
+	}
+	var x, y [9]byte
+	return string(a.AppendKey(x[:0])) == string(b.AppendKey(y[:0]))
+}
+
+// KeyHash hashes v's key encoding (AppendKey) under seed, so values
+// KeyEqual finds equal hash alike.
+func (v Value) KeyHash(seed maphash.Seed) uint64 {
+	if v.K == KindString && !v.Null {
+		return maphash.String(seed, v.S)
+	}
+	var buf [9]byte
+	return maphash.Bytes(seed, v.AppendKey(buf[:0]))
 }
 
 // RowKey encodes a slice of values as a single map key.
