@@ -105,12 +105,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// tableMeta is the coordinator's record of one sharded table.
+// tableMeta is the coordinator's record of one sharded table: what
+// routing reads. Its columns are the local mirror's, which prepares and
+// coerces the table's INSERT rows.
 type tableMeta struct {
-	name  string // as created
-	cols  []string
-	kinds []sqltypes.Kind
-	pcol  int // partition column index
+	name  string        // as created
+	pcol  int           // partition column index
+	pkind sqltypes.Kind // the partition column's kind
 }
 
 // mutation is one entry of a shard's replay log: either a statement or
@@ -161,9 +162,10 @@ type Coordinator struct {
 	shards []*shard
 
 	// local mirrors the schema and stays empty of rows: it checks DDL,
-	// plans every query once, for its path and to finish it, answers
-	// queries that touch no sharded table, and hosts the
-	// msql_stats.shards virtual table and shard metrics.
+	// prepares and coerces every INSERT's rows, plans every query once,
+	// for its path and to finish it, answers queries that touch no
+	// sharded table, and hosts the msql_stats.shards virtual table and
+	// shard metrics.
 	local *msql.DB
 
 	// catalog state. mu guards tables/seq; mutations additionally

@@ -811,3 +811,41 @@ INSERT INTO T VALUES (1, 10), (2, 20), (3, 30), (4, 40), (5, 50), (6, 60)`); err
 		t.Errorf("the shards counted %d scanned rows, want 6", scanned)
 	}
 }
+
+// TestFleetInsertAnswersAsASingleNode: the coordinator prepares an
+// INSERT's rows with the engine's own INSERT, so on two shards every
+// statement fails with the error code and message a single node gives,
+// or inserts the rows a single node inserts.
+func TestFleetInsertAnswersAsASingleNode(t *testing.T) {
+	ctx := context.Background()
+	coord, oracle, _ := cluster(t, 2)
+	execBoth(t, coord, oracle, `CREATE TABLE T (k INTEGER, v VARCHAR, x DOUBLE)`)
+	for _, sql := range []string{
+		`INSERT INTO T (k, nosuch) VALUES (1, 2)`,
+		`INSERT INTO T VALUES (1, 'a')`,
+		`INSERT INTO T (k, v) VALUES (1, 'a', 2.5)`,
+		`INSERT INTO U VALUES (1)`,
+		`INSERT INTO T VALUES ('x', 'a', 1.0)`,
+		`INSERT INTO T VALUES (1.5, 'a', 1.0)`,
+		`INSERT INTO T VALUES (1, 'a', 1.5), (2, 'b', 2)`,
+		`INSERT INTO T (x, k) VALUES (2.5, 7), (NULL, 8)`,
+		`INSERT INTO T SELECT k + 10, v, x FROM T WHERE k > 1`,
+	} {
+		gotErr := coord.Exec(ctx, sql)
+		wantErr := oracle.ExecContext(ctx, sql)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("%s:\nfleet error  %v\nsingle node  %v", sql, gotErr, wantErr)
+		}
+		if wantErr == nil {
+			continue
+		}
+		var got, want *exec.Error
+		if !errors.As(gotErr, &got) || !errors.As(wantErr, &want) {
+			t.Fatalf("%s: unstructured error: fleet %v, single node %v", sql, gotErr, wantErr)
+		}
+		if got.Code != want.Code || gotErr.Error() != wantErr.Error() {
+			t.Errorf("%s:\nfleet        %s %q\nsingle node  %s %q", sql, got.Code, gotErr, want.Code, wantErr)
+		}
+	}
+	queryBoth(t, coord, oracle, `SELECT k, v, x FROM T ORDER BY k`)
+}

@@ -2,7 +2,10 @@ package dist
 
 // The mutation path: DDL broadcasts to every shard, INSERT partitions
 // rows by the partition column's hash, and both are recorded in a
-// per-shard replay log before any endpoint sees them. Replication to an
+// per-shard replay log before any endpoint sees them. An INSERT's rows
+// are the engine's: the local mirror of the schema prepares them with
+// the engine's own INSERT (msql.DB.InsertRowsOf) and its table coerces
+// them, so rows and errors are a single node's. Replication to an
 // endpoint is a compare-and-swap on its catalog version — entry i
 // applies only at version i — which makes application exactly-once even
 // across lost acks (a transport error is resolved by probing /catalog:
@@ -19,10 +22,8 @@ import (
 
 	"github.com/measures-sql/msql/internal/ast"
 	"github.com/measures-sql/msql/internal/catalog"
-	"github.com/measures-sql/msql/internal/engine"
 	"github.com/measures-sql/msql/internal/exec"
 	"github.com/measures-sql/msql/internal/sqltypes"
-	"github.com/measures-sql/msql/internal/storage"
 	"github.com/measures-sql/msql/internal/wire"
 	"github.com/measures-sql/msql/msql"
 )
@@ -70,20 +71,17 @@ func (c *Coordinator) execStmt(ctx context.Context, stmt ast.Statement, reqID st
 // execCreateTable creates s on the coordinator and, with the sequence
 // column appended, on every shard.
 func (c *Coordinator) execCreateTable(ctx context.Context, s *ast.CreateTable, reqID string) (*msql.Result, error) {
-	meta := &tableMeta{name: s.Name, pcol: 0}
-	for _, col := range s.Cols {
-		if lower(col.Name) == catalog.SequenceColumn {
-			return nil, bindErr("column name %q is reserved for distributed execution", catalog.SequenceColumn)
-		}
-		meta.cols = append(meta.cols, col.Name)
-		meta.kinds = append(meta.kinds, sqltypes.KindFromName(col.TypeName))
+	if slices.ContainsFunc(s.Cols, func(col ast.ColumnDef) bool { return lower(col.Name) == catalog.SequenceColumn }) {
+		return nil, bindErr("column name %q is reserved for distributed execution", catalog.SequenceColumn)
 	}
+	meta := &tableMeta{name: s.Name, pcol: 0}
 	if want, ok := c.cfg.PartitionCols[lower(s.Name)]; ok {
-		meta.pcol = slices.IndexFunc(meta.cols, func(col string) bool { return lower(col) == lower(want) })
+		meta.pcol = slices.IndexFunc(s.Cols, func(col ast.ColumnDef) bool { return lower(col.Name) == lower(want) })
 		if meta.pcol < 0 {
 			return nil, bindErr("partition column %q not found in table %s", want, s.Name)
 		}
 	}
+	meta.pkind = sqltypes.KindFromName(s.Cols[meta.pcol].TypeName)
 	res, err := runOne(ctx, c.local, ast.FormatStatement(s))
 	if err != nil {
 		return nil, err
@@ -110,62 +108,38 @@ func (c *Coordinator) execSchemaChange(ctx context.Context, stmt ast.Statement, 
 	return res, c.broadcast(ctx, mutation{sql: sql}, reqID)
 }
 
+// execInsert prepares s's rows as the engine's own INSERT does, on the
+// local mirror of the schema — an INSERT … SELECT's source runs through
+// the coordinator itself, as it may read sharded tables — so its rows
+// and its errors are a single node's. Each row is coerced by the table's
+// own coercion, given the next global sequence, and logged to the shard
+// its partition value hashes to.
 func (c *Coordinator) execInsert(ctx context.Context, s *ast.Insert, reqID string) (*msql.Result, error) {
+	// An INSERT does not record whether its source holds placeholders,
+	// so the source's literals stay.
+	table, rows, err := c.local.InsertRowsOf(s, func(q *ast.Query) (*msql.Result, error) {
+		return c.query(ctx, q, false, reqID)
+	})
+	if err != nil {
+		return nil, err
+	}
 	meta, ok := c.meta(s.Table)
 	if !ok {
 		return nil, bindErr("unknown table %s", s.Table)
 	}
-
-	var rows [][]sqltypes.Value
-	switch {
-	case s.Query != nil:
-		// INSERT ... SELECT: run the source query through the
-		// coordinator itself (it may touch sharded tables), then
-		// partition the materialized rows. An INSERT does not record
-		// whether its source holds placeholders, so its literals stay.
-		res, err := c.query(ctx, s.Query, false, reqID)
-		if err != nil {
-			return nil, err
-		}
-		rows = res.Rows
-	default:
-		for _, exprs := range s.Rows {
-			row := make([]sqltypes.Value, len(exprs))
-			for i, e := range exprs {
-				v, err := engine.EvalConstExpr(e)
-				if err != nil {
-					return nil, err
-				}
-				row[i] = v
-			}
-			rows = append(rows, row)
+	// Each row is coerced into a row with room for its sequence.
+	shardRows := make([][]sqltypes.Value, len(rows))
+	for i, row := range rows {
+		if shardRows[i], err = table.CoerceRow(make([]sqltypes.Value, 0, len(row)+1), row); err != nil {
+			return nil, exec.Wrap(err, exec.CodeRuntime, exec.PhaseExecute)
 		}
 	}
-
-	full, err := expandInsertColumns(meta, s.Columns, rows)
-	if err != nil {
-		return nil, err
-	}
-
-	// Coerce (mirroring storage), assign the global sequence, and
-	// partition.
 	batches := make([][][]sqltypes.Value, len(c.shards))
 	c.mu.Lock()
-	for _, row := range full {
-		for i := range row {
-			v, err := storage.Coerce(row[i], meta.kinds[i])
-			if err != nil {
-				c.mu.Unlock()
-				return nil, exec.Wrap(fmt.Errorf("column %s: %w", meta.cols[i], err), exec.CodeRuntime, exec.PhaseExecute)
-			}
-			row[i] = v
-		}
+	for _, row := range shardRows {
 		idx := c.shardFor(row[meta.pcol])
-		withSeq := make([]sqltypes.Value, len(row)+1)
-		copy(withSeq, row)
-		withSeq[len(row)] = sqltypes.NewInt(c.seq)
+		batches[idx] = append(batches[idx], append(row, sqltypes.NewInt(c.seq)))
 		c.seq++
-		batches[idx] = append(batches[idx], withSeq)
 	}
 	c.mu.Unlock()
 
@@ -181,47 +155,7 @@ func (c *Coordinator) execInsert(ctx context.Context, s *ast.Insert, reqID strin
 	if err := c.push(ctx, touched, reqID); err != nil {
 		return nil, err
 	}
-	return &msql.Result{Message: fmt.Sprintf("%d rows inserted", len(full))}, nil
-}
-
-// expandInsertColumns maps a (possibly partial) column list onto the
-// table's full column order, filling unnamed columns with NULL.
-func expandInsertColumns(meta *tableMeta, cols []string, rows [][]sqltypes.Value) ([][]sqltypes.Value, error) {
-	if len(cols) == 0 {
-		for _, row := range rows {
-			if len(row) != len(meta.cols) {
-				return nil, bindErr("INSERT into %s expects %d values, got %d", meta.name, len(meta.cols), len(row))
-			}
-		}
-		return rows, nil
-	}
-	pos := make([]int, len(cols))
-	for i, name := range cols {
-		pos[i] = -1
-		for j, col := range meta.cols {
-			if lower(col) == lower(name) {
-				pos[i] = j
-			}
-		}
-		if pos[i] < 0 {
-			return nil, bindErr("unknown column %s in INSERT into %s", name, meta.name)
-		}
-	}
-	out := make([][]sqltypes.Value, len(rows))
-	for r, row := range rows {
-		if len(row) != len(cols) {
-			return nil, bindErr("INSERT into %s expects %d values, got %d", meta.name, len(cols), len(row))
-		}
-		full := make([]sqltypes.Value, len(meta.cols))
-		for j, k := range meta.kinds {
-			full[j] = sqltypes.Null(k)
-		}
-		for i, v := range row {
-			full[pos[i]] = v
-		}
-		out[r] = full
-	}
-	return out, nil
+	return &msql.Result{Message: fmt.Sprintf("%d rows inserted", len(rows))}, nil
 }
 
 // shardFor hashes a coerced partition value's canonical encoding, in

@@ -244,7 +244,7 @@ func (c *Coordinator) pin(pred plan.Expr, meta *tableMeta, params []msql.Value) 
 		default:
 			continue
 		}
-		if cv, err := storage.Coerce(v, meta.kinds[meta.pcol]); err == nil {
+		if cv, err := storage.Coerce(v, meta.pkind); err == nil {
 			return c.shardFor(cv), true
 		}
 	}

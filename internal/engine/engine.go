@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,9 +46,12 @@ type Result struct {
 type Session struct {
 	cat *catalog.Catalog
 	// mu guards exec, opt, and strategy against concurrent mutation.
-	mu        sync.Mutex
-	exec      *exec.Settings
-	opt       optimizer.Options
+	mu   sync.Mutex
+	exec *exec.Settings
+	opt  optimizer.Options
+	// lastStats holds the counters of the execution that finished last,
+	// under lastMu.
+	lastMu    sync.Mutex
 	lastStats exec.Stats
 	metrics   *Metrics
 	tracer    exec.Tracer
@@ -135,6 +139,9 @@ type stmtEnv struct {
 	stats *stmtStatEntry
 	// requestID is the caller's correlation ID (Overrides.RequestID).
 	requestID string
+	// counts are the executor counters of the statement's execution: a
+	// statement counts into its own, never into another's.
+	counts exec.Stats
 }
 
 // span forwards one event to the statement tracer, if any.
@@ -176,10 +183,15 @@ func (s *Session) Update(fn func(ex *exec.Settings, opt *optimizer.Options)) {
 	fn(s.exec, &s.opt)
 }
 
-// LastStats returns the executor counters of the most recent query. The
-// copy is taken with atomic loads, so it is safe even while another
-// goroutine's query is updating the counters.
-func (s *Session) LastStats() exec.Stats { return s.lastStats.Snapshot() }
+// LastStats returns the executor counters of the query execution that
+// finished last. Each execution counts into its own counters and
+// publishes them as it finishes (recordExec), so statements running at
+// once never count into each other's.
+func (s *Session) LastStats() exec.Stats {
+	s.lastMu.Lock()
+	defer s.lastMu.Unlock()
+	return s.lastStats
+}
 
 // Metrics returns the session's cumulative metrics registry.
 func (s *Session) Metrics() *Metrics { return s.metrics }
@@ -625,14 +637,14 @@ func (env *stmtEnv) emitExpandSpans(n plan.Node) {
 }
 
 // execPlan runs an optimized plan with this session's settings: Stats
-// are reset and collected into lastStats, the metrics registry is
-// updated, and when withProfile is set (EXPLAIN ANALYZE) or a tracer is
-// installed, per-operator metrics are collected too.
+// are reset and collected into the statement's counts, the metrics
+// registry is updated, and when withProfile is set (EXPLAIN ANALYZE) or
+// a tracer is installed, per-operator metrics are collected too.
 func (s *Session) execPlan(env *stmtEnv, node plan.Node, planNs int64, withProfile bool) ([][]sqltypes.Value, *exec.Profile, error) {
 	env.live.setPhase(phaseExecute)
-	s.lastStats.Reset()
+	env.counts = exec.Stats{}
 	settings := env.cfg.exec
-	settings.Stats = &s.lastStats
+	settings.Stats = &env.counts
 	var prof *exec.Profile
 	if withProfile || env.tracer != nil {
 		prof = exec.NewProfile(node)
@@ -674,10 +686,14 @@ func (s *Session) execPlan(env *stmtEnv, node plan.Node, planNs int64, withProfi
 	return rows, prof, nil
 }
 
-// recordExec folds one execution, counted into lastStats, into the
-// session's metrics and the statement's stats, and returns its counters.
+// recordExec folds one execution, counted into the statement's counts,
+// into the session's metrics and the statement's stats, publishes it as
+// the last (LastStats), and returns its counters.
 func (s *Session) recordExec(env *stmtEnv, rows int, planNs, execNs int64) exec.Stats {
-	st := s.lastStats.Snapshot()
+	st := env.counts.Snapshot()
+	s.lastMu.Lock()
+	s.lastStats = st
+	s.lastMu.Unlock()
 	s.metrics.recordQuery(env.cfg.strategy, rows, st, planNs, execNs)
 	if e := env.stats; e != nil {
 		e.rows.Add(int64(rows))
@@ -731,13 +747,13 @@ func (s *Session) explainAnalyze(env *stmtEnv, q *ast.Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Message: plan.ExplainAnalyzeTree(node, prof) + s.analyzeTotals(len(rows))}, nil
+	return &Result{Message: plan.ExplainAnalyzeTree(node, prof) + analyzeTotals(env, len(rows))}, nil
 }
 
 // analyzeTotals renders the Totals: footer of EXPLAIN ANALYZE from the
-// counters of the execution that just finished.
-func (s *Session) analyzeTotals(rows int) string {
-	st := s.lastStats.Snapshot()
+// counters of the statement's execution, which just finished.
+func analyzeTotals(env *stmtEnv, rows int) string {
+	st := env.counts.Snapshot()
 	totals := fmt.Sprintf("Totals: rows=%d scanned=%d evals=%d hits=%d fanouts=%d",
 		rows, st.RowsScanned, st.SubqueryEvals, st.SubqueryCacheHits, st.ParallelFanouts)
 	if st.VecBatches > 0 {
@@ -830,124 +846,125 @@ func (s *Session) execTruncate(stmt *ast.Truncate) (*Result, error) {
 	return &Result{Message: fmt.Sprintf("truncated table %s (%d rows)", stmt.Table, n)}, nil
 }
 
+// execInsert runs an INSERT: its rows are prepared (insertRows), then
+// inserted into the table they were prepared for (insert).
 func (s *Session) execInsert(env *stmtEnv, stmt *ast.Insert) (*Result, error) {
+	table, rows, err := s.insertRows(stmt, func(q *ast.Query) (*Result, error) { return s.runQuery(env, q) })
+	if err != nil {
+		return nil, err
+	}
+	if err := s.insert(stmt.Table, table, rows); err != nil {
+		return nil, err
+	}
+	return &Result{Message: fmt.Sprintf("inserted %d rows", len(rows))}, nil
+}
+
+// insertRows prepares the rows stmt inserts into its table: the column
+// list mapped onto the table's columns, the VALUES evaluated or the
+// source query run by query, and every column the list leaves out NULL.
+// The rows are in table order and not yet coerced.
+func (s *Session) insertRows(stmt *ast.Insert, query func(*ast.Query) (*Result, error)) (*catalog.BaseTable, [][]sqltypes.Value, error) {
 	table, ok := s.cat.Table(stmt.Table)
 	if !ok {
-		return nil, fmt.Errorf("table %s does not exist", stmt.Table)
+		return nil, nil, fmt.Errorf("table %s does not exist", stmt.Table)
 	}
 	colNames := table.ColNames()
 
-	// Column list: map provided columns to table positions.
-	target := make([]int, len(colNames))
-	for i := range target {
-		target[i] = -1
-	}
+	// With a column list, target[ti] is the place of table column ti in
+	// a row of values, -1 when the list leaves it out; without one the
+	// values are in table order.
+	var target []int
 	width := len(colNames)
 	if len(stmt.Columns) > 0 {
 		width = len(stmt.Columns)
-		for pos, name := range stmt.Columns {
-			found := false
-			for ti, cn := range colNames {
-				if strings.EqualFold(cn, name) {
-					target[ti] = pos
-					found = true
-					break
-				}
-			}
-			if !found {
-				return nil, fmt.Errorf("column %s does not exist in table %s", name, stmt.Table)
-			}
+		target = make([]int, len(colNames))
+		for ti := range target {
+			target[ti] = -1
 		}
-	} else {
-		for i := range colNames {
-			target[i] = i
+		for pos, name := range stmt.Columns {
+			ti := slices.IndexFunc(colNames, func(cn string) bool { return strings.EqualFold(cn, name) })
+			if ti < 0 {
+				return nil, nil, fmt.Errorf("column %s does not exist in table %s", name, stmt.Table)
+			}
+			target[ti] = pos
 		}
 	}
 
-	var srcRows [][]sqltypes.Value
+	var rows [][]sqltypes.Value
 	switch {
 	case stmt.Query != nil:
-		res, err := s.runQuery(env, stmt.Query)
+		res, err := query(stmt.Query)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if len(res.Columns) != width {
-			return nil, fmt.Errorf("INSERT expects %d columns, query returned %d", width, len(res.Columns))
+			return nil, nil, fmt.Errorf("INSERT expects %d columns, query returned %d", width, len(res.Columns))
 		}
-		srcRows = res.Rows
+		rows = res.Rows
 	default:
 		for _, rowExprs := range stmt.Rows {
 			if len(rowExprs) != width {
-				return nil, fmt.Errorf("INSERT expects %d values, got %d", width, len(rowExprs))
+				return nil, nil, fmt.Errorf("INSERT expects %d values, got %d", width, len(rowExprs))
 			}
 			row := make([]sqltypes.Value, len(rowExprs))
 			for i, e := range rowExprs {
 				v, err := evalConstExpr(e)
 				if err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 				row[i] = v
 			}
-			srcRows = append(srcRows, row)
+			rows = append(rows, row)
 		}
 	}
-
-	rows := make([][]sqltypes.Value, len(srcRows))
-	for ri, src := range srcRows {
-		row := make([]sqltypes.Value, len(colNames))
-		for ti := range colNames {
-			if target[ti] >= 0 {
-				row[ti] = src[target[ti]]
-			} else {
-				row[ti] = sqltypes.Null(table.ColTypes()[ti].Kind)
+	if target == nil {
+		return table, rows, nil
+	}
+	// The source rows may be a query's, whose slice is not ours to change.
+	full := make([][]sqltypes.Value, len(rows))
+	for ri, src := range rows {
+		full[ri] = make([]sqltypes.Value, len(colNames))
+		for ti, pos := range target {
+			full[ri][ti] = sqltypes.Null(table.ColTypes()[ti].Kind)
+			if pos >= 0 {
+				full[ri][ti] = src[pos]
 			}
 		}
-		rows[ri] = row
 	}
-	defer s.lockDurable()()
-	// Re-resolve the table under the mutation lock: a concurrent DROP or
-	// CREATE OR REPLACE since the planning lookup above has already been
-	// logged, and an insert record written after it would never replay
-	// (the WAL would describe inserting into a dropped table). Fail the
-	// statement instead of logging an unreplayable history.
-	if cur, ok := s.cat.Table(stmt.Table); !ok {
-		return nil, fmt.Errorf("table %s does not exist", stmt.Table)
-	} else if cur != table {
-		return nil, fmt.Errorf("table %s was concurrently replaced", stmt.Table)
-	}
-	// Coerce first so the log carries exactly the values that will be
-	// stored; log before applying so an acknowledged insert is always
-	// recoverable, and a failed log append changes nothing in memory.
-	coerced, err := table.Data.CoerceRows(rows)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.logMutation(insertRecord(stmt.Table, coerced)); err != nil {
-		return nil, err
-	}
-	table.Data.InsertPrepared(coerced)
-	s.cat.BumpVersion()
-	return &Result{Message: fmt.Sprintf("inserted %d rows", len(rows))}, nil
+	return table, full, nil
 }
 
 // InsertRows bulk-inserts pre-built rows into a base table, bypassing
 // SQL parsing (used by the benchmark harness to load large datasets).
 func (s *Session) InsertRows(table string, rows [][]sqltypes.Value) error {
-	// The lookup happens under the mutation lock so the logged record
-	// order matches apply order (see execInsert).
+	return s.insert(table, nil, rows)
+}
+
+// insert coerces rows, logs them and appends them to the table name,
+// the lookup included, under the mutation lock, so records are logged in
+// apply order. want, when not nil, is the table the rows were prepared
+// for: if a DROP or CREATE OR REPLACE has replaced it since, that DDL is
+// logged already and an insert record after it would never replay, so
+// the insert fails. Coercing first makes the log carry exactly the
+// values stored; logging before applying makes an acknowledged insert
+// recoverable and a failed append change nothing in memory.
+func (s *Session) insert(name string, want *catalog.BaseTable, rows [][]sqltypes.Value) error {
 	defer s.lockDurable()()
-	t, ok := s.cat.Table(table)
+	table, ok := s.cat.Table(name)
 	if !ok {
-		return fmt.Errorf("table %s does not exist", table)
+		return fmt.Errorf("table %s does not exist", name)
 	}
-	coerced, err := t.Data.CoerceRows(rows)
+	if want != nil && table != want {
+		return fmt.Errorf("table %s was concurrently replaced", name)
+	}
+	coerced, err := table.Data.CoerceRows(rows)
 	if err != nil {
 		return err
 	}
-	if err := s.logMutation(insertRecord(table, coerced)); err != nil {
+	if err := s.logMutation(insertRecord(name, coerced)); err != nil {
 		return err
 	}
-	t.Data.InsertPrepared(coerced)
+	table.Data.InsertPrepared(coerced)
 	s.cat.BumpVersion()
 	return nil
 }

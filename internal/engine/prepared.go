@@ -311,7 +311,9 @@ func (s *Session) execPrepared(env *stmtEnv, p *Prepared, vals []sqltypes.Value)
 		if rows, ok := entry.memoLookup(mk, at); ok {
 			s.plans.noteMemoHit()
 			env.execAttrs["memo"] = "true"
-			s.lastStats.Reset()
+			s.lastMu.Lock()
+			s.lastStats = exec.Stats{}
+			s.lastMu.Unlock()
 			s.metrics.recordQuery(env.cfg.strategy, len(rows), exec.Stats{}, 0, 0)
 			if e := env.stats; e != nil {
 				e.rows.Add(int64(len(rows)))
@@ -357,7 +359,7 @@ func (s *Session) explainExecute(env *stmtEnv, ex *ast.ExecuteStmt, analyze bool
 	if err != nil {
 		return nil, err
 	}
-	msg := plan.ExplainAnalyzeTree(entry.node, prof) + s.analyzeTotals(len(rows)) + cacheLine
+	msg := plan.ExplainAnalyzeTree(entry.node, prof) + analyzeTotals(env, len(rows)) + cacheLine
 	return &Result{Message: msg}, nil
 }
 

@@ -17,6 +17,7 @@ import (
 	"github.com/measures-sql/msql/internal/exec"
 	"github.com/measures-sql/msql/internal/plan"
 	"github.com/measures-sql/msql/internal/sqltypes"
+	"github.com/measures-sql/msql/internal/storage"
 )
 
 // RegisterVirtualTable installs (or replaces) a read-only virtual table
@@ -53,9 +54,22 @@ func (s *Session) PlanQuery(ctx context.Context, sql string, params []sqltypes.V
 	return node, nil
 }
 
+// InsertRowsOf prepares the rows stmt inserts as execInsert does
+// (insertRows; query runs an INSERT … SELECT's source) and returns them,
+// not yet coerced, with the table's storage, whose CoerceRow coerces a
+// row as the INSERT would; an error is the one the INSERT fails with.
+func (s *Session) InsertRowsOf(stmt *ast.Insert, query func(*ast.Query) (*Result, error)) (*storage.Table, [][]sqltypes.Value, error) {
+	table, rows, err := s.insertRows(stmt, query)
+	if err != nil {
+		return nil, nil, exec.Wrap(err, exec.CodeRuntime, exec.PhaseExecute)
+	}
+	return table.Data, rows, nil
+}
+
 // EvalConstExpr evaluates a constant expression the way INSERT VALUES
-// does (wrapping it in a one-row query), for callers that partition
-// literal rows before any table sees them.
+// does (wrapping it in a one-row query), for callers that need a
+// literal's value outside a statement: a coordinator's lifted WHERE
+// literals.
 func EvalConstExpr(e ast.Expr) (sqltypes.Value, error) {
 	return evalConstExpr(e)
 }
@@ -101,9 +115,8 @@ func (s *Session) PartialAggregate(ctx context.Context, sql string, params []sql
 			return nil, err
 		}
 		env.live.setPhase(phaseExecute)
-		s.lastStats.Reset()
 		settings := env.cfg.exec
-		settings.Stats = &s.lastStats
+		settings.Stats = &env.counts
 		settings.Tracer = env.tracer
 		settings.Params = params
 		start := time.Now()

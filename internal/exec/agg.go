@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"hash/maphash"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -123,9 +124,12 @@ func newAggEnv(n *plan.Aggregate) (*aggEnv, error) {
 	return env, nil
 }
 
-// aggEnv returns n's compiled form from the program cache.
-func (rt *runtime) aggEnv(n *plan.Aggregate) (*aggEnv, error) {
-	p := rt.rowProg(n, func() any {
+// aggEnv returns n's compiled form from the execution's program cache.
+func (rt *runtime) aggEnv(n *plan.Aggregate) (*aggEnv, error) { return rt.progs().aggEnv(n) }
+
+// aggEnv returns n's compiled form from c, compiling it on first use.
+func (c *progCache) aggEnv(n *plan.Aggregate) (*aggEnv, error) {
+	p := c.get(&c.row, n, func() any {
 		env, err := newAggEnv(n)
 		if err != nil {
 			return err
@@ -316,6 +320,16 @@ func (t *setTable) carve() {
 	}
 }
 
+// reserve gives an empty table room for n groups, so that adding them
+// grows no array and files no group again.
+func (t *setTable) reserve(n int) {
+	t.groups = make([]int, 0, n)
+	t.keys = make([]sqltypes.Value, 0, n*t.nk)
+	t.states = make([]fn.AggState, 0, n*len(t.env.calls))
+	t.next = make([]int32, 0, n)
+	t.slots = make([]int32, max(8, 1<<bits.Len(uint(n-1))))
+}
+
 // appendGroup appends everything of a group but its states and side
 // sets: its first row, its key — kv's set columns — and its place in the
 // index under h.
@@ -379,17 +393,25 @@ func (t *setTable) absorb(src *setTable) error {
 			t.adopt(src, g2, part)
 			continue
 		}
-		dst := t.statesOf(g)
-		for i, st := range src.statesOf(g2) {
-			if dst[i] == nil {
-				continue
-			}
-			if err := dst[i].Merge(st); err != nil {
-				return err
-			}
+		if err := mergeStates(t.statesOf(g), src.statesOf(g2)); err != nil {
+			return err
 		}
 		if src.head != nil {
 			t.linkPart(g, part, src.head[g2])
+		}
+	}
+	return nil
+}
+
+// mergeStates merges the states of src into those of dst, call by call;
+// a call that keeps no state (nil) is skipped.
+func mergeStates(dst, src []fn.AggState) error {
+	for i, st := range src {
+		if dst[i] == nil {
+			continue
+		}
+		if err := dst[i].Merge(st); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -138,7 +138,7 @@ func (c *countingRollups) Analyze(n *plan.Aggregate) any {
 	return nil
 }
 
-func (c *countingRollups) Answer(a any, _ func(plan.Expr) (sqltypes.Value, error)) ([][]sqltypes.Value, bool, error) {
+func (c *countingRollups) Answer(a any, _ func(plan.Expr) (sqltypes.Value, error), _ func(*Table, []int32, []int) ([][]sqltypes.Value, error)) ([][]sqltypes.Value, bool, error) {
 	if a == nil {
 		c.misses++
 		return nil, false, nil

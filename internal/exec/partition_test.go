@@ -609,7 +609,7 @@ func (a *answersOne) Analyze(n *plan.Aggregate) any {
 	return n
 }
 
-func (a *answersOne) Answer(n any, _ func(plan.Expr) (sqltypes.Value, error)) ([][]sqltypes.Value, bool, error) {
+func (a *answersOne) Answer(n any, _ func(plan.Expr) (sqltypes.Value, error), _ func(*Table, []int32, []int) ([][]sqltypes.Value, error)) ([][]sqltypes.Value, bool, error) {
 	return a.rows, n != nil, nil
 }
 

@@ -15,12 +15,11 @@ import (
 // Analyze decides what n needs (eligibility, the key terms its filters
 // pin, node identity); the executor calls it once per plan and provider
 // and keeps the result with the plan's compiled programs. Answer is
-// called on every execution of n with that result. A (rows, true, nil)
-// answer must be bit-identical to what the hash aggregation over the
-// node's input would have produced, including group order and NULL
-// masking; the differential mutation-replay suite enforces that
-// contract. The cache tells providers apart with ==, so a provider must
-// be comparable.
+// called on every execution of n with that result. The provider renders
+// no row: it hands the groups that answer n to n's own emit, so a hit's
+// rows must be those hash aggregation over n's input would produce; the
+// differential mutation-replay suite enforces that contract. The cache
+// tells providers apart with ==, so a provider must be comparable.
 type RollupProvider interface {
 	// Analyze returns what Answer needs to answer n, or nil when n is not
 	// eligible. It must not depend on the data, only on the plan.
@@ -30,17 +29,22 @@ type RollupProvider interface {
 	// calling statement's scope: correlated references resolve against
 	// the enclosing query's current row and plan.Param against the
 	// statement's parameter vector, so the provider never inspects
-	// executor internals. A (nil, false, nil) return means "not eligible
-	// / not materialized" — the executor falls back to normal hash
-	// aggregation.
-	Answer(a any, eval func(plan.Expr) (sqltypes.Value, error)) ([][]sqltypes.Value, bool, error)
+	// executor internals. To answer, it returns what emit returns when
+	// called, under whatever guards t, with its table t (whose calls are
+	// n's), the selected groups' positions, ascending, and the column of
+	// t's keys holding each of n's group expressions. A (nil, false, nil)
+	// return means "not eligible / not materialized" — the executor
+	// falls back to normal hash aggregation.
+	Answer(a any, eval func(plan.Expr) (sqltypes.Value, error), emit func(t *Table, groups []int32, keys []int) ([][]sqltypes.Value, error)) ([][]sqltypes.Value, bool, error)
 }
 
 // rollupSlot is a provider's analysis of one Aggregate node, as the
-// program cache keeps it.
+// program cache keeps it, with the Aggregate's emit of the provider's
+// hits (emitGroups).
 type rollupSlot struct {
-	rp RollupProvider
-	a  any
+	rp   RollupProvider
+	a    any
+	emit func(t *Table, groups []int32, keys []int) ([]Row, error)
 }
 
 // tryRollup consults the settings' RollupProvider for an Aggregate node.
@@ -49,7 +53,8 @@ func (rt *runtime) tryRollup(n *plan.Aggregate) ([]Row, bool, error) {
 	if rp == nil {
 		return nil, false, nil
 	}
-	rows, ok, err := rp.Answer(rt.rollupAnalysis(rp, n), rt.evalOnce)
+	slot := rt.rollupSlot(rp, n)
+	rows, ok, err := rp.Answer(slot.a, rt.evalOnce, slot.emit)
 	if err != nil {
 		return nil, false, err
 	}
@@ -62,30 +67,88 @@ func (rt *runtime) tryRollup(n *plan.Aggregate) ([]Row, bool, error) {
 	return rows, true, nil
 }
 
-// rollupAnalysis returns rp's analysis of n from the program cache,
-// analysing on first use. A slot holds the analysis of one provider: a
-// plan run with another one is analysed again, and the slot then holds
-// the new provider's.
-func (rt *runtime) rollupAnalysis(rp RollupProvider, n *plan.Aggregate) any {
+// rollupSlot returns rp's slot for n from the program cache, analysing n
+// on first use. A slot holds the analysis of one provider: a plan run
+// with another one is analysed again, and the slot then holds the new
+// provider's.
+func (rt *runtime) rollupSlot(rp RollupProvider, n *plan.Aggregate) rollupSlot {
 	c := rt.progs()
 	c.mu.RLock()
 	s, ok := c.rollups[n]
 	c.mu.RUnlock()
 	if ok && s.rp == rp {
-		return s.a
+		return s
 	}
-	a := rp.Analyze(n)
+	s = rollupSlot{rp: rp, a: rp.Analyze(n), emit: func(t *Table, groups []int32, keys []int) ([]Row, error) {
+		env, err := c.aggEnv(n)
+		if err != nil {
+			return nil, err
+		}
+		return env.emitGroups(t, groups, keys)
+	}}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.rollups == nil {
 		c.rollups = map[*plan.Aggregate]rollupSlot{}
 	}
-	c.rollups[n] = rollupSlot{rp: rp, a: a}
-	return a
+	c.rollups[n] = s
+	return s
+}
+
+// emitGroups renders the Aggregate's output from the groups of t at the
+// positions groups, ascending; keys[j] is the column of t's key tuples
+// holding group expression j. Every grouping set gets a table of its
+// own, as a fold would fill it: an output group that one group of t
+// reaches reads that group's states, and one that several reach merges
+// theirs, in ascending order, into fresh states. emit then renders the
+// tables as it renders a fold's.
+func (env *aggEnv) emitGroups(t *Table, groups []int32, keys []int) ([]Row, error) {
+	tables := env.newTables(0)
+	if len(groups) == 0 {
+		return env.emit(tables, 0, nil)
+	}
+	src := &t.fold.tables[0]
+	kv := make([]sqltypes.Value, len(env.n.GroupExprs))
+	var merged []bool // merged[d]: group d of the set holds fresh states
+	for si := range tables {
+		dst := &tables[si]
+		dst.reserve(len(groups))
+		clear(merged)
+		for _, g := range groups {
+			key := src.key(int(g))
+			for j, k := range keys {
+				kv[j] = key[k]
+			}
+			h := hashKey(dst.set, kv)
+			d := dst.find(h, kv)
+			if d < 0 {
+				dst.states = append(dst.states, src.statesOf(int(g))...)
+				dst.appendGroup(h, kv, int(g))
+				continue
+			}
+			if merged == nil {
+				merged = make([]bool, len(groups))
+			}
+			states := dst.statesOf(d)
+			if !merged[d] {
+				fresh := env.newStates()
+				if err := mergeStates(fresh, states); err != nil {
+					return nil, err
+				}
+				copy(states, fresh)
+				merged[d] = true
+			}
+			if err := mergeStates(states, src.statesOf(int(g))); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return env.emit(tables, 0, nil)
 }
 
 // Table is a grouping table that outlives a query: a rollup lattice
-// node keeps one. It folds rows with the kernel of n, an Aggregate of one
+// node keeps one, and hands it to an Aggregate's emit to answer
+// (RollupProvider). It folds rows with the kernel of n, an Aggregate of one
 // grouping set, and with the predicate of n's Input when that is a
 // Filter; the Input itself is never run. n's expressions must read
 // nothing but the row and no parameter (plan.RowOnly, without

@@ -192,7 +192,8 @@ func latticeVerdict(scan func() *plan.Scan, pred plan.Expr) string {
 	l := rollup.New()
 	n := countOver(&plan.Filter{Input: scan(), Pred: pred})
 	eval := func(plan.Expr) (sqltypes.Value, error) { return sqltypes.NewInt(0), nil }
-	if _, ok, err := l.Answer(l.Analyze(n), eval); err != nil || !ok {
+	emit := func(*exec.Table, []int32, []int) ([][]sqltypes.Value, error) { return nil, nil }
+	if _, ok, err := l.Answer(l.Analyze(n), eval, emit); err != nil || !ok {
 		return "-"
 	}
 	if l.Snapshot()[0].Keys != "" {

@@ -23,16 +23,13 @@ import (
 // becomes part of the node, or a row-independent condition evaluated
 // once per call.
 
-// aggSpec is one aggregate of a lattice node: the original call (for
-// GROUPING metadata), its definition, the argument expressions rebased
-// onto the base-table row, and the argument types the direct executor
-// would use (so states are created identically).
+// aggSpec is one aggregate of a lattice node: the original call, the
+// argument expressions rebased onto the base-table row, and its
+// signature.
 type aggSpec struct {
-	call     plan.AggCall
-	def      *fn.Agg // nil for GROUPING
-	args     []plan.Expr
-	argTypes []sqltypes.Type
-	sig      string
+	call plan.AggCall
+	args []plan.Expr
+	sig  string
 }
 
 // term is one group-selection filter conjunct: a key term whose Inner
@@ -213,7 +210,7 @@ func analyze(n *plan.Aggregate) *request {
 		if !ok {
 			return nil
 		}
-		sp := aggSpec{call: call, def: def, argTypes: call.ArgTypes()}
+		sp := aggSpec{call: call}
 		sigParts := []string{strings.ToUpper(call.Name)}
 		if call.Star {
 			sigParts = append(sigParts, "*")
@@ -228,7 +225,7 @@ func analyze(n *plan.Aggregate) *request {
 		}
 		sp.sig = strings.Join(sigParts, ",")
 		req.aggs = append(req.aggs, sp)
-		if !def.MergesInterleaved(sp.argTypes) {
+		if !def.MergesInterleaved(call.ArgTypes()) {
 			req.derivExact = false
 		}
 	}

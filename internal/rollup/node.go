@@ -1,7 +1,6 @@
 package rollup
 
 import (
-	"fmt"
 	"hash/maphash"
 	"math"
 	"strings"
@@ -22,7 +21,9 @@ import (
 // order, its states in aggregate order, nil for GROUPING placeholders;
 // groups are in the order of their first qualifying base row — the
 // executor's first-seen output order, so a group's position is its
-// order. All access goes through mu.
+// order. A node renders nothing: Lattice.Answer hands its table and a
+// selection of its groups to the requesting Aggregate's emit. All access
+// goes through mu.
 type node struct {
 	mu        sync.Mutex
 	src       *catalog.BaseTable
@@ -65,7 +66,8 @@ func newNode(req *request, maxGroups int) *node {
 	}
 	agg := &plan.Aggregate{Input: req.scan, GroupExprs: req.keys, Sets: [][]int{set}}
 	for _, sp := range req.aggs {
-		// A GROUPING placeholder keeps no state: answer computes it.
+		// A GROUPING placeholder keeps no state: the Aggregate's emit
+		// computes it.
 		agg.Aggs = append(agg.Aggs, plan.AggCall{Name: sp.call.Name, Args: sp.args, Star: sp.call.Star, KeyIndex: -1, Typ: sp.call.Typ})
 	}
 	if len(req.preds) > 0 {
@@ -218,91 +220,4 @@ func (nd *node) selection(active []activeTerm) []int32 {
 		pick(g)
 	}
 	return sel
-}
-
-// answer emits the request's output rows from the node's groups,
-// reproducing the executor's emit contract exactly: grouping sets in
-// order, groups within a set ascending by first qualifying row, absent
-// key columns NULL-masked with the group expression's kind, GROUPING
-// pseudo-aggregates computed from set membership, and an empty global
-// set synthesized from fresh states.
-func (nd *node) answer(req *request, active []activeTerm, empty bool) ([][]sqltypes.Value, error) {
-	var sel []int32
-	if !empty {
-		sel = nd.selection(active)
-	}
-
-	n := req.n
-	var out [][]sqltypes.Value
-	for _, set := range n.Sets {
-		// inSet has bit j set for each group expression j of the set
-		// (the gate admits at most 64).
-		var inSet uint64
-		for _, j := range set {
-			inSet |= 1 << j
-		}
-		// The selected groups bucketed by their projection onto the set:
-		// an output group's members, first-row order throughout.
-		buckets := map[string]int{}
-		var ordered [][]int32
-		var buf [64]byte
-		enc := buf[:0]
-		for _, g := range sel {
-			kv := nd.tab.Key(int(g))
-			enc = enc[:0]
-			for _, j := range set {
-				enc = kv[req.groupKey[j]].AppendKey(enc)
-			}
-			i, ok := buckets[string(enc)]
-			if !ok {
-				i = len(ordered)
-				buckets[string(enc)] = i
-				ordered = append(ordered, nil)
-			}
-			ordered[i] = append(ordered[i], g)
-		}
-		if len(set) == 0 && len(ordered) == 0 {
-			// A global grouping set emits a row even with no input.
-			ordered = append(ordered, nil)
-		}
-		for _, members := range ordered {
-			row := make([]sqltypes.Value, 0, len(n.GroupExprs)+len(n.Aggs))
-			for j := range n.GroupExprs {
-				if inSet&(1<<j) != 0 && len(members) > 0 {
-					row = append(row, nd.tab.Key(int(members[0]))[req.groupKey[j]])
-				} else {
-					row = append(row, sqltypes.Null(n.GroupExprs[j].Type().Kind))
-				}
-			}
-			for ai := range req.aggs {
-				sp := &req.aggs[ai]
-				if sp.def == nil { // GROUPING
-					g := int64(1)
-					if inSet&(1<<sp.call.KeyIndex) != 0 {
-						g = 0
-					}
-					row = append(row, sqltypes.NewInt(g))
-					continue
-				}
-				switch len(members) {
-				case 0:
-					row = append(row, sp.def.New(sp.argTypes).Result())
-				case 1:
-					row = append(row, nd.tab.States(int(members[0]))[ai].Result())
-				default:
-					// Derive the coarser group by merging finer states in
-					// ascending first-row order; gated on derivExact.
-					st := sp.def.New(sp.argTypes)
-					for _, m := range members {
-						if err := st.Merge(nd.tab.States(int(m))[ai]); err != nil {
-							return nil, fmt.Errorf("rollup derivation merge: %w", err)
-						}
-					}
-					row = append(row, st.Result())
-				}
-			}
-			out = append(out, row)
-		}
-	}
-	return out, nil
 }

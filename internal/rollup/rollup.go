@@ -12,7 +12,10 @@
 // exec.Table, the executor's grouping table folded by the kernel of a
 // one-set Aggregate of the node's keys, aggregates and predicates, and a
 // request's pinned key values are looked up in per-column indexes over
-// them rather than searched for.
+// them rather than searched for. The lattice builds no output row: it
+// hands the table and the selected groups to the requesting Aggregate's
+// emit, which merges a coarser grouping's groups once the lattice has
+// found the merge exact (derivExact, needsMerge).
 //
 // Maintenance: a node records the storage.State of the rows it has
 // folded and compares it, at every read, with the state of the table's
@@ -39,6 +42,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/measures-sql/msql/internal/exec"
 	"github.com/measures-sql/msql/internal/plan"
 	"github.com/measures-sql/msql/internal/sqltypes"
 )
@@ -133,10 +137,11 @@ func (l *Lattice) Analyze(n *plan.Aggregate) any {
 
 // Answer implements exec.RollupProvider: one execution of an analysed
 // Aggregate, counted as one hit or one miss. It never returns an error
-// for lattice-internal failures — those disable the node and miss, so
-// the executor's direct path stays authoritative for error behavior; the
-// only errors surfaced are ones the direct path would raise identically.
-func (l *Lattice) Answer(a any, eval func(plan.Expr) (sqltypes.Value, error)) ([][]sqltypes.Value, bool, error) {
+// for lattice-internal failures, emit's included — those disable the
+// node and miss, so the executor's direct path stays authoritative for
+// error behavior; the only errors surfaced are ones the direct path
+// would raise identically.
+func (l *Lattice) Answer(a any, eval func(plan.Expr) (sqltypes.Value, error), emit func(*exec.Table, []int32, []int) ([][]sqltypes.Value, error)) ([][]sqltypes.Value, bool, error) {
 	req, _ := a.(*request)
 	if req == nil {
 		l.c.misses.Add(1)
@@ -210,7 +215,11 @@ func (l *Lattice) Answer(a any, eval func(plan.Expr) (sqltypes.Value, error)) ([
 		l.c.misses.Add(1)
 		return nil, false, nil
 	}
-	out, err := nd.answer(req, active, empty)
+	var sel []int32
+	if !empty {
+		sel = nd.selection(active)
+	}
+	out, err := emit(nd.tab, sel, req.groupKey)
 	if err != nil {
 		nd.disable()
 		l.c.misses.Add(1)

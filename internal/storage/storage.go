@@ -117,20 +117,29 @@ func (t *Table) Insert(rows [][]sqltypes.Value) error {
 func (t *Table) CoerceRows(rows [][]sqltypes.Value) ([][]sqltypes.Value, error) {
 	coerced := make([][]sqltypes.Value, len(rows))
 	for i, row := range rows {
-		if len(row) != len(t.cols) {
-			return nil, fmt.Errorf("table %s has %d columns but %d values were supplied", t.name, len(t.cols), len(row))
-		}
-		out := make([]sqltypes.Value, len(row))
-		for j, v := range row {
-			c, err := Coerce(v, t.types[j].Kind)
-			if err != nil {
-				return nil, fmt.Errorf("column %s of table %s: %v", t.cols[j], t.name, err)
-			}
-			out[j] = c
+		out, err := t.CoerceRow(make([]sqltypes.Value, 0, len(row)), row)
+		if err != nil {
+			return nil, err
 		}
 		coerced[i] = out
 	}
 	return coerced, nil
+}
+
+// CoerceRow appends row, validated against the schema and coerced, to
+// dst: the coercion CoerceRows makes of each row.
+func (t *Table) CoerceRow(dst, row []sqltypes.Value) ([]sqltypes.Value, error) {
+	if len(row) != len(t.cols) {
+		return nil, fmt.Errorf("table %s has %d columns but %d values were supplied", t.name, len(t.cols), len(row))
+	}
+	for j, v := range row {
+		c, err := Coerce(v, t.types[j].Kind)
+		if err != nil {
+			return nil, fmt.Errorf("column %s of table %s: %v", t.cols[j], t.name, err)
+		}
+		dst = append(dst, c)
+	}
+	return dst, nil
 }
 
 // InsertPrepared appends rows previously returned by CoerceRows (or

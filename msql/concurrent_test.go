@@ -120,3 +120,43 @@ func sameValues(want, got [][]sqltypes.Value) error {
 	}
 	return nil
 }
+
+// TestConcurrentStatementsCountTheirOwnRows: every statement counts its
+// execution into counters of its own, so statements running at once on
+// one DB add exactly their own scanned rows to the session's metrics,
+// and LastStats reads the counters of one statement, whole.
+func TestConcurrentStatementsCountTheirOwnRows(t *testing.T) {
+	db := msql.Open()
+	defer db.Close()
+	db.MustExec(`CREATE TABLE T (k INTEGER, v INTEGER)`)
+	rows := make([][]msql.Value, 1000)
+	for i := range rows {
+		rows[i] = []msql.Value{sqltypes.NewInt(int64(i % 10)), sqltypes.NewInt(int64(i))}
+	}
+	if err := db.InsertRows("T", rows); err != nil {
+		t.Fatal(err)
+	}
+	const goroutines, runs = 64, 20
+	before := db.Metrics().RowsScanned
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < runs; i++ {
+				if _, err := db.Query(`SELECT k, SUM(v) AS s FROM T GROUP BY k`); err != nil {
+					t.Error(err)
+					return
+				}
+				if st := db.LastStats(); st.RowsScanned != 1000 {
+					t.Errorf("LastStats counts %d scanned rows, want 1000 (one statement's)", st.RowsScanned)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := db.Metrics().RowsScanned-before, int64(goroutines*runs*1000); got != want {
+		t.Fatalf("%d statements at once counted %d scanned rows, want %d", goroutines*runs, got, want)
+	}
+}

@@ -64,7 +64,10 @@ const (
 //
 // Concurrency contract: a DB is intended for sequential use — one
 // statement at a time — and concurrent queries on one DB share the
-// catalog and metrics without further guarantees about LastStats.
+// catalog and metrics. Each statement counts its execution into
+// counters of its own, so the metrics add up exactly whatever runs at
+// once, and LastStats reads the counters of the statement that finished
+// last.
 // Configuration is nonetheless mutation-safe: SetStrategy, SetWorkers,
 // and SetLimits take effect on the next statement, and every statement
 // snapshots its settings at start, so calling a setter while a query
@@ -391,9 +394,9 @@ func (db *DB) InsertRows(table string, rows [][]Value) error {
 // Stats holds executor counters for one query (see LastStats).
 type Stats = exec.Stats
 
-// LastStats returns executor counters for the most recent Query call:
-// subquery evaluations, memo-cache hits, rows scanned. Useful to verify
-// what a strategy actually did (EXPERIMENTS.md E12).
+// LastStats returns executor counters for the query that finished
+// last: subquery evaluations, memo-cache hits, rows scanned. Useful to
+// verify what a strategy actually did (EXPERIMENTS.md E12).
 func (db *DB) LastStats() Stats { return db.session.LastStats() }
 
 // TraceSpan is one structured query-lifecycle event: parse, bind,

@@ -8,9 +8,11 @@ package msql
 import (
 	"context"
 
+	"github.com/measures-sql/msql/internal/ast"
 	"github.com/measures-sql/msql/internal/engine"
 	"github.com/measures-sql/msql/internal/exec"
 	"github.com/measures-sql/msql/internal/plan"
+	"github.com/measures-sql/msql/internal/storage"
 )
 
 // PartialResult is a shard's partial-aggregation answer: per-group
@@ -53,6 +55,13 @@ func (db *DB) QueryParams(ctx context.Context, sql string, params []Value, opts 
 // a structured BIND error wrapping exec.ErrPartialUnsupported.
 func (db *DB) PartialAggregate(ctx context.Context, sql string, params []Value, seq string, groups, aggs int, opts ...Option) (*PartialResult, error) {
 	return db.session.PartialAggregate(ctx, sql, params, seq, groups, aggs, overrides(opts))
+}
+
+// InsertRowsOf prepares the rows stmt inserts as the DB's own INSERT
+// does, without inserting them: a coordinator partitions them across
+// shards. See engine.Session.InsertRowsOf.
+func (db *DB) InsertRowsOf(stmt *ast.Insert, query func(*ast.Query) (*Result, error)) (*storage.Table, [][]Value, error) {
+	return db.session.InsertRowsOf(stmt, query)
 }
 
 // ExecCAS executes one mutation statement iff the catalog version
