@@ -42,7 +42,10 @@
 // lost. A silently partial result is never returned. Per-endpoint
 // circuit breakers (closed/open/half-open) stop hammering dead shards;
 // a restarted (empty) shard is detected by its catalog version and
-// repaired by replaying the coordinator's per-shard mutation log.
+// repaired by replaying the coordinator's per-shard mutation log. Every
+// entry of that log is the record a single node logs in its WAL for the
+// mutation (wal.Record), which a shard applies with the engine's own
+// apply (mutate.go).
 package dist
 
 import (
@@ -114,14 +117,6 @@ type tableMeta struct {
 	pkind sqltypes.Kind // the partition column's kind
 }
 
-// mutation is one entry of a shard's replay log: either a statement or
-// a pre-partitioned row batch.
-type mutation struct {
-	sql   string // shard-form statement ("" for a row batch)
-	table string // row-batch target table
-	rows  string // wire.EncodeRowsBinary payload
-}
-
 // endpoint is one URL of a shard plus everything needed to call it
 // safely: a retrying client, a circuit breaker, the applied-mutation
 // cursor (== the catalog version we believe it is at), and a latency
@@ -161,8 +156,8 @@ type Coordinator struct {
 	cfg    Config
 	shards []*shard
 
-	// local mirrors the schema and stays empty of rows: it checks DDL,
-	// prepares and coerces every INSERT's rows, plans every query once,
+	// local mirrors the schema and stays empty of rows: it checks DDL
+	// and makes its records, prepares and coerces every INSERT's rows, plans every query once,
 	// for its path and to finish it, answers queries that touch no
 	// sharded table, and hosts the msql_stats.shards virtual table and
 	// shard metrics.

@@ -831,12 +831,15 @@ func TestFleetInsertAnswersAsASingleNode(t *testing.T) {
 		`INSERT INTO T (x, k) VALUES (2.5, 7), (NULL, 8)`,
 		`INSERT INTO T SELECT k + 10, v, x FROM T WHERE k > 1`,
 	} {
-		gotErr := coord.Exec(ctx, sql)
-		wantErr := oracle.ExecContext(ctx, sql)
+		gotRes, gotErr := coord.RunContext(ctx, sql)
+		wantRes, wantErr := oracle.RunContext(ctx, sql)
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("%s:\nfleet error  %v\nsingle node  %v", sql, gotErr, wantErr)
 		}
 		if wantErr == nil {
+			if got, want := gotRes[0].Message, wantRes[0].Message; got != want {
+				t.Errorf("%s:\nfleet        %q\nsingle node  %q", sql, got, want)
+			}
 			continue
 		}
 		var got, want *exec.Error
@@ -848,4 +851,26 @@ func TestFleetInsertAnswersAsASingleNode(t *testing.T) {
 		}
 	}
 	queryBoth(t, coord, oracle, `SELECT k, v, x FROM T ORDER BY k`)
+}
+
+// A sharded table's rows live on the shards, which keep them in insertion
+// sequence: a TRUNCATE through the coordinator is refused before it
+// touches anything, and every row inserted stays. A TRUNCATE of a table
+// that does not exist fails as on a single node.
+func TestFleetTruncateIsRefused(t *testing.T) {
+	ctx := context.Background()
+	coord, oracle, _ := cluster(t, 2)
+	execBoth(t, coord, oracle, `CREATE TABLE T (k INTEGER, v INTEGER)`)
+	execBoth(t, coord, oracle, `INSERT INTO T VALUES (1, 10), (2, 20), (3, 30), (4, 40)`)
+	err := coord.Exec(ctx, `TRUNCATE TABLE T`)
+	var e *exec.Error
+	if !errors.As(err, &e) || e.Code != exec.CodeBind || !strings.Contains(err.Error(), "TRUNCATE") {
+		t.Fatalf("fleet TRUNCATE = %v, want a BIND error refusing it", err)
+	}
+	queryBoth(t, coord, oracle, `SELECT COUNT(*) AS n, SUM(v) AS s FROM T`)
+
+	gotErr, wantErr := coord.Exec(ctx, `TRUNCATE TABLE U`), oracle.ExecContext(ctx, `TRUNCATE TABLE U`)
+	if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
+		t.Fatalf("TRUNCATE of an unknown table:\nfleet        %v\nsingle node  %v", gotErr, wantErr)
+	}
 }

@@ -9,21 +9,21 @@ import (
 	"sync"
 )
 
-// replayLog is a shard's mutation log: every entry since the topology was
-// created, kept so that an endpoint that restarted empty can be replayed
-// from entry 0. Replication reads the newest entry and a resync reads from
-// the start in order, so only the newest entries are kept as they are;
-// older ones are sealed, logSegment at a time, into compressed segments
-// (row batches of one table compress about 3x and the per-entry headers go
-// away: a logged row costs about 17 bytes instead of 62). The log is what
-// a closed insert loop grows on the coordinator.
+// replayLog is a shard's mutation log: every mutation record
+// (wal.EncodePayload) since the topology was created, kept so that an
+// endpoint that restarted empty can be replayed from entry 0. Replication
+// reads the newest entry and a resync reads from the start in order, so
+// only the newest entries are kept as they are; older ones are sealed,
+// logSegment at a time, into compressed segments (row batches of one
+// table compress about 3x). The log is what a closed insert loop grows on
+// the coordinator.
 //
 // Safe for any number of readers and one appender at a time: mutations
 // serialize on Coordinator.mutMu.
 type replayLog struct {
 	mu     sync.Mutex
-	sealed [][]byte   // DEFLATE of logSegment encoded entries each; never modified
-	tail   []mutation // the newest entries, fewer than 2*logSegment
+	sealed [][]byte // DEFLATE of logSegment entries each; never modified
+	tail   [][]byte // the newest entries, fewer than 2*logSegment
 }
 
 // openSegment is a reader's decoded copy of the sealed segment it read
@@ -31,7 +31,7 @@ type replayLog struct {
 // to the reader; the zero value holds nothing.
 type openSegment struct {
 	idx     int
-	entries []mutation
+	entries [][]byte
 }
 
 // deflaters recycles compressors: one is some 600 KB of tables, far more
@@ -50,7 +50,7 @@ func (l *replayLog) len() int {
 	return len(l.sealed)*logSegment + len(l.tail)
 }
 
-func (l *replayLog) append(m mutation) {
+func (l *replayLog) append(m []byte) {
 	l.mu.Lock()
 	l.tail = append(l.tail, m)
 	tail := l.tail
@@ -64,18 +64,18 @@ func (l *replayLog) append(m mutation) {
 	segment := seal(tail[:logSegment])
 	l.mu.Lock()
 	l.sealed = append(l.sealed, segment)
-	l.tail = append(make([]mutation, 0, 2*logSegment), tail[logSegment:]...)
+	l.tail = append(make([][]byte, 0, 2*logSegment), tail[logSegment:]...)
 	l.mu.Unlock()
 }
 
 // entry returns entry i, decoding its segment into open (and outside the
 // lock) when it is sealed and open holds another.
-func (l *replayLog) entry(i int, open *openSegment) (mutation, error) {
+func (l *replayLog) entry(i int, open *openSegment) ([]byte, error) {
 	l.mu.Lock()
 	plain := len(l.sealed) * logSegment
 	if i < 0 || i >= plain+len(l.tail) {
 		l.mu.Unlock()
-		return mutation{}, fmt.Errorf("no log entry %d", i)
+		return nil, fmt.Errorf("no log entry %d", i)
 	}
 	if i >= plain {
 		m := l.tail[i-plain]
@@ -88,21 +88,19 @@ func (l *replayLog) entry(i int, open *openSegment) (mutation, error) {
 	if open.entries == nil || open.idx != idx {
 		entries, err := unseal(segment)
 		if err != nil {
-			return mutation{}, fmt.Errorf("log segment %d: %w", idx, err)
+			return nil, fmt.Errorf("log segment %d: %w", idx, err)
 		}
 		*open = openSegment{idx: idx, entries: entries}
 	}
 	return open.entries[i%logSegment], nil
 }
 
-// seal encodes entries — each field length-prefixed — and compresses them.
-func seal(entries []mutation) []byte {
+// seal length-prefixes entries and compresses them.
+func seal(entries [][]byte) []byte {
 	var raw []byte
 	for _, m := range entries {
-		for _, field := range [...]string{m.sql, m.table, m.rows} {
-			raw = binary.AppendUvarint(raw, uint64(len(field)))
-			raw = append(raw, field...)
-		}
+		raw = binary.AppendUvarint(raw, uint64(len(m)))
+		raw = append(raw, m...)
 	}
 	var out bytes.Buffer
 	w := deflaters.Get().(*flate.Writer)
@@ -114,23 +112,19 @@ func seal(entries []mutation) []byte {
 	return bytes.Clone(out.Bytes())
 }
 
-func unseal(segment []byte) ([]mutation, error) {
+func unseal(segment []byte) ([][]byte, error) {
 	raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(segment)))
 	if err != nil {
 		return nil, err
 	}
-	entries := make([]mutation, 0, logSegment)
+	entries := make([][]byte, 0, logSegment)
 	for len(raw) > 0 {
-		var fields [3]string
-		for f := range fields {
-			n, w := binary.Uvarint(raw)
-			if w <= 0 || uint64(len(raw)-w) < n {
-				return nil, io.ErrUnexpectedEOF
-			}
-			fields[f] = string(raw[w : w+int(n)])
-			raw = raw[w+int(n):]
+		n, w := binary.Uvarint(raw)
+		if w <= 0 || uint64(len(raw)-w) < n {
+			return nil, io.ErrUnexpectedEOF
 		}
-		entries = append(entries, mutation{sql: fields[0], table: fields[1], rows: fields[2]})
+		entries = append(entries, raw[w:w+int(n):w+int(n)])
+		raw = raw[w+int(n):]
 	}
 	if len(entries) != logSegment {
 		return nil, fmt.Errorf("%d entries, want %d", len(entries), logSegment)

@@ -1,17 +1,23 @@
 package dist
 
-// The mutation path: DDL broadcasts to every shard, INSERT partitions
-// rows by the partition column's hash, and both are recorded in a
-// per-shard replay log before any endpoint sees them. An INSERT's rows
-// are the engine's: the local mirror of the schema prepares them with
-// the engine's own INSERT (msql.DB.InsertRowsOf) and its table coerces
-// them, so rows and errors are a single node's. Replication to an
-// endpoint is a compare-and-swap on its catalog version — entry i
-// applies only at version i — which makes application exactly-once even
-// across lost acks (a transport error is resolved by probing /catalog:
-// the entry landed iff the version advanced) and makes a restarted,
-// empty endpoint self-identifying (its version fell below the cursor,
-// so the log replays from where it stands).
+// The mutation path: every mutation is a record (wal.Record), the one a
+// single node logs for it. DDL records broadcast to every shard, an
+// INSERT's rows are partitioned by the partition column's hash into one
+// record per shard, and each record is logged, as its encoded bytes, in
+// a per-shard replay log before any endpoint sees it; an endpoint
+// applies it with the engine's own apply, as a single node applied the
+// statement. An INSERT's rows are the engine's: the local mirror of the
+// schema prepares them with the engine's own INSERT
+// (msql.DB.InsertRowsOf) and its table coerces them, so rows and errors
+// are a single node's. Replication to an endpoint is a compare-and-swap
+// on its catalog version — entry i applies only at version i — which
+// makes application exactly-once even across lost acks (a transport
+// error is resolved by probing /catalog: the entry landed iff the
+// version advanced) and makes a restarted, empty endpoint
+// self-identifying (its version fell below the cursor, so the log
+// replays from where it stands). TRUNCATE of a sharded table is refused:
+// a shard's rows are append-only, which the global insertion sequence
+// relies on.
 
 import (
 	"context"
@@ -24,7 +30,7 @@ import (
 	"github.com/measures-sql/msql/internal/catalog"
 	"github.com/measures-sql/msql/internal/exec"
 	"github.com/measures-sql/msql/internal/sqltypes"
-	"github.com/measures-sql/msql/internal/wire"
+	"github.com/measures-sql/msql/internal/wal"
 	"github.com/measures-sql/msql/msql"
 )
 
@@ -45,7 +51,7 @@ func runOne(ctx context.Context, db *msql.DB, sql string) (*msql.Result, error) 
 	return results[len(results)-1], nil
 }
 
-// exec applies one mutation statement: validate against the local
+// execStmt applies one mutation statement: validate against the local
 // mirrors, log per shard, then push to every endpoint of every affected
 // shard. A shard counts as reached when at least one of its endpoints
 // acknowledged; shards with no reachable endpoint are reported in a
@@ -61,42 +67,53 @@ func (c *Coordinator) execStmt(ctx context.Context, stmt ast.Statement, reqID st
 		return c.execSchemaChange(ctx, stmt, reqID)
 	case *ast.Insert:
 		return c.execInsert(ctx, s, reqID)
-	default:
-		// Session statements (SET, KILL, PREPARE, ...) act on the
-		// coordinator's own session.
-		return runOne(ctx, c.local, ast.FormatStatement(stmt))
+	case *ast.Truncate:
+		if _, ok := c.meta(s.Table); ok {
+			return nil, bindErr("TRUNCATE of sharded table %s is not supported: sharded tables are append-only", s.Table)
+		}
 	}
+	// Session statements (SET, KILL, PREPARE, ...) act on the
+	// coordinator's own session, as does a TRUNCATE of no sharded table,
+	// which fails there as on a single node.
+	return runOne(ctx, c.local, ast.FormatStatement(stmt))
 }
 
-// execCreateTable creates s on the coordinator and, with the sequence
-// column appended, on every shard.
+// execCreateTable creates s on the coordinator and ships its record, with
+// the sequence column appended, to every shard.
 func (c *Coordinator) execCreateTable(ctx context.Context, s *ast.CreateTable, reqID string) (*msql.Result, error) {
 	if slices.ContainsFunc(s.Cols, func(col ast.ColumnDef) bool { return lower(col.Name) == catalog.SequenceColumn }) {
 		return nil, bindErr("column name %q is reserved for distributed execution", catalog.SequenceColumn)
 	}
+	rec, err := c.local.MutationRecord(s)
+	if err != nil {
+		return nil, err
+	}
 	meta := &tableMeta{name: s.Name, pcol: 0}
 	if want, ok := c.cfg.PartitionCols[lower(s.Name)]; ok {
-		meta.pcol = slices.IndexFunc(s.Cols, func(col ast.ColumnDef) bool { return lower(col.Name) == lower(want) })
+		meta.pcol = slices.IndexFunc(rec.Cols, func(col string) bool { return lower(col) == lower(want) })
 		if meta.pcol < 0 {
 			return nil, bindErr("partition column %q not found in table %s", want, s.Name)
 		}
 	}
-	meta.pkind = sqltypes.KindFromName(s.Cols[meta.pcol].TypeName)
+	meta.pkind = rec.Types[meta.pcol].Kind
 	res, err := runOne(ctx, c.local, ast.FormatStatement(s))
 	if err != nil {
 		return nil, err
 	}
-	shardStmt := *s
-	shardStmt.Cols = append(s.Cols[:len(s.Cols):len(s.Cols)], ast.ColumnDef{Name: catalog.SequenceColumn, TypeName: "INTEGER"})
+	rec.Cols = append(rec.Cols, catalog.SequenceColumn)
+	rec.Types = append(rec.Types, sqltypes.Type{Kind: sqltypes.KindInt})
 	c.mu.Lock()
 	c.tables[lower(s.Name)] = meta
 	c.mu.Unlock()
-	return res, c.broadcast(ctx, mutation{sql: ast.FormatStatement(&shardStmt)}, reqID)
+	return res, c.broadcast(ctx, rec, reqID)
 }
 
 func (c *Coordinator) execSchemaChange(ctx context.Context, stmt ast.Statement, reqID string) (*msql.Result, error) {
-	sql := ast.FormatStatement(stmt)
-	res, err := runOne(ctx, c.local, sql)
+	rec, err := c.local.MutationRecord(stmt)
+	if err != nil {
+		return nil, err
+	}
+	res, err := runOne(ctx, c.local, ast.FormatStatement(stmt))
 	if err != nil {
 		return nil, err
 	}
@@ -105,15 +122,15 @@ func (c *Coordinator) execSchemaChange(ctx context.Context, stmt ast.Statement, 
 		delete(c.tables, lower(d.Name))
 		c.mu.Unlock()
 	}
-	return res, c.broadcast(ctx, mutation{sql: sql}, reqID)
+	return res, c.broadcast(ctx, rec, reqID)
 }
 
 // execInsert prepares s's rows as the engine's own INSERT does, on the
 // local mirror of the schema — an INSERT … SELECT's source runs through
 // the coordinator itself, as it may read sharded tables — so its rows
 // and its errors are a single node's. Each row is coerced by the table's
-// own coercion, given the next global sequence, and logged to the shard
-// its partition value hashes to.
+// own coercion, given the next global sequence, and logged, in one
+// INSERT record per shard, to the shard its partition value hashes to.
 func (c *Coordinator) execInsert(ctx context.Context, s *ast.Insert, reqID string) (*msql.Result, error) {
 	// An INSERT does not record whether its source holds placeholders,
 	// so the source's literals stay.
@@ -149,13 +166,13 @@ func (c *Coordinator) execInsert(ctx context.Context, s *ast.Insert, reqID strin
 			continue
 		}
 		sh := c.shards[idx]
-		sh.log.append(mutation{table: meta.name, rows: wire.EncodeRowsBinary(batch)})
+		sh.log.append(wal.EncodePayload(&wal.Record{Type: wal.RecInsert, Name: meta.name, Rows: batch}))
 		touched = append(touched, sh)
 	}
 	if err := c.push(ctx, touched, reqID); err != nil {
 		return nil, err
 	}
-	return &msql.Result{Message: fmt.Sprintf("%d rows inserted", len(rows))}, nil
+	return &msql.Result{Message: fmt.Sprintf("inserted %d rows", len(rows))}, nil
 }
 
 // shardFor hashes a coerced partition value's canonical encoding, in
@@ -178,8 +195,9 @@ func (c *Coordinator) shardFor(v sqltypes.Value) int {
 	return int(x % uint64(len(c.shards)))
 }
 
-// broadcast logs m on every shard and pushes.
-func (c *Coordinator) broadcast(ctx context.Context, m mutation, reqID string) error {
+// broadcast logs rec on every shard and pushes.
+func (c *Coordinator) broadcast(ctx context.Context, rec *wal.Record, reqID string) error {
+	m := wal.EncodePayload(rec)
 	for _, sh := range c.shards {
 		sh.log.append(m)
 	}
@@ -262,13 +280,7 @@ func (c *Coordinator) syncEndpoint(ctx context.Context, sh *shard, ep *endpoint,
 			return fmt.Errorf("shard %d: %w", sh.idx, err)
 		}
 		expect := int64(ep.applied)
-		var v int64
-		var applied bool
-		if m.sql != "" {
-			v, applied, err = ep.cli.ApplyDDL(ctx, m.sql, expect, reqID)
-		} else {
-			v, applied, err = ep.cli.ApplyRows(ctx, m.table, m.rows, expect, reqID)
-		}
+		v, applied, err := ep.cli.Apply(ctx, m, expect, reqID)
 		if err != nil {
 			if ctx.Err() != nil {
 				return err

@@ -4,11 +4,13 @@
 //
 // The contract with the WAL layer:
 //
-//   - Every mutation holds dur.mu across validate, append-to-log, and
-//     apply-to-memory, so log order equals apply order and replay is
-//     deterministic. INSERT re-resolves its target table under dur.mu,
-//     so a record can never be logged after the DROP or CREATE OR
-//     REPLACE that removed its table.
+//   - Every mutation is a wal.Record, applied by Session.apply under
+//     dur.mu: validate, append to the log, apply to memory. Log order is
+//     apply order, and replay applies each record with the same function
+//     that applied it first, so it rebuilds the same store. INSERT
+//     re-resolves its target table under dur.mu, so a record can never
+//     be logged after the DROP or CREATE OR REPLACE that removed its
+//     table.
 //   - Mutations validate first and log before they apply: a record is
 //     only written for a statement that will apply cleanly, and a
 //     failed append changes nothing in memory — reads never observe a
@@ -16,6 +18,9 @@
 //   - INSERT coerces rows first (storage.CoerceRows), logs exactly the
 //     coerced values, then applies with InsertPrepared — the replayed
 //     table is byte-for-byte the pre-crash table.
+//   - Recovery restores the snapshot and its version, then applies the
+//     records after it (wal.StoreDump.Log) before the session logs
+//     anything, so no record is logged twice.
 //   - A failed append poisons the WAL manager: the statement fails, and
 //     so does every later mutation. A session that lost durability
 //     cannot quietly keep acknowledging writes.
@@ -31,7 +36,6 @@ import (
 
 	"github.com/measures-sql/msql/internal/ast"
 	"github.com/measures-sql/msql/internal/parser"
-	"github.com/measures-sql/msql/internal/sqltypes"
 	"github.com/measures-sql/msql/internal/wal"
 )
 
@@ -44,9 +48,9 @@ type durability struct {
 }
 
 // NewDurable opens (or creates) a durable session backed by dir:
-// recovery replays the checkpoint snapshot plus the log tail into a
-// fresh session, and every later mutation is logged before it is
-// acknowledged.
+// recovery loads the checkpoint snapshot into a fresh session and
+// applies the log records after it, and every later mutation is logged
+// before it is acknowledged.
 func NewDurable(dir string, opts wal.Options) (*Session, error) {
 	m, dump, err := wal.Open(dir, opts)
 	if err != nil {
@@ -57,14 +61,14 @@ func NewDurable(dir string, opts wal.Options) (*Session, error) {
 		m.Close()
 		return nil, fmt.Errorf("recovery of %s: %w", dir, err)
 	}
-	// Continue the pre-crash mutation count: it is the shards' apply
-	// cursor.
-	s.cat.RestoreVersion(dump.Version)
 	s.dur = &durability{wal: m}
 	return s, nil
 }
 
-// restoreDump loads a recovered store into the (empty) session.
+// restoreDump loads a recovered store into the (empty, not yet durable)
+// session: the snapshot's tables and views, its version — the pre-crash
+// mutation count is the shards' apply cursor — and then each record of
+// its Log, applied as the statement that made it applied it.
 func (s *Session) restoreDump(dump *wal.StoreDump) error {
 	for i := range dump.Tables {
 		td := &dump.Tables[i]
@@ -84,6 +88,12 @@ func (s *Session) restoreDump(dump *wal.StoreDump) error {
 		// definitions must restore regardless of dump order.
 		if err := s.cat.CreateView(vd.Name, q, true); err != nil {
 			return fmt.Errorf("view %s: %w", vd.Name, err)
+		}
+	}
+	s.cat.RestoreVersion(dump.Version)
+	for _, rec := range dump.Log {
+		if _, err := s.apply(rec, nil); err != nil {
+			return fmt.Errorf("log record %d (%s %s): %w", rec.Seq, rec.Type, rec.Name, err)
 		}
 	}
 	return nil
@@ -120,9 +130,10 @@ func (s *Session) lockDurable() func() {
 	return s.dur.mu.Unlock
 }
 
-// logMutation appends one mutation record to the WAL. Callers hold
-// dur.mu (via lockDurable), have validated that the mutation will apply
-// cleanly, and apply it to memory only after this returns nil; an error
+// logMutation appends one mutation record to the WAL. Its caller,
+// apply, holds dur.mu (via lockDurable), has validated that the record
+// will apply cleanly, and applies it to memory only after this returns
+// nil; an error
 // here means the change did not become durable — the statement fails
 // with nothing applied, and the poisoned manager fails everything after
 // it.
@@ -214,10 +225,4 @@ func storageCounters(m *wal.Manager) StorageCounters {
 		TornTailBytes:    st.TornTailBytes,
 		SyncPolicy:       m.Policy().String(),
 	}
-}
-
-// insertRecord builds the WAL record for an INSERT of already-coerced
-// rows.
-func insertRecord(table string, rows [][]sqltypes.Value) *wal.Record {
-	return &wal.Record{Type: wal.RecInsert, Name: table, Rows: rows}
 }

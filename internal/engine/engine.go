@@ -70,7 +70,7 @@ type Session struct {
 	// queries is the live-query registry backing
 	// msql_stats.active_queries and KILL.
 	queries *queryRegistry
-	// cas serializes ExecCAS/InsertRowsCAS so their catalog-version
+	// cas serializes ApplyCAS so its catalog-version
 	// check-then-apply is atomic (the shard /apply endpoint's
 	// exactly-once contract).
 	cas sync.Mutex
@@ -487,16 +487,10 @@ func (s *Session) logSlowQuery(lq *liveQuery, dur time.Duration, res *Result, er
 
 func (s *Session) execStatement(env *stmtEnv, stmt ast.Statement) (*Result, error) {
 	switch stmt := stmt.(type) {
-	case *ast.CreateTable:
-		return s.execCreateTable(stmt)
-	case *ast.CreateView:
-		return s.execCreateView(stmt)
+	case *ast.CreateTable, *ast.CreateView, *ast.Drop, *ast.Truncate:
+		return s.execMutation(stmt)
 	case *ast.Insert:
 		return s.execInsert(env, stmt)
-	case *ast.Drop:
-		return s.execDrop(stmt)
-	case *ast.Truncate:
-		return s.execTruncate(stmt)
 	case *ast.QueryStmt:
 		return s.runQuery(env, stmt.Query)
 	case *ast.Prepare:
@@ -763,87 +757,149 @@ func analyzeTotals(env *stmtEnv, rows int) string {
 	return totals + "\n"
 }
 
-func (s *Session) execCreateTable(stmt *ast.CreateTable) (*Result, error) {
-	names := make([]string, len(stmt.Cols))
-	types := make([]sqltypes.Type, len(stmt.Cols))
-	for i, c := range stmt.Cols {
-		kind := sqltypes.KindFromName(c.TypeName)
-		if kind == sqltypes.KindUnknown {
-			return nil, fmt.Errorf("unknown type %s for column %s", c.TypeName, c.Name)
+// execMutation runs a CREATE TABLE, CREATE VIEW, DROP or TRUNCATE: it
+// makes the statement's record and applies it under the mutation lock. A
+// view's definition is bound first, so an invalid one fails at CREATE
+// time, and the view keeps the query the statement parsed.
+func (s *Session) execMutation(stmt ast.Statement) (*Result, error) {
+	rec, err := mutationRecord(stmt)
+	if err != nil {
+		return nil, err
+	}
+	var view *ast.Query
+	if cv, ok := stmt.(*ast.CreateView); ok {
+		if _, err := binder.New(s.cat).BindQuery(cv.Query); err != nil {
+			return nil, fmt.Errorf("invalid view definition: %w", err)
 		}
-		names[i] = c.Name
-		types[i] = sqltypes.Type{Kind: kind}
+		view = cv.Query
 	}
 	defer s.lockDurable()()
-	// Validate, then log, then apply: a record is only written for DDL
-	// that will apply cleanly, and a failed append leaves the catalog
-	// untouched — reads never observe an object whose creation failed.
-	if err := s.cat.CheckCreate(stmt.Name, stmt.OrReplace); err != nil {
+	n, err := s.apply(rec, view)
+	if err != nil {
 		return nil, err
 	}
-	if err := s.logMutation(&wal.Record{Type: wal.RecCreateTable, Name: stmt.Name,
-		OrReplace: stmt.OrReplace, Cols: names, Types: types}); err != nil {
-		return nil, err
-	}
-	if _, err := s.cat.CreateTable(stmt.Name, names, types, stmt.OrReplace); err != nil {
-		return nil, err
-	}
-	s.rollupDDL(stmt.Name)
-	return &Result{Message: fmt.Sprintf("created table %s", stmt.Name)}, nil
+	return mutationResult(rec, n), nil
 }
 
-func (s *Session) execCreateView(stmt *ast.CreateView) (*Result, error) {
-	// Validate the definition now so errors surface at CREATE time.
-	if _, err := binder.New(s.cat).BindQuery(stmt.Query); err != nil {
-		return nil, fmt.Errorf("invalid view definition: %w", err)
+// mutationRecord makes the record of a CREATE TABLE, CREATE VIEW, DROP
+// or TRUNCATE statement. An INSERT's record needs its rows prepared
+// first (insertRows).
+func mutationRecord(stmt ast.Statement) (*wal.Record, error) {
+	switch stmt := stmt.(type) {
+	case *ast.CreateTable:
+		rec := &wal.Record{Type: wal.RecCreateTable, Name: stmt.Name, OrReplace: stmt.OrReplace,
+			Cols: make([]string, len(stmt.Cols)), Types: make([]sqltypes.Type, len(stmt.Cols))}
+		for i, c := range stmt.Cols {
+			kind := sqltypes.KindFromName(c.TypeName)
+			if kind == sqltypes.KindUnknown {
+				return nil, fmt.Errorf("unknown type %s for column %s", c.TypeName, c.Name)
+			}
+			rec.Cols[i], rec.Types[i] = c.Name, sqltypes.Type{Kind: kind}
+		}
+		return rec, nil
+	case *ast.CreateView:
+		// A view travels as rendered SQL, parsed again where its record
+		// is applied without the statement.
+		return &wal.Record{Type: wal.RecCreateView, Name: stmt.Name, OrReplace: stmt.OrReplace,
+			SQL: ast.FormatQuery(stmt.Query)}, nil
+	case *ast.Drop:
+		return &wal.Record{Type: wal.RecDrop, Kind: stmt.Kind, Name: stmt.Name}, nil
+	case *ast.Truncate:
+		return &wal.Record{Type: wal.RecTruncate, Name: stmt.Table}, nil
 	}
-	defer s.lockDurable()()
-	if err := s.cat.CheckCreate(stmt.Name, stmt.OrReplace); err != nil {
-		return nil, err
-	}
-	// Views are logged as rendered SQL and re-parsed at recovery.
-	if err := s.logMutation(&wal.Record{Type: wal.RecCreateView, Name: stmt.Name,
-		OrReplace: stmt.OrReplace, SQL: ast.FormatQuery(stmt.Query)}); err != nil {
-		return nil, err
-	}
-	if err := s.cat.CreateView(stmt.Name, stmt.Query, stmt.OrReplace); err != nil {
-		return nil, err
-	}
-	s.rollupDDL(stmt.Name)
-	return &Result{Message: fmt.Sprintf("created view %s", stmt.Name)}, nil
+	return nil, fmt.Errorf("%T makes no mutation record", stmt)
 }
 
-func (s *Session) execDrop(stmt *ast.Drop) (*Result, error) {
-	defer s.lockDurable()()
-	if err := s.cat.CheckDrop(stmt.Kind, stmt.Name); err != nil {
-		return nil, err
+// mutationResult is the result of the statement whose record applied;
+// n counts the rows it inserted or truncated.
+func mutationResult(rec *wal.Record, n int) *Result {
+	var msg string
+	switch rec.Type {
+	case wal.RecCreateTable:
+		msg = "created table " + rec.Name
+	case wal.RecCreateView:
+		msg = "created view " + rec.Name
+	case wal.RecDrop:
+		msg = "dropped " + strings.ToLower(rec.Kind) + " " + rec.Name
+	case wal.RecInsert:
+		msg = fmt.Sprintf("inserted %d rows", n)
+	case wal.RecTruncate:
+		msg = fmt.Sprintf("truncated table %s (%d rows)", rec.Name, n)
 	}
-	if err := s.logMutation(&wal.Record{Type: wal.RecDrop, Kind: stmt.Kind, Name: stmt.Name}); err != nil {
-		return nil, err
-	}
-	if err := s.cat.Drop(stmt.Kind, stmt.Name); err != nil {
-		return nil, err
-	}
-	s.rollupDDL(stmt.Name)
-	return &Result{Message: fmt.Sprintf("dropped %s %s", strings.ToLower(stmt.Kind), stmt.Name)}, nil
+	return &Result{Message: msg}
 }
 
-// execTruncate deletes every row of a base table, keeping the schema.
-// It follows the same durability contract as INSERT (validate, log,
-// apply under the mutation lock).
-func (s *Session) execTruncate(stmt *ast.Truncate) (*Result, error) {
-	defer s.lockDurable()()
-	table, ok := s.cat.Table(stmt.Table)
-	if !ok {
-		return nil, fmt.Errorf("table %s does not exist", stmt.Table)
+// apply applies one mutation record, and is the only code that does: a
+// statement applies the record it made, recovery the records after the
+// snapshot, a shard the records a coordinator ships (ApplyCAS). The
+// caller holds the mutation lock (lockDurable). apply validates the
+// record against the catalog, logs it, applies it to the catalog and
+// storage, and counts it in the version, so a record is only logged for
+// a mutation that applies cleanly and a failed append changes nothing in
+// memory. An INSERT's rows are coerced before they are logged, so the
+// log carries exactly the values stored. view, when not nil, is the
+// parsed query of a CREATE VIEW record (the statement's own); otherwise
+// the record's SQL is parsed. n counts the rows the record inserted or
+// truncated.
+func (s *Session) apply(rec *wal.Record, view *ast.Query) (n int, err error) {
+	var table *catalog.BaseTable
+	switch rec.Type {
+	case wal.RecCreateTable, wal.RecCreateView:
+		if err := s.cat.CheckCreate(rec.Name, rec.OrReplace); err != nil {
+			return 0, err
+		}
+		if rec.Type == wal.RecCreateView && view == nil {
+			q, err := parser.ParseQuery(rec.SQL)
+			if err != nil {
+				return 0, fmt.Errorf("view %s: %w", rec.Name, err)
+			}
+			view = q
+		}
+	case wal.RecDrop:
+		if err := s.cat.CheckDrop(rec.Kind, rec.Name); err != nil {
+			return 0, err
+		}
+	case wal.RecInsert, wal.RecTruncate:
+		var ok bool
+		if table, ok = s.cat.Table(rec.Name); !ok {
+			return 0, fmt.Errorf("table %s does not exist", rec.Name)
+		}
+		if rec.Type == wal.RecInsert {
+			coerced, err := table.Data.CoerceRows(rec.Rows)
+			if err != nil {
+				return 0, err
+			}
+			rec.Rows = coerced
+		}
+	default:
+		return 0, fmt.Errorf("unknown mutation record %s", rec.Type)
 	}
-	if err := s.logMutation(&wal.Record{Type: wal.RecTruncate, Name: stmt.Table}); err != nil {
-		return nil, err
+	if err := s.logMutation(rec); err != nil {
+		return 0, err
 	}
-	n := table.Data.State().Rows
-	table.Data.Truncate()
-	s.cat.BumpVersion()
-	return &Result{Message: fmt.Sprintf("truncated table %s (%d rows)", stmt.Table, n)}, nil
+	switch rec.Type {
+	case wal.RecCreateTable:
+		_, err = s.cat.CreateTable(rec.Name, rec.Cols, rec.Types, rec.OrReplace)
+	case wal.RecCreateView:
+		err = s.cat.CreateView(rec.Name, view, rec.OrReplace)
+	case wal.RecDrop:
+		err = s.cat.Drop(rec.Kind, rec.Name)
+	case wal.RecInsert:
+		table.Data.InsertPrepared(rec.Rows)
+		s.cat.BumpVersion()
+		return len(rec.Rows), nil
+	case wal.RecTruncate:
+		n = table.Data.State().Rows
+		table.Data.Truncate()
+		s.cat.BumpVersion()
+		return n, nil
+	}
+	if err != nil {
+		return 0, err
+	}
+	// DDL counts itself in the version.
+	s.rollupDDL(rec.Name)
+	return 0, nil
 }
 
 // execInsert runs an INSERT: its rows are prepared (insertRows), then
@@ -853,10 +909,12 @@ func (s *Session) execInsert(env *stmtEnv, stmt *ast.Insert) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.insert(stmt.Table, table, rows); err != nil {
+	rec := &wal.Record{Type: wal.RecInsert, Name: stmt.Table, Rows: rows}
+	n, err := s.insert(rec, table)
+	if err != nil {
 		return nil, err
 	}
-	return &Result{Message: fmt.Sprintf("inserted %d rows", len(rows))}, nil
+	return mutationResult(rec, n), nil
 }
 
 // insertRows prepares the rows stmt inserts into its table: the column
@@ -937,36 +995,22 @@ func (s *Session) insertRows(stmt *ast.Insert, query func(*ast.Query) (*Result, 
 // InsertRows bulk-inserts pre-built rows into a base table, bypassing
 // SQL parsing (used by the benchmark harness to load large datasets).
 func (s *Session) InsertRows(table string, rows [][]sqltypes.Value) error {
-	return s.insert(table, nil, rows)
+	_, err := s.insert(&wal.Record{Type: wal.RecInsert, Name: table, Rows: rows}, nil)
+	return err
 }
 
-// insert coerces rows, logs them and appends them to the table name,
-// the lookup included, under the mutation lock, so records are logged in
-// apply order. want, when not nil, is the table the rows were prepared
-// for: if a DROP or CREATE OR REPLACE has replaced it since, that DDL is
-// logged already and an insert record after it would never replay, so
-// the insert fails. Coercing first makes the log carry exactly the
-// values stored; logging before applying makes an acknowledged insert
-// recoverable and a failed append change nothing in memory.
-func (s *Session) insert(name string, want *catalog.BaseTable, rows [][]sqltypes.Value) error {
+// insert applies an INSERT record under the mutation lock. want, when
+// not nil, is the table its rows were prepared for: if a DROP or CREATE
+// OR REPLACE has replaced it since, that DDL is logged already and an
+// insert record after it would never replay, so the insert fails.
+func (s *Session) insert(rec *wal.Record, want *catalog.BaseTable) (int, error) {
 	defer s.lockDurable()()
-	table, ok := s.cat.Table(name)
-	if !ok {
-		return fmt.Errorf("table %s does not exist", name)
+	if want != nil {
+		if table, ok := s.cat.Table(rec.Name); ok && table != want {
+			return 0, fmt.Errorf("table %s was concurrently replaced", rec.Name)
+		}
 	}
-	if want != nil && table != want {
-		return fmt.Errorf("table %s was concurrently replaced", name)
-	}
-	coerced, err := table.Data.CoerceRows(rows)
-	if err != nil {
-		return err
-	}
-	if err := s.logMutation(insertRecord(name, coerced)); err != nil {
-		return err
-	}
-	table.Data.InsertPrepared(coerced)
-	s.cat.BumpVersion()
-	return nil
+	return s.apply(rec, nil)
 }
 
 // constLiteral answers a literal, or a minus sign over a number, with the

@@ -1,9 +1,10 @@
 // Shard-facing session surface: the engine entry points msqld exposes
 // when it serves as one shard of a distributed topology. A coordinator
 // (internal/dist) drives these through the /partial, /rows and /apply
-// wire endpoints; they run inside the same withStmtEnv guard rail as
-// every other statement, so KILL, timeouts, metrics, statement stats,
-// and the slow-query log all see shard traffic.
+// wire endpoints. The reads run inside the same withStmtEnv guard rail
+// as every other statement, so KILL, timeouts, metrics, statement stats,
+// and the slow-query log all see them; a replicated mutation is a
+// record, applied as a statement's record is, not a statement.
 package engine
 
 import (
@@ -18,6 +19,7 @@ import (
 	"github.com/measures-sql/msql/internal/plan"
 	"github.com/measures-sql/msql/internal/sqltypes"
 	"github.com/measures-sql/msql/internal/storage"
+	"github.com/measures-sql/msql/internal/wal"
 )
 
 // RegisterVirtualTable installs (or replaces) a read-only virtual table
@@ -137,50 +139,36 @@ func (s *Session) PartialAggregate(ctx context.Context, sql string, params []sql
 	return out, nil
 }
 
-// ExecCAS executes one mutation statement if and only if the catalog
-// version equals expect; on success the version is expect+1. A version
-// mismatch returns the current version and a nil result with ok=false —
-// not an error — so callers can distinguish "already applied" (version
-// is expect+1) from genuine divergence. Concurrent ExecCAS/InsertRowsCAS
-// calls serialize on the session's CAS lock, making the
-// check-then-apply atomic.
-func (s *Session) ExecCAS(ctx context.Context, sql string, expect int64, ov *Overrides) (res *Result, version int64, ok bool, err error) {
+// ApplyCAS applies one mutation record, as the statement that made it
+// applied it (apply), if and only if the catalog version equals expect;
+// on success the version is expect+1. A version mismatch returns the
+// current version and a nil result with ok=false — not an error — so
+// callers can distinguish "already applied" (version is expect+1) from
+// genuine divergence. Concurrent calls serialize on the session's CAS
+// lock, making the check-then-apply atomic.
+func (s *Session) ApplyCAS(rec *wal.Record, expect int64) (res *Result, version int64, ok bool, err error) {
 	s.cas.Lock()
 	defer s.cas.Unlock()
 	if v := s.cat.Version(); v != expect {
 		return nil, v, false, nil
 	}
-	stmts, err := s.parseStatements(sql)
+	unlock := s.lockDurable()
+	n, err := s.apply(rec, nil)
+	unlock()
 	if err != nil {
-		return nil, s.cat.Version(), false, err
+		return nil, s.cat.Version(), false, exec.Wrap(err, exec.CodeRuntime, exec.PhaseExecute)
 	}
-	if len(stmts) != 1 {
-		return nil, s.cat.Version(), false, exec.Wrap(fmt.Errorf("apply expects exactly one statement, got %d", len(stmts)), exec.CodeParse, exec.PhaseParse)
-	}
-	switch stmts[0].(type) {
-	case *ast.CreateTable, *ast.CreateView, *ast.Drop, *ast.Insert, *ast.Truncate:
-	default:
-		return nil, s.cat.Version(), false, exec.Wrap(fmt.Errorf("apply accepts only mutation statements"), exec.CodeParse, exec.PhaseParse)
-	}
-	res, err = s.ExecStatementContext(ctx, stmts[0], ov)
-	if err != nil {
-		return nil, s.cat.Version(), false, err
-	}
-	return res, s.cat.Version(), true, nil
+	return mutationResult(rec, n), s.cat.Version(), true, nil
 }
 
-// InsertRowsCAS bulk-inserts pre-partitioned rows if and only if the
-// catalog version equals expect (see ExecCAS for the contract). The
-// rows are coerced against the target table, so a coordinator can send
-// values in wire form.
-func (s *Session) InsertRowsCAS(table string, rows [][]sqltypes.Value, expect int64) (version int64, ok bool, err error) {
-	s.cas.Lock()
-	defer s.cas.Unlock()
-	if v := s.cat.Version(); v != expect {
-		return v, false, nil
+// MutationRecord makes the record a CREATE TABLE, CREATE VIEW, DROP or
+// TRUNCATE statement applies, or the error the statement fails with
+// before it reaches the catalog: a coordinator ships the record to its
+// shards.
+func MutationRecord(stmt ast.Statement) (*wal.Record, error) {
+	rec, err := mutationRecord(stmt)
+	if err != nil {
+		return nil, exec.Wrap(err, exec.CodeRuntime, exec.PhaseExecute)
 	}
-	if err := s.InsertRows(table, rows); err != nil {
-		return s.cat.Version(), false, err
-	}
-	return s.cat.Version(), true, nil
+	return rec, nil
 }

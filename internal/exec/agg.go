@@ -321,20 +321,22 @@ func (t *setTable) carve() {
 }
 
 // reserve gives an empty table room for n groups, so that adding them
-// grows no array and files no group again.
+// grows no array and files no group again. A table of one group gets no
+// index: its group merges with nothing, so nothing looks it up
+// (appendKey adds it).
 func (t *setTable) reserve(n int) {
 	t.groups = make([]int, 0, n)
 	t.keys = make([]sqltypes.Value, 0, n*t.nk)
 	t.states = make([]fn.AggState, 0, n*len(t.env.calls))
-	t.next = make([]int32, 0, n)
-	t.slots = make([]int32, max(8, 1<<bits.Len(uint(n-1))))
+	if n > 1 {
+		t.next = make([]int32, 0, n)
+		t.slots = make([]int32, max(8, 1<<bits.Len(uint(n-1))))
+	}
 }
 
-// appendGroup appends everything of a group but its states and side
-// sets: its first row, its key — kv's set columns — and its place in the
-// index under h.
-func (t *setTable) appendGroup(h uint32, kv []sqltypes.Value, order int) {
-	g := len(t.groups)
+// appendKey appends a group's first row and its key — kv's set columns —
+// but not its states, side sets or place in the index.
+func (t *setTable) appendKey(kv []sqltypes.Value, order int) {
 	t.groups = append(t.groups, order)
 	base := len(t.keys)
 	for range t.nk {
@@ -346,6 +348,13 @@ func (t *setTable) appendGroup(h uint32, kv []sqltypes.Value, order int) {
 	if t.env.positions > 0 {
 		t.head, t.more = append(t.head, 0), append(t.more, 0)
 	}
+}
+
+// appendGroup appends everything of a group but its states and side
+// sets: appendKey's, and its place in the index under h.
+func (t *setTable) appendGroup(h uint32, kv []sqltypes.Value, order int) {
+	g := len(t.groups)
+	t.appendKey(kv, order)
 	t.next = append(t.next, 0)
 	if g < len(t.slots) {
 		t.link(g, h)

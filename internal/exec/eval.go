@@ -25,8 +25,9 @@ type Row = []sqltypes.Value
 
 // Stats counts executor events for one query; the experiment harness and
 // tests use it to verify strategies do what they claim (e.g. memoization
-// evaluates each distinct context once). Counters are updated atomically
-// so they stay exact when Workers > 1.
+// evaluates each distinct context once). Each statement counts into a
+// Stats of its own, which starts at zero. Counters are updated
+// atomically so they stay exact when Workers > 1.
 type Stats struct {
 	// SubqueryEvals counts actual subquery plan executions.
 	SubqueryEvals int64
@@ -51,20 +52,6 @@ type Stats struct {
 	// RollupHits counts Aggregate nodes answered from the materialized
 	// rollup lattice instead of hash aggregation over their input.
 	RollupHits int64
-}
-
-// Reset zeroes the counters with atomic stores, so a session may reuse
-// one Stats across queries even while other goroutines run queries that
-// update it.
-func (s *Stats) Reset() {
-	atomic.StoreInt64(&s.SubqueryEvals, 0)
-	atomic.StoreInt64(&s.SubqueryCacheHits, 0)
-	atomic.StoreInt64(&s.RowsScanned, 0)
-	atomic.StoreInt64(&s.ParallelFanouts, 0)
-	atomic.StoreInt64(&s.VecBatches, 0)
-	atomic.StoreInt64(&s.VecKernelRows, 0)
-	atomic.StoreInt64(&s.VecFallbackRows, 0)
-	atomic.StoreInt64(&s.RollupHits, 0)
 }
 
 // Snapshot returns a copy taken with atomic loads, safe against

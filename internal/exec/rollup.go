@@ -119,6 +119,12 @@ func (env *aggEnv) emitGroups(t *Table, groups []int32, keys []int) ([]Row, erro
 			for j, k := range keys {
 				kv[j] = key[k]
 			}
+			if len(groups) == 1 {
+				// Nothing to merge with: no hash, no index.
+				dst.states = append(dst.states, src.statesOf(int(g))...)
+				dst.appendKey(kv, int(g))
+				continue
+			}
 			h := hashKey(dst.set, kv)
 			d := dst.find(h, kv)
 			if d < 0 {

@@ -11,6 +11,7 @@ package server_test
 
 import (
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -25,6 +26,8 @@ import (
 	"github.com/measures-sql/msql/internal/exec"
 	"github.com/measures-sql/msql/internal/paperdata"
 	"github.com/measures-sql/msql/internal/server"
+	"github.com/measures-sql/msql/internal/sqltypes"
+	"github.com/measures-sql/msql/internal/wal"
 	"github.com/measures-sql/msql/internal/wire"
 	"github.com/measures-sql/msql/msql"
 	"github.com/measures-sql/msql/msql/client"
@@ -164,7 +167,9 @@ var contractEndpoints = []contractEndpoint{
 			if v == 0 {
 				v = h.version()
 			}
-			return fmt.Sprintf(`{"sql": "CREATE TABLE applied_%d (x INTEGER)", "expect_version": %d}`, v, v)
+			rec := wal.EncodePayload(&wal.Record{Type: wal.RecCreateTable, Name: fmt.Sprintf("applied_%d", v),
+				Cols: []string{"x"}, Types: []sqltypes.Type{{Kind: sqltypes.KindInt}}})
+			return fmt.Sprintf(`{"record": %q, "expect_version": %d}`, base64.StdEncoding.EncodeToString(rec), v)
 		}},
 }
 

@@ -8,7 +8,7 @@ package server
 //	               frame
 //	POST /partial  run an aggregation's scan/filter/group phase and
 //	               return its partial table as one frame
-//	POST /apply    apply one replicated mutation, guarded by a
+//	POST /apply    apply one replicated mutation record, guarded by a
 //	               catalog-version compare-and-swap
 //	GET  /catalog  shard identity + catalog version/contents, for
 //	               endpoint attachment and lost-ack probes
@@ -21,11 +21,11 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 
 	"github.com/measures-sql/msql/internal/exec"
+	"github.com/measures-sql/msql/internal/wal"
 	"github.com/measures-sql/msql/internal/wire"
 	"github.com/measures-sql/msql/msql"
 )
@@ -114,43 +114,27 @@ type partialBody struct {
 	groups  []exec.PartialGroup
 }
 
-// applyEndpoint is POST /apply: a statement or a pre-partitioned row
-// batch, applied only at the catalog version the request expects.
+// applyEndpoint is POST /apply: one mutation record, applied only at
+// the catalog version the request expects.
 func (s *Server) applyEndpoint() endpoint {
 	return endpoint{
 		path: "/apply", source: "shard",
 		failBody: func(v int64, we *wire.Error) any { return wire.ApplyResponse{Version: v, Error: we} },
 		decode: decodeAs(func(req *wire.ApplyRequest) (statement, error) {
-			var rows [][]msql.Value
-			switch {
-			case req.SQL != "":
-			case req.Table != "":
-				var err error
-				if rows, err = wire.DecodeRowsBinary(req.Rows); err != nil {
-					return statement{}, err
-				}
-			default:
-				return statement{}, errors.New("apply carries neither sql nor rows")
+			rec, err := wal.DecodePayload(req.Record)
+			if err != nil {
+				return statement{}, fmt.Errorf("record: %w", err)
 			}
 			return statement{
 				requestID: req.RequestID,
-				run: func(ctx context.Context, opts []msql.Option) (any, int, error) {
-					var (
-						resp wire.ApplyResponse
-						ok   bool
-						err  error
-					)
-					if req.SQL != "" {
-						var res *msql.Result
-						if res, resp.Version, ok, err = s.node.ExecCAS(ctx, req.SQL, req.ExpectVersion, opts...); res != nil {
-							resp.Message = res.Message
-						}
-					} else {
-						resp.Version, ok, err = s.node.InsertRowsCAS(req.Table, rows, req.ExpectVersion)
-						resp.Message = fmt.Sprintf("inserted %d rows into %s", len(rows), req.Table)
-					}
-					if err == nil && !ok {
-						err = versionMismatch(resp.Version, req.ExpectVersion)
+				run: func(context.Context, []msql.Option) (any, int, error) {
+					res, v, ok, err := s.node.ApplyCAS(rec, req.ExpectVersion)
+					resp := wire.ApplyResponse{Version: v}
+					switch {
+					case ok:
+						resp.Message = res.Message
+					case err == nil:
+						err = versionMismatch(v, req.ExpectVersion)
 					}
 					return resp, 0, err
 				},

@@ -40,7 +40,7 @@ func TestCrashPointHarness(t *testing.T) {
 						crashed = true
 						return false
 					}
-					if err := oracle.Apply(rec); err != nil {
+					if err := oracle.fold(rec); err != nil {
 						t.Fatalf("oracle apply: %v", err)
 					}
 					return true
@@ -74,6 +74,9 @@ func TestCrashPointHarness(t *testing.T) {
 				SetCrashHook(nil)
 				m.Close()
 				m2, dump, err := Open(dir, Options{})
+				if err == nil {
+					dump, err = folded(dump)
+				}
 				if err != nil {
 					t.Fatalf("recovery after crash at %s: %v", site, err)
 				}
@@ -134,7 +137,7 @@ func TestTornWriteInjector(t *testing.T) {
 			return nil, err
 		}
 		m2.Close()
-		return dump, nil
+		return folded(dump)
 	}
 
 	t.Run("truncate", func(t *testing.T) {

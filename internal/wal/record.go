@@ -6,10 +6,14 @@
 //
 // The package is deliberately below the catalog: it speaks a small
 // logical record vocabulary (CREATE TABLE / CREATE VIEW / DROP /
-// INSERT / TRUNCATE) over sqltypes values and rebuilds a StoreDump the
-// engine can load, so it never needs to parse SQL or know about plans.
-// View definitions travel as rendered SQL text; the engine re-parses
-// them at restore time.
+// INSERT / TRUNCATE) over sqltypes values, so it never needs to parse
+// SQL or know about plans. A Record is the one description of a
+// mutation: the engine makes one for every mutating statement and
+// applies it with one function, which is also what applies the records
+// recovery hands back after the snapshot (StoreDump.Log) and the records
+// a coordinator ships to a shard (EncodePayload / DecodePayload). View
+// definitions travel as rendered SQL text; the engine re-parses them
+// when it applies a record or restores a snapshot.
 //
 // On-disk layout inside the data directory:
 //
@@ -114,8 +118,10 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// encodePayload renders a record's payload (seq + type + body).
-func encodePayload(rec *Record) []byte {
+// EncodePayload renders a record's payload (seq + type + body): the
+// bytes the log frames and checksums, and the form in which a
+// coordinator logs and ships a mutation. DecodePayload reverses it.
+func EncodePayload(rec *Record) []byte {
 	b := make([]byte, 0, 64)
 	b = appendUvarint(b, rec.Seq)
 	b = append(b, byte(rec.Type))
@@ -288,7 +294,7 @@ func decodePayload(buf []byte) (*Record, error) {
 // EncodeRecord renders a record with framing (length + CRC + payload),
 // ready to append to the log.
 func EncodeRecord(rec *Record) []byte {
-	payload := encodePayload(rec)
+	payload := EncodePayload(rec)
 	out := make([]byte, recHeaderLen, recHeaderLen+len(payload))
 	binary.LittleEndian.PutUint32(out[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(out[4:8], crc32.Checksum(payload, castagnoli))

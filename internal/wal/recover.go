@@ -26,16 +26,15 @@ import (
 
 // replayResult summarizes one replay pass.
 type replayResult struct {
-	applied   int
 	skipped   int
 	lastSeq   uint64
 	goodSize  int64
 	tornBytes int64
 }
 
-// replayLog scans f (an opened wal.log), applies post-snapshot records
-// to dump, truncates any torn tail, and leaves f positioned for
-// appending.
+// replayLog scans f (an opened wal.log), collects the post-snapshot
+// records in dump.Log, truncates any torn tail, and leaves f positioned
+// for appending.
 func replayLog(f *os.File, snapSeq uint64, dump *StoreDump) (replayResult, error) {
 	var res replayResult
 	st, err := f.Stat()
@@ -130,11 +129,7 @@ func replayLog(f *os.File, snapSeq uint64, dump *StoreDump) (replayResult, error
 		if rec.Seq <= snapSeq {
 			res.skipped++ // pre-checkpoint leftover, already in the snapshot
 		} else {
-			if err := dump.Apply(rec); err != nil {
-				return res, &CorruptError{File: logName, Offset: off,
-					Detail: fmt.Sprintf("replay of record seq %d failed: %v", rec.Seq, err)}
-			}
-			res.applied++
+			dump.Log = append(dump.Log, rec)
 		}
 		res.lastSeq = rec.Seq
 		off = recEnd

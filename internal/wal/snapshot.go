@@ -39,127 +39,10 @@ type StoreDump struct {
 	Version int64
 	Tables  []TableDump
 	Views   []ViewDump
-}
-
-// findTable returns the index of the named table, or -1.
-func (d *StoreDump) findTable(name string) int {
-	for i := range d.Tables {
-		if equalFold(d.Tables[i].Name, name) {
-			return i
-		}
-	}
-	return -1
-}
-
-// findView returns the index of the named view, or -1.
-func (d *StoreDump) findView(name string) int {
-	for i := range d.Views {
-		if equalFold(d.Views[i].Name, name) {
-			return i
-		}
-	}
-	return -1
-}
-
-// equalFold is case-insensitive name equality, mirroring the catalog's
-// unquoted-identifier semantics.
-func equalFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'A' <= ca && ca <= 'Z' {
-			ca += 'a' - 'A'
-		}
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 'a' - 'A'
-		}
-		if ca != cb {
-			return false
-		}
-	}
-	return true
-}
-
-// Apply folds one replayed record into the dump. Errors mean the log
-// is inconsistent with the store it claims to describe (e.g. an INSERT
-// into a table that was never created) — recovery surfaces them rather
-// than skipping, because a silently dropped record would corrupt every
-// record after it.
-func (d *StoreDump) Apply(rec *Record) error {
-	switch rec.Type {
-	case RecCreateTable:
-		if i := d.findTable(rec.Name); i >= 0 {
-			if !rec.OrReplace {
-				return fmt.Errorf("replay CREATE TABLE %s: already exists", rec.Name)
-			}
-			d.Tables = append(d.Tables[:i], d.Tables[i+1:]...)
-		}
-		if i := d.findView(rec.Name); i >= 0 {
-			d.Views = append(d.Views[:i], d.Views[i+1:]...)
-		}
-		d.Tables = append(d.Tables, TableDump{Name: rec.Name, Cols: rec.Cols, Types: rec.Types})
-	case RecCreateView:
-		if i := d.findView(rec.Name); i >= 0 {
-			if !rec.OrReplace {
-				return fmt.Errorf("replay CREATE VIEW %s: already exists", rec.Name)
-			}
-			d.Views = append(d.Views[:i], d.Views[i+1:]...)
-		}
-		if i := d.findTable(rec.Name); i >= 0 {
-			d.Tables = append(d.Tables[:i], d.Tables[i+1:]...)
-		}
-		d.Views = append(d.Views, ViewDump{Name: rec.Name, SQL: rec.SQL})
-	case RecDrop:
-		switch rec.Kind {
-		case "TABLE":
-			i := d.findTable(rec.Name)
-			if i < 0 {
-				return fmt.Errorf("replay DROP TABLE %s: does not exist", rec.Name)
-			}
-			d.Tables = append(d.Tables[:i], d.Tables[i+1:]...)
-		case "VIEW":
-			i := d.findView(rec.Name)
-			if i < 0 {
-				return fmt.Errorf("replay DROP VIEW %s: does not exist", rec.Name)
-			}
-			d.Views = append(d.Views[:i], d.Views[i+1:]...)
-		default:
-			return fmt.Errorf("replay DROP: unknown object kind %q", rec.Kind)
-		}
-	case RecInsert:
-		i := d.findTable(rec.Name)
-		if i < 0 {
-			return fmt.Errorf("replay INSERT into %s: table does not exist", rec.Name)
-		}
-		t := &d.Tables[i]
-		for _, row := range rec.Rows {
-			if len(row) != len(t.Cols) {
-				return fmt.Errorf("replay INSERT into %s: row width %d != %d columns", rec.Name, len(row), len(t.Cols))
-			}
-		}
-		t.Rows = append(t.Rows, rec.Rows...)
-	case RecTruncate:
-		i := d.findTable(rec.Name)
-		if i < 0 {
-			return fmt.Errorf("replay TRUNCATE %s: table does not exist", rec.Name)
-		}
-		d.Tables[i].Rows = nil
-	default:
-		return fmt.Errorf("replay: unknown record type %d", rec.Type)
-	}
-	d.Version++
-	return nil
-}
-
-// NumRows returns the total row count across tables (test helper).
-func (d *StoreDump) NumRows() int {
-	n := 0
-	for i := range d.Tables {
-		n += len(d.Tables[i].Rows)
-	}
-	return n
+	// Log holds the records Open found after the snapshot, in log
+	// order, for the engine to apply on top of it. A checkpoint does not
+	// persist it: the dump it writes already reflects every record.
+	Log []*Record
 }
 
 const (

@@ -81,8 +81,8 @@ type Stats struct {
 	Checkpoints      int64 `json:"checkpoints"`
 	CheckpointNs     int64 `json:"checkpoint_ns"`
 	LastCheckpointNs int64 `json:"last_checkpoint_ns"`
-	// RecoveryNs is how long Open spent rebuilding the store;
-	// RecoveredRecords how many log records it replayed (post-snapshot);
+	// RecoveryNs is how long Open spent reading the store back;
+	// RecoveredRecords how many log records it found after the snapshot;
 	// TornTailBytes how many trailing bytes it discarded as torn.
 	RecoveryNs       int64 `json:"recovery_ns"`
 	RecoveredRecords int64 `json:"recovered_records"`
@@ -304,7 +304,8 @@ type RecoveryInfo struct {
 	FromSnapshot bool
 	// SnapshotSeq is the last sequence the snapshot includes.
 	SnapshotSeq uint64
-	// Records is how many log records were replayed on top.
+	// Records is how many log records follow the snapshot (the
+	// StoreDump's Log).
 	Records int
 	// SkippedRecords counts valid pre-snapshot records skipped (a crash
 	// between checkpoint rename and truncation leaves them behind).
@@ -316,10 +317,12 @@ type RecoveryInfo struct {
 	DurationNs int64
 }
 
-// Open opens (creating if needed) the data directory, recovers the
-// store from snapshot + log, and returns a manager positioned to append.
-// A torn or corrupt log tail is truncated cleanly; corruption in the
-// middle of the log is an error — see CorruptError.
+// Open opens (creating if needed) the data directory, reads the
+// snapshot and the log, and returns a manager positioned to append with
+// the snapshot's store and, in its Log, the records after it: the
+// engine applies them as it applies a statement's record. A torn or
+// corrupt log tail is truncated cleanly; corruption in the middle of the
+// log is an error — see CorruptError.
 func Open(dir string, opts Options) (*Manager, *StoreDump, error) {
 	start := time.Now()
 	opts = opts.withDefaults()
@@ -352,7 +355,7 @@ func Open(dir string, opts Options) (*Manager, *StoreDump, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	info.Records = res.applied
+	info.Records = len(dump.Log)
 	info.SkippedRecords = res.skipped
 	info.TornTailBytes = res.tornBytes
 

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -40,7 +41,7 @@ func wantRows(n int) [][]sqltypes.Value {
 // k with lo ≤ k ≤ hi, and returns k.
 func checkPrefix(t *testing.T, dump *StoreDump, lo, hi int) int {
 	t.Helper()
-	if len(dump.Tables) != 1 || !equalFold(dump.Tables[0].Name, "t") {
+	if len(dump.Tables) != 1 || !strings.EqualFold(dump.Tables[0].Name, "t") {
 		t.Fatalf("recovered tables = %+v, want just t", dump.Tables)
 	}
 	got := dump.Tables[0].Rows
@@ -54,9 +55,14 @@ func checkPrefix(t *testing.T, dump *StoreDump, lo, hi int) int {
 	return k
 }
 
+// mustOpen opens dir and returns the recovered store with its log
+// folded in.
 func mustOpen(t *testing.T, dir string, opts Options) (*Manager, *StoreDump) {
 	t.Helper()
 	m, dump, err := Open(dir, opts)
+	if err == nil {
+		dump, err = folded(dump)
+	}
 	if err != nil {
 		t.Fatalf("Open(%s): %v", dir, err)
 	}
@@ -151,10 +157,10 @@ func TestCheckpointAndTail(t *testing.T) {
 	if err := m.Append(createRec()); err != nil {
 		t.Fatal(err)
 	}
-	dump.Apply(&Record{Type: RecCreateTable, Name: "t", Cols: []string{"a"}, Types: []sqltypes.Type{intT()}})
+	dump.fold(&Record{Type: RecCreateTable, Name: "t", Cols: []string{"a"}, Types: []sqltypes.Type{intT()}})
 	for i := 0; i < 5; i++ {
 		m.Append(insertRec(int64(i)))
-		dump.Apply(insertRec(int64(i)))
+		dump.fold(insertRec(int64(i)))
 	}
 	if err := m.Checkpoint(dump); err != nil {
 		t.Fatal(err)
@@ -197,7 +203,7 @@ func TestVersionRestore(t *testing.T) {
 	dir := t.TempDir()
 	m, dump := mustOpen(t, dir, Options{})
 	m.Append(createRec())
-	dump.Apply(createRec())
+	dump.fold(createRec())
 	dump.Version = 41 // pretend the engine was at version 41
 	if err := m.Checkpoint(dump); err != nil {
 		t.Fatal(err)
@@ -298,10 +304,10 @@ func TestDoubleRecoveryIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	m, dump := mustOpen(t, dir, Options{Sync: SyncAlways})
 	m.Append(createRec())
-	dump.Apply(createRec())
+	dump.fold(createRec())
 	for i := 0; i < 7; i++ {
 		m.Append(insertRec(int64(i)))
-		dump.Apply(insertRec(int64(i)))
+		dump.fold(insertRec(int64(i)))
 	}
 	m.Checkpoint(dump)
 	for i := 7; i < 10; i++ {

@@ -1,15 +1,13 @@
 package wire
 
-// Binary rows: /apply's bulk rows and a /rows reply travel as one frame
-// of rows (the sqltypes value codec) rather than as JSON values, so they
-// keep their kinds exactly — an INTEGER beyond 2^53, a non-finite
-// DOUBLE — and a decode failure is always a structured error, never a
-// silent zero. /apply carries the frame as a base64 string
-// (EncodeRowsBinary); a /rows reply carries it as its frame (AppendRows),
-// as a /partial reply carries exec.AppendFrame's (AppendPartial).
+// Binary rows: a /rows reply travels as one frame of rows (the sqltypes
+// value codec) rather than as JSON values, so they keep their kinds
+// exactly — an INTEGER beyond 2^53, a non-finite DOUBLE — and a decode
+// failure is always a structured error, never a silent zero. A /rows
+// reply carries it as its frame (AppendRows), as a /partial reply
+// carries exec.AppendFrame's (AppendPartial).
 
 import (
-	"encoding/base64"
 	"encoding/binary"
 	"fmt"
 
@@ -28,21 +26,6 @@ func AppendRowsFrame(dst []byte, rows [][]sqltypes.Value) []byte {
 		dst = sqltypes.AppendValues(dst, row)
 	}
 	return dst
-}
-
-// EncodeRowsBinary packs rows for ApplyRequest.Rows: their frame
-// (AppendRowsFrame), base64-encoded.
-func EncodeRowsBinary(rows [][]sqltypes.Value) string {
-	return base64.StdEncoding.EncodeToString(AppendRowsFrame(nil, rows))
-}
-
-// DecodeRowsBinary reverses EncodeRowsBinary.
-func DecodeRowsBinary(s string) ([][]sqltypes.Value, error) {
-	buf, err := base64.StdEncoding.DecodeString(s)
-	if err != nil {
-		return nil, fmt.Errorf("rows: %w", err)
-	}
-	return DecodeRowsFrame(buf)
 }
 
 // DecodeRowsFrame reads a frame of rows (AppendRowsFrame), validating

@@ -87,20 +87,16 @@ type ReadResponse struct {
 	Error *Error `json:"error,omitempty"`
 }
 
-// ApplyRequest is the body of POST /apply: one replicated mutation —
-// either a DDL statement (SQL set) or an insert of pre-partitioned,
-// pre-coerced rows (Table/Rows set). ExpectVersion makes application
-// exactly-once: the server applies only if its catalog version equals
-// ExpectVersion, and the version becomes ExpectVersion+1 on success, so
-// a coordinator that loses an ack can probe /catalog to learn whether
-// the mutation landed instead of resending it.
+// ApplyRequest is the body of POST /apply: one replicated mutation, as
+// the record a single node logs for it (wal.EncodePayload; encoding/json
+// carries it as base64). The shard applies it as that node applied it.
+// ExpectVersion makes application exactly-once: the server applies only
+// if its catalog version equals ExpectVersion, and the version becomes
+// ExpectVersion+1 on success, so a coordinator that loses an ack can
+// probe /catalog to learn whether the mutation landed instead of
+// resending it.
 type ApplyRequest struct {
-	SQL   string `json:"sql,omitempty"`
-	Table string `json:"table,omitempty"`
-	// Rows is the base64 binary encoding of the coerced rows: a
-	// sqltypes.AppendValues tuple per row, concatenated, prefixed with a
-	// uvarint row count.
-	Rows          string `json:"rows,omitempty"`
+	Record        []byte `json:"record"`
 	ExpectVersion int64  `json:"expect_version"`
 	RequestID     string `json:"request_id,omitempty"`
 }

@@ -119,7 +119,7 @@ func TestRoundTripClassification(t *testing.T) {
 			return outcome{err: err}
 		}},
 		{name: "Apply", once: true, cas: true, do: func(ctx context.Context, c *Client) outcome {
-			v, ok, err := c.ApplyDDL(ctx, "CREATE TABLE t (x INTEGER)", 3, "")
+			v, ok, err := c.Apply(ctx, []byte("a record"), 3, "")
 			return outcome{casMiss: err == nil && !ok && v == 7, err: err}
 		}},
 	}

@@ -76,24 +76,15 @@ func (c *Client) Read(ctx context.Context, path string, req wire.ReadRequest) (*
 	return &Frame{Version: rep.Version, Frame: frame}, nil
 }
 
-// ApplyDDL applies one DDL/DML statement under the catalog-version CAS:
-// the server executes it only if its version equals expect, advancing
-// to expect+1. ok=false with err=nil is a version miss (version holds
-// the server's current value). Transport errors are returned raw —
-// resolving a lost ack is the coordinator's job (probe Catalog; the
-// mutation landed iff the version advanced past expect).
-func (c *Client) ApplyDDL(ctx context.Context, sql string, expect int64, requestID string) (version int64, ok bool, err error) {
-	return c.apply(ctx, wire.ApplyRequest{SQL: sql, ExpectVersion: expect, RequestID: requestID})
-}
-
-// ApplyRows inserts pre-partitioned rows (EncodeRowsBinary wire form)
-// into table under the same CAS contract as ApplyDDL.
-func (c *Client) ApplyRows(ctx context.Context, table, rows string, expect int64, requestID string) (version int64, ok bool, err error) {
-	return c.apply(ctx, wire.ApplyRequest{Table: table, Rows: rows, ExpectVersion: expect, RequestID: requestID})
-}
-
-func (c *Client) apply(ctx context.Context, req wire.ApplyRequest) (int64, bool, error) {
-	k := call{path: "/apply", sql: req.SQL, once: true, cas: true, expect: req.ExpectVersion}
+// Apply applies one mutation record (wal.EncodePayload) under the
+// catalog-version CAS: the server applies it only if its version equals
+// expect, advancing to expect+1. ok=false with err=nil is a version miss
+// (version holds the server's current value). Transport errors are
+// returned raw — resolving a lost ack is the coordinator's job (probe
+// Catalog; the mutation landed iff the version advanced past expect).
+func (c *Client) Apply(ctx context.Context, record []byte, expect int64, requestID string) (version int64, ok bool, err error) {
+	req := wire.ApplyRequest{Record: record, ExpectVersion: expect, RequestID: requestID}
+	k := call{path: "/apply", once: true, cas: true, expect: expect}
 	rep, err := c.roundTrip(ctx, k, &req, &req.RequestID)
 	var miss *VersionMismatchError
 	switch {

@@ -190,7 +190,7 @@ func TestApplyCASMissIsNotAnError(t *testing.T) {
 	defer ts.Close()
 
 	c := New(ts.URL)
-	version, ok, err := c.ApplyDDL(context.Background(), "CREATE TABLE t (x INTEGER)", 3, "req-1")
+	version, ok, err := c.Apply(context.Background(), []byte("a record"), 3, "req-1")
 	if err != nil || ok {
 		t.Fatalf("CAS miss must be (v, false, nil), got ok=%v err=%v", ok, err)
 	}

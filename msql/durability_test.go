@@ -8,6 +8,7 @@ package msql_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -106,6 +107,51 @@ func TestDurableCheckpointAndDDL(t *testing.T) {
 	st := db.WALStats()
 	if st.RecoveredRecords != 4 {
 		t.Fatalf("replayed %d records, want the 4 post-checkpoint ones", st.RecoveredRecords)
+	}
+
+	// Every record type replays through the engine: a TRUNCATE then an
+	// INSERT, a view replaced and one dropped, and a table created over a
+	// view's name. The reopened session answers as before the close.
+	tail := []string{
+		`TRUNCATE TABLE t`,
+		`INSERT INTO t VALUES (10), (20)`,
+		`CREATE OR REPLACE VIEW v AS SELECT *, SUM(a)*3 AS MEASURE m FROM t`,
+		`CREATE VIEW gone AS SELECT a FROM t`,
+		`DROP VIEW gone`,
+		`CREATE VIEW shadow AS SELECT a FROM t`,
+		`CREATE OR REPLACE TABLE shadow (s VARCHAR)`,
+		`INSERT INTO shadow VALUES ('x'), ('y')`,
+	}
+	for _, sql := range tail {
+		db.MustExec(sql)
+	}
+	queries := []string{
+		`SELECT AGGREGATE(m) AS m FROM v`,
+		`SELECT a FROM t ORDER BY a`,
+		`SELECT s FROM shadow ORDER BY s`,
+	}
+	answers := func(db *msql.DB) string {
+		tables, views := db.Tables()
+		slices.Sort(tables)
+		slices.Sort(views)
+		out := fmt.Sprintf("version %d tables %v views %v\n", db.CatalogVersion(), tables, views)
+		for _, q := range queries {
+			res, err := db.Query(q)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			out += fmt.Sprintf("%s: %v\n", q, res.Rows)
+		}
+		return out
+	}
+	want := answers(db)
+	db = reopen(t, dir, db)
+	defer db.Close()
+	if got := answers(db); got != want {
+		t.Fatalf("recovered session answers differently:\nbefore the close\n%safter\n%s", want, got)
+	}
+	if st := db.WALStats(); st.RecoveredRecords != int64(4+len(tail)) {
+		t.Fatalf("replayed %d records, want %d", st.RecoveredRecords, 4+len(tail))
 	}
 }
 

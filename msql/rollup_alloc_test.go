@@ -11,12 +11,13 @@ import (
 // TestLatticeHitAllocations pins the allocations of a prepared execution
 // the rollup lattice answers: the lattice folds the one row inserted
 // before each execution (which also voids the result memo), selects the
-// groups, and the Aggregate's emit renders them. The limits are the
-// figures measured before the lattice rendered through the Aggregate's
-// emit, plus 10 %: a one-group tile (a key term pins every node key), a
-// grouped tile, and a ROLLUP whose subtotal and grand-total sets are
-// derived by merging node groups. A race-detector build has figures of
-// its own.
+// groups, and the Aggregate's emit renders them: a one-group tile (a key
+// term pins every node key), a grouped tile, and a ROLLUP whose subtotal
+// and grand-total sets are derived by merging node groups. The one-group
+// tile's limit is what it reads once a single group is rendered without
+// a hash index; the others' are the figures measured before the lattice
+// rendered through the Aggregate's emit, plus 10 %. A race-detector
+// build has figures of its own.
 func TestLatticeHitAllocations(t *testing.T) {
 	db := msql.Open()
 	defer db.Close()
@@ -35,17 +36,17 @@ func TestLatticeHitAllocations(t *testing.T) {
 	}
 	one := [][]msql.Value{row(5)}
 	for _, tc := range []struct {
-		name               string
-		sql                string
-		args               []any
-		before, beforeRace float64
+		name             string
+		sql              string
+		args             []any
+		limit, limitRace float64
 	}{
-		{"one-group tile", `SELECT SUM(amount) AS s, COUNT(*) AS n FROM Sales WHERE region = ?`, []any{"r3"}, 47, 55},
-		{"grouped tile", `SELECT region, SUM(amount) AS s, COUNT(*) AS n FROM Sales GROUP BY region`, nil, 79, 87},
-		{"derived ROLLUP", `SELECT region, product, SUM(amount) AS s FROM Sales GROUP BY ROLLUP(region, product)`, nil, 215, 223},
+		{"one-group tile", `SELECT SUM(amount) AS s, COUNT(*) AS n FROM Sales WHERE region = ?`, []any{"r3"}, 48, 56},
+		{"grouped tile", `SELECT region, SUM(amount) AS s, COUNT(*) AS n FROM Sales GROUP BY region`, nil, 79 * 1.1, 87 * 1.1},
+		{"derived ROLLUP", `SELECT region, product, SUM(amount) AS s FROM Sales GROUP BY ROLLUP(region, product)`, nil, 215 * 1.1, 223 * 1.1},
 	} {
 		if raceEnabled {
-			tc.before = tc.beforeRace
+			tc.limit = tc.limitRace
 		}
 		stmt, err := db.Prepare(tc.sql)
 		if err != nil {
@@ -69,8 +70,8 @@ func TestLatticeHitAllocations(t *testing.T) {
 			t.Fatalf("%s: %d of %d executions answered by the lattice", tc.name, n, runs+1)
 		}
 		t.Logf("%s: %.0f allocations per execution", tc.name, got)
-		if limit := tc.before * 1.1; got > limit {
-			t.Errorf("%s: %.0f allocations per execution, want at most %.0f (%.0f before, + 10 %%)", tc.name, got, limit, tc.before)
+		if got > tc.limit {
+			t.Errorf("%s: %.0f allocations per execution, want at most %.0f", tc.name, got, tc.limit)
 		}
 	}
 }

@@ -2,8 +2,9 @@ package msql
 
 // Distributed-execution surface: the DB methods a shard server
 // (internal/server) and a coordinator (internal/dist) need beyond the
-// plain query API — parameterized and partial reads, version-guarded
-// mutations, and the shard-health metrics/virtual-table hooks.
+// plain query API — parameterized and partial reads, mutation records
+// and their version-guarded application, and the shard-health
+// metrics/virtual-table hooks.
 
 import (
 	"context"
@@ -13,6 +14,7 @@ import (
 	"github.com/measures-sql/msql/internal/exec"
 	"github.com/measures-sql/msql/internal/plan"
 	"github.com/measures-sql/msql/internal/storage"
+	"github.com/measures-sql/msql/internal/wal"
 )
 
 // PartialResult is a shard's partial-aggregation answer: per-group
@@ -64,19 +66,22 @@ func (db *DB) InsertRowsOf(stmt *ast.Insert, query func(*ast.Query) (*Result, er
 	return db.session.InsertRowsOf(stmt, query)
 }
 
-// ExecCAS executes one mutation statement iff the catalog version
-// equals expect; on success the returned version is expect+1. A version
-// mismatch is not an error: ok is false and version reports the current
-// value, letting a coordinator that lost an ack distinguish "already
-// applied" (version == expect+1) from divergence.
-func (db *DB) ExecCAS(ctx context.Context, sql string, expect int64, opts ...Option) (res *Result, version int64, ok bool, err error) {
-	return db.session.ExecCAS(ctx, sql, expect, overrides(opts))
+// MutationRecord makes the record a CREATE TABLE, CREATE VIEW, DROP or
+// TRUNCATE statement applies, or the error the statement fails with
+// before it reaches the catalog: a coordinator logs the record and ships
+// it to its shards' ApplyCAS.
+func (db *DB) MutationRecord(stmt ast.Statement) (*wal.Record, error) {
+	return engine.MutationRecord(stmt)
 }
 
-// InsertRowsCAS bulk-inserts pre-built rows iff the catalog version
-// equals expect (see ExecCAS for the contract).
-func (db *DB) InsertRowsCAS(table string, rows [][]Value, expect int64) (version int64, ok bool, err error) {
-	return db.session.InsertRowsCAS(table, rows, expect)
+// ApplyCAS applies one mutation record, as the statement that made it
+// applies it, iff the catalog version equals expect; on success the
+// returned version is expect+1. A version mismatch is not an error: ok
+// is false and version reports the current value, letting a coordinator
+// that lost an ack distinguish "already applied" (version == expect+1)
+// from divergence.
+func (db *DB) ApplyCAS(rec *wal.Record, expect int64) (res *Result, version int64, ok bool, err error) {
+	return db.session.ApplyCAS(rec, expect)
 }
 
 // ShardCounters is the distributed coordinator's slice of a metrics
