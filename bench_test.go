@@ -3,13 +3,15 @@
 // cost of the four query forms of Listing 12 (E13), the execution
 // strategies for measure evaluation — inline vs memoized ("localized
 // self-join", §5.1) vs naive correlated (E12), planning overhead of the
-// measure expansion (E19), and the conciseness metrics of §5.7 (E14).
+// measure expansion (E19), the conciseness metrics of §5.7 (E14), and
+// the cost of loading a database through SQL text (E54).
 //
 // Run with: go test -bench=. -benchmem
 package bench
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/measures-sql/msql/internal/datagen"
@@ -347,4 +349,43 @@ func BenchmarkRollupCubeMeasures(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkLoadScript (E54) loads a database through SQL text, as
+// `msqld -f` and `msqlcoord -init` do: the 20 000-order dataset of the
+// repository benchmark's dashboard workloads and its measure view, about
+// 1.08 MB of CREATE, INSERT … VALUES and CREATE VIEW. Per load it
+// reports time and allocations, and live-MiB: the heap a loaded database
+// keeps once its script is garbage (DESIGN.md §4.7).
+func BenchmarkLoadScript(b *testing.B) {
+	ds := datagen.Generate(datagen.Config{Seed: 1, Customers: 500, Products: 50, Orders: 20000, Years: 4})
+	script := func() string {
+		return datagen.SetupSQL + ds.InsertSQL() + `CREATE VIEW EO AS
+SELECT *, YEAR(orderDate) AS orderYear,
+       (SUM(revenue) - SUM(cost)) / SUM(revenue) AS MEASURE margin,
+       SUM(revenue) AS MEASURE sumRevenue
+FROM Orders;`
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	db := msql.Open()
+	if err := db.Exec(script()); err != nil {
+		b.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	live := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+	runtime.KeepAlive(db)
+
+	load := script()
+	b.SetBytes(int64(len(load)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := msql.Open().Exec(load); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(live/(1<<20), "live-MiB")
 }

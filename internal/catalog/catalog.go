@@ -6,6 +6,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -103,8 +104,15 @@ func (c *Catalog) ddl() {
 	c.schema.Add(1)
 }
 
-// CreateTable registers a new base table.
+// CreateTable registers a new base table. The catalog keeps copies of
+// name and cols: they may be substrings of a script, which nothing that
+// outlives a statement may keep alive.
 func (c *Catalog) CreateTable(name string, cols []string, types []sqltypes.Type, orReplace bool) (*BaseTable, error) {
+	name = strings.Clone(name)
+	cols = slices.Clone(cols)
+	for i := range cols {
+		cols[i] = strings.Clone(cols[i])
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	k := key(name)
@@ -165,8 +173,11 @@ func (c *Catalog) CheckDrop(kind, name string) error {
 	return nil
 }
 
-// CreateView registers a view definition.
+// CreateView registers a view definition. The catalog keeps a copy of
+// name, as CreateTable does; q must not point into a longer text than
+// its own (the engine parses it from the view's formatted SQL).
 func (c *Catalog) CreateView(name string, q *ast.Query, orReplace bool) error {
+	name = strings.Clone(name)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	k := key(name)

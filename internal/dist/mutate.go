@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"slices"
+	"strings"
 	"sync"
 
 	"github.com/measures-sql/msql/internal/ast"
@@ -88,7 +89,8 @@ func (c *Coordinator) execCreateTable(ctx context.Context, s *ast.CreateTable, r
 	if err != nil {
 		return nil, err
 	}
-	meta := &tableMeta{name: s.Name, pcol: 0}
+	// The name is copied: s.Name may be a substring of a whole script.
+	meta := &tableMeta{name: strings.Clone(s.Name), pcol: 0}
 	if want, ok := c.cfg.PartitionCols[lower(s.Name)]; ok {
 		meta.pcol = slices.IndexFunc(rec.Cols, func(col string) bool { return lower(col) == lower(want) })
 		if meta.pcol < 0 {

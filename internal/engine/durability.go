@@ -92,7 +92,7 @@ func (s *Session) restoreDump(dump *wal.StoreDump) error {
 	}
 	s.cat.RestoreVersion(dump.Version)
 	for _, rec := range dump.Log {
-		if _, err := s.apply(rec, nil); err != nil {
+		if _, err := s.apply(rec); err != nil {
 			return fmt.Errorf("log record %d (%s %s): %w", rec.Seq, rec.Type, rec.Name, err)
 		}
 	}

@@ -760,21 +760,19 @@ func analyzeTotals(env *stmtEnv, rows int) string {
 // execMutation runs a CREATE TABLE, CREATE VIEW, DROP or TRUNCATE: it
 // makes the statement's record and applies it under the mutation lock. A
 // view's definition is bound first, so an invalid one fails at CREATE
-// time, and the view keeps the query the statement parsed.
+// time.
 func (s *Session) execMutation(stmt ast.Statement) (*Result, error) {
 	rec, err := mutationRecord(stmt)
 	if err != nil {
 		return nil, err
 	}
-	var view *ast.Query
 	if cv, ok := stmt.(*ast.CreateView); ok {
 		if _, err := binder.New(s.cat).BindQuery(cv.Query); err != nil {
 			return nil, fmt.Errorf("invalid view definition: %w", err)
 		}
-		view = cv.Query
 	}
 	defer s.lockDurable()()
-	n, err := s.apply(rec, view)
+	n, err := s.apply(rec)
 	if err != nil {
 		return nil, err
 	}
@@ -799,7 +797,8 @@ func mutationRecord(stmt ast.Statement) (*wal.Record, error) {
 		return rec, nil
 	case *ast.CreateView:
 		// A view travels as rendered SQL, parsed again where its record
-		// is applied without the statement.
+		// is applied: the view keeps an AST of its own text, not one
+		// pointing into the script the statement came in.
 		return &wal.Record{Type: wal.RecCreateView, Name: stmt.Name, OrReplace: stmt.OrReplace,
 			SQL: ast.FormatQuery(stmt.Query)}, nil
 	case *ast.Drop:
@@ -837,23 +836,23 @@ func mutationResult(rec *wal.Record, n int) *Result {
 // storage, and counts it in the version, so a record is only logged for
 // a mutation that applies cleanly and a failed append changes nothing in
 // memory. An INSERT's rows are coerced before they are logged, so the
-// log carries exactly the values stored. view, when not nil, is the
-// parsed query of a CREATE VIEW record (the statement's own); otherwise
-// the record's SQL is parsed. n counts the rows the record inserted or
+// log carries exactly the values stored. A CREATE VIEW record's SQL is
+// parsed into the view's query. n counts the rows the record inserted or
 // truncated.
-func (s *Session) apply(rec *wal.Record, view *ast.Query) (n int, err error) {
-	var table *catalog.BaseTable
+func (s *Session) apply(rec *wal.Record) (n int, err error) {
+	var (
+		table *catalog.BaseTable
+		view  *ast.Query
+	)
 	switch rec.Type {
 	case wal.RecCreateTable, wal.RecCreateView:
 		if err := s.cat.CheckCreate(rec.Name, rec.OrReplace); err != nil {
 			return 0, err
 		}
-		if rec.Type == wal.RecCreateView && view == nil {
-			q, err := parser.ParseQuery(rec.SQL)
-			if err != nil {
+		if rec.Type == wal.RecCreateView {
+			if view, err = parser.ParseQuery(rec.SQL); err != nil {
 				return 0, fmt.Errorf("view %s: %w", rec.Name, err)
 			}
-			view = q
 		}
 	case wal.RecDrop:
 		if err := s.cat.CheckDrop(rec.Kind, rec.Name); err != nil {
@@ -960,28 +959,26 @@ func (s *Session) insertRows(stmt *ast.Insert, query func(*ast.Query) (*Result, 
 		}
 		rows = res.Rows
 	default:
-		for _, rowExprs := range stmt.Rows {
+		rows = carveRows(len(stmt.Rows), width)
+		for ri, rowExprs := range stmt.Rows {
 			if len(rowExprs) != width {
 				return nil, nil, fmt.Errorf("INSERT expects %d values, got %d", width, len(rowExprs))
 			}
-			row := make([]sqltypes.Value, len(rowExprs))
 			for i, e := range rowExprs {
 				v, err := evalConstExpr(e)
 				if err != nil {
 					return nil, nil, err
 				}
-				row[i] = v
+				rows[ri][i] = v
 			}
-			rows = append(rows, row)
 		}
 	}
 	if target == nil {
 		return table, rows, nil
 	}
 	// The source rows may be a query's, whose slice is not ours to change.
-	full := make([][]sqltypes.Value, len(rows))
+	full := carveRows(len(rows), len(colNames))
 	for ri, src := range rows {
-		full[ri] = make([]sqltypes.Value, len(colNames))
 		for ti, pos := range target {
 			full[ri][ti] = sqltypes.Null(table.ColTypes()[ti].Kind)
 			if pos >= 0 {
@@ -990,6 +987,17 @@ func (s *Session) insertRows(stmt *ast.Insert, query func(*ast.Query) (*Result, 
 		}
 	}
 	return table, full, nil
+}
+
+// carveRows returns n rows of width values carved from one block, each
+// capped at its width.
+func carveRows(n, width int) [][]sqltypes.Value {
+	block := make([]sqltypes.Value, n*width)
+	rows := make([][]sqltypes.Value, n)
+	for i := range rows {
+		rows[i] = block[i*width : (i+1)*width : (i+1)*width]
+	}
+	return rows
 }
 
 // InsertRows bulk-inserts pre-built rows into a base table, bypassing
@@ -1010,7 +1018,7 @@ func (s *Session) insert(rec *wal.Record, want *catalog.BaseTable) (int, error) 
 			return 0, fmt.Errorf("table %s was concurrently replaced", rec.Name)
 		}
 	}
-	return s.apply(rec, nil)
+	return s.apply(rec)
 }
 
 // constLiteral answers a literal, or a minus sign over a number, with the

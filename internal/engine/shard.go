@@ -153,7 +153,7 @@ func (s *Session) ApplyCAS(rec *wal.Record, expect int64) (res *Result, version 
 		return nil, v, false, nil
 	}
 	unlock := s.lockDurable()
-	n, err := s.apply(rec, nil)
+	n, err := s.apply(rec)
 	unlock()
 	if err != nil {
 		return nil, s.cat.Version(), false, exec.Wrap(err, exec.CodeRuntime, exec.PhaseExecute)

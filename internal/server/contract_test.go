@@ -10,6 +10,7 @@ package server_test
 // any backend runs them.
 
 import (
+	"bytes"
 	"context"
 	"encoding/base64"
 	"encoding/json"
@@ -44,12 +45,39 @@ func contractConfig(log io.Writer) server.Config {
 	}
 }
 
+// holdHeader marks the request of the "client cancel" row.
+const holdHeader = "X-Contract-Hold"
+
+// holdUntilGone wraps a backend's handler. A request carrying holdHeader
+// has its body read to EOF — net/http watches the connection from then
+// on — and waits until the server has seen its client go before the
+// envelope takes it, with the execution slot held: it is queued with its
+// context already canceled and leaves the queue as abandoned. Were it
+// queued first, the queue wait would race the server's noticing the
+// closed connection, which a loaded host can delay past QueueWait.
+func holdUntilGone(next http.Handler, held chan<- struct{}) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get(holdHeader) != "" {
+			body, _ := io.ReadAll(r.Body)
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			held <- struct{}{}
+			select {
+			case <-r.Context().Done():
+			case <-time.After(10 * time.Second):
+			}
+		}
+		next.ServeHTTP(w, r)
+	})
+}
+
 // contractHarness is one backend under test.
 type contractHarness struct {
 	name string
 	srv  *server.Server
 	url  string
 	log  *syncBuffer
+	// held receives a request holdUntilGone holds.
+	held chan struct{}
 	// endpoints the backend serves; the others must answer 404.
 	served map[string]bool
 	// version reports the backend's catalog version (for /apply's CAS).
@@ -77,9 +105,12 @@ func dbHarness(t *testing.T) *contractHarness {
 		}
 	}
 	log := &syncBuffer{}
-	srv, ts := startServer(t, db, contractConfig(log))
+	srv := server.New(db, contractConfig(log))
+	held := make(chan struct{}, 1)
+	ts := httptest.NewServer(holdUntilGone(srv.Handler(), held))
+	t.Cleanup(ts.Close)
 	return &contractHarness{
-		name: "db", srv: srv, url: ts.URL, log: log, version: db.CatalogVersion, slowSQL: contractSlow,
+		name: "db", srv: srv, url: ts.URL, log: log, held: held, version: db.CatalogVersion, slowSQL: contractSlow,
 		served: map[string]bool{"/query": true, "/query.ndjson": true, "/prepare": true, "/execute": true, "/rows": true, "/partial": true, "/apply": true},
 	}
 }
@@ -105,10 +136,11 @@ func coordinatorHarness(t *testing.T) *contractHarness {
 	}
 	log := &syncBuffer{}
 	srv := server.New(coord, contractConfig(log))
-	ts := httptest.NewServer(coord.Front(srv))
+	held := make(chan struct{}, 1)
+	ts := httptest.NewServer(holdUntilGone(coord.Front(srv), held))
 	t.Cleanup(ts.Close)
 	return &contractHarness{
-		name: "coordinator", srv: srv, url: ts.URL, log: log, version: coord.CatalogVersion, slowSQL: contractQuery,
+		name: "coordinator", srv: srv, url: ts.URL, log: log, held: held, version: coord.CatalogVersion, slowSQL: contractQuery,
 		served: map[string]bool{"/query": true, "/query.ndjson": true},
 	}
 }
@@ -182,10 +214,18 @@ type probe struct {
 }
 
 func (h *contractHarness) send(ctx context.Context, method, path, id, body string) probe {
+	return h.sendWith(ctx, method, path, id, body, nil)
+}
+
+// sendWith is send with extra request headers.
+func (h *contractHarness) sendWith(ctx context.Context, method, path, id, body string, header http.Header) probe {
 	h.sent.Add(1)
 	req, err := http.NewRequestWithContext(ctx, method, h.url+path, strings.NewReader(body))
 	if err != nil {
 		return probe{err: err}
+	}
+	for k, v := range header {
+		req.Header[k] = v
 	}
 	req.Header.Set("X-Request-Id", id)
 	resp, err := http.DefaultClient.Do(req)
@@ -288,9 +328,13 @@ var contractConditions = []contractCondition{
 			gone := make(chan probe, 1)
 			body := ep.body(h, 0, 0)
 			go func() {
-				gone <- h.send(ctx, http.MethodPost, ep.path, id, body)
+				gone <- h.sendWith(ctx, http.MethodPost, ep.path, id, body, http.Header{holdHeader: {"1"}})
 			}()
-			waitFor(t, 2*time.Second, func() bool { return h.srv.Counters().Queued == 1 })
+			select {
+			case <-h.held:
+			case <-time.After(2 * time.Second):
+				t.Fatal("the request never reached the server")
+			}
 			cancel()
 			if p := <-gone; p.err == nil {
 				t.Errorf("canceled request got an answer: %d", p.status)

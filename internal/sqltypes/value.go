@@ -54,14 +54,44 @@ func NewDate(year int, month time.Month, day int) Value {
 func NewDateDays(days int64) Value { return Value{K: KindDate, I: days} }
 
 // ParseDate parses 'YYYY-MM-DD' (also accepting '/' separators, as the
-// paper's tables print dates like 2023/11/28).
+// paper's tables print dates like 2023/11/28): four digits, two digits of
+// a month, two digits of a day the month has, and the same separator
+// twice. These are exactly the strings time.Parse accepts for the layouts
+// 2006-01-02 and 2006/01/02; the bytes are read by hand, which costs no
+// allocation.
 func ParseDate(s string) (Value, error) {
-	for _, layout := range []string{"2006-01-02", "2006/01/02"} {
-		if t, err := time.ParseInLocation(layout, s, time.UTC); err == nil {
-			return Value{K: KindDate, I: t.Unix() / 86400}, nil
+	if len(s) == 10 && (s[4] == '-' || s[4] == '/') && s[7] == s[4] {
+		y, yok := digits(s[0:4])
+		m, mok := digits(s[5:7])
+		d, dok := digits(s[8:10])
+		if yok && mok && dok && m >= 1 && m <= 12 && d >= 1 && d <= daysIn(m, y) {
+			return NewDate(y, time.Month(m), d), nil
 		}
 	}
 	return Value{}, fmt.Errorf("invalid DATE literal %q", s)
+}
+
+// digits reads s, which must be all decimal digits.
+func digits(s string) (n int, ok bool) {
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return 0, false
+		}
+		n = n*10 + int(s[i]-'0')
+	}
+	return n, true
+}
+
+// monthDays are the days of each month of a common year.
+var monthDays = [13]int{0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31}
+
+// daysIn returns the number of days of month m (1–12) of year y in the
+// proleptic Gregorian calendar.
+func daysIn(m, y int) int {
+	if m == 2 && y%4 == 0 && (y%100 != 0 || y%400 == 0) {
+		return 29
+	}
+	return monthDays[m]
 }
 
 // Time returns the civil date as a time.Time (midnight UTC). Only valid
